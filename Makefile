@@ -4,7 +4,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all build vet lint lint-fixtures test race chaos shard failover live demuxd demuxload bench bench-json bench-json-adversarial bench-json-cache bench-json-shard bench-json-failover bench-gate fuzz figures clean
+.PHONY: all build vet lint lint-fixtures bench-check test race chaos shard failover live demuxd demuxload bench bench-json bench-json-adversarial bench-json-cache bench-json-shard bench-json-failover bench-gate fuzz figures clean
 
 all: build vet lint test
 
@@ -34,11 +34,19 @@ bin/demuxvet: FORCE
 
 FORCE:
 
+# bench-check vets and tests the benchmark harness. bench/ is a module of
+# its own (go.mod replaces tcpdemux with ../), so `go build ./...` and
+# `go test ./...` at the root never compile it — an API moved under its
+# feet would otherwise surface only when bench/run.sh next runs.
+bench-check:
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test ./...
+
 # test is the tier-1 gate: vet, the invariant analyzers, the full test
-# suite, the race detector over the concurrent packages plus the
-# timer-driven engine and the telemetry stripes, and the demuxsim
-# -metrics endpoint smoke test.
-test: vet lint
+# suite (the benchmark module's included), the race detector over the
+# concurrent packages plus the timer-driven engine and the telemetry
+# stripes, and the demuxsim -metrics endpoint smoke test.
+test: vet lint bench-check
 	$(GO) test ./...
 	$(GO) test -race ./internal/parallel ./internal/rcu ./internal/flat ./internal/engine ./internal/timer ./internal/telemetry
 	$(GO) test -run 'TestMetricsEndpoint|TestAdversarialSnapshotUnified' -count=1 ./cmd/demuxsim
@@ -106,9 +114,9 @@ bench-json:
 bench-json-adversarial:
 	$(GO) run ./cmd/benchjson -workload adversarial -ops 200000 -out BENCH_adversarial.json
 
-# bench-json-cache measures the cache-conscious flat tables (hopscotch,
-# bucketized cuckoo) against the chained disciplines, per-packet and in
-# prefetch-pipelined batches across depths k, and writes BENCH_cache.json
+# bench-json-cache measures the cache-conscious flat table (hopscotch)
+# against the chained disciplines, per-packet and in prefetch-pipelined
+# batches across depths k, and writes BENCH_cache.json
 # with internal/cachesim stall estimates embedded (EXP-CACHE).
 bench-json-cache:
 	$(GO) run ./cmd/benchjson -workload cache -gomaxprocs 4 -workers 16 -rounds 5 -ops 20000 -n 6000 -out BENCH_cache.json

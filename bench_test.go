@@ -25,6 +25,7 @@ import (
 	"tcpdemux/internal/churn"
 	"tcpdemux/internal/connid"
 	"tcpdemux/internal/core"
+	"tcpdemux/internal/flat"
 	"tcpdemux/internal/hashfn"
 	"tcpdemux/internal/parallel"
 	"tcpdemux/internal/rcu"
@@ -384,9 +385,10 @@ func wireDemuxFrames(b *testing.B, n int, insert ...func(*core.PCB) error) [][]b
 // BenchmarkWireDemux measures the full receive fast path: raw frame →
 // tuple extraction → hashed lookup, the end-to-end cost a driver would
 // see. The sequent case is the unsynchronized baseline; rcu is the same
-// table behind the lock-free read path; rcu-batch32 demultiplexes
-// 32-frame trains through the batched lookup API, the shape the paper's
-// packet-train analysis assumes arrivals take.
+// table behind the lock-free read path; flat-batch32 demultiplexes
+// 32-frame trains through the one native batched lookup path
+// (flat.Hopscotch's prefetch pipeline, reached via core.LookupBatch), the
+// shape the paper's packet-train analysis assumes arrivals take.
 func BenchmarkWireDemux(b *testing.B) {
 	b.Run("sequent", func(b *testing.B) {
 		d := core.NewSequentHash(19, nil)
@@ -418,9 +420,9 @@ func BenchmarkWireDemux(b *testing.B) {
 			}
 		}
 	})
-	b.Run("rcu-batch32", func(b *testing.B) {
+	b.Run("flat-batch32", func(b *testing.B) {
 		const train = 32
-		d := rcu.New(19, nil)
+		d := flat.NewHopscotch(0, nil)
 		frames := wireDemuxFrames(b, 512, d.Insert)
 		keys := make([]core.Key, 0, train)
 		var out []core.Result
@@ -433,7 +435,7 @@ func BenchmarkWireDemux(b *testing.B) {
 			}
 			keys = append(keys, core.KeyFromTuple(tuple))
 			if len(keys) == train || i == b.N-1 {
-				out = d.LookupBatch(keys, core.DirAck, out)
+				out = core.LookupBatch(d, keys, core.DirAck, out)
 				for _, r := range out {
 					if r.PCB == nil {
 						b.Fatal("lost a PCB")
@@ -457,14 +459,14 @@ func BenchmarkParallel(b *testing.B) {
 	const n = 1000
 	cases := []struct {
 		name  string
-		build func() parallel.ConcurrentDemuxer
+		build func() core.Concurrent
 	}{
-		{"locked-bsd", func() parallel.ConcurrentDemuxer { return parallel.NewLocked(core.NewBSDList()) }},
-		{"locked-sequent", func() parallel.ConcurrentDemuxer { return parallel.NewLocked(core.NewSequentHash(19, nil)) }},
-		{"sharded-sequent-19", func() parallel.ConcurrentDemuxer { return parallel.NewShardedSequent(19, nil) }},
-		{"sharded-sequent-128", func() parallel.ConcurrentDemuxer { return parallel.NewShardedSequent(128, nil) }},
-		{"rcu-sequent-19", func() parallel.ConcurrentDemuxer { return rcu.New(19, nil) }},
-		{"rcu-sequent-128", func() parallel.ConcurrentDemuxer { return rcu.New(128, nil) }},
+		{"locked-bsd", func() core.Concurrent { return parallel.NewLocked(core.NewBSDList()) }},
+		{"locked-sequent", func() core.Concurrent { return parallel.NewLocked(core.NewSequentHash(19, nil)) }},
+		{"sharded-sequent-19", func() core.Concurrent { return parallel.NewShardedSequent(19, nil) }},
+		{"sharded-sequent-128", func() core.Concurrent { return parallel.NewShardedSequent(128, nil) }},
+		{"rcu-sequent-19", func() core.Concurrent { return rcu.New(19, nil) }},
+		{"rcu-sequent-128", func() core.Concurrent { return rcu.New(128, nil) }},
 	}
 	for _, c := range cases {
 		c := c
@@ -552,7 +554,7 @@ func BenchmarkParallelTPCA(b *testing.B) {
 					b.ResetTimer()
 					start := time.Now()
 					b.RunParallel(func(pb *testing.PB) {
-						d := shared
+						var d core.Table = shared
 						if m != nil {
 							ld := telemetry.InstrumentLocal(shared, m)
 							defer ld.Flush()
@@ -567,7 +569,7 @@ func BenchmarkParallelTPCA(b *testing.B) {
 						for pb.Next() {
 							if src.Float64() >= readFraction {
 								if len(keys) > 0 {
-									out = d.LookupBatch(keys, core.DirData, out)
+									out = core.LookupBatch(d, keys, core.DirData, out)
 									keys = keys[:0]
 								}
 								k := tpca.UserKey(churnBase + src.Intn(32))
@@ -584,7 +586,7 @@ func BenchmarkParallelTPCA(b *testing.B) {
 							if batch > 1 {
 								keys = append(keys, op.Key)
 								if len(keys) >= batch {
-									out = d.LookupBatch(keys, core.DirData, out)
+									out = core.LookupBatch(d, keys, core.DirData, out)
 									keys = keys[:0]
 								}
 							} else {
@@ -592,7 +594,7 @@ func BenchmarkParallelTPCA(b *testing.B) {
 							}
 						}
 						if len(keys) > 0 {
-							d.LookupBatch(keys, core.DirData, out)
+							core.LookupBatch(d, keys, core.DirData, out)
 						}
 					})
 					elapsed := time.Since(start).Seconds()
@@ -613,7 +615,7 @@ func BenchmarkParallelTPCA(b *testing.B) {
 // newParallelBenchDemux builds a discipline for BenchmarkParallelTPCA,
 // optionally wrapped in telemetry instrumentation (fresh registry per
 // sub-benchmark so runs never share stripe state).
-func newParallelBenchDemux(name string, instrumented bool) (parallel.ConcurrentDemuxer, *telemetry.DemuxMetrics, error) {
+func newParallelBenchDemux(name string, instrumented bool) (core.Concurrent, *telemetry.DemuxMetrics, error) {
 	d, err := parallel.New(name, core.Config{Chains: 19})
 	if err != nil || !instrumented {
 		return d, nil, err

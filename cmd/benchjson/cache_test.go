@@ -7,7 +7,7 @@ import (
 )
 
 // TestRunCacheSmoke drives a tiny cache-workload measurement and checks
-// the report's structure: chained baselines in both modes, flat tables
+// the report's structure: chained baselines in both modes, the flat table
 // per-packet plus the full prefetch-depth sweep, cachesim estimates
 // embedded, summary computed against the rcu per-packet baseline.
 func TestRunCacheSmoke(t *testing.T) {
@@ -24,7 +24,7 @@ func TestRunCacheSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantConfigs := 2*len(cacheChained) + (1+len(cacheDepths))*len(cacheFlat)
+	wantConfigs := 2*len(cacheChained) + 1 + len(cacheDepths)
 	if len(rep.Results) != wantConfigs {
 		t.Fatalf("got %d results, want %d", len(rep.Results), wantConfigs)
 	}
@@ -40,14 +40,12 @@ func TestRunCacheSmoke(t *testing.T) {
 			t.Fatalf("missing chained modes for %s: %v", d, seen)
 		}
 	}
-	for _, d := range cacheFlat {
-		if !seen[d+"/perpacket"] {
-			t.Fatalf("missing flat perpacket for %s", d)
-		}
-		for _, k := range []string{"batch8-k0", "batch8-k1", "batch8-k2", "batch8-k4", "batch8-k8"} {
-			if !seen[d+"/"+k] {
-				t.Fatalf("missing flat depth mode %s/%s: %v", d, k, seen)
-			}
+	if !seen[cacheFlat+"/perpacket"] {
+		t.Fatalf("missing flat perpacket for %s", cacheFlat)
+	}
+	for _, k := range []string{"batch8-k0", "batch8-k1", "batch8-k2", "batch8-k4", "batch8-k8"} {
+		if !seen[cacheFlat+"/"+k] {
+			t.Fatalf("missing flat depth mode %s/%s: %v", cacheFlat, k, seen)
 		}
 	}
 
@@ -61,18 +59,16 @@ func TestRunCacheSmoke(t *testing.T) {
 	if s.FlatBatchBeatsRcu != (s.FlatBatchNsPerOp < s.RcuPerPacketNsPerOp) {
 		t.Fatalf("acceptance bool inconsistent with its inputs: %+v", s)
 	}
-	for _, d := range cacheFlat {
-		k, ok := s.BestPrefetchDepth[d]
-		if !ok {
-			t.Fatalf("no best depth recorded for %s: %+v", d, s)
-		}
-		found := false
-		for _, want := range cacheDepths {
-			found = found || k == want
-		}
-		if !found {
-			t.Fatalf("best depth %d for %s not in the swept set %v", k, d, cacheDepths)
-		}
+	k, ok := s.BestPrefetchDepth[cacheFlat]
+	if !ok {
+		t.Fatalf("no best depth recorded for %s: %+v", cacheFlat, s)
+	}
+	found := false
+	for _, want := range cacheDepths {
+		found = found || k == want
+	}
+	if !found {
+		t.Fatalf("best depth %d for %s not in the swept set %v", k, cacheFlat, cacheDepths)
 	}
 
 	if len(rep.Model) != 2 {

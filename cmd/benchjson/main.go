@@ -6,10 +6,10 @@
 //     lock, per-chain locks, and the lock-free-read RCU table — per
 //     packet and in batched trains.
 //   - cache (BENCH_cache.json): the chained baselines against the
-//     cache-conscious open-addressing tables (flat-hopscotch,
-//     flat-cuckoo), per packet and batched, sweeping the batch path's
-//     prefetch pipeline depth k, with internal/cachesim stall estimates
-//     embedded beside the measured numbers.
+//     cache-conscious open-addressing table (flat-hopscotch), per packet
+//     and batched, sweeping the batch path's prefetch pipeline depth k,
+//     with internal/cachesim stall estimates embedded beside the
+//     measured numbers.
 //   - adversarial (BENCH_adversarial.json): the collision attack and
 //     SYN flood against the defended tables.
 //   - shard (BENCH_shard.json): the multi-queue engine — the same
@@ -446,20 +446,6 @@ type advFloodResult struct {
 	DroppedBacklogFull uint64 `json:"droppedBacklogFull"`
 }
 
-// advDemux is the slice of behaviour the attack measurement needs; the
-// undefended table gets no-op migration methods.
-type advDemux interface {
-	Insert(*core.PCB) error
-	Lookup(core.Key, core.Direction) core.Result
-	Migrating() bool
-	Advance(int)
-}
-
-type plainSequent struct{ *core.SequentHash }
-
-func (plainSequent) Migrating() bool { return false }
-func (plainSequent) Advance(int)     {}
-
 // runAdversarial measures the collision attack and SYN flood the
 // demuxsim adversarial workload runs, emitting machine-readable JSON:
 // per-table examined means and percentiles under attack, rekey counts,
@@ -487,25 +473,21 @@ func runAdversarial(opt options) (*advReport, error) {
 	}
 	attack := population[:attackN]
 
-	und := plainSequent{core.NewSequentHash(opt.Chains, victim)}
+	und := overload.Undefended{SequentHash: core.NewSequentHash(opt.Chains, victim)}
 	g := overload.NewGuarded(opt.Chains, victim, opt.Seed, overload.Config{})
 	rg := overload.NewRCUGuarded(opt.Chains, victim, opt.Seed, overload.Config{})
 	g.SetTelemetry(telemetry.NewOverloadMetrics(reg, "guarded-sequent"))
 	rg.SetTelemetry(telemetry.NewOverloadMetrics(reg, "rcu-guarded"))
 	type advTable struct {
 		name   string
-		d      advDemux
+		d      overload.AttackTable
 		m      *telemetry.DemuxMetrics
-		stats  func() core.Stats
 		rekeys func() int
 	}
 	tables := []advTable{
-		{"sequent-undefended", und, telemetry.NewDemuxMetrics(reg, "sequent-undefended"),
-			func() core.Stats { return *und.Stats() }, func() int { return 0 }},
-		{"guarded-sequent", g, telemetry.NewDemuxMetrics(reg, "guarded-sequent"),
-			func() core.Stats { return *g.Stats() }, func() int { return g.Rekeys }},
-		{"rcu-guarded", rg, telemetry.NewDemuxMetrics(reg, "rcu-guarded"),
-			func() core.Stats { return rg.Snapshot() }, func() int { return rg.Rekeys }},
+		{"sequent-undefended", und, telemetry.NewDemuxMetrics(reg, "sequent-undefended"), func() int { return 0 }},
+		{"guarded-sequent", g, telemetry.NewDemuxMetrics(reg, "guarded-sequent"), func() int { return g.Rekeys }},
+		{"rcu-guarded", rg, telemetry.NewDemuxMetrics(reg, "rcu-guarded"), func() int { return rg.Rekeys }},
 	}
 
 	rep := &advReport{
@@ -533,11 +515,11 @@ func runAdversarial(opt options) (*advReport, error) {
 		}
 		tb := tb
 		meanOver := func(keys []core.Key) float64 {
-			before := tb.stats()
+			before := core.SnapshotOf(tb.d)
 			for _, k := range keys {
 				tb.m.Observe(tb.d.Lookup(k, core.DirData))
 			}
-			after := tb.stats()
+			after := core.SnapshotOf(tb.d)
 			if after.Lookups == before.Lookups {
 				return 0
 			}
@@ -564,7 +546,7 @@ func runAdversarial(opt options) (*advReport, error) {
 			Table:        tb.name,
 			BenignMean:   benignMean,
 			AttackedMean: attackedMean,
-			WorstLookup:  tb.stats().MaxExamined,
+			WorstLookup:  core.SnapshotOf(tb.d).MaxExamined,
 			Rekeys:       tb.rekeys(),
 			ExaminedP50:  h.Quantile(0.50),
 			ExaminedP90:  h.Quantile(0.90),

@@ -46,11 +46,11 @@
 // the concurrent locking disciplines (-algos then names disciplines, e.g.
 // locked-sequent,sharded-sequent,rcu-sequent) with -workers goroutines,
 // optionally in -batch sized lookup trains. The cache-conscious
-// open-addressing tables register themselves as disciplines too
-// (flat-hopscotch, flat-cuckoo): their lookups probe a packed window of
-// 24-byte entries instead of chasing a PCB chain, and in batched mode
-// the train runs through the software-pipelined prefetching path; see
-// cmd/benchjson -workload cache for the measured comparison.
+// open-addressing table is a discipline too (flat-hopscotch): its
+// lookups probe a packed window of 24-byte entries instead of chasing a
+// PCB chain, and in batched mode the train runs through the
+// software-pipelined prefetching path; see cmd/benchjson -workload cache
+// for the measured comparison.
 package main
 
 import (
@@ -124,12 +124,12 @@ func main() {
 	reg := telemetry.NewRegistry()
 	serving := false
 	if *metrics != "" {
-		bound, _, err := telemetry.Serve(*metrics, reg.Snapshot)
+		ms, err := telemetry.StartServer(*metrics, reg.Snapshot)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "demuxsim:", err)
 			os.Exit(1)
 		}
-		fmt.Fprintf(os.Stderr, "metrics on http://%s/metrics\n", bound)
+		fmt.Fprintf(os.Stderr, "metrics on http://%s/metrics\n", ms.Addr())
 		serving = true
 	}
 	var err error
@@ -200,17 +200,17 @@ func runParallel(out io.Writer, names []string, users, txns, chains int, seed ui
 	w := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 	defer w.Flush()
 	fmt.Fprintln(w, "discipline\tns/op\tlookups/sec\tPCBs/pkt\tp50\tp90\tp99\thit-rate")
+	hashFn, err := hashfn.ByName(hashName)
+	if err != nil {
+		return err
+	}
 	for _, name := range names {
-		sel, err := discipline.SelectConcurrent(name, hashName, chains)
-		if err != nil {
-			return err
-		}
-		inner, err := sel.Concurrent()
+		inner, err := parallel.New(strings.TrimSpace(name), core.Config{Chains: chains, Hash: hashFn})
 		if err != nil {
 			return err
 		}
 		m := telemetry.NewDemuxMetrics(reg, inner.Name())
-		var d parallel.ConcurrentDemuxer = telemetry.InstrumentConcurrent(inner, m, nil, nil)
+		d := telemetry.InstrumentConcurrent(inner, m, nil, nil)
 		for u := 0; u < users; u++ {
 			if err := d.Insert(core.NewPCB(tpca.UserKey(u))); err != nil {
 				return err
@@ -404,10 +404,7 @@ func runSharded(out io.Writer, clients, txns, chains, max int, seed uint64, drop
 		}
 		var st core.Stats
 		for i := 0; i < set.Shards(); i++ {
-			s := set.Shard(i).Demuxer().Stats()
-			st.Lookups += s.Lookups
-			st.Hits += s.Hits
-			st.Examined += s.Examined
+			st.Merge(*set.Shard(i).Demuxer().Stats())
 		}
 		busy := 0
 		for _, c := range set.Steered {
@@ -425,22 +422,6 @@ func runSharded(out io.Writer, clients, txns, chains, max int, seed uint64, drop
 	}
 	return nil
 }
-
-// advDemux is what the adversarial workload needs from a table under
-// attack; the undefended SequentHash gets no-op migration methods.
-type advDemux interface {
-	Insert(*core.PCB) error
-	Lookup(core.Key, core.Direction) core.Result
-	Migrating() bool
-	Advance(int)
-	NumChains() int
-}
-
-// plainSequent adapts the undefended table to advDemux.
-type plainSequent struct{ *core.SequentHash }
-
-func (plainSequent) Migrating() bool { return false }
-func (plainSequent) Advance(int)     {}
 
 // advConfig parameterizes the adversarial workload. reg (optional)
 // receives every metric the run produces — per-discipline examined
@@ -495,23 +476,19 @@ func runAdversarial(out io.Writer, cfg advConfig) error {
 
 	type advTable struct {
 		name   string
-		d      advDemux
+		d      overload.AttackTable
 		m      *telemetry.DemuxMetrics
-		stats  func() core.Stats
 		rekeys func() int
 	}
-	und := plainSequent{core.NewSequentHash(chains, victim)}
+	und := overload.Undefended{SequentHash: core.NewSequentHash(chains, victim)}
 	g := overload.NewGuarded(chains, victim, seed, overload.Config{})
 	rg := overload.NewRCUGuarded(chains, victim, seed, overload.Config{})
 	g.SetTelemetry(telemetry.NewOverloadMetrics(reg, "guarded-sequent"))
 	rg.SetTelemetry(telemetry.NewOverloadMetrics(reg, "rcu-guarded"))
 	tables := []advTable{
-		{"sequent (undefended)", und, telemetry.NewDemuxMetrics(reg, "sequent-undefended"),
-			func() core.Stats { return *und.Stats() }, func() int { return 0 }},
-		{"guarded-sequent", g, telemetry.NewDemuxMetrics(reg, "guarded-sequent"),
-			func() core.Stats { return *g.Stats() }, func() int { return g.Rekeys }},
-		{"rcu-guarded", rg, telemetry.NewDemuxMetrics(reg, "rcu-guarded"),
-			func() core.Stats { return rg.Snapshot() }, func() int { return rg.Rekeys }},
+		{"sequent (undefended)", und, telemetry.NewDemuxMetrics(reg, "sequent-undefended"), func() int { return 0 }},
+		{"guarded-sequent", g, telemetry.NewDemuxMetrics(reg, "guarded-sequent"), func() int { return g.Rekeys }},
+		{"rcu-guarded", rg, telemetry.NewDemuxMetrics(reg, "rcu-guarded"), func() int { return rg.Rekeys }},
 	}
 
 	// vt is the run's virtual clock: one tick per recorded lookup, so the
@@ -532,7 +509,7 @@ func runAdversarial(out io.Writer, cfg advConfig) error {
 		}
 		tb := tb
 		meanOver := func(keys []core.Key) float64 {
-			before := tb.stats()
+			before := core.SnapshotOf(tb.d)
 			for _, k := range keys {
 				r := tb.d.Lookup(k, core.DirData)
 				tb.m.Observe(r)
@@ -548,7 +525,7 @@ func runAdversarial(out io.Writer, cfg advConfig) error {
 					Miss:       r.PCB == nil,
 				})
 			}
-			after := tb.stats()
+			after := core.SnapshotOf(tb.d)
 			if after.Lookups == before.Lookups {
 				return 0
 			}
@@ -571,7 +548,7 @@ func runAdversarial(out io.Writer, cfg advConfig) error {
 			tb.d.Advance(64)
 		}
 		attackedMean := meanOver(allKeys)
-		worst := tb.stats().MaxExamined
+		worst := core.SnapshotOf(tb.d).MaxExamined
 		fmt.Fprintf(w, "%s\t%.2f\t%.2f\t%d\t%d\t%d→%d\n",
 			tb.name, benignMean, attackedMean, worst, tb.rekeys(), chainsBefore, tb.d.NumChains())
 	}

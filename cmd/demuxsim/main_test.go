@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -295,12 +296,12 @@ func TestMetricsEndpoint(t *testing.T) {
 	if err := runAdversarial(&b, advCfg(reg, "")); err != nil {
 		t.Fatal(err)
 	}
-	addr, closeSrv, err := telemetry.Serve("127.0.0.1:0", reg.Snapshot)
+	ms, err := telemetry.StartServer("127.0.0.1:0", reg.Snapshot)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer closeSrv()
-	resp, err := http.Get("http://" + addr + "/metrics")
+	defer ms.Shutdown(context.Background())
+	resp, err := http.Get("http://" + ms.Addr() + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +341,7 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Errorf("scrape missing %s:\n%s", want, text)
 		}
 	}
-	jresp, err := http.Get("http://" + addr + "/metrics.json")
+	jresp, err := http.Get("http://" + ms.Addr() + "/metrics.json")
 	if err != nil {
 		t.Fatal(err)
 	}

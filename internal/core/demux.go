@@ -33,38 +33,11 @@ type Result struct {
 //
 // Implementations are not safe for concurrent use.
 type Demuxer interface {
-	// Name identifies the algorithm in reports.
-	Name() string
-
-	// Insert adds a PCB. Keys must be unique; wildcard keys register
-	// listeners. The PCB's Key must not change while inserted.
-	Insert(p *PCB) error
-
-	// Remove deletes the PCB with exactly this key, reporting whether it
-	// was present.
-	Remove(k Key) bool
-
-	// Lookup finds the PCB for an inbound packet with the given exact key.
-	// dir tells direction-sensitive algorithms whether the packet carries
-	// data or is a pure acknowledgement. If no connection matches exactly,
-	// the best-matching wildcard listener (if any) is returned.
-	Lookup(k Key, dir Direction) Result
-
-	// NotifySend records that a segment was transmitted on p's connection.
-	// Only send-aware algorithms (SRCache) use this; others ignore it.
-	NotifySend(p *PCB)
-
-	// Len returns the number of inserted PCBs, listeners included.
-	Len() int
+	Table
 
 	// Stats returns the accumulated lookup statistics. The pointer stays
 	// valid and live for the demuxer's lifetime.
 	Stats() *Stats
-
-	// Walk calls fn for every inserted PCB (listeners included) until fn
-	// returns false. Iteration order is implementation-defined. The PCB
-	// set must not be mutated during the walk.
-	Walk(fn func(*PCB) bool)
 }
 
 // Stats accumulates per-demuxer lookup cost statistics.

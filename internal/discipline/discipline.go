@@ -9,10 +9,14 @@
 // per-shard factory (what shard.Config consumes) derivable from the
 // same validated selection as a single table.
 //
-// Importing this package also guarantees the flat disciplines are
-// registered: internal/flat registers flat-hopscotch and flat-cuckoo
-// from an init hook, so a binary that resolved names through core.New
-// alone would silently lack them unless something else imported flat.
+// Importing this package also guarantees the flat discipline is
+// registered: internal/flat registers flat-hopscotch from an init hook,
+// so a binary that resolved names through core.New alone would silently
+// lack it unless something else imported flat.
+//
+// The locking disciplines of internal/parallel (locked-sequent,
+// rcu-sequent, ...) are a separate name space with a separate contract
+// (core.Concurrent); parallel.New resolves those.
 package discipline
 
 import (
@@ -20,9 +24,8 @@ import (
 	"strings"
 
 	"tcpdemux/internal/core"
-	_ "tcpdemux/internal/flat" // register flat-hopscotch / flat-cuckoo with core
+	_ "tcpdemux/internal/flat" // register flat-hopscotch with core
 	"tcpdemux/internal/hashfn"
-	"tcpdemux/internal/parallel"
 )
 
 // Selection is a validated (discipline, hash, chains) triple. Zero value
@@ -71,34 +74,5 @@ func (sel Selection) PerShard() func(shard int) core.Demuxer {
 	}
 }
 
-// Concurrent constructs the selected discipline as a locking-discipline
-// concurrent demuxer (parallel.New's registry: locked, sharded, rcu,
-// the flat tables, ...). The two registries share names where a
-// discipline exists in both forms.
-func (sel Selection) Concurrent() (parallel.ConcurrentDemuxer, error) {
-	return parallel.New(sel.Name, core.Config{Chains: sel.Chains, Hash: sel.Hash})
-}
-
-// SelectConcurrent is Select against the locking-discipline registry
-// instead of the single-writer one: names like locked-sequent or
-// rcu-sequent exist only there, so Select's eager core.New validation
-// would wrongly reject them. Construction is side-effect free in both
-// registries, so trial construction is safe here too.
-func SelectConcurrent(name, hashName string, chains int) (Selection, error) {
-	hashFn, err := hashfn.ByName(hashName)
-	if err != nil {
-		return Selection{}, err
-	}
-	sel := Selection{Name: strings.TrimSpace(name), Chains: chains, Hash: hashFn}
-	if _, err := sel.Concurrent(); err != nil {
-		return Selection{}, err
-	}
-	return sel, nil
-}
-
-// Names returns the single-writer registry's discipline names, sorted.
+// Names returns the registered discipline names, sorted.
 func Names() []string { return core.Algorithms() }
-
-// ConcurrentNames returns the locking-discipline registry's names,
-// sorted.
-func ConcurrentNames() []string { return parallel.Disciplines() }

@@ -1,6 +1,11 @@
 package discipline
 
-import "testing"
+import (
+	"testing"
+
+	"tcpdemux/internal/core"
+	"tcpdemux/internal/parallel"
+)
 
 func TestSelectValidatesEagerly(t *testing.T) {
 	if _, err := Select("no-such-discipline", "multiplicative", 64); err == nil {
@@ -18,17 +23,15 @@ func TestSelectValidatesEagerly(t *testing.T) {
 	}
 }
 
-// Importing this package must guarantee the flat registrations — the
+// Importing this package must guarantee the flat registration — the
 // exact gap that let the sharded workloads drift to hard-coded sequent.
 func TestFlatNamesRegistered(t *testing.T) {
-	for _, name := range []string{"flat-hopscotch", "flat-cuckoo"} {
-		sel, err := Select(name, "multiplicative", 64)
-		if err != nil {
-			t.Fatalf("Select(%s): %v", name, err)
-		}
-		if _, err := sel.New(); err != nil {
-			t.Errorf("New(%s): %v", name, err)
-		}
+	sel, err := Select("flat-hopscotch", "multiplicative", 64)
+	if err != nil {
+		t.Fatalf("Select: %v", err)
+	}
+	if _, err := sel.New(); err != nil {
+		t.Errorf("New: %v", err)
 	}
 }
 
@@ -44,25 +47,20 @@ func TestPerShardReturnsIndependentTables(t *testing.T) {
 	}
 }
 
+// Concurrent (locking-discipline) names are parallel's registry, not this
+// package's: rcu-sequent has no single-writer form to hand a shard, so
+// Select must reject it while parallel.New builds it.
 func TestSelectConcurrentUsesParallelRegistry(t *testing.T) {
-	// rcu-sequent exists only in the locking-discipline registry.
 	if _, err := Select("rcu-sequent", "multiplicative", 64); err == nil {
 		t.Error("single-writer Select accepted a parallel-only name")
 	}
-	sel, err := SelectConcurrent("rcu-sequent", "multiplicative", 64)
-	if err != nil {
-		t.Fatalf("SelectConcurrent: %v", err)
-	}
-	if _, err := sel.Concurrent(); err != nil {
-		t.Errorf("Concurrent: %v", err)
-	}
-	if _, err := SelectConcurrent("no-such", "multiplicative", 64); err == nil {
-		t.Error("unknown concurrent discipline accepted")
+	if _, err := parallel.New("rcu-sequent", core.Config{Chains: 64}); err != nil {
+		t.Errorf("parallel.New: %v", err)
 	}
 }
 
 func TestNamesNonEmpty(t *testing.T) {
-	if len(Names()) == 0 || len(ConcurrentNames()) == 0 {
-		t.Fatalf("empty registries: %v / %v", Names(), ConcurrentNames())
+	if len(Names()) == 0 {
+		t.Fatal("empty registry")
 	}
 }

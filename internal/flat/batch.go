@@ -1,9 +1,6 @@
 package flat
 
-import (
-	"tcpdemux/internal/core"
-	"tcpdemux/internal/stripestat"
-)
+import "tcpdemux/internal/core"
 
 // This file is the software-pipelined batch lookup path. The per-packet
 // path resolves a packet and only then computes the next packet's hash —
@@ -17,29 +14,20 @@ import (
 // window is (ideally) already in cache, overlapping k resolutions with
 // each group's memory latency.
 //
-// The contract mirrors rcu.Demuxer.LookupBatch exactly: the Result
-// sequence and the statistics it folds are identical to calling Lookup
-// once per key in order — the cross-discipline batch conformance test
-// asserts this byte for byte, and it holds by construction because both
-// paths resolve through the same lookupHashed.
+// The contract is core.Batcher's: the Result sequence and the statistics
+// it folds are identical to calling Lookup once per key in order — the
+// cross-discipline batch conformance test asserts this byte for byte,
+// and it holds by construction because both paths resolve through the
+// same lookupHashed.
 
-// ensureOut grows the caller's result buffer to n results when needed.
+// lookupBatch is the one pipeline behind Hopscotch.LookupBatch and
+// Concurrent.LookupBatch: it resolves the train without touching the
+// table's own statistics and returns the batch's accumulated stats for
+// the caller to fold wherever it accounts lookups.
 //
 //demux:hotpath
-func ensureOut(out []core.Result, n int) []core.Result {
-	if cap(out) < n {
-		out = make([]core.Result, n) //demux:allowalloc amortized: grows the caller-owned result buffer once, then reused across trains
-	}
-	return out[:n]
-}
-
-// lookupBatch implements Table for Hopscotch: resolve the train with the
-// probe pipeline, accumulating statistics batch-locally for the caller
-// to fold.
-//
-//demux:hotpath
-func (t *Hopscotch) lookupBatch(keys []core.Key, dir core.Direction, out []core.Result) ([]core.Result, core.Stats) {
-	out = ensureOut(out, len(keys))
+func (t *Hopscotch) lookupBatch(keys []core.Key, out []core.Result) ([]core.Result, core.Stats) {
+	out = core.SizeResults(out, len(keys))
 	var st core.Stats
 	if len(keys) == 0 {
 		return out, st
@@ -54,61 +42,21 @@ func (t *Hopscotch) lookupBatch(keys []core.Key, dir core.Direction, out []core.
 			prefetchSpan(t.window(s.hash[j]), &s.sink)
 		}
 		r := t.lookupHashed(keys[i], s.hash[i])
-		stripestat.Accumulate(&st, r)
+		st.Record(r)
 		out[i] = r
 	}
 	t.releaseScratch(s)
 	return out, st
 }
 
-// LookupBatch demultiplexes a train of inbound keys in one call,
-// returning one Result per key in key order, with the probe group for
-// packet i+k prefetched while packet i resolves (k = PrefetchDepth; 0
-// disables the pipeline). Results and statistics are identical to
-// calling Lookup once per key. out is reused when it has capacity.
+// LookupBatch implements core.Batcher: one Result per key in key order,
+// with the probe group for packet i+k prefetched while packet i resolves
+// (k = PrefetchDepth; 0 disables the pipeline). out is reused when it
+// has capacity.
 //
 //demux:hotpath
-func (t *Hopscotch) LookupBatch(keys []core.Key, dir core.Direction, out []core.Result) []core.Result {
-	out, st := t.lookupBatch(keys, dir, out)
-	t.merge(st)
-	return out
-}
-
-// lookupBatch implements Table for Cuckoo. The pipeline prefetches the
-// first candidate bucket — the bucket that terminates the probe for
-// every present key that has not been kicked, i.e. most of them.
-//
-//demux:hotpath
-func (t *Cuckoo) lookupBatch(keys []core.Key, dir core.Direction, out []core.Result) ([]core.Result, core.Stats) {
-	out = ensureOut(out, len(keys))
-	var st core.Stats
-	if len(keys) == 0 {
-		return out, st
-	}
-	s := t.scratchFor(len(keys))
-	for i, k := range keys {
-		s.hash[i] = t.hashOf(k)
-	}
-	d := t.depth
-	for i := range keys {
-		if j := i + d; d > 0 && j < len(keys) {
-			prefetchSpan(t.bucket(s.hash[j]&t.mask), &s.sink)
-		}
-		r := t.lookupHashed(keys[i], s.hash[i])
-		stripestat.Accumulate(&st, r)
-		out[i] = r
-	}
-	t.releaseScratch(s)
-	return out, st
-}
-
-// LookupBatch demultiplexes a train of inbound keys in one call — see
-// Hopscotch.LookupBatch for the contract; the cuckoo pipeline prefetches
-// each key's first candidate bucket.
-//
-//demux:hotpath
-func (t *Cuckoo) LookupBatch(keys []core.Key, dir core.Direction, out []core.Result) []core.Result {
-	out, st := t.lookupBatch(keys, dir, out)
-	t.merge(st)
+func (t *Hopscotch) LookupBatch(keys []core.Key, _ core.Direction, out []core.Result) []core.Result {
+	out, st := t.lookupBatch(keys, out)
+	t.stats.Merge(st)
 	return out
 }

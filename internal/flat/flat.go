@@ -21,29 +21,29 @@
 //     match.
 //   - Hopscotch keeps every key within a fixed H-slot neighborhood of its
 //     home slot, so a lookup scans one bounded contiguous window.
-//   - Cuckoo (bucketized, 4 slots per bucket) gives every key exactly two
-//     candidate buckets, so a lookup probes at most two groups.
 //   - LookupBatch software-pipelines a train: while packet i's probe
 //     group is being resolved, the group packet i+k will need is
 //     prefetched (portable shim, see prefetch.go), hiding the memory
 //     latency the per-packet path pays serially.
 //
-// Both tables implement core.Demuxer (single-goroutine, like the core
-// algorithms); Concurrent wraps either in a read-write lock with striped
-// statistics and implements parallel.ConcurrentDemuxer, mirroring
-// rcu.Demuxer's LookupBatch contract so it drops into the existing batch
-// drivers. Neither table keeps the chained disciplines' one-entry caches:
-// a probe group costs about as much as a cache probe would, so Result.
-// CacheHit is always false and Stats.Hits stays zero.
+// Hopscotch implements core.Demuxer (single-goroutine, like the core
+// algorithms); Concurrent wraps it in a read-write lock with striped
+// statistics and implements core.Concurrent. Both are core.Batchers — the
+// only native batch path in the repository, because it is the only one
+// the committed benchmarks show winning (BENCH_cache.json). The table
+// keeps none of the chained disciplines' one-entry caches: a probe group
+// costs about as much as a cache probe would, so Result.CacheHit is
+// always false and Stats.Hits stays zero.
 //
-// Deletions need no tombstones in either scheme — a hopscotch lookup
-// scans its fixed neighborhood and a cuckoo lookup its two buckets
+// Deletions need no tombstones — a lookup scans its fixed neighborhood
 // whether or not holes intervene — so a delete just empties the slot and
 // returns the PCB's slab cell (generation bumped) to the free list.
+//
+// A bucketized cuckoo variant lived here until PR 13; hopscotch dominated
+// it at every committed operating point (EXPERIMENTS.md EXP-CACHE).
 package flat
 
 import (
-	"sync"
 	"unsafe"
 
 	"tcpdemux/internal/core"
@@ -136,80 +136,48 @@ type lentry struct {
 // ~50–100 cycles per resolution without thrashing L1 on short trains.
 const DefaultPrefetchDepth = 4
 
-// tableCommon is the state the two open-addressing variants share: hash
-// selection, the PCB slab, the listener table, statistics, and the batch
-// pipeline scratch.
-type tableCommon struct {
-	hash hashfn.Func
-	// mult short-circuits hashOf to the concrete (inlinable)
-	// multiplicative hash when hash is the default, as in the rcu table:
-	// an interface call per packet is a real fraction of a one-group
-	// probe.
-	mult bool
-
-	slab   slab
-	listen []lentry
-	n      int // occupied table cells (listeners excluded)
-
-	depth int // prefetch pipeline depth k; 0 disables
-	stats core.Stats
-
-	// scratch pools the per-batch hash buffer and prefetch sink so
-	// concurrent readers of the Concurrent wrapper never share one.
-	scratch sync.Pool
-}
-
-func (c *tableCommon) init(fn hashfn.Func) {
-	if fn == nil {
-		fn = hashfn.Multiplicative{}
-	}
-	c.hash = fn
-	_, c.mult = fn.(hashfn.Multiplicative)
-	c.depth = DefaultPrefetchDepth
-}
-
 // hashOf computes an exact key's full hash, used for slot selection and
 // as the entry fingerprint.
 //
 //demux:hotpath
-func (c *tableCommon) hashOf(k core.Key) uint32 {
-	if c.mult {
+func (t *Hopscotch) hashOf(k core.Key) uint32 {
+	if t.mult {
 		return hashfn.Multiplicative{}.Hash(k.Tuple())
 	}
-	return c.hash.Hash(k.Tuple())
+	return t.hash.Hash(k.Tuple())
 }
 
 // SetPrefetchDepth sets the batch pipeline depth k (clamped at 0): while
 // packet i resolves, packet i+k's probe group is prefetched. 0 disables
 // the pipeline; results are identical either way.
-func (c *tableCommon) SetPrefetchDepth(k int) {
+func (t *Hopscotch) SetPrefetchDepth(k int) {
 	if k < 0 {
 		k = 0
 	}
-	c.depth = k
+	t.depth = k
 }
 
 // PrefetchDepth returns the current batch pipeline depth.
-func (c *tableCommon) PrefetchDepth() int { return c.depth }
+func (t *Hopscotch) PrefetchDepth() int { return t.depth }
 
 // listenInsert registers a wildcard listener, newest first.
-func (c *tableCommon) listenInsert(p *core.PCB) error {
-	for i := range c.listen {
-		if c.listen[i].key == p.Key {
+func (t *Hopscotch) listenInsert(p *core.PCB) error {
+	for i := range t.listen {
+		if t.listen[i].key == p.Key {
 			return core.ErrDuplicateKey
 		}
 	}
-	c.listen = append(c.listen, lentry{})
-	copy(c.listen[1:], c.listen)
-	c.listen[0] = lentry{key: p.Key, pcb: p}
+	t.listen = append(t.listen, lentry{})
+	copy(t.listen[1:], t.listen)
+	t.listen[0] = lentry{key: p.Key, pcb: p}
 	return nil
 }
 
 // listenRemove deletes the listener with exactly key k.
-func (c *tableCommon) listenRemove(k core.Key) bool {
-	for i := range c.listen {
-		if c.listen[i].key == k {
-			c.listen = append(c.listen[:i], c.listen[i+1:]...)
+func (t *Hopscotch) listenRemove(k core.Key) bool {
+	for i := range t.listen {
+		if t.listen[i].key == k {
+			t.listen = append(t.listen[:i], t.listen[i+1:]...)
 			return true
 		}
 	}
@@ -221,55 +189,37 @@ func (c *tableCommon) listenRemove(k core.Key) bool {
 // examination accounting as the chained disciplines.
 //
 //demux:hotpath
-func (c *tableCommon) listenScan(k core.Key, r *core.Result) {
+func (t *Hopscotch) listenScan(k core.Key, r *core.Result) {
 	best := -1
-	for i := range c.listen {
+	for i := range t.listen {
 		r.Examined++
-		if score := core.Match(c.listen[i].key, k); score > best {
+		if score := core.Match(t.listen[i].key, k); score > best {
 			best = score
-			r.PCB = c.listen[i].pcb
+			r.PCB = t.listen[i].pcb
 		}
 	}
 	r.Wildcard = r.PCB != nil
 }
 
 // listenWalk iterates the listeners, newest first, for Walk.
-func (c *tableCommon) listenWalk(fn func(*core.PCB) bool) bool {
-	for i := range c.listen {
-		if !fn(c.listen[i].pcb) {
+func (t *Hopscotch) listenWalk(fn func(*core.PCB) bool) bool {
+	for i := range t.listen {
+		if !fn(t.listen[i].pcb) {
 			return false
 		}
 	}
 	return true
 }
 
-// record folds one per-packet lookup into the table's statistics.
-//
-//demux:hotpath
-func (c *tableCommon) record(r core.Result) { c.stats.Record(r) }
-
-// merge folds a batch's accumulated statistics into the table's
-// statistics, equivalently to recording each result individually.
-func (c *tableCommon) merge(st core.Stats) {
-	c.stats.Lookups += st.Lookups
-	c.stats.Examined += st.Examined
-	c.stats.Hits += st.Hits
-	c.stats.Misses += st.Misses
-	c.stats.WildcardHits += st.WildcardHits
-	if st.MaxExamined > c.stats.MaxExamined {
-		c.stats.MaxExamined = st.MaxExamined
-	}
-}
-
 // Stats implements core.Demuxer; the pointer stays live.
-func (c *tableCommon) Stats() *core.Stats { return &c.stats }
+func (t *Hopscotch) Stats() *core.Stats { return &t.stats }
 
-// NotifySend implements core.Demuxer; the flat tables ignore
+// NotifySend implements core.Demuxer; the flat table ignores
 // transmissions.
-func (c *tableCommon) NotifySend(*core.PCB) {}
+func (t *Hopscotch) NotifySend(*core.PCB) {}
 
 // Len implements core.Demuxer.
-func (c *tableCommon) Len() int { return c.n + len(c.listen) }
+func (t *Hopscotch) Len() int { return t.n + len(t.listen) }
 
 // batchScratch is the pooled per-batch state: the precomputed hash of
 // every key in the train and the prefetch sink the shim stores into so
@@ -280,8 +230,8 @@ type batchScratch struct {
 }
 
 // scratchFor fetches (or builds) a scratch sized for n keys.
-func (c *tableCommon) scratchFor(n int) *batchScratch {
-	s, _ := c.scratch.Get().(*batchScratch)
+func (t *Hopscotch) scratchFor(n int) *batchScratch {
+	s, _ := t.scratch.Get().(*batchScratch)
 	if s == nil {
 		s = &batchScratch{}
 	}
@@ -293,7 +243,7 @@ func (c *tableCommon) scratchFor(n int) *batchScratch {
 }
 
 // releaseScratch returns the scratch to the pool.
-func (c *tableCommon) releaseScratch(s *batchScratch) { c.scratch.Put(s) }
+func (t *Hopscotch) releaseScratch(s *batchScratch) { t.scratch.Put(s) }
 
 // roundPow2 rounds n up to a power of two, at least min.
 func roundPow2(n, min int) int {
@@ -302,27 +252,4 @@ func roundPow2(n, min int) int {
 		size <<= 1
 	}
 	return size
-}
-
-// Table is the interface both open-addressing variants satisfy: a
-// core.Demuxer plus the raw (statistics-free) probes the Concurrent
-// wrapper builds on and the prefetch-depth control the benchmark drivers
-// sweep. Only this package's tables implement it (the batch hook is
-// unexported).
-type Table interface {
-	core.Demuxer
-
-	// LookupRaw is Lookup without the statistics fold: a pure read of
-	// the table, safe for concurrent readers while no writer runs.
-	LookupRaw(k core.Key, dir core.Direction) core.Result
-
-	// SetPrefetchDepth and PrefetchDepth control the batch pipeline
-	// depth k.
-	SetPrefetchDepth(k int)
-	PrefetchDepth() int
-
-	// lookupBatch resolves a train without touching the table's own
-	// statistics, returning the batch's accumulated stats for the caller
-	// to fold wherever it accounts lookups.
-	lookupBatch(keys []core.Key, dir core.Direction, out []core.Result) ([]core.Result, core.Stats)
 }

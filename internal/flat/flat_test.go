@@ -9,10 +9,11 @@ import (
 	"tcpdemux/internal/wire"
 )
 
-// tables builds one fresh instance of each open-addressing variant,
-// deliberately tiny so churn tests cross several growth doublings.
-func tables() []Table {
-	return []Table{NewHopscotch(0, nil), NewCuckoo(0, nil)}
+// tables builds one fresh instance of each open-addressing variant
+// (only hopscotch since the cuckoo table's removal), deliberately tiny so
+// churn tests cross several growth doublings.
+func tables() []*Hopscotch {
+	return []*Hopscotch{NewHopscotch(0, nil)}
 }
 
 func connKey(i int) core.Key {
@@ -30,10 +31,9 @@ func TestEntryIs24Bytes(t *testing.T) {
 	}
 }
 
-// TestOracleChurn drives both tables through an insert/lookup/remove
-// churn long enough to force several growth doublings, slab-cell reuse
-// and (for cuckoo) kick chains, checking every lookup against a map
-// oracle.
+// TestOracleChurn drives the table through an insert/lookup/remove
+// churn long enough to force several growth doublings and slab-cell
+// reuse, checking every lookup against a map oracle.
 func TestOracleChurn(t *testing.T) {
 	for _, d := range tables() {
 		t.Run(d.Name(), func(t *testing.T) {
@@ -101,12 +101,8 @@ func TestOracleChurn(t *testing.T) {
 
 // TestBoundedProbes pins the structural guarantee the probe-group layout
 // exists for: a fully populated table still examines at most hopRange
-// (hopscotch) or 2*bucketSlots (cuckoo) cells on an exact hit.
+// cells on an exact hit.
 func TestBoundedProbes(t *testing.T) {
-	bounds := map[string]int{
-		"flat-hopscotch": hopRange,
-		"flat-cuckoo":    2 * bucketSlots,
-	}
 	for _, d := range tables() {
 		t.Run(d.Name(), func(t *testing.T) {
 			const n = 20000
@@ -115,7 +111,7 @@ func TestBoundedProbes(t *testing.T) {
 					t.Fatalf("insert %d: %v", i, err)
 				}
 			}
-			bound := bounds[d.Name()]
+			const bound = hopRange
 			for i := 0; i < n; i++ {
 				r := d.Lookup(connKey(i), core.DirData)
 				if r.PCB == nil {
@@ -271,21 +267,20 @@ func TestWalk(t *testing.T) {
 	}
 }
 
-// TestRegistry checks that both variants are reachable through core's
-// name registry (registered from this package's init).
+// TestRegistry checks that the table is reachable through core's name
+// registry (registered from this package's init).
 func TestRegistry(t *testing.T) {
-	for _, name := range []string{"flat-hopscotch", "flat-cuckoo"} {
-		d, err := core.New(name, core.Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d.Name() != name {
-			t.Fatalf("Name=%q want %q", d.Name(), name)
-		}
+	const name = "flat-hopscotch"
+	d, err := core.New(name, core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Name() != name {
+		t.Fatalf("Name=%q want %q", d.Name(), name)
 	}
 }
 
-// FuzzFlatOps feeds a byte-coded operation stream to both tables and
+// FuzzFlatOps feeds a byte-coded operation stream to the table and
 // cross-checks every lookup against a map oracle — the fuzz-shaped twin
 // of TestOracleChurn, minus the determinism of its fixed seed.
 func FuzzFlatOps(f *testing.F) {

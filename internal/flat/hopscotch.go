@@ -1,6 +1,8 @@
 package flat
 
 import (
+	"sync"
+
 	"tcpdemux/internal/core"
 	"tcpdemux/internal/hashfn"
 )
@@ -25,10 +27,27 @@ const hopRange = 8
 //
 // Not safe for concurrent use; wrap in Concurrent for that.
 type Hopscotch struct {
-	tableCommon
+	hash hashfn.Func
+	// mult short-circuits hashOf to the concrete (inlinable)
+	// multiplicative hash when hash is the default, as in the rcu table:
+	// an interface call per packet is a real fraction of a one-group
+	// probe.
+	mult bool
+
 	entries []entry // len = size + hopRange - 1
 	mask    uint32  // size - 1; home = hash & mask
 	size    int
+	n       int // occupied table cells (listeners excluded)
+
+	slab   slab
+	listen []lentry
+
+	depth int // prefetch pipeline depth k; 0 disables
+	stats core.Stats
+
+	// scratch pools the per-batch hash buffer and prefetch sink so
+	// concurrent readers of the Concurrent wrapper never share one.
+	scratch sync.Pool
 }
 
 // NewHopscotch builds a hopscotch demultiplexer sized for about capacity
@@ -36,8 +55,11 @@ type Hopscotch struct {
 // (multiplicative if nil). The table grows itself; capacity is only the
 // initial sizing hint.
 func NewHopscotch(capacity int, fn hashfn.Func) *Hopscotch {
-	t := &Hopscotch{}
-	t.init(fn)
+	if fn == nil {
+		fn = hashfn.Multiplicative{}
+	}
+	t := &Hopscotch{hash: fn, depth: DefaultPrefetchDepth}
+	_, t.mult = fn.(hashfn.Multiplicative)
 	t.sizeTo(roundPow2(capacity, 32))
 	return t
 }
@@ -92,11 +114,13 @@ func (t *Hopscotch) lookupHashed(k core.Key, h uint32) core.Result {
 //demux:hotpath
 func (t *Hopscotch) Lookup(k core.Key, _ core.Direction) core.Result {
 	r := t.lookupHashed(k, t.hashOf(k))
-	t.record(r)
+	t.stats.Record(r)
 	return r
 }
 
-// LookupRaw implements Table: Lookup without the statistics fold.
+// LookupRaw is Lookup without the statistics fold: a pure read of the
+// table, safe for concurrent readers while no writer runs — what the
+// Concurrent wrapper's read lock guarantees.
 //
 //demux:hotpath
 func (t *Hopscotch) LookupRaw(k core.Key, _ core.Direction) core.Result {
@@ -244,4 +268,7 @@ func init() {
 	})
 }
 
-var _ Table = (*Hopscotch)(nil)
+var (
+	_ core.Demuxer = (*Hopscotch)(nil)
+	_ core.Batcher = (*Hopscotch)(nil)
+)

@@ -422,3 +422,30 @@ func (g *Guarded) stepN(stride int) {
 }
 
 var _ core.Demuxer = (*Guarded)(nil)
+
+// AttackTable is what an adversarial workload needs from a table under a
+// collision attack: the demultiplexer itself plus the rekey machinery's
+// progress hooks. Guarded and RCUGuarded satisfy it; Undefended adapts
+// the bare table they are measured against.
+type AttackTable interface {
+	core.Table
+	Migrating() bool
+	Advance(n int)
+	NumChains() int
+}
+
+// Undefended is a plain SequentHash as an AttackTable: no watchdog, so it
+// never migrates and Advance has nothing to move.
+type Undefended struct{ *core.SequentHash }
+
+// Migrating implements AttackTable.
+func (Undefended) Migrating() bool { return false }
+
+// Advance implements AttackTable.
+func (Undefended) Advance(int) {}
+
+var (
+	_ AttackTable = Undefended{}
+	_ AttackTable = (*Guarded)(nil)
+	_ AttackTable = (*RCUGuarded)(nil)
+)

@@ -133,7 +133,7 @@ func NewRCUGuarded(h int, fn hashfn.Func, seed uint64, cfg Config) *RCUGuarded {
 	return d
 }
 
-// Name implements parallel.ConcurrentDemuxer.
+// Name implements core.Concurrent.
 func (d *RCUGuarded) Name() string {
 	return fmt.Sprintf("rcu-guarded-%d", d.state.Load().cur.NumChains())
 }
@@ -141,7 +141,7 @@ func (d *RCUGuarded) Name() string {
 // Migrating reports whether a rekey is in flight.
 func (d *RCUGuarded) Migrating() bool { return d.state.Load().next != nil }
 
-// Lookup implements parallel.ConcurrentDemuxer, lock-free in every phase.
+// Lookup implements core.Concurrent, lock-free in every phase.
 //
 // An exact match is trusted unconditionally (the PCB was found; its
 // identity does not depend on which generation of table held it). A miss
@@ -187,16 +187,6 @@ func (d *RCUGuarded) Lookup(k core.Key, dir core.Direction) core.Result {
 	}
 }
 
-// LookupBatch implements parallel.ConcurrentDemuxer by looping Lookup;
-// the wrapper adds no batching of its own.
-func (d *RCUGuarded) LookupBatch(keys []core.Key, dir core.Direction, out []core.Result) []core.Result {
-	out = out[:0]
-	for _, k := range keys {
-		out = append(out, d.Lookup(k, dir))
-	}
-	return out
-}
-
 // containsExact scans the key's chain in t for an exact match, bypassing
 // the one-entry cache (which may transiently hold a just-removed PCB).
 func containsExact(t *rcu.Demuxer, k core.Key) bool {
@@ -211,7 +201,7 @@ func containsExact(t *rcu.Demuxer, k core.Key) bool {
 	return found
 }
 
-// Insert implements parallel.ConcurrentDemuxer. During a migration new
+// Insert implements core.Concurrent. During a migration new
 // PCBs go straight to the replacement table; the duplicate check spans
 // both. Each insert also runs the watchdog (or advances the migration).
 func (d *RCUGuarded) Insert(p *core.PCB) error {
@@ -235,7 +225,7 @@ func (d *RCUGuarded) Insert(p *core.PCB) error {
 	return nil
 }
 
-// Remove implements parallel.ConcurrentDemuxer.
+// Remove implements core.Concurrent.
 func (d *RCUGuarded) Remove(k core.Key) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -248,10 +238,10 @@ func (d *RCUGuarded) Remove(k core.Key) bool {
 	return pair.cur.Remove(k)
 }
 
-// NotifySend implements parallel.ConcurrentDemuxer (ignored, as in rcu).
+// NotifySend implements core.Concurrent (ignored, as in rcu).
 func (d *RCUGuarded) NotifySend(*core.PCB) {}
 
-// Len implements parallel.ConcurrentDemuxer. Taken under mu so a PCB
+// Len implements core.Concurrent. Taken under mu so a PCB
 // mid-move (present in both tables for an instant) is not double-counted.
 func (d *RCUGuarded) Len() int {
 	d.mu.Lock()
@@ -263,11 +253,11 @@ func (d *RCUGuarded) Len() int {
 	return pair.cur.Len()
 }
 
-// Snapshot implements parallel.ConcurrentDemuxer: the wrapper's own
+// Snapshot implements core.Concurrent: the wrapper's own
 // logical-lookup statistics.
 func (d *RCUGuarded) Snapshot() core.Stats { return d.stats.fold() }
 
-// Walk implements parallel.ConcurrentDemuxer. It holds mu, so the
+// Walk implements core.Concurrent. It holds mu, so the
 // every-key-in-exactly-one-table invariant holds and no PCB is yielded
 // twice.
 func (d *RCUGuarded) Walk(fn func(*core.PCB) bool) {
@@ -393,3 +383,5 @@ func (d *RCUGuarded) stepLocked(pair *tablePair, n int) {
 		d.state.Store(&tablePair{cur: next})
 	}
 }
+
+var _ core.Concurrent = (*RCUGuarded)(nil)

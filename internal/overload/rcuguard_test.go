@@ -7,14 +7,7 @@ import (
 
 	"tcpdemux/internal/core"
 	"tcpdemux/internal/hashfn"
-	"tcpdemux/internal/parallel"
 )
-
-// RCUGuarded must satisfy the concurrent-demuxer contract so the
-// parallel harness and demuxsim can drive it interchangeably with the
-// rcu and sharded disciplines. (Asserted here, not in the package proper,
-// to keep overload free of a parallel import.)
-var _ parallel.ConcurrentDemuxer = (*RCUGuarded)(nil)
 
 func TestRCUGuardedAttackRecovery(t *testing.T) {
 	g := NewRCUGuarded(attackChains, hashfn.Multiplicative{}, 1, Config{})
@@ -26,7 +19,9 @@ func TestRCUGuardedAttackRecovery(t *testing.T) {
 	}
 }
 
-// TestRCUGuardedLookupBatch checks the batch path against the scalar one.
+// TestRCUGuardedLookupBatch checks the guard under core.LookupBatch (the
+// adapter's loop: the guard has no native batch path) against the scalar
+// lookups.
 func TestRCUGuardedLookupBatch(t *testing.T) {
 	g := NewRCUGuarded(attackChains, nil, 3, Config{})
 	tuples := hashfn.RandomClients(100, 9)
@@ -39,7 +34,7 @@ func TestRCUGuardedLookupBatch(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	out := g.LookupBatch(keys, core.DirData, nil)
+	out := core.LookupBatch(g, keys, core.DirData, nil)
 	if len(out) != len(keys) {
 		t.Fatalf("batch returned %d results for %d keys", len(out), len(keys))
 	}

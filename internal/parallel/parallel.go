@@ -16,33 +16,18 @@
 //     state — lookups take no locks at all, chains are published
 //     copy-on-write through atomic pointers, and only writers serialize.
 //
-// The registry also carries the cache-conscious open-addressing tables of
-// package tcpdemux/internal/flat (flat-hopscotch, flat-cuckoo), wrapped in
+// The registry also carries the cache-conscious open-addressing table of
+// package tcpdemux/internal/flat (flat-hopscotch), wrapped in
 // flat.Concurrent's read-write lock: a different trade — shared readers
-// rather than lock-free ones, but probes that touch one or two contiguous
-// probe groups instead of walking a chain, plus a prefetch-pipelined
-// LookupBatch.
+// rather than lock-free ones, but probes that touch one contiguous probe
+// group instead of walking a chain, plus the repository's one native
+// core.Batcher, a prefetch-pipelined LookupBatch.
 //
-// All of them satisfy ConcurrentDemuxer; New builds any of them by name. The
-// throughput benches in bench_test.go (BenchmarkParallel) and the
-// MeasureThroughput harness quantify the contention gap under goroutine
-// load.
-//
-// # Statistics-snapshot contract
-//
-// Unlike core.Demuxer, whose Stats pointer is live, a ConcurrentDemuxer
-// returns statistics by value: Snapshot folds whatever per-chain or
-// per-stripe counters the discipline maintains into one core.Stats at the
-// moment of the call. A snapshot taken while lookups are in flight is a
-// consistent total — every completed lookup is counted exactly once — but
-// two counters read nanoseconds apart may straddle an update; callers must
-// not expect cross-field identities (Hits+Misses == Lookups, say) to hold
-// exactly until the demuxer is quiescent. Snapshots are monotonic: a later
-// quiescent snapshot includes everything an earlier one did.
-//
-// Walk has the same snapshot flavor: it observes a PCB set that was
-// current at some instant per chain, never a torn chain, but concurrent
-// inserts and removes may or may not be visible.
+// All of them satisfy core.Concurrent (which documents the
+// statistics-snapshot and Walk contracts); New builds any of them by
+// name. The throughput benches in bench_test.go (BenchmarkParallel) and
+// the MeasureThroughput harness quantify the contention gap under
+// goroutine load.
 package parallel
 
 import (
@@ -58,34 +43,6 @@ import (
 	"tcpdemux/internal/rcu"
 )
 
-// ConcurrentDemuxer is the goroutine-safe variant of core.Demuxer. Stats
-// are returned by value (a snapshot) rather than by live pointer; see the
-// package comment for the snapshot contract.
-type ConcurrentDemuxer interface {
-	Name() string
-	Insert(p *core.PCB) error
-	Remove(k core.Key) bool
-	Lookup(k core.Key, dir core.Direction) core.Result
-
-	// LookupBatch resolves a train of keys in one call, writing one
-	// Result per key (in key order) into out, which is reused when it has
-	// capacity. The Result sequence and statistics are identical to
-	// calling Lookup per key in order; disciplines are free to amortize
-	// locking or pointer-chasing across the train.
-	LookupBatch(keys []core.Key, dir core.Direction, out []core.Result) []core.Result
-
-	NotifySend(p *core.PCB)
-	Len() int
-	Snapshot() core.Stats
-
-	// Walk calls fn for every inserted PCB (listeners included) until fn
-	// returns false, with per-chain snapshot semantics: fn never sees a
-	// torn chain, but mutations concurrent with the walk may or may not
-	// be visible. fn must not call back into the demuxer (lock-based
-	// disciplines hold their chain lock across the callback).
-	Walk(fn func(*core.PCB) bool)
-}
-
 // Locked wraps a plain demuxer with a single mutex.
 type Locked struct {
 	mu sync.Mutex
@@ -96,24 +53,24 @@ type Locked struct {
 // afterwards.
 func NewLocked(d core.Demuxer) *Locked { return &Locked{d: d} }
 
-// Name implements ConcurrentDemuxer.
+// Name implements core.Concurrent.
 func (l *Locked) Name() string { return "locked-" + l.d.Name() }
 
-// Insert implements ConcurrentDemuxer.
+// Insert implements core.Concurrent.
 func (l *Locked) Insert(p *core.PCB) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.d.Insert(p)
 }
 
-// Remove implements ConcurrentDemuxer.
+// Remove implements core.Concurrent.
 func (l *Locked) Remove(k core.Key) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.d.Remove(k)
 }
 
-// Lookup implements ConcurrentDemuxer.
+// Lookup implements core.Concurrent.
 //
 //demux:hotpath
 func (l *Locked) Lookup(k core.Key, dir core.Direction) core.Result {
@@ -122,45 +79,28 @@ func (l *Locked) Lookup(k core.Key, dir core.Direction) core.Result {
 	return l.d.Lookup(k, dir)
 }
 
-// NotifySend implements ConcurrentDemuxer.
+// NotifySend implements core.Concurrent.
 func (l *Locked) NotifySend(p *core.PCB) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.d.NotifySend(p)
 }
 
-// Len implements ConcurrentDemuxer.
+// Len implements core.Concurrent.
 func (l *Locked) Len() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.d.Len()
 }
 
-// Snapshot implements ConcurrentDemuxer.
+// Snapshot implements core.Concurrent.
 func (l *Locked) Snapshot() core.Stats {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return *l.d.Stats()
 }
 
-// LookupBatch implements ConcurrentDemuxer: the whole train is resolved
-// under one lock acquisition — the only amortization a global lock offers.
-//
-//demux:hotpath
-func (l *Locked) LookupBatch(keys []core.Key, dir core.Direction, out []core.Result) []core.Result {
-	if cap(out) < len(keys) {
-		out = make([]core.Result, len(keys)) //demux:allowalloc amortized: grows the caller-owned result buffer once, then reused across trains
-	}
-	out = out[:len(keys)]
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for i, k := range keys {
-		out[i] = l.d.Lookup(k, dir)
-	}
-	return out
-}
-
-// Walk implements ConcurrentDemuxer, delegating under the global lock.
+// Walk implements core.Concurrent, delegating under the global lock.
 func (l *Locked) Walk(fn func(*core.PCB) bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -217,7 +157,7 @@ func NewShardedSequent(h int, fn hashfn.Func) *ShardedSequent {
 	return &ShardedSequent{chains: make([]shard, h), hash: fn}
 }
 
-// Name implements ConcurrentDemuxer.
+// Name implements core.Concurrent.
 func (d *ShardedSequent) Name() string {
 	return fmt.Sprintf("sharded-sequent-%d", len(d.chains))
 }
@@ -231,7 +171,7 @@ func (d *ShardedSequent) chainFor(k core.Key) *shard {
 	return &d.chains[idx]
 }
 
-// Insert implements ConcurrentDemuxer.
+// Insert implements core.Concurrent.
 func (d *ShardedSequent) Insert(p *core.PCB) error {
 	if p.Key.IsWildcard() {
 		d.listenMu.Lock()
@@ -256,7 +196,7 @@ func (d *ShardedSequent) Insert(p *core.PCB) error {
 	return nil
 }
 
-// Remove implements ConcurrentDemuxer.
+// Remove implements core.Concurrent.
 func (d *ShardedSequent) Remove(k core.Key) bool {
 	if k.IsWildcard() {
 		d.listenMu.Lock()
@@ -284,7 +224,7 @@ func (d *ShardedSequent) Remove(k core.Key) bool {
 	return false
 }
 
-// Lookup implements ConcurrentDemuxer: probe the chain cache, scan the
+// Lookup implements core.Concurrent: probe the chain cache, scan the
 // chain, and only on a complete miss consult the listener table.
 //
 //demux:hotpath
@@ -350,24 +290,7 @@ func (s *shard) record(r core.Result) {
 	}
 }
 
-// LookupBatch implements ConcurrentDemuxer. Each key takes its own
-// chain lock: per-chain locking already confines contention, and grouping
-// a train by chain would buy only lock-coalescing the rcu discipline gets
-// for free — the head-to-head benches keep that contrast visible.
-//
-//demux:hotpath
-func (d *ShardedSequent) LookupBatch(keys []core.Key, dir core.Direction, out []core.Result) []core.Result {
-	if cap(out) < len(keys) {
-		out = make([]core.Result, len(keys)) //demux:allowalloc amortized: grows the caller-owned result buffer once, then reused across trains
-	}
-	out = out[:len(keys)]
-	for i, k := range keys {
-		out[i] = d.Lookup(k, dir)
-	}
-	return out
-}
-
-// Walk implements ConcurrentDemuxer: chains in index order, each under its
+// Walk implements core.Concurrent: chains in index order, each under its
 // own lock (per-chain snapshot semantics), then the listeners. fn must not
 // call back into the demuxer.
 func (d *ShardedSequent) Walk(fn func(*core.PCB) bool) {
@@ -391,10 +314,10 @@ func (d *ShardedSequent) Walk(fn func(*core.PCB) bool) {
 	}
 }
 
-// NotifySend implements ConcurrentDemuxer; Sequent ignores transmissions.
+// NotifySend implements core.Concurrent; Sequent ignores transmissions.
 func (d *ShardedSequent) NotifySend(*core.PCB) {}
 
-// Len implements ConcurrentDemuxer.
+// Len implements core.Concurrent.
 func (d *ShardedSequent) Len() int {
 	n := 0
 	for i := range d.chains {
@@ -409,7 +332,7 @@ func (d *ShardedSequent) Len() int {
 	return n
 }
 
-// Snapshot implements ConcurrentDemuxer, merging per-shard counters.
+// Snapshot implements core.Concurrent, merging per-shard counters.
 func (d *ShardedSequent) Snapshot() core.Stats {
 	var st core.Stats
 	for i := range d.chains {
@@ -430,25 +353,22 @@ func (d *ShardedSequent) Snapshot() core.Stats {
 
 // disciplines maps locking-discipline names to constructors, mirroring
 // core's algorithm registry so the command-line tools can build any of
-// the three head-to-head variants by name.
-var disciplines = map[string]func(core.Config) ConcurrentDemuxer{
-	"locked-bsd":     func(core.Config) ConcurrentDemuxer { return NewLocked(core.NewBSDList()) },
-	"locked-sequent": func(c core.Config) ConcurrentDemuxer { return NewLocked(core.NewSequentHash(c.Chains, c.Hash)) },
-	"sharded-sequent": func(c core.Config) ConcurrentDemuxer {
+// the head-to-head variants by name.
+var disciplines = map[string]func(core.Config) core.Concurrent{
+	"locked-bsd":     func(core.Config) core.Concurrent { return NewLocked(core.NewBSDList()) },
+	"locked-sequent": func(c core.Config) core.Concurrent { return NewLocked(core.NewSequentHash(c.Chains, c.Hash)) },
+	"sharded-sequent": func(c core.Config) core.Concurrent {
 		return NewShardedSequent(c.Chains, c.Hash)
 	},
-	"rcu-sequent": func(c core.Config) ConcurrentDemuxer { return rcu.New(c.Chains, c.Hash) },
-	"flat-hopscotch": func(c core.Config) ConcurrentDemuxer {
+	"rcu-sequent": func(c core.Config) core.Concurrent { return rcu.New(c.Chains, c.Hash) },
+	"flat-hopscotch": func(c core.Config) core.Concurrent {
 		return flat.NewConcurrent(flat.NewHopscotch(0, c.Hash))
-	},
-	"flat-cuckoo": func(c core.Config) ConcurrentDemuxer {
-		return flat.NewConcurrent(flat.NewCuckoo(0, c.Hash))
 	},
 }
 
 // New constructs a concurrent demuxer by locking-discipline name. Valid
 // names are listed by Disciplines.
-func New(name string, cfg core.Config) (ConcurrentDemuxer, error) {
+func New(name string, cfg core.Config) (core.Concurrent, error) {
 	b, ok := disciplines[name]
 	if !ok {
 		return nil, fmt.Errorf("parallel: unknown discipline %q (have %s)",
@@ -466,3 +386,8 @@ func Disciplines() []string {
 	sort.Strings(names)
 	return names
 }
+
+var (
+	_ core.Concurrent = (*Locked)(nil)
+	_ core.Concurrent = (*ShardedSequent)(nil)
+)

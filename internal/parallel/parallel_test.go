@@ -14,8 +14,8 @@ import (
 
 // both returns one instance of each locking discipline for conformance
 // runs: global lock, per-chain locks, and the lock-free-read RCU table.
-func both() []ConcurrentDemuxer {
-	return []ConcurrentDemuxer{
+func both() []core.Concurrent {
+	return []core.Concurrent{
 		NewLocked(core.NewBSDList()),
 		NewLocked(core.NewSequentHash(19, nil)),
 		NewShardedSequent(19, nil),
@@ -165,7 +165,7 @@ func TestParallelStress(t *testing.T) {
 	}
 }
 
-// TestWalkSnapshot checks the Walk half of the Demuxer/ConcurrentDemuxer
+// TestWalkSnapshot checks the Walk half of the core.Demuxer/core.Concurrent
 // symmetry fix: every discipline must enumerate exactly the inserted PCB
 // set (listeners included) and honor early termination.
 func TestWalkSnapshot(t *testing.T) {
@@ -298,7 +298,7 @@ func TestShardedParallelThroughputScales(t *testing.T) {
 	const opsPerWorker = 30000
 	workers := runtime.GOMAXPROCS(0)
 
-	measure := func(d ConcurrentDemuxer) float64 {
+	measure := func(d core.Concurrent) float64 {
 		for i := 0; i < n; i++ {
 			if err := d.Insert(core.NewPCB(tpca.UserKey(i))); err != nil {
 				t.Fatal(err)

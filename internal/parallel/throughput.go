@@ -64,8 +64,8 @@ type ThroughputConfig struct {
 	// ReadFraction < 1; keeping the slices disjoint keeps the final PCB
 	// set deterministic.
 	ChurnKeys [][]core.Key
-	// Batch > 1 drives lookups through LookupBatch in trains of this
-	// size (a churn operation flushes the pending train first).
+	// Batch > 1 drives lookups through core.LookupBatch in trains of
+	// this size (a churn operation flushes the pending train first).
 	Batch int
 	// Seed seeds the per-worker operation-mix RNGs.
 	Seed uint64
@@ -89,95 +89,148 @@ func (c ThroughputConfig) validate() error {
 
 // ThroughputResult reports one measured run.
 type ThroughputResult struct {
-	// Ops is the total operations completed (lookups + churn mutations).
+	// Ops is the total operations performed (lookups + churn mutations).
 	Ops int
 	// Elapsed is the wall-clock time of the measured section.
 	Elapsed time.Duration
 	// NsPerOp and OpsPerSec are the derived rates.
 	NsPerOp   float64
 	OpsPerSec float64
-	// Stats is the demuxer's statistics snapshot after the run.
+	// Stats is the statistics snapshot after the run, filled by the
+	// entry point that owns the tables.
 	Stats core.Stats
+}
+
+// Worker is one goroutine's share of a Replay: the table it drives, the
+// stream it replays (from offset Pos, wrapping) and how many operations
+// it performs. A worker with no stream or no ops performs none.
+type Worker struct {
+	Table  core.Table
+	Stream []Op
+	Pos    int
+	Ops    int
+	// Churn, when non-empty, makes each operation a remove-or-reinsert of
+	// one of these keys with probability 1-Read, drawn from a Seed-seeded
+	// RNG; otherwise every operation is a lookup.
+	Churn []core.Key
+	Read  float64
+	Seed  uint64
+	// Done, when non-nil, runs on the worker's goroutine after its last
+	// operation, inside the measured section (a LocalDemux flush).
+	Done func()
+}
+
+// run is the replay loop every throughput measurement shares: walk the
+// stream, gather lookups into trains of batch keys (flushed through
+// core.LookupBatch, so a native Batcher is reached however deeply it is
+// wrapped) or issue them one by one, and interleave churn. It returns the
+// operations performed.
+func (w Worker) run(batch int, start <-chan struct{}) int {
+	if len(w.Stream) == 0 {
+		return 0
+	}
+	var src *rng.Source
+	if len(w.Churn) > 0 {
+		src = rng.New(w.Seed)
+	}
+	var (
+		keys    []core.Key
+		dir     core.Direction
+		results []core.Result
+		pos     = w.Pos
+	)
+	flush := func() {
+		if len(keys) > 0 {
+			results = core.LookupBatch(w.Table, keys, dir, results)
+			keys = keys[:0]
+		}
+	}
+	<-start
+	for i := 0; i < w.Ops; i++ {
+		if src != nil && src.Float64() >= w.Read {
+			flush()
+			k := w.Churn[src.Intn(len(w.Churn))]
+			if !w.Table.Remove(k) {
+				_ = w.Table.Insert(core.NewPCB(k)) // k was just absent from this worker's private churn set
+			}
+			continue
+		}
+		op := w.Stream[pos]
+		pos++
+		if pos == len(w.Stream) {
+			pos = 0
+		}
+		if batch > 1 {
+			dir = op.Dir
+			keys = append(keys, op.Key)
+			if len(keys) >= batch {
+				flush()
+			}
+		} else {
+			w.Table.Lookup(op.Key, op.Dir)
+		}
+	}
+	flush()
+	if w.Done != nil {
+		w.Done()
+	}
+	return w.Ops
+}
+
+// Replay runs every worker on its own goroutine, released together, and
+// reports the operations actually performed over the wall-clock window.
+// MeasureThroughput (one shared table × W workers) and shard.MeasureSharded
+// (N private tables × N workers) are both this loop.
+func Replay(workers []Worker, batch int) ThroughputResult {
+	var (
+		wg    sync.WaitGroup
+		start = make(chan struct{})
+		ran   = make([]int, len(workers))
+	)
+	for i := range workers {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			ran[i] = workers[i].run(batch, start)
+		}(i)
+	}
+	t0 := time.Now() //demux:wallclock throughput is the one legitimate wall-clock consumer: it reports real elapsed time, not virtual time
+	close(start)
+	wg.Wait()
+	res := ThroughputResult{Elapsed: time.Since(t0)} //demux:wallclock closes the measured section opened at t0 above
+	for _, n := range ran {
+		res.Ops += n
+	}
+	if res.Elapsed > 0 && res.Ops > 0 {
+		res.NsPerOp = float64(res.Elapsed.Nanoseconds()) / float64(res.Ops)
+		res.OpsPerSec = float64(res.Ops) / res.Elapsed.Seconds()
+	}
+	return res
 }
 
 // MeasureThroughput drives d with cfg.Workers goroutines replaying the
 // recorded stream and returns the aggregate operation rate. The demuxer
 // must already be populated with the stream's PCBs; lookups that miss are
 // fine (they exercise the listener path) but are still counted as one op.
-func MeasureThroughput(d ConcurrentDemuxer, cfg ThroughputConfig) (ThroughputResult, error) {
+func MeasureThroughput(d core.Concurrent, cfg ThroughputConfig) (ThroughputResult, error) {
 	if err := cfg.validate(); err != nil {
 		return ThroughputResult{}, err
 	}
-	read := cfg.ReadFraction
-	if read == 0 {
-		read = 1
+	workers := make([]Worker, cfg.Workers)
+	for w := range workers {
+		workers[w] = Worker{
+			Table:  d,
+			Stream: cfg.Stream,
+			Pos:    (w * len(cfg.Stream)) / cfg.Workers,
+			Ops:    cfg.OpsPerWorker,
+			Read:   cfg.ReadFraction,
+			Seed:   cfg.Seed + uint64(w)*7919 + 1,
+		}
+		if cfg.ReadFraction != 0 && cfg.ReadFraction < 1 {
+			workers[w].Churn = cfg.ChurnKeys[w]
+		}
 	}
-	var (
-		wg    sync.WaitGroup
-		start = make(chan struct{})
-	)
-	for w := 0; w < cfg.Workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			src := rng.New(cfg.Seed + uint64(w)*7919 + 1)
-			pos := (w * len(cfg.Stream)) / cfg.Workers
-			var churn []core.Key
-			if read < 1 {
-				churn = cfg.ChurnKeys[w]
-			}
-			var (
-				keys    []core.Key
-				dir     core.Direction
-				results []core.Result
-			)
-			flush := func() {
-				if len(keys) > 0 {
-					results = d.LookupBatch(keys, dir, results)
-					keys = keys[:0]
-				}
-			}
-			<-start
-			for i := 0; i < cfg.OpsPerWorker; i++ {
-				if read < 1 && src.Float64() >= read {
-					flush()
-					k := churn[src.Intn(len(churn))]
-					if !d.Remove(k) {
-						_ = d.Insert(core.NewPCB(k))
-					}
-					continue
-				}
-				op := cfg.Stream[pos]
-				pos++
-				if pos == len(cfg.Stream) {
-					pos = 0
-				}
-				if cfg.Batch > 1 {
-					dir = op.Dir
-					keys = append(keys, op.Key)
-					if len(keys) >= cfg.Batch {
-						flush()
-					}
-				} else {
-					d.Lookup(op.Key, op.Dir)
-				}
-			}
-			flush()
-		}(w)
-	}
-	t0 := time.Now() //demux:wallclock throughput is the one legitimate wall-clock consumer: it reports real elapsed time, not virtual time
-	close(start)
-	wg.Wait()
-	elapsed := time.Since(t0) //demux:wallclock closes the measured section opened at t0 above
-	ops := cfg.Workers * cfg.OpsPerWorker
-	res := ThroughputResult{
-		Ops:     ops,
-		Elapsed: elapsed,
-		Stats:   d.Snapshot(),
-	}
-	if elapsed > 0 {
-		res.NsPerOp = float64(elapsed.Nanoseconds()) / float64(ops)
-		res.OpsPerSec = float64(ops) / elapsed.Seconds()
-	}
+	res := Replay(workers, cfg.Batch)
+	res.Stats = d.Snapshot()
 	return res, nil
 }

@@ -10,6 +10,32 @@ import (
 	"tcpdemux/internal/wire"
 )
 
+// everyTable lists a constructor for every name in both registries: the
+// locking disciplines of parallel.New under their own names, and the
+// single-writer algorithms of core.New (flat-hopscotch included — parallel
+// imports internal/flat, whose init registers it) under "single-writer/".
+// Between them they cover both paths of core.LookupBatch: the native
+// Batchers (flat.Hopscotch, flat.Concurrent) and the per-key loop that
+// serves everything else.
+//
+// This is the adapter's conformance suite; it lives in this package, where
+// it pinned rcu's own chain-grouped batch path until PR 13, because
+// internal/core's test binary must not import internal/parallel (that
+// would register flat-hopscotch into core's registry tests).
+func everyTable() map[string]func() (core.Table, error) {
+	cfg := core.Config{Chains: 19}
+	all := make(map[string]func() (core.Table, error))
+	for _, name := range parallel.Disciplines() {
+		name := name
+		all[name] = func() (core.Table, error) { return parallel.New(name, cfg) }
+	}
+	for _, name := range core.Algorithms() {
+		name := name
+		all["single-writer/"+name] = func() (core.Table, error) { return core.New(name, cfg) }
+	}
+	return all
+}
+
 // batchStream builds a lookup stream that exercises every path: exact
 // hits (with repeats for cache hits), listener-covered misses, and total
 // misses.
@@ -33,23 +59,23 @@ func batchStream(n, length int, seed uint64) []core.Key {
 	return stream
 }
 
-// TestLookupBatchMatchesPerPacket is the batched-lookup conformance run
-// the tentpole requires: for every locking discipline, LookupBatch must
-// return a byte-identical Result sequence to per-packet Lookup over the
-// same key stream — same PCB pointers, examination counts, cache-hit and
-// wildcard flags — for every train length tried.
+// TestLookupBatchMatchesPerPacket is the batched-lookup conformance run:
+// for every table in both registries, core.LookupBatch must return a
+// byte-identical Result sequence to per-packet Lookup over the same key
+// stream — same PCB pointers, examination counts, cache-hit and wildcard
+// flags — and fold identical statistics, for every train length tried.
 func TestLookupBatchMatchesPerPacket(t *testing.T) {
 	const n = 400
 	const streamLen = 4000
-	for _, name := range parallel.Disciplines() {
-		name := name
+	for name, build := range everyTable() {
+		build := build
 		t.Run(name, func(t *testing.T) {
 			for _, batch := range []int{1, 3, 16, 64, 257} {
-				perPacket, err := parallel.New(name, core.Config{Chains: 19})
+				perPacket, err := build()
 				if err != nil {
 					t.Fatal(err)
 				}
-				batched, err := parallel.New(name, core.Config{Chains: 19})
+				batched, err := build()
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -60,7 +86,7 @@ func TestLookupBatchMatchesPerPacket(t *testing.T) {
 				for i := range pcbs {
 					pcbs[i] = core.NewPCB(tpca.UserKey(i))
 				}
-				for _, d := range []parallel.ConcurrentDemuxer{perPacket, batched} {
+				for _, d := range []core.Table{perPacket, batched} {
 					if err := d.Insert(listener); err != nil {
 						t.Fatal(err)
 					}
@@ -82,7 +108,7 @@ func TestLookupBatchMatchesPerPacket(t *testing.T) {
 					if end > len(stream) {
 						end = len(stream)
 					}
-					out = batched.LookupBatch(stream[off:end], core.DirData, out)
+					out = core.LookupBatch(batched, stream[off:end], core.DirData, out)
 					if len(out) != end-off {
 						t.Fatalf("batch %d: got %d results for %d keys", batch, len(out), end-off)
 					}
@@ -94,9 +120,12 @@ func TestLookupBatchMatchesPerPacket(t *testing.T) {
 							batch, i, want[i], got[i], stream[i])
 					}
 				}
-				a, b := perPacket.Snapshot(), batched.Snapshot()
+				a, b := core.SnapshotOf(perPacket), core.SnapshotOf(batched)
 				if a != b {
 					t.Fatalf("batch=%d: statistics diverged: %+v vs %+v", batch, a, b)
+				}
+				if a.Lookups != streamLen {
+					t.Fatalf("batch=%d: %d lookups recorded, want %d", batch, a.Lookups, streamLen)
 				}
 			}
 		})
@@ -105,8 +134,8 @@ func TestLookupBatchMatchesPerPacket(t *testing.T) {
 
 // TestLookupBatchEdgeCases covers the empty batch and output-slice reuse.
 func TestLookupBatchEdgeCases(t *testing.T) {
-	for _, name := range parallel.Disciplines() {
-		d, err := parallel.New(name, core.Config{Chains: 19})
+	for name, build := range everyTable() {
+		d, err := build()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,13 +143,13 @@ func TestLookupBatchEdgeCases(t *testing.T) {
 		if err := d.Insert(p); err != nil {
 			t.Fatal(err)
 		}
-		if out := d.LookupBatch(nil, core.DirData, nil); len(out) != 0 {
+		if out := core.LookupBatch(d, nil, core.DirData, nil); len(out) != 0 {
 			t.Fatalf("%s: empty batch returned %d results", name, len(out))
 		}
 		// A too-small out slice must be replaced, a big one reused.
 		big := make([]core.Result, 0, 128)
 		keys := []core.Key{p.Key, p.Key, p.Key}
-		out := d.LookupBatch(keys, core.DirData, big)
+		out := core.LookupBatch(d, keys, core.DirData, big)
 		if len(out) != len(keys) {
 			t.Fatalf("%s: got %d results", name, len(out))
 		}
@@ -132,13 +161,16 @@ func TestLookupBatchEdgeCases(t *testing.T) {
 				t.Fatalf("%s: result %d wrong PCB", name, i)
 			}
 		}
+		if out = core.LookupBatch(d, keys, core.DirData, make([]core.Result, 1)); len(out) != len(keys) {
+			t.Fatalf("%s: short out slice not replaced: got %d results", name, len(out))
+		}
 	}
 }
 
 // TestBatchWireTrain drives the batch path from real frames: a packet
-// train is parsed tuple by tuple and demultiplexed in one LookupBatch,
-// matching the per-frame path — the receive-side integration the wire
-// bench measures.
+// train is parsed tuple by tuple and demultiplexed in one
+// core.LookupBatch, matching the per-frame path — the receive-side
+// integration the wire bench measures.
 func TestBatchWireTrain(t *testing.T) {
 	const conns = 64
 	d, err := parallel.New("rcu-sequent", core.Config{Chains: 19})
@@ -183,7 +215,7 @@ func TestBatchWireTrain(t *testing.T) {
 		keys = append(keys, core.KeyFromTuple(tu))
 		order = append(order, i)
 	}
-	out := d.LookupBatch(keys, core.DirAck, nil)
+	out := core.LookupBatch(d, keys, core.DirAck, nil)
 	for i, r := range out {
 		want := single.Lookup(keys[i], core.DirAck)
 		if r != want {

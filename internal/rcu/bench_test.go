@@ -45,37 +45,3 @@ func BenchmarkLookup(b *testing.B) {
 		d.Lookup(keys[i&8191], core.DirData)
 	}
 }
-
-// BenchmarkLookupBatch measures the batched path at several train
-// lengths over the same table and key stream, for head-to-head ns/op
-// with BenchmarkLookup.
-func BenchmarkLookupBatch(b *testing.B) {
-	const n = 1000
-	for _, batch := range []int{16, 64, 256} {
-		b.Run(bname(batch), func(b *testing.B) {
-			d := benchDemuxer(b, n)
-			keys := benchKeys(n, 8192)
-			var out []core.Result
-			b.ResetTimer()
-			for i := 0; i < b.N; i += batch {
-				off := i & 8191
-				end := off + batch
-				if end > 8192 {
-					end = 8192
-				}
-				out = d.LookupBatch(keys[off:end], core.DirData, out)
-			}
-		})
-	}
-}
-
-func bname(batch int) string {
-	switch batch {
-	case 16:
-		return "batch16"
-	case 64:
-		return "batch64"
-	default:
-		return "batch256"
-	}
-}

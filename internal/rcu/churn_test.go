@@ -148,7 +148,7 @@ func TestConcurrentChurnMatchesOracle(t *testing.T) {
 	}
 
 	// Final PCB sets must be identical, pointer for pointer.
-	collect := func(d parallel.ConcurrentDemuxer) map[*core.PCB]bool {
+	collect := func(d core.Concurrent) map[*core.PCB]bool {
 		set := make(map[*core.PCB]bool)
 		d.Walk(func(p *core.PCB) bool { set[p] = true; return true })
 		return set

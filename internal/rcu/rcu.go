@@ -118,9 +118,6 @@ type Demuxer struct {
 	listeners atomic.Int64 //demux:atomic
 
 	stats stripestat.Stripes
-
-	// scratch pools the per-batch grouping state for LookupBatch.
-	scratch sync.Pool
 }
 
 // New builds a lock-free-read Sequent demultiplexer with h chains
@@ -141,7 +138,7 @@ func New(h int, fn hashfn.Func) *Demuxer {
 	return d
 }
 
-// Name implements parallel.ConcurrentDemuxer.
+// Name implements core.Concurrent.
 func (d *Demuxer) Name() string { return fmt.Sprintf("rcu-sequent-%d", len(d.chains)) }
 
 // NumChains returns H.
@@ -195,7 +192,7 @@ func without(old []entry, i int) *[]entry {
 	return &s
 }
 
-// Insert implements parallel.ConcurrentDemuxer. Wildcard keys register
+// Insert implements core.Concurrent. Wildcard keys register
 // listeners; exact keys prepend to their chain. Only the relevant writer
 // lock is taken; readers are never blocked.
 func (d *Demuxer) Insert(p *core.PCB) error {
@@ -229,7 +226,7 @@ func (d *Demuxer) Insert(p *core.PCB) error {
 	return nil
 }
 
-// Remove implements parallel.ConcurrentDemuxer: copy-on-write chain
+// Remove implements core.Concurrent: copy-on-write chain
 // replacement under the writer lock, then retraction of the chain's
 // one-entry cache if it holds the victim.
 func (d *Demuxer) Remove(k core.Key) bool {
@@ -268,7 +265,7 @@ func (d *Demuxer) Remove(k core.Key) bool {
 	return false
 }
 
-// Lookup implements parallel.ConcurrentDemuxer. The fast path is entirely
+// Lookup implements core.Concurrent. The fast path is entirely
 // lock-free: probe the chain's one-entry cache, scan the immutable chain
 // snapshot, and only on a complete miss consult the listener snapshot.
 // Examination accounting matches core.SequentHash exactly.
@@ -338,19 +335,19 @@ func (d *Demuxer) lookup(k core.Key) core.Result {
 	return r
 }
 
-// NotifySend implements parallel.ConcurrentDemuxer; the Sequent algorithm
+// NotifySend implements core.Concurrent; the Sequent algorithm
 // ignores transmissions.
 func (d *Demuxer) NotifySend(*core.PCB) {}
 
-// Len implements parallel.ConcurrentDemuxer.
+// Len implements core.Concurrent.
 func (d *Demuxer) Len() int { return int(d.conns.Load() + d.listeners.Load()) }
 
-// Snapshot implements parallel.ConcurrentDemuxer, folding the striped
+// Snapshot implements core.Concurrent, folding the striped
 // counters. Concurrent with updates it returns a consistent-enough sum:
 // every counted lookup is in exactly one stripe.
 func (d *Demuxer) Snapshot() core.Stats { return d.stats.Fold() }
 
-// Walk implements parallel.ConcurrentDemuxer with snapshot semantics:
+// Walk implements core.Concurrent with snapshot semantics:
 // it iterates the chain and listener slices as atomically loaded at the
 // start of each chain, so fn sees a fully built view even while writers
 // publish replacements. Order matches core.SequentHash.Walk: chains
@@ -403,3 +400,5 @@ func (d *Demuxer) ChainLengths() []int64 {
 	}
 	return out
 }
+
+var _ core.Concurrent = (*Demuxer)(nil)

@@ -3,68 +3,12 @@ package shard
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"time"
 
 	"tcpdemux/internal/core"
 	"tcpdemux/internal/hashfn"
 	"tcpdemux/internal/parallel"
 	"tcpdemux/internal/telemetry"
 )
-
-// privateDemux adapts a plain single-goroutine core.Demuxer to the
-// telemetry.ConcurrentDemuxer shape so it can sit under a
-// telemetry.LocalDemux observer. No locking is added — that is the
-// point: in the sharded model each demuxer is owned by exactly one
-// worker, so the whole synchronization budget of the parallel
-// disciplines (chain locks, RCU epochs, reader-writer locks) simply
-// disappears from the packet path.
-type privateDemux struct {
-	d core.Demuxer
-}
-
-// Name implements telemetry.ConcurrentDemuxer.
-func (p privateDemux) Name() string { return p.d.Name() }
-
-// Insert implements telemetry.ConcurrentDemuxer.
-func (p privateDemux) Insert(q *core.PCB) error { return p.d.Insert(q) }
-
-// Remove implements telemetry.ConcurrentDemuxer.
-func (p privateDemux) Remove(k core.Key) bool { return p.d.Remove(k) }
-
-// Lookup implements telemetry.ConcurrentDemuxer.
-//
-//demux:hotpath
-func (p privateDemux) Lookup(k core.Key, dir core.Direction) core.Result {
-	return p.d.Lookup(k, dir)
-}
-
-// LookupBatch implements telemetry.ConcurrentDemuxer by per-key lookup:
-// a private table needs no lock amortization, so a train is just a loop.
-//
-//demux:hotpath
-func (p privateDemux) LookupBatch(keys []core.Key, dir core.Direction, out []core.Result) []core.Result {
-	if cap(out) < len(keys) {
-		out = make([]core.Result, len(keys)) //demux:allowalloc amortized: grows the caller-owned result buffer once, then reused across trains
-	}
-	out = out[:len(keys)]
-	for i, k := range keys {
-		out[i] = p.d.Lookup(k, dir)
-	}
-	return out
-}
-
-// NotifySend implements telemetry.ConcurrentDemuxer.
-func (p privateDemux) NotifySend(q *core.PCB) { p.d.NotifySend(q) }
-
-// Len implements telemetry.ConcurrentDemuxer.
-func (p privateDemux) Len() int { return p.d.Len() }
-
-// Snapshot implements telemetry.ConcurrentDemuxer.
-func (p privateDemux) Snapshot() core.Stats { return *p.d.Stats() }
-
-// Walk implements telemetry.ConcurrentDemuxer.
-func (p privateDemux) Walk(fn func(*core.PCB) bool) { p.d.Walk(fn) }
 
 // ThroughputConfig parameterizes one MeasureSharded run.
 type ThroughputConfig struct {
@@ -91,18 +35,12 @@ type ThroughputConfig struct {
 	Metrics *telemetry.DemuxMetrics
 }
 
-// ThroughputResult reports one measured sharded run.
+// ThroughputResult reports one measured sharded run: the aggregate rate
+// (total operations across every shard over the wall-clock window, Stats
+// merged across shards) plus the steering split, so reports can show the
+// partition balance.
 type ThroughputResult struct {
-	// Ops, Elapsed, NsPerOp, OpsPerSec describe the aggregate rate: total
-	// operations across every shard over the wall-clock window.
-	Ops       int
-	Elapsed   time.Duration
-	NsPerOp   float64
-	OpsPerSec float64
-	// Stats is the merged demuxer statistics across shards.
-	Stats core.Stats
-	// PerShardOps and PerShardPCBs record the steering split, so reports
-	// can show the partition balance.
+	parallel.ThroughputResult
 	PerShardOps  []int
 	PerShardPCBs []int
 }
@@ -112,8 +50,12 @@ type ThroughputResult struct {
 // keyed steering hash (that work happens in silicon on real hardware, so
 // it is untimed here), each shard's private demuxer is populated with
 // exactly the connections that steer to it, and then N workers drain
-// their private sub-streams concurrently — no locks, no shared mutable
-// state, per-worker LocalDemux observation flushed at exit.
+// their private sub-streams concurrently through parallel.Replay — no
+// locks, no shared mutable state, per-worker LocalDemux observation
+// flushed at exit. The tables are bare single-writer core.Demuxers: in
+// the sharded model each is owned by exactly one worker, so the whole
+// synchronization budget of the parallel disciplines (chain locks, RCU
+// epochs, reader-writer locks) simply disappears from the packet path.
 //
 // The Shards=1 run of the same configuration is the single-queue
 // baseline. The speedup at N has two independent sources: core
@@ -137,15 +79,15 @@ func MeasureSharded(cfg ThroughputConfig) (ThroughputResult, error) {
 
 	// Untimed RSS model: split the recorded stream and the connection
 	// population by steering hash.
-	subStream := make([][]parallel.Op, cfg.Shards)
+	workers := make([]parallel.Worker, cfg.Shards)
 	for _, op := range cfg.Stream {
-		i := steer.Shard(op.Key.Tuple())
-		subStream[i] = append(subStream[i], op)
+		w := &workers[steer.Shard(op.Key.Tuple())]
+		w.Stream = append(w.Stream, op)
 	}
-	demux := make([]telemetry.ConcurrentDemuxer, cfg.Shards)
+	demux := make([]core.Demuxer, cfg.Shards)
 	pcbs := make([]int, cfg.Shards)
-	for i := 0; i < cfg.Shards; i++ {
-		demux[i] = privateDemux{d: cfg.NewDemuxer(i)}
+	for i := range demux {
+		demux[i] = cfg.NewDemuxer(i)
 	}
 	for _, k := range cfg.Keys {
 		i := steer.Shard(k.Tuple())
@@ -156,90 +98,34 @@ func MeasureSharded(cfg ThroughputConfig) (ThroughputResult, error) {
 	}
 
 	// Each shard's op quota is its steering-weighted share of TotalOps —
-	// the load a NIC would actually hand it.
+	// the load a NIC would actually hand it. The rounding remainder goes
+	// to the busiest shard, which by construction has a stream to run it
+	// on (shard 0 may have none).
 	shardOps := make([]int, cfg.Shards)
-	assigned := 0
-	for i := range shardOps {
-		shardOps[i] = cfg.TotalOps * len(subStream[i]) / len(cfg.Stream)
+	assigned, busiest := 0, 0
+	for i := range workers {
+		shardOps[i] = cfg.TotalOps * len(workers[i].Stream) / len(cfg.Stream)
 		assigned += shardOps[i]
-	}
-	shardOps[0] += cfg.TotalOps - assigned // rounding remainder
-
-	var (
-		wg    sync.WaitGroup
-		start = make(chan struct{})
-	)
-	for i := 0; i < cfg.Shards; i++ {
-		if shardOps[i] == 0 || len(subStream[i]) == 0 {
-			continue
+		if len(workers[i].Stream) > len(workers[busiest].Stream) {
+			busiest = i
 		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			d := demux[i]
-			if cfg.Metrics != nil {
-				l := telemetry.InstrumentLocal(demux[i], cfg.Metrics)
-				defer l.Flush()
-				d = l
-			}
-			stream := subStream[i]
-			pos := 0
-			var (
-				keys    []core.Key
-				dir     core.Direction
-				results []core.Result
-			)
-			flush := func() {
-				if len(keys) > 0 {
-					results = d.LookupBatch(keys, dir, results)
-					keys = keys[:0]
-				}
-			}
-			<-start
-			for n := 0; n < shardOps[i]; n++ {
-				op := stream[pos]
-				pos++
-				if pos == len(stream) {
-					pos = 0
-				}
-				if cfg.Batch > 1 {
-					dir = op.Dir
-					keys = append(keys, op.Key)
-					if len(keys) >= cfg.Batch {
-						flush()
-					}
-				} else {
-					d.Lookup(op.Key, op.Dir)
-				}
-			}
-			flush()
-		}(i)
 	}
-	t0 := time.Now() //demux:wallclock throughput measurement is the one legitimate wall-clock consumer: it reports real elapsed time, not virtual time
-	close(start)
-	wg.Wait()
-	elapsed := time.Since(t0) //demux:wallclock closes the measured section opened at t0 above
+	shardOps[busiest] += cfg.TotalOps - assigned
 
+	for i := range workers {
+		workers[i].Table, workers[i].Ops = demux[i], shardOps[i]
+		if cfg.Metrics != nil {
+			l := telemetry.InstrumentLocal(demux[i], cfg.Metrics)
+			workers[i].Table, workers[i].Done = l, l.Flush
+		}
+	}
 	res := ThroughputResult{
-		Ops:          cfg.TotalOps,
-		Elapsed:      elapsed,
-		PerShardOps:  shardOps,
-		PerShardPCBs: pcbs,
+		ThroughputResult: parallel.Replay(workers, cfg.Batch),
+		PerShardOps:      shardOps,
+		PerShardPCBs:     pcbs,
 	}
-	for i := range demux {
-		st := demux[i].Snapshot()
-		res.Stats.Lookups += st.Lookups
-		res.Stats.Hits += st.Hits
-		res.Stats.Misses += st.Misses
-		res.Stats.WildcardHits += st.WildcardHits
-		res.Stats.Examined += st.Examined
-		if st.MaxExamined > res.Stats.MaxExamined {
-			res.Stats.MaxExamined = st.MaxExamined
-		}
-	}
-	if elapsed > 0 {
-		res.NsPerOp = float64(elapsed.Nanoseconds()) / float64(cfg.TotalOps)
-		res.OpsPerSec = float64(cfg.TotalOps) / elapsed.Seconds()
+	for _, d := range demux {
+		res.Stats.Merge(*d.Stats())
 	}
 	return res, nil
 }

@@ -34,10 +34,10 @@ func shardBenchInputs(t *testing.T, users int) ([]parallel.Op, []core.Key) {
 func TestMeasureShardedPartitionEffect(t *testing.T) {
 	const users = 4000
 	stream, keys := shardBenchInputs(t, users)
-	run := func(shards int) ThroughputResult {
+	run := func(shards, ops int, stream []parallel.Op) ThroughputResult {
 		res, err := MeasureSharded(ThroughputConfig{
 			Shards:   shards,
-			TotalOps: 40_000,
+			TotalOps: ops,
 			Stream:   stream,
 			Keys:     keys,
 			NewDemuxer: func(int) core.Demuxer {
@@ -51,10 +51,17 @@ func TestMeasureShardedPartitionEffect(t *testing.T) {
 		return res
 	}
 
-	single := run(1)
-	quad := run(4)
+	single := run(1, 40_000, stream)
+	quad := run(4, 40_000, stream)
+	// A stream shorter than the shard count leaves most sub-streams (shard
+	// 0's among them) empty: the harness must still perform, and report,
+	// every operation it was asked for.
+	short := run(8, 10, stream[:3])
+	if short.Ops != 10 {
+		t.Fatalf("short stream: %d ops performed, want 10", short.Ops)
+	}
 
-	for _, res := range []ThroughputResult{single, quad} {
+	for _, res := range []ThroughputResult{single, quad, short} {
 		gotPCBs, gotOps := 0, 0
 		for i := range res.PerShardPCBs {
 			gotPCBs += res.PerShardPCBs[i]
@@ -135,6 +142,70 @@ func TestMeasureShardedRejectsBadConfig(t *testing.T) {
 	for i, cfg := range bad {
 		if _, err := MeasureSharded(cfg); err == nil {
 			t.Fatalf("config %d accepted, want error", i)
+		}
+	}
+}
+
+// countingBatcher is a single-writer table with a native batch path that
+// counts how it was driven.
+type countingBatcher struct {
+	core.Demuxer
+	trains, batched, single int
+}
+
+func (c *countingBatcher) Lookup(k core.Key, dir core.Direction) core.Result {
+	c.single++
+	return c.Demuxer.Lookup(k, dir)
+}
+
+func (c *countingBatcher) LookupBatch(keys []core.Key, dir core.Direction, out []core.Result) []core.Result {
+	c.trains++
+	c.batched += len(keys)
+	out = core.SizeResults(out, len(keys))
+	for i, k := range keys {
+		out[i] = c.Demuxer.Lookup(k, dir)
+	}
+	return out
+}
+
+// TestMeasureShardedReachesNativeBatcher pins the harness to the table's
+// own batch path: in train mode every lookup must arrive through the
+// core.Batcher, bare or under the LocalDemux observer. (Before PR 13 a
+// private-table shim looped Lookup instead, so BENCH_shard.json's
+// flat-hopscotch batch64 rows never ran the prefetch pipeline.)
+func TestMeasureShardedReachesNativeBatcher(t *testing.T) {
+	stream, keys := shardBenchInputs(t, 256)
+	for _, m := range []*telemetry.DemuxMetrics{
+		nil,
+		telemetry.NewDemuxMetrics(telemetry.NewRegistry(), "native"),
+	} {
+		var tables []*countingBatcher
+		res, err := MeasureSharded(ThroughputConfig{
+			Shards:   2,
+			TotalOps: 4_000,
+			Stream:   stream,
+			Keys:     keys,
+			NewDemuxer: func(int) core.Demuxer {
+				c := &countingBatcher{Demuxer: core.NewMapDemux()}
+				tables = append(tables, c)
+				return c
+			},
+			Batch:    32,
+			SteerKey: hashfn.NewKeyed(3, 5),
+			Metrics:  m,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		trains, batched, single := 0, 0, 0
+		for _, c := range tables {
+			trains += c.trains
+			batched += c.batched
+			single += c.single
+		}
+		if trains == 0 || batched != res.Ops || single != 0 {
+			t.Fatalf("metrics=%v: %d ops arrived as %d trains carrying %d keys plus %d per-key lookups; want every op batched",
+				m != nil, res.Ops, trains, batched, single)
 		}
 	}
 }

@@ -8,7 +8,7 @@
 // exactly one slot — and heuristic only in spreading. Fold sums the slots
 // into one core.Stats snapshot; a snapshot taken while lookups are in
 // flight is consistent per counter but cross-field identities may lag, as
-// documented by parallel.ConcurrentDemuxer's snapshot contract.
+// documented by core.Concurrent's snapshot contract.
 package stripestat
 
 import (
@@ -135,8 +135,9 @@ func (s *Stripes) Record(r core.Result) {
 }
 
 // RecordBatch folds a pre-accumulated batch of lookups in one shot — the
-// batched lookup paths count locally and pay these atomic adds once per
-// train instead of once per packet.
+// batched lookup paths count locally (core.Stats.Record into a
+// train-local Stats) and pay these atomic adds once per train instead of
+// once per packet.
 //
 //demux:hotpath
 func (s *Stripes) RecordBatch(st core.Stats) {
@@ -182,26 +183,4 @@ func (s *Stripes) Fold() core.Stats {
 		}
 	}
 	return st
-}
-
-// Accumulate folds one result into a batch-local core.Stats with the
-// classification rules of core.Stats.Record — the per-train accumulator
-// the batched lookup paths feed RecordBatch with.
-//
-//demux:hotpath
-func Accumulate(st *core.Stats, r core.Result) {
-	st.Lookups++
-	st.Examined += uint64(r.Examined)
-	if r.Examined > st.MaxExamined {
-		st.MaxExamined = r.Examined
-	}
-	switch {
-	case r.PCB == nil:
-		st.Misses++
-	case r.CacheHit:
-		st.Hits++
-	}
-	if r.PCB != nil && r.Wildcard {
-		st.WildcardHits++
-	}
 }

@@ -74,8 +74,8 @@ func syntheticResults(n int, seed uint64) []core.Result {
 }
 
 // TestRecordBatchEquivalence checks that folding results one at a time
-// with Record and in Accumulate/RecordBatch trains lands on identical
-// statistics.
+// with Record and in train-local core.Stats folded by RecordBatch lands
+// on identical statistics.
 func TestRecordBatchEquivalence(t *testing.T) {
 	results := syntheticResults(10_000, 99)
 
@@ -89,7 +89,7 @@ func TestRecordBatchEquivalence(t *testing.T) {
 	batched.Init()
 	var acc core.Stats
 	for i, r := range results {
-		Accumulate(&acc, r)
+		acc.Record(r)
 		if (i+1)%16 == 0 {
 			batched.RecordBatch(acc)
 			acc = core.Stats{}
@@ -97,7 +97,7 @@ func TestRecordBatchEquivalence(t *testing.T) {
 	}
 	batched.RecordBatch(acc)
 
-	// An Accumulate-only fold must also match core.Stats.Record exactly.
+	// Both must match a plain core.Stats fold exactly.
 	var oracle core.Stats
 	for _, r := range results {
 		oracle.Record(r)

@@ -31,12 +31,10 @@ func Handler(src func() Snapshot) http.Handler {
 	return mux
 }
 
-// MetricsServer is a running HTTP exposition endpoint. Unlike the
-// original Serve helper, whose close function abruptly dropped in-flight
-// scrapes (http.Server.Close), a MetricsServer shuts down gracefully:
-// Shutdown stops accepting, lets in-flight scrapes finish writing, and
-// only then returns — so a SIGTERM during a Prometheus scrape does not
-// truncate the exposition mid-body.
+// MetricsServer is a running HTTP exposition endpoint. It shuts down
+// gracefully: Shutdown stops accepting, lets in-flight scrapes finish
+// writing, and only then returns — so a SIGTERM during a Prometheus
+// scrape does not truncate the exposition mid-body.
 type MetricsServer struct {
 	srv  *http.Server
 	addr string
@@ -63,21 +61,4 @@ func (m *MetricsServer) Addr() string { return m.addr }
 // connections are dropped, and ctx's error is returned).
 func (m *MetricsServer) Shutdown(ctx context.Context) error {
 	return m.srv.Shutdown(ctx)
-}
-
-// Close abruptly stops the server, dropping in-flight scrapes. Prefer
-// Shutdown outside tests.
-func (m *MetricsServer) Close() error { return m.srv.Close() }
-
-// Serve starts an HTTP exposition server on addr and returns the bound
-// address and a close function that abruptly shuts the listener down.
-// It remains for callers that hold the endpoint open until process exit
-// (demuxsim's -metrics); long-running servers should use StartServer and
-// Shutdown for a graceful stop.
-func Serve(addr string, src func() Snapshot) (bound string, close func() error, err error) {
-	m, err := StartServer(addr, src)
-	if err != nil {
-		return "", nil, err
-	}
-	return m.Addr(), m.Close, nil
 }

@@ -106,235 +106,128 @@ func (m *DemuxMetrics) Misses() uint64 { return m.miss.Snapshot().Count }
 func (m *DemuxMetrics) WildcardHits() uint64 { return m.wildcard.Snapshot().Count }
 
 // chainIndexer is implemented by chain-hashed demuxers that can name the
-// chain a key maps to (core.SequentHash, rcu.Demuxer); the wrappers use
+// chain a key maps to (core.SequentHash, rcu.Demuxer); the wrapper uses
 // it to fill flight events' Chain field.
 type chainIndexer interface {
 	ChainIndexOf(core.Key) int
 }
 
-// Demux wraps a core.Demuxer, recording every lookup into a
-// DemuxMetrics bundle and (optionally) a FlightRecorder. All other
-// methods delegate, so the wrapper is behaviourally transparent: the
-// inner demuxer's own Stats are untouched and remain the source of
-// truth for existing reports.
-type Demux struct {
-	inner  core.Demuxer
+// observed is the one instrumentation body behind Demux and Concurrent:
+// it embeds the wrapped table, so the six methods it does not observe are
+// promoted untouched, and overrides Lookup and LookupBatch to record every
+// result into a DemuxMetrics bundle and (optionally) a FlightRecorder. The
+// wrapper is behaviourally transparent: the inner table's own statistics
+// are untouched and remain the source of truth for existing reports.
+type observed struct {
+	core.Table
 	m      *DemuxMetrics
 	rec    *FlightRecorder
 	now    func() float64
-	chains chainIndexer // nil when inner has no chain notion
+	chains chainIndexer // nil when the table has no chain notion
+}
+
+func newObserved(inner core.Table, m *DemuxMetrics, rec *FlightRecorder, now func() float64) observed {
+	ci, _ := inner.(chainIndexer)
+	return observed{Table: inner, m: m, rec: rec, now: now, chains: ci}
+}
+
+// Lookup observes the inner table's result on the way out.
+//
+//demux:hotpath
+func (o *observed) Lookup(k core.Key, dir core.Direction) core.Result {
+	r := o.Table.Lookup(k, dir)
+	o.m.Observe(r)
+	if o.rec != nil {
+		o.recordEvent(k, dir, r)
+	}
+	return r
+}
+
+// LookupBatch implements core.Batcher so instrumentation never hides a
+// native batcher: the train resolves through core.LookupBatch on the inner
+// table and every result is observed, landing batched and per-packet
+// lookups in the same metric bundle. out is reused when it has capacity.
+// The observe-then-maybe-record pair is written out here and in Lookup
+// rather than shared: as a helper it is two calls, past the inliner's
+// budget, and the extra call per key cost the flat table's ~50 ns batch
+// path 4–10 ns on the cache workload.
+//
+//demux:hotpath
+func (o *observed) LookupBatch(keys []core.Key, dir core.Direction, out []core.Result) []core.Result {
+	out = core.LookupBatch(o.Table, keys, dir, out)
+	for i := range out {
+		o.m.Observe(out[i])
+		if o.rec != nil {
+			o.recordEvent(keys[i], dir, out[i])
+		}
+	}
+	return out
+}
+
+// recordEvent builds and records the flight event for one lookup.
+//
+//demux:hotpath
+func (o *observed) recordEvent(k core.Key, dir core.Direction, r core.Result) {
+	t := 0.0
+	if o.now != nil {
+		t = o.now()
+	}
+	chain := int32(-1)
+	if o.chains != nil {
+		chain = int32(o.chains.ChainIndexOf(k))
+	}
+	o.rec.Record(Event{
+		Time:       t,
+		Tuple:      k.Tuple(),
+		Discipline: o.Name(),
+		Chain:      chain,
+		Examined:   int32(r.Examined),
+		Hit:        r.CacheHit,
+		Wildcard:   r.PCB != nil && r.Wildcard,
+		Miss:       r.PCB == nil,
+		Ack:        dir == core.DirAck,
+	})
+}
+
+// Demux is an instrumented single-goroutine table: observed plus the inner
+// demuxer's live Stats, which is all that separates core.Demuxer from
+// core.Concurrent.
+type Demux struct {
+	observed
+	stats *core.Stats
 }
 
 // InstrumentDemuxer wraps inner. m is required; rec may be nil to skip
 // flight recording; now supplies flight events' virtual timestamps (nil
 // records Time 0, leaving ordering to Seq).
 func InstrumentDemuxer(inner core.Demuxer, m *DemuxMetrics, rec *FlightRecorder, now func() float64) *Demux {
-	ci, _ := inner.(chainIndexer)
-	return &Demux{inner: inner, m: m, rec: rec, now: now, chains: ci}
+	return &Demux{observed: newObserved(inner, m, rec, now), stats: inner.Stats()}
 }
-
-// Name implements core.Demuxer.
-func (d *Demux) Name() string { return d.inner.Name() }
-
-// Insert implements core.Demuxer.
-func (d *Demux) Insert(p *core.PCB) error { return d.inner.Insert(p) }
-
-// Remove implements core.Demuxer.
-func (d *Demux) Remove(k core.Key) bool { return d.inner.Remove(k) }
-
-// NotifySend implements core.Demuxer.
-func (d *Demux) NotifySend(p *core.PCB) { d.inner.NotifySend(p) }
-
-// Len implements core.Demuxer.
-func (d *Demux) Len() int { return d.inner.Len() }
 
 // Stats implements core.Demuxer (the inner demuxer's live counters).
-func (d *Demux) Stats() *core.Stats { return d.inner.Stats() }
+func (d *Demux) Stats() *core.Stats { return d.stats }
 
-// Walk implements core.Demuxer.
-func (d *Demux) Walk(fn func(*core.PCB) bool) { d.inner.Walk(fn) }
-
-// Lookup implements core.Demuxer, observing the result on the way out.
-//
-//demux:hotpath
-func (d *Demux) Lookup(k core.Key, dir core.Direction) core.Result {
-	r := d.inner.Lookup(k, dir)
-	d.m.Observe(r)
-	if d.rec != nil {
-		d.recordEvent(k, dir, r)
-	}
-	return r
-}
-
-// batcher is implemented by single-goroutine demuxers with a native
-// batched lookup path (the flat open-addressing tables); the wrapper
-// delegates to it so instrumentation doesn't cost the batch its
-// prefetch pipeline.
-type batcher interface {
-	LookupBatch(keys []core.Key, dir core.Direction, out []core.Result) []core.Result
-}
-
-// LookupBatch resolves a train through the inner demuxer's native batch
-// path when it has one (falling back to per-key Lookup delegation
-// otherwise) and observes every result, so batched and per-packet
-// lookups land in the same metric bundle. out is reused when it has
-// capacity.
-//
-//demux:hotpath
-func (d *Demux) LookupBatch(keys []core.Key, dir core.Direction, out []core.Result) []core.Result {
-	if b, ok := d.inner.(batcher); ok {
-		out = b.LookupBatch(keys, dir, out)
-		for i := range out {
-			d.m.Observe(out[i])
-			if d.rec != nil {
-				d.recordEvent(keys[i], dir, out[i])
-			}
-		}
-		return out
-	}
-	if cap(out) < len(keys) {
-		out = make([]core.Result, len(keys)) //demux:allowalloc amortized: grows the caller-owned result buffer once, then reused across trains
-	}
-	out = out[:len(keys)]
-	for i, k := range keys {
-		out[i] = d.Lookup(k, dir)
-	}
-	return out
-}
-
-// recordEvent builds and records the flight event for one lookup.
-//
-//demux:hotpath
-func (d *Demux) recordEvent(k core.Key, dir core.Direction, r core.Result) {
-	t := 0.0
-	if d.now != nil {
-		t = d.now()
-	}
-	chain := int32(-1)
-	if d.chains != nil {
-		chain = int32(d.chains.ChainIndexOf(k))
-	}
-	d.rec.Record(Event{
-		Time:       t,
-		Tuple:      k.Tuple(),
-		Discipline: d.inner.Name(),
-		Chain:      chain,
-		Examined:   int32(r.Examined),
-		Hit:        r.CacheHit,
-		Wildcard:   r.PCB != nil && r.Wildcard,
-		Miss:       r.PCB == nil,
-		Ack:        dir == core.DirAck,
-	})
-}
-
-var _ core.Demuxer = (*Demux)(nil)
-
-// ConcurrentDemuxer mirrors parallel.ConcurrentDemuxer structurally
-// (declared here rather than imported so telemetry stays below parallel
-// in the dependency order; any parallel.ConcurrentDemuxer satisfies it,
-// and Concurrent satisfies parallel's interface in turn).
-type ConcurrentDemuxer interface {
-	Name() string
-	Insert(p *core.PCB) error
-	Remove(k core.Key) bool
-	Lookup(k core.Key, dir core.Direction) core.Result
-	LookupBatch(keys []core.Key, dir core.Direction, out []core.Result) []core.Result
-	NotifySend(p *core.PCB)
-	Len() int
-	Snapshot() core.Stats
-	Walk(fn func(*core.PCB) bool)
-}
-
-// Concurrent wraps a concurrent demuxer the way Demux wraps a
-// single-goroutine one. Safe for concurrent use when the inner demuxer
-// is: the metric bundle and recorder are striped.
+// Concurrent is an instrumented goroutine-safe table. Safe for concurrent
+// use when the inner table is: the metric bundle and recorder are striped.
 type Concurrent struct {
-	inner  ConcurrentDemuxer
-	m      *DemuxMetrics
-	rec    *FlightRecorder
-	now    func() float64
-	chains chainIndexer
+	observed
+	snapshot func() core.Stats
 }
 
 // InstrumentConcurrent wraps inner; rec and now are optional as in
 // InstrumentDemuxer.
-func InstrumentConcurrent(inner ConcurrentDemuxer, m *DemuxMetrics, rec *FlightRecorder, now func() float64) *Concurrent {
-	ci, _ := inner.(chainIndexer)
-	return &Concurrent{inner: inner, m: m, rec: rec, now: now, chains: ci}
+func InstrumentConcurrent(inner core.Concurrent, m *DemuxMetrics, rec *FlightRecorder, now func() float64) *Concurrent {
+	return &Concurrent{observed: newObserved(inner, m, rec, now), snapshot: inner.Snapshot}
 }
 
-// Name implements ConcurrentDemuxer.
-func (c *Concurrent) Name() string { return c.inner.Name() }
+// Snapshot implements core.Concurrent (the inner table's own statistics).
+func (c *Concurrent) Snapshot() core.Stats { return c.snapshot() }
 
-// Insert implements ConcurrentDemuxer.
-func (c *Concurrent) Insert(p *core.PCB) error { return c.inner.Insert(p) }
-
-// Remove implements ConcurrentDemuxer.
-func (c *Concurrent) Remove(k core.Key) bool { return c.inner.Remove(k) }
-
-// NotifySend implements ConcurrentDemuxer.
-func (c *Concurrent) NotifySend(p *core.PCB) { c.inner.NotifySend(p) }
-
-// Len implements ConcurrentDemuxer.
-func (c *Concurrent) Len() int { return c.inner.Len() }
-
-// Snapshot implements ConcurrentDemuxer (the inner demuxer's own
-// statistics).
-func (c *Concurrent) Snapshot() core.Stats { return c.inner.Snapshot() }
-
-// Walk implements ConcurrentDemuxer.
-func (c *Concurrent) Walk(fn func(*core.PCB) bool) { c.inner.Walk(fn) }
-
-// Lookup implements ConcurrentDemuxer, observing the result.
-//
-//demux:hotpath
-func (c *Concurrent) Lookup(k core.Key, dir core.Direction) core.Result {
-	r := c.inner.Lookup(k, dir)
-	c.m.Observe(r)
-	if c.rec != nil {
-		c.recordEvent(k, dir, r)
-	}
-	return r
-}
-
-// LookupBatch implements ConcurrentDemuxer, observing each result.
-//
-//demux:hotpath
-func (c *Concurrent) LookupBatch(keys []core.Key, dir core.Direction, out []core.Result) []core.Result {
-	out = c.inner.LookupBatch(keys, dir, out)
-	for i := range out {
-		c.m.Observe(out[i])
-		if c.rec != nil {
-			c.recordEvent(keys[i], dir, out[i])
-		}
-	}
-	return out
-}
-
-// recordEvent builds and records the flight event for one lookup.
-//
-//demux:hotpath
-func (c *Concurrent) recordEvent(k core.Key, dir core.Direction, r core.Result) {
-	t := 0.0
-	if c.now != nil {
-		t = c.now()
-	}
-	chain := int32(-1)
-	if c.chains != nil {
-		chain = int32(c.chains.ChainIndexOf(k))
-	}
-	c.rec.Record(Event{
-		Time:       t,
-		Tuple:      k.Tuple(),
-		Discipline: c.inner.Name(),
-		Chain:      chain,
-		Examined:   int32(r.Examined),
-		Hit:        r.CacheHit,
-		Wildcard:   r.PCB != nil && r.Wildcard,
-		Miss:       r.PCB == nil,
-		Ack:        dir == core.DirAck,
-	})
-}
+var (
+	_ core.Demuxer    = (*Demux)(nil)
+	_ core.Concurrent = (*Concurrent)(nil)
+	_ core.Batcher    = (*observed)(nil)
+)
 
 // StackMetrics is the engine.Stack instrument bundle: per-reason drop
 // counters, the SYN-cookie handshake counters, and the lifecycle-timer

@@ -30,12 +30,14 @@ const localCells = 128
 // The contract is exactly single-writer: each LocalDemux belongs to one
 // goroutine, and Flush must be called by that same goroutine (typically
 // deferred at worker exit) before anyone reads the shared histograms.
-// The wrapped inner demuxer may still be shared; only the observation
-// state is private. For cross-goroutine wrappers or flight recording,
-// use InstrumentConcurrent instead.
+// The wrapped inner table — promoted through the embedded core.Table, so
+// only Lookup and LookupBatch are written out here — may be a shared
+// core.Concurrent or a worker's private core.Demuxer; only the
+// observation state is private. For cross-goroutine wrappers or flight
+// recording, use InstrumentConcurrent instead.
 type LocalDemux struct {
-	inner ConcurrentDemuxer
-	m     *DemuxMetrics
+	core.Table
+	m *DemuxMetrics
 	// The observation buffers belong to the owning goroutine's localtier
 	// role: only observe (the accumulate path) and Flush (the drain path)
 	// may touch them, which demuxvet's singlewriter analyzer enforces.
@@ -46,8 +48,8 @@ type LocalDemux struct {
 
 // InstrumentLocal wraps inner with a private observation buffer folding
 // into m on Flush.
-func InstrumentLocal(inner ConcurrentDemuxer, m *DemuxMetrics) *LocalDemux {
-	return &LocalDemux{inner: inner, m: m}
+func InstrumentLocal(inner core.Table, m *DemuxMetrics) *LocalDemux {
+	return &LocalDemux{Table: inner, m: m}
 }
 
 // observe folds one result into the private buffer: three plain adds,
@@ -106,43 +108,21 @@ func (l *LocalDemux) Flush() {
 	}
 }
 
-// Name implements ConcurrentDemuxer.
-func (l *LocalDemux) Name() string { return l.inner.Name() }
-
-// Insert implements ConcurrentDemuxer.
-func (l *LocalDemux) Insert(p *core.PCB) error { return l.inner.Insert(p) }
-
-// Remove implements ConcurrentDemuxer.
-func (l *LocalDemux) Remove(k core.Key) bool { return l.inner.Remove(k) }
-
-// NotifySend implements ConcurrentDemuxer.
-func (l *LocalDemux) NotifySend(p *core.PCB) { l.inner.NotifySend(p) }
-
-// Len implements ConcurrentDemuxer.
-func (l *LocalDemux) Len() int { return l.inner.Len() }
-
-// Snapshot implements ConcurrentDemuxer (the inner demuxer's own
-// statistics).
-func (l *LocalDemux) Snapshot() core.Stats { return l.inner.Snapshot() }
-
-// Walk implements ConcurrentDemuxer.
-func (l *LocalDemux) Walk(fn func(*core.PCB) bool) { l.inner.Walk(fn) }
-
-// Lookup implements ConcurrentDemuxer, observing into the private
-// buffer.
+// Lookup observes the inner table's result into the private buffer.
 //
 //demux:hotpath
 func (l *LocalDemux) Lookup(k core.Key, dir core.Direction) core.Result {
-	r := l.inner.Lookup(k, dir)
+	r := l.Table.Lookup(k, dir)
 	l.observe(r)
 	return r
 }
 
-// LookupBatch implements ConcurrentDemuxer, observing each result.
+// LookupBatch implements core.Batcher over the inner table's own batch
+// path (native or looped), observing each result.
 //
 //demux:hotpath
 func (l *LocalDemux) LookupBatch(keys []core.Key, dir core.Direction, out []core.Result) []core.Result {
-	out = l.inner.LookupBatch(keys, dir, out)
+	out = core.LookupBatch(l.Table, keys, dir, out)
 	for i := range out {
 		l.observe(out[i])
 	}

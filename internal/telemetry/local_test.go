@@ -13,12 +13,12 @@ import (
 // flushed metrics agree exactly — the two instrumentation paths must be
 // observationally equivalent.
 func TestLocalDemuxMatchesShared(t *testing.T) {
-	build := func() (ConcurrentDemuxer, error) {
+	build := func() (core.Concurrent, error) {
 		inner := core.NewSequentHash(19, hashfn.Multiplicative{})
 		return lockedDemux{inner: inner, mu: &sync.Mutex{}}, nil
 	}
 
-	drive := func(d ConcurrentDemuxer) {
+	drive := func(d core.Table) {
 		for i := uint32(0); i < 50; i++ {
 			_ = d.Insert(core.NewPCB(testKey(i)))
 		}
@@ -117,7 +117,7 @@ func TestLocalDemuxConcurrentFlush(t *testing.T) {
 	}
 }
 
-// lockedDemux adapts a plain core.Demuxer into a ConcurrentDemuxer for
+// lockedDemux adapts a plain core.Demuxer into a core.Concurrent for
 // the tests above (coarse lock; correctness only).
 type lockedDemux struct {
 	inner *core.SequentHash
@@ -139,13 +139,6 @@ func (d lockedDemux) Lookup(k core.Key, dir core.Direction) core.Result {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.inner.Lookup(k, dir)
-}
-func (d lockedDemux) LookupBatch(keys []core.Key, dir core.Direction, out []core.Result) []core.Result {
-	out = out[:0]
-	for _, k := range keys {
-		out = append(out, d.Lookup(k, dir))
-	}
-	return out
 }
 func (d lockedDemux) NotifySend(p *core.PCB) {
 	d.mu.Lock()

@@ -49,7 +49,7 @@ func TestTelemetryOverhead(t *testing.T) {
 			b.SetParallelism(4)
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
-				d := shared
+				var d core.Table = shared
 				if m != nil {
 					ld := telemetry.InstrumentLocal(shared, m)
 					defer ld.Flush()
