@@ -62,7 +62,7 @@ chaos:
 	$(GO) test -race -count=1 -run 'SynCookies|SynFlood|Adversarial' ./internal/engine ./cmd/demuxsim
 
 # shard is the cross-shard conformance gate: the full multi-queue engine
-# suite (SPSC rings, generation-checked directory, RSS steering, rekey
+# suite (SPSC rings, generation-checked claims, RSS steering, rekey
 # migration, lossy/chaos conformance against the single-shard engine)
 # plus the Extract/Adopt migration primitives, all under the race
 # detector.
@@ -77,7 +77,7 @@ shard:
 # detector, all held to byte-identical delivery and a balanced
 # conservation ledger.
 failover:
-	$(GO) test -race -count=1 -run 'Failover|FailOver|Wedge|Stall|Backpressure|StaleGeneration|DirectoryFull|ShardSetMetrics' ./internal/shard ./internal/telemetry
+	$(GO) test -race -count=1 -run 'Failover|FailOver|Wedge|Stall|Backpressure|StaleGeneration|StaleHandoff|ShardSetMetrics' ./internal/shard ./internal/telemetry
 	$(GO) test -race -count=1 -run 'TestShard' ./internal/chaos
 	$(GO) test -race -count=1 -run 'TestRunFailover' ./cmd/demuxsim ./cmd/benchjson
 
@@ -133,9 +133,9 @@ bench-json-shard:
 # bench-json-failover measures the shard failure domains under virtual
 # time (EXP-FAILOVER): crash and stall the busiest of 4 shards mid-run
 # under 20% drop / 10% dup and record watchdog detection latency, drain
-# recovery, and windowed goodput. The numbers are virtual-time ticks —
-# deterministic for a given seed, so the gate tolerance has no jitter to
-# absorb.
+# recovery, and windowed goodput. The numbers are virtual-time ticks
+# ("unit": "vtick") — deterministic for a given seed, so bench-gate
+# compares them at tolerance 0.
 bench-json-failover:
 	$(GO) run ./cmd/benchjson -workload failover -out BENCH_failover.json
 
@@ -147,6 +147,8 @@ bench-json-failover:
 # the gate). The default tolerance is deliberately generous because CI
 # hosts differ from the host that produced the committed artifacts —
 # the gate exists to catch algorithmic blowups, not single-digit drift.
+# The failover workload is exempt from it: virtual-time ticks have no
+# jitter to absorb, so any growth at all fails, here and in CI.
 BENCH_TOLERANCE ?= 1.0
 bench-gate:
 	@mkdir -p bin
@@ -157,7 +159,7 @@ bench-gate:
 	$(GO) run ./cmd/benchjson -workload shard -rounds 3 -ops 60000 -n 6000 -out bin/BENCH_shard.head.json
 	$(GO) run ./cmd/benchjson -compare BENCH_shard.json bin/BENCH_shard.head.json -tolerance $(BENCH_TOLERANCE)
 	$(GO) run ./cmd/benchjson -workload failover -out bin/BENCH_failover.head.json
-	$(GO) run ./cmd/benchjson -compare BENCH_failover.json bin/BENCH_failover.head.json -tolerance $(BENCH_TOLERANCE)
+	$(GO) run ./cmd/benchjson -compare BENCH_failover.json bin/BENCH_failover.head.json -tolerance 0
 
 # Short fuzz pass over the wire parsers and the full receive path
 # (CI-sized; raise FUZZTIME locally).

@@ -22,15 +22,6 @@ import (
 // *simulated* time, which is an algorithmic change, not scheduler noise.
 const vtick = 1e-3
 
-// failoverResult is one scenario/mode configuration. Discipline/Mode/
-// Best.NsPerOp line up with the -compare gate's pairing.
-type failoverResult struct {
-	Discipline string  `json:"discipline"`
-	Mode       string  `json:"mode"`
-	Rounds     []round `json:"rounds"`
-	Best       round   `json:"best"`
-}
-
 // failoverScenario is one measured failure story.
 type failoverScenario struct {
 	Name      string  `json:"name"`
@@ -62,7 +53,7 @@ type failoverReport struct {
 	GOOS      string             `json:"goos"`
 	GOARCH    string             `json:"goarch"`
 	Config    map[string]any     `json:"config"`
-	Results   []failoverResult   `json:"results"`
+	Results   []result           `json:"results"`
 	Scenarios []failoverScenario `json:"scenarios"`
 }
 
@@ -218,12 +209,12 @@ func runFailover(opt options) (*failoverReport, error) {
 		name  string
 		fault chaos.ShardFault
 	}
-	var results []failoverResult
+	var results []result
 	var scenarios []failoverScenario
 	addResult := func(disc, mode string, ticks, rate float64) {
 		rd := round{NsPerOp: ticks, LookupsPerSec: rate}
-		results = append(results, failoverResult{
-			Discipline: disc, Mode: mode, Rounds: []round{rd}, Best: rd,
+		results = append(results, result{
+			Discipline: disc, Mode: mode, Unit: "vtick", Rounds: []round{rd}, Best: rd,
 		})
 	}
 	addResult("failover-none", "complete", base.endTime/vtick,
@@ -240,10 +231,10 @@ func runFailover(opt options) (*failoverReport, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", sc.name, err)
 		}
-		set := d.set
-		if set.Drains != 1 || !set.Drained(victim) {
+		set, st := d.set, d.set.Stats()
+		if st.Drains != 1 || !set.Drained(victim) {
 			return nil, fmt.Errorf("%s: shard %d not drained (drains=%d health=%v)",
-				sc.name, victim, set.Drains, set.Health(victim))
+				sc.name, victim, st.Drains, set.Health(victim))
 		}
 		acc := set.Accounting()
 		if !acc.Balanced() {
@@ -257,23 +248,22 @@ func runFailover(opt options) (*failoverReport, error) {
 		scenarios = append(scenarios, failoverScenario{
 			Name: sc.name, Fault: sc.fault.String(), FailShard: victim, FailAt: failAt,
 			DetectTicks:   detect / vtick,
-			RecoverTicks:  set.LastDrainRecovery / vtick,
+			RecoverTicks:  st.LastDrainRecovery / vtick,
 			CompleteTicks: d.endTime / vtick,
 			GoodputBefore: goodput(d.txnTimes, 0, failAt),
 			GoodputDuring: goodput(d.txnTimes, failAt, set.LastDrainAt),
 			GoodputAfter:  goodput(d.txnTimes, set.LastDrainAt, d.endTime),
-			Drains:        set.Drains, DrainedConns: set.DrainedConns,
-			SalvagedFrames: set.SalvagedFrames,
+			Drains:        st.Drains, DrainedConns: st.DrainedConns,
+			SalvagedFrames: st.SalvagedFrames,
 			Shed: map[string]uint64{
-				"inbox-full":     set.ShedInboxFull,
-				"handoff-full":   set.ShedHandoffFull,
-				"directory-full": set.ShedDirectoryFull,
-				"backlog-full":   set.ShedBacklogFull,
+				"inbox-full":   st.ShedInboxFull,
+				"handoff-full": st.ShedHandoffFull,
+				"backlog-full": st.ShedBacklogFull,
 			},
 			Accounting: acc,
 		})
 		addResult(sc.name, "detect", detect/vtick, 0)
-		addResult(sc.name, "recover", set.LastDrainRecovery/vtick, 0)
+		addResult(sc.name, "recover", st.LastDrainRecovery/vtick, 0)
 		addResult(sc.name, "complete", d.endTime/vtick, goodput(d.txnTimes, 0, d.endTime))
 	}
 
@@ -288,7 +278,6 @@ func runFailover(opt options) (*failoverReport, error) {
 			"victim": victim, "failAtVirtualSec": failAt,
 			"tickVirtualSec":    vtick,
 			"stallThresholdSec": shard.DefaultStallThreshold,
-			"note":              "nsPerOp is virtual-time ticks (deterministic), not wall nanoseconds",
 		},
 		Results:   results,
 		Scenarios: scenarios,

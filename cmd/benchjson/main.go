@@ -50,15 +50,11 @@ import (
 	"os"
 	"runtime"
 
-	"tcpdemux/internal/chaos"
 	"tcpdemux/internal/core"
-	"tcpdemux/internal/engine"
-	"tcpdemux/internal/hashfn"
-	"tcpdemux/internal/overload"
 	"tcpdemux/internal/parallel"
 	"tcpdemux/internal/telemetry"
 	"tcpdemux/internal/tpca"
-	"tcpdemux/internal/wire"
+	"tcpdemux/internal/workload"
 )
 
 // options collects the run parameters; a struct (rather than bare flag
@@ -110,10 +106,13 @@ type round struct {
 	ExaminedP99 float64 `json:"examinedP99"`
 }
 
-// result is one configuration's rounds plus its best round.
+// result is one configuration's rounds plus its best round. Unit names
+// what nsPerOp counts when that is not wall nanoseconds: the failover
+// workload's results are virtual-time ticks ("vtick").
 type result struct {
 	Discipline string  `json:"discipline"`
 	Mode       string  `json:"mode"`
+	Unit       string  `json:"unit,omitempty"`
 	Rounds     []round `json:"rounds"`
 	Best       round   `json:"best"`
 }
@@ -410,40 +409,18 @@ func histDiff(after, before telemetry.HistogramSnapshot) telemetry.HistogramSnap
 	return d
 }
 
-// advTableResult is one table's measured attack response.
-type advTableResult struct {
-	Table        string  `json:"table"`
-	BenignMean   float64 `json:"benignMean"`
-	AttackedMean float64 `json:"attackedMean"`
-	WorstLookup  int     `json:"worstLookup"`
-	Rekeys       int     `json:"rekeys"`
-	ExaminedP50  float64 `json:"examinedP50"`
-	ExaminedP90  float64 `json:"examinedP90"`
-	ExaminedP99  float64 `json:"examinedP99"`
-}
-
 // advReport is the adversarial-workload JSON document
-// (BENCH_adversarial.json).
+// (BENCH_adversarial.json): workload.RunAdversarial's result under the
+// usual host header, with the full telemetry snapshot.
 type advReport struct {
-	Benchmark  string             `json:"benchmark"`
-	GOOS       string             `json:"goos"`
-	GOARCH     string             `json:"goarch"`
-	NumCPU     int                `json:"numCPU"`
-	GoMaxProcs int                `json:"gomaxprocs"`
-	Config     map[string]any     `json:"config"`
-	Tables     []advTableResult   `json:"tables"`
-	Flood      advFloodResult     `json:"flood"`
-	Telemetry  telemetry.Snapshot `json:"telemetry"`
-}
-
-// advFloodResult summarizes the SYN-flood half of the run.
-type advFloodResult struct {
-	ClientEstablished  bool   `json:"clientEstablished"`
-	CookiesSent        uint64 `json:"cookiesSent"`
-	CookiesAccepted    uint64 `json:"cookiesAccepted"`
-	SynDrops           uint64 `json:"synDrops"`
-	DroppedBadCookie   uint64 `json:"droppedBadCookie"`
-	DroppedBacklogFull uint64 `json:"droppedBacklogFull"`
+	Benchmark  string         `json:"benchmark"`
+	GOOS       string         `json:"goos"`
+	GOARCH     string         `json:"goarch"`
+	NumCPU     int            `json:"numCPU"`
+	GoMaxProcs int            `json:"gomaxprocs"`
+	Config     map[string]any `json:"config"`
+	*workload.AdversarialResult
+	Telemetry telemetry.Snapshot `json:"telemetry"`
 }
 
 // runAdversarial measures the collision attack and SYN flood the
@@ -451,147 +428,31 @@ type advFloodResult struct {
 // per-table examined means and percentiles under attack, rekey counts,
 // flood counters, and the full telemetry snapshot.
 func runAdversarial(opt options) (*advReport, error) {
-	victim, err := hashfn.ByName("multiplicative")
-	if err != nil {
-		return nil, err
-	}
-	reg := telemetry.NewRegistry()
-	const benignN = 400
 	attackN := opt.Ops / 50
 	if attackN < 400 {
 		attackN = 400
 	}
-	floodN := attackN / 2
-	benign := hashfn.RandomClients(benignN, opt.Seed^0xbe9)
-	popN := attackN
-	if floodN > popN {
-		popN = floodN
+	cfg := workload.AdversarialConfig{
+		Chains: opt.Chains, Seed: opt.Seed, Hash: "multiplicative",
+		AttackN: attackN, FloodN: attackN / 2, Cookies: true,
+		Registry: telemetry.NewRegistry(),
 	}
-	population, err := hashfn.AttackPopulation(victim, opt.Chains, int(opt.Seed%uint64(opt.Chains)), popN)
+	res, err := workload.RunAdversarial(cfg)
 	if err != nil {
 		return nil, err
 	}
-	attack := population[:attackN]
-
-	und := overload.Undefended{SequentHash: core.NewSequentHash(opt.Chains, victim)}
-	g := overload.NewGuarded(opt.Chains, victim, opt.Seed, overload.Config{})
-	rg := overload.NewRCUGuarded(opt.Chains, victim, opt.Seed, overload.Config{})
-	g.SetTelemetry(telemetry.NewOverloadMetrics(reg, "guarded-sequent"))
-	rg.SetTelemetry(telemetry.NewOverloadMetrics(reg, "rcu-guarded"))
-	type advTable struct {
-		name   string
-		d      overload.AttackTable
-		m      *telemetry.DemuxMetrics
-		rekeys func() int
-	}
-	tables := []advTable{
-		{"sequent-undefended", und, telemetry.NewDemuxMetrics(reg, "sequent-undefended"), func() int { return 0 }},
-		{"guarded-sequent", g, telemetry.NewDemuxMetrics(reg, "guarded-sequent"), func() int { return g.Rekeys }},
-		{"rcu-guarded", rg, telemetry.NewDemuxMetrics(reg, "rcu-guarded"), func() int { return rg.Rekeys }},
-	}
-
-	rep := &advReport{
+	return &advReport{
 		Benchmark:  "adversarial collision attack + SYN flood",
 		GOOS:       runtime.GOOS,
 		GOARCH:     runtime.GOARCH,
 		NumCPU:     runtime.NumCPU(),
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		Config: map[string]any{
-			"chains": opt.Chains, "seed": opt.Seed,
-			"attack": attackN, "benign": benignN, "flood": floodN,
-			"hash": "multiplicative", "syncookies": true,
+			"chains": cfg.Chains, "seed": cfg.Seed,
+			"attack": cfg.AttackN, "benign": workload.AdversarialBenign, "flood": cfg.FloodN,
+			"hash": cfg.Hash, "syncookies": cfg.Cookies,
 		},
-	}
-	for _, tb := range tables {
-		if err := tb.d.Insert(core.NewListenPCB(core.ListenKey(hashfn.ServerEndpoint.Addr, hashfn.ServerEndpoint.Port))); err != nil {
-			return nil, err
-		}
-		benignKeys := make([]core.Key, len(benign))
-		for i, tu := range benign {
-			benignKeys[i] = core.KeyFromTuple(tu)
-			if err := tb.d.Insert(core.NewPCB(benignKeys[i])); err != nil {
-				return nil, err
-			}
-		}
-		tb := tb
-		meanOver := func(keys []core.Key) float64 {
-			before := core.SnapshotOf(tb.d)
-			for _, k := range keys {
-				tb.m.Observe(tb.d.Lookup(k, core.DirData))
-			}
-			after := core.SnapshotOf(tb.d)
-			if after.Lookups == before.Lookups {
-				return 0
-			}
-			return float64(after.Examined-before.Examined) / float64(after.Lookups-before.Lookups)
-		}
-		benignMean := meanOver(benignKeys)
-		allKeys := benignKeys
-		for _, tu := range attack {
-			k := core.KeyFromTuple(tu)
-			if err := tb.d.Insert(core.NewPCB(k)); err != nil {
-				return nil, err
-			}
-			allKeys = append(allKeys, k)
-		}
-		for guard := 0; tb.d.Migrating(); guard++ {
-			if guard > 1<<20 {
-				return nil, fmt.Errorf("%s: migration never completed", tb.name)
-			}
-			tb.d.Advance(64)
-		}
-		attackedMean := meanOver(allKeys)
-		h := tb.m.ExaminedSnapshot()
-		rep.Tables = append(rep.Tables, advTableResult{
-			Table:        tb.name,
-			BenignMean:   benignMean,
-			AttackedMean: attackedMean,
-			WorstLookup:  core.SnapshotOf(tb.d).MaxExamined,
-			Rekeys:       tb.rekeys(),
-			ExaminedP50:  h.Quantile(0.50),
-			ExaminedP90:  h.Quantile(0.90),
-			ExaminedP99:  h.Quantile(0.99),
-		})
-	}
-
-	frames, err := chaos.SynFloodFrames(population[:floodN])
-	if err != nil {
-		return nil, err
-	}
-	server := engine.NewStack(hashfn.ServerEndpoint.Addr, core.NewSequentHash(opt.Chains, nil), opt.Seed|1)
-	server.SetTelemetry(reg)
-	server.Backlog = 64
-	server.SynCookies = true
-	if err := server.Listen(hashfn.ServerEndpoint.Port, func(_ *engine.Conn, p []byte) []byte {
-		return append([]byte("ok:"), p...)
-	}); err != nil {
-		return nil, err
-	}
-	deliver := func(fs [][]byte) {
-		for _, f := range fs {
-			server.Deliver(f)
-			server.Drain()
-		}
-	}
-	deliver(frames[:floodN/2])
-	client := engine.NewStack(wire.MakeAddr(10, 0, 0, 99), core.NewMapDemux(), opt.Seed+2)
-	conn, err := client.Connect(hashfn.ServerEndpoint.Addr, hashfn.ServerEndpoint.Port, 40000, nil)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := engine.Pump(client, server); err != nil {
-		return nil, err
-	}
-	deliver(frames[floodN/2:])
-	st := server.Stats()
-	rep.Flood = advFloodResult{
-		ClientEstablished:  conn.State() == core.StateEstablished,
-		CookiesSent:        st.CookiesSent,
-		CookiesAccepted:    st.CookiesAccepted,
-		SynDrops:           st.SynDrops,
-		DroppedBadCookie:   st.DroppedBadCookie,
-		DroppedBacklogFull: st.DroppedBacklogFull,
-	}
-	rep.Telemetry = reg.Snapshot()
-	return rep, nil
+		AdversarialResult: res,
+		Telemetry:         cfg.Registry.Snapshot(),
+	}, nil
 }

@@ -155,7 +155,7 @@ func runFailover(out io.Writer, clients, txns, chains, shards int, seed uint64,
 			}
 		}
 	}
-	acc := set.Accounting()
+	acc, st := set.Accounting(), set.Stats()
 
 	w := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "shard\thealth\tsteered\tpcbs")
@@ -167,10 +167,10 @@ func runFailover(out io.Writer, clients, txns, chains, shards int, seed uint64,
 	fmt.Fprintf(out, "\ncompleted=%v conformant=%v vtime=%.1fs inflicted=[%s]\n",
 		res.Completed, conformant, res.VirtualTime, injector.Summary())
 	fmt.Fprintf(out, "drains=%d drained-conns=%d salvaged-frames=%d drain-at=%.2fs recovery=%.3fs\n",
-		set.Drains, set.DrainedConns, set.SalvagedFrames, set.LastDrainAt, set.LastDrainRecovery)
-	fmt.Fprintf(out, "shed: inbox-full=%d handoff-full=%d directory-full=%d backlog-full=%d (events: inbox=%d handoff=%d)\n",
-		set.ShedInboxFull, set.ShedHandoffFull, set.ShedDirectoryFull, set.ShedBacklogFull,
-		set.InboxFullEvents, set.HandoffFullEvents)
+		st.Drains, st.DrainedConns, st.SalvagedFrames, set.LastDrainAt, st.LastDrainRecovery)
+	fmt.Fprintf(out, "shed: inbox-full=%d handoff-full=%d backlog-full=%d (events: inbox=%d handoff=%d)\n",
+		st.ShedInboxFull, st.ShedHandoffFull, st.ShedBacklogFull,
+		set.InboxFullEvents, st.HandoffFullEvents)
 	fmt.Fprintf(out, "accounting: in=%d absorbed=%d consumed=%d shed=%d queued=%d balanced=%v\n",
 		acc.FramesIn, acc.Absorbed, acc.Consumed, acc.Shed, acc.Queued, acc.Balanced())
 
@@ -189,8 +189,8 @@ func runFailover(out io.Writer, clients, txns, chains, shards int, seed uint64,
 		if !set.Drained(failShard) {
 			return fmt.Errorf("shard %d was never drained (health=%s)", failShard, set.Health(failShard))
 		}
-	} else if set.Drains != 0 {
-		return fmt.Errorf("%s must degrade, not drain (drains=%d)", fault, set.Drains)
+	} else if st.Drains != 0 {
+		return fmt.Errorf("%s must degrade, not drain (drains=%d)", fault, st.Drains)
 	}
 	return nil
 }

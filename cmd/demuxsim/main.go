@@ -64,13 +64,11 @@ import (
 	"text/tabwriter"
 
 	"tcpdemux/internal/analytic"
-	"tcpdemux/internal/chaos"
 	"tcpdemux/internal/churn"
 	"tcpdemux/internal/core"
 	"tcpdemux/internal/discipline"
 	"tcpdemux/internal/engine"
 	"tcpdemux/internal/hashfn"
-	"tcpdemux/internal/overload"
 	"tcpdemux/internal/parallel"
 	"tcpdemux/internal/rng"
 	"tcpdemux/internal/shard"
@@ -79,11 +77,12 @@ import (
 	"tcpdemux/internal/trace"
 	"tcpdemux/internal/trains"
 	"tcpdemux/internal/wire"
+	"tcpdemux/internal/workload"
 )
 
 func main() {
 	var (
-		workload = flag.String("workload", "tpca", "workload: tpca, trains, churn, or polling (deterministic think time)")
+		wlName   = flag.String("workload", "tpca", "workload: tpca, trains, churn, or polling (deterministic think time)")
 		algos    = flag.String("algos", "bsd,mtf,sr,sequent", "comma-separated algorithms (see -list)")
 		list     = flag.Bool("list", false, "list available algorithms and exit")
 		users    = flag.Int("n", 500, "TPC/A users / train connections")
@@ -118,7 +117,7 @@ func main() {
 		return
 	}
 	algoList := strings.Split(*algos, ",")
-	if *workload == "parallel" && !flagWasSet("algos") {
+	if *wlName == "parallel" && !flagWasSet("algos") {
 		algoList = parallel.Disciplines()
 	}
 	reg := telemetry.NewRegistry()
@@ -135,22 +134,22 @@ func main() {
 	var err error
 	if *replay != "" {
 		err = runReplay(os.Stdout, *replay, algoList, *chains, *hash)
-	} else if *workload == "parallel" {
+	} else if *wlName == "parallel" {
 		err = runParallel(os.Stdout, algoList, *users, *txns, *chains, *seed, *workers, *ops, *batch, *hash, reg)
-	} else if *workload == "lossy" {
+	} else if *wlName == "lossy" {
 		err = runLossy(os.Stdout, algoList, *users, *txns, *chains, *seed, *drop, *dup, *hash)
-	} else if *workload == "sharded" {
+	} else if *wlName == "sharded" {
 		err = runSharded(os.Stdout, *users, *txns, *chains, *shardsN, *seed, *drop, *dup, *hash)
-	} else if *workload == "failover" {
+	} else if *wlName == "failover" {
 		err = runFailover(os.Stdout, *users, *txns, *chains, *shardsN, *seed, *drop, *dup, *hash, *faultStr, *failIdx, *failAt, *failFor)
-	} else if *workload == "adversarial" {
-		err = runAdversarial(os.Stdout, advConfig{
-			chains: *chains, seed: *seed, hash: *hash,
-			attackN: *attack, floodN: *floodN, cookies: *cookies,
-			reg: reg, flight: *flight,
-		})
+	} else if *wlName == "adversarial" {
+		err = runAdversarial(os.Stdout, workload.AdversarialConfig{
+			Chains: *chains, Seed: *seed, Hash: *hash,
+			AttackN: *attack, FloodN: *floodN, Cookies: *cookies,
+			Registry: reg,
+		}, *flight)
 	} else {
-		err = run(os.Stdout, *workload, algoList, *users, *resp, *rtt, *chains, *txns, *seed, *record, *hash, *think)
+		err = run(os.Stdout, *wlName, algoList, *users, *resp, *rtt, *chains, *txns, *seed, *record, *hash, *think)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "demuxsim:", err)
@@ -423,212 +422,59 @@ func runSharded(out io.Writer, clients, txns, chains, max int, seed uint64, drop
 	return nil
 }
 
-// advConfig parameterizes the adversarial workload. reg (optional)
-// receives every metric the run produces — per-discipline examined
-// histograms, chain-skew gauges, rekey counts, cookie counters, and
-// per-reason drops all land in one registry snapshot; flight (optional)
-// names a trace file for the flight-recorder capture of part 1's
-// lookups.
-type advConfig struct {
-	chains  int
-	seed    uint64
-	hash    string
-	attackN int
-	floodN  int
-	cookies bool
-	reg     *telemetry.Registry
-	flight  string
-}
-
-// runAdversarial mounts the collision attack against an undefended table
-// and the overload-guarded variants, then the spoofed SYN flood against a
-// cookie-armed listener. Part 1's figure of merit is the mean PCBs
-// examined per lookup before and under attack; part 2's is whether a
-// legitimate client completes its handshake mid-flood. Part 3 prints the
-// unified telemetry snapshot.
-func runAdversarial(out io.Writer, cfg advConfig) error {
-	chains, seed := cfg.chains, cfg.seed
-	attackN, floodN, cookies := cfg.attackN, cfg.floodN, cfg.cookies
-	victim, err := hashfn.ByName(cfg.hash)
+// runAdversarial prints workload.RunAdversarial's result: part 1 is the
+// collision attack's examined-per-lookup table, part 2 the SYN flood's
+// outcome, part 3 the unified snapshot of cfg.Registry; flight
+// (optional) names a trace file for the flight-recorder capture of
+// part 1's lookups.
+func runAdversarial(out io.Writer, cfg workload.AdversarialConfig, flight string) error {
+	res, err := workload.RunAdversarial(cfg)
 	if err != nil {
 		return err
 	}
-	reg := cfg.reg
-	if reg == nil {
-		reg = telemetry.NewRegistry()
-	}
-	rec := telemetry.NewFlightRecorder(4096)
-	const benignN = 400
-	benign := hashfn.RandomClients(benignN, seed^0xbe9)
-	popN := attackN
-	if floodN > popN {
-		popN = floodN
-	}
-	population, err := hashfn.AttackPopulation(victim, chains, int(seed%uint64(chains)), popN)
-	if err != nil {
-		return err
-	}
-	attack := population[:attackN]
 
 	fmt.Fprintf(out, "workload=adversarial hash=%s chains=%d attack=%d benign=%d flood=%d syncookies=%v\n\n",
-		cfg.hash, chains, attackN, benignN, floodN, cookies)
-	fmt.Fprintf(out, "[1] algorithmic-complexity attack: %d tuples colliding under %s\n\n", attackN, cfg.hash)
-
-	type advTable struct {
-		name   string
-		d      overload.AttackTable
-		m      *telemetry.DemuxMetrics
-		rekeys func() int
-	}
-	und := overload.Undefended{SequentHash: core.NewSequentHash(chains, victim)}
-	g := overload.NewGuarded(chains, victim, seed, overload.Config{})
-	rg := overload.NewRCUGuarded(chains, victim, seed, overload.Config{})
-	g.SetTelemetry(telemetry.NewOverloadMetrics(reg, "guarded-sequent"))
-	rg.SetTelemetry(telemetry.NewOverloadMetrics(reg, "rcu-guarded"))
-	tables := []advTable{
-		{"sequent (undefended)", und, telemetry.NewDemuxMetrics(reg, "sequent-undefended"), func() int { return 0 }},
-		{"guarded-sequent", g, telemetry.NewDemuxMetrics(reg, "guarded-sequent"), func() int { return g.Rekeys }},
-		{"rcu-guarded", rg, telemetry.NewDemuxMetrics(reg, "rcu-guarded"), func() int { return rg.Rekeys }},
-	}
-
-	// vt is the run's virtual clock: one tick per recorded lookup, so the
-	// flight capture is totally ordered and deterministic per seed.
-	vt := 0.0
+		cfg.Hash, cfg.Chains, cfg.AttackN, workload.AdversarialBenign, cfg.FloodN, cfg.Cookies)
+	fmt.Fprintf(out, "[1] algorithmic-complexity attack: %d tuples colliding under %s\n\n", cfg.AttackN, cfg.Hash)
 	w := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "algorithm\tbenign-mean\tattacked-mean\tworst-lookup\trekeys\tchains")
-	for _, tb := range tables {
-		if err := tb.d.Insert(core.NewListenPCB(core.ListenKey(hashfn.ServerEndpoint.Addr, hashfn.ServerEndpoint.Port))); err != nil {
-			return err
-		}
-		benignKeys := make([]core.Key, len(benign))
-		for i, tu := range benign {
-			benignKeys[i] = core.KeyFromTuple(tu)
-			if err := tb.d.Insert(core.NewPCB(benignKeys[i])); err != nil {
-				return err
-			}
-		}
-		tb := tb
-		meanOver := func(keys []core.Key) float64 {
-			before := core.SnapshotOf(tb.d)
-			for _, k := range keys {
-				r := tb.d.Lookup(k, core.DirData)
-				tb.m.Observe(r)
-				vt++
-				rec.Record(telemetry.Event{
-					Time:       vt,
-					Tuple:      k.Tuple(),
-					Discipline: tb.name,
-					Chain:      -1,
-					Examined:   int32(r.Examined),
-					Hit:        r.CacheHit,
-					Wildcard:   r.PCB != nil && r.Wildcard,
-					Miss:       r.PCB == nil,
-				})
-			}
-			after := core.SnapshotOf(tb.d)
-			if after.Lookups == before.Lookups {
-				return 0
-			}
-			return float64(after.Examined-before.Examined) / float64(after.Lookups-before.Lookups)
-		}
-		chainsBefore := tb.d.NumChains()
-		benignMean := meanOver(benignKeys)
-		allKeys := benignKeys
-		for _, tu := range attack {
-			k := core.KeyFromTuple(tu)
-			if err := tb.d.Insert(core.NewPCB(k)); err != nil {
-				return err
-			}
-			allKeys = append(allKeys, k)
-		}
-		for guard := 0; tb.d.Migrating(); guard++ {
-			if guard > 1<<20 {
-				return fmt.Errorf("%s: migration never completed", tb.name)
-			}
-			tb.d.Advance(64)
-		}
-		attackedMean := meanOver(allKeys)
-		worst := core.SnapshotOf(tb.d).MaxExamined
+	for _, tb := range res.Tables {
 		fmt.Fprintf(w, "%s\t%.2f\t%.2f\t%d\t%d\t%d→%d\n",
-			tb.name, benignMean, attackedMean, worst, tb.rekeys(), chainsBefore, tb.d.NumChains())
+			tb.Title, tb.BenignMean, tb.AttackedMean, tb.WorstLookup, tb.Rekeys, tb.ChainsBefore, tb.ChainsAfter)
 	}
 	w.Flush()
 
-	// Part 2: the same collision population as wire traffic — a spoofed
-	// tuple-collision SYN flood against a bounded listener backlog.
-	fmt.Fprintf(out, "\n[2] spoofed SYN flood: %d SYNs, backlog=64, syncookies=%v\n\n", floodN, cookies)
-	frames, err := chaos.SynFloodFrames(population[:floodN])
-	if err != nil {
-		return err
-	}
-	server := engine.NewStack(hashfn.ServerEndpoint.Addr, core.NewSequentHash(chains, nil), seed|1)
-	server.SetTelemetry(reg)
-	server.Backlog = 64
-	server.SynCookies = cookies
-	if err := server.Listen(hashfn.ServerEndpoint.Port, func(_ *engine.Conn, p []byte) []byte {
-		return append([]byte("ok:"), p...)
-	}); err != nil {
-		return err
-	}
-	deliver := func(fs [][]byte) {
-		for _, f := range fs {
-			server.Deliver(f) // spoofed traffic: errors are the defense working
-			server.Drain()
-		}
-	}
-	deliver(frames[:floodN/2])
-
-	// Mid-flood, a legitimate client tries to connect and transact.
-	client := engine.NewStack(wire.MakeAddr(10, 0, 0, 99), core.NewMapDemux(), seed+2)
-	conn, err := client.Connect(hashfn.ServerEndpoint.Addr, hashfn.ServerEndpoint.Port, 40000, nil)
-	if err != nil {
-		return err
-	}
-	if _, err := engine.Pump(client, server); err != nil {
-		return err
-	}
-	deliver(frames[floodN/2:])
-	echoOK := false
-	if conn.State() == core.StateEstablished {
-		if err := conn.Send([]byte("ping")); err == nil {
-			if _, err := engine.Pump(client, server); err == nil {
-				echoOK = string(conn.LastReceived()) == "ok:ping"
-			}
-		}
-	}
-	st := server.Stats()
+	fl := res.Flood
+	fmt.Fprintf(out, "\n[2] spoofed SYN flood: %d SYNs, backlog=%d, syncookies=%v\n\n",
+		cfg.FloodN, workload.AdversarialBacklog, cfg.Cookies)
 	w = tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(w, "client-established\t%v\n", conn.State() == core.StateEstablished)
-	fmt.Fprintf(w, "client-echo-ok\t%v\n", echoOK)
-	fmt.Fprintf(w, "cookies-sent\t%d\n", st.CookiesSent)
-	fmt.Fprintf(w, "cookies-accepted\t%d\n", st.CookiesAccepted)
-	fmt.Fprintf(w, "syn-drops\t%d\n", st.SynDrops)
-	fmt.Fprintf(w, "dropped-backlog-full\t%d\n", st.DroppedBacklogFull)
-	fmt.Fprintf(w, "dropped-bad-cookie\t%d\n", st.DroppedBadCookie)
-	fmt.Fprintf(w, "table-pcbs\t%d\n", server.Demuxer().Len())
+	fmt.Fprintf(w, "client-established\t%v\n", fl.ClientEstablished)
+	fmt.Fprintf(w, "client-echo-ok\t%v\n", fl.ClientEchoOK)
+	fmt.Fprintf(w, "cookies-sent\t%d\n", fl.CookiesSent)
+	fmt.Fprintf(w, "cookies-accepted\t%d\n", fl.CookiesAccepted)
+	fmt.Fprintf(w, "syn-drops\t%d\n", fl.SynDrops)
+	fmt.Fprintf(w, "dropped-backlog-full\t%d\n", fl.DroppedBacklogFull)
+	fmt.Fprintf(w, "dropped-bad-cookie\t%d\n", fl.DroppedBadCookie)
+	fmt.Fprintf(w, "table-pcbs\t%d\n", fl.TablePCBs)
 	w.Flush()
 
-	// Part 3: the unified registry snapshot — examined histograms per
-	// discipline, chain-skew gauges, rekey counts, cookie issuance, and
-	// per-reason drops, all in one view.
 	fmt.Fprintf(out, "\n[3] telemetry snapshot\n\n")
-	if err := reg.Snapshot().WriteSummary(out); err != nil {
+	if err := cfg.Registry.Snapshot().WriteSummary(out); err != nil {
 		return err
 	}
-	if cfg.flight != "" {
-		f, err := os.Create(cfg.flight)
+	if flight != "" {
+		f, err := os.Create(flight)
 		if err != nil {
 			return err
 		}
-		events := rec.Drain()
-		if err := telemetry.ExportTrace(f, events); err != nil {
+		if err := telemetry.ExportTrace(f, res.Flight); err != nil {
 			f.Close()
 			return err
 		}
 		if err := f.Close(); err != nil {
 			return err
 		}
-		fmt.Fprintf(out, "\nflight capture: %d events to %s\n", len(events), cfg.flight)
+		fmt.Fprintf(out, "\nflight capture: %d events to %s\n", len(res.Flight), flight)
 	}
 	return nil
 }

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"tcpdemux/internal/telemetry"
+	"tcpdemux/internal/workload"
 )
 
 func TestRunTPCA(t *testing.T) {
@@ -156,17 +157,20 @@ func TestThinkDistFlag(t *testing.T) {
 	}
 }
 
-func advCfg(reg *telemetry.Registry, flight string) advConfig {
-	return advConfig{
-		chains: 19, seed: 42, hash: "multiplicative",
-		attackN: 1200, floodN: 600, cookies: true,
-		reg: reg, flight: flight,
+func advCfg(reg *telemetry.Registry) workload.AdversarialConfig {
+	if reg == nil {
+		reg = telemetry.NewRegistry()
+	}
+	return workload.AdversarialConfig{
+		Chains: 19, Seed: 42, Hash: "multiplicative",
+		AttackN: 1200, FloodN: 600, Cookies: true,
+		Registry: reg,
 	}
 }
 
 func TestRunAdversarialWorkload(t *testing.T) {
 	var b strings.Builder
-	if err := runAdversarial(&b, advCfg(nil, "")); err != nil {
+	if err := runAdversarial(&b, advCfg(nil), ""); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -184,9 +188,9 @@ func TestRunAdversarialWorkload(t *testing.T) {
 			t.Errorf("legitimate client did not connect during flood: %s", line)
 		}
 	}
-	bad := advCfg(nil, "")
-	bad.hash = "bogus-hash"
-	if err := runAdversarial(&b, bad); err == nil {
+	bad := advCfg(nil)
+	bad.Hash = "bogus-hash"
+	if err := runAdversarial(&b, bad, ""); err == nil {
 		t.Error("unknown hash accepted")
 	}
 }
@@ -198,7 +202,7 @@ func TestRunAdversarialWorkload(t *testing.T) {
 func TestAdversarialSnapshotUnified(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	var b strings.Builder
-	if err := runAdversarial(&b, advCfg(reg, "")); err != nil {
+	if err := runAdversarial(&b, advCfg(reg), ""); err != nil {
 		t.Fatal(err)
 	}
 	snap := reg.Snapshot()
@@ -266,7 +270,7 @@ func TestAdversarialFlightDeterministic(t *testing.T) {
 	capture := func() []byte {
 		path := filepath.Join(t.TempDir(), "flight.trace")
 		var b strings.Builder
-		if err := runAdversarial(&b, advCfg(nil, path)); err != nil {
+		if err := runAdversarial(&b, advCfg(nil), path); err != nil {
 			t.Fatal(err)
 		}
 		if !strings.Contains(b.String(), "flight capture:") {
@@ -293,7 +297,7 @@ func TestAdversarialFlightDeterministic(t *testing.T) {
 func TestMetricsEndpoint(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	var b strings.Builder
-	if err := runAdversarial(&b, advCfg(reg, "")); err != nil {
+	if err := runAdversarial(&b, advCfg(reg), ""); err != nil {
 		t.Fatal(err)
 	}
 	ms, err := telemetry.StartServer("127.0.0.1:0", reg.Snapshot)

@@ -126,7 +126,7 @@ func TestShardInjectorDrivesDrain(t *testing.T) {
 		t.Fatalf("exchange did not complete (t=%v)", res.VirtualTime)
 	}
 	if !set.Drained(2) {
-		t.Fatalf("scripted crash not drained: health=%v drains=%d", set.Health(2), set.Drains)
+		t.Fatalf("scripted crash not drained: health=%v drains=%d", set.Health(2), set.Stats().Drains)
 	}
 	if in.Count(ShardCrash) == 0 {
 		t.Fatal("injector recorded no crash applications")

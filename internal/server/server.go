@@ -16,7 +16,7 @@
 // readers block on the channel, kernel socket buffers fill, and the
 // clients' own TCP stacks stall — backpressure ends at the sender
 // without unbounded buffering anywhere in this process. Frame-level
-// shedding below that (inbox rings, directory, backlog) stays governed
+// shedding below that (inbox and handoff rings, backlog) stays governed
 // by the shard layer's graceful-degradation ledger; this layer adds the
 // connection-level ledger on top: every accepted connection ends as
 // exactly one of served, shed, or shutdown-drained.

@@ -161,7 +161,7 @@ func TestShardedConformanceChaos(t *testing.T) {
 // stack + lossy link), rekeys the steering mid-conversation, and checks
 // that migrated connections keep answering on their new shards with no
 // application-visible seam — and that the migration really crossed the
-// handoff rings with directory-validated claims.
+// handoff rings with generation-validated claims.
 func TestRekeyMigratesMidExchange(t *testing.T) {
 	const (
 		clients = 12
@@ -240,6 +240,7 @@ func TestRekeyMigratesMidExchange(t *testing.T) {
 		if !rekeyed && minTxn(txn) >= txns/2 {
 			for tries := 0; tries < 8 && set.Migrations == 0; tries++ {
 				set.Rekey()
+				checkOwnership(t, set)
 			}
 			if set.Migrations == 0 {
 				t.Fatal("no connection migrated across eight rekeys")
@@ -266,8 +267,8 @@ func TestRekeyMigratesMidExchange(t *testing.T) {
 			t.Fatalf("client %d delivery seam after migration:\ngot  %q\nwant %q", c, got[c], want)
 		}
 	}
-	if set.StaleHandoffs != 0 {
-		t.Fatalf("StaleHandoffs = %d during a quiesced rekey", set.StaleHandoffs)
+	if n := set.Stats().StaleHandoffs; n != 0 {
+		t.Fatalf("StaleHandoffs = %d during a quiesced rekey", n)
 	}
 	if set.Rekeys == 0 || set.Migrations == 0 {
 		t.Fatalf("rekey bookkeeping: rekeys=%d migrations=%d", set.Rekeys, set.Migrations)

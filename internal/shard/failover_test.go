@@ -52,6 +52,57 @@ func faultOn(victim int, at float64, v FaultVerdict) FaultFunc {
 	}
 }
 
+// checkOwnership asserts the one-record invariant after a control-plane
+// step: every connection PCB that has a claim lives on the shard its
+// claim names, and no connection is left on a shard that can no longer
+// accept work — so the claim of every live connection names a live
+// shard. (The claim of a connection that closed before a drain may
+// still name the corpse until Release or the next Rekey sweeps it.)
+func checkOwnership(t *testing.T, set *StackSet) {
+	t.Helper()
+	for i := 0; i < set.Shards(); i++ {
+		for _, ci := range set.Shard(i).Netstat() {
+			if ci.Key.IsWildcard() {
+				continue
+			}
+			if !set.alive(i) {
+				t.Fatalf("PCB %v left on shard %d, which is %v", ci.Key, i, set.Health(i))
+			}
+			set.claimMu.Lock()
+			cl, ok := set.claims[ci.Key]
+			set.claimMu.Unlock()
+			if ok && cl.owner != i {
+				t.Fatalf("PCB %v lives on shard %d but its claim names shard %d", ci.Key, i, cl.owner)
+			}
+		}
+	}
+}
+
+// ownershipChecked is a StackSet that re-asserts checkOwnership after
+// every Tick — the watchdog's drain runs inside Tick, so this is the
+// first instant a harness-driven failover can be inspected.
+type ownershipChecked struct {
+	*StackSet
+	t *testing.T
+}
+
+func (c ownershipChecked) Tick(now float64) {
+	c.StackSet.Tick(now)
+	checkOwnership(c.t, c.StackSet)
+}
+
+// counterValue reads one unlabelled counter out of a registry snapshot.
+func counterValue(t *testing.T, reg *telemetry.Registry, name string) uint64 {
+	t.Helper()
+	for _, c := range reg.Snapshot().Counters {
+		if c.Name == name && len(c.Labels) == 0 {
+			return c.Value
+		}
+	}
+	t.Fatalf("counter %s not registered", name)
+	return 0
+}
+
 // TestCrashFailoverConformanceLossy is the failure-domain acceptance
 // gate: crash 1 of 4 shards mid-run under the 20% drop / 10% dup link.
 // The watchdog must detect the frozen clock, drain the victim's
@@ -77,7 +128,7 @@ func TestCrashFailoverConformanceLossy(t *testing.T) {
 
 	set := newSet(t, 4, 77)
 	set.SetFaultFunc(faultOn(victim, crashAt, FaultVerdict{Crash: true}))
-	sharded, err := engine.RunLossyExchange(nil, lossyCfg(set))
+	sharded, err := engine.RunLossyExchange(nil, lossyCfg(ownershipChecked{set, t}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,13 +146,14 @@ func TestCrashFailoverConformanceLossy(t *testing.T) {
 		}
 	}
 
-	if set.Drains != 1 {
-		t.Fatalf("Drains = %d, want exactly 1", set.Drains)
+	st := set.Stats()
+	if st.Drains != 1 {
+		t.Fatalf("Drains = %d, want exactly 1", st.Drains)
 	}
 	if !set.Drained(victim) || set.Health(victim) != HealthDrained {
 		t.Fatalf("victim shard %d health = %v, want drained", victim, set.Health(victim))
 	}
-	if set.DrainedConns == 0 {
+	if st.DrainedConns == 0 {
 		t.Fatalf("drain rehomed no connections off the busiest shard (steered %v)", probe.Steered)
 	}
 	if set.LastDrainAt <= crashAt {
@@ -109,8 +161,8 @@ func TestCrashFailoverConformanceLossy(t *testing.T) {
 	}
 	// Recovery latency is bounded by the stall threshold plus detection
 	// slack — the "bounded number of virtual-time ticks" acceptance bound.
-	if set.LastDrainRecovery <= 0 || set.LastDrainRecovery > 2*DefaultStallThreshold {
-		t.Fatalf("LastDrainRecovery = %v, want in (0, %v]", set.LastDrainRecovery, 2*DefaultStallThreshold)
+	if st.LastDrainRecovery <= 0 || st.LastDrainRecovery > 2*DefaultStallThreshold {
+		t.Fatalf("LastDrainRecovery = %v, want in (0, %v]", st.LastDrainRecovery, 2*DefaultStallThreshold)
 	}
 	if acc := set.Accounting(); !acc.Balanced() {
 		t.Fatalf("unaccounted packet losses: %+v", acc)
@@ -132,19 +184,19 @@ func TestStallFailoverDetectsStuckConsumer(t *testing.T) {
 
 	set := newSet(t, 4, 77)
 	set.SetFaultFunc(faultOn(victim, stallAt, FaultVerdict{Stall: true}))
-	res, err := engine.RunLossyExchange(nil, lossyCfg(set))
+	res, err := engine.RunLossyExchange(nil, lossyCfg(ownershipChecked{set, t}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Completed {
 		t.Fatalf("stalled exchange did not complete (t=%v)", res.VirtualTime)
 	}
-	if set.Drains != 1 || !set.Drained(victim) {
-		t.Fatalf("stall not drained: drains=%d health=%v", set.Drains, set.Health(victim))
+	if d := set.Stats().Drains; d != 1 || !set.Drained(victim) {
+		t.Fatalf("stall not drained: drains=%d health=%v", d, set.Health(victim))
 	}
 	// A stalled consumer leaves its inbox backlog in place; the drain
 	// must have salvaged it rather than dropping it on the floor.
-	if set.SalvagedFrames == 0 {
+	if set.Stats().SalvagedFrames == 0 {
 		t.Fatal("no frames salvaged from the stalled shard's inbox")
 	}
 	if acc := set.Accounting(); !acc.Balanced() {
@@ -181,12 +233,13 @@ func TestWedgeDegradesWithoutDrain(t *testing.T) {
 	if !res.Completed {
 		t.Fatalf("wedged exchange did not complete (t=%v)", res.VirtualTime)
 	}
-	if set.Drains != 0 {
-		t.Fatalf("a transient wedge must degrade, not drain: drains=%d", set.Drains)
+	st := set.Stats()
+	if st.Drains != 0 {
+		t.Fatalf("a transient wedge must degrade, not drain: drains=%d", st.Drains)
 	}
-	if set.InboxFullEvents == 0 || set.ShedInboxFull == 0 {
+	if set.InboxFullEvents == 0 || st.ShedInboxFull == 0 {
 		t.Fatalf("wedge shed nothing: events=%d shed=%d (steered %v)",
-			set.InboxFullEvents, set.ShedInboxFull, probe.Steered)
+			set.InboxFullEvents, st.ShedInboxFull, probe.Steered)
 	}
 	if set.Health(victim) != HealthHealthy {
 		t.Fatalf("victim health = %v after the wedge cleared, want healthy", set.Health(victim))
@@ -212,8 +265,8 @@ func TestSlowConsumerCapsThroughput(t *testing.T) {
 	if !res.Completed {
 		t.Fatalf("slow-consumer exchange did not complete (t=%v)", res.VirtualTime)
 	}
-	if set.Drains != 0 {
-		t.Fatalf("a slow consumer must not be drained: drains=%d", set.Drains)
+	if d := set.Stats().Drains; d != 0 {
+		t.Fatalf("a slow consumer must not be drained: drains=%d", d)
 	}
 	if acc := set.Accounting(); !acc.Balanced() {
 		t.Fatalf("unaccounted packet losses: %+v", acc)
@@ -309,8 +362,8 @@ func TestInboxBackpressurePreservesOrder(t *testing.T) {
 	if set.InboxFullEvents == 0 {
 		t.Fatal("full inbox not counted")
 	}
-	if set.ShedInboxFull != 0 {
-		t.Fatalf("backpressure shed %d frames with a live consumer", set.ShedInboxFull)
+	if shed := set.Stats().ShedInboxFull; shed != 0 {
+		t.Fatalf("backpressure shed %d frames with a live consumer", shed)
 	}
 	want := []string{"p0", "p1", "p2", "p3", "p4"}
 	if len(got) != len(want) {
@@ -328,9 +381,9 @@ func TestInboxBackpressurePreservesOrder(t *testing.T) {
 
 // TestHandoffWedgeRevertsRekey drives the handoff ring-full fallback: a
 // rekey that tries to migrate connections into a shard whose rings are
-// wedged must exhaust its bounded retries, revert each move through the
-// directory, and leave every connection answering on its original
-// shard — migration capability shed, connections never lost.
+// wedged must exhaust its bounded retries, revert each move, and leave
+// every connection answering on its original shard — migration
+// capability shed, connections never lost.
 func TestHandoffWedgeRevertsRekey(t *testing.T) {
 	const (
 		port    = uint16(1521)
@@ -371,17 +424,19 @@ func TestHandoffWedgeRevertsRekey(t *testing.T) {
 		}
 		return FaultVerdict{}
 	})
-	for tries := 0; tries < 16 && set.ShedHandoffFull == 0; tries++ {
+	for tries := 0; tries < 16 && set.Stats().ShedHandoffFull == 0; tries++ {
 		set.Rekey()
+		checkOwnership(t, set)
 	}
-	if set.ShedHandoffFull == 0 {
+	st := set.Stats()
+	if st.ShedHandoffFull == 0 {
 		t.Fatal("no rekey tried to move a connection into the wedged shard")
 	}
-	if set.HandoffFullEvents == 0 {
+	if st.HandoffFullEvents == 0 {
 		t.Fatal("wedged handoff ring not counted as full")
 	}
-	if set.StaleHandoffs != 0 {
-		t.Fatalf("StaleHandoffs = %d during quiesced rekeys", set.StaleHandoffs)
+	if st.StaleHandoffs != 0 {
+		t.Fatalf("StaleHandoffs = %d during quiesced rekeys", st.StaleHandoffs)
 	}
 	set.SetFaultFunc(nil)
 
@@ -422,81 +477,64 @@ func TestHandoffWedgeRevertsRekey(t *testing.T) {
 	}
 }
 
-// TestStaleGenerationHandoffDropped pins the generation check on the
-// adopt side: a handoff overtaken in flight by a later directory move
-// carries a stale generation and must be discarded — counted, not
-// adopted — because whoever bumped the generation owns the PCB now.
-func TestStaleGenerationHandoffDropped(t *testing.T) {
-	const port = uint16(1521)
-	set := newSet(t, 2, 11)
-	if err := set.Listen(port, func(_ *engine.Conn, p []byte) []byte {
+// oneConn is a 2-shard set, homed on its own registry, with a single
+// established connection: its key, the shard its SYN steered to (home),
+// and the other shard.
+type oneConn struct {
+	set         *StackSet
+	reg         *telemetry.Registry
+	client      *engine.Stack
+	conn        *engine.Conn
+	key         core.Key
+	home, other int
+}
+
+// oneConnPort is the fixture's listening port.
+const oneConnPort = uint16(1521)
+
+func establishOne(t *testing.T) oneConn {
+	t.Helper()
+	f := oneConn{set: newSet(t, 2, 11), reg: telemetry.NewRegistry()}
+	f.set.SetTelemetry(f.reg)
+	if err := f.set.Listen(oneConnPort, func(_ *engine.Conn, p []byte) []byte {
 		return append(append([]byte("ok<"), p...), '>')
 	}); err != nil {
 		t.Fatal(err)
 	}
-	client := engine.NewStack(wire.MakeAddr(10, 0, 0, 2), core.NewMapDemux(), 8)
-	conn, err := client.ConnectEphemeral(set.Addr(), port, nil)
+	f.client = engine.NewStack(wire.MakeAddr(10, 0, 0, 2), core.NewMapDemux(), 8)
+	f.conn = f.connect(t, f.client)
+	f.set.claimMu.Lock()
+	for k, cl := range f.set.claims {
+		f.key, f.home, f.other = k, cl.owner, 1-cl.owner
+	}
+	f.set.claimMu.Unlock()
+	return f
+}
+
+// connect completes a handshake from client's fixed local port, so a
+// second client stack at the same address reuses the 4-tuple.
+func (f oneConn) connect(t *testing.T, client *engine.Stack) *engine.Conn {
+	t.Helper()
+	conn, err := client.Connect(f.set.Addr(), oneConnPort, 40000, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := engine.Pump(client, set); err != nil {
+	if _, err := engine.Pump(client, f.set); err != nil {
 		t.Fatal(err)
 	}
 	if conn.State() != core.StateEstablished {
 		t.Fatalf("handshake did not complete: %v", conn.State())
 	}
+	return conn
+}
 
-	var k core.Key
-	var cl claim
-	set.claimMu.Lock()
-	for key, c := range set.claims {
-		k, cl = key, c
-	}
-	set.claimMu.Unlock()
-	if cl.id < 0 {
-		t.Fatalf("connection got no directory slot: %+v", cl)
-	}
-	home, other := cl.owner, 1-cl.owner
-
-	// Launch a handoff toward the other shard, then overtake it: a
-	// second move brings the slot home before the message is adopted.
-	pcb, ok := set.Shard(home).Extract(k)
-	if !ok {
-		t.Fatal("extract failed")
-	}
-	g1, ok := set.dir.Move(cl.id, cl.gen, home, other)
-	if !ok {
-		t.Fatal("first directory move refused")
-	}
-	if !set.handoff[home][other].Push(Handoff{PCB: pcb, ID: cl.id, Gen: g1}) {
-		t.Fatal("handoff ring refused the push")
-	}
-	g2, ok := set.dir.Move(cl.id, g1, other, home)
-	if !ok {
-		t.Fatal("overtaking directory move refused")
-	}
-
-	before := set.StaleHandoffs
-	if n := set.adoptPending(other); n != 0 {
-		t.Fatalf("adopted %d stale handoffs", n)
-	}
-	if set.StaleHandoffs != before+1 {
-		t.Fatalf("StaleHandoffs = %d, want %d", set.StaleHandoffs, before+1)
-	}
-
-	// The overtaking mover owns the PCB: land it home, restore the
-	// claim, and prove the connection survived the whole episode.
-	if err := set.Shard(home).Adopt(pcb); err != nil {
-		t.Fatal(err)
-	}
-	set.claimMu.Lock()
-	set.claims[k] = claim{id: cl.id, gen: g2, owner: home}
-	set.claimMu.Unlock()
-
+// expectEcho sends one payload and requires the handler's response.
+func (f oneConn) expectEcho(t *testing.T, client *engine.Stack, conn *engine.Conn) {
+	t.Helper()
 	if err := conn.Send([]byte("zz")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := engine.Pump(client, set); err != nil {
+	if _, err := engine.Pump(client, f.set); err != nil {
 		t.Fatal(err)
 	}
 	if got := conn.Receive(); !bytes.Equal(got, []byte("ok<zz>")) {
@@ -504,116 +542,93 @@ func TestStaleGenerationHandoffDropped(t *testing.T) {
 	}
 }
 
-// TestDirectoryFullStillServes pins the directory-full contract: a
-// connection accepted with no free directory slot still works — it is
-// pinned where it landed, lookups succeed, and the forgone migration
-// capability is what gets counted — and a later rekey must route its
-// frames to the pin, not to wherever the new steering function points.
-func TestDirectoryFullStillServes(t *testing.T) {
-	const (
-		port    = uint16(1521)
-		clients = 6
-		dirCap  = 2
-	)
-	set, err := NewStackSet(wire.MakeAddr(10, 0, 0, 1), Config{
-		Shards: 2,
-		NewDemuxer: func(int) core.Demuxer {
-			return core.NewSequentHash(0, hashfn.Multiplicative{})
-		},
-		Seed:         3,
-		DirectoryCap: dirCap,
-	})
-	if err != nil {
+// expectOneStale requires that draining shard to's handoff rings adopts
+// nothing and counts exactly one stale handoff — in the Stats view and,
+// identically, on the registry the set is homed on.
+func (f oneConn) expectOneStale(t *testing.T, to int) {
+	t.Helper()
+	before := f.set.Stats().StaleHandoffs
+	if n := f.set.adoptPending(to); n != 0 {
+		t.Fatalf("adopted %d stale handoffs", n)
+	}
+	got := f.set.Stats().StaleHandoffs
+	if got != before+1 {
+		t.Fatalf("StaleHandoffs = %d, want %d", got, before+1)
+	}
+	if m := counterValue(t, f.reg, "shard_stale_handoffs_total"); m != got {
+		t.Fatalf("shard_stale_handoffs_total = %d, Stats().StaleHandoffs = %d", m, got)
+	}
+}
+
+// launch extracts the connection from shard from and pushes it onto the
+// from->to handoff ring under a freshly stamped claim naming to.
+func (f oneConn) launch(t *testing.T, from, to int) *core.PCB {
+	t.Helper()
+	pcb, ok := f.set.Shard(from).Extract(f.key)
+	if !ok {
+		t.Fatal("extract failed")
+	}
+	if !f.set.handoff[from][to].Push(Handoff{PCB: pcb, Gen: f.set.stamp(f.key, to)}) {
+		t.Fatal("handoff ring refused the push")
+	}
+	return pcb
+}
+
+// TestStaleGenerationHandoffDropped pins the generation check on the
+// adopt side: a handoff overtaken in flight by a later move of the same
+// connection carries a stale generation and must be discarded — counted,
+// not adopted — because whoever stamped the newer generation owns the
+// PCB now.
+func TestStaleGenerationHandoffDropped(t *testing.T) {
+	f := establishOne(t)
+
+	// Launch a handoff toward the other shard, then overtake it: a
+	// second stamp brings the connection home before the message is
+	// adopted.
+	pcb := f.launch(t, f.home, f.other)
+	f.set.stamp(f.key, f.home)
+	f.expectOneStale(t, f.other)
+
+	// The overtaking mover owns the PCB: land it home and prove the
+	// connection survived the whole episode.
+	if err := f.set.Shard(f.home).Adopt(pcb); err != nil {
 		t.Fatal(err)
 	}
-	reg := telemetry.NewRegistry()
-	set.SetTelemetry(reg)
-	if err := set.Listen(port, func(_ *engine.Conn, p []byte) []byte {
-		return append(append([]byte("ok<"), p...), '>')
-	}); err != nil {
-		t.Fatal(err)
-	}
-	set.SetBacklog(clients)
+	checkOwnership(t, f.set)
+	f.expectEcho(t, f.client, f.conn)
+}
 
-	client := engine.NewStack(wire.MakeAddr(10, 0, 0, 2), core.NewMapDemux(), 8)
-	conns := make([]*engine.Conn, clients)
-	for i := range conns {
-		c, err := client.ConnectEphemeral(set.Addr(), port, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		conns[i] = c
-	}
-	if _, err := engine.Pump(client, set); err != nil {
-		t.Fatal(err)
-	}
+// TestStaleHandoffAcrossReaccept covers the case a per-connection
+// generation could not: a handoff launched before Release, with the same
+// 4-tuple re-accepted on the handoff's own destination before the
+// message is adopted. Key and owner both match the new claim; only the
+// set-wide generation tells the incarnations apart, and the old PCB must
+// be dropped and counted, not adopted.
+func TestStaleHandoffAcrossReaccept(t *testing.T) {
+	f := establishOne(t)
 
-	exchange := func(round byte) {
-		t.Helper()
-		for i, c := range conns {
-			if c.State() != core.StateEstablished {
-				t.Fatalf("conn %d not established: %v", i, c.State())
-			}
-			if err := c.Send([]byte{round, byte('a' + i)}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if _, err := engine.Pump(client, set); err != nil {
-			t.Fatal(err)
-		}
-		for i, c := range conns {
-			want := []byte{'o', 'k', '<', round, byte('a' + i), '>'}
-			if got := c.Receive(); !bytes.Equal(got, want) {
-				t.Fatalf("conn %d round %c: got %q want %q", i, round, got, want)
-			}
-		}
+	// Move the connection to the other shard, so that a handoff back
+	// home aims at the shard the tuple's SYN steers to.
+	f.launch(t, f.home, f.other)
+	if n := f.set.adoptPending(f.other); n != 1 {
+		t.Fatalf("adopted %d handoffs, want 1", n)
 	}
-	exchange('1')
+	checkOwnership(t, f.set)
+	f.launch(t, f.other, f.home)
 
-	wantPinned := uint64(clients - dirCap)
-	if set.DirExhausted != wantPinned {
-		t.Fatalf("DirExhausted = %d, want %d", set.DirExhausted, wantPinned)
-	}
-	if set.ShedDirectoryFull != wantPinned {
-		t.Fatalf("ShedDirectoryFull = %d, want %d", set.ShedDirectoryFull, wantPinned)
-	}
-	pinned := 0
-	set.claimMu.Lock()
-	for _, cl := range set.claims {
-		if cl.id < 0 {
-			pinned++
-		}
-	}
-	set.claimMu.Unlock()
-	if uint64(pinned) != wantPinned {
-		t.Fatalf("%d slotless claims, want %d", pinned, wantPinned)
+	// The session ends and the same tuple connects again before the
+	// handoff lands.
+	f.set.Release(f.key)
+	client2 := engine.NewStack(wire.MakeAddr(10, 0, 0, 2), core.NewMapDemux(), 9)
+	conn2 := f.connect(t, client2)
+	f.set.claimMu.Lock()
+	again := f.set.claims[f.key]
+	f.set.claimMu.Unlock()
+	if again.owner != f.home {
+		t.Fatalf("re-accept landed on shard %d, want the handoff's destination %d", again.owner, f.home)
 	}
 
-	// The condition must be visible on telemetry, not just in test-only
-	// counters: both the dedicated counter and the shed-reason family.
-	snap := reg.Snapshot()
-	counters := make(map[string]uint64)
-	for _, c := range snap.Counters {
-		id := c.Name
-		for _, l := range c.Labels {
-			id += "{" + l.Key + "=" + l.Value + "}"
-		}
-		counters[id] = c.Value
-	}
-	if counters["shard_directory_full_total"] != wantPinned {
-		t.Fatalf("shard_directory_full_total = %d, want %d", counters["shard_directory_full_total"], wantPinned)
-	}
-	if counters["shard_shed_total{reason=directory-full}"] != wantPinned {
-		t.Fatalf("shard_shed_total{reason=directory-full} = %d, want %d",
-			counters["shard_shed_total{reason=directory-full}"], wantPinned)
-	}
-
-	// Rekey swaps the steering function. Pinned connections cannot
-	// migrate, so for them the new function may now point at the wrong
-	// shard — the claims table must keep routing their frames home.
-	set.Rekey()
-	exchange('2')
-	if acc := set.Accounting(); !acc.Balanced() {
-		t.Fatalf("unaccounted packet losses: %+v", acc)
-	}
+	f.expectOneStale(t, f.home)
+	checkOwnership(t, f.set)
+	f.expectEcho(t, client2, conn2)
 }

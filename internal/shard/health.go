@@ -20,19 +20,19 @@
 //     backlog grows and the backpressure machinery starts shedding.
 //
 // Detection drives a live drain (FailOver): every PCB on the sick shard
-// is walked through the generation-checked directory and Extract/Adopt
-// into a survivor chosen by folding the steering hash over the live
-// shards — the same fold Deliver's re-route applies, so both sides of
-// the failover agree on each connection's rescue target without any
-// shared "who moved where" table beyond the claims map. Frames still
-// queued on the dead inbox are salvaged FIFO and re-delivered after the
-// PCBs land. Connections are never lost by the control plane: every
-// fallback (stale claim, wedged handoff ring) ends in a direct Adopt.
+// is Extracted, its claim re-stamped, and handed to a survivor chosen by
+// folding the steering hash over the live shards — the same fold
+// Deliver's re-route applies, so both sides of the failover agree on
+// each connection's rescue target without any shared "who moved where"
+// table beyond the claims map. Frames still queued on the dead inbox are
+// salvaged FIFO and re-delivered after the PCBs land. Connections are
+// never lost by the control plane: a wedged handoff ring ends in a
+// direct Adopt.
 //
 // Degradation is a ladder, not a cliff: full edges shed the single
 // frame or forgo the single migration at hand, count it against exactly
-// one reason (inbox-full, handoff-full, directory-full, backlog-full),
-// and mark the shard Degraded until a check passes with no new sheds.
+// one reason (inbox-full, handoff-full, backlog-full), and mark the
+// shard Degraded until a check passes with no new sheds.
 // The Accounting ledger proves conservation: every frame handed to
 // Deliver is absorbed, consumed, shed-with-reason, or still queued.
 package shard
@@ -102,7 +102,7 @@ type FaultVerdict struct {
 // goroutine only.
 type FaultFunc func(shard int, now float64) FaultVerdict
 
-// Watchdog defaults, overridable via Config. Values are virtual seconds.
+// Watchdog constants. Times are virtual seconds.
 const (
 	// DefaultHeartbeatInterval is how often each shard's wheel proves the
 	// clock is advancing.
@@ -143,9 +143,6 @@ type shardHealth struct {
 	sheds       uint64
 	shedMark    uint64
 	backlogMark uint64
-	// detectedAt is when the shard went sick (for recovery-latency
-	// reporting).
-	detectedAt float64
 }
 
 // SetFaultFunc installs (or clears, with nil) the fault injection
@@ -185,27 +182,6 @@ func (set *StackSet) liveCount() int {
 	return n
 }
 
-func (set *StackSet) heartbeatInterval() float64 {
-	if set.hbInterval > 0 {
-		return set.hbInterval
-	}
-	return DefaultHeartbeatInterval
-}
-
-func (set *StackSet) stallThreshold() float64 {
-	if set.stallThresh > 0 {
-		return set.stallThresh
-	}
-	return DefaultStallThreshold
-}
-
-func (set *StackSet) handoffRetries() int {
-	if set.retryBudget > 0 {
-		return set.retryBudget
-	}
-	return DefaultHandoffRetries
-}
-
 // ensureHeartbeat arms shard i's liveness beat on its own timer wheel.
 // The beat lives on the shard's wheel precisely so that a frozen clock
 // stops beating; the callback runs inside the shard's Tick and only
@@ -219,7 +195,7 @@ func (set *StackSet) ensureHeartbeat(i int, now float64) {
 	if now > h.lastBeat {
 		h.lastBeat = now
 	}
-	set.shards[i].Heartbeat(set.heartbeatInterval(), func(at float64) {
+	set.shards[i].Heartbeat(DefaultHeartbeatInterval, func(at float64) {
 		h.lastBeat = at
 	})
 }
@@ -244,7 +220,6 @@ func (set *StackSet) rescueShard(tup wire.Tuple) (int, bool) {
 
 // shedInboxFrame records one frame lost at shard idx's inbox edge.
 func (set *StackSet) shedInboxFrame(idx int) {
-	set.ShedInboxFull++
 	set.m.ShedInboxFull.Inc()
 	set.health[idx].sheds++
 }
@@ -264,7 +239,6 @@ func (set *StackSet) checkHealth(now float64) {
 		if d := st.DroppedBacklogFull; d > h.backlogMark {
 			delta := d - h.backlogMark
 			h.backlogMark = d
-			set.ShedBacklogFull += delta
 			set.m.ShedBacklogFull.Add(delta)
 			h.sheds += delta
 		}
@@ -272,11 +246,11 @@ func (set *StackSet) checkHealth(now float64) {
 			continue
 		}
 		sick := false
-		if h.lastBeat > 0 && now-h.lastBeat > set.stallThreshold() {
+		if h.lastBeat > 0 && now-h.lastBeat > DefaultStallThreshold {
 			sick = true // clock frozen: crash
 		}
 		if set.inbox[i].Len() > 0 && h.consumed == h.progressMark &&
-			now-h.lastProgress > set.stallThreshold() {
+			now-h.lastProgress > DefaultStallThreshold {
 			sick = true // clock beats, consumer does not
 		}
 		if h.consumed != h.progressMark || set.inbox[i].Len() == 0 {
@@ -309,13 +283,12 @@ func (set *StackSet) checkHealth(now float64) {
 
 // FailOver drains every connection off shard sick into the survivors:
 // salvage the frames still queued on its inbox, walk its PCBs in
-// netstat order, authorize each move through the generation-checked
-// directory, hand the PCB across the SPSC handoff ring (bounded retry,
-// draining the destination between attempts; a ring that stays wedged
-// downgrades to a direct Adopt — the handoff transport is shed, never
-// the connection), then re-deliver the salvaged frames to the
-// connections' new homes. The watchdog calls this when a shard goes
-// sick; an operator may call it directly to decommission a shard.
+// netstat order, hand each across the SPSC handoff ring (see migrate; a
+// ring that stays wedged downgrades to a direct Adopt — the handoff
+// transport is shed, never the connection), then re-deliver the
+// salvaged frames to the connections' new homes. The watchdog calls
+// this when a shard goes sick; an operator may call it directly to
+// decommission a shard.
 //
 // Like Rekey, FailOver is a control-plane quiesce point: not concurrent
 // with Deliver. It returns the number of connections rehomed. A set
@@ -327,13 +300,11 @@ func (set *StackSet) FailOver(sick int) int {
 	}
 	if h.state != HealthSick {
 		h.state = HealthSick
-		h.detectedAt = set.now
 		set.m.SetHealth(sick, float64(HealthSick))
 	}
 	if set.liveCount() == 0 {
 		return 0
 	}
-	set.Drains++
 	set.m.Drains.Inc()
 
 	// Salvage the queued frames first, FIFO: they re-deliver only after
@@ -358,57 +329,24 @@ func (set *StackSet) FailOver(sick int) int {
 			break
 		}
 		set.claimMu.Lock()
-		cl, claimed := set.claims[k]
+		_, claimed := set.claims[k]
 		set.claimMu.Unlock()
 		pcb, ok := set.shards[sick].Extract(k)
 		if !ok {
 			continue // raced a timer teardown inside Extract's walk
 		}
-		if !claimed || cl.id < 0 {
-			// No directory slot: a handshake still in SYN_RCVD (claims are
-			// stamped at accept) or a connection accepted while the
-			// directory was full. Rehome it directly; frames find it via
-			// the claims entry, or — pre-accept — via the rescue fold.
-			_ = set.shards[to].Adopt(pcb)
-			set.claimMu.Lock()
-			if claimed {
-				set.claims[k] = claim{id: -1, owner: to}
-			}
-			set.claimMu.Unlock()
-			moved++
-			continue
-		}
-		newGen, ok := set.dir.Move(cl.id, cl.gen, cl.owner, to)
-		if !ok {
-			// Defensive: the claim was overtaken. Never lose the
-			// connection — rehome it without a slot.
-			set.StaleHandoffs++
-			set.m.StaleHandoffs.Inc()
-			_ = set.shards[to].Adopt(pcb)
-			set.claimMu.Lock()
-			set.claims[k] = claim{id: -1, owner: to}
-			set.claimMu.Unlock()
-			moved++
-			continue
-		}
+		// A handshake still in SYN_RCVD has no claim yet (claims are
+		// stamped at accept): rehome it directly, and frames find it via
+		// the rescue fold until the accept on its new shard stamps one.
+		// A claimed connection whose ring stayed refused lands the same
+		// way, its claim already naming the survivor.
 		pushed := false
-		for attempt := 0; attempt < set.handoffRetries(); attempt++ {
-			if set.pushHandoff(sick, to, Handoff{PCB: pcb, ID: cl.id, Gen: newGen}) {
-				pushed = true
-				break
-			}
-			set.HandoffFullEvents++
-			set.m.HandoffFull.Inc()
-			set.adoptPending(to) // back off by making room, not by waiting
+		if claimed {
+			pushed, _ = set.migrate(pcb, sick, to)
 		}
 		if !pushed {
-			set.ShedHandoffFull++
-			set.m.ShedHandoffFull.Inc()
 			_ = set.shards[to].Adopt(pcb)
 		}
-		set.claimMu.Lock()
-		set.claims[k] = claim{id: cl.id, gen: newGen, owner: to}
-		set.claimMu.Unlock()
 		moved++
 	}
 	for to := range set.shards {
@@ -418,18 +356,15 @@ func (set *StackSet) FailOver(sick int) int {
 	}
 	h.state = HealthDrained
 	set.m.SetHealth(sick, float64(HealthDrained))
-	set.DrainedConns += uint64(moved)
 	set.m.DrainedConns.Add(uint64(moved))
 
 	for _, f := range salvage {
-		set.SalvagedFrames++
 		set.m.Salvaged.Inc()
 		set.redeliver(f)
 	}
 
 	set.LastDrainAt = set.now
-	set.LastDrainRecovery = set.now - h.lastProgress
-	set.m.DrainRecovery.Set(set.LastDrainRecovery)
+	set.m.DrainRecovery.Set(set.now - h.lastProgress)
 	return moved
 }
 
@@ -459,7 +394,7 @@ func (set *StackSet) Accounting() Accounting {
 	a := Accounting{
 		FramesIn: set.FramesIn,
 		Absorbed: set.Absorbed,
-		Shed:     set.ShedInboxFull,
+		Shed:     set.m.ShedInboxFull.Value(),
 	}
 	for i := range set.shards {
 		a.Consumed += set.health[i].consumed

@@ -5,8 +5,8 @@
 // mutable state on the packet path. Cross-shard traffic (listener
 // registration fan-out, connection migration after a steering rekey, and
 // stale-steered frame forwarding) moves over lock-free single-producer /
-// single-consumer handoff rings, with a generation-checked connection-ID
-// directory extending the DirectIndex / connid idiom so a migrated PCB
+// single-consumer handoff rings, each handoff validated against the
+// generation of the connection's one ownership claim so a migrated PCB
 // can never be resolved against a stale shard.
 //
 // This is the [Dov90]/EXP-PAR endgame the ROADMAP names: the paper

@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"sort"
@@ -18,27 +17,25 @@ import (
 )
 
 // Handoff is one migrating connection crossing an SPSC ring between two
-// shards. The (ID, Gen) claim was stamped by the directory Move that
-// authorized the migration; the receiving shard re-validates it against
-// the directory before adopting, so a handoff message that was overtaken
-// by a later move or release is discarded instead of resurrecting a
-// stale PCB.
+// shards. Gen is the generation the connection's claim was stamped with
+// when the migration was authorized; the receiving shard re-validates it
+// against the claims table before adopting, so a handoff message that
+// was overtaken by a later move, release or re-accept is discarded
+// instead of resurrecting a stale PCB.
 type Handoff struct {
 	PCB *core.PCB
-	ID  int
-	Gen uint32
+	Gen uint64
 }
 
-// claim is the control plane's record of a connection's directory slot.
+// claim is the one record of who owns a connection: the owning shard and
+// the generation that ownership was stamped with. Generations come from
+// one set-wide counter, so no two stamps ever share one — not across
+// moves of one connection, and not across successive incarnations of the
+// same 4-tuple.
 type claim struct {
-	id    int
-	gen   uint32
+	gen   uint64
 	owner int
 }
-
-// DefaultDirectoryCap bounds the connection-ID directory when the caller
-// does not size it.
-const DefaultDirectoryCap = 1 << 16
 
 // DefaultInboxCap sizes each shard's frame inbox ring and
 // DefaultHandoffCap each ordered shard pair's migration ring. Both are
@@ -60,19 +57,10 @@ type Config struct {
 	NewDemuxer func(shard int) core.Demuxer
 	// Seed drives the steering key and each shard's ISS generator.
 	Seed uint64
-	// DirectoryCap bounds concurrent connections across all shards
-	// (DefaultDirectoryCap if zero).
-	DirectoryCap int
 	// InboxCap and HandoffCap size the SPSC rings (defaults if zero);
 	// tests shrink them to exercise the full edges.
 	InboxCap   int
 	HandoffCap int
-	// HeartbeatInterval and StallThreshold tune the health watchdog;
-	// HandoffRetries bounds the full-ring retry loops (defaults if
-	// zero — see health.go).
-	HeartbeatInterval float64
-	StallThreshold    float64
-	HandoffRetries    int
 }
 
 // StackSet is the sharded multi-queue endpoint: one address, N
@@ -84,9 +72,9 @@ type Config struct {
 // traffic exists only on the control plane: Listen fans the listener out
 // to every shard (accepted connections are distributed by where their
 // SYN steered), and Rekey migrates connections whose assignment changed
-// over per-pair SPSC handoff rings, each handoff carrying a
-// generation-checked directory claim so a stale shard can never resolve
-// a migrated PCB.
+// over per-pair SPSC handoff rings, each handoff carrying the generation
+// of the claim that authorized it so a stale shard can never resolve a
+// migrated PCB.
 //
 // StackSet implements engine.LossyServer, so the lossy-link conformance
 // harness can drive it through the identical loss process as a single
@@ -106,18 +94,18 @@ type StackSet struct {
 	// steering function never sees a torn value.
 	steer atomic.Pointer[Steering] //demux:atomic
 	src   *rng.Source
-	dir   *Directory
 
 	// inbox[i] carries frames steered to shard i; handoff[from][to]
 	// carries migrating connections (nil on the diagonal).
 	inbox   []*Ring[[]byte]
 	handoff [][]*Ring[Handoff]
 
-	// claimMu guards claims and is strictly a leaf lock: never held while
-	// calling into a shard Stack (whose OnAccept hook calls back here
-	// with its own lock held).
+	// claimMu guards claims and the generation counter and is strictly a
+	// leaf lock: never held while calling into a shard Stack (whose
+	// OnAccept hook calls back here with its own lock held).
 	claimMu sync.Mutex
 	claims  map[core.Key]claim
+	gen     uint64
 
 	// reasm reassembles fragmented datagrams before steering, the
 	// software re-steer real kernels apply after reassembly: a fragment
@@ -131,43 +119,63 @@ type StackSet struct {
 	// ledger (health.go); now is the set's virtual clock, advanced by
 	// Tick so Deliver can evaluate fault windows. m is the telemetry
 	// bundle, homed on a private registry until SetTelemetry re-homes it.
-	fault       FaultFunc
-	health      []shardHealth
-	now         float64
-	m           *telemetry.ShardSetMetrics
-	hbInterval  float64
-	stallThresh float64
-	retryBudget int
+	fault  FaultFunc
+	health []shardHealth
+	now    float64
+	m      *telemetry.ShardSetMetrics
 
-	// Steered counts frames dispatched per shard; the remaining counters
-	// describe the migration machinery. Steered is written only on the
+	// Steered counts frames dispatched per shard; Rekeys and Migrations
+	// describe the rekey machinery. Steered is written only on the
 	// Deliver path (the deliver role); external readers consume it after
 	// the run, outside this package and hence outside the analyzer's
-	// reach.
-	Steered       []uint64 //demux:singlewriter(owner=deliver)
-	Rekeys        uint64
-	Migrations    uint64
-	StaleHandoffs uint64
-	DirExhausted  uint64
+	// reach. Every counter with a telemetry twin lives only in m and is
+	// read through Stats.
+	Steered    []uint64 //demux:singlewriter(owner=deliver)
+	Rekeys     uint64
+	Migrations uint64
 
-	// Conservation ledger (see Accounting in health.go) and the
-	// failure-domain counters the drain and degradation paths maintain.
-	// LastDrainAt / LastDrainRecovery describe the most recent drain in
-	// virtual seconds (recovery = completion minus the sick shard's last
-	// observed progress).
-	FramesIn          uint64
-	Absorbed          uint64
-	InboxFullEvents   uint64
+	// FramesIn and Absorbed are the per-frame half of the conservation
+	// ledger (see Accounting in health.go). InboxFullEvents duplicates
+	// m.InboxFull only because bench/ reads the field and this tree's
+	// PRs may not touch bench/; it goes when that restriction does.
+	// LastDrainAt is the virtual time of the most recent drain.
+	FramesIn        uint64
+	Absorbed        uint64
+	InboxFullEvents uint64
+	LastDrainAt     float64
+}
+
+// Stats is a snapshot of the failure-domain counters: full-edge events,
+// the per-reason shed ledger, and the drain bookkeeping. LastDrainRecovery
+// is the most recent drain's latency in virtual seconds (completion
+// minus the sick shard's last observed progress).
+type Stats struct {
+	StaleHandoffs     uint64
 	HandoffFullEvents uint64
 	ShedInboxFull     uint64
 	ShedHandoffFull   uint64
-	ShedDirectoryFull uint64
 	ShedBacklogFull   uint64
 	Drains            uint64
 	DrainedConns      uint64
 	SalvagedFrames    uint64
-	LastDrainAt       float64
 	LastDrainRecovery float64
+}
+
+// Stats reads the set's telemetry bundle (see SetTelemetry), the only
+// place these counters are kept.
+func (set *StackSet) Stats() Stats {
+	m := set.m
+	return Stats{
+		StaleHandoffs:     m.StaleHandoffs.Value(),
+		HandoffFullEvents: m.HandoffFull.Value(),
+		ShedInboxFull:     m.ShedInboxFull.Value(),
+		ShedHandoffFull:   m.ShedHandoffFull.Value(),
+		ShedBacklogFull:   m.ShedBacklogFull.Value(),
+		Drains:            m.Drains.Value(),
+		DrainedConns:      m.DrainedConns.Value(),
+		SalvagedFrames:    m.Salvaged.Value(),
+		LastDrainRecovery: m.DrainRecovery.Value(),
+	}
 }
 
 // NewStackSet builds a sharded endpoint at addr.
@@ -178,10 +186,6 @@ func NewStackSet(addr wire.Addr, cfg Config) (*StackSet, error) {
 	if cfg.NewDemuxer == nil {
 		return nil, errors.New("shard: Config.NewDemuxer is required")
 	}
-	dirCap := cfg.DirectoryCap
-	if dirCap <= 0 {
-		dirCap = DefaultDirectoryCap
-	}
 	inboxCap := cfg.InboxCap
 	if inboxCap <= 0 {
 		inboxCap = DefaultInboxCap
@@ -191,17 +195,13 @@ func NewStackSet(addr wire.Addr, cfg Config) (*StackSet, error) {
 		handoffCap = DefaultHandoffCap
 	}
 	set := &StackSet{
-		addr:        addr,
-		src:         rng.New(cfg.Seed ^ 0x9e3779b97f4a7c15),
-		dir:         NewDirectory(dirCap),
-		claims:      make(map[core.Key]claim),
-		reasm:       frag.New(64),
-		Steered:     make([]uint64, cfg.Shards),
-		health:      make([]shardHealth, cfg.Shards),
-		m:           telemetry.NewShardSetMetrics(telemetry.NewRegistry(), cfg.Shards),
-		hbInterval:  cfg.HeartbeatInterval,
-		stallThresh: cfg.StallThreshold,
-		retryBudget: cfg.HandoffRetries,
+		addr:    addr,
+		src:     rng.New(cfg.Seed ^ 0x9e3779b97f4a7c15),
+		claims:  make(map[core.Key]claim),
+		reasm:   frag.New(64),
+		Steered: make([]uint64, cfg.Shards),
+		health:  make([]shardHealth, cfg.Shards),
+		m:       telemetry.NewShardSetMetrics(telemetry.NewRegistry(), cfg.Shards),
 	}
 	st := NewSteering(cfg.Shards, hashfn.KeyedFromRNG(set.src))
 	set.steer.Store(&st)
@@ -211,7 +211,9 @@ func NewStackSet(addr wire.Addr, cfg Config) (*StackSet, error) {
 	for i := range set.shards {
 		i := i
 		s := engine.NewStack(addr, cfg.NewDemuxer(i), cfg.Seed+uint64(i)*0x51_7c_c1+1)
-		s.OnAccept = func(c *engine.Conn) { set.registerAccept(i, c) }
+		// OnAccept runs with the shard's lock held; stamp touches only the
+		// leaf claim lock.
+		s.OnAccept = func(c *engine.Conn) { set.stamp(c.Key(), i) }
 		set.shards[i] = s
 		set.inbox[i] = NewRing[[]byte](inboxCap)
 		set.handoff[i] = make([]*Ring[Handoff], cfg.Shards)
@@ -227,7 +229,9 @@ func NewStackSet(addr wire.Addr, cfg Config) (*StackSet, error) {
 // SetTelemetry re-homes the set's failure-domain metric bundle — and
 // every shard Stack's engine bundle — on reg, so one snapshot carries
 // the shed ledger, the health gauges, and the per-reason engine drops
-// together.
+// together. Call it before delivering traffic: counts already
+// accumulated on the previous registry are not carried over, and Stats
+// and Accounting read these counters.
 func (set *StackSet) SetTelemetry(reg *telemetry.Registry) {
 	set.m = telemetry.NewShardSetMetrics(reg, len(set.shards))
 	for _, s := range set.shards {
@@ -248,52 +252,35 @@ func (set *StackSet) SetEgressTap(fn func(frame []byte)) {
 	}
 }
 
-// Release drops a closed connection's claim and frees its directory
-// slot. The engine tears PCBs down on its own; claims are swept lazily
-// by Rekey, which a long-running server may never call — a serving
-// frontend instead calls Release when a session ends so the claims
-// table and directory track the live population. Releasing a key with
-// no claim is a no-op, and a late frame for the released tuple simply
-// re-steers by hash (finding no PCB there).
+// Release drops a closed connection's claim. The engine tears PCBs down
+// on its own; claims are swept lazily by Rekey, which a long-running
+// server may never call — a serving frontend instead calls Release when
+// a session ends so the claims table tracks the live population.
+// Releasing a key with no claim is a no-op, and a late frame for the
+// released tuple simply re-steers by hash (finding no PCB there). A
+// handoff still in flight for the released connection can never
+// validate again: a re-accept of the same tuple stamps a generation the
+// set has not issued before.
 //
 // Like Rekey, Release is control-plane: call it from the same goroutine
 // that drives Deliver/Tick, not concurrently with them.
 func (set *StackSet) Release(key core.Key) {
 	set.claimMu.Lock()
-	cl, ok := set.claims[key]
-	if ok {
-		delete(set.claims, key)
-	}
+	delete(set.claims, key)
 	set.claimMu.Unlock()
-	if ok && cl.id >= 0 {
-		set.dir.Release(cl.id, cl.gen, cl.owner)
-	}
 }
 
-// registerAccept records a freshly accepted connection's directory claim.
-// Called from the owning shard's OnAccept hook (shard lock held), so it
-// touches only the leaf claim lock.
-func (set *StackSet) registerAccept(shard int, c *engine.Conn) {
-	id, gen, ok := set.dir.Assign(shard)
-	if !ok {
-		// Directory full: the connection still works — it is pinned to
-		// the shard that accepted it and cannot be migrated by a future
-		// rekey or drain. The slotless claim (id -1) records the home so
-		// frames still find the connection after the steering function
-		// moves on; what is shed here is the migration capability, and
-		// the ledger attributes it to directory-full.
-		set.DirExhausted++
-		set.m.DirectoryFull.Inc()
-		set.ShedDirectoryFull++
-		set.m.ShedDirectoryFull.Inc()
-		set.claimMu.Lock()
-		set.claims[c.Key()] = claim{id: -1, owner: shard}
-		set.claimMu.Unlock()
-		return
-	}
+// stamp records shard owner as key's owner under a fresh generation and
+// returns that generation. Every ownership transition — accept, move,
+// revert — goes through here, so whatever held the previous generation
+// is stale from this point on.
+func (set *StackSet) stamp(key core.Key, owner int) uint64 {
 	set.claimMu.Lock()
-	set.claims[c.Key()] = claim{id: id, gen: gen, owner: shard}
+	set.gen++
+	gen := set.gen
+	set.claims[key] = claim{gen: gen, owner: owner}
 	set.claimMu.Unlock()
+	return gen
 }
 
 // Shards returns the shard count.
@@ -386,11 +373,10 @@ func (set *StackSet) steerFrame(frame []byte) (int, core.Key, bool, []byte) {
 }
 
 // homeOf resolves a keyed frame's true home shard. The steering hash is
-// the fast default, but three control-plane events leave it pointing
-// away from a connection's actual owner: a rekey whose handoff ring was
-// full reverted the move, a directory-full accept pinned the connection
-// where its SYN landed, and a drain rehomed a dead shard's connections.
-// The claims table records the authoritative owner in all three cases.
+// the fast default, but two control-plane events leave it pointing away
+// from a connection's actual owner: a rekey whose handoff ring was full
+// reverted the move, and a drain rehomed a dead shard's connections.
+// The claims table records the authoritative owner in both cases.
 // A frame whose steered shard is dead and that has no claim — a fresh
 // SYN, or a handshake that was drained before it completed — re-steers
 // by the rescue fold, the same choice the drain made, so both sides of
@@ -426,7 +412,7 @@ func (set *StackSet) pushInbox(idx int, frame []byte, v FaultVerdict) bool {
 	set.m.InboxFull.Inc()
 	if !v.Wedge && !v.Crash && !v.Stall {
 		force := 1
-		for attempt := 0; attempt < set.handoffRetries(); attempt++ {
+		for attempt := 0; attempt < DefaultHandoffRetries; attempt++ {
 			set.consume(idx, force)
 			if set.inbox[idx].Push(frame) {
 				return true
@@ -579,12 +565,8 @@ func (set *StackSet) Len() int {
 }
 
 // Rekey draws a fresh steering key and migrates every connection whose
-// shard assignment changed, over the handoff rings: for each moving
-// connection the old shard Extracts the PCB, the directory Move bumps
-// its generation to authorize exactly this transfer, the Handoff crosses
-// the SPSC ring, and the new shard validates the claim against the
-// directory before Adopting. It returns the number of connections
-// migrated.
+// shard assignment changed, over the handoff rings (see migrate). It
+// returns the number of connections migrated.
 //
 // Rekey is a control-plane quiesce point: the caller must not run it
 // concurrently with Deliver (between Shuttle rounds in the lossy
@@ -597,7 +579,7 @@ func (set *StackSet) Rekey() int {
 	newSteer := NewSteering(n, hashfn.KeyedFromRNG(set.src))
 
 	// Sweep the claim table against the live connections first: claims
-	// whose connection has since closed release their directory slots.
+	// whose connection has since closed are dropped.
 	live := make(map[core.Key]bool)
 	for _, s := range set.shards {
 		for _, ci := range s.Netstat() {
@@ -607,89 +589,49 @@ func (set *StackSet) Rekey() int {
 		}
 	}
 	type move struct {
-		k  core.Key
-		cl claim
+		k        core.Key
+		from, to int
 	}
 	var moves []move
 	set.claimMu.Lock()
-	for k, cl := range set.claims { //demux:orderinvariant releases and the collected move set are per-key independent; movers are sorted below
+	for k, cl := range set.claims { //demux:orderinvariant deletions and the collected move set are per-key independent; movers are sorted below
 		if !live[k] {
-			if cl.id >= 0 {
-				set.dir.Release(cl.id, cl.gen, cl.owner)
-			}
 			delete(set.claims, k)
 			continue
 		}
-		if cl.id < 0 {
-			continue // directory-full pin: works where it is, cannot migrate
-		}
 		if to := newSteer.Shard(k.Tuple()); to != cl.owner && set.alive(to) {
-			moves = append(moves, move{k, cl})
+			moves = append(moves, move{k, cl.owner, to})
 		}
 	}
 	set.claimMu.Unlock()
 	// Deterministic migration order: ring-full fallbacks depend on the
 	// order movers hit the handoff rings, so the launch sequence must not
 	// inherit map iteration order.
-	sort.Slice(moves, func(i, j int) bool { return keyLess(moves[i].k, moves[j].k) })
+	sort.Slice(moves, func(i, j int) bool { return moves[i].k.Compare(moves[j].k) < 0 })
 
-	// Extract each mover, authorize via the directory, and launch the
-	// handoff. The steering swap happens after the extracts so the new
-	// function never steers a frame at a shard that still owns nothing —
-	// the caller's quiesce contract means no frames arrive mid-rekey
-	// anyway, and the swap order keeps the invariant even if one does.
+	// The steering swap happens after the extracts so the new function
+	// never steers a frame at a shard that still owns nothing — the
+	// caller's quiesce contract means no frames arrive mid-rekey anyway,
+	// and the swap order keeps the invariant even if one does.
 	migrated := 0
 	for _, mv := range moves {
-		k, cl := mv.k, mv.cl
-		to := newSteer.Shard(k.Tuple())
-		pcb, ok := set.shards[cl.owner].Extract(k)
+		pcb, ok := set.shards[mv.from].Extract(mv.k)
 		if !ok {
 			continue // raced with a timer teardown between sweep and now
 		}
-		newGen, ok := set.dir.Move(cl.id, cl.gen, cl.owner, to)
-		if !ok {
-			// The claim was stale — someone else moved or released the
-			// slot. Re-adopt locally: the connection must not be lost.
-			set.StaleHandoffs++
-			_ = set.shards[cl.owner].Adopt(pcb)
-			continue
-		}
-		// Bounded handoff retry: a full ring is drained into its target
-		// between attempts (backoff by making room — virtual time only
-		// advances in Tick). A ring that stays refused (wedged by a
-		// fault, or the target cannot absorb) reverts the move: the
-		// connection keeps working on its home shard and the forgone
-		// migration is shed, attributed to handoff-full.
-		pushed := false
-		for attempt := 0; attempt < set.handoffRetries(); attempt++ {
-			if set.pushHandoff(cl.owner, to, Handoff{PCB: pcb, ID: cl.id, Gen: newGen}) {
-				pushed = true
-				break
-			}
-			set.HandoffFullEvents++
-			set.m.HandoffFull.Inc()
-			migrated += set.adoptPending(to)
-		}
+		pushed, adopted := set.migrate(pcb, mv.from, mv.to)
+		migrated += adopted
 		if !pushed {
-			set.ShedHandoffFull++
-			set.m.ShedHandoffFull.Inc()
-			if g, ok := set.dir.Move(cl.id, newGen, to, cl.owner); ok {
-				newGen = g
-			}
-			_ = set.shards[cl.owner].Adopt(pcb)
-			set.claimMu.Lock()
-			set.claims[k] = claim{id: cl.id, gen: newGen, owner: cl.owner}
-			set.claimMu.Unlock()
-			continue
+			// Revert: the connection keeps working on its home shard
+			// despite the steering function now pointing elsewhere.
+			_ = set.shards[mv.from].Adopt(pcb)
+			set.stamp(mv.k, mv.from)
 		}
-		set.claimMu.Lock()
-		set.claims[k] = claim{id: cl.id, gen: newGen, owner: to}
-		set.claimMu.Unlock()
 	}
 	set.steer.Store(&newSteer)
 
 	// Each live shard drains its incoming handoff rings and adopts what
-	// the directory still says is its own.
+	// the claims table still says is its own.
 	for to := range set.shards {
 		if set.alive(to) {
 			migrated += set.adoptPending(to)
@@ -699,36 +641,38 @@ func (set *StackSet) Rekey() int {
 	return migrated
 }
 
-// pushHandoff offers a migrating connection to the `from`->`to` handoff
-// ring, honoring the destination's fault verdict: a wedged shard's
-// rings refuse pushes just like its inbox does.
-func (set *StackSet) pushHandoff(from, to int, h Handoff) bool {
-	if set.verdict(to).Wedge {
-		return false
+// migrate is the one cross-shard migration step, shared by Rekey and
+// FailOver. pcb has already been Extracted from shard from. The claim is
+// stamped with a fresh generation naming shard to — authorizing exactly
+// this transfer — and the Handoff is offered to the from->to ring a
+// bounded number of times, the destination adopting what it already has
+// queued between offers (backoff by making room — virtual time only
+// advances in Tick). It reports whether the ring took the handoff, and
+// how many earlier handoffs the destination adopted while making room.
+//
+// A ring that stays refused (wedged by a fault, like the destination's
+// inbox, or the target cannot absorb) sheds the handoff, attributed to
+// handoff-full, and leaves the PCB in the caller's hands with the claim
+// still naming to: Rekey reverts the move, FailOver adopts directly.
+func (set *StackSet) migrate(pcb *core.PCB, from, to int) (pushed bool, adopted int) {
+	h := Handoff{PCB: pcb, Gen: set.stamp(pcb.Key, to)}
+	for attempt := 0; attempt < DefaultHandoffRetries; attempt++ {
+		if !set.verdict(to).Wedge && set.handoff[from][to].Push(h) {
+			return true, adopted
+		}
+		set.m.HandoffFull.Inc()
+		adopted += set.adoptPending(to)
 	}
-	return set.handoff[from][to].Push(h)
-}
-
-// keyLess is a total order over connection keys (local endpoint, then
-// remote) so rekey migration launches in a reproducible sequence.
-func keyLess(a, b core.Key) bool {
-	if c := bytes.Compare(a.LocalAddr[:], b.LocalAddr[:]); c != 0 {
-		return c < 0
-	}
-	if a.LocalPort != b.LocalPort {
-		return a.LocalPort < b.LocalPort
-	}
-	if c := bytes.Compare(a.RemoteAddr[:], b.RemoteAddr[:]); c != 0 {
-		return c < 0
-	}
-	return a.RemotePort < b.RemotePort
+	set.m.ShedHandoffFull.Inc()
+	return false, adopted
 }
 
 // adoptPending drains every handoff ring aimed at shard `to`, adopting
-// each PCB whose directory claim still names this shard at exactly the
-// handed-off generation. A claim that fails the check is stale — a later
-// move or release overtook the message in flight — and is dropped
-// without touching the PCB: whoever bumped the generation owns it now.
+// each PCB whose claim still names this shard at exactly the handed-off
+// generation. A handoff that fails the check is stale — a later move,
+// release or re-accept overtook the message in flight — and is dropped
+// without touching the PCB: whoever stamped the newer generation owns
+// the connection now.
 func (set *StackSet) adoptPending(to int) int {
 	adopted := 0
 	for from := range set.shards {
@@ -741,15 +685,18 @@ func (set *StackSet) adoptPending(to int) int {
 			if !ok {
 				break
 			}
-			if !set.dir.OwnedBy(h.ID, h.Gen, to) {
-				set.StaleHandoffs++
+			set.claimMu.Lock()
+			cl, claimed := set.claims[h.PCB.Key]
+			set.claimMu.Unlock()
+			if !claimed || cl.gen != h.Gen || cl.owner != to {
+				set.m.StaleHandoffs.Inc()
 				continue
 			}
 			if err := set.shards[to].Adopt(h.PCB); err != nil {
 				// A duplicate key on the target shard means the connection
 				// was re-established there while this handoff was in
 				// flight; the stale copy loses.
-				set.StaleHandoffs++
+				set.m.StaleHandoffs.Inc()
 				continue
 			}
 			adopted++

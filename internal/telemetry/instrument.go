@@ -284,27 +284,25 @@ func NewStackMetrics(r *Registry) *StackMetrics {
 func (m *StackMetrics) Registry() *Registry { return m.reg }
 
 // ShardSetMetrics is the sharded-engine instrument bundle: the
-// full-edge event counters (inbox ring, handoff ring, connection-ID
-// directory), the per-reason shed ledger behind the graceful-degradation
-// contract ("every lost packet is attributed to exactly one reason"),
+// full-edge event counters (inbox ring, handoff ring), the per-reason
+// shed ledger behind the graceful-degradation contract ("every lost
+// packet is attributed to exactly one reason"),
 // the failure-domain counters (drains, drained connections, salvaged
 // frames, stale handoffs), and the watchdog's per-shard health gauges.
 type ShardSetMetrics struct {
 	// Full-edge events: how often each bounded structure refused work.
-	InboxFull     *Counter
-	HandoffFull   *Counter
-	DirectoryFull *Counter
+	InboxFull   *Counter
+	HandoffFull *Counter
 
 	// Per-reason shed ledger (shard_shed_total{reason=...}). InboxFull
 	// sheds are frames actually lost (TCP's retransmission recovers
-	// them); HandoffFull and DirectoryFull sheds are migrations forgone
-	// (the connection keeps working where it is); BacklogFull mirrors the
-	// shards' engine-level backlog drops into the same family so the
-	// degradation ladder reads off one metric.
-	ShedInboxFull     *Counter
-	ShedHandoffFull   *Counter
-	ShedDirectoryFull *Counter
-	ShedBacklogFull   *Counter
+	// them); HandoffFull sheds are migrations forgone (the connection
+	// keeps working where it is); BacklogFull mirrors the shards'
+	// engine-level backlog drops into the same family so the degradation
+	// ladder reads off one metric.
+	ShedInboxFull   *Counter
+	ShedHandoffFull *Counter
+	ShedBacklogFull *Counter
 
 	// Failure-domain counters.
 	Drains        *Counter
@@ -330,19 +328,17 @@ func NewShardSetMetrics(r *Registry, shards int) *ShardSetMetrics {
 		return r.Counter("shard_shed_total", L("reason", reason))
 	}
 	m := &ShardSetMetrics{
-		InboxFull:         r.Counter("shard_inbox_full_total"),
-		HandoffFull:       r.Counter("shard_handoff_full_total"),
-		DirectoryFull:     r.Counter("shard_directory_full_total"),
-		ShedInboxFull:     shed("inbox-full"),
-		ShedHandoffFull:   shed("handoff-full"),
-		ShedDirectoryFull: shed("directory-full"),
-		ShedBacklogFull:   shed("backlog-full"),
-		Drains:            r.Counter("shard_drains_total"),
-		DrainedConns:      r.Counter("shard_drained_connections_total"),
-		Salvaged:          r.Counter("shard_salvaged_frames_total"),
-		StaleHandoffs:     r.Counter("shard_stale_handoffs_total"),
-		Degraded:          r.Gauge("shard_degraded_shards"),
-		DrainRecovery:     r.Gauge("shard_drain_recovery_seconds"),
+		InboxFull:       r.Counter("shard_inbox_full_total"),
+		HandoffFull:     r.Counter("shard_handoff_full_total"),
+		ShedInboxFull:   shed("inbox-full"),
+		ShedHandoffFull: shed("handoff-full"),
+		ShedBacklogFull: shed("backlog-full"),
+		Drains:          r.Counter("shard_drains_total"),
+		DrainedConns:    r.Counter("shard_drained_connections_total"),
+		Salvaged:        r.Counter("shard_salvaged_frames_total"),
+		StaleHandoffs:   r.Counter("shard_stale_handoffs_total"),
+		Degraded:        r.Gauge("shard_degraded_shards"),
+		DrainRecovery:   r.Gauge("shard_drain_recovery_seconds"),
 	}
 	for i := 0; i < shards; i++ {
 		m.Health = append(m.Health,
