@@ -43,14 +43,14 @@ bench-check:
 	$(GO) -C bench test ./...
 
 # test is the tier-1 gate: vet, the invariant analyzers, the full test
-# suite (the benchmark module's included), the race detector over the
-# concurrent packages plus the timer-driven engine and the telemetry
-# stripes, and the demuxsim -metrics endpoint smoke test.
-test: vet lint bench-check
+# suite (the benchmark module's included), the race target, and the
+# demuxsim -metrics endpoint smoke test.
+test: vet lint bench-check race
 	$(GO) test ./...
-	$(GO) test -race ./internal/parallel ./internal/rcu ./internal/flat ./internal/engine ./internal/timer ./internal/telemetry
 	$(GO) test -run 'TestMetricsEndpoint|TestAdversarialSnapshotUnified' -count=1 ./cmd/demuxsim
 
+# race runs the race detector over the concurrent packages plus the
+# timer-driven engine and the telemetry stripes.
 race:
 	$(GO) test -race ./internal/parallel ./internal/rcu ./internal/flat ./internal/engine ./internal/timer ./internal/telemetry
 

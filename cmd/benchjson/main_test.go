@@ -124,7 +124,7 @@ func TestRunAdversarialReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Tables) != 3 {
+	if len(rep.Tables) != 2 {
 		t.Fatalf("got %d tables", len(rep.Tables))
 	}
 	und, guarded := rep.Tables[0], rep.Tables[1]

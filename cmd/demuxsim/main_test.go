@@ -176,7 +176,7 @@ func TestRunAdversarialWorkload(t *testing.T) {
 	out := b.String()
 	for _, want := range []string{
 		"workload=adversarial", "sequent (undefended)", "guarded-sequent",
-		"rcu-guarded", "rekeys", "client-established", "cookies-sent",
+		"rekeys", "client-established", "cookies-sent",
 		"[3] telemetry snapshot",
 	} {
 		if !strings.Contains(out, want) {
@@ -236,7 +236,7 @@ func TestAdversarialSnapshotUnified(t *testing.T) {
 		}
 		gauges = append(gauges, g.Name+"|"+v)
 	}
-	for _, d := range []string{"sequent-undefended", "guarded-sequent", "rcu-guarded"} {
+	for _, d := range []string{"sequent-undefended", "guarded-sequent"} {
 		if !find(hists, "demux_examined_pcbs", d) {
 			t.Errorf("snapshot missing examined histogram for %s", d)
 		}

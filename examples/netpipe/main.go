@@ -172,7 +172,7 @@ func main() {
 			}
 			want := "echo:" + msg
 			if err := waitFor(5*time.Second, func() bool {
-				return string(c.LastReceived()) == want
+				return string(c.Receive()) == want
 			}); err != nil {
 				log.Fatalf("conn %d req %d: %v", i, r, err)
 			}

@@ -108,8 +108,9 @@ func runBank(algo string, terminals, txns int) error {
 			}
 			frames += n
 			var bal int
-			if _, err := fmt.Sscanf(string(tl.conn.LastReceived()), "OK %d", &bal); err != nil {
-				return fmt.Errorf("terminal %d got %q", ti, tl.conn.LastReceived())
+			resp := tl.conn.Receive()
+			if _, err := fmt.Sscanf(string(resp), "OK %d", &bal); err != nil {
+				return fmt.Errorf("terminal %d got %q", ti, resp)
 			}
 		}
 	}

@@ -58,9 +58,9 @@ type StackStats struct {
 	// CookiesAccepted counts connections established by a valid cookie
 	// ACK.
 	CookiesAccepted uint64
-	// SynDrops mirrors Stack.SynDrops: every SYN refused statefully
-	// because of backlog pressure (the pre-cookie counter, kept for
-	// comparability across experiments).
+	// SynDrops counts every SYN that found the backlog full, whether it
+	// was then shed or answered with a cookie (the pre-cookie counter,
+	// kept for comparability across experiments).
 	SynDrops uint64
 }
 
@@ -81,7 +81,7 @@ func (s *Stack) Stats() StackStats {
 		DroppedBadCookie:   t.DroppedBadCookie.Value(),
 		CookiesSent:        t.CookiesSent.Value(),
 		CookiesAccepted:    t.CookiesAccepted.Value(),
-		SynDrops:           s.SynDrops,
+		SynDrops:           t.SynDrops.Value(),
 	}
 }
 

@@ -101,10 +101,10 @@ func (c *Conn) Close() error {
 
 // connData is the engine's per-PCB state hung off PCB.UserData.
 type connData struct {
-	conn    *Conn
+	conn *Conn
+	// handler, when set, is the connection's one payload consumer; without
+	// one, payloads queue on rxQueue for Receive.
 	handler Handler
-	// lastRx holds the most recent data payload for polling clients.
-	lastRx []byte
 	// rxQueue holds received payloads not yet taken with Receive. It is
 	// bounded to rxQueueMax; beyond that the oldest payloads are dropped
 	// (the engine has no flow control, so an unread queue means the
@@ -140,12 +140,10 @@ type Stack struct {
 	outbox   [][]byte
 	handlers map[uint16]Handler
 	timeWait []*core.PCB
-	// halfOpen counts SYN_RCVD PCBs per listening port, against Backlog.
+	// halfOpen counts SYN_RCVD PCBs per listening port, against backlog
+	// (DefaultBacklog until SetBacklog).
 	halfOpen map[uint16]int
-	// Backlog overrides DefaultBacklog when positive.
-	Backlog int
-	// SynDrops counts SYNs refused because the backlog was full.
-	SynDrops uint64
+	backlog  int
 	// SynCookies enables stateless SYN|ACKs once the backlog fills, so
 	// legitimate clients can complete handshakes during a flood; see
 	// cookies.go.
@@ -176,38 +174,38 @@ type Stack struct {
 	// timers.go. Tick(now) advances them.
 	wheel *timer.Wheel
 	now   float64
-	// RTO, MaxRetries, MSL, and SynRcvdTimeout override the lifecycle
-	// timer defaults when positive; see timers.go.
-	RTO            float64
-	MaxRetries     int
-	MSL            float64
-	SynRcvdTimeout float64
-	// Timer-driven lifecycle counters.
-	Retransmits     uint64 // segments re-queued by the retransmission timer
-	Aborts          uint64 // connections dropped at the max-retry limit
-	SynExpired      uint64 // half-open PCBs reaped by the SYN_RCVD timer
-	TimeWaitExpired uint64 // PCBs reaped by the 2MSL timer
+	// The lifecycle timer settings, holding the Default* values until
+	// SetTimers; see timers.go.
+	rto        float64
+	maxRetries int
+	msl        float64
 }
 
 // NewStack builds a host endpoint at addr that demultiplexes with d.
 func NewStack(addr wire.Addr, d core.Demuxer, seed uint64) *Stack {
 	return &Stack{
-		addr:     addr,
-		demux:    d,
-		src:      rng.New(seed),
-		seed:     seed,
-		handlers: make(map[uint16]Handler),
-		halfOpen: make(map[uint16]int),
-		reasm:    frag.New(64),
-		wheel:    timer.New(timerTick),
-		tel:      telemetry.NewStackMetrics(telemetry.NewRegistry()),
+		addr:       addr,
+		demux:      d,
+		src:        rng.New(seed),
+		seed:       seed,
+		handlers:   make(map[uint16]Handler),
+		halfOpen:   make(map[uint16]int),
+		backlog:    DefaultBacklog,
+		reasm:      frag.New(64),
+		wheel:      timer.New(timerTick),
+		tel:        telemetry.NewStackMetrics(telemetry.NewRegistry()),
+		rto:        DefaultRTO,
+		maxRetries: DefaultMaxRetries,
+		msl:        DefaultMSL,
 	}
 }
 
 // SetTelemetry re-homes the stack's counters on reg, so its drops,
 // cookies, and timer fires appear in the same snapshot as the demux and
 // overload metrics. Call it before delivering traffic: counts already
-// accumulated on the previous registry are not carried over.
+// accumulated on the previous registry are not carried over. Stacks homed
+// on one registry (a StackSet's shards) share its counters, so each one's
+// Stats and LifecycleCounters then report the registry-wide totals.
 func (s *Stack) SetTelemetry(reg *telemetry.Registry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -405,11 +403,8 @@ func (s *Stack) Deliver(frame []byte) (core.Result, error) {
 	defer s.mu.Unlock()
 
 	s.frames++
-	// Stale partial datagrams expire on a frame-count clock: any datagram
-	// still incomplete ~4096 delivered frames after its first fragment is
-	// abandoned (the RFC 791 reassembly timer, with frames for seconds).
-	if s.frames%512 == 0 {
-		s.reasm.Reap(float64(s.frames), 4096)
+	if frag.ExpiryDue(s.frames) {
+		s.reasm.Reap(float64(s.frames), frag.ExpiryTTL)
 	}
 	seg, err := wire.ParseSegment(frame)
 	if errors.Is(err, wire.ErrFragmented) {
@@ -609,12 +604,7 @@ func (s *Stack) handleListen(listener *core.PCB, seg *wire.Segment, key core.Key
 		}
 		return
 	}
-	backlog := s.Backlog
-	if backlog <= 0 {
-		backlog = DefaultBacklog
-	}
-	if s.halfOpen[key.LocalPort] >= backlog {
-		s.SynDrops++
+	if s.halfOpen[key.LocalPort] >= s.backlog {
 		s.tel.SynDrops.Inc()
 		if s.SynCookies {
 			// Backlog full: answer statelessly instead of shedding the
@@ -728,13 +718,13 @@ func (s *Stack) handleEstablished(pcb *core.PCB, seg *wire.Segment) {
 		pcb.RcvNxt += uint32(n)
 		var response []byte
 		if cd != nil {
-			cd.lastRx = append(cd.lastRx[:0], seg.Payload...)
-			cd.rxQueue = append(cd.rxQueue, append([]byte(nil), seg.Payload...))
-			if len(cd.rxQueue) > rxQueueMax {
-				cd.rxQueue = cd.rxQueue[len(cd.rxQueue)-rxQueueMax:]
-			}
 			if cd.handler != nil {
 				response = cd.handler(cd.conn, seg.Payload)
+			} else {
+				cd.rxQueue = append(cd.rxQueue, append([]byte(nil), seg.Payload...))
+				if len(cd.rxQueue) > rxQueueMax {
+					cd.rxQueue = cd.rxQueue[len(cd.rxQueue)-rxQueueMax:]
+				}
 			}
 		}
 		if response != nil {
@@ -767,8 +757,9 @@ func (s *Stack) handleEstablished(pcb *core.PCB, seg *wire.Segment) {
 }
 
 // Receive pops the oldest unread data payload from the connection's
-// receive queue, or returns nil when nothing is pending. Every inbound
-// data segment is queued regardless of whether a Handler also saw it.
+// receive queue, or returns nil when nothing is pending. Only a
+// connection without a Handler queues: a Handler consumes each payload as
+// it arrives and nothing is kept.
 func (c *Conn) Receive() []byte {
 	c.stack.mu.Lock()
 	defer c.stack.mu.Unlock()
@@ -789,19 +780,6 @@ func (c *Conn) Pending() int {
 		return len(cd.rxQueue)
 	}
 	return 0
-}
-
-// LastReceived returns the most recent data payload delivered on the
-// connection, for polling clients in tests and examples.
-func (c *Conn) LastReceived() []byte {
-	c.stack.mu.Lock()
-	defer c.stack.mu.Unlock()
-	if cd, ok := c.pcb.UserData.(*connData); ok && cd.lastRx != nil {
-		out := make([]byte, len(cd.lastRx))
-		copy(out, cd.lastRx)
-		return out
-	}
-	return nil
 }
 
 // Pump shuttles frames between two endpoints until both outboxes are

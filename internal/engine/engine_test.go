@@ -3,6 +3,7 @@ package engine
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"testing"
 
 	"tcpdemux/internal/core"
@@ -64,7 +65,7 @@ func TestHandshakeAndEcho(t *testing.T) {
 	if _, err := Pump(client, server); err != nil {
 		t.Fatal(err)
 	}
-	if got := conn.LastReceived(); !bytes.Equal(got, []byte("HELLO WORLD")) {
+	if got := newestRx(conn); !bytes.Equal(got, []byte("HELLO WORLD")) {
 		t.Fatalf("echo response = %q", got)
 	}
 	// Demultiplexer on the server saw the SYN (listener), the handshake
@@ -99,7 +100,7 @@ func TestHandshakeAcrossAllAlgorithms(t *testing.T) {
 			if _, err := Pump(client, server); err != nil {
 				t.Fatal(err)
 			}
-			if got := conn.LastReceived(); !bytes.Equal(got, []byte("ABC")) {
+			if got := newestRx(conn); !bytes.Equal(got, []byte("ABC")) {
 				t.Fatalf("response %q", got)
 			}
 		})
@@ -142,7 +143,7 @@ func TestManyConcurrentConnections(t *testing.T) {
 	}
 	for i, c := range conns {
 		want := byte('A' + i%26)
-		if got := c.LastReceived(); len(got) != 1 || got[0] != want {
+		if got := newestRx(c); len(got) != 1 || got[0] != want {
 			t.Fatalf("conn %d echoed %q", i, got)
 		}
 	}
@@ -338,11 +339,30 @@ func TestPCBCountersAdvance(t *testing.T) {
 	}
 }
 
+// newestRx drains c's receive queue and returns the last payload on it,
+// nil if it was empty.
+func newestRx(c *Conn) []byte {
+	var last []byte
+	for p := c.Receive(); p != nil; p = c.Receive() {
+		last = p
+	}
+	return last
+}
+
+// TestReceiveQueue: a payload has one consumer. The server connection has
+// a handler, so it sees every payload and queues none; the client has no
+// handler, so the responses queue for Receive.
 func TestReceiveQueue(t *testing.T) {
 	server, client := pair(t, core.NewBSDList())
-	if err := server.Listen(80, echoUpper); err != nil {
+	var seen []string
+	if err := server.Listen(80, func(c *Conn, p []byte) []byte {
+		seen = append(seen, string(p))
+		return echoUpper(c, p)
+	}); err != nil {
 		t.Fatal(err)
 	}
+	var accepted *Conn
+	server.OnAccept = func(c *Conn) { accepted = c }
 	conn, err := client.Connect(serverAddr, 80, 40000, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -357,6 +377,12 @@ func TestReceiveQueue(t *testing.T) {
 		if _, err := Pump(client, server); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if got := strings.Join(seen, ","); got != "one,two,three" {
+		t.Fatalf("handler saw %q", got)
+	}
+	if n := accepted.Pending(); n != 0 {
+		t.Fatalf("connection with a handler queued %d payloads", n)
 	}
 	if n := conn.Pending(); n != 3 {
 		t.Fatalf("pending = %d", n)
@@ -511,7 +537,7 @@ func TestFragmentedDataReassembled(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := bytes.ToUpper(big)
-	if got := conn.LastReceived(); !bytes.Equal(got, want) {
+	if got := newestRx(conn); !bytes.Equal(got, want) {
 		t.Fatalf("echo of fragmented send: %d bytes, want %d", len(got), len(want))
 	}
 }
@@ -621,7 +647,7 @@ func TestStaleFragmentsReaped(t *testing.T) {
 	if _, err := Pump(client, server); err != nil {
 		t.Fatal(err)
 	}
-	if got := conn.LastReceived(); len(got) != 3000 {
+	if got := newestRx(conn); len(got) != 3000 {
 		t.Fatalf("echo length %d after reap+retransmit", len(got))
 	}
 }

@@ -36,7 +36,7 @@ func FuzzDeliver(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d := core.NewSequentHash(19, nil)
 		server := NewStack(serverAddr, d, 1)
-		server.Backlog = 2
+		server.SetBacklog(2)
 		server.SynCookies = true
 		if err := server.Listen(1521, echoUpper); err != nil {
 			t.Fatal(err)

@@ -438,10 +438,11 @@ func RunLossyExchange(d core.Demuxer, cfg LossyConfig) (*LossyResult, error) {
 	res.Dropped = link.Dropped
 	res.Duplicated = link.Duplicated
 	srvRtx, srvAborts, srvSynExp, srvTW := server.LifecycleCounters()
-	res.Retransmits = client.Retransmits + srvRtx
-	res.Aborts = client.Aborts + srvAborts
+	cliRtx, cliAborts, _, cliTW := client.LifecycleCounters()
+	res.Retransmits = cliRtx + srvRtx
+	res.Aborts = cliAborts + srvAborts
 	res.SynExpired = srvSynExp
-	res.TimeWaitExpired = client.TimeWaitExpired + srvTW
+	res.TimeWaitExpired = cliTW + srvTW
 	return res, nil
 }
 

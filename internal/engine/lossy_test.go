@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"tcpdemux/internal/core"
+	"tcpdemux/internal/telemetry"
+	"tcpdemux/internal/wire"
 )
 
 // lossyCfg builds the exchange configuration for a given drop/dup rate.
@@ -164,5 +166,55 @@ func TestLinkPerfectIsLossless(t *testing.T) {
 	}
 	if res.Dropped != 0 || res.Duplicated != 0 || res.Aborts != 0 {
 		t.Fatalf("perfect link counters: %+v", res)
+	}
+}
+
+// TestLifecycleCountersReadTheRegistry: the timer and SYN-drop counts are
+// kept once, on the stack's telemetry registry; LifecycleCounters and
+// Stats are views of it. After a 20 %-drop exchange (and a burst of SYNs
+// against a one-slot backlog, so every counter family has moved or had
+// the chance to), the registry snapshot and the views must agree.
+func TestLifecycleCountersReadTheRegistry(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	server := NewStack(serverAddrLossy, core.NewSequentHash(19, nil), 1)
+	server.SetTelemetry(reg)
+	cfg := lossyCfg(0.20, 0)
+	cfg.Server = server
+	res, err := RunLossyExchange(nil, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Completed {
+		t.Fatalf("exchange did not complete (t=%v)", res.VirtualTime)
+	}
+	server.SetBacklog(1)
+	for i := 0; i < 3; i++ {
+		if _, err := server.Deliver(synFrom(t, wire.MakeAddr(198, 51, 100, byte(i+1)), 2048)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	rtx, aborts, synExpired, twExpired := server.LifecycleCounters()
+	synDrops := server.Stats().SynDrops
+	if rtx == 0 || synDrops != 2 {
+		t.Fatalf("counters inert: retransmits=%d synDrops=%d (want >0 and 2)", rtx, synDrops)
+	}
+	want := map[string]uint64{
+		"engine_timer_retransmits_total":       rtx,
+		"engine_timer_aborts_total":            aborts,
+		"engine_timer_syn_expired_total":       synExpired,
+		"engine_timer_time_wait_expired_total": twExpired,
+		"engine_syn_drops_total":               synDrops,
+	}
+	for _, c := range reg.Snapshot().Counters {
+		if v, ok := want[c.Name]; ok && len(c.Labels) == 0 {
+			if c.Value != v {
+				t.Errorf("%s = %d in the registry, %d through the view", c.Name, c.Value, v)
+			}
+			delete(want, c.Name)
+		}
+	}
+	for name := range want {
+		t.Errorf("counter %s not registered", name)
 	}
 }

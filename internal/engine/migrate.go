@@ -18,8 +18,9 @@ import (
 // Extract removes the connection identified by k from the stack without
 // tearing it down: the PCB leaves the demultiplexer, its lifecycle
 // timers are canceled, and its listener-backlog or TIME_WAIT accounting
-// is unwound, but its TCP state, sequence numbers, receive queue, and
-// retransmission buffer all survive intact for a subsequent Adopt.
+// is unwound, but its TCP state, sequence numbers, handler (or, lacking
+// one, its queue of unread payloads) and retransmission buffer all
+// survive intact for a subsequent Adopt.
 // Listening (wildcard) PCBs cannot be extracted — every shard owns its
 // own listener — and an unknown key returns false.
 //
@@ -96,16 +97,23 @@ func (s *Stack) Adopt(pcb *core.PCB) error {
 	return nil
 }
 
-// SetTimers configures the lifecycle timer overrides in one call (zero
-// values keep the engine defaults). It exists so any LossyServer — a
-// single Stack or a sharded set fanning the values to every shard — can
+// SetTimers sets the lifecycle timers in one call; a zero or negative
+// value keeps that timer's engine default. It exists so any LossyServer —
+// a single Stack or a sharded set fanning the values to every shard — can
 // be configured uniformly by the lossy harness.
 func (s *Stack) SetTimers(rto float64, maxRetries int, msl float64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.RTO = rto
-	s.MaxRetries = maxRetries
-	s.MSL = msl
+	s.rto, s.maxRetries, s.msl = DefaultRTO, DefaultMaxRetries, DefaultMSL
+	if rto > 0 {
+		s.rto = rto
+	}
+	if maxRetries > 0 {
+		s.maxRetries = maxRetries
+	}
+	if msl > 0 {
+		s.msl = msl
+	}
 }
 
 // SetBacklog sets the per-listener half-open limit (zero or negative
@@ -113,12 +121,17 @@ func (s *Stack) SetTimers(rto float64, maxRetries int, msl float64) {
 func (s *Stack) SetBacklog(n int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.Backlog = n
+	if n <= 0 {
+		n = DefaultBacklog
+	}
+	s.backlog = n
 }
 
-// LifecycleCounters returns the stack's timer-driven lifecycle totals.
+// LifecycleCounters returns the stack's timer-driven lifecycle totals: a
+// view over the telemetry counters, like Stats.
 func (s *Stack) LifecycleCounters() (retransmits, aborts, synExpired, timeWaitExpired uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.Retransmits, s.Aborts, s.SynExpired, s.TimeWaitExpired
+	t := s.tel
+	return t.Retransmits.Value(), t.Aborts.Value(), t.SynExpired.Value(), t.TimeWaitExpired.Value()
 }

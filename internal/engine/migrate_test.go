@@ -140,12 +140,12 @@ func TestAdoptRearmsRetransmission(t *testing.T) {
 
 	// Only the new stack's clock runs; its wheel must own the timer now.
 	s1.Tick(10)
-	if s1.Retransmits != 0 {
+	if rtx, _, _, _ := s1.LifecycleCounters(); rtx != 0 {
 		t.Fatal("old stack retransmitted a migrated connection's segment")
 	}
 	s2.Tick(DefaultRTO + 0.1)
-	if s2.Retransmits != 1 {
-		t.Fatalf("new stack Retransmits = %d, want 1", s2.Retransmits)
+	if rtx, _, _, _ := s2.LifecycleCounters(); rtx != 1 {
+		t.Fatalf("new stack retransmits = %d, want 1", rtx)
 	}
 	for _, f := range s2.Drain() {
 		if _, err := client.Deliver(f); err != nil {

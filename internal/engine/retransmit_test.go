@@ -58,7 +58,7 @@ func TestRetransmitRecoversFromLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 	lossyPump(t, client, server, 0.25, src, 200)
-	if got := conn.LastReceived(); !bytes.Equal(got, []byte("LOSSY HELLO")) {
+	if got := newestRx(conn); !bytes.Equal(got, []byte("LOSSY HELLO")) {
 		t.Fatalf("echo over lossy link = %q", got)
 	}
 }

@@ -81,7 +81,7 @@ func TestDeliverMutatedFramesNeverPanics(t *testing.T) {
 	if _, err := Pump(client, server); err != nil {
 		t.Fatal(err)
 	}
-	if got := string(conn.LastReceived()); got != "STILL ALIVE" {
+	if got := string(newestRx(conn)); got != "STILL ALIVE" {
 		t.Fatalf("connection broken after mutation storm: %q", got)
 	}
 }

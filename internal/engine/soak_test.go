@@ -140,7 +140,7 @@ func TestSoak(t *testing.T) {
 				if _, err := Pump(client, server); err != nil {
 					t.Fatal(err)
 				}
-				if got := string(c.LastReceived()); got != "FINAL CHECK" {
+				if got := string(newestRx(c)); got != "FINAL CHECK" {
 					t.Fatalf("conn %v broken after soak: %q", c.Key(), got)
 				}
 				checked++

@@ -16,7 +16,7 @@ import (
 func TestSynCookiesAdmitClientDuringFlood(t *testing.T) {
 	d := core.NewSequentHash(19, nil)
 	server := NewStack(serverAddr, d, 1)
-	server.Backlog = 64
+	server.SetBacklog(64)
 	server.SynCookies = true
 	if err := server.Listen(1521, echoUpper); err != nil {
 		t.Fatal(err)
@@ -73,7 +73,7 @@ func TestSynCookiesAdmitClientDuringFlood(t *testing.T) {
 	if _, err := Pump(client, server); err != nil {
 		t.Fatal(err)
 	}
-	if got := conn.LastReceived(); !bytes.Equal(got, []byte("MID-FLOOD PING")) {
+	if got := newestRx(conn); !bytes.Equal(got, []byte("MID-FLOOD PING")) {
 		t.Fatalf("echo over cookie connection = %q", got)
 	}
 
@@ -134,7 +134,7 @@ func TestSynCookiesAdmitClientDuringFlood(t *testing.T) {
 func TestSynCookiesValidACKWithPayload(t *testing.T) {
 	d := core.NewSequentHash(19, nil)
 	server := NewStack(serverAddr, d, 1)
-	server.Backlog = 1
+	server.SetBacklog(1)
 	server.SynCookies = true
 	if err := server.Listen(80, echoUpper); err != nil {
 		t.Fatal(err)

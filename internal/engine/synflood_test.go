@@ -28,7 +28,7 @@ func synFrom(t *testing.T, src wire.Addr, sport uint16) []byte {
 func TestSynFloodBoundedByBacklog(t *testing.T) {
 	d := core.NewSequentHash(19, nil)
 	server := NewStack(serverAddr, d, 1)
-	server.Backlog = 64
+	server.SetBacklog(64)
 	if err := server.Listen(1521, echoUpper); err != nil {
 		t.Fatal(err)
 	}
@@ -44,8 +44,8 @@ func TestSynFloodBoundedByBacklog(t *testing.T) {
 	if got := d.Len(); got != 1+64 {
 		t.Fatalf("table grew to %d PCBs under flood, want %d", got, 1+64)
 	}
-	if server.SynDrops != flood-64 {
-		t.Fatalf("SynDrops = %d, want %d", server.SynDrops, flood-64)
+	if got := server.Stats().SynDrops; got != flood-64 {
+		t.Fatalf("SynDrops = %d, want %d", got, flood-64)
 	}
 
 	// A real client cannot get in while the backlog is full...
@@ -100,7 +100,7 @@ func TestSynFloodBoundedByBacklog(t *testing.T) {
 // backlog permanently.
 func TestBacklogReleasedOnCompletion(t *testing.T) {
 	server, client := pair(t, core.NewMapDemux())
-	server.Backlog = 4
+	server.SetBacklog(4)
 	if err := server.Listen(80, echoUpper); err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestBacklogReleasedOnCompletion(t *testing.T) {
 			t.Fatalf("conn %d state %v", i, c.State())
 		}
 	}
-	if server.SynDrops != 0 {
-		t.Fatalf("dropped %d SYNs without a flood", server.SynDrops)
+	if got := server.Stats().SynDrops; got != 0 {
+		t.Fatalf("dropped %d SYNs without a flood", got)
 	}
 }

@@ -24,8 +24,8 @@ import (
 	"tcpdemux/internal/core"
 )
 
-// Lifecycle timer defaults, overridable per Stack via the corresponding
-// exported fields. Values are virtual seconds.
+// Lifecycle timer constants; the three Default* values are overridable
+// per Stack through SetTimers. Values are virtual seconds.
 const (
 	// timerTick is the wheel granularity: 1 ms, fine enough to resolve
 	// the engine's smallest RTO against the coarse 2MSL clock.
@@ -38,42 +38,15 @@ const (
 	// DefaultMSL is the maximum segment lifetime; TIME_WAIT lingers 2×MSL
 	// (RFC 793 suggests 2 minutes per MSL; simulations want it shorter).
 	DefaultMSL = 30.0
-	// DefaultSynRcvdTimeout is how long a half-open (SYN_RCVD) PCB may
-	// wait for the handshake-completing ACK — BSD's classic 75 s
-	// connection-establishment timer.
-	DefaultSynRcvdTimeout = 75.0
+	// SynRcvdTimeout is how long a half-open (SYN_RCVD) PCB may wait for
+	// the handshake-completing ACK — BSD's classic 75 s
+	// connection-establishment timer. Nothing varies it, so it is not a
+	// per-Stack setting.
+	SynRcvdTimeout = 75.0
 	// rtoBackoffCap bounds the exponential backoff shift, so the longest
 	// interval is RTO × 2^rtoBackoffCap.
 	rtoBackoffCap = 6
 )
-
-func (s *Stack) rto() float64 {
-	if s.RTO > 0 {
-		return s.RTO
-	}
-	return DefaultRTO
-}
-
-func (s *Stack) maxRetries() int {
-	if s.MaxRetries > 0 {
-		return s.MaxRetries
-	}
-	return DefaultMaxRetries
-}
-
-func (s *Stack) msl() float64 {
-	if s.MSL > 0 {
-		return s.MSL
-	}
-	return DefaultMSL
-}
-
-func (s *Stack) synRcvdTimeout() float64 {
-	if s.SynRcvdTimeout > 0 {
-		return s.SynRcvdTimeout
-	}
-	return DefaultSynRcvdTimeout
-}
 
 // Tick advances the stack's virtual clock to now, firing every lifecycle
 // timer whose deadline has passed: due retransmissions are re-queued on
@@ -156,7 +129,7 @@ func (s *Stack) armRetransmit(pcb *core.PCB, cd *connData) {
 	if shift > rtoBackoffCap {
 		shift = rtoBackoffCap
 	}
-	delay := s.rto() * float64(uint64(1)<<shift)
+	delay := s.rto * float64(uint64(1)<<shift)
 	cd.rtx = s.wheel.Schedule(s.clock()+delay, func(float64) {
 		cd.rtx = nil
 		s.retransmitExpired(pcb, cd)
@@ -169,15 +142,13 @@ func (s *Stack) retransmitExpired(pcb *core.PCB, cd *connData) {
 	if cd.unacked == nil || pcb.State == core.StateClosed {
 		return
 	}
-	if cd.retries >= s.maxRetries() {
-		s.Aborts++
+	if cd.retries >= s.maxRetries {
 		s.tel.Aborts.Inc()
 		s.tel.TimerFires.Inc()
 		s.abortPCB(pcb)
 		return
 	}
 	cd.retries++
-	s.Retransmits++
 	s.tel.Retransmits.Inc()
 	s.tel.TimerFires.Inc()
 	s.requeueUnacked(pcb, cd)
@@ -207,12 +178,11 @@ func (s *Stack) armSynRcvdExpiry(pcb *core.PCB) {
 		return
 	}
 	cd.life.Cancel()
-	cd.life = s.wheel.Schedule(s.clock()+s.synRcvdTimeout(), func(float64) {
+	cd.life = s.wheel.Schedule(s.clock()+SynRcvdTimeout, func(float64) {
 		cd.life = nil
 		if pcb.State != core.StateSynRcvd {
 			return
 		}
-		s.SynExpired++
 		s.tel.SynExpired.Inc()
 		s.tel.TimerFires.Inc()
 		s.releaseHalfOpen(pcb)
@@ -229,12 +199,11 @@ func (s *Stack) armTimeWait(pcb *core.PCB) {
 		return
 	}
 	cd.life.Cancel()
-	cd.life = s.wheel.Schedule(s.clock()+2*s.msl(), func(float64) {
+	cd.life = s.wheel.Schedule(s.clock()+2*s.msl, func(float64) {
 		cd.life = nil
 		if pcb.State != core.StateTimeWait {
 			return
 		}
-		s.TimeWaitExpired++
 		s.tel.TimeWaitExpired.Inc()
 		s.tel.TimerFires.Inc()
 		s.unTimeWait(pcb)

@@ -14,8 +14,7 @@ import (
 func TestRetransmitTimerBackoffAndAbort(t *testing.T) {
 	d := core.NewMapDemux()
 	client := NewStack(clientAddr, d, 7)
-	client.RTO = 0.1
-	client.MaxRetries = 3
+	client.SetTimers(0.1, 3, 0)
 	conn, err := client.Connect(serverAddr, 80, 40000, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -35,8 +34,8 @@ func TestRetransmitTimerBackoffAndAbort(t *testing.T) {
 			t.Fatalf("tick %d: state %v", i, conn.State())
 		}
 	}
-	if client.Retransmits != 3 {
-		t.Fatalf("Retransmits = %d, want 3", client.Retransmits)
+	if rtx, _, _, _ := client.LifecycleCounters(); rtx != 3 {
+		t.Fatalf("retransmits = %d, want 3", rtx)
 	}
 
 	client.Tick(1.0) // between retransmission 3 (0.7) and the abort (1.5)
@@ -47,8 +46,8 @@ func TestRetransmitTimerBackoffAndAbort(t *testing.T) {
 	if conn.State() != core.StateClosed {
 		t.Fatalf("state after retry limit = %v, want Closed", conn.State())
 	}
-	if client.Aborts != 1 {
-		t.Fatalf("Aborts = %d, want 1", client.Aborts)
+	if _, aborts, _, _ := client.LifecycleCounters(); aborts != 1 {
+		t.Fatalf("aborts = %d, want 1", aborts)
 	}
 	if d.Len() != 0 {
 		t.Fatalf("aborted PCB still in demuxer (len %d)", d.Len())
@@ -73,9 +72,10 @@ func TestAckQuenchesRetransmitTimer(t *testing.T) {
 	if n := len(client.Drain()) + len(server.Drain()); n != 0 {
 		t.Fatalf("%d frames retransmitted after everything was acked", n)
 	}
-	if client.Retransmits != 0 || server.Retransmits != 0 {
-		t.Fatalf("retransmit counters moved: client=%d server=%d",
-			client.Retransmits, server.Retransmits)
+	cliRtx, _, _, _ := client.LifecycleCounters()
+	srvRtx, _, _, _ := server.LifecycleCounters()
+	if cliRtx != 0 || srvRtx != 0 {
+		t.Fatalf("retransmit counters moved: client=%d server=%d", cliRtx, srvRtx)
 	}
 }
 
@@ -86,9 +86,8 @@ func TestAckQuenchesRetransmitTimer(t *testing.T) {
 func TestSynRcvdExpiryRecoversBacklog(t *testing.T) {
 	d := core.NewSequentHash(19, nil)
 	server := NewStack(serverAddr, d, 1)
-	server.Backlog = 4
-	server.SynRcvdTimeout = 5
-	server.RTO = 1000 // keep SYN|ACK retransmissions out of the picture
+	server.SetBacklog(4)
+	server.SetTimers(1000, 0, 0) // keep SYN|ACK retransmissions out of the picture
 	if err := server.Listen(1521, echoUpper); err != nil {
 		t.Fatal(err)
 	}
@@ -103,8 +102,8 @@ func TestSynRcvdExpiryRecoversBacklog(t *testing.T) {
 	if got := d.Len(); got != 1+4 {
 		t.Fatalf("table = %d PCBs, want listener + backlog 4", got)
 	}
-	if server.SynDrops != flood-4 {
-		t.Fatalf("SynDrops = %d, want %d", server.SynDrops, flood-4)
+	if got := server.Stats().SynDrops; got != flood-4 {
+		t.Fatalf("SynDrops = %d, want %d", got, flood-4)
 	}
 
 	// A legitimate client is shut out while the flood squats the backlog.
@@ -121,9 +120,9 @@ func TestSynRcvdExpiryRecoversBacklog(t *testing.T) {
 	}
 
 	// The SYN_RCVD give-up timer reaps the abandoned half-opens.
-	server.Tick(6)
-	if server.SynExpired != 4 {
-		t.Fatalf("SynExpired = %d, want 4", server.SynExpired)
+	server.Tick(SynRcvdTimeout + 1)
+	if _, _, synExpired, _ := server.LifecycleCounters(); synExpired != 4 {
+		t.Fatalf("synExpired = %d, want 4", synExpired)
 	}
 	if got := d.Len(); got != 1 {
 		t.Fatalf("table = %d PCBs after expiry, want just the listener", got)
@@ -145,7 +144,7 @@ func TestSynRcvdExpiryRecoversBacklog(t *testing.T) {
 // PCB, with ReapTimeWait never called.
 func TestTimeWaitAutoExpiry(t *testing.T) {
 	server, client, _, clientConn := connect(t)
-	client.MSL = 1
+	client.SetTimers(0, 0, 1)
 	if err := clientConn.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -167,8 +166,8 @@ func TestTimeWaitAutoExpiry(t *testing.T) {
 	if clientConn.State() != core.StateClosed {
 		t.Fatalf("state after 2MSL = %v, want Closed", clientConn.State())
 	}
-	if client.TimeWaitExpired != 1 {
-		t.Fatalf("TimeWaitExpired = %d", client.TimeWaitExpired)
+	if _, _, _, twExpired := client.LifecycleCounters(); twExpired != 1 {
+		t.Fatalf("timeWaitExpired = %d", twExpired)
 	}
 	if client.TimeWaitCount() != 0 {
 		t.Fatalf("TimeWaitCount = %d after expiry", client.TimeWaitCount())
@@ -210,7 +209,7 @@ func TestCloseSynSentTearsDown(t *testing.T) {
 func TestCloseSynRcvdReleasesBacklog(t *testing.T) {
 	d := core.NewMapDemux()
 	server := NewStack(serverAddr, d, 1)
-	server.Backlog = 1
+	server.SetBacklog(1)
 	if err := server.Listen(80, nil); err != nil {
 		t.Fatal(err)
 	}

@@ -178,6 +178,20 @@ func (r *Reassembler) Reap(now, ttl float64) int {
 	return n
 }
 
+// ExpiryDue is the reassembly timer's cadence for a receive path whose
+// only clock is its count of delivered frames (the ordinal Add stamps
+// fragments with): it reports true on each 512th frame, when the caller
+// runs Reap(float64(frames), ExpiryTTL) to abandon any datagram still
+// incomplete ExpiryTTL frames after its first fragment. The count must
+// advance on every frame, fragment or not — a clock that ticks only on
+// fragments lets orphans pin the table through any amount of ordinary
+// traffic. Being a pure function of the count, it can be tested before
+// taking whatever lock guards the reassembler.
+func ExpiryDue(frames uint64) bool { return frames%512 == 0 }
+
+// ExpiryTTL is the frame-count timer's time to live, in frames.
+const ExpiryTTL = 4096
+
 // Fragment splits a whole frame into valid fragments no longer than mtu
 // bytes each. The original header (with its options) is carried on every
 // fragment, as RFC 791 requires for the options this repo models (all

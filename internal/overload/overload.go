@@ -11,8 +11,8 @@
 // The defense has two parts:
 //
 //   - A chain-length watchdog (Skewed) that samples per-chain depth and
-//     flags a table whose fullest chain exceeds SkewFactor times the mean
-//     — cheap enough to run every CheckEvery lookups.
+//     flags a table whose fullest chain exceeds skewFactor times the mean
+//     — cheap enough to run every checkEvery lookups.
 //   - An online incremental rekey/rehash: when the watchdog trips, a new
 //     table is allocated with a fresh secret SipHash key (and a chain
 //     count resized to the live population), and PCBs migrate to it a few
@@ -21,9 +21,9 @@
 //     pause, and the attacker must re-derive the (secret, unknowable) key
 //     placement to re-skew the table.
 //
-// Guarded in this file wraps the locked (single-goroutine) SequentHash;
-// rcuguard.go applies the same protocol to the lock-free rcu.Demuxer with
-// COW table-pair republication.
+// Guarded wraps the single-writer SequentHash — the table a shard owns.
+// It is the only guard: nothing in the engine, the shard layer or the
+// server accepts a concurrent table, so the protocol is written once.
 package overload
 
 import (
@@ -36,67 +36,39 @@ import (
 	"tcpdemux/internal/telemetry"
 )
 
-// Config tunes the watchdog and the migration.
-type Config struct {
-	// SkewFactor trips the watchdog when the fullest chain exceeds this
-	// multiple of the mean chain length. Default 8: a healthy keyed hash
-	// stays under ~3x mean even at modest populations, while a collision
-	// attack concentrates essentially everything on one chain.
-	SkewFactor float64
-	// MinPopulation suppresses the watchdog below this many chained PCBs;
-	// tiny tables are legitimately lumpy. Default 64.
-	MinPopulation int
-	// CheckEvery is the lookup-count sampling period of the watchdog.
-	// Default 256.
-	CheckEvery int
-	// Stride is the number of chains migrated per operation once a rekey
-	// is in flight. Default 4.
-	Stride int
-	// TargetLoad sizes the replacement table: the new chain count is the
-	// population divided by this load (never fewer chains than before).
-	// Default 8, between core.DefaultMaxLoad's threshold regime and the
-	// paper's "insignificant fraction" operating point.
-	TargetLoad float64
-	// GrowFactor trips the watchdog on plain overload — mean chain load
-	// beyond GrowFactor times TargetLoad — so a balanced-but-swamped
-	// table is rebuilt too (AutoSequent's growth rule, made incremental).
-	// Default 2.
-	GrowFactor float64
-	// MaxChains caps the replacement table's chain count. Default 65536.
-	MaxChains int
-}
-
-// withDefaults fills zero fields.
-func (c Config) withDefaults() Config {
-	if c.SkewFactor <= 0 {
-		c.SkewFactor = 8
-	}
-	if c.MinPopulation <= 0 {
-		c.MinPopulation = 64
-	}
-	if c.CheckEvery <= 0 {
-		c.CheckEvery = 256
-	}
-	if c.Stride <= 0 {
-		c.Stride = 4
-	}
-	if c.TargetLoad <= 0 {
-		c.TargetLoad = 8
-	}
-	if c.GrowFactor <= 0 {
-		c.GrowFactor = 2
-	}
-	if c.MaxChains <= 0 {
-		c.MaxChains = 1 << 16
-	}
-	return c
-}
+// The watchdog and migration parameters. No caller ever ran the defense
+// with other values, so they are constants.
+const (
+	// skewFactor trips the watchdog when the fullest chain exceeds this
+	// multiple of the mean chain length: a healthy keyed hash stays under
+	// ~3x mean even at modest populations, while a collision attack
+	// concentrates essentially everything on one chain.
+	skewFactor = 8.0
+	// minPopulation suppresses the watchdog below this many chained PCBs;
+	// tiny tables are legitimately lumpy.
+	minPopulation = 64
+	// checkEvery is the lookup-count sampling period of the watchdog.
+	checkEvery = 256
+	// stride is the number of chains migrated per operation once a rekey
+	// is in flight.
+	stride = 4
+	// targetLoad sizes the replacement table: the new chain count is the
+	// population divided by this load (never fewer chains than before) —
+	// between core.DefaultMaxLoad's threshold regime and the paper's
+	// "insignificant fraction" operating point.
+	targetLoad = 8.0
+	// growFactor trips the watchdog on plain overload — mean chain load
+	// beyond growFactor times targetLoad — so a balanced-but-swamped table
+	// is rebuilt too (AutoSequent's growth rule, made incremental).
+	growFactor = 2.0
+	// maxChains caps the replacement table's chain count.
+	maxChains = 1 << 16
+)
 
 // Skewed reports whether a chain-length sample trips the watchdog: the
-// population is at least MinPopulation and the fullest chain exceeds
-// SkewFactor times the mean chain length.
-func Skewed(lengths []int64, cfg Config) bool {
-	cfg = cfg.withDefaults()
+// population is at least minPopulation and the fullest chain exceeds
+// skewFactor times the mean chain length.
+func Skewed(lengths []int64) bool {
 	if len(lengths) == 0 {
 		return false
 	}
@@ -107,21 +79,20 @@ func Skewed(lengths []int64, cfg Config) bool {
 			max = n
 		}
 	}
-	if pop < int64(cfg.MinPopulation) {
+	if pop < minPopulation {
 		return false
 	}
 	mean := float64(pop) / float64(len(lengths))
-	return float64(max) > cfg.SkewFactor*mean
+	return float64(max) > skewFactor*mean
 }
 
 // Overloaded reports whether the sample trips the watchdog's growth rule:
-// at least MinPopulation PCBs and a mean chain load beyond
-// GrowFactor x TargetLoad. A collision flood that is *not* defeated by
+// at least minPopulation PCBs and a mean chain load beyond
+// growFactor x targetLoad. A collision flood that is *not* defeated by
 // hash quality (the attacker keeps pouring connections in) eventually
 // presents as overload rather than skew once the table is keyed; this
 // rule keeps resizing it incrementally.
-func Overloaded(lengths []int64, cfg Config) bool {
-	cfg = cfg.withDefaults()
+func Overloaded(lengths []int64) bool {
 	if len(lengths) == 0 {
 		return false
 	}
@@ -129,22 +100,22 @@ func Overloaded(lengths []int64, cfg Config) bool {
 	for _, n := range lengths {
 		pop += n
 	}
-	if pop < int64(cfg.MinPopulation) {
+	if pop < minPopulation {
 		return false
 	}
-	return float64(pop) > cfg.GrowFactor*cfg.TargetLoad*float64(len(lengths))
+	return float64(pop) > growFactor*targetLoad*float64(len(lengths))
 }
 
 // chainsFor sizes the replacement table for a live population: enough
-// chains to hold pop at TargetLoad, never shrinking below cur, capped at
-// MaxChains.
-func chainsFor(pop, cur int, cfg Config) int {
-	want := int(math.Ceil(float64(pop) / cfg.TargetLoad))
+// chains to hold pop at targetLoad, never shrinking below cur, capped at
+// maxChains.
+func chainsFor(pop, cur int) int {
+	want := int(math.Ceil(float64(pop) / targetLoad))
 	if want < cur {
 		want = cur
 	}
-	if want > cfg.MaxChains {
-		want = cfg.MaxChains
+	if want > maxChains {
+		want = maxChains
 	}
 	if want < 1 {
 		want = 1
@@ -160,11 +131,10 @@ func chainsFor(pop, cur int, cfg Config) int {
 //
 // During a migration the PCB set is split between cur (not yet migrated)
 // and next (migrated + newly inserted); every key lives in exactly one.
-// Lookups probe cur then next and advance the migration by Stride chains,
+// Lookups probe cur then next and advance the migration by stride chains,
 // so the rehash cost is amortized across the very lookups the attack
 // generates.
 type Guarded struct {
-	cfg  Config
 	src  *rng.Source
 	cur  *core.SequentHash
 	next *core.SequentHash // nil unless a rekey is in flight
@@ -193,14 +163,13 @@ func (g *Guarded) SetTelemetry(m *telemetry.OverloadMetrics) { g.tel = m }
 // legacy deployment, or nil for a secret key drawn from seed. Every rekey
 // draws its replacement key from the seed's stream, so runs are
 // deterministic per seed while chain placement stays unpredictable to a
-// key-blind adversary. cfg zero fields take defaults.
-func NewGuarded(h int, fn hashfn.Func, seed uint64, cfg Config) *Guarded {
+// key-blind adversary.
+func NewGuarded(h int, fn hashfn.Func, seed uint64) *Guarded {
 	src := rng.New(seed)
 	if fn == nil {
 		fn = hashfn.KeyedFromRNG(src)
 	}
 	return &Guarded{
-		cfg: cfg.withDefaults(),
 		src: src,
 		cur: core.NewSequentHash(h, fn),
 	}
@@ -287,7 +256,7 @@ func (g *Guarded) Lookup(k core.Key, dir core.Direction) core.Result {
 			r = r2
 		}
 		g.step()
-	} else if g.sinceCheck++; g.sinceCheck >= g.cfg.CheckEvery {
+	} else if g.sinceCheck++; g.sinceCheck >= checkEvery {
 		g.sinceCheck = 0
 		g.maybeRekey()
 	}
@@ -343,7 +312,7 @@ func (g *Guarded) ChainLengths() []int64 {
 }
 
 // MaybeRekey runs one watchdog check immediately (the sampled path does
-// this every CheckEvery lookups).
+// this every checkEvery lookups).
 func (g *Guarded) MaybeRekey() { g.maybeRekey() }
 
 // maybeRekey samples chain lengths and starts a migration on skew.
@@ -353,7 +322,7 @@ func (g *Guarded) maybeRekey() {
 	}
 	lengths := g.cur.ChainLengths()
 	g.tel.ObserveChains(lengths)
-	if !Skewed(lengths, g.cfg) && !Overloaded(lengths, g.cfg) {
+	if !Skewed(lengths) && !Overloaded(lengths) {
 		return
 	}
 	var pop int64
@@ -363,7 +332,7 @@ func (g *Guarded) maybeRekey() {
 	// Fresh secret key; resized table. The attacker's population was
 	// built against the old placement, and without the new key it cannot
 	// aim at the new one.
-	g.next = core.NewSequentHash(chainsFor(int(pop), g.cur.NumChains(), g.cfg), hashfn.KeyedFromRNG(g.src))
+	g.next = core.NewSequentHash(chainsFor(int(pop), g.cur.NumChains()), hashfn.KeyedFromRNG(g.src))
 	g.migrate = 0
 	g.Rekeys++
 	if g.tel != nil {
@@ -389,14 +358,14 @@ func (g *Guarded) maybeRekey() {
 // and writes already advance one stride each).
 func (g *Guarded) Advance(n int) { g.stepN(n) }
 
-// step advances an in-flight migration by Stride chains.
-func (g *Guarded) step() { g.stepN(g.cfg.Stride) }
+// step advances an in-flight migration by stride chains.
+func (g *Guarded) step() { g.stepN(stride) }
 
-func (g *Guarded) stepN(stride int) {
+func (g *Guarded) stepN(chains int) {
 	if g.next == nil {
 		return
 	}
-	for n := 0; n < stride && g.migrate < g.cur.NumChains(); n++ {
+	for n := 0; n < chains && g.migrate < g.cur.NumChains(); n++ {
 		var move []*core.PCB
 		g.cur.WalkChain(g.migrate, func(p *core.PCB) bool {
 			move = append(move, p)
@@ -425,8 +394,8 @@ var _ core.Demuxer = (*Guarded)(nil)
 
 // AttackTable is what an adversarial workload needs from a table under a
 // collision attack: the demultiplexer itself plus the rekey machinery's
-// progress hooks. Guarded and RCUGuarded satisfy it; Undefended adapts
-// the bare table they are measured against.
+// progress hooks. Guarded satisfies it; Undefended adapts the bare table
+// it is measured against.
 type AttackTable interface {
 	core.Table
 	Migrating() bool
@@ -447,5 +416,4 @@ func (Undefended) Advance(int) {}
 var (
 	_ AttackTable = Undefended{}
 	_ AttackTable = (*Guarded)(nil)
-	_ AttackTable = (*RCUGuarded)(nil)
 )

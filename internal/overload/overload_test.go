@@ -10,41 +10,39 @@ import (
 )
 
 func TestSkewed(t *testing.T) {
-	cfg := Config{SkewFactor: 8, MinPopulation: 64}
 	flat := make([]int64, 64)
 	for i := range flat {
 		flat[i] = 4
 	}
-	if Skewed(flat, cfg) {
+	if Skewed(flat) {
 		t.Error("flat table flagged as skewed")
 	}
 	spiked := make([]int64, 64)
 	spiked[17] = 256
-	if !Skewed(spiked, cfg) {
+	if !Skewed(spiked) {
 		t.Error("one-chain table not flagged")
 	}
 	tiny := make([]int64, 64)
-	tiny[0] = 32 // heavy skew but below MinPopulation
-	if Skewed(tiny, cfg) {
+	tiny[0] = 32 // heavy skew but below minPopulation
+	if Skewed(tiny) {
 		t.Error("tiny population flagged")
 	}
-	if Skewed(nil, cfg) {
+	if Skewed(nil) {
 		t.Error("empty sample flagged")
 	}
 }
 
 func TestChainsFor(t *testing.T) {
-	cfg := Config{}.withDefaults()
-	if got := chainsFor(4500, 64, cfg); got != 563 {
+	if got := chainsFor(4500, 64); got != 563 {
 		t.Errorf("chainsFor(4500, 64) = %d, want 563", got)
 	}
-	if got := chainsFor(10, 64, cfg); got != 64 {
+	if got := chainsFor(10, 64); got != 64 {
 		t.Errorf("table shrank: chainsFor(10, 64) = %d", got)
 	}
-	if got := chainsFor(1<<30, 64, cfg); got != cfg.MaxChains {
+	if got := chainsFor(1<<30, 64); got != maxChains {
 		t.Errorf("cap ignored: %d", got)
 	}
-	if got := chainsFor(0, 0, cfg); got < 1 {
+	if got := chainsFor(0, 0); got < 1 {
 		t.Errorf("degenerate sizing: %d", got)
 	}
 }
@@ -60,12 +58,9 @@ func TestConstructorChainGuards(t *testing.T) {
 		if got := rcu.New(h, nil).NumChains(); got != core.DefaultChains {
 			t.Errorf("rcu.New(%d) chains = %d", h, got)
 		}
-		if got := NewGuarded(h, nil, 1, Config{}).NumChains(); got != core.DefaultChains {
+		g := NewGuarded(h, nil, 1)
+		if got := g.NumChains(); got != core.DefaultChains {
 			t.Errorf("NewGuarded(%d) chains = %d", h, got)
-		}
-		g := NewRCUGuarded(h, nil, 1, Config{})
-		if got := g.state.Load().cur.NumChains(); got != core.DefaultChains {
-			t.Errorf("NewRCUGuarded(%d) chains = %d", h, got)
 		}
 		// The clamped tables must actually work.
 		p := core.NewPCB(core.KeyFromTuple(hashfn.SequentialClients(1)[0]))
@@ -120,7 +115,7 @@ func TestAttackSkewsUndefendedSequent(t *testing.T) {
 	if frac := float64(max) / float64(total); frac < 0.90 {
 		t.Fatalf("attack concentrated only %.1f%% of %d PCBs on one chain", frac*100, total)
 	}
-	if !Skewed(lengths, Config{}) {
+	if !Skewed(lengths) {
 		t.Fatal("watchdog predicate does not flag the attacked table")
 	}
 	// A mid-chain victim costs thousands of examinations.
@@ -130,25 +125,12 @@ func TestAttackSkewsUndefendedSequent(t *testing.T) {
 	}
 }
 
-// defended abstracts Guarded and RCUGuarded for the shared
-// attack/recovery conformance driver.
-type defended interface {
-	Insert(*core.PCB) error
-	Remove(k core.Key) bool
-	Lookup(core.Key, core.Direction) core.Result
-	Len() int
-	Walk(func(*core.PCB) bool)
-	Migrating() bool
-	Advance(int)
-	MaybeRekey()
-}
-
 // runAttackRecovery is the acceptance-criterion driver: benign phase to
 // establish the baseline, collision attack against the initial (unkeyed)
 // hash, watchdog detection, online migration with every lookup checked
 // against the map-demux oracle while it runs, and a recovery phase whose
 // mean examinations must come within 2x of the benign baseline.
-func runAttackRecovery(t *testing.T, d defended, stats func() core.Stats, rekeys func() int) {
+func runAttackRecovery(t *testing.T, d *Guarded) {
 	t.Helper()
 	oracle := core.NewMapDemux()
 	insert := func(p *core.PCB) {
@@ -193,14 +175,14 @@ func runAttackRecovery(t *testing.T, d defended, stats func() core.Stats, rekeys
 		benignKeys[i] = core.KeyFromTuple(tu)
 		insert(core.NewPCB(benignKeys[i]))
 	}
-	s0 := stats()
+	s0 := *d.Stats()
 	for round := 0; round < 5; round++ {
 		verify(benignKeys)
 	}
-	s1 := stats()
+	s1 := *d.Stats()
 	baseline := mean(s0, s1)
-	if rekeys() != 0 {
-		t.Fatalf("benign population triggered %d rekeys", rekeys())
+	if d.Rekeys != 0 {
+		t.Fatalf("benign population triggered %d rekeys", d.Rekeys)
 	}
 
 	// Attack: the adversary knows the deployed unkeyed hash and floods
@@ -227,7 +209,7 @@ func runAttackRecovery(t *testing.T, d defended, stats func() core.Stats, rekeys
 			verify(attackKeys[max(0, i-50) : i+1])
 		}
 	}
-	if rekeys() == 0 {
+	if d.Rekeys == 0 {
 		t.Fatal("watchdog never detected the collision attack")
 	}
 
@@ -248,11 +230,11 @@ func runAttackRecovery(t *testing.T, d defended, stats func() core.Stats, rekeys
 	}
 
 	// Recovery: the full population under the fresh key.
-	s2 := stats()
+	s2 := *d.Stats()
 	for round := 0; round < 3; round++ {
 		verify(allKeys)
 	}
-	s3 := stats()
+	s3 := *d.Stats()
 	recovered := mean(s2, s3)
 	if recovered > 2*baseline {
 		t.Fatalf("recovery mean %.2f exceeds 2x benign baseline %.2f", recovered, baseline)
@@ -274,14 +256,12 @@ func runAttackRecovery(t *testing.T, d defended, stats func() core.Stats, rekeys
 		}
 	}
 	verify(allKeys[:200])
-	t.Logf("baseline mean examined %.2f, recovered %.2f (%.2fx), rekeys %d", baseline, recovered, recovered/baseline, rekeys())
+	t.Logf("baseline mean examined %.2f, recovered %.2f (%.2fx), rekeys %d", baseline, recovered, recovered/baseline, d.Rekeys)
 }
 
 func TestGuardedAttackRecovery(t *testing.T) {
-	g := NewGuarded(attackChains, hashfn.Multiplicative{}, 1, Config{CheckEvery: 64})
-	runAttackRecovery(t, g,
-		func() core.Stats { return *g.Stats() },
-		func() int { return g.Rekeys })
+	g := NewGuarded(attackChains, hashfn.Multiplicative{}, 1)
+	runAttackRecovery(t, g)
 	if g.MigratedPCBs == 0 {
 		t.Error("no PCBs migrated incrementally")
 	}
@@ -291,7 +271,7 @@ func TestGuardedAttackRecovery(t *testing.T) {
 // check: a key still sitting in the draining table must be rejected when
 // re-inserted mid-migration.
 func TestGuardedDuplicateAcrossMigration(t *testing.T) {
-	g := NewGuarded(attackChains, hashfn.Multiplicative{}, 1, Config{})
+	g := NewGuarded(attackChains, hashfn.Multiplicative{}, 1)
 	keys := make([]core.Key, 0, 600)
 	for _, tu := range mustAttack(t, 600) {
 		k := core.KeyFromTuple(tu)

@@ -277,18 +277,8 @@ func (d *Demuxer) Lookup(k core.Key, _ core.Direction) core.Result {
 	return r
 }
 
-// LookupRaw is Lookup without the statistics fold: same lock-free probe,
-// same Result, nothing recorded in this table's stripes. Wrappers that
-// layer their own accounting on top (overload.RCUGuarded probes two
-// tables per packet during a migration) use it to count each *logical*
-// lookup exactly once.
-//
-//demux:hotpath
-func (d *Demuxer) LookupRaw(k core.Key, _ core.Direction) core.Result {
-	return d.lookup(k)
-}
-
-// lookup is the shared lock-free probe behind Lookup and LookupRaw.
+// lookup is the lock-free probe behind Lookup; it has three exits and
+// Lookup records the result of whichever was taken.
 //
 //demux:hotpath
 func (d *Demuxer) lookup(k core.Key) core.Result {
@@ -378,27 +368,6 @@ func (d *Demuxer) WalkChain(i int, fn func(*core.PCB) bool) {
 			return
 		}
 	}
-}
-
-// WalkListeners iterates the wildcard listener table's current snapshot,
-// mirroring core.SequentHash.WalkListeners.
-func (d *Demuxer) WalkListeners(fn func(*core.PCB) bool) {
-	for _, e := range load(&d.listen) {
-		if !fn(e.pcb) {
-			return
-		}
-	}
-}
-
-// ChainLengths returns the current population of every chain (listeners
-// excluded), each read from that chain's published snapshot — the skew
-// signal the overload watchdog samples.
-func (d *Demuxer) ChainLengths() []int64 {
-	out := make([]int64, len(d.chains))
-	for i := range d.chains {
-		out[i] = int64(len(load(&d.chains[i].pcbs)))
-	}
-	return out
 }
 
 var _ core.Concurrent = (*Demuxer)(nil)

@@ -20,6 +20,9 @@
 // by the shard layer's graceful-degradation ledger; this layer adds the
 // connection-level ledger on top: every accepted connection ends as
 // exactly one of served, shed, or shutdown-drained.
+//
+// The frontend has no tunables: buffer and queue sizes and the tick
+// cadence are the Default* constants below.
 package server
 
 import (
@@ -31,7 +34,6 @@ import (
 	"net"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"tcpdemux/internal/core"
@@ -43,11 +45,22 @@ import (
 	"tcpdemux/internal/wire"
 )
 
-// Defaults for Config's zero fields.
+// The frontend's fixed sizes. No binary, test or benchmark ever ran with
+// other values, so they are constants, not Config fields.
 const (
-	DefaultReadBuf      = 4096
+	// DefaultReadBuf is the per-connection socket read buffer in bytes,
+	// the granularity of synthesized data segments.
+	DefaultReadBuf = 4096
+	// DefaultEventBacklog bounds the engine loop's event channel — the
+	// backpressure point between the readers and the engine.
 	DefaultEventBacklog = 1024
+	// DefaultWriteBacklog bounds each session's queued-response frames; a
+	// client that stops reading long enough to fill it is shed.
 	DefaultWriteBacklog = 64
+	// DefaultTickInterval is the wall-clock cadence at which the engine's
+	// virtual clock advances. The server package sits outside the
+	// simulator's virtual-time boundary: here, virtual seconds are wall
+	// seconds since the server started.
 	DefaultTickInterval = 5 * time.Millisecond
 )
 
@@ -67,26 +80,13 @@ type Config struct {
 	// Registry re-homes all telemetry (engine, shard, and server_*
 	// families) when set; otherwise a private registry is created.
 	Registry *telemetry.Registry
-	// ReadBuf is the per-connection socket read buffer in bytes, the
-	// granularity of synthesized data segments (default DefaultReadBuf).
-	ReadBuf int
-	// EventBacklog bounds the engine loop's event channel — the
-	// backpressure point between the readers and the engine (default
-	// DefaultEventBacklog).
-	EventBacklog int
-	// WriteBacklog bounds each session's queued-response frames; a
-	// client that stops reading long enough to fill it is shed
-	// (default DefaultWriteBacklog).
-	WriteBacklog int
-	// TickInterval is the wall-clock cadence at which the engine's
-	// virtual clock advances (default DefaultTickInterval). The server
-	// package sits outside the simulator's virtual-time boundary: here,
-	// virtual seconds are wall seconds since the server started.
-	TickInterval time.Duration
 }
 
-// Stats is the frontend's conservation ledger. After Shutdown returns,
-// Active is zero and Accepted == Served + Shed + Drained.
+// Stats is the frontend's conservation ledger, read from the server_*
+// counters on the registry (the only place the counts are kept). Shed sums
+// server_shed_total over its reasons; Active is Accepted less the three
+// outcomes, so after Shutdown returns it is zero and Accepted == Served +
+// Shed + Drained.
 type Stats struct {
 	Accepted uint64
 	Active   uint64
@@ -114,7 +114,6 @@ const (
 
 // Server is a running frontend.
 type Server struct {
-	cfg Config
 	ln  net.Listener
 	set *shard.StackSet
 	reg *telemetry.Registry
@@ -145,13 +144,6 @@ type Server struct {
 	sessions map[core.Key]*session //demux:singlewriter(owner=engineloop)
 	ledger   *Ledger               //demux:singlewriter(owner=engineloop)
 	egressQ  [][]byte              //demux:singlewriter(owner=engineloop)
-
-	accepted atomic.Uint64 //demux:atomic
-	active   atomic.Uint64 //demux:atomic
-	served   atomic.Uint64 //demux:atomic
-	shedded  atomic.Uint64 //demux:atomic
-	drained  atomic.Uint64 //demux:atomic
-	txns     atomic.Uint64 //demux:atomic
 }
 
 // New builds and starts a frontend: the kernel listener is bound, the
@@ -167,18 +159,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Shards <= 0 {
 		cfg.Shards = 4
 	}
-	if cfg.ReadBuf <= 0 {
-		cfg.ReadBuf = DefaultReadBuf
-	}
-	if cfg.EventBacklog <= 0 {
-		cfg.EventBacklog = DefaultEventBacklog
-	}
-	if cfg.WriteBacklog <= 0 {
-		cfg.WriteBacklog = DefaultWriteBacklog
-	}
-	if cfg.TickInterval <= 0 {
-		cfg.TickInterval = DefaultTickInterval
-	}
 	reg := cfg.Registry
 	if reg == nil {
 		reg = telemetry.NewRegistry()
@@ -193,11 +173,10 @@ func New(cfg Config) (*Server, error) {
 	}
 	set.SetTelemetry(reg)
 	s := &Server{
-		cfg:      cfg,
 		set:      set,
 		reg:      reg,
 		m:        telemetry.NewServerMetrics(reg),
-		events:   make(chan event, cfg.EventBacklog),
+		events:   make(chan event, DefaultEventBacklog),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 		loopExit: make(chan struct{}),
@@ -231,14 +210,20 @@ func (s *Server) StackSet() *shard.StackSet { return s.set }
 
 // Stats returns the connection conservation ledger.
 func (s *Server) Stats() Stats {
-	return Stats{
-		Accepted: s.accepted.Load(),
-		Active:   s.active.Load(),
-		Served:   s.served.Load(),
-		Shed:     s.shedded.Load(),
-		Drained:  s.drained.Load(),
-		Txns:     s.txns.Load(),
+	m := s.m
+	st := Stats{
+		Served: m.Served.Value(),
+		Shed: m.ShedWriteBacklog.Value() + m.ShedSocketError.Value() + m.ShedProtocol.Value() +
+			m.ShedHandshake.Value() + m.ShedEngineReset.Value(),
+		Drained: m.Drained.Value(),
+		Txns:    m.Txns.Value(),
 	}
+	// Accepted is read last: every outcome follows its accept, so a
+	// concurrent reader can overstate Active by sessions that opened
+	// mid-read but can never see more outcomes than accepts.
+	st.Accepted = m.Accepted.Value()
+	st.Active = st.Accepted - st.Served - st.Shed - st.Drained
+	return st
 }
 
 // Shutdown gracefully stops the server: the listener closes, in-flight
@@ -264,7 +249,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 func (s *Server) Close() error { return s.Shutdown(context.Background()) }
 
 // now is the engine's virtual clock: wall seconds since start (this
-// package is outside the virtual-time boundary — see Config.TickInterval).
+// package is outside the virtual-time boundary — see DefaultTickInterval).
 func (s *Server) now() float64 { return time.Since(s.start).Seconds() }
 
 // acceptLoop owns the kernel listener, the accept ordinal, and the ISS
@@ -279,7 +264,7 @@ func (s *Server) acceptLoop() {
 		if err != nil {
 			return // listener closed (Shutdown) or fatal
 		}
-		sess := newSession(s.nextID, c, s.set.Addr(), uint32(s.iss.Uint64()), s.cfg.WriteBacklog)
+		sess := newSession(s.nextID, c, s.set.Addr(), uint32(s.iss.Uint64()))
 		s.nextID++
 		select {
 		case s.events <- event{kind: evOpen, sess: sess}:
@@ -305,12 +290,12 @@ func (s *Server) post(ev event) bool {
 
 // readLoop pulls bytes off one kernel connection into bounded reads and
 // posts them to the engine loop. The post blocks when the loop is
-// behind — that block, plus the fixed ReadBuf, is the frontend's entire
+// behind — that block, plus the fixed read buffer, is the frontend's entire
 // ingress buffering; everything beyond it backs up into the kernel
 // socket buffer and from there to the client's TCP stack.
 func (s *Server) readLoop(sess *session) {
 	defer s.readers.Done()
-	buf := make([]byte, s.cfg.ReadBuf)
+	buf := make([]byte, DefaultReadBuf)
 	for {
 		n, err := sess.conn.Read(buf)
 		if n > 0 {
@@ -362,7 +347,7 @@ func (s *Server) tapFrame(frame []byte) {
 //demux:owner(engineloop)
 func (s *Server) loop() {
 	defer close(s.loopExit)
-	tick := time.NewTicker(s.cfg.TickInterval)
+	tick := time.NewTicker(DefaultTickInterval)
 	defer tick.Stop()
 	for {
 		select {
@@ -387,10 +372,9 @@ func (s *Server) handleEvent(ev event) {
 	sess := ev.sess
 	switch ev.kind {
 	case evOpen:
-		s.accepted.Add(1)
 		s.m.Accepted.Inc()
-		s.m.Active.Set(float64(s.active.Add(1)))
 		s.sessions[sess.key] = sess
+		s.m.Active.Set(float64(len(s.sessions)))
 		s.writers.Add(1)
 		go s.writeLoop(sess)
 		// The three-way handshake completes synchronously: SYN in, the
@@ -408,7 +392,7 @@ func (s *Server) handleEvent(ev event) {
 		s.m.BytesIn.Add(uint64(len(ev.data)))
 		s.inject(sess, wire.FlagACK|wire.FlagPSH, ev.data)
 	case evClose:
-		s.clientClose(sess, outcomeServed)
+		s.clientClose(sess, s.m.Served)
 	case evError:
 		if sess.state == sessClosed {
 			return
@@ -434,11 +418,11 @@ func (s *Server) inject(sess *session, flags uint8, payload []byte) {
 
 // clientClose starts the orderly close of a session's synthetic
 // connection (client-side FIN; the engine answers FIN|ACK and routeFrame
-// finishes the session with `as`). Shutdown reuses it with
-// outcomeDrained.
+// finishes the session on the ledger counter `as`: Served, or Drained
+// when Shutdown reuses it).
 //
 //demux:owner(engineloop)
-func (s *Server) clientClose(sess *session, as outcome) {
+func (s *Server) clientClose(sess *session, as *telemetry.Counter) {
 	switch sess.state {
 	case sessEstablished:
 		sess.closing = as
@@ -446,8 +430,8 @@ func (s *Server) clientClose(sess *session, as outcome) {
 		s.inject(sess, wire.FlagFIN|wire.FlagACK, nil)
 	case sessHandshake:
 		// Closed before the engine ever established it.
-		if as == outcomeDrained {
-			s.finish(sess, outcomeDrained, nil)
+		if as == s.m.Drained {
+			s.finish(sess, as)
 		} else {
 			s.abort(sess, s.m.ShedHandshake)
 		}
@@ -467,15 +451,16 @@ func (s *Server) abort(sess *session, reason *telemetry.Counter) {
 		s.m.FramesSynth.Inc()
 		s.set.Deliver(frame)
 	}
-	s.finish(sess, outcomeShed, reason)
+	s.finish(sess, reason)
 }
 
-// finish retires a session exactly once: ledger counters, session
-// registry, the StackSet claim, and the writer queue (whose close
-// cascades to the socket close and the reader's exit).
+// finish retires a session exactly once: session registry, the StackSet
+// claim, the writer queue (whose close cascades to the socket close and
+// the reader's exit), and the ledger — `as` is the one outcome counter
+// this session adds to: Served, Drained, or a shed reason.
 //
 //demux:owner(engineloop)
-func (s *Server) finish(sess *session, how outcome, reason *telemetry.Counter) {
+func (s *Server) finish(sess *session, as *telemetry.Counter) {
 	if sess.state == sessClosed {
 		return
 	}
@@ -484,20 +469,8 @@ func (s *Server) finish(sess *session, how outcome, reason *telemetry.Counter) {
 	delete(s.sessions, sess.key)
 	s.set.Release(sess.key)
 	close(sess.writeQ)
-	s.m.Active.Set(float64(s.active.Add(^uint64(0))))
-	switch how {
-	case outcomeServed:
-		s.served.Add(1)
-		s.m.Served.Inc()
-	case outcomeShed:
-		s.shedded.Add(1)
-		if reason != nil {
-			reason.Inc()
-		}
-	case outcomeDrained:
-		s.drained.Add(1)
-		s.m.Drained.Inc()
-	}
+	s.m.Active.Set(float64(len(s.sessions)))
+	as.Inc()
 }
 
 // pumpEgress routes every frame the engine produced until the exchange
@@ -546,7 +519,7 @@ func (s *Server) routeFrame(frame []byte) {
 	if flags&wire.FlagRST != 0 {
 		// The engine reset the connection (listener refusal, state-machine
 		// abort): shed the kernel side.
-		s.finish(sess, outcomeShed, s.m.ShedEngineReset)
+		s.finish(sess, s.m.ShedEngineReset)
 		return
 	}
 	if flags&wire.FlagSYN != 0 {
@@ -585,16 +558,12 @@ func (s *Server) routeFrame(frame []byte) {
 			// The engine's FIN|ACK completes the close we initiated; the
 			// final ACK lets the engine tear the PCB down (LAST_ACK).
 			s.inject(sess, wire.FlagACK, nil)
-			how := sess.closing
-			if how == outcomeNone {
-				how = outcomeServed
-			}
-			s.finish(sess, how, nil)
+			s.finish(sess, sess.closing)
 			return
 		}
 		// Engine-initiated close: acknowledge, answer with our own FIN,
 		// and let the completion path above finish the session.
-		sess.closing = outcomeServed
+		sess.closing = s.m.Served
 		sess.state = sessFinSent
 		s.inject(sess, wire.FlagFIN|wire.FlagACK, nil)
 	}
@@ -654,7 +623,6 @@ func (s *Server) handleApp(c *engine.Conn, payload []byte) []byte {
 		a, t, b := s.ledger.Apply(req)
 		out = append(out, FormatResponse(req.Account, a, t, b)...)
 		s.m.Txns.Inc()
-		s.txns.Add(1)
 	}
 	return out
 }
@@ -687,12 +655,12 @@ func (s *Server) drainAndExit() {
 	}
 	sort.Slice(open, func(i, j int) bool { return open[i].id < open[j].id })
 	for _, sess := range open {
-		s.clientClose(sess, outcomeDrained)
+		s.clientClose(sess, s.m.Drained)
 		s.pumpEgress() // the FIN handshake completes synchronously
 		if sess.state != sessClosed {
 			// The engine never answered (refused handshake, mid-close
 			// state): force the session shut, still accounted as drained.
-			s.finish(sess, outcomeDrained, nil)
+			s.finish(sess, s.m.Drained)
 		}
 	}
 	// Late reader posts (sockets closing under them) drain into the void
@@ -722,10 +690,10 @@ func (s *Server) drainAndExit() {
 	}
 	s.writers.Wait()
 	s.set.Tick(s.now())
-	if got, want := s.active.Load(), uint64(0); got != want {
+	if n := len(s.sessions); n != 0 {
 		// Belt-and-braces: the ledger must balance; a nonzero residue is a
 		// bug worth making loud even outside tests.
-		panic(fmt.Sprintf("server: %d sessions still active after drain", got))
+		panic(fmt.Sprintf("server: %d sessions still active after drain", n))
 	}
 }
 

@@ -32,15 +32,37 @@ func newTestServer(t *testing.T, shards int) *Server {
 	return srv
 }
 
-func assertConservation(t *testing.T, st Stats) {
+// assertConservation checks the connection ledger of a stopped server
+// where it is kept — the server_* counters on the registry must balance,
+// accepted == served + Σ shed{reason} + drained — and that Stats is that
+// same ledger field for field, with nothing left active. It returns the
+// Stats view for the caller's own assertions.
+func assertConservation(t *testing.T, srv *Server) Stats {
 	t.Helper()
-	if st.Active != 0 {
-		t.Errorf("active connections after shutdown: %d", st.Active)
+	var reg Stats
+	for _, c := range srv.Registry().Snapshot().Counters {
+		switch c.Name {
+		case "server_accepted_total":
+			reg.Accepted = c.Value
+		case "server_served_total":
+			reg.Served = c.Value
+		case "server_shed_total":
+			reg.Shed += c.Value
+		case "server_drained_total":
+			reg.Drained = c.Value
+		case "server_txns_total":
+			reg.Txns = c.Value
+		}
 	}
-	if st.Accepted != st.Served+st.Shed+st.Drained {
+	if reg.Accepted != reg.Served+reg.Shed+reg.Drained {
 		t.Errorf("conservation ledger unbalanced: accepted=%d served=%d shed=%d drained=%d",
-			st.Accepted, st.Served, st.Shed, st.Drained)
+			reg.Accepted, reg.Served, reg.Shed, reg.Drained)
 	}
+	st := srv.Stats()
+	if st != reg {
+		t.Errorf("Stats() = %+v, registry = %+v (Active must be 0 after shutdown)", st, reg)
+	}
+	return st
 }
 
 // TestLiveLoopback is the headline integration test: ≥1000 concurrent
@@ -80,8 +102,7 @@ func TestLiveLoopback(t *testing.T) {
 	if err := srv.Shutdown(ctx); err != nil {
 		t.Fatalf("Shutdown: %v", err)
 	}
-	st := srv.Stats()
-	assertConservation(t, st)
+	st := assertConservation(t, srv)
 	if st.Accepted != uint64(rep.Opens) {
 		t.Errorf("accepted: got %d want %d (every dial was accepted)", st.Accepted, rep.Opens)
 	}
@@ -129,8 +150,7 @@ func TestLiveGracefulShutdown(t *testing.T) {
 	if err := srv.Shutdown(ctx); err != nil {
 		t.Fatalf("Shutdown: %v", err)
 	}
-	st := srv.Stats()
-	assertConservation(t, st)
+	st := assertConservation(t, srv)
 	if st.Accepted == 0 {
 		t.Error("shutdown test accepted no connections")
 	}
@@ -221,8 +241,7 @@ func TestLiveIdleShutdown(t *testing.T) {
 	if err := srv.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	st := srv.Stats()
-	assertConservation(t, st)
+	st := assertConservation(t, srv)
 	if st.Accepted != 0 {
 		t.Errorf("idle server accepted %d", st.Accepted)
 	}

@@ -14,6 +14,7 @@ import (
 	"net"
 
 	"tcpdemux/internal/core"
+	"tcpdemux/internal/telemetry"
 	"tcpdemux/internal/wire"
 )
 
@@ -33,22 +34,6 @@ const (
 	sessClosed
 )
 
-// outcome is how a session's life ended — exactly one per accepted
-// connection, summing to the conservation ledger.
-type outcome uint8
-
-const (
-	outcomeNone outcome = iota
-	// outcomeServed: closed cleanly by the client (or the engine) with a
-	// complete FIN handshake.
-	outcomeServed
-	// outcomeShed: aborted — write backlog overflow, socket error,
-	// protocol violation, refused handshake, or an engine reset.
-	outcomeShed
-	// outcomeDrained: force-closed by graceful shutdown.
-	outcomeDrained
-)
-
 // session is one live bridge between a kernel connection and its
 // synthetic engine connection. The seq/state fields belong to the engine
 // loop; the reader and writer goroutines touch only conn and writeQ.
@@ -66,18 +51,20 @@ type session struct {
 	writeQ chan []byte
 
 	// Mini-client TCP state and the server-side application line buffer,
-	// all advanced only by the engine loop.
-	state   sessionState //demux:singlewriter(owner=engineloop)
-	sndNxt  uint32       //demux:singlewriter(owner=engineloop)
-	rcvNxt  uint32       //demux:singlewriter(owner=engineloop)
-	closing outcome      //demux:singlewriter(owner=engineloop)
-	appBuf  []byte       //demux:singlewriter(owner=engineloop)
+	// all advanced only by the engine loop. closing is the ledger counter
+	// (Served or Drained) the close in flight will finish on, set on
+	// every entry to sessFinSent.
+	state   sessionState       //demux:singlewriter(owner=engineloop)
+	sndNxt  uint32             //demux:singlewriter(owner=engineloop)
+	rcvNxt  uint32             //demux:singlewriter(owner=engineloop)
+	closing *telemetry.Counter //demux:singlewriter(owner=engineloop)
+	appBuf  []byte             //demux:singlewriter(owner=engineloop)
 }
 
 // newSession builds the bridge state for one accepted connection: a
 // collision-free synthetic client endpoint derived from the accept
 // ordinal, and a seeded initial sequence number.
-func newSession(id uint64, conn net.Conn, server wire.Addr, iss uint32, writeBacklog int) *session {
+func newSession(id uint64, conn net.Conn, server wire.Addr, iss uint32) *session {
 	// 60000 ephemeral ports per synthetic host, hosts in 10.128/9 so no
 	// synthetic client ever collides with the server's 10.0.0.1.
 	host := id / 60000
@@ -92,7 +79,7 @@ func newSession(id uint64, conn net.Conn, server wire.Addr, iss uint32, writeBac
 		conn:   conn,
 		tup:    tup,
 		key:    core.KeyFromTuple(tup),
-		writeQ: make(chan []byte, writeBacklog),
+		writeQ: make(chan []byte, DefaultWriteBacklog),
 		sndNxt: iss,
 	}
 }

@@ -360,7 +360,7 @@ func (set *StackSet) FailOver(sick int) int {
 
 	for _, f := range salvage {
 		set.m.Salvaged.Inc()
-		set.redeliver(f)
+		set.dispatch(set.home(f))
 	}
 
 	set.LastDrainAt = set.now

@@ -57,10 +57,9 @@ type Config struct {
 	NewDemuxer func(shard int) core.Demuxer
 	// Seed drives the steering key and each shard's ISS generator.
 	Seed uint64
-	// InboxCap and HandoffCap size the SPSC rings (defaults if zero);
-	// tests shrink them to exercise the full edges.
-	InboxCap   int
-	HandoffCap int
+	// InboxCap sizes each shard's inbox ring (DefaultInboxCap if zero);
+	// tests shrink it to exercise the full edge.
+	InboxCap int
 }
 
 // StackSet is the sharded multi-queue endpoint: one address, N
@@ -110,10 +109,9 @@ type StackSet struct {
 	// reasm reassembles fragmented datagrams before steering, the
 	// software re-steer real kernels apply after reassembly: a fragment
 	// has no ports to hash, so the set reassembles first and steers the
-	// whole datagram by its full tuple.
+	// whole datagram by its full tuple. Its expiry clock is FramesIn.
 	reasmMu sync.Mutex
 	reasm   *frag.Reassembler
-	frames  uint64
 
 	// fault is the injection surface and health the watchdog's per-shard
 	// ledger (health.go); now is the set's virtual clock, advanced by
@@ -190,10 +188,6 @@ func NewStackSet(addr wire.Addr, cfg Config) (*StackSet, error) {
 	if inboxCap <= 0 {
 		inboxCap = DefaultInboxCap
 	}
-	handoffCap := cfg.HandoffCap
-	if handoffCap <= 0 {
-		handoffCap = DefaultHandoffCap
-	}
 	set := &StackSet{
 		addr:    addr,
 		src:     rng.New(cfg.Seed ^ 0x9e3779b97f4a7c15),
@@ -219,7 +213,7 @@ func NewStackSet(addr wire.Addr, cfg Config) (*StackSet, error) {
 		set.handoff[i] = make([]*Ring[Handoff], cfg.Shards)
 		for j := range set.handoff[i] {
 			if j != i {
-				set.handoff[i][j] = NewRing[Handoff](handoffCap)
+				set.handoff[i][j] = NewRing[Handoff](DefaultHandoffCap)
 			}
 		}
 	}
@@ -324,9 +318,18 @@ func (set *StackSet) SetBacklog(n int) {
 	}
 }
 
-// LifecycleCounters implements engine.LossyServer by summing the shards.
+// LifecycleCounters implements engine.LossyServer by summing the shards,
+// reading each distinct counter once: after SetTelemetry every shard's
+// bundle resolves to the same registry counters, which already hold the
+// set-wide totals.
 func (set *StackSet) LifecycleCounters() (retransmits, aborts, synExpired, timeWaitExpired uint64) {
+	seen := make(map[*telemetry.Counter]bool, len(set.shards))
 	for _, s := range set.shards {
+		c := s.Telemetry().Retransmits
+		if seen[c] {
+			continue
+		}
+		seen[c] = true
 		r, a, se, tw := s.LifecycleCounters()
 		retransmits += r
 		aborts += a
@@ -350,11 +353,7 @@ func (set *StackSet) steerFrame(frame []byte) (int, core.Key, bool, []byte) {
 	}
 	if errors.Is(err, wire.ErrFragmented) {
 		set.reasmMu.Lock()
-		set.frames++
-		if set.frames%512 == 0 {
-			set.reasm.Reap(float64(set.frames), 4096)
-		}
-		whole, ferr := set.reasm.Add(frame, float64(set.frames))
+		whole, ferr := set.reasm.Add(frame, float64(set.FramesIn))
 		set.reasmMu.Unlock()
 		if ferr != nil || whole == nil {
 			// Malformed fragment or datagram still incomplete: shard 0
@@ -440,27 +439,29 @@ func (set *StackSet) consume(idx int, max int) (core.Result, error) {
 	return last, lastErr
 }
 
-// Deliver implements engine.LossyServer: steer, resolve the true home
-// (claims table, then the rescue fold when the steered shard is dead),
-// enqueue on the owning shard's inbox ring under backpressure, and
-// drain that ring into the shard's Stack as the active fault verdict
-// allows. The returned Result is the shard demuxer's lookup result for
-// this frame (zero for an absorbed fragment or a frame left queued on a
-// faulted shard), so callers can account examination costs exactly as
-// with a single Stack.
-//
-//demux:owner(deliver)
-func (set *StackSet) Deliver(frame []byte) (core.Result, error) {
-	set.FramesIn++
+// home resolves the shard a frame belongs to — the steering hash,
+// corrected by the claims table and the rescue fold (homeOf) — and the
+// whole frame to hand it (a reassembled datagram differs from its last
+// fragment). A negative shard means a fragment was absorbed and there is
+// nothing to dispatch yet.
+func (set *StackSet) home(frame []byte) (int, []byte) {
 	idx, key, keyed, whole := set.steerFrame(frame)
+	if idx >= 0 && keyed {
+		idx = set.homeOf(idx, key)
+	}
+	return idx, whole
+}
+
+// dispatch enqueues a homed frame on its shard's inbox ring under
+// backpressure and drains that ring into the shard's Stack as the active
+// fault verdict allows. It is the one body behind Deliver and the drain's
+// salvage path (FailOver re-homes and dispatches a dead shard's queued
+// frames, which Deliver already counted when they first arrived).
+func (set *StackSet) dispatch(idx int, whole []byte) (core.Result, error) {
 	if idx < 0 {
 		set.Absorbed++
 		return core.Result{}, nil // fragment absorbed, datagram incomplete
 	}
-	if keyed {
-		idx = set.homeOf(idx, key)
-	}
-	set.Steered[idx]++
 	if !set.alive(idx) {
 		// A dead shard with no rescue: late frames for connections that
 		// closed before the drain (their stale claim still names the
@@ -478,29 +479,28 @@ func (set *StackSet) Deliver(frame []byte) (core.Result, error) {
 	return set.consume(idx, v.MaxConsume)
 }
 
-// redeliver re-injects a frame salvaged from a drained shard's inbox:
-// identical to Deliver except the frame was already counted into
-// FramesIn (and Steered) when it first arrived.
-func (set *StackSet) redeliver(frame []byte) {
-	idx, key, keyed, whole := set.steerFrame(frame)
-	if idx < 0 {
-		set.Absorbed++
-		return
+// Deliver implements engine.LossyServer: count the frame, resolve its
+// true home (steering hash, claims table, then the rescue fold when the
+// steered shard is dead) and dispatch it there. The returned Result is
+// the shard demuxer's lookup result for this frame (zero for an absorbed
+// fragment or a frame left queued on a faulted shard), so callers can
+// account examination costs exactly as with a single Stack.
+//
+//demux:owner(deliver)
+func (set *StackSet) Deliver(frame []byte) (core.Result, error) {
+	set.FramesIn++
+	// The reassembly timer ticks here, on every frame, not in steerFrame's
+	// fragment branch: orphans must expire under ordinary traffic.
+	if frag.ExpiryDue(set.FramesIn) {
+		set.reasmMu.Lock()
+		set.reasm.Reap(float64(set.FramesIn), frag.ExpiryTTL)
+		set.reasmMu.Unlock()
 	}
-	if keyed {
-		idx = set.homeOf(idx, key)
+	idx, whole := set.home(frame)
+	if idx >= 0 {
+		set.Steered[idx]++
 	}
-	if !set.alive(idx) {
-		set.shedInboxFrame(idx)
-		return
-	}
-	v := set.verdict(idx)
-	if !set.pushInbox(idx, whole, v) {
-		return
-	}
-	if !v.Crash && !v.Stall {
-		set.consume(idx, v.MaxConsume)
-	}
+	return set.dispatch(idx, whole)
 }
 
 // Drain implements engine.LossyServer, concatenating every shard's

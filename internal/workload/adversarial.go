@@ -76,7 +76,7 @@ type AdversarialResult struct {
 }
 
 // RunAdversarial mounts the collision attack against an undefended table
-// and the overload-guarded variants, then the spoofed SYN flood against
+// and the overload-guarded one, then the spoofed SYN flood against
 // a bounded listener backlog. Part 1's figure of merit is the mean PCBs
 // examined per lookup before and under attack; part 2's is whether a
 // legitimate client completes its handshake and a transaction mid-flood.
@@ -99,10 +99,8 @@ func RunAdversarial(cfg AdversarialConfig) (*AdversarialResult, error) {
 	attack := population[:cfg.AttackN]
 
 	und := overload.Undefended{SequentHash: core.NewSequentHash(chains, victim)}
-	g := overload.NewGuarded(chains, victim, seed, overload.Config{})
-	rg := overload.NewRCUGuarded(chains, victim, seed, overload.Config{})
+	g := overload.NewGuarded(chains, victim, seed)
 	g.SetTelemetry(telemetry.NewOverloadMetrics(reg, "guarded-sequent"))
-	rg.SetTelemetry(telemetry.NewOverloadMetrics(reg, "rcu-guarded"))
 	tables := []struct {
 		name, title string
 		d           overload.AttackTable
@@ -110,7 +108,6 @@ func RunAdversarial(cfg AdversarialConfig) (*AdversarialResult, error) {
 	}{
 		{"sequent-undefended", "sequent (undefended)", und, func() int { return 0 }},
 		{"guarded-sequent", "guarded-sequent", g, func() int { return g.Rekeys }},
-		{"rcu-guarded", "rcu-guarded", rg, func() int { return rg.Rekeys }},
 	}
 
 	res := &AdversarialResult{}
@@ -182,7 +179,7 @@ func RunAdversarial(cfg AdversarialConfig) (*AdversarialResult, error) {
 	}
 	server := engine.NewStack(hashfn.ServerEndpoint.Addr, core.NewSequentHash(chains, nil), seed|1)
 	server.SetTelemetry(reg)
-	server.Backlog = AdversarialBacklog
+	server.SetBacklog(AdversarialBacklog)
 	server.SynCookies = cfg.Cookies
 	if err := server.Listen(hashfn.ServerEndpoint.Port, func(_ *engine.Conn, p []byte) []byte {
 		return append([]byte("ok:"), p...)
@@ -211,7 +208,7 @@ func RunAdversarial(cfg AdversarialConfig) (*AdversarialResult, error) {
 	if res.Flood.ClientEstablished {
 		if err := conn.Send([]byte("ping")); err == nil {
 			if _, err := engine.Pump(client, server); err == nil {
-				res.Flood.ClientEchoOK = string(conn.LastReceived()) == "ok:ping"
+				res.Flood.ClientEchoOK = string(conn.Receive()) == "ok:ping"
 			}
 		}
 	}
