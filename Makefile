@@ -161,12 +161,14 @@ bench-gate:
 	$(GO) run ./cmd/benchjson -workload failover -out bin/BENCH_failover.head.json
 	$(GO) run ./cmd/benchjson -compare BENCH_failover.json bin/BENCH_failover.head.json -tolerance 0
 
-# Short fuzz pass over the wire parsers and the full receive path
+# Short fuzz pass over the wire parsers (held to their reference
+# implementations), the full receive path and the TPC/A line codec
 # (CI-sized; raise FUZZTIME locally).
 fuzz:
 	$(GO) test -fuzz=FuzzParseSegment -fuzztime=$(FUZZTIME) ./internal/wire
 	$(GO) test -fuzz=FuzzExtractTuple -fuzztime=$(FUZZTIME) ./internal/wire
 	$(GO) test -fuzz=FuzzDeliver -fuzztime=$(FUZZTIME) ./internal/engine
+	$(GO) test -fuzz=FuzzProtocolCodec -fuzztime=$(FUZZTIME) ./internal/server
 	$(GO) test -fuzz=FuzzFlatOps -fuzztime=$(FUZZTIME) ./internal/flat
 
 figures:

@@ -3,9 +3,12 @@
 // The other examples shuttle frames between stacks in memory. Here the
 // IPv4/TCP frames produced by the engine are carried as UDP datagrams over
 // the loopback interface — a userspace TCP running over an OS socket, the
-// way userspace stacks attach to TAP devices. Two goroutines own the two
-// stacks; each drains its outbox into the socket and delivers whatever
-// arrives.
+// way userspace stacks attach to TAP devices. Each stack has a receive
+// pump and a transmit pump, and main sends and polls on the client's
+// connections beside them. An engine.Stack has a single owner and locks
+// nothing, so an endpoint here carries the mutex that makes its three
+// goroutines take turns: every call into the stack or one of its
+// connections goes through endpoint.do.
 //
 // The demultiplexer under study sits on the server side; the example
 // reports its lookup statistics after a burst of request/response traffic
@@ -29,6 +32,7 @@ import (
 
 // endpoint pumps one stack's frames over a UDP socket.
 type endpoint struct {
+	mu    sync.Mutex // held around every use of stack and its Conns
 	stack *engine.Stack
 	conn  *net.UDPConn
 	peer  *net.UDPAddr
@@ -43,6 +47,13 @@ func newEndpoint(stack *engine.Stack) (*endpoint, error) {
 		return nil, err
 	}
 	return &endpoint{stack: stack, conn: conn, done: make(chan struct{})}, nil
+}
+
+// do runs f with the endpoint's stack to itself.
+func (e *endpoint) do(f func()) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	f()
 }
 
 // start launches the receive and transmit pumps.
@@ -68,7 +79,7 @@ func (e *endpoint) start() {
 			copy(frame, buf[:n])
 			// Errors here mean a damaged datagram; the stack already
 			// dropped it, nothing to do on a best-effort wire.
-			_, _ = e.stack.Deliver(frame)
+			e.do(func() { _, _ = e.stack.Deliver(frame) })
 		}
 	}()
 	go func() { // transmit: stack outbox -> socket
@@ -81,13 +92,14 @@ func (e *endpoint) start() {
 			case <-e.done:
 				return
 			case <-ticker.C:
-				frames := e.stack.Drain()
+				var frames [][]byte
+				e.do(func() { frames = e.stack.Drain() })
 				if len(frames) == 0 {
 					// UDP may drop under pressure; after ~20 ms of quiet,
 					// requeue anything still unacknowledged.
 					if idle++; idle >= 100 {
 						idle = 0
-						e.stack.Retransmit()
+						e.do(func() { e.stack.Retransmit() })
 					}
 					continue
 				}
@@ -144,19 +156,22 @@ func main() {
 	// Open all connections, then wait for the handshakes to complete.
 	open := make([]*engine.Conn, *conns)
 	for i := range open {
-		c, err := clientStack.Connect(wire.MakeAddr(10, 0, 0, 1), 1521, uint16(30000+i), nil)
+		var err error
+		client.do(func() {
+			open[i], err = clientStack.Connect(wire.MakeAddr(10, 0, 0, 1), 1521, uint16(30000+i), nil)
+		})
 		if err != nil {
 			log.Fatal(err)
 		}
-		open[i] = c
 	}
-	if err := waitFor(5*time.Second, func() bool {
-		for _, c := range open {
-			if c.State() != core.StateEstablished {
-				return false
+	if err := waitFor(5*time.Second, func() (ok bool) {
+		client.do(func() {
+			ok = true
+			for _, c := range open {
+				ok = ok && c.State() == core.StateEstablished
 			}
-		}
-		return true
+		})
+		return ok
 	}); err != nil {
 		log.Fatalf("handshakes: %v", err)
 	}
@@ -167,12 +182,15 @@ func main() {
 	for r := 0; r < *requests; r++ {
 		for i, c := range open {
 			msg := fmt.Sprintf("req-%d-%d", i, r)
-			if err := c.Send([]byte(msg)); err != nil {
+			var err error
+			client.do(func() { err = c.Send([]byte(msg)) })
+			if err != nil {
 				log.Fatal(err)
 			}
 			want := "echo:" + msg
-			if err := waitFor(5*time.Second, func() bool {
-				return string(c.Receive()) == want
+			if err := waitFor(5*time.Second, func() (ok bool) {
+				client.do(func() { ok = string(c.Receive()) == want })
+				return ok
 			}); err != nil {
 				log.Fatalf("conn %d req %d: %v", i, r, err)
 			}
@@ -183,7 +201,7 @@ func main() {
 	total := *conns * *requests
 	fmt.Printf("%d request/response round trips in %v (%.0f/s)\n",
 		total, elapsed.Round(time.Millisecond), float64(total)/elapsed.Seconds())
-	fmt.Printf("server demux: %v\n", serverDemux.Stats())
+	server.do(func() { fmt.Printf("server demux: %v\n", serverDemux.Stats()) })
 }
 
 // waitFor polls cond until it holds or the timeout expires.

@@ -31,9 +31,15 @@ type teller struct {
 	account int
 }
 
+// The flag defaults, which main_test.go runs the example at.
+const (
+	defaultTerminals = 200
+	defaultTxns      = 5
+)
+
 func main() {
-	terminals := flag.Int("terminals", 200, "number of teller terminals")
-	txns := flag.Int("txns", 5, "transactions per terminal")
+	terminals := flag.Int("terminals", defaultTerminals, "number of teller terminals")
+	txns := flag.Int("txns", defaultTxns, "transactions per terminal")
 	flag.Parse()
 
 	for _, algo := range []string{"bsd", "sequent"} {
@@ -54,6 +60,10 @@ func runBank(algo string, terminals, txns int) error {
 	clientAddr := wire.MakeAddr(10, 0, 0, 2)
 	server := engine.NewStack(serverAddr, demux, 1)
 	client := engine.NewStack(clientAddr, core.NewMapDemux(), 2)
+	// Every terminal's SYN is in flight at once below, so the listener's
+	// half-open backlog has to hold them all; the engine's default of 128
+	// would silently drop the rest and leave them in SYN_SENT.
+	server.SetBacklog(terminals)
 
 	// The TPC/A transaction: debit/credit an account, return new balance.
 	balances := make(map[int]int)

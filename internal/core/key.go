@@ -13,8 +13,9 @@
 // chains), DirectIndex (protocol-negotiated connection IDs as in TP4, X.25
 // and XTP), and MapDemux (a modern global hash table baseline).
 //
-// Demuxers are not safe for concurrent use; the engine package adds
-// locking where the examples need it.
+// Demuxers are not safe for concurrent use; an engine.Stack, which has a
+// single owner, needs none, and internal/parallel and internal/rcu hold
+// the disciplines that are.
 package core
 
 import (

@@ -68,8 +68,6 @@ type StackStats struct {
 // thin view over the stack's telemetry counters (see Stack.SetTelemetry)
 // kept for existing callers and reports.
 func (s *Stack) Stats() StackStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	t := s.tel
 	return StackStats{
 		DroppedBadChecksum: t.DroppedBadChecksum.Value(),
@@ -90,8 +88,7 @@ func (s *Stack) Stats() StackStats {
 // deterministic ISS sequence existing tests pin down.
 const cookieSecretSalt = 0x5c00c1e5ec2e7000
 
-// cookieKey lazily derives the stack's cookie secret. The caller holds
-// s.mu.
+// cookieKey lazily derives the stack's cookie secret.
 func (s *Stack) cookieKey() hashfn.Keyed {
 	if !s.cookieInit {
 		s.cookie = hashfn.KeyedFromRNG(rng.New(s.seed ^ cookieSecretSalt))
@@ -107,8 +104,7 @@ func (s *Stack) cookieISS(t wire.Tuple, isn uint32) uint32 {
 }
 
 // sendCookieSynAck answers a SYN statelessly: the SYN|ACK's sequence
-// number is the cookie, and nothing is allocated or inserted. The caller
-// holds s.mu.
+// number is the cookie, and nothing is allocated or inserted.
 func (s *Stack) sendCookieSynAck(seg *wire.Segment) {
 	iss := s.cookieISS(seg.Tuple(), seg.TCP.Seq)
 	ip := wire.IPv4Header{TTL: 64, Src: seg.IP.Dst, Dst: seg.IP.Src}
@@ -128,7 +124,7 @@ func (s *Stack) sendCookieSynAck(seg *wire.Segment) {
 // acceptCookieACK validates a pure ACK arriving at a listener against the
 // cookie it must echo, and on success creates the connection directly in
 // ESTABLISHED — reconstructing from the segment alone the state a normal
-// handshake would have accumulated in SYN_RCVD. The caller holds s.mu.
+// handshake would have accumulated in SYN_RCVD.
 func (s *Stack) acceptCookieACK(seg *wire.Segment, key core.Key) {
 	// The client ISN is one below the ACK's sequence number (its SYN
 	// consumed one octet), and a valid ACK acknowledges cookie+1.

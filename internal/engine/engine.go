@@ -14,7 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 
 	"tcpdemux/internal/core"
 	"tcpdemux/internal/frag"
@@ -56,8 +55,6 @@ func (c *Conn) State() core.State { return c.pcb.State }
 
 // Send transmits payload on the connection.
 func (c *Conn) Send(payload []byte) error {
-	c.stack.mu.Lock()
-	defer c.stack.mu.Unlock()
 	return c.stack.send(c.pcb, payload, wire.FlagACK|wire.FlagPSH)
 }
 
@@ -71,8 +68,6 @@ func (c *Conn) Send(payload []byte) error {
 // directly: there is no established peer state to dissolve, so no FIN is
 // sent (and a SYN_RCVD close releases its listener backlog slot).
 func (c *Conn) Close() error {
-	c.stack.mu.Lock()
-	defer c.stack.mu.Unlock()
 	switch c.pcb.State {
 	case core.StateClosed, core.StateTimeWait, core.StateFinWait1,
 		core.StateFinWait2, core.StateClosing, core.StateLastAck:
@@ -121,19 +116,24 @@ type connData struct {
 	// consecutive timer-driven retransmissions of the same segment (reset
 	// on acknowledgement) and drives exponential backoff and the
 	// max-retry abort.
-	rtx     *timer.Timer
+	rtx     timer.Timer
 	retries int
 	// life is the connection-lifecycle timer: SYN_RCVD give-up while half
 	// open, the 2MSL clock once in TIME_WAIT.
-	life *timer.Timer
+	life timer.Timer
 }
 
 // rxQueueMax bounds the per-connection receive queue.
 const rxQueueMax = 1024
 
-// Stack is one host endpoint. Its methods are safe for concurrent use.
+// Stack is one host endpoint. It has a single owner: one goroutine drives
+// Deliver, Tick and every other method of the Stack and of its Conns, and
+// handlers, timer callbacks, OnAccept and the egress tap all run on that
+// goroutine, inside the call that triggered them. Nothing in it is locked.
+// A caller that reaches one Stack from two goroutines serializes the calls
+// itself (examples/netpipe); shard.StackSet gives each shard's Stack to the
+// one goroutine that drives the set.
 type Stack struct {
-	mu       sync.Mutex
 	addr     wire.Addr
 	demux    core.Demuxer
 	src      *rng.Source
@@ -162,12 +162,13 @@ type Stack struct {
 	frames uint64 // delivered-frame counter, the reassembly clock
 	// usedPorts tracks ephemeral allocations (see ports.go).
 	usedPorts map[uint16]bool
-	// OnAccept, if set, is invoked (with the lock held) when a passive
-	// open completes.
+	// OnAccept, if set, is invoked from inside Deliver when a passive open
+	// completes.
 	OnAccept func(*Conn)
 	// egress, when set via SetEgressTap, receives every outbound frame
 	// the instant it is queued, instead of the frame landing on the
-	// outbox for Drain. Invoked with the lock held; see SetEgressTap.
+	// outbox for Drain. Invoked from inside Deliver and Tick; see
+	// SetEgressTap.
 	egress func(frame []byte)
 
 	// wheel and now are the stack's virtual-time lifecycle clock; see
@@ -207,16 +208,12 @@ func NewStack(addr wire.Addr, d core.Demuxer, seed uint64) *Stack {
 // on one registry (a StackSet's shards) share its counters, so each one's
 // Stats and LifecycleCounters then report the registry-wide totals.
 func (s *Stack) SetTelemetry(reg *telemetry.Registry) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.tel = telemetry.NewStackMetrics(reg)
 }
 
 // Telemetry returns the stack's counter bundle (for tests and direct
 // snapshot access).
 func (s *Stack) Telemetry() *telemetry.StackMetrics {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.tel
 }
 
@@ -229,8 +226,6 @@ func (s *Stack) Demuxer() core.Demuxer { return s.demux }
 // Listen registers a handler for a local port and inserts the listening
 // PCB.
 func (s *Stack) Listen(port uint16, h Handler) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if _, dup := s.handlers[port]; dup {
 		return ErrPortInUse
 	}
@@ -246,8 +241,6 @@ func (s *Stack) Listen(port uint16, h Handler) error {
 // queueing the SYN. The returned Conn becomes Established once the peer's
 // SYN|ACK is delivered.
 func (s *Stack) Connect(remote wire.Addr, remotePort, localPort uint16, h Handler) (*Conn, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	k := core.Key{
 		LocalAddr: s.addr, LocalPort: localPort,
 		RemoteAddr: remote, RemotePort: remotePort,
@@ -269,8 +262,6 @@ func (s *Stack) Connect(remote wire.Addr, remotePort, localPort uint16, h Handle
 
 // Drain returns the queued outbound frames and clears the outbox.
 func (s *Stack) Drain() [][]byte {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	out := s.outbox
 	s.outbox = nil
 	return out
@@ -279,18 +270,16 @@ func (s *Stack) Drain() [][]byte {
 // SetEgressTap routes outbound frames to fn as they are produced instead
 // of queuing them on the outbox — the serving frontend's path, where a
 // frame's destination socket is known the moment the frame exists and a
-// Drain poll per delivery would rescan every shard. fn runs with the
-// stack lock held, so it must not call back into this Stack (or any
-// re-locking public method); append to a caller-owned queue and process
-// after Deliver/Tick returns. Passing nil restores outbox queuing.
+// Drain poll per delivery would rescan every shard. fn runs inside Deliver
+// and Tick, part-way through a frame or a timer, so it must not call back
+// into this Stack; append to a caller-owned queue and process after
+// Deliver/Tick returns. Passing nil restores outbox queuing.
 func (s *Stack) SetEgressTap(fn func(frame []byte)) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.egress = fn
 }
 
 // emit hands one outbound frame to the egress tap, or queues it on the
-// outbox when no tap is installed. The caller holds s.mu.
+// outbox when no tap is installed.
 func (s *Stack) emit(frame []byte) {
 	if s.egress != nil {
 		s.egress(frame)
@@ -300,7 +289,7 @@ func (s *Stack) emit(frame []byte) {
 }
 
 // send builds and queues one segment on pcb. SYN and FIN consume one
-// sequence number; data consumes its length. The caller holds s.mu.
+// sequence number; data consumes its length.
 func (s *Stack) send(pcb *core.PCB, payload []byte, flags uint8) error {
 	if pcb.State == core.StateClosed {
 		return ErrClosed
@@ -373,13 +362,11 @@ func (s *Stack) sendRST(seg *wire.Segment) {
 
 // teardown removes the PCB from the demultiplexer and marks it closed,
 // canceling its lifecycle timers and releasing its ephemeral port if it
-// had one. The caller holds s.mu.
+// had one.
 func (s *Stack) teardown(pcb *core.PCB) {
 	if cd, ok := pcb.UserData.(*connData); ok {
-		cd.rtx.Cancel()
-		cd.rtx = nil
-		cd.life.Cancel()
-		cd.life = nil
+		stopTimer(&cd.rtx)
+		stopTimer(&cd.life)
 	}
 	s.demux.Remove(pcb.Key)
 	pcb.State = core.StateClosed
@@ -397,17 +384,19 @@ func classify(seg *wire.Segment) core.Direction {
 
 // Deliver processes one inbound frame: parse, demultiplex, advance the
 // state machine, queue any replies. It returns the lookup result so
-// callers can account examination costs.
+// callers can account examination costs. The frame is decoded once, into a
+// Segment that lives on this call's stack.
+//
+//demux:hotpath
 func (s *Stack) Deliver(frame []byte) (core.Result, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-
 	s.frames++
 	if frag.ExpiryDue(s.frames) {
 		s.reasm.Reap(float64(s.frames), frag.ExpiryTTL)
 	}
-	seg, err := wire.ParseSegment(frame)
-	if errors.Is(err, wire.ErrFragmented) {
+	var segment wire.Segment
+	seg := &segment
+	err := seg.Decode(frame)
+	if err != nil && errors.Is(err, wire.ErrFragmented) {
 		// Absorb the fragment; if it completes a datagram, process the
 		// rebuilt frame, otherwise we are done for now.
 		whole, ferr := s.reasm.Add(frame, float64(s.frames))
@@ -417,7 +406,7 @@ func (s *Stack) Deliver(frame []byte) (core.Result, error) {
 		if whole == nil {
 			return core.Result{}, nil
 		}
-		seg, err = wire.ParseSegment(whole)
+		err = seg.Decode(whole)
 	}
 	if err != nil {
 		if errors.Is(err, wire.ErrTCPBadChecksum) || errors.Is(err, wire.ErrIPv4BadChecksum) {
@@ -452,8 +441,7 @@ func (s *Stack) Deliver(frame []byte) (core.Result, error) {
 		if cd, ok := pcb.UserData.(*connData); ok && cd.unacked != nil && seg.TCP.Ack == cd.unackedEnd {
 			cd.unacked = nil
 			cd.retries = 0
-			cd.rtx.Cancel()
-			cd.rtx = nil
+			stopTimer(&cd.rtx)
 		}
 	}
 
@@ -566,8 +554,6 @@ func (s *Stack) unTimeWait(pcb *core.PCB) {
 
 // TimeWaitCount returns the number of PCBs lingering in TIME_WAIT.
 func (s *Stack) TimeWaitCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return len(s.timeWait)
 }
 
@@ -577,8 +563,6 @@ func (s *Stack) TimeWaitCount() int {
 // happens automatically as each PCB's own 2MSL deadline passes; this
 // manual sweep remains for tests and clock-less callers.
 func (s *Stack) ReapTimeWait() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	n := len(s.timeWait)
 	for _, pcb := range s.timeWait {
 		s.teardown(pcb)
@@ -640,7 +624,7 @@ func (s *Stack) handleListen(listener *core.PCB, seg *wire.Segment, key core.Key
 }
 
 // releaseHalfOpen decrements the listener's half-open count when a
-// SYN_RCVD PCB either completes or dies. The caller holds s.mu.
+// SYN_RCVD PCB either completes or dies.
 func (s *Stack) releaseHalfOpen(pcb *core.PCB) {
 	if n := s.halfOpen[pcb.Key.LocalPort]; n > 0 {
 		s.halfOpen[pcb.Key.LocalPort] = n - 1
@@ -679,8 +663,7 @@ func (s *Stack) handleSynRcvd(pcb *core.PCB, seg *wire.Segment) {
 	pcb.State = core.StateEstablished
 	if cd, ok := pcb.UserData.(*connData); ok {
 		// Handshake complete: the SYN_RCVD give-up timer no longer applies.
-		cd.life.Cancel()
-		cd.life = nil
+		stopTimer(&cd.life)
 		if s.OnAccept != nil {
 			s.OnAccept(cd.conn)
 		}
@@ -761,8 +744,6 @@ func (s *Stack) handleEstablished(pcb *core.PCB, seg *wire.Segment) {
 // connection without a Handler queues: a Handler consumes each payload as
 // it arrives and nothing is kept.
 func (c *Conn) Receive() []byte {
-	c.stack.mu.Lock()
-	defer c.stack.mu.Unlock()
 	cd, ok := c.pcb.UserData.(*connData)
 	if !ok || len(cd.rxQueue) == 0 {
 		return nil
@@ -774,8 +755,6 @@ func (c *Conn) Receive() []byte {
 
 // Pending returns the number of received payloads waiting in the queue.
 func (c *Conn) Pending() int {
-	c.stack.mu.Lock()
-	defer c.stack.mu.Unlock()
 	if cd, ok := c.pcb.UserData.(*connData); ok {
 		return len(cd.rxQueue)
 	}
@@ -830,8 +809,6 @@ func (ci ConnInfo) String() string {
 // sorted by local port, then remote address and port, so output is stable
 // across demultiplexer implementations.
 func (s *Stack) Netstat() []ConnInfo {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	var out []ConnInfo
 	s.demux.Walk(func(p *core.PCB) bool {
 		out = append(out, ConnInfo{
@@ -861,8 +838,6 @@ func (s *Stack) Netstat() []ConnInfo {
 // the time Pump quiesces. A manual sweep does not advance any timer's
 // backoff or retry count.
 func (s *Stack) Retransmit() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	n := 0
 	s.demux.Walk(func(p *core.PCB) bool {
 		if cd, ok := p.UserData.(*connData); ok && cd.unacked != nil && p.State != core.StateClosed {

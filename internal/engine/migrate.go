@@ -31,8 +31,6 @@ func (s *Stack) Extract(k core.Key) (*core.PCB, bool) {
 	if k.IsWildcard() {
 		return nil, false
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	var pcb *core.PCB
 	// Walk, not Lookup: a control-plane find must not perturb the lookup
 	// statistics or the move-to-front / cache state under study.
@@ -50,10 +48,8 @@ func (s *Stack) Extract(k core.Key) (*core.PCB, bool) {
 		return nil, false
 	}
 	if cd, ok := pcb.UserData.(*connData); ok {
-		cd.rtx.Cancel()
-		cd.rtx = nil
-		cd.life.Cancel()
-		cd.life = nil
+		stopTimer(&cd.rtx)
+		stopTimer(&cd.life)
 	}
 	switch pcb.State {
 	case core.StateSynRcvd:
@@ -74,8 +70,6 @@ func (s *Stack) Extract(k core.Key) (*core.PCB, bool) {
 // lengthens a deadline, never expires one early. A retransmission timer
 // re-arms at the backoff interval its retry count had reached.
 func (s *Stack) Adopt(pcb *core.PCB) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if err := s.demux.Insert(pcb); err != nil {
 		return err
 	}
@@ -102,8 +96,6 @@ func (s *Stack) Adopt(pcb *core.PCB) error {
 // a single Stack or a sharded set fanning the values to every shard — can
 // be configured uniformly by the lossy harness.
 func (s *Stack) SetTimers(rto float64, maxRetries int, msl float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.rto, s.maxRetries, s.msl = DefaultRTO, DefaultMaxRetries, DefaultMSL
 	if rto > 0 {
 		s.rto = rto
@@ -119,8 +111,6 @@ func (s *Stack) SetTimers(rto float64, maxRetries int, msl float64) {
 // SetBacklog sets the per-listener half-open limit (zero or negative
 // restores DefaultBacklog).
 func (s *Stack) SetBacklog(n int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if n <= 0 {
 		n = DefaultBacklog
 	}
@@ -130,8 +120,6 @@ func (s *Stack) SetBacklog(n int) {
 // LifecycleCounters returns the stack's timer-driven lifecycle totals: a
 // view over the telemetry counters, like Stats.
 func (s *Stack) LifecycleCounters() (retransmits, aborts, synExpired, timeWaitExpired uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	t := s.tel
 	return t.Retransmits.Value(), t.Aborts.Value(), t.SynExpired.Value(), t.TimeWaitExpired.Value()
 }

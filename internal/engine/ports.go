@@ -19,7 +19,7 @@ var ErrPortsExhausted = errors.New("engine: ephemeral ports exhausted")
 // offset so sequential connections land on distinct ports (and therefore
 // distinct hash chains). The stack's own bookkeeping — not demultiplexer
 // probing — decides occupancy, so allocation does not distort lookup
-// statistics. The caller holds s.mu.
+// statistics.
 func (s *Stack) allocEphemeral() (uint16, error) {
 	if s.usedPorts == nil {
 		s.usedPorts = make(map[uint16]bool)
@@ -38,7 +38,6 @@ func (s *Stack) allocEphemeral() (uint16, error) {
 
 // releasePort returns an ephemeral port to the pool. Explicitly bound
 // ports (outside the dynamic range or never allocated) are ignored.
-// The caller holds s.mu.
 func (s *Stack) releasePort(port uint16) {
 	delete(s.usedPorts, port)
 }
@@ -48,17 +47,13 @@ func (s *Stack) releasePort(port uint16) {
 // to the pool when the connection fully closes (teardown or TIME_WAIT
 // reaping).
 func (s *Stack) ConnectEphemeral(remote wire.Addr, remotePort uint16, h Handler) (*Conn, error) {
-	s.mu.Lock()
 	port, err := s.allocEphemeral()
-	s.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
 	conn, err := s.Connect(remote, remotePort, port, h)
 	if err != nil {
-		s.mu.Lock()
 		s.releasePort(port)
-		s.mu.Unlock()
 		return nil, err
 	}
 	return conn, nil

@@ -75,10 +75,8 @@ func TestSynFloodBoundedByBacklog(t *testing.T) {
 		if r.PCB == nil {
 			continue
 		}
-		server.mu.Lock()
 		server.releaseHalfOpen(r.PCB)
 		server.teardown(r.PCB)
-		server.mu.Unlock()
 		reaped++
 	}
 	if reaped != 64 {

@@ -15,13 +15,19 @@
 //     removing the PCB from the demultiplexer without a manual
 //     ReapTimeWait sweep.
 //
-// Timer callbacks run inside Tick with the stack lock held, so they may
-// use every internal helper but must never call public Stack/Conn
-// methods that re-lock.
+// Timer callbacks run inside Tick, on the goroutine that owns the Stack.
+// Arming one allocates nothing: the callbacks are the plain functions at
+// the bottom of this file, each handed its PCB as the timer's subject (the
+// connData hangs off the PCB and the Stack off the connData's Conn), and
+// the wheel recycles the timer's storage. A connData keeps only the two
+// handles. Every path that ends a timer (the fire, the acknowledgement,
+// teardown, Extract) clears its handle, and a handle left stale would
+// still be harmless: the wheel never lets one act on a recycled node.
 package engine
 
 import (
 	"tcpdemux/internal/core"
+	"tcpdemux/internal/timer"
 )
 
 // Lifecycle timer constants; the three Default* values are overridable
@@ -52,10 +58,8 @@ const (
 // timer whose deadline has passed: due retransmissions are re-queued on
 // the outbox (collect them with Drain), expired half-open PCBs release
 // their backlog slots, and TIME_WAIT PCBs past 2MSL leave the
-// demultiplexer. Ticking backwards is a no-op. Safe for concurrent use.
+// demultiplexer. Ticking backwards is a no-op.
 func (s *Stack) Tick(now float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if now <= s.now {
 		return
 	}
@@ -68,7 +72,7 @@ func (s *Stack) Tick(now float64) {
 
 // clock returns the stack's current virtual time as timer callbacks and
 // packet handlers should see it: the wheel's position while an Advance is
-// in progress, the last Tick otherwise. The caller holds s.mu.
+// in progress, the last Tick otherwise.
 func (s *Stack) clock() float64 {
 	if w := s.wheel.Now(); w > s.now {
 		return w
@@ -82,38 +86,47 @@ func (s *Stack) clock() float64 {
 // wheel, it stops exactly when the stack stops Ticking — which is what
 // lets a supervisor (the internal/shard watchdog) distinguish a crashed
 // shard, whose clock froze, from an idle one, whose clock still beats.
-// Like every lifecycle timer, fn runs inside Tick with the stack lock
-// held: it may not call public Stack/Conn methods that re-lock.
+// Like every lifecycle timer, fn runs inside Tick.
 func (s *Stack) Heartbeat(interval float64, fn func(now float64)) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var arm func()
-	arm = func() {
-		s.wheel.Schedule(s.clock()+interval, func(now float64) {
-			fn(now)
-			arm()
-		})
-	}
-	arm()
+	(&heartbeat{s: s, interval: interval, fn: fn}).arm()
+}
+
+// heartbeat is the subject of a Heartbeat's self-rearming timer.
+type heartbeat struct {
+	s        *Stack
+	interval float64
+	fn       func(now float64)
+}
+
+func (hb *heartbeat) arm() {
+	hb.s.wheel.Schedule(hb.s.clock()+hb.interval, beat, hb)
+}
+
+func beat(now float64, arg any) {
+	hb := arg.(*heartbeat)
+	hb.fn(now)
+	hb.arm()
 }
 
 // Now returns the stack's current virtual time (the last Tick).
 func (s *Stack) Now() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.now
 }
 
 // PendingTimers returns the number of live lifecycle timers, for tests
 // and instrumentation.
 func (s *Stack) PendingTimers() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.wheel.Pending()
 }
 
+// stopTimer cancels the timer behind one of a connData's handles, if it is
+// still pending, and clears the handle.
+func stopTimer(t *timer.Timer) {
+	t.Cancel()
+	*t = timer.Timer{}
+}
+
 // requeueUnacked puts the connection's retained frame back on the outbox.
-// The caller holds s.mu.
 func (s *Stack) requeueUnacked(pcb *core.PCB, cd *connData) {
 	s.emit(cd.unacked)
 	pcb.TxSegments++
@@ -121,8 +134,7 @@ func (s *Stack) requeueUnacked(pcb *core.PCB, cd *connData) {
 }
 
 // armRetransmit (re)schedules the retransmission timer for the
-// connection's retained segment at the current backoff interval. The
-// caller holds s.mu.
+// connection's retained segment at the current backoff interval.
 func (s *Stack) armRetransmit(pcb *core.PCB, cd *connData) {
 	cd.rtx.Cancel()
 	shift := cd.retries
@@ -130,14 +142,11 @@ func (s *Stack) armRetransmit(pcb *core.PCB, cd *connData) {
 		shift = rtoBackoffCap
 	}
 	delay := s.rto * float64(uint64(1)<<shift)
-	cd.rtx = s.wheel.Schedule(s.clock()+delay, func(float64) {
-		cd.rtx = nil
-		s.retransmitExpired(pcb, cd)
-	})
+	cd.rtx = s.wheel.Schedule(s.clock()+delay, retransmitFired, pcb)
 }
 
 // retransmitExpired is the retransmission timer body: re-queue and back
-// off, or abort at the retry limit. Runs under s.mu (from Tick).
+// off, or abort at the retry limit.
 func (s *Stack) retransmitExpired(pcb *core.PCB, cd *connData) {
 	if cd.unacked == nil || pcb.State == core.StateClosed {
 		return
@@ -157,7 +166,7 @@ func (s *Stack) retransmitExpired(pcb *core.PCB, cd *connData) {
 
 // abortPCB drops a connection the way a timeout does: whatever state it
 // is in, its accounting (listener backlog, TIME_WAIT list) is unwound
-// before teardown. The caller holds s.mu.
+// before teardown.
 func (s *Stack) abortPCB(pcb *core.PCB) {
 	switch pcb.State {
 	case core.StateSynRcvd:
@@ -170,43 +179,66 @@ func (s *Stack) abortPCB(pcb *core.PCB) {
 
 // armSynRcvdExpiry starts the half-open give-up clock on a freshly
 // spawned SYN_RCVD PCB. If the handshake has not completed when it
-// fires, the PCB is reaped and its backlog slot released. The caller
-// holds s.mu.
+// fires, the PCB is reaped and its backlog slot released.
 func (s *Stack) armSynRcvdExpiry(pcb *core.PCB) {
 	cd, ok := pcb.UserData.(*connData)
 	if !ok {
 		return
 	}
 	cd.life.Cancel()
-	cd.life = s.wheel.Schedule(s.clock()+SynRcvdTimeout, func(float64) {
-		cd.life = nil
-		if pcb.State != core.StateSynRcvd {
-			return
-		}
-		s.tel.SynExpired.Inc()
-		s.tel.TimerFires.Inc()
-		s.releaseHalfOpen(pcb)
-		s.teardown(pcb)
-	})
+	cd.life = s.wheel.Schedule(s.clock()+SynRcvdTimeout, synRcvdFired, pcb)
 }
 
 // armTimeWait starts (or restarts, for a re-acknowledged FIN) the 2MSL
 // clock on a TIME_WAIT PCB. When it fires the PCB leaves both the
-// time-wait list and the demultiplexer. The caller holds s.mu.
+// time-wait list and the demultiplexer.
 func (s *Stack) armTimeWait(pcb *core.PCB) {
 	cd, ok := pcb.UserData.(*connData)
 	if !ok {
 		return
 	}
 	cd.life.Cancel()
-	cd.life = s.wheel.Schedule(s.clock()+2*s.msl, func(float64) {
-		cd.life = nil
-		if pcb.State != core.StateTimeWait {
-			return
-		}
-		s.tel.TimeWaitExpired.Inc()
-		s.tel.TimerFires.Inc()
-		s.unTimeWait(pcb)
-		s.teardown(pcb)
-	})
+	cd.life = s.wheel.Schedule(s.clock()+2*s.msl, timeWaitFired, pcb)
+}
+
+// The three timer callbacks. Each receives the PCB it was armed for, finds
+// the connData on it and the owning Stack through the connData's Conn
+// (Adopt re-homes that, and Extract cancels the timers first, so a timer
+// only ever fires on the Stack that armed it), and clears the handle that
+// just fired before doing the timer's work.
+
+func timerSubject(arg any) (*Stack, *core.PCB, *connData) {
+	pcb := arg.(*core.PCB)
+	cd := pcb.UserData.(*connData)
+	return cd.conn.stack, pcb, cd
+}
+
+func retransmitFired(_ float64, arg any) {
+	s, pcb, cd := timerSubject(arg)
+	cd.rtx = timer.Timer{}
+	s.retransmitExpired(pcb, cd)
+}
+
+func synRcvdFired(_ float64, arg any) {
+	s, pcb, cd := timerSubject(arg)
+	cd.life = timer.Timer{}
+	if pcb.State != core.StateSynRcvd {
+		return
+	}
+	s.tel.SynExpired.Inc()
+	s.tel.TimerFires.Inc()
+	s.releaseHalfOpen(pcb)
+	s.teardown(pcb)
+}
+
+func timeWaitFired(_ float64, arg any) {
+	s, pcb, cd := timerSubject(arg)
+	cd.life = timer.Timer{}
+	if pcb.State != core.StateTimeWait {
+		return
+	}
+	s.tel.TimeWaitExpired.Inc()
+	s.tel.TimerFires.Inc()
+	s.unTimeWait(pcb)
+	s.teardown(pcb)
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"tcpdemux/internal/core"
+	"tcpdemux/internal/timer"
 	"tcpdemux/internal/wire"
 )
 
@@ -401,5 +402,128 @@ func TestTickBackwardsIsNoOp(t *testing.T) {
 	s.Tick(5)
 	if got := s.Now(); got != 10 {
 		t.Fatalf("Now = %v after backwards tick, want 10", got)
+	}
+}
+
+// TestTimerHandlesClearedWhereTimersEnd walks one connection through every
+// way a lifecycle timer ends (it fires, the acknowledgement quenches it,
+// Extract cancels it, teardown cancels it, the 2MSL clock runs out) and
+// requires the connData's handle to be the zero Timer afterwards. The
+// wheel recycles timer storage, so a handle kept past its timer's end
+// would name someone else's timer; the engine keeps none, and a copy kept
+// on purpose (stale, below) is inert.
+func TestTimerHandlesClearedWhereTimersEnd(t *testing.T) {
+	zero := func(when string, h timer.Timer) {
+		t.Helper()
+		if h != (timer.Timer{}) {
+			t.Fatalf("%s: handle not cleared (pending=%v)", when, h.Pending())
+		}
+	}
+	server, client := pair(t, core.NewMapDemux())
+	client.SetTimers(0.1, 0, 0.5)
+	if err := server.Listen(80, nil); err != nil {
+		t.Fatal(err)
+	}
+	var serverConn *Conn
+	server.OnAccept = func(c *Conn) { serverConn = c }
+	conn, err := client.Connect(serverAddr, 80, 40000, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cd := conn.pcb.UserData.(*connData)
+
+	// Fire: the SYN's timer runs out, re-queues the SYN and re-arms.
+	stale := cd.rtx
+	if !stale.Pending() {
+		t.Fatal("Connect armed no retransmission timer")
+	}
+	client.Tick(0.15)
+	if stale.Pending() || stale.Cancel() {
+		t.Fatal("the fired timer's handle is still live")
+	}
+	if !cd.rtx.Pending() || cd.rtx == stale {
+		t.Fatal("the fire did not re-arm under a fresh handle")
+	}
+
+	// Acknowledgement: the handshake completes; on the server the
+	// SYN_RCVD give-up timer ends with it.
+	if _, err := Pump(client, server); err != nil {
+		t.Fatal(err)
+	}
+	zero("client rtx after SYN|ACK", cd.rtx)
+	scd := serverConn.pcb.UserData.(*connData)
+	zero("server rtx after the handshake ACK", scd.rtx)
+	zero("server life after the handshake ACK", scd.life)
+
+	// Extract: data in flight, timers canceled, handles cleared; Adopt on
+	// the same stack re-arms.
+	if err := conn.Send([]byte("in flight")); err != nil {
+		t.Fatal(err)
+	}
+	pcb, ok := client.Extract(conn.Key())
+	if !ok {
+		t.Fatal("extract failed")
+	}
+	zero("rtx after Extract", cd.rtx)
+	if n := client.PendingTimers(); n != 0 {
+		t.Fatalf("%d timer(s) pending after Extract", n)
+	}
+	if err := client.Adopt(pcb); err != nil {
+		t.Fatal(err)
+	}
+	if !cd.rtx.Pending() {
+		t.Fatal("Adopt did not re-arm the retransmission timer")
+	}
+	if _, err := Pump(client, server); err != nil {
+		t.Fatal(err)
+	}
+	zero("rtx after the data was acknowledged", cd.rtx)
+
+	// Many more arm/cancel rounds with the clock moving, so the wheel
+	// hands the same storage out again and again; every handle ever held
+	// is kept and canceled at the end, and none of them may touch the one
+	// live timer.
+	var kept []timer.Timer
+	for i := 0; i < 200; i++ {
+		if err := conn.Send([]byte("x")); err != nil {
+			t.Fatal(err)
+		}
+		kept = append(kept, cd.rtx)
+		if i == 199 {
+			break // leave the last one in flight
+		}
+		if _, err := Pump(client, server); err != nil {
+			t.Fatal(err)
+		}
+		client.Tick(client.Now() + 0.25)
+	}
+	for _, h := range kept[:199] {
+		if h.Pending() || h.Cancel() {
+			t.Fatal("a handle whose timer was acknowledged long ago is live")
+		}
+	}
+	if !cd.rtx.Pending() || client.PendingTimers() != 1 {
+		t.Fatalf("stale cancels disturbed the live timer (pending=%d)", client.PendingTimers())
+	}
+	if _, err := Pump(client, server); err != nil {
+		t.Fatal(err)
+	}
+
+	// Active close (the server answers the FIN with its own) through
+	// TIME_WAIT: the 2MSL timer fires and clears.
+	if err := conn.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Pump(client, server); err != nil {
+		t.Fatal(err)
+	}
+	if conn.State() != core.StateTimeWait || !cd.life.Pending() {
+		t.Fatalf("state %v, 2MSL pending=%v", conn.State(), cd.life.Pending())
+	}
+	client.Tick(client.Now() + 2)
+	zero("life after 2MSL", cd.life)
+	zero("rtx after teardown", cd.rtx)
+	if conn.State() != core.StateClosed || client.PendingTimers() != 0 {
+		t.Fatalf("state %v, %d timer(s) pending", conn.State(), client.PendingTimers())
 	}
 }

@@ -1,6 +1,9 @@
 package lint
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -123,4 +126,44 @@ func hasGoFiles(dir string) bool {
 		}
 	}
 	return false
+}
+
+// TestFramePathPackagesDeclareNoMutex pins the single-owner contract of
+// the packages a frame crosses: engine, shard and frag state belongs to the
+// one goroutine that drives Deliver/Tick (the //demux:owner(deliver)
+// annotations say which state), so no non-test file in them may mention
+// sync.Mutex or sync.RWMutex. A lock that comes back means a second
+// goroutine came with it, and the contract has to be redrawn first.
+func TestFramePathPackagesDeclareNoMutex(t *testing.T) {
+	root, err := filepath.Abs(filepath.Join("..", ".."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	for _, dir := range []string{"internal/engine", "internal/shard", "internal/frag"} {
+		pkgs, err := parser.ParseDir(fset, filepath.Join(root, dir), func(fi fs.FileInfo) bool {
+			return !strings.HasSuffix(fi.Name(), "_test.go")
+		}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(pkgs) == 0 {
+			t.Fatalf("%s: no package found", dir)
+		}
+		for _, pkg := range pkgs {
+			for _, file := range pkg.Files {
+				ast.Inspect(file, func(n ast.Node) bool {
+					sel, ok := n.(*ast.SelectorExpr)
+					if !ok {
+						return true
+					}
+					if x, ok := sel.X.(*ast.Ident); ok && x.Name == "sync" &&
+						(sel.Sel.Name == "Mutex" || sel.Sel.Name == "RWMutex") {
+						t.Errorf("%s: sync.%s in a single-owner package", fset.Position(sel.Pos()), sel.Sel.Name)
+					}
+					return true
+				})
+			}
+		}
+	}
 }

@@ -331,8 +331,8 @@ func (s *Server) writeLoop(sess *session) {
 	sess.conn.Close()
 }
 
-// tapFrame is the StackSet egress tap: it runs inside Deliver/Tick with
-// the producing shard's lock held, so it only queues; routing happens in
+// tapFrame is the StackSet egress tap: it runs inside Deliver/Tick,
+// part-way through a frame, so it only queues; routing happens in
 // pumpEgress after the engine call returns.
 //
 //demux:owner(engineloop)
@@ -589,10 +589,9 @@ func (s *Server) enqueueWrite(sess *session, p []byte) bool {
 }
 
 // handleApp is the engine-side application handler: it runs inside
-// set.Deliver on the engine-loop goroutine (with the owning shard's
-// stack lock held), reassembles request lines from the synthetic
-// stream, and serves the TPC/A protocol against the single shared
-// ledger. Returning nil lets the engine send a pure ACK.
+// set.Deliver on the engine-loop goroutine, reassembles request lines
+// from the synthetic stream, and serves the TPC/A protocol against the
+// single shared ledger. Returning nil lets the engine send a pure ACK.
 //
 //demux:owner(engineloop)
 func (s *Server) handleApp(c *engine.Conn, payload []byte) []byte {

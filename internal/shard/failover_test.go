@@ -57,7 +57,9 @@ func faultOn(victim int, at float64, v FaultVerdict) FaultFunc {
 // claim names, and no connection is left on a shard that can no longer
 // accept work — so the claim of every live connection names a live
 // shard. (The claim of a connection that closed before a drain may
-// still name the corpse until Release or the next Rekey sweeps it.)
+// still name the corpse until Release or the next Rekey sweeps it.) It
+// also recounts the displaced claims and holds the set's own count to
+// the result.
 func checkOwnership(t *testing.T, set *StackSet) {
 	t.Helper()
 	for i := 0; i < set.Shards(); i++ {
@@ -68,13 +70,21 @@ func checkOwnership(t *testing.T, set *StackSet) {
 			if !set.alive(i) {
 				t.Fatalf("PCB %v left on shard %d, which is %v", ci.Key, i, set.Health(i))
 			}
-			set.claimMu.Lock()
-			cl, ok := set.claims[ci.Key]
-			set.claimMu.Unlock()
-			if ok && cl.owner != i {
+			if cl, ok := set.claims[ci.Key]; ok && cl.owner != i {
 				t.Fatalf("PCB %v lives on shard %d but its claim names shard %d", ci.Key, i, cl.owner)
 			}
 		}
+	}
+	// The count homeOf's fast path trusts is exactly the number of claims
+	// the steering hash alone would misroute.
+	displaced := 0
+	for k, cl := range set.claims {
+		if cl.owner != set.Steering().Shard(k.Tuple()) {
+			displaced++
+		}
+	}
+	if set.displaced != displaced {
+		t.Fatalf("displaced = %d, but %d claim(s) name a shard other than their key's steered one", set.displaced, displaced)
 	}
 }
 
@@ -450,17 +460,19 @@ func TestHandoffWedgeRevertsRekey(t *testing.T) {
 			}
 		}
 	}
-	set.claimMu.Lock()
 	for k, cl := range set.claims {
 		if !owned[cl.owner][k] {
-			set.claimMu.Unlock()
 			t.Fatalf("claim for %v names shard %d but the PCB is not there", k, cl.owner)
 		}
 	}
-	set.claimMu.Unlock()
 
 	// Every connection — reverted movers included, despite the steering
-	// function now pointing elsewhere — must still answer.
+	// function now pointing elsewhere — must still answer. The reverted
+	// movers are displaced, so the count is non-zero and homeOf is reading
+	// the claims for these frames, not trusting the hash.
+	if set.displaced == 0 {
+		t.Fatal("reverted moves left no claim displaced")
+	}
 	for i, c := range conns {
 		if err := c.Send([]byte{byte('a' + i)}); err != nil {
 			t.Fatal(err)
@@ -474,6 +486,20 @@ func TestHandoffWedgeRevertsRekey(t *testing.T) {
 		if got := c.Receive(); !bytes.Equal(got, want) {
 			t.Fatalf("conn %d after reverted rekey: got %q want %q", i, got, want)
 		}
+	}
+
+	// Releasing the claims one by one takes each displaced one out of the
+	// count, and only those; with the last one gone the fast path is back.
+	var keys []core.Key
+	for k := range set.claims {
+		keys = append(keys, k)
+	}
+	for _, k := range keys {
+		set.Release(k)
+		checkOwnership(t, set)
+	}
+	if set.displaced != 0 || len(set.claims) != 0 {
+		t.Fatalf("after releasing every claim: displaced = %d, %d claim(s) left", set.displaced, len(set.claims))
 	}
 }
 
@@ -503,11 +529,9 @@ func establishOne(t *testing.T) oneConn {
 	}
 	f.client = engine.NewStack(wire.MakeAddr(10, 0, 0, 2), core.NewMapDemux(), 8)
 	f.conn = f.connect(t, f.client)
-	f.set.claimMu.Lock()
 	for k, cl := range f.set.claims {
 		f.key, f.home, f.other = k, cl.owner, 1-cl.owner
 	}
-	f.set.claimMu.Unlock()
 	return f
 }
 
@@ -621,9 +645,7 @@ func TestStaleHandoffAcrossReaccept(t *testing.T) {
 	f.set.Release(f.key)
 	client2 := engine.NewStack(wire.MakeAddr(10, 0, 0, 2), core.NewMapDemux(), 9)
 	conn2 := f.connect(t, client2)
-	f.set.claimMu.Lock()
 	again := f.set.claims[f.key]
-	f.set.claimMu.Unlock()
 	if again.owner != f.home {
 		t.Fatalf("re-accept landed on shard %d, want the handoff's destination %d", again.owner, f.home)
 	}

@@ -293,6 +293,8 @@ func (set *StackSet) checkHealth(now float64) {
 // Like Rekey, FailOver is a control-plane quiesce point: not concurrent
 // with Deliver. It returns the number of connections rehomed. A set
 // with no surviving shard stays Sick — there is nowhere to drain to.
+//
+//demux:owner(deliver)
 func (set *StackSet) FailOver(sick int) int {
 	h := &set.health[sick]
 	if h.state == HealthDrained {
@@ -328,9 +330,7 @@ func (set *StackSet) FailOver(sick int) int {
 		if !ok {
 			break
 		}
-		set.claimMu.Lock()
 		_, claimed := set.claims[k]
-		set.claimMu.Unlock()
 		pcb, ok := set.shards[sick].Extract(k)
 		if !ok {
 			continue // raced a timer teardown inside Extract's walk

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"tcpdemux/internal/core"
@@ -63,7 +62,10 @@ type Config struct {
 }
 
 // StackSet is the sharded multi-queue endpoint: one address, N
-// engine.Stacks behind an RSS-style steering function. Every inbound
+// engine.Stacks behind an RSS-style steering function. It has a single
+// owner: one goroutine (server.loop in the serving frontend) drives
+// Deliver, Tick, Release, Rekey and FailOver, and with them every shard's
+// Stack; nothing on that path is locked. Every inbound
 // frame hashes its tuple with the keyed steering hash and lands on
 // exactly one shard's private Stack — private demuxer, private timer
 // wheel, private outbox — through that shard's SPSC inbox ring, so the
@@ -99,19 +101,21 @@ type StackSet struct {
 	inbox   []*Ring[[]byte]
 	handoff [][]*Ring[Handoff]
 
-	// claimMu guards claims and the generation counter and is strictly a
-	// leaf lock: never held while calling into a shard Stack (whose
-	// OnAccept hook calls back here with its own lock held).
-	claimMu sync.Mutex
-	claims  map[core.Key]claim
-	gen     uint64
+	// claims is the one ownership record, gen the set-wide generation
+	// counter its stamps draw from, and displaced the number of claims
+	// whose owner is not the shard the current steering function gives
+	// their key: connections a reverted rekey or a drain left away from
+	// their hash. While it is zero the steering hash alone is the answer
+	// and the frame path never touches the map (homeOf).
+	claims    map[core.Key]claim //demux:singlewriter(owner=deliver)
+	gen       uint64             //demux:singlewriter(owner=deliver)
+	displaced int                //demux:singlewriter(owner=deliver)
 
 	// reasm reassembles fragmented datagrams before steering, the
 	// software re-steer real kernels apply after reassembly: a fragment
 	// has no ports to hash, so the set reassembles first and steers the
 	// whole datagram by its full tuple. Its expiry clock is FramesIn.
-	reasmMu sync.Mutex
-	reasm   *frag.Reassembler
+	reasm *frag.Reassembler //demux:singlewriter(owner=deliver)
 
 	// fault is the injection surface and health the watchdog's per-shard
 	// ledger (health.go); now is the set's virtual clock, advanced by
@@ -205,8 +209,7 @@ func NewStackSet(addr wire.Addr, cfg Config) (*StackSet, error) {
 	for i := range set.shards {
 		i := i
 		s := engine.NewStack(addr, cfg.NewDemuxer(i), cfg.Seed+uint64(i)*0x51_7c_c1+1)
-		// OnAccept runs with the shard's lock held; stamp touches only the
-		// leaf claim lock.
+		// OnAccept runs inside the shard's Deliver, which runs inside ours.
 		s.OnAccept = func(c *engine.Conn) { set.stamp(c.Key(), i) }
 		set.shards[i] = s
 		set.inbox[i] = NewRing[[]byte](inboxCap)
@@ -237,8 +240,8 @@ func (set *StackSet) SetTelemetry(reg *telemetry.Registry) {
 // frames are handed to fn the instant they are produced instead of
 // queuing on the per-shard outboxes for Drain — the serving frontend's
 // path, which would otherwise rescan every shard's outbox per delivery.
-// fn runs with the producing shard's stack lock held, so it must not
-// call back into the set (append to a caller-owned queue and process
+// fn runs inside Deliver and Tick, part-way through a frame, so it must
+// not call back into the set (append to a caller-owned queue and process
 // after Deliver/Tick returns). Passing nil restores Drain queuing.
 func (set *StackSet) SetEgressTap(fn func(frame []byte)) {
 	for _, s := range set.shards {
@@ -256,25 +259,43 @@ func (set *StackSet) SetEgressTap(fn func(frame []byte)) {
 // validate again: a re-accept of the same tuple stamps a generation the
 // set has not issued before.
 //
-// Like Rekey, Release is control-plane: call it from the same goroutine
-// that drives Deliver/Tick, not concurrently with them.
+// Like everything that touches the claims, Release runs on the goroutine
+// that drives Deliver/Tick.
+//
+//demux:owner(deliver)
 func (set *StackSet) Release(key core.Key) {
-	set.claimMu.Lock()
+	set.uncount(key)
 	delete(set.claims, key)
-	set.claimMu.Unlock()
 }
 
 // stamp records shard owner as key's owner under a fresh generation and
 // returns that generation. Every ownership transition — accept, move,
 // revert — goes through here, so whatever held the previous generation
 // is stale from this point on.
+//
+//demux:owner(deliver)
 func (set *StackSet) stamp(key core.Key, owner int) uint64 {
-	set.claimMu.Lock()
+	set.uncount(key)
 	set.gen++
-	gen := set.gen
-	set.claims[key] = claim{gen: gen, owner: owner}
-	set.claimMu.Unlock()
-	return gen
+	set.claims[key] = claim{gen: set.gen, owner: owner}
+	if owner != set.steer.Load().Shard(key.Tuple()) {
+		set.displaced++
+	}
+	return set.gen
+}
+
+// uncount takes key's present claim, if it has one, out of the displaced
+// count, ahead of the claim's replacement or deletion. With nothing
+// displaced there is nothing to take out, and no hash is computed.
+//
+//demux:owner(deliver)
+func (set *StackSet) uncount(key core.Key) {
+	if set.displaced == 0 {
+		return
+	}
+	if cl, ok := set.claims[key]; ok && cl.owner != set.steer.Load().Shard(key.Tuple()) {
+		set.displaced--
+	}
 }
 
 // Shards returns the shard count.
@@ -323,13 +344,14 @@ func (set *StackSet) SetBacklog(n int) {
 // bundle resolves to the same registry counters, which already hold the
 // set-wide totals.
 func (set *StackSet) LifecycleCounters() (retransmits, aborts, synExpired, timeWaitExpired uint64) {
-	seen := make(map[*telemetry.Counter]bool, len(set.shards))
-	for _, s := range set.shards {
+shards:
+	for i, s := range set.shards {
 		c := s.Telemetry().Retransmits
-		if seen[c] {
-			continue
+		for _, earlier := range set.shards[:i] {
+			if earlier.Telemetry().Retransmits == c {
+				continue shards
+			}
 		}
-		seen[c] = true
 		r, a, se, tw := s.LifecycleCounters()
 		retransmits += r
 		aborts += a
@@ -341,20 +363,20 @@ func (set *StackSet) LifecycleCounters() (retransmits, aborts, synExpired, timeW
 
 // steerFrame picks the owning shard for a raw frame: the keyed hash of
 // its full tuple. Fragments carry no ports, so the set reassembles them
-// first (under its own small lock — fragmentation is the rare path) and
-// steers the rebuilt datagram; an undecodable frame goes to shard 0,
-// whose Stack will account the parse error. A keyed result also carries
-// the frame's connection key so the delivery path can consult the
+// first and steers the rebuilt datagram; an undecodable frame goes to
+// shard 0, whose Stack will account the parse error. A keyed result also
+// carries the frame's connection key so the delivery path can consult the
 // claims table without re-parsing.
+//
+//demux:owner(deliver)
+//demux:hotpath
 func (set *StackSet) steerFrame(frame []byte) (int, core.Key, bool, []byte) {
 	tup, err := wire.ExtractTuple(frame)
 	if err == nil {
 		return set.steer.Load().Shard(tup), core.KeyFromTuple(tup), true, frame
 	}
 	if errors.Is(err, wire.ErrFragmented) {
-		set.reasmMu.Lock()
 		whole, ferr := set.reasm.Add(frame, float64(set.FramesIn))
-		set.reasmMu.Unlock()
 		if ferr != nil || whole == nil {
 			// Malformed fragment or datagram still incomplete: shard 0
 			// reports the former; the latter is simply absorbed.
@@ -380,11 +402,20 @@ func (set *StackSet) steerFrame(frame []byte) (int, core.Key, bool, []byte) {
 // SYN, or a handshake that was drained before it completed — re-steers
 // by the rescue fold, the same choice the drain made, so both sides of
 // the failover agree without extra rendezvous state.
+//
+// idx is the steering hash's answer for key. With no claim displaced, every
+// claim names the shard its key hashes to, so a live idx is also what the
+// claims table and the rescue fold would say, and neither is consulted:
+// the ordinary frame pays for no map lookup. A reverted rekey, a drain or a
+// dead shard brings the table back into the path.
+//
+//demux:owner(deliver)
+//demux:hotpath
 func (set *StackSet) homeOf(idx int, key core.Key) int {
-	set.claimMu.Lock()
-	cl, ok := set.claims[key]
-	set.claimMu.Unlock()
-	if ok {
+	if set.displaced == 0 && set.alive(idx) {
+		return idx
+	}
+	if cl, ok := set.claims[key]; ok {
 		return cl.owner
 	}
 	if !set.alive(idx) {
@@ -444,6 +475,8 @@ func (set *StackSet) consume(idx int, max int) (core.Result, error) {
 // whole frame to hand it (a reassembled datagram differs from its last
 // fragment). A negative shard means a fragment was absorbed and there is
 // nothing to dispatch yet.
+//
+//demux:hotpath
 func (set *StackSet) home(frame []byte) (int, []byte) {
 	idx, key, keyed, whole := set.steerFrame(frame)
 	if idx >= 0 && keyed {
@@ -457,6 +490,8 @@ func (set *StackSet) home(frame []byte) (int, []byte) {
 // fault verdict allows. It is the one body behind Deliver and the drain's
 // salvage path (FailOver re-homes and dispatches a dead shard's queued
 // frames, which Deliver already counted when they first arrived).
+//
+//demux:hotpath
 func (set *StackSet) dispatch(idx int, whole []byte) (core.Result, error) {
 	if idx < 0 {
 		set.Absorbed++
@@ -487,14 +522,13 @@ func (set *StackSet) dispatch(idx int, whole []byte) (core.Result, error) {
 // account examination costs exactly as with a single Stack.
 //
 //demux:owner(deliver)
+//demux:hotpath
 func (set *StackSet) Deliver(frame []byte) (core.Result, error) {
 	set.FramesIn++
 	// The reassembly timer ticks here, on every frame, not in steerFrame's
 	// fragment branch: orphans must expire under ordinary traffic.
 	if frag.ExpiryDue(set.FramesIn) {
-		set.reasmMu.Lock()
 		set.reasm.Reap(float64(set.FramesIn), frag.ExpiryTTL)
-		set.reasmMu.Unlock()
 	}
 	idx, whole := set.home(frame)
 	if idx >= 0 {
@@ -573,6 +607,8 @@ func (set *StackSet) Len() int {
 // harness, between measurement windows in the benches). This is the same
 // contract as the overload package's online rekey — steering changes are
 // epoch transitions, not per-packet events.
+//
+//demux:owner(deliver)
 func (set *StackSet) Rekey() int {
 	n := len(set.shards)
 	set.Rekeys++
@@ -593,9 +629,9 @@ func (set *StackSet) Rekey() int {
 		from, to int
 	}
 	var moves []move
-	set.claimMu.Lock()
 	for k, cl := range set.claims { //demux:orderinvariant deletions and the collected move set are per-key independent; movers are sorted below
 		if !live[k] {
+			set.uncount(k)
 			delete(set.claims, k)
 			continue
 		}
@@ -603,7 +639,6 @@ func (set *StackSet) Rekey() int {
 			moves = append(moves, move{k, cl.owner, to})
 		}
 	}
-	set.claimMu.Unlock()
 	// Deterministic migration order: ring-full fallbacks depend on the
 	// order movers hit the handoff rings, so the launch sequence must not
 	// inherit map iteration order.
@@ -629,6 +664,15 @@ func (set *StackSet) Rekey() int {
 		}
 	}
 	set.steer.Store(&newSteer)
+	// Displaced is relative to the steering function, so the swap recounts
+	// it: what stays displaced is what the moves above could not fix (a
+	// move reverted on a full ring, a target that is not alive).
+	set.displaced = 0
+	for k, cl := range set.claims { //demux:orderinvariant a count
+		if cl.owner != newSteer.Shard(k.Tuple()) {
+			set.displaced++
+		}
+	}
 
 	// Each live shard drains its incoming handoff rings and adopts what
 	// the claims table still says is its own.
@@ -673,6 +717,8 @@ func (set *StackSet) migrate(pcb *core.PCB, from, to int) (pushed bool, adopted 
 // release or re-accept overtook the message in flight — and is dropped
 // without touching the PCB: whoever stamped the newer generation owns
 // the connection now.
+//
+//demux:owner(deliver)
 func (set *StackSet) adoptPending(to int) int {
 	adopted := 0
 	for from := range set.shards {
@@ -685,9 +731,7 @@ func (set *StackSet) adoptPending(to int) int {
 			if !ok {
 				break
 			}
-			set.claimMu.Lock()
 			cl, claimed := set.claims[h.PCB.Key]
-			set.claimMu.Unlock()
 			if !claimed || cl.gen != h.Gen || cl.owner != to {
 				set.m.StaleHandoffs.Inc()
 				continue

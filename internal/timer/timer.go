@@ -17,13 +17,23 @@
 // nondecreasing. A timer never fires early: deadlines are rounded up to
 // the next tick boundary.
 //
-// The wheel is not safe for concurrent use; the engine serializes all
-// access under its stack lock.
+// The wheel is not safe for concurrent use: it belongs to whatever single
+// goroutine drives its owner (the engine's Stack).
+//
+// Scheduling allocates nothing in steady state. A timer's storage is a
+// node the wheel recycles: Cancel takes the node out of its bucket on the
+// spot (a swap with the bucket's last entry; order inside a bucket means
+// nothing, firing sorts) and puts it on a free list, a fired node follows
+// after its callback, and the next Schedule reuses it. The pool is
+// therefore as large as the most timers ever pending at once, however many
+// are armed and canceled per second. The callback is a plain function that
+// receives the subject it was scheduled with, so arming a timer builds no
+// closure.
 package timer
 
 import (
 	"math"
-	"sort"
+	"slices"
 )
 
 // Wheel geometry.
@@ -42,15 +52,66 @@ const (
 // timer (2MSL) and fine enough for sub-RTT retransmission timeouts.
 const DefaultTick = 1e-3
 
-// Timer is one scheduled callback. It is returned by Schedule and is
-// valid to Cancel until it fires.
-type Timer struct {
+// Func is a timer callback. It receives the effective fire time and the
+// subject the timer was scheduled with.
+type Func func(now float64, arg any)
+
+// node is the wheel's storage for one scheduled callback. Nodes are
+// recycled, so nothing outside the wheel holds one directly: a Timer names
+// one scheduling of a node by that scheduling's seq.
+type node struct {
 	deadline float64
-	fn       func(now float64)
-	seq      uint64
+	fn       Func
+	arg      any
+	seq      uint64 // schedule order; unique per scheduling, never reused
 	wheel    *Wheel
-	state    timerState
-	overflow bool // currently parked in the overflow list
+	// bucket and idx say where the node was filed: (*bucket)[idx] is the
+	// node, unless that bucket has since been taken out for processing.
+	bucket *bucket
+	idx    int
+	state  timerState
+}
+
+// bucket is one list of filed nodes: a wheel slot, the due list or the
+// overflow list. Order within it carries no meaning.
+type bucket []*node
+
+// put files n at the end of b.
+func (b *bucket) put(n *node) {
+	n.bucket, n.idx = b, len(*b)
+	*b = append(*b, n)
+}
+
+// remove takes n out of b, if b still holds it, by moving b's last entry
+// into its place. It reports false when b was taken out for processing
+// after n was filed (take): n is then in the batch being walked.
+func (b *bucket) remove(n *node) bool {
+	s := *b
+	if n.idx >= len(s) || s[n.idx] != n {
+		return false
+	}
+	last := s[len(s)-1]
+	s[n.idx], last.idx = last, n.idx
+	s[len(s)-1] = nil
+	*b = s[:len(s)-1]
+	return true
+}
+
+// take empties b for processing and returns what it held.
+func (b *bucket) take() []*node {
+	batch := *b
+	*b = nil
+	return batch
+}
+
+// giveBack returns a processed batch's array to the bucket it was taken
+// from, so a bucket that is filled every revolution grows once. If
+// processing filed something in the bucket meanwhile, that stays and the
+// old array is dropped.
+func (b *bucket) giveBack(batch []*node) {
+	if *b == nil {
+		*b = batch[:0]
+	}
 }
 
 type timerState uint8
@@ -61,24 +122,35 @@ const (
 	stateCanceled
 )
 
-// Deadline returns the virtual time the timer was scheduled for.
-func (t *Timer) Deadline() float64 { return t.deadline }
+// Timer is the handle Schedule returns: valid to Cancel until the timer
+// fires. It stays safe after that. Once its timer has fired or been
+// canceled, and even after the wheel has reused the node for someone
+// else's timer, Pending reports false and Cancel does nothing. The zero
+// Timer is a handle on nothing.
+type Timer struct {
+	n   *node
+	seq uint64
+}
 
 // Pending reports whether the timer is still waiting to fire.
-func (t *Timer) Pending() bool { return t != nil && t.state == statePending }
+func (t Timer) Pending() bool {
+	return t.n != nil && t.n.seq == t.seq && t.n.state == statePending
+}
 
 // Cancel prevents a pending timer from firing and reports whether it was
 // still pending. Canceling a fired or already-canceled timer is a no-op.
-// The timer's slot entry is reclaimed lazily when its bucket is next
-// visited, so Cancel is O(1).
-func (t *Timer) Cancel() bool {
-	if t == nil || t.state != statePending {
+// Cancel is O(1) and frees the timer's storage for reuse at once; only a
+// timer canceled by a callback of its own bucket's batch waits for that
+// batch's loop to release it.
+func (t Timer) Cancel() bool {
+	if !t.Pending() {
 		return false
 	}
-	t.state = stateCanceled
-	t.wheel.pending--
-	if t.overflow {
-		t.wheel.overflowLive--
+	n, w := t.n, t.n.wheel
+	n.state = stateCanceled
+	w.pending--
+	if n.bucket.remove(n) {
+		w.release(n)
 	}
 	return true
 }
@@ -89,15 +161,16 @@ type Wheel struct {
 	cur  uint64 // current tick number (floor(now / tick))
 	seq  uint64 // schedule order, breaks deadline ties deterministically
 
-	slots [levels][numSlots][]*Timer
+	slots [levels][numSlots]bucket
 	// due holds timers scheduled at or before the current tick; they fire
 	// on the next Advance (or during the current one, for reinsertions).
-	due []*Timer
+	due bucket
 	// overflowQ holds timers beyond horizonTicks.
-	overflowQ []*Timer
+	overflowQ bucket
+	// free is the pool of nodes no bucket holds.
+	free []*node
 
-	pending      int // live timers anywhere
-	overflowLive int // live timers in overflowQ
+	pending int // live timers anywhere
 
 	// Fired counts timers that have run, for instrumentation.
 	Fired uint64
@@ -122,15 +195,30 @@ func (w *Wheel) Now() float64 { return float64(w.cur) * w.tick }
 // timers.
 func (w *Wheel) Pending() int { return w.pending }
 
-// Schedule registers fn to run when virtual time reaches at. A deadline
-// at or before the current time fires on the next Advance. The callback
-// receives the effective fire time, which is never before at.
-func (w *Wheel) Schedule(at float64, fn func(now float64)) *Timer {
-	t := &Timer{deadline: at, fn: fn, seq: w.seq, wheel: w}
+// Schedule registers fn to run with arg when virtual time reaches at. A
+// deadline at or before the current time fires on the next Advance. The
+// callback receives the effective fire time, which is never before at.
+func (w *Wheel) Schedule(at float64, fn Func, arg any) Timer {
+	var n *node
+	if last := len(w.free) - 1; last >= 0 {
+		n, w.free = w.free[last], w.free[:last]
+	} else {
+		n = &node{wheel: w}
+	}
+	n.deadline, n.fn, n.arg, n.seq, n.state = at, fn, arg, w.seq, statePending
 	w.seq++
 	w.pending++
-	w.place(t)
-	return t
+	w.place(n)
+	return Timer{n: n, seq: n.seq}
+}
+
+// release returns a node no bucket holds any more to the pool, letting go
+// of its subject. Any Timer still naming the node is already dead (its
+// state is not pending) and stays dead when the node is reused (its seq
+// moves).
+func (w *Wheel) release(n *node) {
+	n.fn, n.arg = nil, nil
+	w.free = append(w.free, n)
 }
 
 // tickOf converts a deadline to its tick number, rounding up so a timer
@@ -144,17 +232,15 @@ func (w *Wheel) tickOf(at float64) uint64 {
 
 // place files a live timer into the structure appropriate for its
 // distance from the current tick.
-func (w *Wheel) place(t *Timer) {
+func (w *Wheel) place(t *node) {
 	tk := w.tickOf(t.deadline)
 	if tk <= w.cur {
-		w.due = append(w.due, t)
+		w.due.put(t)
 		return
 	}
 	delta := tk - w.cur
 	if delta >= horizonTicks {
-		t.overflow = true
-		w.overflowLive++
-		w.overflowQ = append(w.overflowQ, t)
+		w.overflowQ.put(t)
 		return
 	}
 	level := 0
@@ -162,7 +248,7 @@ func (w *Wheel) place(t *Timer) {
 		level++
 	}
 	slot := (tk >> (uint(level) * slotBits)) & slotMask
-	w.slots[level][slot] = append(w.slots[level][slot], t)
+	w.slots[level][slot].put(t)
 }
 
 // Advance moves virtual time forward to 'to', firing every timer whose
@@ -179,7 +265,7 @@ func (w *Wheel) Advance(to float64) {
 			w.cur = target
 			break
 		}
-		if w.pending == w.overflowLive {
+		if w.pending == len(w.overflowQ) {
 			// Everything live is beyond the horizon: skip empty ticks up
 			// to the next top-level wrap (where overflow is reconsidered)
 			// or the target, whichever is nearer.
@@ -203,85 +289,80 @@ func (w *Wheel) Advance(to float64) {
 
 // cascade redistributes the buckets that the just-incremented tick
 // exposes at each wrapped level, innermost first. At a top-level wrap the
-// overflow list is reconsidered too.
+// overflow list is reconsidered too. No callback runs in here, so every
+// node it meets is pending.
 func (w *Wheel) cascade() {
 	for level := 1; level < levels; level++ {
 		shift := uint(level) * slotBits
-		slot := (w.cur >> shift) & slotMask
-		batch := w.slots[level][slot]
-		w.slots[level][slot] = nil
-		for _, t := range batch {
-			if t.state == statePending {
-				w.place(t)
-			}
-		}
+		w.refile(&w.slots[level][(w.cur>>shift)&slotMask])
 		if (w.cur>>shift)&slotMask != 0 {
 			break
 		}
 	}
 	if w.cur&(horizonTicks-1) == 0 {
-		batch := w.overflowQ
-		w.overflowQ = nil
-		for _, t := range batch {
-			if t.state != statePending {
-				continue
-			}
-			t.overflow = false
-			w.overflowLive--
-			w.place(t)
-		}
+		w.refile(&w.overflowQ)
 	}
+}
+
+// refile places every node of b again, now that the clock is nearer.
+func (w *Wheel) refile(b *bucket) {
+	batch := b.take()
+	for _, t := range batch {
+		w.place(t)
+	}
+	b.giveBack(batch)
 }
 
 // fireSlot runs the level-0 bucket for the current tick.
 func (w *Wheel) fireSlot() {
-	slot := w.cur & slotMask
-	batch := w.slots[0][slot]
-	if len(batch) == 0 {
-		return
+	if b := &w.slots[0][w.cur&slotMask]; len(*b) > 0 {
+		w.fireBucket(b)
 	}
-	w.slots[0][slot] = nil
-	w.fireBatch(batch)
 }
 
 // fireDue drains the due list, which callbacks may refill (a reinsertion
 // at or before the current time fires within the same Advance).
 func (w *Wheel) fireDue() {
 	for len(w.due) > 0 {
-		batch := w.due
-		w.due = nil
-		w.fireBatch(batch)
+		w.fireBucket(&w.due)
 	}
 }
 
-// fireBatch runs one bucket's live timers in (deadline, seq) order. All
-// deadlines in a bucket fall within one tick, and ticks are processed in
-// order, so sorting here makes global fire order nondecreasing.
-func (w *Wheel) fireBatch(batch []*Timer) {
-	live := batch[:0]
-	for _, t := range batch {
-		if t.state == statePending {
-			live = append(live, t)
+// fireBucket runs b's timers in (deadline, seq) order and releases their
+// nodes. All deadlines in a bucket fall within one tick, and ticks are
+// processed in order, so sorting here makes global fire order
+// nondecreasing.
+func (w *Wheel) fireBucket(b *bucket) {
+	batch := b.take()
+	slices.SortFunc(batch, func(a, b *node) int {
+		if a.deadline != b.deadline {
+			if a.deadline < b.deadline {
+				return -1
+			}
+			return 1
 		}
-	}
-	sort.Slice(live, func(i, j int) bool {
-		if live[i].deadline != live[j].deadline {
-			return live[i].deadline < live[j].deadline
+		if a.seq < b.seq {
+			return -1
 		}
-		return live[i].seq < live[j].seq
+		return 1 // seqs are unique
 	})
 	now := w.Now()
-	for _, t := range live {
-		if t.state != statePending {
-			continue // canceled by an earlier callback in this batch
+	for _, t := range batch {
+		// A node canceled by an earlier callback of this batch is only
+		// released (Cancel could not: the batch is out of its bucket). One
+		// that fires is released after its callback, so the callback's own
+		// Schedule cannot be handed the node it runs from.
+		if t.state == statePending {
+			t.state = stateFired
+			w.pending--
+			w.Fired++
+			at := t.deadline
+			if at < now {
+				at = now // scheduled in the past: fires "now"
+			}
+			t.fn(at, t.arg)
 		}
-		t.state = stateFired
-		w.pending--
-		w.Fired++
-		at := t.deadline
-		if at < now {
-			at = now // scheduled in the past: fires "now"
-		}
-		t.fn(at)
+		w.release(t)
 	}
+	b.giveBack(batch)
 }

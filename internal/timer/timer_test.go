@@ -11,7 +11,7 @@ import (
 func TestFiresAtDeadline(t *testing.T) {
 	w := New(0.001)
 	var fired []float64
-	w.Schedule(0.050, func(now float64) { fired = append(fired, now) })
+	w.Schedule(0.050, func(now float64, _ any) { fired = append(fired, now) }, nil)
 	w.Advance(0.049)
 	if len(fired) != 0 {
 		t.Fatalf("fired %v before deadline", fired)
@@ -42,7 +42,7 @@ func TestBucketRollover(t *testing.T) {
 	fireAt := make([]float64, len(deltas))
 	for i, d := range deltas {
 		i, d := i, d
-		w.Schedule(float64(d)*tick, func(now float64) { fireAt[i] = now })
+		w.Schedule(float64(d)*tick, func(now float64, _ any) { fireAt[i] = now }, nil)
 	}
 	if w.Pending() != len(deltas) {
 		t.Fatalf("pending = %d, want %d", w.Pending(), len(deltas))
@@ -68,7 +68,7 @@ func TestBucketRollover(t *testing.T) {
 func TestCancel(t *testing.T) {
 	w := New(0.001)
 	ran := false
-	tm := w.Schedule(0.5, func(float64) { ran = true })
+	tm := w.Schedule(0.5, func(float64, any) { ran = true }, nil)
 	if !tm.Pending() {
 		t.Fatal("scheduled timer not pending")
 	}
@@ -97,9 +97,9 @@ func TestCancelVsFireWithReinsertion(t *testing.T) {
 	// Same-tick cancel: a fires first (earlier schedule order at the same
 	// deadline) and cancels b.
 	var bRan bool
-	var b *Timer
-	w.Schedule(0.010, func(float64) { b.Cancel() })
-	b = w.Schedule(0.010, func(float64) { bRan = true })
+	var b Timer
+	w.Schedule(0.010, func(float64, any) { b.Cancel() }, nil)
+	b = w.Schedule(0.010, func(float64, any) { bRan = true }, nil)
 	w.Advance(0.020)
 	if bRan {
 		t.Fatal("timer canceled by same-tick peer still fired")
@@ -107,14 +107,14 @@ func TestCancelVsFireWithReinsertion(t *testing.T) {
 
 	// Periodic reinsertion: a self-rearming timer ticks a fixed cadence.
 	var fires []float64
-	var rearm func(now float64)
-	rearm = func(now float64) {
+	var rearm func(now float64, _ any)
+	rearm = func(now float64, _ any) {
 		fires = append(fires, now)
 		if len(fires) < 5 {
-			w.Schedule(now+0.100, rearm)
+			w.Schedule(now+0.100, rearm, nil)
 		}
 	}
-	w.Schedule(0.100, rearm)
+	w.Schedule(0.100, rearm, nil)
 	w.Advance(1.0)
 	if len(fires) != 5 {
 		t.Fatalf("periodic timer fired %d times, want 5", len(fires))
@@ -127,9 +127,9 @@ func TestCancelVsFireWithReinsertion(t *testing.T) {
 
 	// Reinsertion at the current instant fires within the same Advance.
 	nested := 0
-	w.Schedule(1.5, func(now float64) {
-		w.Schedule(now, func(float64) { nested++ })
-	})
+	w.Schedule(1.5, func(now float64, _ any) {
+		w.Schedule(now, func(float64, any) { nested++ }, nil)
+	}, nil)
 	w.Advance(2.0)
 	if nested != 1 {
 		t.Fatalf("same-instant reinsertion fired %d times", nested)
@@ -141,10 +141,10 @@ func TestCancelVsFireWithReinsertion(t *testing.T) {
 // run.
 func TestCancelFromEarlierCallbackAcrossTicks(t *testing.T) {
 	w := New(0.001)
-	var victim *Timer
+	var victim Timer
 	vRan := false
-	w.Schedule(0.010, func(float64) { victim.Cancel() })
-	victim = w.Schedule(0.900, func(float64) { vRan = true })
+	w.Schedule(0.010, func(float64, any) { victim.Cancel() }, nil)
+	victim = w.Schedule(0.900, func(float64, any) { vRan = true }, nil)
 	w.Advance(2.0)
 	if vRan {
 		t.Fatal("victim fired despite cancellation mid-Advance")
@@ -158,8 +158,8 @@ func TestPastDeadlineFiresNext(t *testing.T) {
 	w := New(0.001)
 	w.Advance(5.0)
 	var at float64
-	w.Schedule(1.0, func(now float64) { at = now }) // already past
-	w.Advance(5.0)                                  // no time motion needed
+	w.Schedule(1.0, func(now float64, _ any) { at = now }, nil) // already past
+	w.Advance(5.0)                                              // no time motion needed
 	if at != 5.0 {
 		t.Fatalf("past-deadline timer fired at %v, want clamped to 5.0", at)
 	}
@@ -171,7 +171,7 @@ func TestZeroTickDefaults(t *testing.T) {
 		t.Fatalf("tick = %v", w.Tick())
 	}
 	ran := false
-	w.Schedule(0.002, func(float64) { ran = true })
+	w.Schedule(0.002, func(float64, any) { ran = true }, nil)
 	w.Advance(0.010)
 	if !ran {
 		t.Fatal("default-tick wheel did not fire")
@@ -214,11 +214,11 @@ func TestFireOrderNondecreasing(t *testing.T) {
 			}
 			recs[i] = r
 			r2 := r
-			w.Schedule(r.deadline, func(now float64) {
+			w.Schedule(r.deadline, func(now float64, _ any) {
 				r2.firedAt = now
 				r2.order = fired
 				fired++
-			})
+			}, nil)
 		}
 		now := 0.0
 		for now < horizon+1 {
@@ -249,7 +249,7 @@ func TestDeterministicTieBreak(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		w.Schedule(0.5, func(float64) { order = append(order, i) })
+		w.Schedule(0.5, func(float64, any) { order = append(order, i) }, nil)
 	}
 	w.Advance(1.0)
 	for i, got := range order {
@@ -262,9 +262,9 @@ func TestDeterministicTieBreak(t *testing.T) {
 func TestPendingCountThroughChurn(t *testing.T) {
 	w := New(0.001)
 	src := rng.New(9)
-	var live []*Timer
+	var live []Timer
 	for i := 0; i < 1000; i++ {
-		live = append(live, w.Schedule(src.Float64()*100, func(float64) {}))
+		live = append(live, w.Schedule(src.Float64()*100, func(float64, any) {}, nil))
 	}
 	canceled := 0
 	for _, tm := range live {
@@ -290,7 +290,7 @@ func BenchmarkScheduleAdvance(b *testing.B) {
 	now := 0.0
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		w.Schedule(now+src.Float64(), func(float64) {})
+		w.Schedule(now+src.Float64(), func(float64, any) {}, nil)
 		if i%64 == 0 {
 			now += 0.032
 			w.Advance(now)

@@ -8,9 +8,11 @@ import (
 // Native fuzz targets. Run as ordinary seed-corpus tests under go test;
 // run with -fuzz=FuzzParseSegment for continuous fuzzing.
 
-// FuzzParseSegment asserts the parse-rebuild-reparse invariant: anything
-// the parser accepts must rebuild into a frame the parser accepts again
-// with identical header fields and payload.
+// FuzzParseSegment asserts that the parser agrees with the reference parser
+// (reference_test.go) on result, error value and payload aliasing, and the
+// parse-rebuild-reparse invariant: anything the parser accepts must rebuild
+// into a frame the parser accepts again with identical header fields and
+// payload.
 func FuzzParseSegment(f *testing.F) {
 	seed, err := BuildSegment(sampleIP(), sampleTCP(), []byte("seed payload"))
 	if err != nil {
@@ -27,8 +29,16 @@ func FuzzParseSegment(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(seed2)
+	for _, frame := range equivalenceFrames(f) {
+		f.Add(frame)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		var reused Segment
+		checkParseEquivalent(t, &reused, data)
+		if got, want := Checksum(data), refChecksum(data); got != want {
+			t.Fatalf("Checksum %#04x, reference %#04x", got, want)
+		}
 		seg, err := ParseSegment(data)
 		if err != nil {
 			return // rejection is always acceptable
@@ -54,15 +64,20 @@ func FuzzParseSegment(f *testing.F) {
 	})
 }
 
-// FuzzExtractTuple asserts the fast path agrees with the full parser on
-// every frame the full parser accepts.
+// FuzzExtractTuple asserts the fast path agrees with the full parser, and
+// with the reference parser, on every frame they accept.
 func FuzzExtractTuple(f *testing.F) {
 	seed, err := BuildSegment(sampleIP(), sampleTCP(), nil)
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(seed)
+	for _, frame := range equivalenceFrames(f) {
+		f.Add(frame)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		var reused Segment
+		checkParseEquivalent(t, &reused, data)
 		seg, err := ParseSegment(data)
 		if err != nil {
 			_, _ = ExtractTuple(data) // must not panic either way

@@ -72,14 +72,26 @@ func (h *IPv4Header) IsFragment() bool {
 // The header checksum is computed; TotalLen is written as provided so the
 // caller controls payload accounting.
 func (h *IPv4Header) Marshal(buf []byte) ([]byte, error) {
-	if len(h.Options)%4 != 0 || len(h.Options) > IPv4MaxHeaderLen-IPv4HeaderLen {
+	if !h.optionsFit() {
 		return nil, ErrIPv4BadIHL
 	}
 	hlen := h.HeaderLen()
 	start := len(buf)
 	buf = append(buf, make([]byte, hlen)...)
-	b := buf[start:]
-	b[0] = ipv4Version<<4 | uint8(hlen/4)
+	h.put(buf[start:])
+	return buf, nil
+}
+
+// optionsFit reports whether the options are encodable: whole 32-bit words,
+// at most 40 bytes.
+func (h *IPv4Header) optionsFit() bool {
+	return len(h.Options)%4 == 0 && len(h.Options) <= IPv4MaxHeaderLen-IPv4HeaderLen
+}
+
+// put encodes the header, checksum included, into b, which is exactly
+// HeaderLen() zeroed bytes. The caller has checked optionsFit.
+func (h *IPv4Header) put(b []byte) {
+	b[0] = ipv4Version<<4 | uint8(len(b)/4)
 	b[1] = h.TOS
 	putU16(b[2:], h.TotalLen)
 	putU16(b[4:], h.ID)
@@ -89,9 +101,7 @@ func (h *IPv4Header) Marshal(buf []byte) ([]byte, error) {
 	copy(b[12:16], h.Src[:])
 	copy(b[16:20], h.Dst[:])
 	copy(b[20:], h.Options)
-	cs := Checksum(b[:hlen])
-	putU16(b[10:], cs)
-	return buf, nil
+	putU16(b[10:], Checksum(b))
 }
 
 // Unmarshal parses an IPv4 header from b, validating version, IHL, total
@@ -103,6 +113,8 @@ func (h *IPv4Header) Marshal(buf []byte) ([]byte, error) {
 // the returned header's TotalLen, never len(b). Only the converse, a
 // buffer holding fewer bytes than TotalLen claims, is rejected: that
 // datagram is truncated and no parse can recover it.
+//
+//demux:hotpath
 func (h *IPv4Header) Unmarshal(b []byte) (int, error) {
 	if len(b) < IPv4HeaderLen {
 		return 0, ErrIPv4Truncated
@@ -141,7 +153,7 @@ func (h *IPv4Header) Unmarshal(b []byte) (int, error) {
 	copy(h.Src[:], b[12:16])
 	copy(h.Dst[:], b[16:20])
 	if hlen > IPv4HeaderLen {
-		h.Options = append(h.Options[:0], b[IPv4HeaderLen:hlen]...)
+		h.Options = append(h.Options[:0], b[IPv4HeaderLen:hlen]...) //demux:allowalloc only a header with options, and then only until h has the capacity
 	} else {
 		h.Options = nil
 	}

@@ -44,7 +44,9 @@ func (t Tuple) Reverse() Tuple {
 
 // BuildSegment serializes an IPv4/TCP segment into a fresh buffer: it fills
 // in the IP total length, protocol, and both checksums. The given headers
-// are not modified.
+// are not modified. The buffer is the call's one allocation.
+//
+//demux:hotpath
 func BuildSegment(ip IPv4Header, tcp TCPHeader, payload []byte) ([]byte, error) {
 	tcpLen, err := tcp.HeaderLen()
 	if err != nil {
@@ -57,47 +59,57 @@ func BuildSegment(ip IPv4Header, tcp TCPHeader, payload []byte) ([]byte, error) 
 		return nil, ErrIPv4BadLength
 	}
 	ip.TotalLen = uint16(total)
+	if !ip.optionsFit() {
+		return nil, ErrIPv4BadIHL
+	}
 
-	buf := make([]byte, 0, total)
-	buf, err = ip.Marshal(buf)
-	if err != nil {
-		return nil, err
-	}
-	buf, err = tcp.Marshal(buf)
-	if err != nil {
-		return nil, err
-	}
-	buf = append(buf, payload...)
+	buf := make([]byte, total) //demux:allowalloc the frame itself, which the caller keeps
+	ip.put(buf[:ipLen])
 	seg := buf[ipLen:]
-	cs := TCPChecksum(ip.Src, ip.Dst, seg)
-	putU16(seg[16:], cs)
+	tcp.put(seg[:tcpLen])
+	copy(seg[tcpLen:], payload)
+	putU16(seg[16:], TCPChecksum(ip.Src, ip.Dst, seg))
 	return buf, nil
 }
 
 // ParseSegment parses and validates a raw IPv4/TCP frame, checking both
-// checksums. The returned Segment's Payload aliases frame.
+// checksums: Decode into a fresh Segment.
 func ParseSegment(frame []byte) (*Segment, error) {
-	var seg Segment
-	n, err := seg.IP.Unmarshal(frame)
-	if err != nil {
+	seg := new(Segment)
+	if err := seg.Decode(frame); err != nil {
 		return nil, err
 	}
-	if seg.IP.Protocol != protoTCP {
-		return nil, ErrNotTCP
-	}
-	if seg.IP.IsFragment() {
-		return nil, ErrFragmented
-	}
-	body := frame[n:seg.IP.TotalLen]
-	if !VerifyTCPChecksum(seg.IP.Src, seg.IP.Dst, body) {
-		return nil, ErrTCPBadChecksum
-	}
-	m, err := seg.TCP.Unmarshal(body)
+	return seg, nil
+}
+
+// Decode parses and validates a raw IPv4/TCP frame into s, checking both
+// checksums, and allocates nothing for a frame without options: s is the
+// caller's (a local one need not reach the heap), its option slices are
+// reused, and Payload aliases frame. After an error s holds no usable
+// segment.
+//
+//demux:hotpath
+func (s *Segment) Decode(frame []byte) error {
+	n, err := s.IP.Unmarshal(frame)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	seg.Payload = body[m:]
-	return &seg, nil
+	if s.IP.Protocol != protoTCP {
+		return ErrNotTCP
+	}
+	if s.IP.IsFragment() {
+		return ErrFragmented
+	}
+	body := frame[n:s.IP.TotalLen]
+	if !VerifyTCPChecksum(s.IP.Src, s.IP.Dst, body) {
+		return ErrTCPBadChecksum
+	}
+	m, err := s.TCP.Unmarshal(body)
+	if err != nil {
+		return err
+	}
+	s.Payload = body[m:]
+	return nil
 }
 
 // Tuple returns the segment's demultiplexing tuple.

@@ -126,12 +126,18 @@ func (h *TCPHeader) Marshal(buf []byte) ([]byte, error) {
 	}
 	start := len(buf)
 	buf = append(buf, make([]byte, hlen)...)
-	b := buf[start:]
+	h.put(buf[start:])
+	return buf, nil
+}
+
+// put encodes the header, checksum field zero, into b, which is exactly
+// HeaderLen() zeroed bytes.
+func (h *TCPHeader) put(b []byte) {
 	putU16(b[0:], h.SrcPort)
 	putU16(b[2:], h.DstPort)
 	putU32(b[4:], h.Seq)
 	putU32(b[8:], h.Ack)
-	b[12] = uint8(hlen/4) << 4
+	b[12] = uint8(len(b)/4) << 4
 	b[13] = h.Flags
 	putU16(b[14:], h.Window)
 	putU16(b[18:], h.Urgent)
@@ -144,12 +150,13 @@ func (h *TCPHeader) Marshal(buf []byte) ([]byte, error) {
 		off += 2 + len(o.Data)
 	}
 	// Remaining bytes are already zero = OptEnd padding.
-	return buf, nil
 }
 
 // Unmarshal parses a TCP header from b, returning the header length
 // consumed. Options are decoded into the Options slice; NOP and End-of-list
 // padding is skipped.
+//
+//demux:hotpath
 func (h *TCPHeader) Unmarshal(b []byte) (int, error) {
 	if len(b) < TCPHeaderLen {
 		return 0, ErrTCPTruncated
@@ -184,10 +191,10 @@ func (h *TCPHeader) Unmarshal(b []byte) (int, error) {
 			if olen < 2 || olen > len(opts) {
 				return 0, ErrTCPBadOptions
 			}
-			h.Options = append(h.Options, TCPOption{
-				Kind: opts[0],
-				Data: append([]byte(nil), opts[2:olen]...),
-			})
+			// An option's data is copied out of b, so a parsed header
+			// outlives its frame; a header without options costs nothing.
+			data := append([]byte(nil), opts[2:olen]...)                        //demux:allowalloc only when the header carries an option
+			h.Options = append(h.Options, TCPOption{Kind: opts[0], Data: data}) //demux:allowalloc only when the header carries an option, until h has the capacity
 			opts = opts[olen:]
 		}
 	}
