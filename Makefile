@@ -4,7 +4,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all build vet lint lint-fixtures bench-check test race chaos shard failover live demuxd demuxload bench bench-json bench-json-adversarial bench-json-cache bench-json-shard bench-json-failover bench-gate fuzz figures clean
+.PHONY: all build vet lint lint-fixtures bench-check bench-pairs test race chaos shard failover live demuxd demuxload bench bench-json bench-json-adversarial bench-json-cache bench-json-shard bench-json-failover bench-gate fuzz figures clean
 
 all: build vet lint test
 
@@ -41,6 +41,20 @@ FORCE:
 bench-check:
 	$(GO) -C bench vet ./...
 	$(GO) -C bench test ./...
+
+# bench-pairs is how a performance claim is measured (bench/README.md
+# §Noise): PARENT's tree is exported under .bench_build/parent, each side's
+# benchmark is built by its own bench/run.sh, and cmd/benchpairs alternates
+# N pairs of every BENCHMARK.json workload between the two, printing per
+# metric and workload both medians, the parent's quartile distance and the
+# change's wins. PAIRFLAGS passes the rest (-workloads, -seed, -trace 1).
+# Half an hour at N=10; nothing under bench/ is edited.
+PARENT ?= HEAD
+N ?= 10
+bench-pairs:
+	rm -rf .bench_build/parent && mkdir -p .bench_build/parent
+	git archive $(PARENT) | tar -x -C .bench_build/parent
+	$(GO) run ./cmd/benchpairs -parent .bench_build/parent -change . -n $(N) $(PAIRFLAGS)
 
 # test is the tier-1 gate: vet, the invariant analyzers, the full test
 # suite (the benchmark module's included), the race target, and the
@@ -86,9 +100,15 @@ failover:
 # the race detector — ≥1000 concurrent kernel TCP connections with
 # byte-verified TPC/A responses, graceful-shutdown draining with a
 # balanced connection conservation ledger, goroutine-leak checks, and
-# the live metrics endpoint.
+# the live metrics endpoint; then hostile and clumsy peers (never-reading,
+# reset, half-close, dribbled, pipelined, over-long), descriptor reuse
+# inside one epoll batch, and the frontend's shape (descriptors back at
+# baseline, no goroutine per socket, an idle server parked). Run on one
+# processor and on two: the readiness loop shares the scheduler with
+# whatever else the process runs, and must not depend on having its own.
 live:
-	$(GO) test -race -count=1 -run 'TestLive' ./internal/server ./cmd/demuxd
+	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'TestLive' ./internal/server ./cmd/demuxd
+	GOMAXPROCS=2 $(GO) test -race -count=1 -run 'TestLive' ./internal/server ./cmd/demuxd
 
 # demuxd / demuxload build the server and load-generator binaries.
 demuxd:

@@ -1,3 +1,5 @@
+//go:build linux
+
 // Command demuxd is the runnable server: a real TCP listener whose
 // accepted connections are bridged through the sharded demultiplexing
 // engine (RSS steering, the chosen discipline's lookups, the engine

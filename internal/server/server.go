@@ -1,28 +1,33 @@
-// Package server is the real-socket frontend: a net.Listener whose
-// accepted kernel connections are bridged, byte for byte, through the
-// sharded demultiplexing engine. For every accepted connection the
-// frontend synthesizes the corresponding SYN/data/FIN wire frames into
-// the shard.StackSet — so live traffic exercises RSS steering, the
-// chosen demux discipline, the engine TCP state machine, and the timer
-// wheel — and mirrors the engine's egress segments back onto the socket.
-// The application layer on top of those synthetic streams is the TPC/A
+//go:build linux
+
+// Package server is the real-socket frontend: a kernel TCP listener whose
+// accepted connections are bridged, byte for byte, through the sharded
+// demultiplexing engine. For every accepted connection the frontend
+// synthesizes the corresponding SYN/data/FIN wire frames into the
+// shard.StackSet — so live traffic exercises RSS steering, the chosen
+// demux discipline, the engine TCP state machine, and the timer wheel —
+// and mirrors the engine's egress segments back onto the socket. The
+// application layer on top of those synthetic streams is the TPC/A
 // transaction protocol (protocol.go).
 //
-// Concurrency shape: one goroutine per connection reads the socket and
-// one writes it, but a single engine-loop goroutine owns the StackSet
-// and every session's TCP state — the same single-control-goroutine
-// contract the shard package's health ledger assumes. Socket events
-// reach the loop over one bounded channel; when the loop falls behind,
-// readers block on the channel, kernel socket buffers fill, and the
-// clients' own TCP stacks stall — backpressure ends at the sender
-// without unbounded buffering anywhere in this process. Frame-level
-// shedding below that (inbox and handoff rings, backlog) stays governed
-// by the shard layer's graceful-degradation ledger; this layer adds the
-// connection-level ledger on top: every accepted connection ends as
+// Concurrency shape: one readiness loop (DESIGN §16). A single goroutine
+// owns the listener, an epoll instance, every accepted descriptor, the
+// StackSet and every session's TCP state — the shard package's
+// single-owner contract with no second party. One wake-up carries a
+// transaction from socket in to socket out: epoll_wait, one read into the
+// loop's buffer, one synthesized frame through StackSet.Deliver and the
+// handler, the reply written straight back. Nothing is queued on the way
+// in: what the loop has not read stays in the kernel socket buffer, and
+// backpressure reaches the client's own TCP stack from there. On the way
+// out only what a full socket buffer refuses is kept, in a bounded
+// per-session buffer; a client that lets it overflow is shed. Frame-level
+// shedding below that stays governed by the shard layer's ledger; this
+// layer adds the connection-level one: every accepted connection ends as
 // exactly one of served, shed, or shutdown-drained.
 //
-// The frontend has no tunables: buffer and queue sizes and the tick
-// cadence are the Default* constants below.
+// The frontend has no tunables: buffer sizes and the tick cadence are the
+// Default* constants below. It is Linux-only (epoll); protocol.go and
+// loadgen.go build everywhere.
 package server
 
 import (
@@ -30,10 +35,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net"
+	"os"
 	"sort"
-	"sync"
+	"sync/atomic"
+	"syscall"
 	"time"
 
 	"tcpdemux/internal/core"
@@ -48,20 +54,23 @@ import (
 // The frontend's fixed sizes. No binary, test or benchmark ever ran with
 // other values, so they are constants, not Config fields.
 const (
-	// DefaultReadBuf is the per-connection socket read buffer in bytes,
-	// the granularity of synthesized data segments.
+	// DefaultReadBuf is the loop's one socket read buffer in bytes, the
+	// granularity of synthesized data segments.
 	DefaultReadBuf = 4096
-	// DefaultEventBacklog bounds the engine loop's event channel — the
-	// backpressure point between the readers and the engine.
-	DefaultEventBacklog = 1024
-	// DefaultWriteBacklog bounds each session's queued-response frames; a
-	// client that stops reading long enough to fill it is shed.
-	DefaultWriteBacklog = 64
+	// DefaultWriteBacklog bounds the reply bytes a session may hold for a
+	// socket that is not taking them; a client that stops reading long
+	// enough to overflow it is shed.
+	DefaultWriteBacklog = 64 << 10
 	// DefaultTickInterval is the wall-clock cadence at which the engine's
-	// virtual clock advances. The server package sits outside the
-	// simulator's virtual-time boundary: here, virtual seconds are wall
-	// seconds since the server started.
+	// virtual clock advances while there is traffic; an idle loop backs off
+	// to maxIdleTick (a tick is all that wakes it, and nothing the engine
+	// times is finer than the shards' 50 ms heartbeat). The server package
+	// sits outside the simulator's virtual-time boundary: here, virtual
+	// seconds are wall seconds since the server started.
 	DefaultTickInterval = 5 * time.Millisecond
+	maxIdleTick         = 40 * time.Millisecond
+	// maxEvents is how many ready descriptors one epoll_wait reports.
+	maxEvents = 128
 )
 
 // Config parameterizes a Server.
@@ -96,60 +105,55 @@ type Stats struct {
 	Txns     uint64
 }
 
-// event is one socket-side occurrence crossing into the engine loop.
-type event struct {
-	kind evKind
-	sess *session
-	data []byte
-}
-
-type evKind uint8
-
-const (
-	evOpen evKind = iota
-	evData
-	evClose
-	evError
-)
-
 // Server is a running frontend.
 type Server struct {
-	ln  net.Listener
-	set *shard.StackSet
-	reg *telemetry.Registry
-	m   *telemetry.ServerMetrics
+	set  *shard.StackSet
+	reg  *telemetry.Registry
+	m    *telemetry.ServerMetrics
+	addr string
 
-	events chan event
-	// stop tells the engine loop to drain and exit; done tells blocked
-	// readers (and the accept loop) to abandon event posts; loopExit
-	// closes when the engine loop has fully drained.
-	stop     chan struct{}
-	done     chan struct{}
-	loopExit chan struct{}
+	// The loop's descriptors: the listener, and the epoll instance, which
+	// is itself registered with the Go runtime's poller (ep, wait) so that
+	// an idle loop parks as a goroutine, not as a thread in epoll_wait.
+	// Shutdown sets stopping and expires ep's read deadline to wake it;
+	// loopExit closes when the loop has drained and gone.
+	lfd, epfd int
+	ep        *os.File
+	wait      syscall.RawConn
+	stopping  atomic.Bool
+	loopExit  chan struct{}
+	start     time.Time
 
-	readers sync.WaitGroup
-	writers sync.WaitGroup
-
-	stopOnce sync.Once
-	start    time.Time
-
-	// Accept-loop-owned: the accept ordinal (synthetic endpoint
-	// allocator) and the ISS draw source.
-	nextID uint64      //demux:singlewriter(owner=accept)
-	iss    *rng.Source //demux:singlewriter(owner=accept)
-
-	// Engine-loop-owned: the session registry (keyed by engine-side PCB
-	// key), the TPC/A ledger, and the egress frame queue the StackSet
-	// tap fills during Deliver/Tick.
-	sessions map[core.Key]*session //demux:singlewriter(owner=engineloop)
-	ledger   *Ledger               //demux:singlewriter(owner=engineloop)
-	egressQ  [][]byte              //demux:singlewriter(owner=engineloop)
+	// Engine-loop-owned: the accept ordinal (synthetic endpoint allocator
+	// and epoll generation) and the ISS draw source; the open descriptors
+	// (indexed by fd) and the session registry (keyed by engine-side PCB
+	// key); the TPC/A ledger; the egress frames the StackSet tap queued
+	// during Deliver/Tick; the one read buffer.
+	nextID    uint64                //demux:singlewriter(owner=engineloop)
+	iss       *rng.Source           //demux:singlewriter(owner=engineloop)
+	conns     []*session            //demux:singlewriter(owner=engineloop)
+	sessions  map[core.Key]*session //demux:singlewriter(owner=engineloop)
+	ledger    *Ledger               //demux:singlewriter(owner=engineloop)
+	egressQ   [][]byte              //demux:singlewriter(owner=engineloop)
+	rbuf      [DefaultReadBuf]byte  //demux:singlewriter(owner=engineloop)
+	acceptOff bool                  //demux:singlewriter(owner=engineloop)
 }
 
 // New builds and starts a frontend: the kernel listener is bound, the
-// StackSet is listening on ServicePort behind it, and the accept and
-// engine loops are running. Stop it with Shutdown.
+// StackSet is listening on ServicePort behind it, and the readiness loop
+// is running. Stop it with Shutdown.
 func New(cfg Config) (*Server, error) {
+	s, err := newServer(cfg)
+	if err != nil {
+		return nil, err
+	}
+	go s.loop()
+	return s, nil
+}
+
+// newServer is New without the loop: whoever calls the loop-owned
+// functions next is the owner (the loop, or a test driving them by hand).
+func newServer(cfg Config) (*Server, error) {
 	if cfg.Addr == "" {
 		return nil, errors.New("server: Config.Addr is required")
 	}
@@ -176,9 +180,6 @@ func New(cfg Config) (*Server, error) {
 		set:      set,
 		reg:      reg,
 		m:        telemetry.NewServerMetrics(reg),
-		events:   make(chan event, DefaultEventBacklog),
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
 		loopExit: make(chan struct{}),
 		iss:      rng.New(cfg.Seed ^ 0x6c657473_676f2121),
 		sessions: make(map[core.Key]*session),
@@ -188,19 +189,32 @@ func New(cfg Config) (*Server, error) {
 	if err := set.Listen(ServicePort, s.handleApp); err != nil {
 		return nil, err
 	}
-	ln, err := net.Listen("tcp", cfg.Addr)
-	if err != nil {
+	if s.lfd, s.addr, err = listenTCP(cfg.Addr); err != nil {
 		return nil, err
 	}
-	s.ln = ln
+	// An epoll descriptor is readable while it has events to report, and
+	// os.NewFile hands a non-blocking descriptor to the runtime's poller;
+	// setting a deadline fails if the poller did not take it.
+	if s.epfd, err = syscall.EpollCreate1(syscall.EPOLL_CLOEXEC); err == nil {
+		_ = syscall.SetNonblock(s.epfd, true) // if it fails, so does the deadline
+		s.ep = os.NewFile(uintptr(s.epfd), "epoll")
+		if err = s.ep.SetReadDeadline(time.Time{}); err == nil {
+			if s.wait, err = s.ep.SyscallConn(); err == nil {
+				err = s.epollCtl(syscall.EPOLL_CTL_ADD, s.lfd, syscall.EPOLLIN, 0)
+			}
+		}
+	}
+	if err != nil {
+		syscall.Close(s.lfd)
+		s.ep.Close()
+		return nil, fmt.Errorf("server: epoll: %w", err)
+	}
 	s.start = time.Now()
-	go s.acceptLoop()
-	go s.loop()
 	return s, nil
 }
 
 // Addr returns the kernel listener's bound address.
-func (s *Server) Addr() string { return s.ln.Addr().String() }
+func (s *Server) Addr() string { return s.addr }
 
 // Registry returns the registry carrying the server's telemetry.
 func (s *Server) Registry() *telemetry.Registry { return s.reg }
@@ -226,17 +240,19 @@ func (s *Server) Stats() Stats {
 	return st
 }
 
-// Shutdown gracefully stops the server: the listener closes, in-flight
-// events (transactions already read from sockets) are processed, every
-// remaining session is closed through the engine's FIN handshake and
-// counted as drained, writers flush, and the conservation ledger
-// balances. Returns ctx's error if the drain outlives it (the drain
-// keeps finishing in the background; loopExit still closes).
+// Shutdown gracefully stops the server: the loop is woken, finishes the
+// batch of ready sockets it is in, closes the listener, closes every
+// remaining session through the engine's FIN handshake (counted as
+// drained) and its socket, and the conservation ledger balances. Returns
+// ctx's error if the drain outlives it (the loop keeps finishing in the
+// background; loopExit still closes).
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.stopOnce.Do(func() {
-		s.ln.Close()
-		close(s.stop)
-	})
+	// The loop looks at stopping after every deadline it sets itself, so
+	// either it sees the flag or this deadline is the one that stands. The
+	// call fails only once the loop has gone and closed ep.
+	if !s.stopping.Swap(true) {
+		_ = s.ep.SetReadDeadline(time.Now())
+	}
 	select {
 	case <-s.loopExit:
 		return nil
@@ -252,83 +268,218 @@ func (s *Server) Close() error { return s.Shutdown(context.Background()) }
 // package is outside the virtual-time boundary — see DefaultTickInterval).
 func (s *Server) now() float64 { return time.Since(s.start).Seconds() }
 
-// acceptLoop owns the kernel listener, the accept ordinal, and the ISS
-// source. Each accepted connection becomes a session whose open event is
-// posted to the engine loop before its reader starts, so evOpen always
-// precedes the session's first evData on the FIFO event channel.
+// epollCtl registers, re-registers or removes fd with the readiness mask
+// events, tagged with the generation gen.
+func (s *Server) epollCtl(op, fd int, events uint32, gen int32) error {
+	ev := syscall.EpollEvent{Events: events, Fd: int32(fd), Pad: gen}
+	return syscall.EpollCtl(s.epfd, op, fd, &ev)
+}
+
+// loop is the readiness loop: the single goroutine that owns every
+// descriptor, the StackSet (Deliver/Tick/Release), every session's TCP
+// state, and the TPC/A ledger. It never spins: sockets are registered
+// level-triggered, each ready one gets one read per wake, EPOLLOUT is
+// registered only while a session holds unsent bytes, and with nothing
+// ready the goroutine parks in the runtime's poller until the epoll
+// instance turns readable or its read deadline, the next tick, passes.
 //
-//demux:owner(accept)
-func (s *Server) acceptLoop() {
-	for {
-		c, err := s.ln.Accept()
-		if err != nil {
-			return // listener closed (Shutdown) or fatal
-		}
-		sess := newSession(s.nextID, c, s.set.Addr(), uint32(s.iss.Uint64()))
-		s.nextID++
-		select {
-		case s.events <- event{kind: evOpen, sess: sess}:
-		case <-s.done:
-			c.Close()
-			return
-		}
-		s.readers.Add(1)
-		go s.readLoop(sess)
-	}
-}
-
-// post offers an event to the engine loop, giving up when the server is
-// past the point of consuming reader events.
-func (s *Server) post(ev event) bool {
-	select {
-	case s.events <- ev:
-		return true
-	case <-s.done:
-		return false
-	}
-}
-
-// readLoop pulls bytes off one kernel connection into bounded reads and
-// posts them to the engine loop. The post blocks when the loop is
-// behind — that block, plus the fixed read buffer, is the frontend's entire
-// ingress buffering; everything beyond it backs up into the kernel
-// socket buffer and from there to the client's TCP stack.
-func (s *Server) readLoop(sess *session) {
-	defer s.readers.Done()
-	buf := make([]byte, DefaultReadBuf)
-	for {
-		n, err := sess.conn.Read(buf)
-		if n > 0 {
-			data := make([]byte, n)
-			copy(data, buf[:n])
-			if !s.post(event{kind: evData, sess: sess, data: data}) {
-				return
+//demux:owner(engineloop)
+func (s *Server) loop() {
+	defer close(s.loopExit)
+	var (
+		events [maxEvents]syscall.EpollEvent
+		n      int
+		err    error
+		tick   time.Time
+		every  = DefaultTickInterval
+		busy   bool
+	)
+	ready := func(fd uintptr) bool {
+		for {
+			if n, err = syscall.EpollWait(int(fd), events[:], 0); err != syscall.EINTR {
+				return n != 0
 			}
 		}
-		if err != nil {
-			if errors.Is(err, io.EOF) {
-				s.post(event{kind: evClose, sess: sess})
-			} else {
-				s.post(event{kind: evError, sess: sess})
+	}
+	for {
+		if now := time.Now(); !now.Before(tick) {
+			s.set.Tick(s.now())
+			s.pumpEgress()
+			if s.acceptOff {
+				s.acceptOff = s.epollCtl(syscall.EPOLL_CTL_MOD, s.lfd, syscall.EPOLLIN, 0) != nil
 			}
+			// No event since the last tick: halve the cadence.
+			if busy {
+				every = DefaultTickInterval
+			} else if every < maxIdleTick {
+				every *= 2
+			}
+			busy = false
+			tick = now.Add(every)
+			if err = s.ep.SetReadDeadline(tick); err != nil {
+				panic(fmt.Sprintf("server: arming the tick: %v", err))
+			}
+		}
+		if s.stopping.Load() {
+			s.drainAndExit()
 			return
+		}
+		n = 0 // a deadline already past returns without calling ready at all
+		if werr := s.wait.Read(ready); err == nil && !errors.Is(werr, os.ErrDeadlineExceeded) {
+			err = werr
+		}
+		if err != nil {
+			panic(fmt.Sprintf("server: epoll_wait: %v", err))
+		}
+		busy = busy || n > 0
+		for i := 0; i < n; i++ {
+			s.dispatch(events[i])
 		}
 	}
 }
 
-// writeLoop flushes engine output payloads to one kernel connection and
-// closes it once the engine loop closes the queue — the socket close is
-// what finally unblocks that session's reader. Write errors are not
-// fatal here: the queue keeps draining so the engine loop never blocks,
-// and the read side surfaces the failure as evError.
-func (s *Server) writeLoop(sess *session) {
-	defer s.writers.Done()
-	for b := range sess.writeQ {
-		if _, err := sess.conn.Write(b); err != nil {
+// dispatch handles one readiness event. An event for a descriptor closed
+// earlier in the same batch finds no session; one for a descriptor closed
+// and accepted again earlier in the batch finds a session of another
+// generation. Both are dropped: level-triggered polling reports whatever
+// the new holder has ready on the next wait.
+//
+//demux:owner(engineloop)
+func (s *Server) dispatch(ev syscall.EpollEvent) {
+	fd := int(ev.Fd)
+	if fd == s.lfd {
+		s.acceptReady()
+		return
+	}
+	if fd >= len(s.conns) || s.conns[fd] == nil || s.conns[fd].gen != ev.Pad {
+		return
+	}
+	sess := s.conns[fd]
+	if ev.Events&syscall.EPOLLOUT != 0 {
+		s.send(sess, nil)
+		s.pumpEgress()
+	}
+	if ev.Events&^syscall.EPOLLOUT != 0 && s.conns[fd] == sess {
+		s.readReady(sess)
+	}
+}
+
+// acceptReady empties the listener's queue. Each connection (non-blocking,
+// Nagle off: a reply is one small write) is registered, opened in the
+// engine (the three-way handshake completes synchronously: SYN in, the
+// engine's SYN|ACK through the tap, our ACK back in pumpEgress) and given
+// a first read in the same wake: a client that dials and sends at once is
+// answered without another trip through epoll_wait.
+//
+//demux:owner(engineloop)
+func (s *Server) acceptReady() {
+	for {
+		fd, _, err := syscall.Accept4(s.lfd, syscall.SOCK_NONBLOCK|syscall.SOCK_CLOEXEC)
+		switch err {
+		case nil:
+		case syscall.EAGAIN, syscall.EINTR, syscall.ECONNABORTED:
+			return // empty, or reported again on the next wait
+		default:
+			// Out of descriptors or memory with the queue still ready: stop
+			// polling the listener until the next tick, or the loop spins.
+			s.acceptOff = s.epollCtl(syscall.EPOLL_CTL_MOD, s.lfd, 0, 0) == nil
+			return
+		}
+		_ = syscall.SetsockoptInt(fd, syscall.IPPROTO_TCP, syscall.TCP_NODELAY, 1) // slower without, not wrong
+		sess := newSession(s.nextID, fd, s.set.Addr(), uint32(s.iss.Uint64()))
+		if s.epollCtl(syscall.EPOLL_CTL_ADD, fd, sess.events, sess.gen) != nil {
+			syscall.Close(fd)
 			continue
 		}
+		s.nextID++
+		for fd >= len(s.conns) {
+			s.conns = append(s.conns, nil)
+		}
+		s.conns[fd] = sess
+		s.m.Accepted.Inc()
+		s.sessions[sess.key] = sess
+		s.m.Active.Set(float64(len(s.sessions)))
+		s.inject(sess, wire.FlagSYN, nil)
+		s.pumpEgress()
+		if s.conns[fd] == sess {
+			s.readReady(sess)
+		}
 	}
-	sess.conn.Close()
+}
+
+// readReady takes one read off a ready socket into the loop's buffer and
+// advances the session by what it found: data becomes one synthesized
+// segment, end of stream starts the orderly close, an error sheds.
+//
+//demux:owner(engineloop)
+func (s *Server) readReady(sess *session) {
+	n, err := syscall.Read(sess.fd, s.rbuf[:])
+	switch {
+	case err == syscall.EAGAIN || err == syscall.EINTR: // reported again if there is anything
+	case err != nil:
+		s.abort(sess, s.m.ShedSocketError)
+	case n == 0:
+		// End of stream stays readable for ever: stop polling for it. The
+		// close waits for replies the socket has yet to take (send).
+		s.interest(sess, sess.events&^syscall.EPOLLIN)
+		if sess.eof = true; len(sess.wbuf) == 0 {
+			s.clientClose(sess, s.m.Served)
+			s.pumpEgress()
+		}
+	case sess.state == sessEstablished:
+		s.m.BytesIn.Add(uint64(n))
+		s.inject(sess, wire.FlagACK|wire.FlagPSH, s.rbuf[:n])
+		s.pumpEgress()
+	case sess.state == sessHandshake:
+		// The engine refused the SYN (no SYN|ACK ever came), yet the
+		// client is sending: shed the connection.
+		s.abort(sess, s.m.ShedHandshake)
+	}
+}
+
+// interest changes the readiness mask a session's socket is polled for.
+//
+//demux:owner(engineloop)
+func (s *Server) interest(sess *session, events uint32) {
+	if events != sess.events && s.epollCtl(syscall.EPOLL_CTL_MOD, sess.fd, events, sess.gen) == nil {
+		sess.events = events
+	}
+}
+
+// send writes p to the session's socket, behind whatever the session still
+// holds for it; flushing under EPOLLOUT is send with nothing new. What a
+// full socket buffer does not take waits in the session's bounded buffer:
+// the loop never blocks on one slow client (that would stall every other
+// connection), so a client that has stopped reading while replies kept
+// coming overflows the buffer and is shed — the one place the frontend
+// sheds under backpressure instead of propagating it. Once the buffer is
+// empty the close of a client that had already ended its stream starts.
+//
+//demux:owner(engineloop)
+func (s *Server) send(sess *session, p []byte) bool {
+	if len(sess.wbuf) > 0 {
+		sess.wbuf = append(sess.wbuf, p...)
+		p = sess.wbuf
+	}
+	n, err := writeSome(sess.fd, p)
+	switch rest := p[n:]; {
+	case err != nil:
+		s.abort(sess, s.m.ShedSocketError)
+		return false
+	case len(rest) > DefaultWriteBacklog:
+		s.abort(sess, s.m.ShedWriteBacklog)
+		return false
+	case len(rest) > 0:
+		sess.wbuf = append(sess.wbuf[:0], rest...)
+		s.interest(sess, sess.events|syscall.EPOLLOUT)
+	default:
+		sess.wbuf = nil
+		s.interest(sess, sess.events&^syscall.EPOLLOUT)
+		if sess.eof {
+			s.clientClose(sess, s.m.Served)
+		}
+	}
+	return true
 }
 
 // tapFrame is the StackSet egress tap: it runs inside Deliver/Tick,
@@ -338,67 +489,6 @@ func (s *Server) writeLoop(sess *session) {
 //demux:owner(engineloop)
 func (s *Server) tapFrame(frame []byte) {
 	s.egressQ = append(s.egressQ, frame)
-}
-
-// loop is the engine loop: the single goroutine that owns the StackSet
-// (Deliver/Tick/Release), every session's TCP state, and the TPC/A
-// ledger.
-//
-//demux:owner(engineloop)
-func (s *Server) loop() {
-	defer close(s.loopExit)
-	tick := time.NewTicker(DefaultTickInterval)
-	defer tick.Stop()
-	for {
-		select {
-		case ev := <-s.events:
-			s.handleEvent(ev)
-			s.pumpEgress()
-		case <-tick.C:
-			s.set.Tick(s.now())
-			s.pumpEgress()
-		case <-s.stop:
-			s.drainAndExit()
-			return
-		}
-	}
-}
-
-// handleEvent advances one session for one socket event, synthesizing
-// the corresponding wire frames into the engine.
-//
-//demux:owner(engineloop)
-func (s *Server) handleEvent(ev event) {
-	sess := ev.sess
-	switch ev.kind {
-	case evOpen:
-		s.m.Accepted.Inc()
-		s.sessions[sess.key] = sess
-		s.m.Active.Set(float64(len(s.sessions)))
-		s.writers.Add(1)
-		go s.writeLoop(sess)
-		// The three-way handshake completes synchronously: SYN in, the
-		// engine's SYN|ACK through the tap, our ACK back in pumpEgress.
-		s.inject(sess, wire.FlagSYN, nil)
-	case evData:
-		if sess.state != sessEstablished {
-			if sess.state == sessHandshake {
-				// The engine refused the SYN (no SYN|ACK ever came), yet
-				// the client is sending: shed the connection.
-				s.abort(sess, s.m.ShedHandshake)
-			}
-			return
-		}
-		s.m.BytesIn.Add(uint64(len(ev.data)))
-		s.inject(sess, wire.FlagACK|wire.FlagPSH, ev.data)
-	case evClose:
-		s.clientClose(sess, s.m.Served)
-	case evError:
-		if sess.state == sessClosed {
-			return
-		}
-		s.abort(sess, s.m.ShedSocketError)
-	}
 }
 
 // inject synthesizes one client-side frame and delivers it through the
@@ -455,9 +545,9 @@ func (s *Server) abort(sess *session, reason *telemetry.Counter) {
 }
 
 // finish retires a session exactly once: session registry, the StackSet
-// claim, the writer queue (whose close cascades to the socket close and
-// the reader's exit), and the ledger — `as` is the one outcome counter
-// this session adds to: Served, Drained, or a shed reason.
+// claim, the socket (closing it ends its epoll registration) and the
+// ledger — `as` is the one outcome counter this session adds to: Served,
+// Drained, or a shed reason.
 //
 //demux:owner(engineloop)
 func (s *Server) finish(sess *session, as *telemetry.Counter) {
@@ -465,33 +555,30 @@ func (s *Server) finish(sess *session, as *telemetry.Counter) {
 		return
 	}
 	sess.state = sessClosed
-	sess.appBuf = nil
+	sess.appBuf, sess.wbuf = nil, nil
 	delete(s.sessions, sess.key)
 	s.set.Release(sess.key)
-	close(sess.writeQ)
+	syscall.Close(sess.fd)
+	s.conns[sess.fd] = nil
 	s.m.Active.Set(float64(len(s.sessions)))
 	as.Inc()
 }
 
 // pumpEgress routes every frame the engine produced until the exchange
 // quiesces: routing a frame can synthesize acknowledgements back into
-// the engine, which can emit more frames. The in-memory exchange always
-// quiesces (each round consumes sequence space or completes a close);
-// the bound is a livelock guard in the same spirit as engine.Pump's.
+// the engine, which can emit more frames onto the queue being walked. The
+// in-memory exchange always quiesces (each frame consumes sequence space
+// or completes a close); the bound is a livelock guard in the same spirit
+// as engine.Pump's.
 //
 //demux:owner(engineloop)
 func (s *Server) pumpEgress() {
-	for rounds := 0; len(s.egressQ) > 0; rounds++ {
-		if rounds > 10000 {
-			s.egressQ = nil
-			return
-		}
-		frames := s.egressQ
-		s.egressQ = nil
-		for _, f := range frames {
-			s.routeFrame(f)
-		}
+	for i := 0; i < len(s.egressQ) && i < 1<<16; i++ {
+		frame := s.egressQ[i]
+		s.egressQ[i] = nil
+		s.routeFrame(frame)
 	}
+	s.egressQ = s.egressQ[:0]
 }
 
 // routeFrame mirrors one engine egress segment onto its session: the
@@ -500,22 +587,11 @@ func (s *Server) pumpEgress() {
 //
 //demux:owner(engineloop)
 func (s *Server) routeFrame(frame []byte) {
-	seg, err := wire.ParseSegment(frame)
-	if err != nil {
-		return
-	}
-	// Outbound frames carry Src = the engine's endpoint, Dst = the
-	// synthetic client; the session registry is keyed by the engine-side
-	// PCB key (Local = engine), so build it directly.
-	key := core.Key{
-		LocalAddr: seg.IP.Src, LocalPort: seg.TCP.SrcPort,
-		RemoteAddr: seg.IP.Dst, RemotePort: seg.TCP.DstPort,
-	}
-	sess, ok := s.sessions[key]
-	if !ok || sess.state == sessClosed {
+	key, seq, flags, payload, ok := peekEgress(frame)
+	sess := s.sessions[key]
+	if !ok || sess == nil {
 		return // late frame for a finished session
 	}
-	flags := seg.TCP.Flags
 	if flags&wire.FlagRST != 0 {
 		// The engine reset the connection (listener refusal, state-machine
 		// abort): shed the kernel side.
@@ -526,21 +602,23 @@ func (s *Server) routeFrame(frame []byte) {
 		if sess.state != sessHandshake || flags&wire.FlagACK == 0 {
 			return // duplicate handshake segment; nothing to do in-memory
 		}
-		sess.rcvNxt = seg.TCP.Seq + 1
+		sess.rcvNxt = seq + 1
 		sess.state = sessEstablished
 		s.inject(sess, wire.FlagACK, nil)
 		return
 	}
-	if n := uint32(len(seg.Payload)); n > 0 {
+	if n := uint32(len(payload)); n > 0 {
 		switch {
-		case seg.TCP.Seq == sess.rcvNxt:
+		case seq == sess.rcvNxt:
+			// The socket first, the acknowledgement after: the client is
+			// waiting for the one and nobody for the other.
 			sess.rcvNxt += n
-			if !s.enqueueWrite(sess, seg.Payload) {
-				return // session shed on write backlog
+			if !s.send(sess, payload) {
+				return // session shed
 			}
 			s.m.BytesOut.Add(uint64(n))
 			s.inject(sess, wire.FlagACK, nil)
-		case seg.TCP.Seq+n <= sess.rcvNxt:
+		case seq+n <= sess.rcvNxt:
 			// Duplicate (a retransmission raced a shed acknowledgement):
 			// re-acknowledge so the engine releases its buffer.
 			s.inject(sess, wire.FlagACK, nil)
@@ -550,7 +628,7 @@ func (s *Server) routeFrame(frame []byte) {
 		}
 	}
 	if flags&wire.FlagFIN != 0 {
-		if seg.TCP.Seq+uint32(len(seg.Payload)) != sess.rcvNxt {
+		if seq+uint32(len(payload)) != sess.rcvNxt {
 			return
 		}
 		sess.rcvNxt++
@@ -569,29 +647,13 @@ func (s *Server) routeFrame(frame []byte) {
 	}
 }
 
-// enqueueWrite hands one engine output payload to the session's writer.
-// A full queue means the client has stopped reading while responses kept
-// coming — the one place the frontend itself shed-closes under
-// backpressure instead of propagating it (blocking the engine loop on
-// one slow client would stall every other connection).
-//
-//demux:owner(engineloop)
-func (s *Server) enqueueWrite(sess *session, p []byte) bool {
-	b := make([]byte, len(p))
-	copy(b, p) // seg.Payload aliases the frame; the writer outlives it
-	select {
-	case sess.writeQ <- b:
-		return true
-	default:
-		s.abort(sess, s.m.ShedWriteBacklog)
-		return false
-	}
-}
-
 // handleApp is the engine-side application handler: it runs inside
-// set.Deliver on the engine-loop goroutine, reassembles request lines
-// from the synthetic stream, and serves the TPC/A protocol against the
-// single shared ledger. Returning nil lets the engine send a pure ACK.
+// set.Deliver on the engine-loop goroutine, cuts the synthetic stream
+// into request lines, and serves the TPC/A protocol against the single
+// shared ledger. A line that arrives whole, the usual case, is served
+// from payload where it lies; only a line split across segments passes
+// through the session's buffer, which is emptied, capacity kept, when the
+// line completes. Returning nil lets the engine send a pure ACK.
 //
 //demux:owner(engineloop)
 func (s *Server) handleApp(c *engine.Conn, payload []byte) []byte {
@@ -599,54 +661,49 @@ func (s *Server) handleApp(c *engine.Conn, payload []byte) []byte {
 	if !ok {
 		return nil
 	}
-	sess.appBuf = append(sess.appBuf, payload...)
 	var out []byte
 	for {
-		i := bytes.IndexByte(sess.appBuf, '\n')
+		i := bytes.IndexByte(payload, '\n')
 		if i < 0 {
-			if len(sess.appBuf) > MaxLineLen {
-				sess.appBuf = sess.appBuf[:0]
-				s.m.BadTxns.Inc()
-				out = append(out, FormatError("line too long")...)
-			}
 			break
 		}
-		line := sess.appBuf[:i:i]
-		sess.appBuf = sess.appBuf[i+1:]
-		req, err := ParseRequest(line)
-		if err != nil {
-			s.m.BadTxns.Inc()
-			out = append(out, FormatError(err.Error())...)
-			continue
+		line := payload[:i]
+		if len(sess.appBuf) > 0 {
+			line = append(sess.appBuf, line...)
+			sess.appBuf = line[:0]
 		}
-		a, t, b := s.ledger.Apply(req)
-		out = append(out, FormatResponse(req.Account, a, t, b)...)
-		s.m.Txns.Inc()
+		payload = payload[i+1:]
+		var reply []byte
+		if req, err := ParseRequest(line); err != nil {
+			s.m.BadTxns.Inc()
+			reply = FormatError(err.Error())
+		} else {
+			a, t, b := s.ledger.Apply(req)
+			reply = FormatResponse(req.Account, a, t, b)
+			s.m.Txns.Inc()
+		}
+		if out == nil {
+			out = reply // one line, one allocation: the formatter's
+		} else {
+			out = append(out, reply...)
+		}
+	}
+	if len(sess.appBuf)+len(payload) > MaxLineLen {
+		sess.appBuf = sess.appBuf[:0]
+		s.m.BadTxns.Inc()
+		out = append(out, FormatError("line too long")...)
+	} else {
+		sess.appBuf = append(sess.appBuf, payload...)
 	}
 	return out
 }
 
-// drainAndExit is graceful shutdown's engine-loop half: consume the
-// in-flight events the readers already posted (flushing their
-// transactions), cut the readers loose, close every remaining session
-// through the engine's FIN handshake as shutdown-drained, and wait for
-// the per-connection goroutines so no work outlives Shutdown.
+// drainAndExit is graceful shutdown: close every remaining session through
+// the engine's FIN handshake as shutdown-drained, and every descriptor, so
+// nothing outlives Shutdown.
 //
 //demux:owner(engineloop)
 func (s *Server) drainAndExit() {
-	// In-flight transactions first: everything already in the channel was
-	// read off a socket before the listener closed.
-	for {
-		select {
-		case ev := <-s.events:
-			s.handleEvent(ev)
-			s.pumpEgress()
-			continue
-		default:
-		}
-		break
-	}
-	close(s.done)
 	// Deterministic drain order for the remaining sessions.
 	open := make([]*session, 0, len(s.sessions))
 	for _, sess := range s.sessions { //demux:orderinvariant collected then sorted by accept ordinal below
@@ -656,38 +713,12 @@ func (s *Server) drainAndExit() {
 	for _, sess := range open {
 		s.clientClose(sess, s.m.Drained)
 		s.pumpEgress() // the FIN handshake completes synchronously
-		if sess.state != sessClosed {
-			// The engine never answered (refused handshake, mid-close
-			// state): force the session shut, still accounted as drained.
-			s.finish(sess, s.m.Drained)
-		}
+		// If the engine never answered (refused handshake, mid-close
+		// state), force the session shut, still accounted as drained.
+		s.finish(sess, s.m.Drained)
 	}
-	// Late reader posts (sockets closing under them) drain into the void
-	// until every reader has exited.
-	readersIdle := make(chan struct{})
-	go func() {
-		s.readers.Wait()
-		close(readersIdle)
-	}()
-	idle := false
-	for !idle {
-		select {
-		case ev := <-s.events:
-			s.dropLateEvent(ev)
-		case <-readersIdle:
-			idle = true
-		}
-	}
-	for {
-		select {
-		case ev := <-s.events:
-			s.dropLateEvent(ev)
-			continue
-		default:
-		}
-		break
-	}
-	s.writers.Wait()
+	syscall.Close(s.lfd)
+	s.ep.Close()
 	s.set.Tick(s.now())
 	if n := len(s.sessions); n != 0 {
 		// Belt-and-braces: the ledger must balance; a nonzero residue is a
@@ -696,13 +727,45 @@ func (s *Server) drainAndExit() {
 	}
 }
 
-// dropLateEvent disposes of an event that arrived after the drain: a
-// never-registered open's socket is closed; everything else concerns an
-// already-finished session.
-//
-//demux:owner(engineloop)
-func (s *Server) dropLateEvent(ev event) {
-	if ev.kind == evOpen {
-		ev.sess.conn.Close()
+// listenTCP binds a kernel listener on addr and returns a descriptor the
+// caller owns, and the address it is bound to. The binding is net.Listen's
+// (address parsing, SO_REUSEADDR, the backlog from the kernel's somaxconn,
+// not syscall.SOMAXCONN's 128, non-blocking mode); only a duplicate of
+// the descriptor outlives the call, so the runtime's poller never sees it.
+func listenTCP(addr string) (fd int, bound string, err error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return -1, "", err
 	}
+	defer ln.Close()
+	rc, err := ln.(*net.TCPListener).SyscallConn()
+	if err != nil {
+		return -1, "", err
+	}
+	var errno syscall.Errno
+	if err = rc.Control(func(lfd uintptr) {
+		var r uintptr
+		r, _, errno = syscall.Syscall(syscall.SYS_FCNTL, lfd, syscall.F_DUPFD_CLOEXEC, 0)
+		fd = int(r)
+	}); err == nil && errno != 0 {
+		err = errno
+	}
+	if err != nil {
+		return -1, "", err
+	}
+	return fd, ln.Addr().String(), nil
+}
+
+// writeSome writes as much of p as the socket takes without blocking and
+// returns how much that was. A full socket buffer is (0, nil), and so is
+// an interrupted call (Go's asynchronous preemption signals threads).
+func writeSome(fd int, p []byte) (int, error) {
+	n, err := syscall.Write(fd, p)
+	if err == syscall.EAGAIN || err == syscall.EINTR {
+		return 0, nil
+	}
+	if err != nil {
+		return 0, err
+	}
+	return n, nil
 }

@@ -1,10 +1,14 @@
+//go:build linux
+
 package server
 
 import (
 	"context"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
+	"os"
 	"runtime"
 	"strings"
 	"testing"
@@ -65,6 +69,16 @@ func assertConservation(t *testing.T, srv *Server) Stats {
 	return st
 }
 
+// openFDs counts the process's open descriptors.
+func openFDs(t *testing.T) int {
+	t.Helper()
+	ents, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Fatalf("/proc/self/fd: %v", err)
+	}
+	return len(ents)
+}
+
 // TestLiveLoopback is the headline integration test: ≥1000 concurrent
 // real TCP connections through the kernel loopback, every byte bridged
 // through RSS steering + flat-hopscotch per-shard tables + the engine
@@ -122,9 +136,14 @@ func TestLiveLoopback(t *testing.T) {
 // TestLiveGracefulShutdown interrupts a run mid-flight: in-flight
 // transactions flush, the remaining sessions drain through the engine's
 // FIN handshake as shutdown-drained, the conservation ledger balances,
-// and no goroutine outlives Shutdown.
+// and no goroutine or descriptor outlives Shutdown.
 func TestLiveGracefulShutdown(t *testing.T) {
-	before := runtime.NumGoroutine()
+	// The runtime opens its own poller descriptors at the first use of a
+	// socket; have that behind us before counting.
+	if ln, err := net.Listen("tcp", "127.0.0.1:0"); err == nil {
+		ln.Close()
+	}
+	before, beforeFDs := runtime.NumGoroutine(), openFDs(t)
 
 	srv := newTestServer(t, 4)
 	loadDone := make(chan *LoadReport, 1)
@@ -171,7 +190,9 @@ func TestLiveGracefulShutdown(t *testing.T) {
 		t.Errorf("second Shutdown: %v", err)
 	}
 
-	// Every reader, writer, accept, and engine goroutine must be gone.
+	// The loop goroutine must be gone, and every descriptor it owned (the
+	// listener, the epoll instance, 64 sockets) closed; the
+	// load's own goroutines and sockets are gone once RunLoad has returned.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		if g := runtime.NumGoroutine(); g <= before+4 {
@@ -184,6 +205,9 @@ func TestLiveGracefulShutdown(t *testing.T) {
 				before, runtime.NumGoroutine(), buf[:n])
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+	if after := openFDs(t); after > beforeFDs {
+		t.Errorf("descriptor leak: %d open before the server, %d after Shutdown", beforeFDs, after)
 	}
 }
 
@@ -248,8 +272,8 @@ func TestLiveIdleShutdown(t *testing.T) {
 }
 
 // TestLiveProtocolErrors drives malformed requests through a real
-// socket: the server answers ERR lines and the connection (and ledger)
-// survive.
+// socket, a line longer than MaxLineLen among them: the server answers
+// ERR lines and the connection (and ledger) survive.
 func TestLiveProtocolErrors(t *testing.T) {
 	srv := newTestServer(t, 2)
 	defer srv.Close()
@@ -270,6 +294,21 @@ func TestLiveProtocolErrors(t *testing.T) {
 	}
 	if !strings.HasPrefix(string(line), "ERR ") {
 		t.Fatalf("want ERR response, got %q", line)
+	}
+
+	// A line that outgrows MaxLineLen is refused while it is still coming,
+	// and what follows up to its newline is one more bad line.
+	if _, err := conn.Write([]byte(strings.Repeat("x", MaxLineLen+44))); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	if line, err = rd.readLine(nil); err != nil || string(line) != "ERR line too long\n" {
+		t.Fatalf("over-long line: got %q, %v", line, err)
+	}
+	if _, err := conn.Write([]byte("\n")); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	if line, err = rd.readLine(nil); err != nil || !strings.HasPrefix(string(line), "ERR ") {
+		t.Fatalf("tail of the over-long line: got %q, %v", line, err)
 	}
 
 	// The connection still works for a valid transaction afterwards.

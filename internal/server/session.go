@@ -1,3 +1,5 @@
+//go:build linux
+
 // A session bridges one accepted kernel connection to one synthetic TCP
 // connection inside the sharded engine. The frontend plays the *client*
 // side of the synthetic connection: it owns a miniature sender state
@@ -11,7 +13,8 @@
 package server
 
 import (
-	"net"
+	"encoding/binary"
+	"syscall"
 
 	"tcpdemux/internal/core"
 	"tcpdemux/internal/telemetry"
@@ -35,51 +38,55 @@ const (
 )
 
 // session is one live bridge between a kernel connection and its
-// synthetic engine connection. The seq/state fields belong to the engine
-// loop; the reader and writer goroutines touch only conn and writeQ.
+// synthetic engine connection. Every field belongs to the engine loop.
+//
+//demux:singlewriter(owner=engineloop)
 type session struct {
-	id   uint64
-	conn net.Conn
-	// tup is the synthetic connection's inbound direction (Src = the
-	// synthesized client endpoint, Dst = the engine's server endpoint);
-	// key is the engine-side PCB key derived from it.
-	tup wire.Tuple
+	id uint64
+	// fd is the accepted socket. The kernel reuses descriptor numbers, so
+	// an epoll registration carries gen (the accept ordinal's low bits) as
+	// well: an event queued for an earlier holder of the number does not
+	// match. events is the readiness mask currently registered.
+	fd     int
+	gen    int32
+	events uint32
+	// key is the synthetic connection's engine-side PCB key: Local is the
+	// engine's server endpoint, Remote the synthesized client endpoint.
 	key core.Key
 
-	// writeQ carries engine output payloads to the writer goroutine; the
-	// engine loop closes it exactly once, in finish.
-	writeQ chan []byte
-
-	// Mini-client TCP state and the server-side application line buffer,
-	// all advanced only by the engine loop. closing is the ledger counter
-	// (Served or Drained) the close in flight will finish on, set on
-	// every entry to sessFinSent.
-	state   sessionState       //demux:singlewriter(owner=engineloop)
-	sndNxt  uint32             //demux:singlewriter(owner=engineloop)
-	rcvNxt  uint32             //demux:singlewriter(owner=engineloop)
-	closing *telemetry.Counter //demux:singlewriter(owner=engineloop)
-	appBuf  []byte             //demux:singlewriter(owner=engineloop)
+	// Mini-client TCP state. closing is the ledger counter (Served or
+	// Drained) the close in flight will finish on, set on every entry to
+	// sessFinSent.
+	state   sessionState
+	sndNxt  uint32
+	rcvNxt  uint32
+	closing *telemetry.Counter
+	// appBuf holds a request line whose newline has not arrived yet; wbuf
+	// holds reply bytes a full socket buffer did not take, at most
+	// DefaultWriteBacklog of them, while EPOLLOUT is registered; eof says
+	// the client has ended its stream (the close waits for wbuf to go).
+	appBuf []byte
+	wbuf   []byte
+	eof    bool
 }
 
 // newSession builds the bridge state for one accepted connection: a
 // collision-free synthetic client endpoint derived from the accept
 // ordinal, and a seeded initial sequence number.
-func newSession(id uint64, conn net.Conn, server wire.Addr, iss uint32) *session {
+func newSession(id uint64, fd int, server wire.Addr, iss uint32) *session {
 	// 60000 ephemeral ports per synthetic host, hosts in 10.128/9 so no
 	// synthetic client ever collides with the server's 10.0.0.1.
 	host := id / 60000
-	tup := wire.Tuple{
-		SrcAddr: wire.MakeAddr(10, 128|byte(host>>16), byte(host>>8), byte(host)),
-		SrcPort: uint16(1024 + id%60000),
-		DstAddr: server,
-		DstPort: ServicePort,
-	}
 	return &session{
 		id:     id,
-		conn:   conn,
-		tup:    tup,
-		key:    core.KeyFromTuple(tup),
-		writeQ: make(chan []byte, DefaultWriteBacklog),
+		fd:     fd,
+		gen:    int32(id),
+		events: syscall.EPOLLIN,
+		key: core.Key{
+			LocalAddr: server, LocalPort: ServicePort,
+			RemoteAddr: wire.MakeAddr(10, 128|byte(host>>16), byte(host>>8), byte(host)),
+			RemotePort: uint16(1024 + id%60000),
+		},
 		sndNxt: iss,
 	}
 }
@@ -87,16 +94,17 @@ func newSession(id uint64, conn net.Conn, server wire.Addr, iss uint32) *session
 // synth builds one client-side wire frame for the session's synthetic
 // connection and advances the mini-client's send sequence (SYN and FIN
 // consume one sequence number; data consumes its length), mirroring the
-// engine's own send arithmetic.
+// engine's own send arithmetic. Every call returns a fresh frame: a
+// stalled shard's inbox keeps the slice it was given.
 //
 //demux:owner(engineloop)
 func (ss *session) synth(flags uint8, payload []byte) ([]byte, error) {
 	ip := wire.IPv4Header{
 		TTL: 64,
-		Src: ss.tup.SrcAddr, Dst: ss.tup.DstAddr,
+		Src: ss.key.RemoteAddr, Dst: ss.key.LocalAddr,
 	}
 	tcp := wire.TCPHeader{
-		SrcPort: ss.tup.SrcPort, DstPort: ss.tup.DstPort,
+		SrcPort: ss.key.RemotePort, DstPort: ss.key.LocalPort,
 		Seq: ss.sndNxt, Ack: ss.rcvNxt,
 		Flags: flags, Window: 65535,
 	}
@@ -109,4 +117,29 @@ func (ss *session) synth(flags uint8, payload []byte) ([]byte, error) {
 		ss.sndNxt++
 	}
 	return frame, nil
+}
+
+// peekEgress reads what the mini-client needs from a frame the engine has
+// just built on this goroutine: the PCB key it belongs to (its source is
+// the engine's endpoint, the key's Local side), and at their offsets,
+// behind the IP header length and the TCP data offset, the sequence
+// number, the flags and the payload. The bytes are the engine's own, so
+// no checksum is verified again; a frame too short for its own lengths
+// reports !ok.
+func peekEgress(frame []byte) (key core.Key, seq uint32, flags uint8, payload []byte, ok bool) {
+	tup, err := wire.ExtractTuple(frame)
+	if err != nil {
+		return key, 0, 0, nil, false
+	}
+	ihl := int(frame[0]&0x0f) * 4
+	total := int(binary.BigEndian.Uint16(frame[2:]))
+	if total > len(frame) || total < ihl+wire.TCPHeaderLen {
+		return key, 0, 0, nil, false
+	}
+	tcp := frame[ihl:total]
+	off := int(tcp[12]>>4) * 4
+	if off < wire.TCPHeaderLen || off > len(tcp) {
+		return key, 0, 0, nil, false
+	}
+	return core.KeyFromTuple(tup.Reverse()), binary.BigEndian.Uint32(tcp[4:]), tcp[13], tcp[off:], true
 }
