@@ -4,7 +4,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all build vet lint lint-fixtures bench-check bench-pairs test race chaos shard failover live demuxd demuxload bench bench-json bench-json-adversarial bench-json-cache bench-json-shard bench-json-failover bench-gate fuzz figures clean
+.PHONY: all build vet lint lint-fixtures loc bench-check bench-pairs test race chaos shard failover live demuxd demuxload bench bench-json bench-json-adversarial bench-json-cache bench-json-shard bench-json-failover bench-gate fuzz figures clean
 
 all: build vet lint test
 
@@ -31,6 +31,12 @@ lint-fixtures:
 
 bin/demuxvet: FORCE
 	$(GO) build -o bin/demuxvet ./cmd/demuxvet
+
+# loc prints the figure ROADMAP.md tracks as "non-test Go lines outside
+# bench/": the lines of every *.go file that is not a *_test.go, not under
+# a testdata/ directory, not under bench/ and not under .bench_build/.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path './bench/*' ! -path './.bench_build/*' -print0 | xargs -0 cat | wc -l
 
 FORCE:
 
@@ -76,9 +82,9 @@ chaos:
 	$(GO) test -race -count=1 -run 'SynCookies|SynFlood|Adversarial' ./internal/engine ./cmd/demuxsim
 
 # shard is the cross-shard conformance gate: the full multi-queue engine
-# suite (SPSC rings, generation-checked claims, RSS steering, rekey
-# migration, lossy/chaos conformance against the single-shard engine)
-# plus the Extract/Adopt migration primitives, all under the race
+# suite (direct delivery, the fault backlog and handoff queues,
+# generation-checked claims, RSS steering, rekey migration, lossy/chaos
+# conformance against the single-shard engine) plus the Extract/Adopt migration primitives, all under the race
 # detector.
 shard:
 	$(GO) test -race -count=1 ./internal/shard

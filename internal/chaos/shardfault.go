@@ -1,7 +1,7 @@
 // Shard-level fault rules: where chaos.Rule scripts faults on the wire
 // (frames dropped, corrupted, stalled in flight), ShardRule scripts
 // faults in the endpoint itself — one queue of the multi-queue engine
-// crashing, stalling, wedging its rings, or limping — under the same
+// crashing, stalling, wedging its queues, or limping — under the same
 // virtual-time windowing. The injector folds the active rules into a
 // shard.FaultFunc, the StackSet's injection surface, and counts what it
 // inflicted so a test can assert the scenario actually fired.
@@ -24,7 +24,7 @@ const (
 	// ShardStall keeps the shard's clock running but stops its consumer;
 	// the watchdog detects the stuck progress counter instead.
 	ShardStall
-	// ShardWedge makes the shard's rings refuse pushes: frames and
+	// ShardWedge makes the shard's queues refuse pushes: frames and
 	// handoffs aimed at it shed (counted), but the shard itself stays
 	// alive — degradation, not failure.
 	ShardWedge

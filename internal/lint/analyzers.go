@@ -33,7 +33,6 @@ func Default() []*Analyzer {
 		MapIter(nil),
 		AtomicPub(),
 		SingleWriter(),
-		SPSCRing(),
 		HotAlloc(),
 		StaleWaiver(),
 	}

@@ -42,28 +42,6 @@ func TestSingleWriterFixture(t *testing.T) {
 	runFixture(t, SingleWriter(), "swriter")
 }
 
-func TestSPSCRingFixture(t *testing.T) {
-	runFixture(t, SPSCRing(), "sring")
-}
-
-// TestSPSCRingAnnotationCoherence checks the diagnostics that land on
-// the annotation itself: a side list naming a nonexistent method, an
-// owned field with a nonexistent peer, an owned field outside any
-// //demux:spsc type.
-func TestSPSCRingAnnotationCoherence(t *testing.T) {
-	p := loadFixture(t, "sringbad")
-	diags, err := Run(p, []*Analyzer{SPSCRing()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const f = "sringbad.go"
-	assertDiags(t, diags, []diagWant{
-		{fixtureLine(t, "sringbad", f, "consumer=Take"), "spscring", "names method Take"},
-		{fixtureLine(t, "sringbad", f, "peer=stale"), "spscring", "has no field stale"},
-		{fixtureLine(t, "sringbad", f, "cachedX"), "spscring", "not marked //demux:spsc"},
-	})
-}
-
 // TestStaleWaiverFixture runs seededrand (which consults the one earned
 // waiver) and stalewaiver together: only the orphaned waiver is
 // reported, at its own comment.
@@ -110,14 +88,6 @@ func TestTelemetryMetricFixture(t *testing.T) {
 // applies to internal/flat.
 func TestFlatEntryFixture(t *testing.T) {
 	runFixtureAll(t, []*Analyzer{AtomicPub(), HotAlloc()}, "fentry")
-}
-
-// TestDefaultSuiteOnSRing runs the full nine-analyzer suite over the
-// SPSC fixture the way demuxvet runs it over a real package: the
-// spscring findings appear, the other analyzers stay silent, and the
-// fixture's used waivers do not trip stalewaiver.
-func TestDefaultSuiteOnSRing(t *testing.T) {
-	runFixtureAll(t, Default(), "sring")
 }
 
 // TestDirectiveSilentOnWellFormed runs the grammar analyzer over a

@@ -61,7 +61,7 @@ func AtomicPub() *Analyzer {
 	}
 	a.Run = func(pass *Pass) error {
 		// Marked fields are matched by declaration position, not object
-		// identity: in a generic type (shard.Ring[T]) the field objects
+		// identity: in a generic type the field objects
 		// seen inside method bodies belong to the instantiated type, which
 		// shares the origin's source position but not its *types.Var.
 		marked := make(map[token.Pos]string)

@@ -10,13 +10,11 @@ import (
 // directivePrefix introduces every demuxvet control comment. Three kinds
 // exist: markers, which opt a declaration into extra checking
 // (//demux:hotpath on a function, //demux:atomic on a struct field),
-// parameterized markers, which also name roles or peers
-// (//demux:singlewriter(owner=flush) on a field,
-// //demux:spsc(producer=Push, consumer=Pop) on a ring type), and
-// waivers, which suppress one finding with a written reason
+// parameterized markers, which also name roles
+// (//demux:singlewriter(owner=flush) on a field, //demux:owner(flush) on a
+// function), and waivers, which suppress one finding with a written reason
 // (//demux:wallclock, //demux:globalrand, //demux:orderinvariant,
-// //demux:atomicguarded, //demux:allowalloc, //demux:crossaccess,
-// //demux:spscok).
+// //demux:atomicguarded, //demux:allowalloc, //demux:crossaccess).
 //
 // Grammar:
 //
@@ -25,8 +23,7 @@ import (
 //	//demux:NAME(a, k=v, ...) reason  parameterized directive
 //
 // NAME is lowercase letters. Arguments are positional identifiers or
-// key=value pairs; a value may be a single identifier or a list joined
-// with '+' (producer=Push+TryPush). A directive that fails this grammar
+// key=identifier pairs. A directive that fails this grammar
 // is not silently ignored: it is recorded with a parse error and the
 // `directive` analyzer reports it at the comment.
 const directivePrefix = "//demux:"
@@ -41,7 +38,6 @@ var waiverNames = map[string]string{
 	"atomicguarded":  "atomicpub",
 	"allowalloc":     "hotalloc",
 	"crossaccess":    "singlewriter",
-	"spscok":         "spscring",
 }
 
 // markerNames are the directives that opt a declaration into checking
@@ -51,8 +47,6 @@ var markerNames = map[string]bool{
 	"atomic":       true,
 	"singlewriter": true,
 	"owner":        true,
-	"spsc":         true,
-	"owned":        true,
 }
 
 // A directive is one parsed //demux: comment.
@@ -129,16 +123,6 @@ func isIdent(s string) bool {
 	return true
 }
 
-// isIdentList reports whether s is one identifier or a '+'-joined list.
-func isIdentList(s string) bool {
-	for _, part := range strings.Split(s, "+") {
-		if !isIdent(part) {
-			return false
-		}
-	}
-	return true
-}
-
 // parseDirective decodes one comment as a demux directive. A comment
 // carrying the //demux: prefix always yields a directive; grammar
 // violations are recorded in err rather than dropped, so a typo cannot
@@ -190,8 +174,8 @@ func (d *directive) parseArgs(inner string) string {
 			if !isIdent(k) {
 				return fmt.Sprintf("bad argument key %q", k)
 			}
-			if !isIdentList(v) {
-				return fmt.Sprintf("bad value %q for key %q (identifier or '+'-joined list)", v, k)
+			if !isIdent(v) {
+				return fmt.Sprintf("bad value %q for key %q (want an identifier)", v, k)
 			}
 			if d.kv == nil {
 				d.kv = make(map[string]string)

@@ -26,19 +26,18 @@ func TestParseDirective(t *testing.T) {
 		{text: "//demux:hotpath", name: "hotpath"},
 		{text: "//demux:wallclock throughput timing is the one legit consumer", name: "wallclock", reason: "throughput timing is the one legit consumer"},
 		{text: "//demux:singlewriter(owner=localtier)", name: "singlewriter", kv: map[string]string{"owner": "localtier"}},
-		{text: "//demux:spsc(producer=Push+TryPush, consumer=Pop)", name: "spsc", kv: map[string]string{"producer": "Push+TryPush", "consumer": "Pop"}},
-		{text: "//demux:owned(producer, peer=head)", name: "owned", args: []string{"producer"}, kv: map[string]string{"peer": "head"}},
+		{text: "//demux:singlewriter(flush, owner=drain)", name: "singlewriter", args: []string{"flush"}, kv: map[string]string{"owner": "drain"}},
 		{text: "//demux:owner(flush, drain) both tiers", name: "owner", args: []string{"flush", "drain"}, reason: "both tiers"},
 
 		{text: "//demux:", name: "", errSub: "missing directive name"},
 		{text: "//demux:Atomic", name: "", errSub: "missing directive name"},
 		{text: "//demux:atomic(unclosed", name: "atomic", errSub: "unclosed"},
-		{text: "//demux:spsc(producer=)", name: "spsc", errSub: "bad value"},
-		{text: "//demux:owned(, peer=head)", name: "owned", errSub: "empty argument"},
+		{text: "//demux:singlewriter(owner=)", name: "singlewriter", errSub: "bad value"},
+		{text: "//demux:singlewriter(, owner=a)", name: "singlewriter", errSub: "empty argument"},
 		{text: "//demux:singlewriter(owner=1x)", name: "singlewriter", errSub: "bad value"},
 		{text: "//demux:singlewriter(owner=a, owner=b)", name: "singlewriter", errSub: "duplicate key"},
 		{text: "//demux:owner(9bad)", name: "owner", errSub: "bad positional argument"},
-		{text: "//demux:spsc(pro ducer=x)", name: "spsc", errSub: "bad argument key"},
+		{text: "//demux:singlewriter(own er=x)", name: "singlewriter", errSub: "bad argument key"},
 		{text: "//demux:atomic?junk", name: "atomic", errSub: "unexpected"},
 	}
 	for _, c := range cases {
@@ -86,12 +85,10 @@ func TestDirectiveFixture(t *testing.T) {
 		{line("//demux:atomic(foo)"), "directive", "takes no arguments"},
 		{line("//demux:atomik"), "directive", "unknown directive //demux:atomik"},
 		{line("extra=y"), "directive", "exactly one role"},
-		{line("//demux:owned(middle)"), "directive", "(producer|consumer, peer=field)"},
 		{line("//demux:atomic(unclosed"), "directive", "unclosed"},
 		{line("owner=1x"), "directive", "bad value"},
 		{line("g uint64 //demux:"), "directive", "missing directive name"},
 		{line("h uint64 //demux:atomic"), "directive", "duplicate //demux:atomic on one field"},
-		{line("//demux:spsc(producer=Push)"), "directive", "(producer=Methods, consumer=Methods)"},
 		{line("//demux:owner"), "directive", "one or more positional roles"},
 		{line("//demux:hotpath(fast)"), "directive", "takes no arguments"},
 	})

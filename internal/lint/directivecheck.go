@@ -18,8 +18,6 @@ import (
 //	waivers               no arguments; free-text reason after the name
 //	singlewriter          exactly one role: (owner=role) or (role)
 //	owner                 one or more positional roles: (role, ...)
-//	spsc                  exactly the keys producer= and consumer=
-//	owned                 (producer|consumer, peer=field)
 //
 // Unknown directive names, parse errors (unclosed parens, bad identifier
 // syntax, duplicate keys), and duplicate same-name directives on one line
@@ -67,19 +65,6 @@ func checkDirective(pass *Pass, d *directive) {
 	case d.name == "owner":
 		if len(d.args) == 0 || len(d.kv) > 0 {
 			pass.Reportf(d.pos, "//demux:owner needs one or more positional roles: (role, ...)")
-		}
-	case d.name == "spsc":
-		_, p := d.kv["producer"]
-		_, c := d.kv["consumer"]
-		if !p || !c || len(d.kv) != 2 || len(d.args) > 0 {
-			pass.Reportf(d.pos, "//demux:spsc needs exactly (producer=Methods, consumer=Methods)")
-		}
-	case d.name == "owned":
-		_, extra := d.kv["peer"]
-		sideOK := len(d.args) == 1 && (d.args[0] == "producer" || d.args[0] == "consumer")
-		kvOK := len(d.kv) == 0 || (extra && len(d.kv) == 1)
-		if !sideOK || !kvOK {
-			pass.Reportf(d.pos, "//demux:owned needs (producer|consumer, peer=field)")
 		}
 	}
 }

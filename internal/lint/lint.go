@@ -28,10 +28,6 @@
 //	singlewriter — fields marked //demux:singlewriter(owner=role) are only
 //	               accessed from //demux:owner(role) functions
 //	               (//demux:crossaccess waives)
-//	spscring     — types marked //demux:spsc(producer=..., consumer=...)
-//	               keep each side off the other side's //demux:owned
-//	               fields, and cached peer indices are refreshed only via
-//	               the peer's atomic Load (//demux:spscok waives)
 //	hotalloc     — functions marked //demux:hotpath stay allocation-free
 //	               (//demux:allowalloc waives)
 //	stalewaiver  — waivers that suppressed no finding in the run are

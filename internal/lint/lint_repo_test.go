@@ -12,7 +12,7 @@ import (
 	"testing"
 )
 
-// TestRepoIsClean runs the default analyzer suite — all nine, including
+// TestRepoIsClean runs the default analyzer suite — all eight, including
 // the concurrency-contract analyzers and stalewaiver — over every
 // package in this module and asserts zero findings: the invariants the
 // analyzers enforce must actually hold in the tree that ships them, and
@@ -132,7 +132,8 @@ func hasGoFiles(dir string) bool {
 // the packages a frame crosses: engine, shard and frag state belongs to the
 // one goroutine that drives Deliver/Tick (the //demux:owner(deliver)
 // annotations say which state), so no non-test file in them may mention
-// sync.Mutex or sync.RWMutex. A lock that comes back means a second
+// sync.Mutex or sync.RWMutex, or import sync/atomic: state with one owner
+// needs neither a lock nor an atomic. Either coming back means a second
 // goroutine came with it, and the contract has to be redrawn first.
 func TestFramePathPackagesDeclareNoMutex(t *testing.T) {
 	root, err := filepath.Abs(filepath.Join("..", ".."))
@@ -152,6 +153,11 @@ func TestFramePathPackagesDeclareNoMutex(t *testing.T) {
 		}
 		for _, pkg := range pkgs {
 			for _, file := range pkg.Files {
+				for _, imp := range file.Imports {
+					if imp.Path.Value == `"sync/atomic"` {
+						t.Errorf("%s: sync/atomic imported in a single-owner package", fset.Position(imp.Pos()))
+					}
+				}
 				ast.Inspect(file, func(n ast.Node) bool {
 					sel, ok := n.(*ast.SelectorExpr)
 					if !ok {

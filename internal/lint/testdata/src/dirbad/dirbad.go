@@ -9,7 +9,6 @@ type s struct {
 	a uint64 //demux:atomic(foo)
 	b uint64 //demux:atomik
 	c uint64 //demux:singlewriter(owner=x, extra=y)
-	d uint64 //demux:owned(middle)
 	e uint64 //demux:atomic(unclosed
 	f uint64 //demux:singlewriter(owner=1x)
 	g uint64 //demux:
@@ -19,11 +18,6 @@ type s struct {
 	h uint64 //demux:atomic
 
 	ok uint64 //demux:atomic
-}
-
-//demux:spsc(producer=Push)
-type t struct {
-	v uint64
 }
 
 //demux:owner

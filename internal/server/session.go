@@ -95,7 +95,7 @@ func newSession(id uint64, fd int, server wire.Addr, iss uint32) *session {
 // connection and advances the mini-client's send sequence (SYN and FIN
 // consume one sequence number; data consumes its length), mirroring the
 // engine's own send arithmetic. Every call returns a fresh frame: a
-// stalled shard's inbox keeps the slice it was given.
+// faulted shard's backlog keeps the slice it was given.
 //
 //demux:owner(engineloop)
 func (ss *session) synth(flags uint8, payload []byte) ([]byte, error) {

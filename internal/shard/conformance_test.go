@@ -202,7 +202,7 @@ func TestShardedConformanceChaos(t *testing.T) {
 // stack + lossy link), rekeys the steering mid-conversation, and checks
 // that migrated connections keep answering on their new shards with no
 // application-visible seam — and that the migration really crossed the
-// handoff rings with generation-validated claims.
+// handoff queues with generation-validated claims.
 func TestRekeyMigratesMidExchange(t *testing.T) {
 	const (
 		clients = 12

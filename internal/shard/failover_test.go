@@ -215,7 +215,7 @@ func TestStallFailoverDetectsStuckConsumer(t *testing.T) {
 }
 
 // TestWedgeDegradesWithoutDrain checks the degradation ladder: a shard
-// whose rings refuse pushes for a bounded window sheds (counted,
+// whose queues refuse pushes for a bounded window sheds (counted,
 // attributed) and is marked Degraded, but its clock and consumer are
 // fine, so the watchdog must NOT drain it — and once the wedge clears
 // and the sheds stop, the shard must walk back to Healthy while the
@@ -283,28 +283,33 @@ func TestSlowConsumerCapsThroughput(t *testing.T) {
 	}
 }
 
-// TestInboxBackpressurePreservesOrder is the regression test for the
-// old inbox-full fallback, which delivered the overflowing frame
-// directly — bypassing the single-writer inbox path and reordering it
-// ahead of everything still queued. The backpressure path must instead
-// drain queued frames first: five consecutive data segments pushed
-// through a cap-4 inbox must reach the application in sequence order.
+// TestInboxBackpressurePreservesOrder pins delivery order across a fault
+// transition, where a frame handed straight to the Stack could overtake
+// frames an earlier fault left queued. A stalled consumer queues the first
+// segments; the fault clears; one more segment arrives and must reach the
+// application after everything queued ahead of it. Two backlogs: a partly
+// filled one, which the next frame simply joins, and a full one, where the
+// backpressure path must drain the queue to make room instead of shedding
+// or delivering around it. The ledger balances after every step.
 func TestInboxBackpressurePreservesOrder(t *testing.T) {
-	const port = uint16(1521)
-	set, err := NewStackSet(wire.MakeAddr(10, 0, 0, 1), Config{
-		Shards: 1,
-		NewDemuxer: func(int) core.Demuxer {
-			return core.NewSequentHash(0, hashfn.Multiplicative{})
-		},
-		Seed:     7,
-		InboxCap: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
+	for _, c := range []struct {
+		name     string
+		queued   int
+		wantFull bool
+	}{
+		{"partly filled backlog", 2, false},
+		{"full backlog", DefaultInboxCap, true},
+	} {
+		t.Run(c.name, func(t *testing.T) { backlogThenOne(t, c.queued, c.wantFull) })
 	}
-	var got [][]byte
+}
+
+func backlogThenOne(t *testing.T, queued int, wantFull bool) {
+	const port = uint16(1521)
+	set := newSet(t, 1, 7)
+	var got []string
 	if err := set.Listen(port, func(_ *engine.Conn, p []byte) []byte {
-		got = append(got, append([]byte(nil), p...))
+		got = append(got, string(p))
 		return []byte("ok")
 	}); err != nil {
 		t.Fatal(err)
@@ -322,9 +327,10 @@ func TestInboxBackpressurePreservesOrder(t *testing.T) {
 	}
 
 	// One real data segment gives us the connection's live header; the
-	// next four are crafted at consecutive sequence numbers so all five
-	// are in-order, in-window payloads.
-	if err := conn.Send([]byte("p0")); err != nil {
+	// rest are crafted at consecutive sequence numbers so all of them are
+	// in-order, in-window payloads.
+	want := []string{"p0"}
+	if err := conn.Send([]byte(want[0])); err != nil {
 		t.Fatal(err)
 	}
 	frames := client.Drain()
@@ -336,61 +342,69 @@ func TestInboxBackpressurePreservesOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	segs := [][]byte{frames[0]}
-	for i := 1; i < 5; i++ {
-		tcp := seg.TCP
-		tcp.Seq = seg.TCP.Seq + uint32(i*len(seg.Payload))
-		f, err := wire.BuildSegment(seg.IP, tcp, []byte(fmt.Sprintf("p%d", i)))
+	tcp := seg.TCP
+	for i := 1; i <= queued; i++ {
+		tcp.Seq += uint32(len(want[i-1]))
+		want = append(want, fmt.Sprintf("p%d", i))
+		f, err := wire.BuildSegment(seg.IP, tcp, []byte(want[i]))
 		if err != nil {
 			t.Fatal(err)
 		}
 		segs = append(segs, f)
 	}
 
-	// Stall the consumer while the first four segments arrive: they
-	// queue and exactly fill the cap-4 ring.
+	// ledger checks conservation and where the frames delivered since the
+	// handshake stand.
+	base := set.Accounting()
+	ledger := func(wantQueued, wantConsumed int) {
+		t.Helper()
+		acc := set.Accounting()
+		if !acc.Balanced() {
+			t.Fatalf("unaccounted packet losses: %+v", acc)
+		}
+		if acc.Queued != uint64(wantQueued) || acc.Consumed-base.Consumed != uint64(wantConsumed) {
+			t.Fatalf("queued %d consumed %d, want %d and %d: %+v",
+				acc.Queued, acc.Consumed-base.Consumed, wantQueued, wantConsumed, acc)
+		}
+	}
+	ledger(0, 0)
+
+	// Stall the consumer while all but the last segment arrive: they queue.
 	set.SetFaultFunc(func(int, float64) FaultVerdict { return FaultVerdict{Stall: true} })
-	for _, f := range segs[:4] {
+	for i, f := range segs[:queued] {
 		if _, err := set.Deliver(f); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if n := set.inbox[0].Len(); n != 4 {
-		t.Fatalf("inbox holds %d frames, want a full ring of 4", n)
+		ledger(i+1, 0)
 	}
 	if len(got) != 0 {
 		t.Fatalf("stalled consumer delivered %d payloads", len(got))
 	}
 
-	// Consumer recovers; the fifth segment hits a full ring. The old
-	// code would deliver it directly — out of order, a future segment
-	// the receiver stashes or drops. The backpressure path must drain
-	// the queue first and keep the application order intact.
+	// Consumer recovers and the last segment arrives behind the backlog.
 	set.SetFaultFunc(nil)
-	if _, err := set.Deliver(segs[4]); err != nil {
+	if _, err := set.Deliver(segs[queued]); err != nil {
 		t.Fatal(err)
 	}
-	if set.InboxFullEvents == 0 {
-		t.Fatal("full inbox not counted")
+	ledger(0, queued+1)
+	if full := set.InboxFullEvents != 0; full != wantFull {
+		t.Fatalf("InboxFullEvents = %d, want a full backlog: %v", set.InboxFullEvents, wantFull)
 	}
 	if shed := set.Stats().ShedInboxFull; shed != 0 {
 		t.Fatalf("backpressure shed %d frames with a live consumer", shed)
 	}
-	want := []string{"p0", "p1", "p2", "p3", "p4"}
 	if len(got) != len(want) {
 		t.Fatalf("delivered %d payloads, want %d: %q", len(got), len(want), got)
 	}
 	for i, w := range want {
-		if string(got[i]) != w {
+		if got[i] != w {
 			t.Fatalf("payload %d = %q, want %q (reordered delivery): %q", i, got[i], w, got)
 		}
 	}
-	if acc := set.Accounting(); !acc.Balanced() {
-		t.Fatalf("unaccounted packet losses: %+v", acc)
-	}
 }
 
-// TestHandoffWedgeRevertsRekey drives the handoff ring-full fallback: a
-// rekey that tries to migrate connections into a shard whose rings are
+// TestHandoffWedgeRevertsRekey drives the handoff queue-full fallback: a
+// rekey that tries to migrate connections into a shard whose queues are
 // wedged must exhaust its bounded retries, revert each move, and leave
 // every connection answering on its original shard — migration
 // capability shed, connections never lost.
@@ -425,7 +439,7 @@ func TestHandoffWedgeRevertsRekey(t *testing.T) {
 		}
 	}
 
-	// Wedge shard 1's rings, then rekey until some mover aims at it and
+	// Wedge shard 1's queues, then rekey until some mover aims at it and
 	// has to revert. Movers toward shard 0 still succeed — the wedge is
 	// a property of the destination, not of the rekey.
 	set.SetFaultFunc(func(sh int, _ float64) FaultVerdict {
@@ -443,7 +457,7 @@ func TestHandoffWedgeRevertsRekey(t *testing.T) {
 		t.Fatal("no rekey tried to move a connection into the wedged shard")
 	}
 	if st.HandoffFullEvents == 0 {
-		t.Fatal("wedged handoff ring not counted as full")
+		t.Fatal("wedged handoff queue not counted as full")
 	}
 	if st.StaleHandoffs != 0 {
 		t.Fatalf("StaleHandoffs = %d during quiesced rekeys", st.StaleHandoffs)
@@ -566,7 +580,7 @@ func (f oneConn) expectEcho(t *testing.T, client *engine.Stack, conn *engine.Con
 	}
 }
 
-// expectOneStale requires that draining shard to's handoff rings adopts
+// expectOneStale requires that draining shard to's handoff queues adopts
 // nothing and counts exactly one stale handoff — in the Stats view and,
 // identically, on the registry the set is homed on.
 func (f oneConn) expectOneStale(t *testing.T, to int) {
@@ -585,15 +599,15 @@ func (f oneConn) expectOneStale(t *testing.T, to int) {
 }
 
 // launch extracts the connection from shard from and pushes it onto the
-// from->to handoff ring under a freshly stamped claim naming to.
+// from->to handoff queue under a freshly stamped claim naming to.
 func (f oneConn) launch(t *testing.T, from, to int) *core.PCB {
 	t.Helper()
 	pcb, ok := f.set.Shard(from).Extract(f.key)
 	if !ok {
 		t.Fatal("extract failed")
 	}
-	if !f.set.handoff[from][to].Push(Handoff{PCB: pcb, Gen: f.set.stamp(f.key, to)}) {
-		t.Fatal("handoff ring refused the push")
+	if !f.set.handoff[from][to].push(Handoff{PCB: pcb, Gen: f.set.stamp(f.key, to)}) {
+		t.Fatal("handoff queue refused the push")
 	}
 	return pcb
 }

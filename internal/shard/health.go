@@ -13,7 +13,7 @@
 //   - Stall: the clock still advances (heartbeats keep coming) but the
 //     consumer never pops its inbox; queued frames age in place. The
 //     watchdog catches this through the progress counter instead.
-//   - Wedge: the shard's rings refuse pushes (a producer-side failure).
+//   - Wedge: the shard's queues refuse pushes (a producer-side failure).
 //     The shard itself is alive, so this degrades — sheds, counted —
 //     rather than triggering a drain.
 //   - Slow: the consumer pops at most MaxConsume frames per delivery;
@@ -26,7 +26,7 @@
 // each connection's rescue target without any shared "who moved where"
 // table beyond the claims map. Frames still queued on the dead inbox are
 // salvaged FIFO and re-delivered after the PCBs land. Connections are
-// never lost by the control plane: a wedged handoff ring ends in a
+// never lost by the control plane: a wedged handoff queue ends in a
 // direct Adopt.
 //
 // Degradation is a ladder, not a cliff: full edges shed the single
@@ -88,7 +88,7 @@ type FaultVerdict struct {
 	// Stall keeps the clock running but stops the consumer: heartbeats
 	// continue, the inbox backlog ages.
 	Stall bool
-	// Wedge makes the shard's rings (inbox and inbound handoffs) refuse
+	// Wedge makes the shard's queues (inbox and inbound handoffs) refuse
 	// pushes.
 	Wedge bool
 	// MaxConsume > 0 caps how many frames the shard pops per delivery —
@@ -114,7 +114,7 @@ const (
 	// on their retransmission timers.
 	DefaultStallThreshold = 0.5
 	// DefaultHandoffRetries bounds how many times a full handoff or
-	// inbox ring is re-offered (with forced draining in between) before
+	// inbox queue is re-offered (with forced draining in between) before
 	// the work is shed or downgraded to a direct adopt.
 	DefaultHandoffRetries = 3
 )
@@ -131,9 +131,9 @@ type shardHealth struct {
 	// not instantly condemn every shard).
 	hbTimer  bool
 	lastBeat float64
-	// consumed counts frames this shard popped and delivered; the
-	// watchdog compares it against progressMark to detect a consumer
-	// that stopped while its inbox is non-empty.
+	// consumed counts frames handed to this shard's Stack, directly or
+	// off its backlog; the watchdog compares it against progressMark to
+	// detect a consumer that stopped while its inbox is non-empty.
 	consumed     uint64
 	progressMark uint64
 	lastProgress float64
@@ -205,17 +205,24 @@ func (set *StackSet) ensureHeartbeat(i int, now float64) {
 // drain both use this fold, so a retransmitted frame arriving after the
 // drain lands exactly where the drain put its connection — no shared
 // rendezvous state beyond the health ledger itself.
+//
+//demux:hotpath
 func (set *StackSet) rescueShard(tup wire.Tuple) (int, bool) {
-	live := make([]int, 0, len(set.shards))
-	for i := range set.shards {
-		if set.alive(i) {
-			live = append(live, i)
-		}
-	}
-	if len(live) == 0 {
+	live := set.liveCount()
+	if live == 0 {
 		return 0, false
 	}
-	return live[hashfn.ChainIndex(set.steer.Load().key.Hash(tup), len(live))], true
+	// The k-th live shard, in shard order.
+	k := hashfn.ChainIndex(set.steer.key.Hash(tup), live)
+	for i := range set.health {
+		if set.alive(i) {
+			if k == 0 {
+				return i, true
+			}
+			k--
+		}
+	}
+	return 0, false
 }
 
 // shedInboxFrame records one frame lost at shard idx's inbox edge.
@@ -249,11 +256,11 @@ func (set *StackSet) checkHealth(now float64) {
 		if h.lastBeat > 0 && now-h.lastBeat > DefaultStallThreshold {
 			sick = true // clock frozen: crash
 		}
-		if set.inbox[i].Len() > 0 && h.consumed == h.progressMark &&
+		if set.inbox[i].len() > 0 && h.consumed == h.progressMark &&
 			now-h.lastProgress > DefaultStallThreshold {
 			sick = true // clock beats, consumer does not
 		}
-		if h.consumed != h.progressMark || set.inbox[i].Len() == 0 {
+		if h.consumed != h.progressMark || set.inbox[i].len() == 0 {
 			h.progressMark = h.consumed
 			h.lastProgress = now
 		}
@@ -283,8 +290,8 @@ func (set *StackSet) checkHealth(now float64) {
 
 // FailOver drains every connection off shard sick into the survivors:
 // salvage the frames still queued on its inbox, walk its PCBs in
-// netstat order, hand each across the SPSC handoff ring (see migrate; a
-// ring that stays wedged downgrades to a direct Adopt — the handoff
+// netstat order, hand each across the handoff queue (see migrate; a
+// queue that stays wedged downgrades to a direct Adopt — the handoff
 // transport is shed, never the connection), then re-deliver the
 // salvaged frames to the connections' new homes. The watchdog calls
 // this when a shard goes sick; an operator may call it directly to
@@ -313,7 +320,7 @@ func (set *StackSet) FailOver(sick int) int {
 	// their connections land on the survivors.
 	var salvage [][]byte
 	for {
-		f, ok := set.inbox[sick].Pop()
+		f, ok := set.inbox[sick].pop()
 		if !ok {
 			break
 		}
@@ -338,7 +345,7 @@ func (set *StackSet) FailOver(sick int) int {
 		// A handshake still in SYN_RCVD has no claim yet (claims are
 		// stamped at accept): rehome it directly, and frames find it via
 		// the rescue fold until the accept on its new shard stamps one.
-		// A claimed connection whose ring stayed refused lands the same
+		// A claimed connection whose queue stayed refused lands the same
 		// way, its claim already naming the survivor.
 		pushed := false
 		if claimed {
@@ -370,10 +377,10 @@ func (set *StackSet) FailOver(sick int) int {
 
 // Accounting is the set-level conservation ledger. Every frame handed
 // to Deliver ends in exactly one bucket: absorbed (a fragment of a
-// still-incomplete datagram), consumed (popped from an inbox into a
-// shard's Stack, whose own per-reason counters take over from there),
-// shed (lost at a full or wedged inbox edge, attributed to a reason),
-// or still queued on an inbox ring.
+// still-incomplete datagram), consumed (handed to a shard's Stack, at
+// once or off the shard's backlog; the Stack's own per-reason counters
+// take over from there), shed (lost at a full or wedged inbox edge,
+// attributed to a reason), or still queued on a faulted shard's backlog.
 type Accounting struct {
 	FramesIn uint64
 	Absorbed uint64
@@ -398,7 +405,7 @@ func (set *StackSet) Accounting() Accounting {
 	}
 	for i := range set.shards {
 		a.Consumed += set.health[i].consumed
-		a.Queued += uint64(set.inbox[i].Len())
+		a.Queued += uint64(set.inbox[i].len())
 	}
 	return a
 }

@@ -1,10 +1,27 @@
+// Package shard is the multi-queue demultiplexing engine: RSS-style flow
+// steering with the keyed tuple hash spreads inbound packets across N
+// independent shards, each owning its own demuxer discipline, its own
+// timer wheel and its own telemetry observer. One goroutine owns the whole
+// set, so a frame goes from the steering hash to its shard's Stack by a
+// direct call and nothing on the packet path is locked, atomic or queued.
+// The control plane is where shards meet: listener registration fans out
+// by direct call, and a connection migrating after a steering rekey or a
+// drain crosses a bounded per-pair handoff queue, each handoff validated
+// against the generation of the connection's one ownership claim so a
+// migrated PCB can never be resolved against a stale shard.
+//
+// The paper demultiplexes on a uniprocessor, and what its hashed table
+// gives a sharded engine is the partition: each shard's table holds 1/N of
+// the connection population, so its chain walks (and its cache working
+// set) shrink proportionally, which is the paper's C(N) argument applied
+// per shard. That effect needs steering and private tables; it does not
+// need a second goroutine, and this package has none.
 package shard
 
 import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync/atomic"
 
 	"tcpdemux/internal/core"
 	"tcpdemux/internal/engine"
@@ -15,8 +32,8 @@ import (
 	"tcpdemux/internal/wire"
 )
 
-// Handoff is one migrating connection crossing an SPSC ring between two
-// shards. Gen is the generation the connection's claim was stamped with
+// Handoff is one migrating connection crossing the handoff queue between
+// two shards. Gen is the generation the connection's claim was stamped with
 // when the migration was authorized; the receiving shard re-validates it
 // against the claims table before adopting, so a handoff message that
 // was overtaken by a later move, release or re-accept is discarded
@@ -36,11 +53,11 @@ type claim struct {
 	owner int
 }
 
-// DefaultInboxCap sizes each shard's frame inbox ring and
-// DefaultHandoffCap each ordered shard pair's migration ring. Both are
-// drained synchronously in this engine, so they only need to absorb one
-// burst — plus, since the failure-domain work, the backlog of a shard
-// whose consumer died between watchdog checks.
+// DefaultInboxCap bounds each shard's frame backlog and DefaultHandoffCap
+// each ordered shard pair's migration queue. A healthy shard queues
+// nothing; the backlog absorbs what arrives for a shard whose consumer
+// died or slowed between watchdog checks, the handoff queue one rekey's or
+// one drain's movers toward one shard.
 const (
 	DefaultInboxCap   = 256
 	DefaultHandoffCap = 256
@@ -56,50 +73,44 @@ type Config struct {
 	NewDemuxer func(shard int) core.Demuxer
 	// Seed drives the steering key and each shard's ISS generator.
 	Seed uint64
-	// InboxCap sizes each shard's inbox ring (DefaultInboxCap if zero);
-	// tests shrink it to exercise the full edge.
-	InboxCap int
 }
 
 // StackSet is the sharded multi-queue endpoint: one address, N
 // engine.Stacks behind an RSS-style steering function. It has a single
 // owner: one goroutine (server.loop in the serving frontend) drives
 // Deliver, Tick, Release, Rekey and FailOver, and with them every shard's
-// Stack; nothing on that path is locked. Every inbound
-// frame hashes its tuple with the keyed steering hash and lands on
+// Stack; nothing on that path is locked. Every inbound frame hashes its
+// tuple with the keyed steering hash and is handed, by a direct call, to
 // exactly one shard's private Stack — private demuxer, private timer
-// wheel, private outbox — through that shard's SPSC inbox ring, so the
-// packet path shares no mutable state between shards. Cross-shard
-// traffic exists only on the control plane: Listen fans the listener out
-// to every shard (accepted connections are distributed by where their
-// SYN steered), and Rekey migrates connections whose assignment changed
-// over per-pair SPSC handoff rings, each handoff carrying the generation
-// of the claim that authorized it so a stale shard can never resolve a
-// migrated PCB.
+// wheel, private outbox — so the packet path shares no mutable state
+// between shards. Only a shard under a fault verdict (health.go) keeps a
+// backlog: frames it cannot take yet queue in arrival order, and while
+// anything is queued later frames queue behind it. Cross-shard traffic
+// exists only on the control plane: Listen fans the listener out to every
+// shard by direct call (accepted connections are distributed by where
+// their SYN steered), and Rekey migrates connections whose assignment
+// changed over per-pair handoff queues, each handoff carrying the
+// generation of the claim that authorized it so a stale shard can never
+// resolve a migrated PCB.
 //
 // StackSet implements engine.LossyServer, so the lossy-link conformance
 // harness can drive it through the identical loss process as a single
-// Stack and compare application-level delivery byte for byte.
-//
-// Frames and control messages are processed synchronously: Deliver
-// pushes the frame onto the owning shard's inbox ring and immediately
-// drains that ring. The rings are therefore load-bearing (everything
-// crosses them) while keeping the engine deterministic under the
-// virtual-time harnesses; a multi-core driver may instead pin one
-// goroutine per shard and drain the same rings concurrently, which is
-// what the throughput harness models.
+// Stack and compare application-level delivery byte for byte. Everything
+// is processed synchronously, inside the call that brought it, which is
+// what keeps the engine deterministic under the virtual-time harnesses.
 type StackSet struct {
 	addr   wire.Addr
 	shards []*engine.Stack
-	// steer is swapped atomically by Rekey so a concurrent reader of the
-	// steering function never sees a torn value.
-	steer atomic.Pointer[Steering] //demux:atomic
+	// steer is the current steering function; Rekey replaces it.
+	steer Steering
 	src   *rng.Source
 
-	// inbox[i] carries frames steered to shard i; handoff[from][to]
-	// carries migrating connections (nil on the diagonal).
-	inbox   []*Ring[[]byte]
-	handoff [][]*Ring[Handoff]
+	// inbox[i] is shard i's backlog: frames steered at it that a fault
+	// verdict keeps it from taking yet. handoff[from][to] carries
+	// connections migrating from one shard to another (the diagonal is
+	// never pushed).
+	inbox   []fifo[[]byte]
+	handoff [][]fifo[Handoff]
 
 	// claims is the one ownership record, gen the set-wide generation
 	// counter its stamps draw from, and displaced the number of claims
@@ -188,10 +199,6 @@ func NewStackSet(addr wire.Addr, cfg Config) (*StackSet, error) {
 	if cfg.NewDemuxer == nil {
 		return nil, errors.New("shard: Config.NewDemuxer is required")
 	}
-	inboxCap := cfg.InboxCap
-	if inboxCap <= 0 {
-		inboxCap = DefaultInboxCap
-	}
 	set := &StackSet{
 		addr:    addr,
 		src:     rng.New(cfg.Seed ^ 0x9e3779b97f4a7c15),
@@ -201,23 +208,20 @@ func NewStackSet(addr wire.Addr, cfg Config) (*StackSet, error) {
 		health:  make([]shardHealth, cfg.Shards),
 		m:       telemetry.NewShardSetMetrics(telemetry.NewRegistry(), cfg.Shards),
 	}
-	st := NewSteering(cfg.Shards, hashfn.KeyedFromRNG(set.src))
-	set.steer.Store(&st)
+	set.steer = NewSteering(cfg.Shards, hashfn.KeyedFromRNG(set.src))
 	set.shards = make([]*engine.Stack, cfg.Shards)
-	set.inbox = make([]*Ring[[]byte], cfg.Shards)
-	set.handoff = make([][]*Ring[Handoff], cfg.Shards)
+	set.inbox = make([]fifo[[]byte], cfg.Shards)
+	set.handoff = make([][]fifo[Handoff], cfg.Shards)
 	for i := range set.shards {
 		i := i
 		s := engine.NewStack(addr, cfg.NewDemuxer(i), cfg.Seed+uint64(i)*0x51_7c_c1+1)
 		// OnAccept runs inside the shard's Deliver, which runs inside ours.
 		s.OnAccept = func(c *engine.Conn) { set.stamp(c.Key(), i) }
 		set.shards[i] = s
-		set.inbox[i] = NewRing[[]byte](inboxCap)
-		set.handoff[i] = make([]*Ring[Handoff], cfg.Shards)
+		set.inbox[i].bound = DefaultInboxCap
+		set.handoff[i] = make([]fifo[Handoff], cfg.Shards)
 		for j := range set.handoff[i] {
-			if j != i {
-				set.handoff[i][j] = NewRing[Handoff](DefaultHandoffCap)
-			}
+			set.handoff[i][j].bound = DefaultHandoffCap
 		}
 	}
 	return set, nil
@@ -278,7 +282,7 @@ func (set *StackSet) stamp(key core.Key, owner int) uint64 {
 	set.uncount(key)
 	set.gen++
 	set.claims[key] = claim{gen: set.gen, owner: owner}
-	if owner != set.steer.Load().Shard(key.Tuple()) {
+	if owner != set.steer.Shard(key.Tuple()) {
 		set.displaced++
 	}
 	return set.gen
@@ -293,7 +297,7 @@ func (set *StackSet) uncount(key core.Key) {
 	if set.displaced == 0 {
 		return
 	}
-	if cl, ok := set.claims[key]; ok && cl.owner != set.steer.Load().Shard(key.Tuple()) {
+	if cl, ok := set.claims[key]; ok && cl.owner != set.steer.Shard(key.Tuple()) {
 		set.displaced--
 	}
 }
@@ -305,7 +309,7 @@ func (set *StackSet) Shards() int { return len(set.shards) }
 func (set *StackSet) Shard(i int) *engine.Stack { return set.shards[i] }
 
 // Steering returns the current steering function.
-func (set *StackSet) Steering() Steering { return *set.steer.Load() }
+func (set *StackSet) Steering() Steering { return set.steer }
 
 // Addr implements engine.LossyServer.
 func (set *StackSet) Addr() wire.Addr { return set.addr }
@@ -373,7 +377,7 @@ shards:
 func (set *StackSet) steerFrame(frame []byte) (int, core.Key, bool, []byte) {
 	tup, err := wire.ExtractTuple(frame)
 	if err == nil {
-		return set.steer.Load().Shard(tup), core.KeyFromTuple(tup), true, frame
+		return set.steer.Shard(tup), core.KeyFromTuple(tup), true, frame
 	}
 	if errors.Is(err, wire.ErrFragmented) {
 		whole, ferr := set.reasm.Add(frame, float64(set.FramesIn))
@@ -386,7 +390,7 @@ func (set *StackSet) steerFrame(frame []byte) (int, core.Key, bool, []byte) {
 			return -1, core.Key{}, false, nil
 		}
 		if tup, err = wire.ExtractTuple(whole); err == nil {
-			return set.steer.Load().Shard(tup), core.KeyFromTuple(tup), true, whole
+			return set.steer.Shard(tup), core.KeyFromTuple(tup), true, whole
 		}
 		return 0, core.Key{}, false, whole
 	}
@@ -395,7 +399,7 @@ func (set *StackSet) steerFrame(frame []byte) (int, core.Key, bool, []byte) {
 
 // homeOf resolves a keyed frame's true home shard. The steering hash is
 // the fast default, but two control-plane events leave it pointing away
-// from a connection's actual owner: a rekey whose handoff ring was full
+// from a connection's actual owner: a rekey whose handoff queue was full
 // reverted the move, and a drain rehomed a dead shard's connections.
 // The claims table records the authoritative owner in both cases.
 // A frame whose steered shard is dead and that has no claim — a fresh
@@ -426,16 +430,15 @@ func (set *StackSet) homeOf(idx int, key core.Key) int {
 	return idx
 }
 
-// pushInbox enqueues a frame on shard idx's inbox through the
-// backpressure machinery: when the ring is full (or wedged by a fault),
+// pushInbox enqueues a frame on shard idx's backlog through the
+// backpressure machinery: when the backlog is full (or wedged by a fault),
 // the push is retried a bounded number of times with a growing forced
 // consumption between attempts — queued frames drain *before* the new
-// one enqueues, so delivery order is preserved; the old direct-delivery
-// fallback inverted it. A consumer that cannot make progress (crashed,
-// stalled, wedged) exhausts the budget and the frame is shed, counted
-// against inbox-full.
+// one enqueues, so delivery order is preserved. A consumer that cannot
+// make progress (crashed, stalled, wedged) exhausts the budget and the
+// frame is shed, counted against inbox-full.
 func (set *StackSet) pushInbox(idx int, frame []byte, v FaultVerdict) bool {
-	if !v.Wedge && set.inbox[idx].Push(frame) {
+	if !v.Wedge && set.inbox[idx].push(frame) {
 		return true
 	}
 	set.InboxFullEvents++
@@ -444,7 +447,7 @@ func (set *StackSet) pushInbox(idx int, frame []byte, v FaultVerdict) bool {
 		force := 1
 		for attempt := 0; attempt < DefaultHandoffRetries; attempt++ {
 			set.consume(idx, force)
-			if set.inbox[idx].Push(frame) {
+			if set.inbox[idx].push(frame) {
 				return true
 			}
 			force *= 2
@@ -454,13 +457,13 @@ func (set *StackSet) pushInbox(idx int, frame []byte, v FaultVerdict) bool {
 	return false
 }
 
-// consume pops shard idx's inbox into its Stack, at most max frames
+// consume pops shard idx's backlog into its Stack, at most max frames
 // (max <= 0 means drain fully), returning the last delivery's result.
 func (set *StackSet) consume(idx int, max int) (core.Result, error) {
 	var last core.Result
 	var lastErr error
 	for n := 0; max <= 0 || n < max; n++ {
-		f, ok := set.inbox[idx].Pop()
+		f, ok := set.inbox[idx].pop()
 		if !ok {
 			break
 		}
@@ -485,11 +488,15 @@ func (set *StackSet) home(frame []byte) (int, []byte) {
 	return idx, whole
 }
 
-// dispatch enqueues a homed frame on its shard's inbox ring under
-// backpressure and drains that ring into the shard's Stack as the active
-// fault verdict allows. It is the one body behind Deliver and the drain's
-// salvage path (FailOver re-homes and dispatches a dead shard's queued
-// frames, which Deliver already counted when they first arrived).
+// dispatch hands a homed frame to its shard's Stack: by a direct call when
+// the shard is under no fault verdict and has nothing queued, which is
+// every frame of a healthy set. Otherwise the frame joins the shard's
+// backlog under backpressure, behind what an earlier fault left there, and
+// the backlog drains into the Stack as the active verdict allows, so a
+// frame never overtakes one that arrived before it. It is the one body
+// behind Deliver and the drain's salvage path (FailOver re-homes and
+// dispatches a dead shard's queued frames, which Deliver already counted
+// when they first arrived).
 //
 //demux:hotpath
 func (set *StackSet) dispatch(idx int, whole []byte) (core.Result, error) {
@@ -505,6 +512,10 @@ func (set *StackSet) dispatch(idx int, whole []byte) (core.Result, error) {
 		return core.Result{}, nil
 	}
 	v := set.verdict(idx)
+	if v == (FaultVerdict{}) && set.inbox[idx].len() == 0 {
+		set.health[idx].consumed++
+		return set.shards[idx].Deliver(whole)
+	}
 	if !set.pushInbox(idx, whole, v) {
 		return core.Result{}, nil
 	}
@@ -599,7 +610,7 @@ func (set *StackSet) Len() int {
 }
 
 // Rekey draws a fresh steering key and migrates every connection whose
-// shard assignment changed, over the handoff rings (see migrate). It
+// shard assignment changed, over the handoff queues (see migrate). It
 // returns the number of connections migrated.
 //
 // Rekey is a control-plane quiesce point: the caller must not run it
@@ -639,8 +650,8 @@ func (set *StackSet) Rekey() int {
 			moves = append(moves, move{k, cl.owner, to})
 		}
 	}
-	// Deterministic migration order: ring-full fallbacks depend on the
-	// order movers hit the handoff rings, so the launch sequence must not
+	// Deterministic migration order: queue-full fallbacks depend on the
+	// order movers hit the handoff queues, so the launch sequence must not
 	// inherit map iteration order.
 	sort.Slice(moves, func(i, j int) bool { return moves[i].k.Compare(moves[j].k) < 0 })
 
@@ -663,10 +674,10 @@ func (set *StackSet) Rekey() int {
 			set.stamp(mv.k, mv.from)
 		}
 	}
-	set.steer.Store(&newSteer)
+	set.steer = newSteer
 	// Displaced is relative to the steering function, so the swap recounts
 	// it: what stays displaced is what the moves above could not fix (a
-	// move reverted on a full ring, a target that is not alive).
+	// move reverted on a full queue, a target that is not alive).
 	set.displaced = 0
 	for k, cl := range set.claims { //demux:orderinvariant a count
 		if cl.owner != newSteer.Shard(k.Tuple()) {
@@ -674,7 +685,7 @@ func (set *StackSet) Rekey() int {
 		}
 	}
 
-	// Each live shard drains its incoming handoff rings and adopts what
+	// Each live shard drains its incoming handoff queues and adopts what
 	// the claims table still says is its own.
 	for to := range set.shards {
 		if set.alive(to) {
@@ -688,20 +699,20 @@ func (set *StackSet) Rekey() int {
 // migrate is the one cross-shard migration step, shared by Rekey and
 // FailOver. pcb has already been Extracted from shard from. The claim is
 // stamped with a fresh generation naming shard to — authorizing exactly
-// this transfer — and the Handoff is offered to the from->to ring a
+// this transfer — and the Handoff is offered to the from->to queue a
 // bounded number of times, the destination adopting what it already has
 // queued between offers (backoff by making room — virtual time only
-// advances in Tick). It reports whether the ring took the handoff, and
+// advances in Tick). It reports whether the queue took the handoff, and
 // how many earlier handoffs the destination adopted while making room.
 //
-// A ring that stays refused (wedged by a fault, like the destination's
+// A queue that stays refused (wedged by a fault, like the destination's
 // inbox, or the target cannot absorb) sheds the handoff, attributed to
 // handoff-full, and leaves the PCB in the caller's hands with the claim
 // still naming to: Rekey reverts the move, FailOver adopts directly.
 func (set *StackSet) migrate(pcb *core.PCB, from, to int) (pushed bool, adopted int) {
 	h := Handoff{PCB: pcb, Gen: set.stamp(pcb.Key, to)}
 	for attempt := 0; attempt < DefaultHandoffRetries; attempt++ {
-		if !set.verdict(to).Wedge && set.handoff[from][to].Push(h) {
+		if !set.verdict(to).Wedge && set.handoff[from][to].push(h) {
 			return true, adopted
 		}
 		set.m.HandoffFull.Inc()
@@ -711,7 +722,7 @@ func (set *StackSet) migrate(pcb *core.PCB, from, to int) (pushed bool, adopted 
 	return false, adopted
 }
 
-// adoptPending drains every handoff ring aimed at shard `to`, adopting
+// adoptPending drains every handoff queue aimed at shard `to`, adopting
 // each PCB whose claim still names this shard at exactly the handed-off
 // generation. A handoff that fails the check is stale — a later move,
 // release or re-accept overtook the message in flight — and is dropped
@@ -722,12 +733,8 @@ func (set *StackSet) migrate(pcb *core.PCB, from, to int) (pushed bool, adopted 
 func (set *StackSet) adoptPending(to int) int {
 	adopted := 0
 	for from := range set.shards {
-		ring := set.handoff[from][to]
-		if ring == nil {
-			continue
-		}
 		for {
-			h, ok := ring.Pop()
+			h, ok := set.handoff[from][to].pop()
 			if !ok {
 				break
 			}

@@ -284,7 +284,7 @@ func NewStackMetrics(r *Registry) *StackMetrics {
 func (m *StackMetrics) Registry() *Registry { return m.reg }
 
 // ShardSetMetrics is the sharded-engine instrument bundle: the
-// full-edge event counters (inbox ring, handoff ring), the per-reason
+// full-edge event counters (shard backlog, handoff queue), the per-reason
 // shed ledger behind the graceful-degradation contract ("every lost
 // packet is attributed to exactly one reason"),
 // the failure-domain counters (drains, drained connections, salvaged
