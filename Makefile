@@ -82,22 +82,23 @@ chaos:
 	$(GO) test -race -count=1 -run 'SynCookies|SynFlood|Adversarial' ./internal/engine ./cmd/demuxsim
 
 # shard is the cross-shard conformance gate: the full multi-queue engine
-# suite (direct delivery, the fault backlog and handoff queues,
-# generation-checked claims, RSS steering, rekey migration, lossy/chaos
-# conformance against the single-shard engine) plus the Extract/Adopt migration primitives, all under the race
-# detector.
+# suite (direct delivery, the fault backlog, RSS steering, rekey and drain
+# migration by direct call with the away map checked after every step,
+# lossy/chaos conformance against the single-shard engine) plus the
+# Extract/Adopt migration primitives, all under the race detector.
 shard:
 	$(GO) test -race -count=1 ./internal/shard
 	$(GO) test -race -count=1 -run 'ExtractAdopt|AdoptRearms' ./internal/engine
 
 # failover is the shard failure-domain conformance gate: chaos-driven
 # crash/stall/wedge/slow faults against the multi-queue engine, the
-# health watchdog's live drain, the inbox backpressure ordering
-# regression, and the CLI failover workload — all under the race
+# health watchdog's live drain (a second drain after a first included),
+# the inbox backpressure ordering regression, the no-records-on-a-healthy-set
+# property, and the CLI failover workload — all under the race
 # detector, all held to byte-identical delivery and a balanced
 # conservation ledger.
 failover:
-	$(GO) test -race -count=1 -run 'Failover|FailOver|Wedge|Stall|Backpressure|StaleGeneration|StaleHandoff|ShardSetMetrics' ./internal/shard ./internal/telemetry
+	$(GO) test -race -count=1 -run 'Failover|FailOver|Wedge|Stall|Backpressure|OwnershipRecords|ShardSetMetrics' ./internal/shard ./internal/telemetry
 	$(GO) test -race -count=1 -run 'TestShard' ./internal/chaos
 	$(GO) test -race -count=1 -run 'TestRunFailover' ./cmd/demuxsim ./cmd/benchjson
 

@@ -168,9 +168,8 @@ func runFailover(out io.Writer, clients, txns, chains, shards int, seed uint64,
 		res.Completed, conformant, res.VirtualTime, injector.Summary())
 	fmt.Fprintf(out, "drains=%d drained-conns=%d salvaged-frames=%d drain-at=%.2fs recovery=%.3fs\n",
 		st.Drains, st.DrainedConns, st.SalvagedFrames, set.LastDrainAt, st.LastDrainRecovery)
-	fmt.Fprintf(out, "shed: inbox-full=%d handoff-full=%d backlog-full=%d (events: inbox=%d handoff=%d)\n",
-		st.ShedInboxFull, st.ShedHandoffFull, st.ShedBacklogFull,
-		set.InboxFullEvents, st.HandoffFullEvents)
+	fmt.Fprintf(out, "shed: inbox-full=%d handoff-full=%d backlog-full=%d (events: inbox=%d)\n",
+		st.ShedInboxFull, st.ShedHandoffFull, st.ShedBacklogFull, set.InboxFullEvents)
 	fmt.Fprintf(out, "accounting: in=%d absorbed=%d consumed=%d shed=%d queued=%d balanced=%v\n",
 		acc.FramesIn, acc.Absorbed, acc.Consumed, acc.Shed, acc.Queued, acc.Balanced())
 

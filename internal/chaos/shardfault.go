@@ -24,9 +24,9 @@ const (
 	// ShardStall keeps the shard's clock running but stops its consumer;
 	// the watchdog detects the stuck progress counter instead.
 	ShardStall
-	// ShardWedge makes the shard's queues refuse pushes: frames and
-	// handoffs aimed at it shed (counted), but the shard itself stays
-	// alive — degradation, not failure.
+	// ShardWedge makes the shard refuse what is pushed at it: frames and
+	// migrating connections aimed at it shed (counted), but the shard
+	// itself stays alive — degradation, not failure.
 	ShardWedge
 	// ShardSlow caps the shard's consumption at MaxConsume frames per
 	// delivery — backlog growth and backpressure without death.

@@ -2,9 +2,8 @@
 // (internal/shard) moves a live connection from one shard's Stack to
 // another when a steering rekey changes its flow assignment: the old
 // shard Extracts the PCB — out of its demultiplexer, timers quenched,
-// accounting unwound, but nothing torn down — hands it across a handoff
-// queue, and the new shard Adopts it, re-inserting and re-arming on its
-// own wheel. The pair is also usable alone (tests move connections
+// accounting unwound, but nothing torn down — and the new shard Adopts
+// it, re-inserting and re-arming on its own wheel. The pair is also usable alone (tests move connections
 // between two plain Stacks), but the contract is written for the shard
 // engine: both stacks share one address and one virtual clock, and the
 // caller guarantees no frame for the connection is delivered between

@@ -93,8 +93,8 @@ func TestExtractAdoptMovesLiveConnection(t *testing.T) {
 		t.Fatalf("post-migration response %q", got)
 	}
 	// The old stack no longer knows the connection; a stray frame for it
-	// there now draws a reset, which is exactly why the shard engine's
-	// directory generation-checks handoffs.
+	// there now draws a reset, which is exactly why the shard engine
+	// records every connection living off its steered shard.
 	if s1.Demuxer().Len() != 1 {
 		t.Fatalf("old stack demux len %d, want 1 (listener only)", s1.Demuxer().Len())
 	}

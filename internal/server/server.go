@@ -544,8 +544,8 @@ func (s *Server) abort(sess *session, reason *telemetry.Counter) {
 	s.finish(sess, reason)
 }
 
-// finish retires a session exactly once: session registry, the StackSet
-// claim, the socket (closing it ends its epoll registration) and the
+// finish retires a session exactly once: session registry, the StackSet's
+// record of it, the socket (closing it ends its epoll registration) and the
 // ledger — `as` is the one outcome counter this session adds to: Served,
 // Drained, or a shed reason.
 //

@@ -56,7 +56,7 @@ func (c *allocClient) take() *wire.Segment {
 // 4-shard set with an egress tap: the request frame costs exactly the
 // response frame the tap consumer keeps (the handler here allocates
 // nothing of its own), and the pure acknowledgement that follows costs
-// nothing — no parsed Segment, no timer, no closure, no claims traffic.
+// nothing — no parsed Segment, no timer, no closure, no map write.
 func TestFramePathAllocations(t *testing.T) {
 	const warm, measured = 50, 100
 	set := newSet(t, 4, 21)

@@ -52,39 +52,47 @@ func faultOn(victim int, at float64, v FaultVerdict) FaultFunc {
 	}
 }
 
-// checkOwnership asserts the one-record invariant after a control-plane
-// step: every connection PCB that has a claim lives on the shard its
-// claim names, and no connection is left on a shard that can no longer
-// accept work — so the claim of every live connection names a live
-// shard. (The claim of a connection that closed before a drain may
-// still name the corpse until Release or the next Rekey sweeps it.) It
-// also recounts the displaced claims and holds the set's own count to
-// the result.
+// checkOwnership asserts where connections live after a control-plane
+// step: every connection PCB is on exactly one shard, that shard can still
+// accept work, and away names it exactly when the steering hash alone would
+// not find it. The one PCB away may leave out is a connection begun by a SYN
+// the rescue fold placed (its steered shard already dead): the same fold
+// still finds it, and the next resettle records it. An away entry with no
+// PCB behind it (the connection closed) may stay until the next Rekey,
+// FailOver or Release, but no entry ever names its key's steered shard, so
+// a set that never rekeyed or failed over keeps none.
 func checkOwnership(t *testing.T, set *StackSet) {
 	t.Helper()
+	holder := make(map[core.Key]int)
 	for i := 0; i < set.Shards(); i++ {
 		for _, ci := range set.Shard(i).Netstat() {
-			if ci.Key.IsWildcard() {
+			k := ci.Key
+			if k.IsWildcard() {
 				continue
 			}
 			if !set.alive(i) {
-				t.Fatalf("PCB %v left on shard %d, which is %v", ci.Key, i, set.Health(i))
+				t.Fatalf("PCB %v left on shard %d, which is %v", k, i, set.Health(i))
 			}
-			if cl, ok := set.claims[ci.Key]; ok && cl.owner != i {
-				t.Fatalf("PCB %v lives on shard %d but its claim names shard %d", ci.Key, i, cl.owner)
+			if j, dup := holder[k]; dup {
+				t.Fatalf("PCB %v is on shard %d and on shard %d", k, j, i)
+			}
+			holder[k] = i
+			home := set.Steering().Shard(k.Tuple())
+			at, recorded := set.away[k]
+			switch {
+			case recorded && at != i:
+				t.Fatalf("PCB %v lives on shard %d but away names shard %d", k, i, at)
+			case !recorded && home != i:
+				if rescue, _ := set.rescueShard(k.Tuple()); set.alive(home) || rescue != i {
+					t.Fatalf("PCB %v lives on shard %d, steers to shard %d, and away does not name it", k, i, home)
+				}
 			}
 		}
 	}
-	// The count homeOf's fast path trusts is exactly the number of claims
-	// the steering hash alone would misroute.
-	displaced := 0
-	for k, cl := range set.claims {
-		if cl.owner != set.Steering().Shard(k.Tuple()) {
-			displaced++
+	for k, at := range set.away {
+		if at == set.Steering().Shard(k.Tuple()) {
+			t.Fatalf("away names shard %d for %v, which is where the key steers", at, k)
 		}
-	}
-	if set.displaced != displaced {
-		t.Fatalf("displaced = %d, but %d claim(s) name a shard other than their key's steered one", set.displaced, displaced)
 	}
 }
 
@@ -403,28 +411,23 @@ func backlogThenOne(t *testing.T, queued int, wantFull bool) {
 	}
 }
 
-// TestHandoffWedgeRevertsRekey drives the handoff queue-full fallback: a
-// rekey that tries to migrate connections into a shard whose queues are
-// wedged must exhaust its bounded retries, revert each move, and leave
-// every connection answering on its original shard — migration
-// capability shed, connections never lost.
-func TestHandoffWedgeRevertsRekey(t *testing.T) {
-	const (
-		port    = uint16(1521)
-		clients = 8
-	)
-	set := newSet(t, 2, 13)
-	if err := set.Listen(port, func(_ *engine.Conn, p []byte) []byte {
+// echoPort is where establish listens.
+const echoPort = uint16(1521)
+
+// establish listens on echoPort with an "ok<payload>" handler and completes
+// n handshakes from one client stack.
+func establish(t *testing.T, set *StackSet, n int) (*engine.Stack, []*engine.Conn) {
+	t.Helper()
+	if err := set.Listen(echoPort, func(_ *engine.Conn, p []byte) []byte {
 		return append(append([]byte("ok<"), p...), '>')
 	}); err != nil {
 		t.Fatal(err)
 	}
-	set.SetBacklog(clients)
-
+	set.SetBacklog(n)
 	client := engine.NewStack(wire.MakeAddr(10, 0, 0, 2), core.NewMapDemux(), 8)
-	conns := make([]*engine.Conn, clients)
+	conns := make([]*engine.Conn, n)
 	for i := range conns {
-		c, err := client.ConnectEphemeral(set.Addr(), port, nil)
+		c, err := client.ConnectEphemeral(set.Addr(), echoPort, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -438,8 +441,46 @@ func TestHandoffWedgeRevertsRekey(t *testing.T) {
 			t.Fatalf("conn %d handshake did not complete: %v", i, c.State())
 		}
 	}
+	return client, conns
+}
 
-	// Wedge shard 1's queues, then rekey until some mover aims at it and
+// expectEchoes completes one transaction on every connection.
+func expectEchoes(t *testing.T, client *engine.Stack, set *StackSet, conns []*engine.Conn) {
+	t.Helper()
+	for i, c := range conns {
+		if err := c.Send([]byte{byte(i), byte(i >> 8)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := engine.Pump(client, set); err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range conns {
+		want := []byte{'o', 'k', '<', byte(i), byte(i >> 8), '>'}
+		if got := c.Receive(); !bytes.Equal(got, want) {
+			t.Fatalf("conn %d: got %q want %q", i, got, want)
+		}
+	}
+}
+
+// serverKey is the key the set knows a client connection by.
+func serverKey(c *engine.Conn) core.Key {
+	k := c.Key()
+	return core.Key{
+		LocalAddr: k.RemoteAddr, LocalPort: k.RemotePort,
+		RemoteAddr: k.LocalAddr, RemotePort: k.LocalPort,
+	}
+}
+
+// TestHandoffWedgeRevertsRekey drives the refused migration: a rekey that
+// tries to move connections onto a wedged shard must count each as a
+// handoff-full shed, put the PCB back, and leave every connection answering
+// on its original shard — migration shed, connections never lost.
+func TestHandoffWedgeRevertsRekey(t *testing.T) {
+	set := newSet(t, 2, 13)
+	client, conns := establish(t, set, 8)
+
+	// Wedge shard 1, then rekey until some mover aims at it and
 	// has to revert. Movers toward shard 0 still succeed — the wedge is
 	// a property of the destination, not of the rekey.
 	set.SetFaultFunc(func(sh int, _ float64) FaultVerdict {
@@ -456,215 +497,183 @@ func TestHandoffWedgeRevertsRekey(t *testing.T) {
 	if st.ShedHandoffFull == 0 {
 		t.Fatal("no rekey tried to move a connection into the wedged shard")
 	}
-	if st.HandoffFullEvents == 0 {
-		t.Fatal("wedged handoff queue not counted as full")
-	}
-	if st.StaleHandoffs != 0 {
-		t.Fatalf("StaleHandoffs = %d during quiesced rekeys", st.StaleHandoffs)
-	}
 	set.SetFaultFunc(nil)
-
-	// The claims table must agree with where the PCBs actually live.
-	owned := make([]map[core.Key]bool, set.Shards())
-	for i := range owned {
-		owned[i] = make(map[core.Key]bool)
-		for _, ci := range set.Shard(i).Netstat() {
-			if !ci.Key.IsWildcard() {
-				owned[i][ci.Key] = true
-			}
-		}
-	}
-	for k, cl := range set.claims {
-		if !owned[cl.owner][k] {
-			t.Fatalf("claim for %v names shard %d but the PCB is not there", k, cl.owner)
-		}
-	}
 
 	// Every connection — reverted movers included, despite the steering
 	// function now pointing elsewhere — must still answer. The reverted
-	// movers are displaced, so the count is non-zero and homeOf is reading
-	// the claims for these frames, not trusting the hash.
-	if set.displaced == 0 {
-		t.Fatal("reverted moves left no claim displaced")
+	// movers are in away, so homeOf is reading the map for these frames, not
+	// trusting the hash.
+	if len(set.away) == 0 {
+		t.Fatal("reverted moves left nothing in away")
 	}
+	expectEchoes(t, client, set, conns)
+
+	// Releasing the reverted movers one by one empties away, and with the
+	// last one gone the fast path is back.
+	var keys []core.Key
+	for k := range set.away {
+		keys = append(keys, k)
+	}
+	for _, k := range keys {
+		set.Release(k)
+	}
+	if len(set.away) != 0 {
+		t.Fatalf("after releasing every mover: %d entries left in away", len(set.away))
+	}
+}
+
+// TestHealthySetKeepsNoOwnershipRecords: a set that never rekeyed or failed
+// over records nothing per connection. Accepting does not write away and
+// releasing finds nothing to delete, so homeOf's fast path holds throughout.
+func TestHealthySetKeepsNoOwnershipRecords(t *testing.T) {
+	set := newSet(t, 4, 17)
+	client, conns := establish(t, set, 1000)
+	if n := len(set.away); n != 0 {
+		t.Fatalf("%d away entries after %d accepts", n, len(conns))
+	}
+	checkOwnership(t, set)
+	expectEchoes(t, client, set, conns)
+	for _, c := range conns[:len(conns)/2] {
+		set.Release(serverKey(c))
+		if n := len(set.away); n != 0 {
+			t.Fatalf("%d away entries after a release", n)
+		}
+	}
+	checkOwnership(t, set)
+	expectEchoes(t, client, set, conns[len(conns)/2:])
+}
+
+// TestRekeyMovesMoreThanAQueueful: a migration is a call, so one rekey
+// carries any number of movers toward one shard. More than 256 of them (what
+// one handoff queue used to hold) all land, none is shed or left in away,
+// and every connection answers from wherever it is now.
+func TestRekeyMovesMoreThanAQueueful(t *testing.T) {
+	set := newSet(t, 2, 13)
+	client, conns := establish(t, set, 1200)
+	before := make([]int, len(conns))
 	for i, c := range conns {
-		if err := c.Send([]byte{byte('a' + i)}); err != nil {
+		before[i] = set.Steering().Shard(serverKey(c).Tuple())
+	}
+	migrated := set.Rekey()
+	checkOwnership(t, set)
+	toward := make([]int, set.Shards())
+	for i, c := range conns {
+		if to := set.Steering().Shard(serverKey(c).Tuple()); to != before[i] {
+			toward[to]++
+		}
+	}
+	if toward[0] <= 256 && toward[1] <= 256 {
+		t.Fatalf("movers per destination %v: neither exceeds 256", toward)
+	}
+	if migrated != toward[0]+toward[1] {
+		t.Fatalf("Rekey migrated %d, but %v connections changed shard", migrated, toward)
+	}
+	if shed := set.Stats().ShedHandoffFull; shed != 0 || len(set.away) != 0 {
+		t.Fatalf("handoff-full shed = %d, %d away entries; want none of either", shed, len(set.away))
+	}
+	expectEchoes(t, client, set, conns)
+}
+
+// foldOver is the rescue fold's answer for tup over the given live shards
+// (in shard order): what rescueShard returns once exactly those are alive.
+func foldOver(set *StackSet, tup wire.Tuple, live []int) int {
+	return live[hashfn.ChainIndex(set.steer.key.Hash(tup), len(live))]
+}
+
+// TestSecondFailoverKeepsEarlierRescues: the rescue fold is over the live
+// shards, so a second drain changes its answer for connections the first
+// drain placed. Three connections steer to shard a: one established and one
+// whose SYN-ACK is still on the wire when a drains, and one that connects
+// after, which the fold places. Then a shard b that holds none of them
+// drains, with the client ports chosen so that the fold over the two
+// survivors names a different shard than the first rescue did. All three
+// must still be found: every mover of the first drain, half-open ones
+// included, is in away, and the second drain records what the fold placed
+// in between.
+func TestSecondFailoverKeepsEarlierRescues(t *testing.T) {
+	set := newSet(t, 4, 29)
+	client, _ := establish(t, set, 0)
+
+	// Pick a, b and three client ports: every tuple steers to a, none is
+	// rescued onto b, and the fold moves once b is gone too.
+	const a = 0
+	var ports []uint16
+	b := -1
+	for cand := 1; cand < set.Shards() && len(ports) < 3; cand++ {
+		b, ports = cand, nil
+		var first, second []int
+		for i := 0; i < set.Shards(); i++ {
+			if i != a {
+				first = append(first, i)
+				if i != b {
+					second = append(second, i)
+				}
+			}
+		}
+		for p := uint16(40000); p < 42000 && len(ports) < 3; p++ {
+			tup := core.Key{
+				LocalAddr: set.Addr(), LocalPort: echoPort,
+				RemoteAddr: client.Addr(), RemotePort: p,
+			}.Tuple()
+			r := foldOver(set, tup, first)
+			if set.Steering().Shard(tup) == a && r != b && foldOver(set, tup, second) != r {
+				ports = append(ports, p)
+			}
+		}
+	}
+	if len(ports) < 3 {
+		t.Fatal("no three client ports fit the scenario")
+	}
+
+	connect := func(port uint16) *engine.Conn {
+		c, err := client.Connect(set.Addr(), echoPort, port, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	established := connect(ports[0])
+	if _, err := engine.Pump(client, set); err != nil {
+		t.Fatal(err)
+	}
+	halfOpen := connect(ports[1])
+	for _, syn := range client.Drain() {
+		if _, err := set.Deliver(syn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	synAck := set.Drain() // held back until both drains are done
+	if established.State() != core.StateEstablished || halfOpen.State() != core.StateSynSent || len(synAck) != 1 {
+		t.Fatalf("setup: established %v, half-open %v, %d frames held", established.State(), halfOpen.State(), len(synAck))
+	}
+
+	if n := set.FailOver(a); n != 2 {
+		t.Fatalf("first drain rehomed %d connections, want 2", n)
+	}
+	checkOwnership(t, set)
+	placed := connect(ports[2])
+	if _, err := engine.Pump(client, set); err != nil {
+		t.Fatal(err)
+	}
+	checkOwnership(t, set)
+	if n := set.FailOver(b); n != 0 {
+		t.Fatalf("second drain rehomed %d connections off a shard that held none", n)
+	}
+	checkOwnership(t, set)
+
+	for _, f := range synAck {
+		if _, err := client.Deliver(f); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if _, err := engine.Pump(client, set); err != nil {
 		t.Fatal(err)
 	}
-	for i, c := range conns {
-		want := []byte{'o', 'k', '<', byte('a' + i), '>'}
-		if got := c.Receive(); !bytes.Equal(got, want) {
-			t.Fatalf("conn %d after reverted rekey: got %q want %q", i, got, want)
-		}
+	if halfOpen.State() != core.StateEstablished {
+		t.Fatalf("half-open connection after two drains: %v", halfOpen.State())
 	}
-
-	// Releasing the claims one by one takes each displaced one out of the
-	// count, and only those; with the last one gone the fast path is back.
-	var keys []core.Key
-	for k := range set.claims {
-		keys = append(keys, k)
+	expectEchoes(t, client, set, []*engine.Conn{established, halfOpen, placed})
+	if acc := set.Accounting(); !acc.Balanced() {
+		t.Fatalf("unaccounted packet losses: %+v", acc)
 	}
-	for _, k := range keys {
-		set.Release(k)
-		checkOwnership(t, set)
-	}
-	if set.displaced != 0 || len(set.claims) != 0 {
-		t.Fatalf("after releasing every claim: displaced = %d, %d claim(s) left", set.displaced, len(set.claims))
-	}
-}
-
-// oneConn is a 2-shard set, homed on its own registry, with a single
-// established connection: its key, the shard its SYN steered to (home),
-// and the other shard.
-type oneConn struct {
-	set         *StackSet
-	reg         *telemetry.Registry
-	client      *engine.Stack
-	conn        *engine.Conn
-	key         core.Key
-	home, other int
-}
-
-// oneConnPort is the fixture's listening port.
-const oneConnPort = uint16(1521)
-
-func establishOne(t *testing.T) oneConn {
-	t.Helper()
-	f := oneConn{set: newSet(t, 2, 11), reg: telemetry.NewRegistry()}
-	f.set.SetTelemetry(f.reg)
-	if err := f.set.Listen(oneConnPort, func(_ *engine.Conn, p []byte) []byte {
-		return append(append([]byte("ok<"), p...), '>')
-	}); err != nil {
-		t.Fatal(err)
-	}
-	f.client = engine.NewStack(wire.MakeAddr(10, 0, 0, 2), core.NewMapDemux(), 8)
-	f.conn = f.connect(t, f.client)
-	for k, cl := range f.set.claims {
-		f.key, f.home, f.other = k, cl.owner, 1-cl.owner
-	}
-	return f
-}
-
-// connect completes a handshake from client's fixed local port, so a
-// second client stack at the same address reuses the 4-tuple.
-func (f oneConn) connect(t *testing.T, client *engine.Stack) *engine.Conn {
-	t.Helper()
-	conn, err := client.Connect(f.set.Addr(), oneConnPort, 40000, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := engine.Pump(client, f.set); err != nil {
-		t.Fatal(err)
-	}
-	if conn.State() != core.StateEstablished {
-		t.Fatalf("handshake did not complete: %v", conn.State())
-	}
-	return conn
-}
-
-// expectEcho sends one payload and requires the handler's response.
-func (f oneConn) expectEcho(t *testing.T, client *engine.Stack, conn *engine.Conn) {
-	t.Helper()
-	if err := conn.Send([]byte("zz")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := engine.Pump(client, f.set); err != nil {
-		t.Fatal(err)
-	}
-	if got := conn.Receive(); !bytes.Equal(got, []byte("ok<zz>")) {
-		t.Fatalf("post-episode response %q", got)
-	}
-}
-
-// expectOneStale requires that draining shard to's handoff queues adopts
-// nothing and counts exactly one stale handoff — in the Stats view and,
-// identically, on the registry the set is homed on.
-func (f oneConn) expectOneStale(t *testing.T, to int) {
-	t.Helper()
-	before := f.set.Stats().StaleHandoffs
-	if n := f.set.adoptPending(to); n != 0 {
-		t.Fatalf("adopted %d stale handoffs", n)
-	}
-	got := f.set.Stats().StaleHandoffs
-	if got != before+1 {
-		t.Fatalf("StaleHandoffs = %d, want %d", got, before+1)
-	}
-	if m := counterValue(t, f.reg, "shard_stale_handoffs_total"); m != got {
-		t.Fatalf("shard_stale_handoffs_total = %d, Stats().StaleHandoffs = %d", m, got)
-	}
-}
-
-// launch extracts the connection from shard from and pushes it onto the
-// from->to handoff queue under a freshly stamped claim naming to.
-func (f oneConn) launch(t *testing.T, from, to int) *core.PCB {
-	t.Helper()
-	pcb, ok := f.set.Shard(from).Extract(f.key)
-	if !ok {
-		t.Fatal("extract failed")
-	}
-	if !f.set.handoff[from][to].push(Handoff{PCB: pcb, Gen: f.set.stamp(f.key, to)}) {
-		t.Fatal("handoff queue refused the push")
-	}
-	return pcb
-}
-
-// TestStaleGenerationHandoffDropped pins the generation check on the
-// adopt side: a handoff overtaken in flight by a later move of the same
-// connection carries a stale generation and must be discarded — counted,
-// not adopted — because whoever stamped the newer generation owns the
-// PCB now.
-func TestStaleGenerationHandoffDropped(t *testing.T) {
-	f := establishOne(t)
-
-	// Launch a handoff toward the other shard, then overtake it: a
-	// second stamp brings the connection home before the message is
-	// adopted.
-	pcb := f.launch(t, f.home, f.other)
-	f.set.stamp(f.key, f.home)
-	f.expectOneStale(t, f.other)
-
-	// The overtaking mover owns the PCB: land it home and prove the
-	// connection survived the whole episode.
-	if err := f.set.Shard(f.home).Adopt(pcb); err != nil {
-		t.Fatal(err)
-	}
-	checkOwnership(t, f.set)
-	f.expectEcho(t, f.client, f.conn)
-}
-
-// TestStaleHandoffAcrossReaccept covers the case a per-connection
-// generation could not: a handoff launched before Release, with the same
-// 4-tuple re-accepted on the handoff's own destination before the
-// message is adopted. Key and owner both match the new claim; only the
-// set-wide generation tells the incarnations apart, and the old PCB must
-// be dropped and counted, not adopted.
-func TestStaleHandoffAcrossReaccept(t *testing.T) {
-	f := establishOne(t)
-
-	// Move the connection to the other shard, so that a handoff back
-	// home aims at the shard the tuple's SYN steers to.
-	f.launch(t, f.home, f.other)
-	if n := f.set.adoptPending(f.other); n != 1 {
-		t.Fatalf("adopted %d handoffs, want 1", n)
-	}
-	checkOwnership(t, f.set)
-	f.launch(t, f.other, f.home)
-
-	// The session ends and the same tuple connects again before the
-	// handoff lands.
-	f.set.Release(f.key)
-	client2 := engine.NewStack(wire.MakeAddr(10, 0, 0, 2), core.NewMapDemux(), 9)
-	conn2 := f.connect(t, client2)
-	again := f.set.claims[f.key]
-	if again.owner != f.home {
-		t.Fatalf("re-accept landed on shard %d, want the handoff's destination %d", again.owner, f.home)
-	}
-
-	f.expectOneStale(t, f.home)
-	checkOwnership(t, f.set)
-	f.expectEcho(t, client2, conn2)
 }

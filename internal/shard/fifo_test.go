@@ -2,40 +2,44 @@ package shard
 
 import "testing"
 
-// TestRingFIFOAndWrap laps a small queue several times (the fifo is a ring
-// buffer in the plain sense: fixed slots, wrapping indices): elements come
-// out in the order they went in across the index wrap, a push beyond the
-// bound is refused, nothing is allocated before the first push, and a
-// popped slot no longer holds its element.
-func TestRingFIFOAndWrap(t *testing.T) {
+// TestFifoOrderAndWrap laps a small queue several times (fixed slots,
+// wrapping indices): frames come out in the order they went in across the
+// index wrap, a push beyond the bound is refused, nothing is allocated
+// before the first push, and a popped slot no longer holds its frame.
+func TestFifoOrderAndWrap(t *testing.T) {
 	const bound = 3
-	q := fifo[*int]{bound: bound}
+	q := fifo{bound: bound}
 	if _, ok := q.pop(); ok {
 		t.Fatal("pop on an empty queue succeeded")
 	}
 	if q.buf != nil {
 		t.Fatal("slots allocated before the first push")
 	}
-	vals := make([]int, 5*bound+1)
-	next := 0
-	// One element stays queued across the laps so that head moves off a
-	// multiple of the bound and every lap wraps mid-way.
-	q.push(&vals[next])
-	next++
-	for want, lap := 0, 0; lap < 5; lap++ {
-		for q.len() < bound {
-			if !q.push(&vals[next]) {
-				t.Fatalf("push refused with %d of %d queued", q.len(), bound)
-			}
+	// Frame i is the one byte i.
+	next := byte(0)
+	push := func() bool {
+		ok := q.push([]byte{next})
+		if ok {
 			next++
 		}
-		if q.push(&vals[0]) {
+		return ok
+	}
+	// One frame stays queued across the laps so that head moves off a
+	// multiple of the bound and every lap wraps mid-way.
+	push()
+	for want, lap := byte(0), 0; lap < 5; lap++ {
+		for q.len() < bound {
+			if !push() {
+				t.Fatalf("push refused with %d of %d queued", q.len(), bound)
+			}
+		}
+		if push() {
 			t.Fatal("push succeeded on a full queue")
 		}
 		for q.len() > 1 {
 			v, ok := q.pop()
-			if !ok || v != &vals[want] {
-				t.Fatalf("pop %d returned element %v, %v", want, v, ok)
+			if !ok || len(v) != 1 || v[0] != want {
+				t.Fatalf("pop %d returned frame %v, %v", want, v, ok)
 			}
 			want++
 		}
@@ -46,7 +50,7 @@ func TestRingFIFOAndWrap(t *testing.T) {
 	}
 	for i, v := range q.buf {
 		if v != nil {
-			t.Fatalf("slot %d still holds a popped element", i)
+			t.Fatalf("slot %d still holds a popped frame", i)
 		}
 	}
 }

@@ -20,19 +20,17 @@
 //     backlog grows and the backpressure machinery starts shedding.
 //
 // Detection drives a live drain (FailOver): every PCB on the sick shard
-// is Extracted, its claim re-stamped, and handed to a survivor chosen by
-// folding the steering hash over the live shards — the same fold
-// Deliver's re-route applies, so both sides of the failover agree on
-// each connection's rescue target without any shared "who moved where"
-// table beyond the claims map. Frames still queued on the dead inbox are
-// salvaged FIFO and re-delivered after the PCBs land. Connections are
-// never lost by the control plane: a wedged handoff queue ends in a
-// direct Adopt.
+// is taken out of its table and put in a survivor's, the survivor chosen
+// by folding the steering hash over the live shards, and recorded in the
+// set's away map, which is how later frames find it whatever the fold
+// says by then. Frames still queued on the dead inbox are salvaged FIFO
+// and re-delivered after the PCBs land. Connections are never lost by the
+// control plane: a wedged survivor takes a drain's movers all the same.
 //
-// Degradation is a ladder, not a cliff: full edges shed the single
-// frame or forgo the single migration at hand, count it against exactly
-// one reason (inbox-full, handoff-full, backlog-full), and mark the
-// shard Degraded until a check passes with no new sheds.
+// Degradation is a ladder, not a cliff: a full or wedged edge sheds the
+// single frame or forgoes the single migration at hand, counts it against
+// exactly one reason (inbox-full, handoff-full, backlog-full), and marks
+// the shard Degraded until a check passes with no new sheds.
 // The Accounting ledger proves conservation: every frame handed to
 // Deliver is absorbed, consumed, shed-with-reason, or still queued.
 package shard
@@ -88,8 +86,8 @@ type FaultVerdict struct {
 	// Stall keeps the clock running but stops the consumer: heartbeats
 	// continue, the inbox backlog ages.
 	Stall bool
-	// Wedge makes the shard's queues (inbox and inbound handoffs) refuse
-	// pushes.
+	// Wedge makes the shard refuse what is pushed at it: frames for its
+	// inbox, and connections a rekey would migrate onto it.
 	Wedge bool
 	// MaxConsume > 0 caps how many frames the shard pops per delivery —
 	// a slow consumer rather than a dead one.
@@ -113,10 +111,10 @@ const (
 	// never trips it, short enough that connections ride out the outage
 	// on their retransmission timers.
 	DefaultStallThreshold = 0.5
-	// DefaultHandoffRetries bounds how many times a full handoff or
-	// inbox queue is re-offered (with forced draining in between) before
-	// the work is shed or downgraded to a direct adopt.
-	DefaultHandoffRetries = 3
+	// DefaultInboxRetries bounds how many times a frame is re-offered to a
+	// full backlog, with a growing forced drain in between, before it is
+	// shed (pushInbox).
+	DefaultInboxRetries = 3
 )
 
 // shardHealth is the watchdog's per-shard ledger. All fields are
@@ -146,8 +144,7 @@ type shardHealth struct {
 }
 
 // SetFaultFunc installs (or clears, with nil) the fault injection
-// function. Like Rekey, a control-plane call: not concurrent with
-// Deliver.
+// function. A control-plane call, made by the set's owner like Rekey.
 func (set *StackSet) SetFaultFunc(f FaultFunc) { set.fault = f }
 
 // Health returns shard i's current health state.
@@ -201,10 +198,11 @@ func (set *StackSet) ensureHeartbeat(i int, now float64) {
 }
 
 // rescueShard picks the surviving shard for a tuple by folding the
-// steering hash over the live shards. Deliver's re-route and FailOver's
-// drain both use this fold, so a retransmitted frame arriving after the
-// drain lands exactly where the drain put its connection — no shared
-// rendezvous state beyond the health ledger itself.
+// steering hash over the live shards. FailOver's drain puts a dead shard's
+// connections where this fold says, and Deliver's re-route sends a fresh
+// SYN for a dead shard there too. The fold's answer changes whenever the
+// live set does, so a connection it placed is written to away before that
+// (resettle).
 //
 //demux:hotpath
 func (set *StackSet) rescueShard(tup wire.Tuple) (int, bool) {
@@ -289,17 +287,15 @@ func (set *StackSet) checkHealth(now float64) {
 }
 
 // FailOver drains every connection off shard sick into the survivors:
-// salvage the frames still queued on its inbox, walk its PCBs in
-// netstat order, hand each across the handoff queue (see migrate; a
-// queue that stays wedged downgrades to a direct Adopt — the handoff
-// transport is shed, never the connection), then re-deliver the
-// salvaged frames to the connections' new homes. The watchdog calls
-// this when a shard goes sick; an operator may call it directly to
-// decommission a shard.
+// salvage the frames still queued on its inbox, move every PCB it holds,
+// established or still in SYN_RCVD, to the rescue fold's survivor (see
+// resettle, which records each mover in away, and with them whatever the
+// fold placed since an earlier drain), then re-deliver the salvaged frames
+// to the connections' new homes. The watchdog calls this when a shard goes
+// sick; an operator may call it directly to decommission a shard.
 //
-// Like Rekey, FailOver is a control-plane quiesce point: not concurrent
-// with Deliver. It returns the number of connections rehomed. A set
-// with no surviving shard stays Sick — there is nowhere to drain to.
+// It returns the number of connections rehomed. A set with no surviving
+// shard stays Sick: there is nowhere to drain to.
 //
 //demux:owner(deliver)
 func (set *StackSet) FailOver(sick int) int {
@@ -327,40 +323,7 @@ func (set *StackSet) FailOver(sick int) int {
 		salvage = append(salvage, f)
 	}
 
-	moved := 0
-	for _, ci := range set.shards[sick].Netstat() {
-		if ci.Key.IsWildcard() {
-			continue // the listener stays; steering routes around the corpse
-		}
-		k := ci.Key
-		to, ok := set.rescueShard(k.Tuple())
-		if !ok {
-			break
-		}
-		_, claimed := set.claims[k]
-		pcb, ok := set.shards[sick].Extract(k)
-		if !ok {
-			continue // raced a timer teardown inside Extract's walk
-		}
-		// A handshake still in SYN_RCVD has no claim yet (claims are
-		// stamped at accept): rehome it directly, and frames find it via
-		// the rescue fold until the accept on its new shard stamps one.
-		// A claimed connection whose queue stayed refused lands the same
-		// way, its claim already naming the survivor.
-		pushed := false
-		if claimed {
-			pushed, _ = set.migrate(pcb, sick, to)
-		}
-		if !pushed {
-			_ = set.shards[to].Adopt(pcb)
-		}
-		moved++
-	}
-	for to := range set.shards {
-		if set.alive(to) {
-			set.adoptPending(to)
-		}
-	}
+	moved := set.resettle()
 	h.state = HealthDrained
 	set.m.SetHealth(sick, float64(HealthDrained))
 	set.m.DrainedConns.Add(uint64(moved))
@@ -395,8 +358,7 @@ func (a Accounting) Balanced() bool {
 	return a.FramesIn == a.Absorbed+a.Consumed+a.Shed+a.Queued
 }
 
-// Accounting captures the conservation ledger. Control-plane: quiesced
-// with respect to Deliver, like Rekey.
+// Accounting captures the conservation ledger.
 func (set *StackSet) Accounting() Accounting {
 	a := Accounting{
 		FramesIn: set.FramesIn,

@@ -4,11 +4,12 @@
 // timer wheel and its own telemetry observer. One goroutine owns the whole
 // set, so a frame goes from the steering hash to its shard's Stack by a
 // direct call and nothing on the packet path is locked, atomic or queued.
-// The control plane is where shards meet: listener registration fans out
-// by direct call, and a connection migrating after a steering rekey or a
-// drain crosses a bounded per-pair handoff queue, each handoff validated
-// against the generation of the connection's one ownership claim so a
-// migrated PCB can never be resolved against a stale shard.
+// The control plane is where shards meet, and it is direct calls too:
+// listener registration fans out to every shard, and a connection migrating
+// after a steering rekey or a drain is taken out of one shard's table and
+// put in another's. A connection is owned by the shard whose table holds
+// its PCB; the set records only the connections that live somewhere other
+// than where the steering hash points.
 //
 // The paper demultiplexes on a uniprocessor, and what its hashed table
 // gives a sharded engine is the partition: each shard's table holds 1/N of
@@ -21,7 +22,6 @@ package shard
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"tcpdemux/internal/core"
 	"tcpdemux/internal/engine"
@@ -32,36 +32,10 @@ import (
 	"tcpdemux/internal/wire"
 )
 
-// Handoff is one migrating connection crossing the handoff queue between
-// two shards. Gen is the generation the connection's claim was stamped with
-// when the migration was authorized; the receiving shard re-validates it
-// against the claims table before adopting, so a handoff message that
-// was overtaken by a later move, release or re-accept is discarded
-// instead of resurrecting a stale PCB.
-type Handoff struct {
-	PCB *core.PCB
-	Gen uint64
-}
-
-// claim is the one record of who owns a connection: the owning shard and
-// the generation that ownership was stamped with. Generations come from
-// one set-wide counter, so no two stamps ever share one — not across
-// moves of one connection, and not across successive incarnations of the
-// same 4-tuple.
-type claim struct {
-	gen   uint64
-	owner int
-}
-
-// DefaultInboxCap bounds each shard's frame backlog and DefaultHandoffCap
-// each ordered shard pair's migration queue. A healthy shard queues
-// nothing; the backlog absorbs what arrives for a shard whose consumer
-// died or slowed between watchdog checks, the handoff queue one rekey's or
-// one drain's movers toward one shard.
-const (
-	DefaultInboxCap   = 256
-	DefaultHandoffCap = 256
-)
+// DefaultInboxCap bounds each shard's frame backlog. A healthy shard queues
+// nothing; the backlog absorbs what arrives for a shard whose consumer died
+// or slowed between watchdog checks.
+const DefaultInboxCap = 256
 
 // Config parameterizes a StackSet.
 type Config struct {
@@ -88,10 +62,10 @@ type Config struct {
 // anything is queued later frames queue behind it. Cross-shard traffic
 // exists only on the control plane: Listen fans the listener out to every
 // shard by direct call (accepted connections are distributed by where
-// their SYN steered), and Rekey migrates connections whose assignment
-// changed over per-pair handoff queues, each handoff carrying the
-// generation of the claim that authorized it so a stale shard can never
-// resolve a migrated PCB.
+// their SYN steered), and Rekey and FailOver move a connection by taking
+// its PCB out of one shard's table and putting it in another's (resettle).
+// The shard whose table holds a PCB owns the connection; away names the few
+// that the steering hash alone would not find.
 //
 // StackSet implements engine.LossyServer, so the lossy-link conformance
 // harness can drive it through the identical loss process as a single
@@ -106,21 +80,17 @@ type StackSet struct {
 	src   *rng.Source
 
 	// inbox[i] is shard i's backlog: frames steered at it that a fault
-	// verdict keeps it from taking yet. handoff[from][to] carries
-	// connections migrating from one shard to another (the diagonal is
-	// never pushed).
-	inbox   []fifo[[]byte]
-	handoff [][]fifo[Handoff]
+	// verdict keeps it from taking yet.
+	inbox []fifo
 
-	// claims is the one ownership record, gen the set-wide generation
-	// counter its stamps draw from, and displaced the number of claims
-	// whose owner is not the shard the current steering function gives
-	// their key: connections a reverted rekey or a drain left away from
-	// their hash. While it is zero the steering hash alone is the answer
-	// and the frame path never touches the map (homeOf).
-	claims    map[core.Key]claim //demux:singlewriter(owner=deliver)
-	gen       uint64             //demux:singlewriter(owner=deliver)
-	displaced int                //demux:singlewriter(owner=deliver)
+	// away names the shard holding each connection that lives somewhere
+	// other than where the current steering function sends its key: a
+	// rekey's mover that a wedged destination refused, a drain's movers, a
+	// connection whose steered shard is dead. resettle is its only writer
+	// besides Release. A set that never rekeyed or failed over keeps it
+	// empty, and then the steering hash alone is the answer and the frame
+	// path never touches the map (homeOf).
+	away map[core.Key]int //demux:singlewriter(owner=deliver)
 
 	// reasm reassembles fragmented datagrams before steering, the
 	// software re-steer real kernels apply after reassembly: a fragment
@@ -158,13 +128,11 @@ type StackSet struct {
 	LastDrainAt     float64
 }
 
-// Stats is a snapshot of the failure-domain counters: full-edge events,
-// the per-reason shed ledger, and the drain bookkeeping. LastDrainRecovery
-// is the most recent drain's latency in virtual seconds (completion
-// minus the sick shard's last observed progress).
+// Stats is a snapshot of the failure-domain counters: the per-reason shed
+// ledger and the drain bookkeeping. LastDrainRecovery is the most recent
+// drain's latency in virtual seconds (completion minus the sick shard's
+// last observed progress).
 type Stats struct {
-	StaleHandoffs     uint64
-	HandoffFullEvents uint64
 	ShedInboxFull     uint64
 	ShedHandoffFull   uint64
 	ShedBacklogFull   uint64
@@ -179,8 +147,6 @@ type Stats struct {
 func (set *StackSet) Stats() Stats {
 	m := set.m
 	return Stats{
-		StaleHandoffs:     m.StaleHandoffs.Value(),
-		HandoffFullEvents: m.HandoffFull.Value(),
 		ShedInboxFull:     m.ShedInboxFull.Value(),
 		ShedHandoffFull:   m.ShedHandoffFull.Value(),
 		ShedBacklogFull:   m.ShedBacklogFull.Value(),
@@ -202,7 +168,6 @@ func NewStackSet(addr wire.Addr, cfg Config) (*StackSet, error) {
 	set := &StackSet{
 		addr:    addr,
 		src:     rng.New(cfg.Seed ^ 0x9e3779b97f4a7c15),
-		claims:  make(map[core.Key]claim),
 		reasm:   frag.New(64),
 		Steered: make([]uint64, cfg.Shards),
 		health:  make([]shardHealth, cfg.Shards),
@@ -210,19 +175,10 @@ func NewStackSet(addr wire.Addr, cfg Config) (*StackSet, error) {
 	}
 	set.steer = NewSteering(cfg.Shards, hashfn.KeyedFromRNG(set.src))
 	set.shards = make([]*engine.Stack, cfg.Shards)
-	set.inbox = make([]fifo[[]byte], cfg.Shards)
-	set.handoff = make([][]fifo[Handoff], cfg.Shards)
+	set.inbox = make([]fifo, cfg.Shards)
 	for i := range set.shards {
-		i := i
-		s := engine.NewStack(addr, cfg.NewDemuxer(i), cfg.Seed+uint64(i)*0x51_7c_c1+1)
-		// OnAccept runs inside the shard's Deliver, which runs inside ours.
-		s.OnAccept = func(c *engine.Conn) { set.stamp(c.Key(), i) }
-		set.shards[i] = s
+		set.shards[i] = engine.NewStack(addr, cfg.NewDemuxer(i), cfg.Seed+uint64(i)*0x51_7c_c1+1)
 		set.inbox[i].bound = DefaultInboxCap
-		set.handoff[i] = make([]fifo[Handoff], cfg.Shards)
-		for j := range set.handoff[i] {
-			set.handoff[i][j].bound = DefaultHandoffCap
-		}
 	}
 	return set, nil
 }
@@ -253,53 +209,17 @@ func (set *StackSet) SetEgressTap(fn func(frame []byte)) {
 	}
 }
 
-// Release drops a closed connection's claim. The engine tears PCBs down
-// on its own; claims are swept lazily by Rekey, which a long-running
-// server may never call — a serving frontend instead calls Release when
-// a session ends so the claims table tracks the live population.
-// Releasing a key with no claim is a no-op, and a late frame for the
-// released tuple simply re-steers by hash (finding no PCB there). A
-// handoff still in flight for the released connection can never
-// validate again: a re-accept of the same tuple stamps a generation the
-// set has not issued before.
-//
-// Like everything that touches the claims, Release runs on the goroutine
-// that drives Deliver/Tick.
+// Release forgets where a closed connection lived. The engine tears PCBs
+// down on its own; a serving frontend calls Release when a session ends so
+// that away tracks live connections between rekeys (Rekey and FailOver
+// sweep it too). Releasing a connection that lived where its key steers,
+// which is every connection of a set that never rekeyed or failed over,
+// finds nothing to delete, and a late frame for the released tuple simply
+// steers by hash (finding no PCB there).
 //
 //demux:owner(deliver)
 func (set *StackSet) Release(key core.Key) {
-	set.uncount(key)
-	delete(set.claims, key)
-}
-
-// stamp records shard owner as key's owner under a fresh generation and
-// returns that generation. Every ownership transition — accept, move,
-// revert — goes through here, so whatever held the previous generation
-// is stale from this point on.
-//
-//demux:owner(deliver)
-func (set *StackSet) stamp(key core.Key, owner int) uint64 {
-	set.uncount(key)
-	set.gen++
-	set.claims[key] = claim{gen: set.gen, owner: owner}
-	if owner != set.steer.Shard(key.Tuple()) {
-		set.displaced++
-	}
-	return set.gen
-}
-
-// uncount takes key's present claim, if it has one, out of the displaced
-// count, ahead of the claim's replacement or deletion. With nothing
-// displaced there is nothing to take out, and no hash is computed.
-//
-//demux:owner(deliver)
-func (set *StackSet) uncount(key core.Key) {
-	if set.displaced == 0 {
-		return
-	}
-	if cl, ok := set.claims[key]; ok && cl.owner != set.steer.Shard(key.Tuple()) {
-		set.displaced--
-	}
+	delete(set.away, key)
 }
 
 // Shards returns the shard count.
@@ -369,8 +289,8 @@ shards:
 // its full tuple. Fragments carry no ports, so the set reassembles them
 // first and steers the rebuilt datagram; an undecodable frame goes to
 // shard 0, whose Stack will account the parse error. A keyed result also
-// carries the frame's connection key so the delivery path can consult the
-// claims table without re-parsing.
+// carries the frame's connection key so the delivery path can consult
+// away without re-parsing.
 //
 //demux:owner(deliver)
 //demux:hotpath
@@ -398,29 +318,26 @@ func (set *StackSet) steerFrame(frame []byte) (int, core.Key, bool, []byte) {
 }
 
 // homeOf resolves a keyed frame's true home shard. The steering hash is
-// the fast default, but two control-plane events leave it pointing away
-// from a connection's actual owner: a rekey whose handoff queue was full
-// reverted the move, and a drain rehomed a dead shard's connections.
-// The claims table records the authoritative owner in both cases.
-// A frame whose steered shard is dead and that has no claim — a fresh
-// SYN, or a handshake that was drained before it completed — re-steers
-// by the rescue fold, the same choice the drain made, so both sides of
-// the failover agree without extra rendezvous state.
+// the fast default, and idx is its answer for key. Two control-plane events
+// leave it pointing away from the shard that holds a connection's PCB: a
+// rekey whose destination was wedged left the mover where it was, and a
+// drain rehomed a dead shard's connections. away names the holder in both
+// cases. A frame whose steered shard is dead and that away does not name
+// (a fresh SYN, or a connection that SYN began) re-steers by the rescue
+// fold; resettle records such a connection before the fold next changes.
 //
-// idx is the steering hash's answer for key. With no claim displaced, every
-// claim names the shard its key hashes to, so a live idx is also what the
-// claims table and the rescue fold would say, and neither is consulted:
-// the ordinary frame pays for no map lookup. A reverted rekey, a drain or a
-// dead shard brings the table back into the path.
+// With away empty and idx alive the hash is the whole answer and no map is
+// consulted, which is every frame of a set that never rekeyed or failed
+// over.
 //
 //demux:owner(deliver)
 //demux:hotpath
 func (set *StackSet) homeOf(idx int, key core.Key) int {
-	if set.displaced == 0 && set.alive(idx) {
+	if len(set.away) == 0 && set.alive(idx) {
 		return idx
 	}
-	if cl, ok := set.claims[key]; ok {
-		return cl.owner
+	if at, ok := set.away[key]; ok {
+		return at
 	}
 	if !set.alive(idx) {
 		if to, ok := set.rescueShard(key.Tuple()); ok {
@@ -445,7 +362,7 @@ func (set *StackSet) pushInbox(idx int, frame []byte, v FaultVerdict) bool {
 	set.m.InboxFull.Inc()
 	if !v.Wedge && !v.Crash && !v.Stall {
 		force := 1
-		for attempt := 0; attempt < DefaultHandoffRetries; attempt++ {
+		for attempt := 0; attempt < DefaultInboxRetries; attempt++ {
 			set.consume(idx, force)
 			if set.inbox[idx].push(frame) {
 				return true
@@ -474,7 +391,7 @@ func (set *StackSet) consume(idx int, max int) (core.Result, error) {
 }
 
 // home resolves the shard a frame belongs to — the steering hash,
-// corrected by the claims table and the rescue fold (homeOf) — and the
+// corrected by away and the rescue fold (homeOf) — and the
 // whole frame to hand it (a reassembled datagram differs from its last
 // fragment). A negative shard means a fragment was absorbed and there is
 // nothing to dispatch yet.
@@ -505,9 +422,8 @@ func (set *StackSet) dispatch(idx int, whole []byte) (core.Result, error) {
 		return core.Result{}, nil // fragment absorbed, datagram incomplete
 	}
 	if !set.alive(idx) {
-		// A dead shard with no rescue: late frames for connections that
-		// closed before the drain (their stale claim still names the
-		// corpse), or a set with no survivors. Shed, attributed.
+		// A dead shard with no rescue: the set has no survivors. Shed,
+		// attributed.
 		set.shedInboxFrame(idx)
 		return core.Result{}, nil
 	}
@@ -526,8 +442,8 @@ func (set *StackSet) dispatch(idx int, whole []byte) (core.Result, error) {
 }
 
 // Deliver implements engine.LossyServer: count the frame, resolve its
-// true home (steering hash, claims table, then the rescue fold when the
-// steered shard is dead) and dispatch it there. The returned Result is
+// true home (steering hash, away, then the rescue fold when the steered
+// shard is dead) and dispatch it there. The returned Result is
 // the shard demuxer's lookup result for this frame (zero for an absorbed
 // fragment or a frame left queued on a faulted shard), so callers can
 // account examination costs exactly as with a single Stack.
@@ -610,148 +526,81 @@ func (set *StackSet) Len() int {
 }
 
 // Rekey draws a fresh steering key and migrates every connection whose
-// shard assignment changed, over the handoff queues (see migrate). It
-// returns the number of connections migrated.
-//
-// Rekey is a control-plane quiesce point: the caller must not run it
-// concurrently with Deliver (between Shuttle rounds in the lossy
-// harness, between measurement windows in the benches). This is the same
-// contract as the overload package's online rekey — steering changes are
-// epoch transitions, not per-packet events.
+// shard assignment changed (see resettle). It returns the number of
+// connections migrated. Steering changes are epoch transitions, not
+// per-packet events: the same contract as the overload package's online
+// rekey.
 //
 //demux:owner(deliver)
 func (set *StackSet) Rekey() int {
-	n := len(set.shards)
 	set.Rekeys++
-	newSteer := NewSteering(n, hashfn.KeyedFromRNG(set.src))
-
-	// Sweep the claim table against the live connections first: claims
-	// whose connection has since closed are dropped.
-	live := make(map[core.Key]bool)
-	for _, s := range set.shards {
-		for _, ci := range s.Netstat() {
-			if !ci.Key.IsWildcard() {
-				live[ci.Key] = true
-			}
-		}
-	}
-	type move struct {
-		k        core.Key
-		from, to int
-	}
-	var moves []move
-	for k, cl := range set.claims { //demux:orderinvariant deletions and the collected move set are per-key independent; movers are sorted below
-		if !live[k] {
-			set.uncount(k)
-			delete(set.claims, k)
-			continue
-		}
-		if to := newSteer.Shard(k.Tuple()); to != cl.owner && set.alive(to) {
-			moves = append(moves, move{k, cl.owner, to})
-		}
-	}
-	// Deterministic migration order: queue-full fallbacks depend on the
-	// order movers hit the handoff queues, so the launch sequence must not
-	// inherit map iteration order.
-	sort.Slice(moves, func(i, j int) bool { return moves[i].k.Compare(moves[j].k) < 0 })
-
-	// The steering swap happens after the extracts so the new function
-	// never steers a frame at a shard that still owns nothing — the
-	// caller's quiesce contract means no frames arrive mid-rekey anyway,
-	// and the swap order keeps the invariant even if one does.
-	migrated := 0
-	for _, mv := range moves {
-		pcb, ok := set.shards[mv.from].Extract(mv.k)
-		if !ok {
-			continue // raced with a timer teardown between sweep and now
-		}
-		pushed, adopted := set.migrate(pcb, mv.from, mv.to)
-		migrated += adopted
-		if !pushed {
-			// Revert: the connection keeps working on its home shard
-			// despite the steering function now pointing elsewhere.
-			_ = set.shards[mv.from].Adopt(pcb)
-			set.stamp(mv.k, mv.from)
-		}
-	}
-	set.steer = newSteer
-	// Displaced is relative to the steering function, so the swap recounts
-	// it: what stays displaced is what the moves above could not fix (a
-	// move reverted on a full queue, a target that is not alive).
-	set.displaced = 0
-	for k, cl := range set.claims { //demux:orderinvariant a count
-		if cl.owner != newSteer.Shard(k.Tuple()) {
-			set.displaced++
-		}
-	}
-
-	// Each live shard drains its incoming handoff queues and adopts what
-	// the claims table still says is its own.
-	for to := range set.shards {
-		if set.alive(to) {
-			migrated += set.adoptPending(to)
-		}
-	}
+	set.steer = NewSteering(len(set.shards), hashfn.KeyedFromRNG(set.src))
+	migrated := set.resettle()
 	set.Migrations += uint64(migrated)
 	return migrated
 }
 
-// migrate is the one cross-shard migration step, shared by Rekey and
-// FailOver. pcb has already been Extracted from shard from. The claim is
-// stamped with a fresh generation naming shard to — authorizing exactly
-// this transfer — and the Handoff is offered to the from->to queue a
-// bounded number of times, the destination adopting what it already has
-// queued between offers (backoff by making room — virtual time only
-// advances in Tick). It reports whether the queue took the handoff, and
-// how many earlier handoffs the destination adopted while making room.
-//
-// A queue that stays refused (wedged by a fault, like the destination's
-// inbox, or the target cannot absorb) sheds the handoff, attributed to
-// handoff-full, and leaves the PCB in the caller's hands with the claim
-// still naming to: Rekey reverts the move, FailOver adopts directly.
-func (set *StackSet) migrate(pcb *core.PCB, from, to int) (pushed bool, adopted int) {
-	h := Handoff{PCB: pcb, Gen: set.stamp(pcb.Key, to)}
-	for attempt := 0; attempt < DefaultHandoffRetries; attempt++ {
-		if !set.verdict(to).Wedge && set.handoff[from][to].push(h) {
-			return true, adopted
-		}
-		set.m.HandoffFull.Inc()
-		adopted += set.adoptPending(to)
-	}
-	set.m.ShedHandoffFull.Inc()
-	return false, adopted
-}
-
-// adoptPending drains every handoff queue aimed at shard `to`, adopting
-// each PCB whose claim still names this shard at exactly the handed-off
-// generation. A handoff that fails the check is stale — a later move,
-// release or re-accept overtook the message in flight — and is dropped
-// without touching the PCB: whoever stamped the newer generation owns
-// the connection now.
+// resettle is the one walk behind Rekey and FailOver. It visits every PCB
+// on the shard that holds it and decides where the connection belongs: on
+// the shard its key steers to if that shard is alive, else where it already
+// is if that one is, else on the rescue fold's survivor. A PCB that belongs
+// elsewhere is moved, and one that ends up off its steered shard is written
+// to a fresh away, so the same walk is the sweep of entries whose connection
+// has closed. It returns the number of connections moved.
 //
 //demux:owner(deliver)
-func (set *StackSet) adoptPending(to int) int {
-	adopted := 0
-	for from := range set.shards {
-		for {
-			h, ok := set.handoff[from][to].pop()
-			if !ok {
-				break
+func (set *StackSet) resettle() int {
+	away := make(map[core.Key]int)
+	moved := 0
+	for at, s := range set.shards {
+		for _, ci := range s.Netstat() {
+			k := ci.Key
+			if k.IsWildcard() {
+				continue // the listener stays: every shard has its own
 			}
-			cl, claimed := set.claims[h.PCB.Key]
-			if !claimed || cl.gen != h.Gen || cl.owner != to {
-				set.m.StaleHandoffs.Inc()
-				continue
+			home := set.steer.Shard(k.Tuple())
+			to := home
+			if !set.alive(home) {
+				to = at
+				if !set.alive(at) {
+					if rescue, ok := set.rescueShard(k.Tuple()); ok {
+						to = rescue
+					}
+				}
 			}
-			if err := set.shards[to].Adopt(h.PCB); err != nil {
-				// A duplicate key on the target shard means the connection
-				// was re-established there while this handoff was in
-				// flight; the stale copy loses.
-				set.m.StaleHandoffs.Inc()
-				continue
+			holder := at
+			if to != at && set.move(k, at, to) {
+				holder = to
+				moved++
 			}
-			adopted++
+			if holder != home {
+				away[k] = holder
+			}
 		}
 	}
-	return adopted
+	set.away = away
+	return moved
+}
+
+// move is the whole migration step: take key's PCB out of shard from's
+// table and put it in shard to's, reporting whether it landed. A wedged
+// destination counts one handoff-full shed, and the migration is forgone
+// (the PCB goes back where it was and the connection keeps working there)
+// unless the source is dead: a drain sheds the courtesy, never the
+// connection. A destination already holding a PCB under this key sends the
+// mover back to its source too.
+func (set *StackSet) move(key core.Key, from, to int) bool {
+	pcb, ok := set.shards[from].Extract(key)
+	if !ok {
+		return false // closed since the walk's snapshot: nothing to carry
+	}
+	wedged := set.verdict(to).Wedge
+	if wedged {
+		set.m.ShedHandoffFull.Inc()
+	}
+	if (wedged && set.alive(from)) || set.shards[to].Adopt(pcb) != nil {
+		_ = set.shards[from].Adopt(pcb) // cannot fail: the key has just left this table
+		return false
+	}
+	return true
 }

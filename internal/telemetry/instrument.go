@@ -284,31 +284,29 @@ func NewStackMetrics(r *Registry) *StackMetrics {
 func (m *StackMetrics) Registry() *Registry { return m.reg }
 
 // ShardSetMetrics is the sharded-engine instrument bundle: the
-// full-edge event counters (shard backlog, handoff queue), the per-reason
-// shed ledger behind the graceful-degradation contract ("every lost
-// packet is attributed to exactly one reason"),
-// the failure-domain counters (drains, drained connections, salvaged
-// frames, stale handoffs), and the watchdog's per-shard health gauges.
+// full-backlog event counter, the per-reason shed ledger behind the
+// graceful-degradation contract ("every lost packet is attributed to
+// exactly one reason"), the failure-domain counters (drains, drained
+// connections, salvaged frames), and the watchdog's per-shard health
+// gauges.
 type ShardSetMetrics struct {
-	// Full-edge events: how often each bounded structure refused work.
-	InboxFull   *Counter
-	HandoffFull *Counter
+	// InboxFull counts how often a shard's bounded backlog refused a frame.
+	InboxFull *Counter
 
-	// Per-reason shed ledger (shard_shed_total{reason=...}). InboxFull
+	// Per-reason shed ledger (shard_shed_total{reason=...}). inbox-full
 	// sheds are frames actually lost (TCP's retransmission recovers
-	// them); HandoffFull sheds are migrations forgone (the connection
-	// keeps working where it is); BacklogFull mirrors the shards'
-	// engine-level backlog drops into the same family so the degradation
-	// ladder reads off one metric.
+	// them); handoff-full sheds are migrations a wedged destination
+	// refused (the connection keeps working where it is); backlog-full
+	// mirrors the shards' engine-level backlog drops into the same family
+	// so the degradation ladder reads off one metric.
 	ShedInboxFull   *Counter
 	ShedHandoffFull *Counter
 	ShedBacklogFull *Counter
 
 	// Failure-domain counters.
-	Drains        *Counter
-	DrainedConns  *Counter
-	Salvaged      *Counter
-	StaleHandoffs *Counter
+	Drains       *Counter
+	DrainedConns *Counter
+	Salvaged     *Counter
 
 	// Health is one gauge per shard (shard_health_state{shard="i"}),
 	// carrying the numeric HealthState; Degraded counts shards currently
@@ -329,14 +327,12 @@ func NewShardSetMetrics(r *Registry, shards int) *ShardSetMetrics {
 	}
 	m := &ShardSetMetrics{
 		InboxFull:       r.Counter("shard_inbox_full_total"),
-		HandoffFull:     r.Counter("shard_handoff_full_total"),
 		ShedInboxFull:   shed("inbox-full"),
 		ShedHandoffFull: shed("handoff-full"),
 		ShedBacklogFull: shed("backlog-full"),
 		Drains:          r.Counter("shard_drains_total"),
 		DrainedConns:    r.Counter("shard_drained_connections_total"),
 		Salvaged:        r.Counter("shard_salvaged_frames_total"),
-		StaleHandoffs:   r.Counter("shard_stale_handoffs_total"),
 		Degraded:        r.Gauge("shard_degraded_shards"),
 		DrainRecovery:   r.Gauge("shard_drain_recovery_seconds"),
 	}

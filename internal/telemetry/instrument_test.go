@@ -215,14 +215,12 @@ func TestShardSetMetricsRegistration(t *testing.T) {
 	}
 	for id, want := range map[string]uint64{
 		"shard_inbox_full_total":                1,
-		"shard_handoff_full_total":              0,
 		"shard_shed_total{reason=inbox-full}":   0,
 		"shard_shed_total{reason=handoff-full}": 3,
 		"shard_shed_total{reason=backlog-full}": 0,
 		"shard_drains_total":                    0,
 		"shard_drained_connections_total":       0,
 		"shard_salvaged_frames_total":           0,
-		"shard_stale_handoffs_total":            0,
 	} {
 		got, ok := counters[id]
 		if !ok {
