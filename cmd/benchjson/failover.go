@@ -2,7 +2,6 @@ package main
 
 import (
 	"fmt"
-	"runtime"
 
 	"tcpdemux/internal/chaos"
 	"tcpdemux/internal/core"
@@ -16,10 +15,11 @@ import (
 // time, so unlike the other benchjson workloads its numbers are exact
 // and reproducible: the "nsPerOp" each mode reports is a count of
 // virtual-time ticks (one tick = 1 ms of virtual time, the engine's
-// timer-wheel granularity), not wall-clock nanoseconds. That keeps the
-// -compare gate meaningful across hosts — a regression here means the
-// watchdog got slower to detect or the drain got slower to recover in
-// *simulated* time, which is an algorithmic change, not scheduler noise.
+// timer-wheel granularity), not wall-clock nanoseconds. That makes the
+// whole document a golden: any change to it means the watchdog got
+// slower to detect or the drain slower to recover in *simulated* time,
+// an algorithmic change, not scheduler noise. It carries no host facts
+// for the same reason.
 const vtick = 1e-3
 
 // failoverScenario is one measured failure story.
@@ -50,8 +50,6 @@ type failoverScenario struct {
 // (BENCH_failover.json).
 type failoverReport struct {
 	Benchmark string             `json:"benchmark"`
-	GOOS      string             `json:"goos"`
-	GOARCH    string             `json:"goarch"`
 	Config    map[string]any     `json:"config"`
 	Results   []result           `json:"results"`
 	Scenarios []failoverScenario `json:"scenarios"`
@@ -269,8 +267,6 @@ func runFailover(opt options) (*failoverReport, error) {
 
 	return &failoverReport{
 		Benchmark: "shard failure domains: watchdog detection, live drain, goodput (virtual time)",
-		GOOS:      runtime.GOOS,
-		GOARCH:    runtime.GOARCH,
 		Config: map[string]any{
 			"shards": shards, "clients": clients, "txnsPerClient": txns,
 			"chains": opt.Chains, "seed": opt.Seed,

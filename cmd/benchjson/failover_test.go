@@ -1,22 +1,16 @@
 package main
 
-import (
-	"encoding/json"
-	"os"
-	"path/filepath"
-	"testing"
-)
+import "testing"
 
-// TestRunFailoverReport drives the virtual-time failover workload at a
-// small operating point and checks the report's structure: the
-// unfaulted baseline plus both fault scenarios, each with detect /
-// recover / complete modes, a balanced conservation ledger, and a
-// document the -compare gate can load. It runs at the defaults — the
-// committed BENCH_failover.json's exact operating point — because the
-// watchdog's detection bound assumes enough live traffic that a stalled
-// shard's inbox actually queues frames; a tiny client population can
-// leave the victim idle and push progress-based detection out past the
-// bound.
+// TestRunFailoverReport drives the virtual-time failover workload and
+// checks the report's structure: the unfaulted baseline plus both fault
+// scenarios, each with detect / recover / complete modes, and a balanced
+// conservation ledger; the numbers themselves are the BENCH_failover.json
+// golden's to hold. It runs at the defaults — the golden's exact
+// operating point — because the watchdog's detection bound assumes
+// enough live traffic that a stalled shard's inbox actually queues
+// frames; a tiny client population can leave the victim idle and push
+// progress-based detection out past the bound.
 func TestRunFailoverReport(t *testing.T) {
 	rep, err := runFailover(defaults())
 	if err != nil {
@@ -57,55 +51,6 @@ func TestRunFailoverReport(t *testing.T) {
 		}
 		if sc.GoodputBefore <= 0 {
 			t.Fatalf("%s: no goodput before the fault", sc.Name)
-		}
-	}
-
-	// The emitted document must be loadable by the gate's comparator:
-	// Discipline/Mode/Best.NsPerOp have to survive the round trip.
-	buf, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "BENCH_failover.json")
-	if err := os.WriteFile(path, buf, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	gate, err := loadGateReport(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(gate.Results) != len(rep.Results) {
-		t.Fatalf("gate sees %d results, report has %d", len(gate.Results), len(rep.Results))
-	}
-	for _, r := range gate.Results {
-		want, ok := seen[r.Discipline+"/"+r.Mode]
-		if !ok || r.Best.NsPerOp != want {
-			t.Fatalf("gate pairing lost %s/%s: got %v want %v",
-				r.Discipline, r.Mode, r.Best.NsPerOp, want)
-		}
-	}
-}
-
-// TestRunFailoverDeterministic reruns the workload at the same seed and
-// requires tick-identical latencies — the property that lets the bench
-// gate hold BENCH_failover.json to a tight tolerance across hosts.
-func TestRunFailoverDeterministic(t *testing.T) {
-	a, err := runFailover(defaults())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := runFailover(defaults())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.Results) != len(b.Results) {
-		t.Fatalf("result counts differ: %d vs %d", len(a.Results), len(b.Results))
-	}
-	for i := range a.Results {
-		ra, rb := a.Results[i], b.Results[i]
-		if ra.Discipline != rb.Discipline || ra.Mode != rb.Mode || ra.Best.NsPerOp != rb.Best.NsPerOp {
-			t.Fatalf("run diverged at %s/%s: %v vs %v",
-				ra.Discipline, ra.Mode, ra.Best.NsPerOp, rb.Best.NsPerOp)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"slices"
 	"testing"
 )
 
@@ -113,49 +114,53 @@ func TestRunEmbedsTelemetry(t *testing.T) {
 	}
 }
 
-// TestRunAdversarialReport drives a tiny adversarial measurement and
-// checks the JSON document's structure and invariants.
-func TestRunAdversarialReport(t *testing.T) {
+// TestExactColumnsAtCommittedPoints holds at tolerance 0 what is exact in
+// two host-dependent reports, at their committed operating points: the
+// shard sweep's PCBs per shard and mean PCBs examined per lookup
+// (BENCH_shard.json: n=6000, 200k lookups, seed 7, 19 chains) and the
+// cache workload's cachesim block (BENCH_cache.json: n=6000, seed 7).
+// Both follow from the seed, not the host. One round and no batched rows
+// suffice: every round, and both modes, examine the same PCBs. The
+// committed BENCH_shard.json was measured before the harness stopped
+// crediting the rounding remainder to an idle shard; its examined column
+// differs from these by at most 1e-4.
+func TestExactColumnsAtCommittedPoints(t *testing.T) {
 	opt := defaults()
-	opt.Ops = 40_000 // attackN = ops/50 = 800
-	opt.Seed = 42
+	opt.Rounds, opt.Ops, opt.Users, opt.Batch = 1, 200_000, 6000, 0
+	rep, err := runShard(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]struct {
+		pcbs     []int
+		examined float64
+	}{
+		"sequent-1q":        {[]int{6000}, 160.095235},
+		"sequent-2q":        {[]int{2883, 3117}, 81.051375},
+		"sequent-4q":        {[]int{1450, 1552, 1433, 1565}, 40.714415},
+		"sequent-8q":        {[]int{714, 810, 713, 758, 736, 742, 720, 807}, 19.788805},
+		"flat-hopscotch-1q": {[]int{6000}, 1.289755},
+		"flat-hopscotch-2q": {[]int{2883, 3117}, 1.303795},
+		"flat-hopscotch-4q": {[]int{1450, 1552, 1433, 1565}, 1.5437},
+		"flat-hopscotch-8q": {[]int{714, 810, 713, 758, 736, 742, 720, 807}, 1.671005},
+	}
+	if len(rep.Results) != len(want) {
+		t.Fatalf("got %d shard rows, want %d", len(rep.Results), len(want))
+	}
+	for _, r := range rep.Results {
+		w := want[r.Discipline]
+		if !slices.Equal(r.PerShardPCBs, w.pcbs) || r.Best.MeanExamined != w.examined {
+			t.Errorf("%s: PCBs per shard %v, examined %v; want %v, %v",
+				r.Discipline, r.PerShardPCBs, r.Best.MeanExamined, w.pcbs, w.examined)
+		}
+	}
 
-	rep, err := runAdversarial(opt)
+	model, err := modelEstimates(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Tables) != 2 {
-		t.Fatalf("got %d tables", len(rep.Tables))
-	}
-	und, guarded := rep.Tables[0], rep.Tables[1]
-	if und.Table != "sequent-undefended" || guarded.Table != "guarded-sequent" {
-		t.Fatalf("table order wrong: %+v", rep.Tables)
-	}
-	if und.AttackedMean <= guarded.AttackedMean {
-		t.Fatalf("defense did not help: undefended %.1f vs guarded %.1f",
-			und.AttackedMean, guarded.AttackedMean)
-	}
-	if guarded.Rekeys == 0 {
-		t.Fatalf("guarded table never rekeyed")
-	}
-	if !rep.Flood.ClientEstablished {
-		t.Fatalf("legitimate client failed during flood: %+v", rep.Flood)
-	}
-	if rep.Flood.CookiesSent == 0 {
-		t.Fatalf("no cookies issued: %+v", rep.Flood)
-	}
-	if len(rep.Telemetry.Histograms) == 0 || len(rep.Telemetry.Counters) == 0 {
-		t.Fatalf("telemetry snapshot empty")
-	}
-	buf, err := json.Marshal(rep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back advReport
-	if err := json.Unmarshal(buf, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Flood != rep.Flood {
-		t.Fatalf("flood block did not round-trip")
+	wantModel := []modelEstimate{{"chained-sequent", 158, 3156.9866666666667}, {"flat-window", 1, 40.7545}}
+	if !slices.Equal(model, wantModel) {
+		t.Errorf("cachesim block %+v, want %+v", model, wantModel)
 	}
 }

@@ -16,8 +16,8 @@ import (
 
 // shardResult is one discipline/shard-count/mode configuration's
 // measured rounds. Discipline carries the shard count ("sequent-4q",
-// "flat-hopscotch-4q") so the -compare gate's discipline/mode pairing
-// works unchanged on shard reports.
+// "flat-hopscotch-4q"), so a discipline/mode pair names a row as it does
+// in the other reports.
 type shardResult struct {
 	Discipline   string  `json:"discipline"`
 	Shards       int     `json:"shards"`

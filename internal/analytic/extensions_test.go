@@ -49,7 +49,7 @@ func TestSequentWithImbalanceOrdering(t *testing.T) {
 	if corrected <= plain {
 		t.Fatalf("imbalance-corrected %v not above plain %v", corrected, plain)
 	}
-	// The simulation measured 53.5 at these parameters; the corrected
+	// The simulation measures 54.0 at these parameters; the corrected
 	// model should sit between Eq 22 (53.0) and the measurement + noise.
 	if corrected < 53.0 || corrected > 54.5 {
 		t.Fatalf("corrected model %v outside plausible band", corrected)

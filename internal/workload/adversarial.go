@@ -1,6 +1,6 @@
-// Package workload holds the scenario drivers the command-line tools
-// share: one function runs the scenario and returns a structured result;
-// demuxsim prints it, benchjson serializes it.
+// Package workload holds the adversarial scenario behind `demuxsim
+// -workload adversarial`: RunAdversarial runs it and returns a structured
+// result, and demuxsim prints it (EXP-ADVERSARIAL's golden).
 package workload
 
 import (
