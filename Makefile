@@ -16,9 +16,9 @@ vet:
 
 # lint builds the repository's own analyzer suite (cmd/demuxvet, built on
 # internal/lint) and runs it under the go vet driver over every package,
-# examples/ included. It mechanically enforces the determinism, RCU,
-# hot-path, and concurrency-contract invariants documented in DESIGN.md
-# §9 and §14. lint-fixtures runs first so a broken analyzer fails loudly
+# examples/ included. It mechanically enforces the determinism, atomic
+# access, hot-path, and concurrency-contract invariants documented in
+# DESIGN.md §9 and §14. lint-fixtures runs first so a broken analyzer fails loudly
 # on its fixture corpus instead of silently passing the real tree.
 lint: lint-fixtures bin/demuxvet
 	$(GO) vet -vettool=$(CURDIR)/bin/demuxvet ./...
@@ -83,10 +83,10 @@ golden:
 	$(GOLDENS) | awk '{print $$1}' | sort -u | xargs rm -f
 	$(GOLDENS) | while read -r out pkg args; do bin/golden/$${pkg##*/} $$args >> $$out || exit 1; done
 
-# race runs the race detector over the concurrent packages plus the
+# race runs the race detector over the locking disciplines plus the
 # timer-driven engine and the telemetry stripes.
 race:
-	$(GO) test -race ./internal/parallel ./internal/rcu ./internal/flat ./internal/engine ./internal/timer ./internal/telemetry
+	$(GO) test -race ./internal/parallel ./internal/flat ./internal/engine ./internal/timer ./internal/telemetry
 
 # chaos runs the adversarial conformance suite under the race detector:
 # collision attacks with online rekey (overload), scripted link faults
@@ -141,27 +141,30 @@ demuxload:
 bench:
 	$(GO) test -bench=. -benchmem .
 
-# The bench-json-* targets write the measured reports BENCH_*.json. The
-# parallel, cache and shard reports are host-dependent (ns/op, rates, and
-# the examined columns of the workloads that churn one shared table) and
-# nothing compares them with a fresh run; what in them is exact is held by
-# TestExactColumnsAtCommittedPoints in cmd/benchjson. BENCH_failover.json
-# is virtual time throughout and is a golden (`make golden`).
+# The bench-json-* targets write the reports BENCH_*.json. The parallel
+# and shard reports are measured and host-dependent (ns/op, rates, and the
+# parallel workload's examined columns, which churn one shared table) and
+# nothing compares them with a fresh run; what in the shard report is
+# exact is held by TestExactColumnsAtCommittedPoints in cmd/benchjson.
+# BENCH_cache.json (a model) and BENCH_failover.json (virtual time) are
+# exact throughout and are goldens (`make golden`).
 
-# bench-json measures the three locking disciplines head-to-head on the
-# read-heavy TPC/A mix and writes BENCH_parallel.json. The default
-# operating point oversubscribes the scheduler (workers >> GOMAXPROCS)
-# so lock-holder preemption — the effect RCU's lock-free read path is
-# immune to — is visible even on small hosts; see cmd/benchjson -h.
+# bench-json measures the [Dov90] pair head-to-head on the read-heavy
+# TPC/A mix: one table shared by every worker under a global lock (over
+# the BSD list and over the Sequent hash) and under Sequent's per-chain
+# locks, one key per lookup, and writes BENCH_parallel.json. The default
+# operating point oversubscribes the scheduler (workers >> GOMAXPROCS) so
+# lock-holder preemption — a descheduled holder stalls every contender on
+# its lock — is visible even on small hosts; see cmd/benchjson -h.
 bench-json:
 	$(GO) run ./cmd/benchjson -gomaxprocs 32 -workers 384 -rounds 5 -ops 8000 -n 6000 -out BENCH_parallel.json
 
-# bench-json-cache measures the cache-conscious flat table (hopscotch)
-# against the chained disciplines, per-packet and in prefetch-pipelined
-# batches across depths k, and writes BENCH_cache.json
-# with internal/cachesim stall estimates embedded (EXP-CACHE).
+# bench-json-cache writes BENCH_cache.json (EXP-CACHE): the
+# internal/cachesim model of the chained Sequent layout against the flat
+# table's probe window at 6,000 connections. It is the golden
+# testdata/golden/MANIFEST writes, and `make golden` rewrites it too.
 bench-json-cache:
-	$(GO) run ./cmd/benchjson -workload cache -gomaxprocs 4 -workers 16 -rounds 5 -ops 20000 -n 6000 -out BENCH_cache.json
+	$(GO) run ./cmd/benchjson -workload cache -n 6000 -out BENCH_cache.json
 
 # bench-json-shard sweeps the multi-queue engine's shard count (1, 2, 4,
 # max) on the TPC/A mix and writes BENCH_shard.json (EXP-SHARD). The

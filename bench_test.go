@@ -25,10 +25,8 @@ import (
 	"tcpdemux/internal/churn"
 	"tcpdemux/internal/connid"
 	"tcpdemux/internal/core"
-	"tcpdemux/internal/flat"
 	"tcpdemux/internal/hashfn"
 	"tcpdemux/internal/parallel"
-	"tcpdemux/internal/rcu"
 	"tcpdemux/internal/rng"
 	"tcpdemux/internal/stats"
 	"tcpdemux/internal/telemetry"
@@ -384,11 +382,7 @@ func wireDemuxFrames(b *testing.B, n int, insert ...func(*core.PCB) error) [][]b
 
 // BenchmarkWireDemux measures the full receive fast path: raw frame →
 // tuple extraction → hashed lookup, the end-to-end cost a driver would
-// see. The sequent case is the unsynchronized baseline; rcu is the same
-// table behind the lock-free read path; flat-batch32 demultiplexes
-// 32-frame trains through the one native batched lookup path
-// (flat.Hopscotch's prefetch pipeline, reached via core.LookupBatch), the
-// shape the paper's packet-train analysis assumes arrivals take.
+// see, on the unsynchronized Sequent table its one owner looks up.
 func BenchmarkWireDemux(b *testing.B) {
 	b.Run("sequent", func(b *testing.B) {
 		d := core.NewSequentHash(19, nil)
@@ -405,56 +399,15 @@ func BenchmarkWireDemux(b *testing.B) {
 			}
 		}
 	})
-	b.Run("rcu", func(b *testing.B) {
-		d := rcu.New(19, nil)
-		frames := wireDemuxFrames(b, 512, d.Insert)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			tuple, err := wire.ExtractTuple(frames[i%len(frames)])
-			if err != nil {
-				b.Fatal(err)
-			}
-			if r := d.Lookup(core.KeyFromTuple(tuple), core.DirAck); r.PCB == nil {
-				b.Fatal("lost a PCB")
-			}
-		}
-	})
-	b.Run("flat-batch32", func(b *testing.B) {
-		const train = 32
-		d := flat.NewHopscotch(0, nil)
-		frames := wireDemuxFrames(b, 512, d.Insert)
-		keys := make([]core.Key, 0, train)
-		var out []core.Result
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			tuple, err := wire.ExtractTuple(frames[i%len(frames)])
-			if err != nil {
-				b.Fatal(err)
-			}
-			keys = append(keys, core.KeyFromTuple(tuple))
-			if len(keys) == train || i == b.N-1 {
-				out = core.LookupBatch(d, keys, core.DirAck, out)
-				for _, r := range out {
-					if r.PCB == nil {
-						b.Fatal("lost a PCB")
-					}
-				}
-				keys = keys[:0]
-			}
-		}
-	})
 }
 
 // --- EXP-PAR: parallel demultiplexing (the [Dov90] context) --------------------------
 
 // BenchmarkParallel measures lookup throughput under goroutine load
-// across the three locking disciplines head-to-head: a single global lock
-// (what a shared linear list forces), the Sequent table with one lock per
-// hash chain — the design Sequent's parallel STREAMS TCP shipped — and
-// the RCU-style table whose read path takes no locks at all. Run with
-// -cpu 1,4,8 to see the scaling gap.
+// across the two locking disciplines head-to-head: a single global lock
+// (what a shared linear list forces) and the Sequent table with one lock
+// per hash chain — the design Sequent's parallel STREAMS TCP shipped
+// [Dov90]. Run with -cpu 1,4,8 to see the scaling gap.
 func BenchmarkParallel(b *testing.B) {
 	const n = 1000
 	cases := []struct {
@@ -465,8 +418,6 @@ func BenchmarkParallel(b *testing.B) {
 		{"locked-sequent", func() core.Concurrent { return parallel.NewLocked(core.NewSequentHash(19, nil)) }},
 		{"sharded-sequent-19", func() core.Concurrent { return parallel.NewShardedSequent(19, nil) }},
 		{"sharded-sequent-128", func() core.Concurrent { return parallel.NewShardedSequent(128, nil) }},
-		{"rcu-sequent-19", func() core.Concurrent { return rcu.New(19, nil) }},
-		{"rcu-sequent-128", func() core.Concurrent { return rcu.New(128, nil) }},
 	}
 	for _, c := range cases {
 		c := c
@@ -492,7 +443,36 @@ func BenchmarkParallel(b *testing.B) {
 	}
 }
 
-// parallelStream caches the recorded TPC/A inbound stream BenchmarkParallelTPCA
+// BenchmarkParallelTPCA is the read-heavy acceptance benchmark: a
+// recorded TPC/A inbound packet stream (99% of operations) mixed with 1%
+// connection churn, replayed by 4×GOMAXPROCS goroutines against each
+// locking discipline, one key per lookup. The TPC/A stream carries the
+// response-interval locality the paper's analysis rests on, so the
+// per-chain caches hit at their realistic rate and the synchronization
+// cost is a visible fraction of each lookup. Oversubscribing the Ps (as
+// receive contexts outnumber CPUs on a real endsystem) also exercises
+// lock-holder preemption: a goroutine descheduled inside a critical
+// section stalls every contender on that lock. lookups/sec is reported as
+// a metric next to ns/op.
+//
+// The /telemetry variants run the same workload with each worker
+// observing through its own telemetry.LocalDemux (single-writer
+// examined/outcome accumulation, flushed at worker exit), making the
+// instrumentation overhead a directly comparable benchmark line; see
+// overhead_test.go for the <5% acceptance check.
+func BenchmarkParallelTPCA(b *testing.B) {
+	for _, name := range []string{"locked-sequent", "sharded-sequent"} {
+		for _, instrumented := range []bool{false, true} {
+			bname := name + "/perpacket"
+			if instrumented {
+				bname += "/telemetry"
+			}
+			b.Run(bname, parallelTPCA(name, instrumented))
+		}
+	}
+}
+
+// parallelStream caches the recorded TPC/A inbound stream parallelTPCA
 // replays; recording it once keeps per-subbenchmark setup cheap.
 var parallelStream struct {
 	once   sync.Once
@@ -500,128 +480,74 @@ var parallelStream struct {
 	err    error
 }
 
-// BenchmarkParallelTPCA is the read-heavy acceptance benchmark: a
-// recorded TPC/A inbound packet stream (99% of operations) mixed with 1%
-// connection churn, replayed by 4×GOMAXPROCS goroutines against each
-// locking discipline, per-packet and in 64-packet batched trains. The
-// TPC/A stream carries the response-interval locality the paper's
-// analysis rests on, so the per-chain caches hit at their realistic rate
-// and the synchronization cost is a visible fraction of each lookup.
-// Oversubscribing the Ps (as receive contexts outnumber CPUs on a real
-// endsystem) also exercises lock-holder preemption: a goroutine descheduled
-// inside a critical section stalls every contender on that lock, a hazard
-// the lock-free read path is immune to by construction. lookups/sec is
-// reported as a metric next to ns/op.
-func BenchmarkParallelTPCA(b *testing.B) {
-	parallelStream.once.Do(func() {
-		parallelStream.stream, parallelStream.err = parallel.TPCAStream(1000, 4, 7)
-	})
-	if parallelStream.err != nil {
-		b.Fatal(parallelStream.err)
-	}
-	stream := parallelStream.stream
+// parallelTPCA is BenchmarkParallelTPCA's body for one discipline,
+// optionally instrumented (a fresh registry per run, so runs never share
+// stripe state).
+func parallelTPCA(name string, instrumented bool) func(*testing.B) {
 	const users = 1000
 	const readFraction = 0.99
-	for _, name := range []string{"locked-sequent", "sharded-sequent", "rcu-sequent"} {
-		for _, batch := range []int{0, 64} {
-			// The /telemetry variants run the same workload with each
-			// worker observing through its own telemetry.LocalDemux
-			// (single-writer examined/outcome accumulation, flushed at
-			// worker exit), making the instrumentation overhead a
-			// directly comparable benchmark line; see overhead_test.go
-			// for the <5% acceptance check.
-			for _, instrumented := range []bool{false, true} {
-				name, batch, instrumented := name, batch, instrumented
-				bname := name + "/perpacket"
-				if batch > 1 {
-					bname = fmt.Sprintf("%s/batch%d", name, batch)
-				}
-				if instrumented {
-					bname += "/telemetry"
-				}
-				b.Run(bname, func(b *testing.B) {
-					shared, m, err := newParallelBenchDemux(name, instrumented)
-					if err != nil {
-						b.Fatal(err)
-					}
-					for i := 0; i < users; i++ {
-						if err := shared.Insert(core.NewPCB(tpca.UserKey(i))); err != nil {
-							b.Fatal(err)
-						}
-					}
-					var worker atomic.Int64
-					b.SetParallelism(4)
-					b.ResetTimer()
-					start := time.Now()
-					b.RunParallel(func(pb *testing.PB) {
-						var d core.Table = shared
-						if m != nil {
-							ld := telemetry.InstrumentLocal(shared, m)
-							defer ld.Flush()
-							d = ld
-						}
-						w := int(worker.Add(1)) - 1
-						src := rng.New(uint64(w)*7919 + 42)
-						pos := (w * 65537) % len(stream)
-						churnBase := users + 100 + w*32
-						var keys []core.Key
-						var out []core.Result
-						for pb.Next() {
-							if src.Float64() >= readFraction {
-								if len(keys) > 0 {
-									out = core.LookupBatch(d, keys, core.DirData, out)
-									keys = keys[:0]
-								}
-								k := tpca.UserKey(churnBase + src.Intn(32))
-								if !d.Remove(k) {
-									_ = d.Insert(core.NewPCB(k))
-								}
-								continue
-							}
-							op := stream[pos]
-							pos++
-							if pos == len(stream) {
-								pos = 0
-							}
-							if batch > 1 {
-								keys = append(keys, op.Key)
-								if len(keys) >= batch {
-									out = core.LookupBatch(d, keys, core.DirData, out)
-									keys = keys[:0]
-								}
-							} else {
-								d.Lookup(op.Key, op.Dir)
-							}
-						}
-						if len(keys) > 0 {
-							core.LookupBatch(d, keys, core.DirData, out)
-						}
-					})
-					elapsed := time.Since(start).Seconds()
-					if elapsed > 0 {
-						b.ReportMetric(float64(b.N)/elapsed, "lookups/sec")
-					}
-					st := shared.Snapshot()
-					if st.Lookups > 0 {
-						b.ReportMetric(st.MeanExamined(), "PCBs/pkt")
-						b.ReportMetric(st.HitRate()*100, "hit%")
-					}
-				})
+	return func(b *testing.B) {
+		parallelStream.once.Do(func() {
+			parallelStream.stream, parallelStream.err = parallel.TPCAStream(users, 4, 7)
+		})
+		if parallelStream.err != nil {
+			b.Fatal(parallelStream.err)
+		}
+		stream := parallelStream.stream
+		shared, err := parallel.New(name, core.Config{Chains: 19})
+		if err != nil {
+			b.Fatal(err)
+		}
+		var m *telemetry.DemuxMetrics
+		if instrumented {
+			m = telemetry.NewDemuxMetrics(telemetry.NewRegistry(), name)
+		}
+		for i := 0; i < users; i++ {
+			if err := shared.Insert(core.NewPCB(tpca.UserKey(i))); err != nil {
+				b.Fatal(err)
 			}
 		}
+		var worker atomic.Int64
+		b.SetParallelism(4)
+		b.ResetTimer()
+		start := time.Now()
+		b.RunParallel(func(pb *testing.PB) {
+			var d core.Table = shared
+			if m != nil {
+				ld := telemetry.InstrumentLocal(shared, m)
+				defer ld.Flush()
+				d = ld
+			}
+			w := int(worker.Add(1)) - 1
+			src := rng.New(uint64(w)*7919 + 42)
+			pos := (w * 65537) % len(stream)
+			churnBase := users + 100 + w*32
+			for pb.Next() {
+				if src.Float64() >= readFraction {
+					k := tpca.UserKey(churnBase + src.Intn(32))
+					if !d.Remove(k) {
+						_ = d.Insert(core.NewPCB(k))
+					}
+					continue
+				}
+				op := stream[pos]
+				pos++
+				if pos == len(stream) {
+					pos = 0
+				}
+				d.Lookup(op.Key, op.Dir)
+			}
+		})
+		elapsed := time.Since(start).Seconds()
+		if elapsed > 0 {
+			b.ReportMetric(float64(b.N)/elapsed, "lookups/sec")
+		}
+		st := shared.Snapshot()
+		if st.Lookups > 0 {
+			b.ReportMetric(st.MeanExamined(), "PCBs/pkt")
+			b.ReportMetric(st.HitRate()*100, "hit%")
+		}
 	}
-}
-
-// newParallelBenchDemux builds a discipline for BenchmarkParallelTPCA,
-// optionally wrapped in telemetry instrumentation (fresh registry per
-// sub-benchmark so runs never share stripe state).
-func newParallelBenchDemux(name string, instrumented bool) (core.Concurrent, *telemetry.DemuxMetrics, error) {
-	d, err := parallel.New(name, core.Config{Chains: 19})
-	if err != nil || !instrumented {
-		return d, nil, err
-	}
-	reg := telemetry.NewRegistry()
-	return d, telemetry.NewDemuxMetrics(reg, name), nil
 }
 
 // --- EXP-CONNID: protocol connection IDs vs hashing (§3.5) ---------------------------

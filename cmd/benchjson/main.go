@@ -1,15 +1,13 @@
-// Command benchjson runs the concurrent demultiplexers head-to-head on
-// the read-heavy TPC/A mix and writes the measured rates as JSON. Four
+// Command benchjson writes the repository's BENCH_*.json reports. Four
 // workloads share the harness:
 //
-//   - parallel (BENCH_parallel.json): the locking disciplines — global
-//     lock, per-chain locks, and the lock-free-read RCU table — per
-//     packet and in batched trains.
-//   - cache (BENCH_cache.json): the chained baselines against the
-//     cache-conscious open-addressing table (flat-hopscotch), per packet
-//     and batched, sweeping the batch path's prefetch pipeline depth k,
-//     with internal/cachesim stall estimates embedded beside the
-//     measured numbers.
+//   - parallel (BENCH_parallel.json): the two locking disciplines of
+//     [Dov90] — a global lock (over the BSD list and over the Sequent
+//     hash) and Sequent's per-chain locks — one shared table, many
+//     workers, one key per lookup.
+//   - cache (BENCH_cache.json): the internal/cachesim model of the
+//     chained Sequent layout against the flat probe window. It is exact
+//     for a given seed, measures nothing, and is a golden.
 //   - shard (BENCH_shard.json): the multi-queue engine — the same
 //     TPC/A population RSS-steered across N private Sequent tables,
 //     sweeping the shard count (1, 2, 4, max). With the chain count
@@ -21,27 +19,28 @@
 //     windowed goodput in deterministic virtual-time ticks (see
 //     failover.go; nsPerOp is ticks, not wall nanoseconds).
 //
-// Methodology: every configuration is measured -rounds times with the
-// rounds interleaved round-robin across configurations, and the summary
-// takes each configuration's best round. Interleaving plus best-of-N
-// makes the comparison robust against the slow drift and interference
-// spikes of shared machines, which a single long pass per configuration
-// would fold into whichever algorithm happened to run last.
+// Methodology: the parallel and shard workloads measure every
+// configuration -rounds times with the rounds interleaved round-robin
+// across configurations, and the summary takes each configuration's best
+// round. Interleaving plus best-of-N makes the comparison robust against
+// the slow drift and interference spikes of shared machines, which a
+// single long pass per configuration would fold into whichever algorithm
+// happened to run last.
 //
-// The parallel, cache and shard reports are host-dependent: their ns/op
-// and rates, and the examined and hit-rate columns of the two workloads
-// that churn a shared table under concurrent workers, move with the host
+// The parallel and shard reports are host-dependent: their ns/op and
+// rates, and the parallel workload's examined and hit-rate columns (it
+// churns a shared table under concurrent workers), move with the host
 // and the scheduler. They are reports, and nothing compares them. What
 // in them is exact — the shard sweep's steering split and examined
-// column, the cache workload's model block — is held at tolerance 0 by
-// TestExactColumnsAtCommittedPoints. The failover report runs in virtual
-// time and is itself a golden (testdata/golden/MANIFEST, `make golden`).
+// column — is held at tolerance 0 by TestExactColumnsAtCommittedPoints.
+// The cache and failover reports are exact throughout and are goldens
+// (testdata/golden/MANIFEST, `make golden`).
 //
 // Usage:
 //
 //	benchjson [-workload parallel|cache|shard|failover] [-out FILE]
 //	          [-rounds 5] [-gomaxprocs 4] [-workers 4*gomaxprocs]
-//	          [-ops 200000] [-users 1000] [-read 0.99] [-batch 64]
+//	          [-ops 200000] [-n 1000] [-read 0.99]
 //	          [-chains 19] [-seed 7]
 package main
 
@@ -70,7 +69,6 @@ type options struct {
 	Users      int
 	TxnsPer    int
 	Read       float64
-	Batch      int
 	Chains     int
 	Seed       uint64
 	ChurnKeys  int
@@ -87,7 +85,6 @@ func defaults() options {
 		Users:      1000,
 		TxnsPer:    4,
 		Read:       0.99,
-		Batch:      64,
 		Chains:     19,
 		Seed:       7,
 		ChurnKeys:  32,
@@ -134,13 +131,10 @@ type report struct {
 	Telemetry telemetry.Snapshot `json:"telemetry"`
 }
 
-// summary holds the acceptance ratios: the RCU table's best rate against
-// the global-lock and per-chain-lock baselines' best rates.
+// summary holds the [Dov90] ratio: the per-chain-lock table's best
+// lookup rate over the global lock's, both on the Sequent hash.
 type summary struct {
-	RcuOverLocked      float64 `json:"rcuOverLocked"`
-	RcuOverSharded     float64 `json:"rcuOverSharded"`
-	MeetsRcu2xLocked   bool    `json:"meetsRcu2xLocked"`
-	MeetsRcu12xSharded bool    `json:"meetsRcu1_2xSharded"`
+	ShardedOverLocked float64 `json:"shardedOverLocked"`
 }
 
 func main() {
@@ -153,7 +147,6 @@ func main() {
 	flag.IntVar(&opt.Ops, "ops", opt.Ops, "operations per worker per round")
 	flag.IntVar(&opt.Users, "n", opt.Users, "TPC/A users (connection population)")
 	flag.Float64Var(&opt.Read, "read", opt.Read, "lookup fraction of the operation mix")
-	flag.IntVar(&opt.Batch, "batch", opt.Batch, "train length for the batched mode")
 	flag.IntVar(&opt.Chains, "chains", opt.Chains, "hash chains")
 	flag.Uint64Var(&opt.Seed, "seed", opt.Seed, "workload seed")
 	flag.StringVar(&opt.Workload, "workload", opt.Workload, "benchmark workload: parallel, cache, shard, or failover")
@@ -176,18 +169,12 @@ func main() {
 		var pr *report
 		pr, err = run(opt)
 		if pr != nil {
-			note = fmt.Sprintf("rcu/locked %.2fx, rcu/sharded %.2fx",
-				pr.Summary.RcuOverLocked, pr.Summary.RcuOverSharded)
+			note = fmt.Sprintf("sharded/locked %.2fx", pr.Summary.ShardedOverLocked)
 		}
 		rep = pr
 	case "cache":
-		var cr *cacheReport
-		cr, err = runCache(opt)
-		if cr != nil {
-			note = fmt.Sprintf("flat batch %.2fx over rcu per-packet (ns/op)",
-				cr.Summary.FlatBatchOverRcuPerPacket)
-		}
-		rep = cr
+		rep, err = runCache(opt)
+		note = "cachesim model, exact"
 	case "shard":
 		var sr *shardReport
 		sr, err = runShard(opt)
@@ -229,20 +216,6 @@ func main() {
 	}
 }
 
-// disciplines are the head-to-head variants, global lock to lock-free.
-var disciplinesUnder = []string{"locked-sequent", "sharded-sequent", "rcu-sequent"}
-
-// benchConfig names one measured configuration: a concurrent discipline
-// in one lookup mode. depth is the prefetch pipeline depth for the flat
-// tables' batch path; -1 leaves the table's default untouched (chained
-// disciplines ignore it entirely).
-type benchConfig struct {
-	discipline string
-	mode       string
-	batch      int
-	depth      int
-}
-
 // hostInfo captures the host facts at measurement time — inside the
 // GOMAXPROCS window the workers actually ran under, not whatever the
 // process was restored to afterwards.
@@ -251,11 +224,11 @@ type hostInfo struct {
 	GoMaxProcs int
 }
 
-// measureConfigs runs the interleaved best-of-rounds measurement over
-// the given configurations: round 1 of every configuration, then round
-// 2, ... so machine drift lands on all configurations alike. It returns
-// one result per configuration plus the accumulated telemetry registry.
-func measureConfigs(opt options, configs []benchConfig) ([]result, *telemetry.Registry, hostInfo, error) {
+// run measures every registered locking discipline (parallel.Disciplines)
+// with the rounds interleaved — round 1 of every discipline, then round
+// 2, ... so machine drift lands on all of them alike — and assembles the
+// report.
+func run(opt options) (*report, error) {
 	if opt.Workers <= 0 {
 		opt.Workers = 4 * opt.GoMaxProcs
 	}
@@ -265,9 +238,8 @@ func measureConfigs(opt options, configs []benchConfig) ([]result, *telemetry.Re
 
 	stream, err := parallel.TPCAStream(opt.Users, opt.TxnsPer, opt.Seed)
 	if err != nil {
-		return nil, nil, host, err
+		return nil, err
 	}
-
 	churn := make([][]core.Key, opt.Workers)
 	for w := range churn {
 		base := opt.Users + 100 + w*opt.ChurnKeys
@@ -276,39 +248,34 @@ func measureConfigs(opt options, configs []benchConfig) ([]result, *telemetry.Re
 		}
 	}
 
-	results := make([]result, len(configs))
-	metrics := make([]*telemetry.DemuxMetrics, len(configs))
+	names := parallel.Disciplines()
+	results := make([]result, len(names))
+	metrics := make([]*telemetry.DemuxMetrics, len(names))
 	reg := telemetry.NewRegistry()
-	for i, c := range configs {
-		results[i] = result{Discipline: c.discipline, Mode: c.mode}
-		metrics[i] = telemetry.NewDemuxMetrics(reg,
-			fmt.Sprintf("%s/%s", c.discipline, c.mode))
+	for i, name := range names {
+		results[i] = result{Discipline: name, Mode: "perpacket"}
+		metrics[i] = telemetry.NewDemuxMetrics(reg, name+"/perpacket")
 	}
 	for r := 0; r < opt.Rounds; r++ {
-		for i, c := range configs {
-			inner, err := parallel.New(c.discipline, core.Config{Chains: opt.Chains})
+		for i, name := range names {
+			inner, err := parallel.New(name, core.Config{Chains: opt.Chains})
 			if err != nil {
-				return nil, nil, host, err
-			}
-			if c.depth >= 0 {
-				if s, ok := inner.(interface{ SetPrefetchDepth(int) }); ok {
-					s.SetPrefetchDepth(c.depth)
-				}
+				return nil, err
 			}
 			d := telemetry.InstrumentConcurrent(inner, metrics[i], nil, nil)
 			for u := 0; u < opt.Users; u++ {
 				if err := d.Insert(core.NewPCB(tpca.UserKey(u))); err != nil {
-					return nil, nil, host, err
+					return nil, err
 				}
 			}
 			before := metrics[i].ExaminedSnapshot()
 			res, err := parallel.MeasureThroughput(d, parallel.ThroughputConfig{
 				Workers: opt.Workers, OpsPerWorker: opt.Ops, Stream: stream,
-				ReadFraction: opt.Read, ChurnKeys: churn, Batch: c.batch,
+				ReadFraction: opt.Read, ChurnKeys: churn,
 				Seed: opt.Seed + uint64(r),
 			})
 			if err != nil {
-				return nil, nil, host, err
+				return nil, err
 			}
 			h := histDiff(metrics[i].ExaminedSnapshot(), before)
 			rd := round{
@@ -326,41 +293,15 @@ func measureConfigs(opt options, configs []benchConfig) ([]result, *telemetry.Re
 			}
 		}
 	}
-	return results, reg, host, nil
-}
-
-// run executes the interleaved measurement and assembles the report.
-func run(opt options) (*report, error) {
-	if opt.Workers <= 0 {
-		opt.Workers = 4 * opt.GoMaxProcs
-	}
-	var configs []benchConfig
-	for _, name := range disciplinesUnder {
-		configs = append(configs, benchConfig{name, "perpacket", 0, -1})
-		if opt.Batch > 1 {
-			configs = append(configs, benchConfig{name, fmt.Sprintf("batch%d", opt.Batch), opt.Batch, -1})
-		}
-	}
-	results, reg, host, err := measureConfigs(opt, configs)
-	if err != nil {
-		return nil, err
-	}
 
 	best := make(map[string]float64)
 	for _, r := range results {
-		if r.Best.LookupsPerSec > best[r.Discipline] {
-			best[r.Discipline] = r.Best.LookupsPerSec
-		}
+		best[r.Discipline] = r.Best.LookupsPerSec
 	}
 	var sum summary
 	if best["locked-sequent"] > 0 {
-		sum.RcuOverLocked = best["rcu-sequent"] / best["locked-sequent"]
+		sum.ShardedOverLocked = best["sharded-sequent"] / best["locked-sequent"]
 	}
-	if best["sharded-sequent"] > 0 {
-		sum.RcuOverSharded = best["rcu-sequent"] / best["sharded-sequent"]
-	}
-	sum.MeetsRcu2xLocked = sum.RcuOverLocked >= 2.0
-	sum.MeetsRcu12xSharded = sum.RcuOverSharded >= 1.2
 
 	return &report{
 		Benchmark:  "parallel TPC/A read-heavy mix (parallel.MeasureThroughput)",
@@ -371,8 +312,8 @@ func run(opt options) (*report, error) {
 		Config: map[string]any{
 			"users": opt.Users, "txnsPerUser": opt.TxnsPer,
 			"readFraction": opt.Read, "workers": opt.Workers,
-			"opsPerWorker": opt.Ops, "batch": opt.Batch,
-			"chains": opt.Chains, "rounds": opt.Rounds, "seed": opt.Seed,
+			"opsPerWorker": opt.Ops, "chains": opt.Chains,
+			"rounds": opt.Rounds, "seed": opt.Seed,
 			"churnKeysPerWorker": opt.ChurnKeys,
 		},
 		Results:   results,

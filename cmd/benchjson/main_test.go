@@ -4,11 +4,13 @@ import (
 	"encoding/json"
 	"slices"
 	"testing"
+
+	"tcpdemux/internal/parallel"
 )
 
 // TestRunSmoke drives a tiny interleaved measurement and checks the
-// report's structure: every discipline measured in both modes, rounds
-// recorded, best rounds populated, ratios computed.
+// report's structure: every discipline measured, rounds recorded, best
+// rounds populated, the ratio computed.
 func TestRunSmoke(t *testing.T) {
 	opt := defaults()
 	opt.Rounds = 2
@@ -17,18 +19,16 @@ func TestRunSmoke(t *testing.T) {
 	opt.Ops = 2000
 	opt.Users = 60
 	opt.TxnsPer = 2
-	opt.Batch = 16
 
 	rep, err := run(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Results) != 2*len(disciplinesUnder) {
+	names := parallel.Disciplines()
+	if len(rep.Results) != len(names) {
 		t.Fatalf("got %d results", len(rep.Results))
 	}
-	seen := map[string]bool{}
 	for _, r := range rep.Results {
-		seen[r.Discipline+"/"+r.Mode] = true
 		if len(r.Rounds) != opt.Rounds {
 			t.Fatalf("%s/%s: %d rounds", r.Discipline, r.Mode, len(r.Rounds))
 		}
@@ -39,15 +39,10 @@ func TestRunSmoke(t *testing.T) {
 			t.Fatalf("%s/%s: implausible examinations %+v", r.Discipline, r.Mode, r.Best)
 		}
 	}
-	for _, d := range disciplinesUnder {
-		if !seen[d+"/perpacket"] || !seen[d+"/batch16"] {
-			t.Fatalf("missing modes for %s: %v", d, seen)
-		}
+	if rep.Summary.ShardedOverLocked <= 0 {
+		t.Fatalf("ratio not computed: %+v", rep.Summary)
 	}
-	if rep.Summary.RcuOverLocked <= 0 || rep.Summary.RcuOverSharded <= 0 {
-		t.Fatalf("ratios not computed: %+v", rep.Summary)
-	}
-	if len(rep.BestRate) != len(disciplinesUnder) {
+	if len(rep.BestRate) != len(names) {
 		t.Fatalf("best rates: %+v", rep.BestRate)
 	}
 
@@ -75,7 +70,6 @@ func TestRunEmbedsTelemetry(t *testing.T) {
 	opt.Ops = 1000
 	opt.Users = 40
 	opt.TxnsPer = 2
-	opt.Batch = 0
 
 	rep, err := run(opt)
 	if err != nil {
@@ -115,18 +109,16 @@ func TestRunEmbedsTelemetry(t *testing.T) {
 }
 
 // TestExactColumnsAtCommittedPoints holds at tolerance 0 what is exact in
-// two host-dependent reports, at their committed operating points: the
-// shard sweep's PCBs per shard and mean PCBs examined per lookup
-// (BENCH_shard.json: n=6000, 200k lookups, seed 7, 19 chains) and the
-// cache workload's cachesim block (BENCH_cache.json: n=6000, seed 7).
-// Both follow from the seed, not the host. One round and no batched rows
-// suffice: every round, and both modes, examine the same PCBs. The
-// committed BENCH_shard.json was measured before the harness stopped
+// the host-dependent shard report, at its committed operating point: the
+// sweep's PCBs per shard and mean PCBs examined per lookup
+// (BENCH_shard.json: n=6000, 200k lookups, seed 7, 19 chains). Both
+// follow from the seed, not the host. One round suffices: every round
+// examines the same PCBs. The committed BENCH_shard.json was measured before the harness stopped
 // crediting the rounding remainder to an idle shard; its examined column
 // differs from these by at most 1e-4.
 func TestExactColumnsAtCommittedPoints(t *testing.T) {
 	opt := defaults()
-	opt.Rounds, opt.Ops, opt.Users, opt.Batch = 1, 200_000, 6000, 0
+	opt.Rounds, opt.Ops, opt.Users = 1, 200_000, 6000
 	rep, err := runShard(opt)
 	if err != nil {
 		t.Fatal(err)
@@ -153,14 +145,5 @@ func TestExactColumnsAtCommittedPoints(t *testing.T) {
 			t.Errorf("%s: PCBs per shard %v, examined %v; want %v, %v",
 				r.Discipline, r.PerShardPCBs, r.Best.MeanExamined, w.pcbs, w.examined)
 		}
-	}
-
-	model, err := modelEstimates(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantModel := []modelEstimate{{"chained-sequent", 158, 3156.9866666666667}, {"flat-window", 1, 40.7545}}
-	if !slices.Equal(model, wantModel) {
-		t.Errorf("cachesim block %+v, want %+v", model, wantModel)
 	}
 }

@@ -14,8 +14,8 @@ import (
 	"tcpdemux/internal/tpca"
 )
 
-// shardResult is one discipline/shard-count/mode configuration's
-// measured rounds. Discipline carries the shard count ("sequent-4q",
+// shardResult is one discipline/shard-count configuration's measured
+// rounds. Every row looks up one key at a time (mode "perpacket"). Discipline carries the shard count ("sequent-4q",
 // "flat-hopscotch-4q"), so a discipline/mode pair names a row as it does
 // in the other reports.
 type shardResult struct {
@@ -113,16 +113,11 @@ func runShard(opt options) (*shardReport, error) {
 	type shardConfig struct {
 		disc   string
 		shards int
-		mode   string
-		batch  int
 	}
 	var configs []shardConfig
 	for _, dn := range shardDisciplines {
 		for _, n := range shardCounts(opt.GoMaxProcs) {
-			configs = append(configs, shardConfig{dn, n, "perpacket", 0})
-			if opt.Batch > 1 {
-				configs = append(configs, shardConfig{dn, n, fmt.Sprintf("batch%d", opt.Batch), opt.Batch})
-			}
+			configs = append(configs, shardConfig{dn, n})
 		}
 	}
 	// The sequent rows keep their original "shards%d/%s" telemetry and
@@ -130,9 +125,9 @@ func runShard(opt options) (*shardReport, error) {
 	// them); the flat rows get discipline-prefixed keys.
 	label := func(c shardConfig) string {
 		if c.disc == "sequent" {
-			return fmt.Sprintf("shards%d/%s", c.shards, c.mode)
+			return fmt.Sprintf("shards%d/perpacket", c.shards)
 		}
-		return fmt.Sprintf("%s/shards%d/%s", c.disc, c.shards, c.mode)
+		return fmt.Sprintf("%s/shards%d/perpacket", c.disc, c.shards)
 	}
 
 	reg := telemetry.NewRegistry()
@@ -141,7 +136,7 @@ func runShard(opt options) (*shardReport, error) {
 	for i, c := range configs {
 		results[i] = shardResult{
 			Discipline: fmt.Sprintf("%s-%dq", c.disc, c.shards),
-			Shards:     c.shards, Mode: c.mode,
+			Shards:     c.shards, Mode: "perpacket",
 		}
 		metrics[i] = telemetry.NewDemuxMetrics(reg, label(c))
 	}
@@ -154,7 +149,6 @@ func runShard(opt options) (*shardReport, error) {
 				Stream:     stream,
 				Keys:       keys,
 				NewDemuxer: sels[c.disc].PerShard(),
-				Batch:      c.batch,
 				SteerKey:   steerKey,
 				Metrics:    metrics[i],
 			})
@@ -183,7 +177,7 @@ func runShard(opt options) (*shardReport, error) {
 	var sum shardSummary
 	for i, res := range results {
 		best[label(configs[i])] = res.Best.LookupsPerSec
-		if configs[i].disc == "sequent" && res.Mode == "perpacket" {
+		if configs[i].disc == "sequent" {
 			switch res.Shards {
 			case 1:
 				sum.ExaminedSingle = res.Best.MeanExamined
@@ -211,8 +205,8 @@ func runShard(opt options) (*shardReport, error) {
 		GoMaxProcs: host.GoMaxProcs,
 		Config: map[string]any{
 			"users": opt.Users, "txnsPerUser": opt.TxnsPer,
-			"totalOps": opt.Ops, "batch": opt.Batch,
-			"chains": opt.Chains, "rounds": opt.Rounds, "seed": opt.Seed,
+			"totalOps": opt.Ops, "chains": opt.Chains,
+			"rounds": opt.Rounds, "seed": opt.Seed,
 			"discipline": "sequent-multiplicative", "steering": "siphash-rss",
 			"disciplines": shardDisciplines,
 			"shardSweep":  shardCounts(opt.GoMaxProcs),

@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	demuxsim [-workload tpca|trains|polling|churn|parallel|lossy|adversarial|sharded|failover]
+//	demuxsim [-workload tpca|trains|polling|churn|lossy|adversarial|sharded|failover]
 //	         [-algos bsd,mtf,sr,sequent] [-n users] [-r response] [-d rtt]
 //	         [-chains n] [-txns perUser] [-seed n] [-drop p] [-dup p]
 //	         [-attack n] [-flood n] [-syncookies=false] [-shards n]
@@ -42,15 +42,8 @@
 // busiest shard of an unfaulted probe run and the fault lands at 40% of
 // the probe's completion time.
 //
-// The parallel workload replays a recorded TPC/A inbound stream through
-// the concurrent locking disciplines (-algos then names disciplines, e.g.
-// locked-sequent,sharded-sequent,rcu-sequent) with -workers goroutines,
-// optionally in -batch sized lookup trains. The cache-conscious
-// open-addressing table is a discipline too (flat-hopscotch): its
-// lookups probe a packed window of 24-byte entries instead of chasing a
-// PCB chain, and in batched mode the train runs through the
-// software-pipelined prefetching path; see cmd/benchjson -workload cache
-// for the measured comparison.
+// The concurrent locking disciplines (one table shared by many
+// goroutines) are measured by cmd/benchjson -workload parallel.
 package main
 
 import (
@@ -59,7 +52,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"strings"
 	"text/tabwriter"
 
@@ -68,8 +60,6 @@ import (
 	"tcpdemux/internal/core"
 	"tcpdemux/internal/discipline"
 	"tcpdemux/internal/engine"
-	"tcpdemux/internal/hashfn"
-	"tcpdemux/internal/parallel"
 	"tcpdemux/internal/rng"
 	"tcpdemux/internal/shard"
 	"tcpdemux/internal/telemetry"
@@ -92,9 +82,6 @@ func main() {
 		txns     = flag.Int("txns", 25, "measured transactions per user")
 		seed     = flag.Uint64("seed", 42, "simulation RNG seed")
 		think    = flag.String("think", "tpca", "think-time law: tpca (truncated exp), exp, const, uniform, or mix (80% 10s exp + 20% 4s exp)")
-		workers  = flag.Int("workers", 4, "parallel workload: concurrent worker goroutines")
-		ops      = flag.Int("ops", 100_000, "parallel workload: operations per worker")
-		batch    = flag.Int("batch", 0, "parallel workload: lookup train length (0 = per-packet)")
 		hash     = flag.String("hash", "multiplicative", "hash function for hashed algorithms (crc32, multiplicative, pearson, add-fold, xor-fold, ports-only)")
 		record   = flag.String("record", "", "record the packet event stream to this trace file (tpca/polling only)")
 		replay   = flag.String("replay", "", "replay a recorded trace file through the algorithms instead of simulating")
@@ -117,9 +104,6 @@ func main() {
 		return
 	}
 	algoList := strings.Split(*algos, ",")
-	if *wlName == "parallel" && !flagWasSet("algos") {
-		algoList = parallel.Disciplines()
-	}
 	reg := telemetry.NewRegistry()
 	serving := false
 	if *metrics != "" {
@@ -134,8 +118,6 @@ func main() {
 	var err error
 	if *replay != "" {
 		err = runReplay(os.Stdout, *replay, algoList, *chains, *hash)
-	} else if *wlName == "parallel" {
-		err = runParallel(os.Stdout, algoList, *users, *txns, *chains, *seed, *workers, *ops, *batch, *hash, reg)
 	} else if *wlName == "lossy" {
 		err = runLossy(os.Stdout, algoList, *users, *txns, *chains, *seed, *drop, *dup, *hash)
 	} else if *wlName == "sharded" {
@@ -159,78 +141,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "run complete; still serving metrics (interrupt to exit)")
 		select {}
 	}
-}
-
-// flagWasSet reports whether the named flag was given on the command line.
-func flagWasSet(name string) bool {
-	set := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == name {
-			set = true
-		}
-	})
-	return set
-}
-
-// runParallel replays a recorded TPC/A inbound stream through each named
-// concurrent locking discipline and prints the measured rates — the
-// command-line face of the BenchmarkParallel/benchjson comparison.
-func runParallel(out io.Writer, names []string, users, txns, chains int, seed uint64, workers, ops, batch int, hashName string, reg *telemetry.Registry) error {
-	if reg == nil {
-		reg = telemetry.NewRegistry()
-	}
-	stream, err := parallel.TPCAStream(users, txns, seed)
-	if err != nil {
-		return err
-	}
-	churnKeys := make([][]core.Key, workers)
-	for w := range churnKeys {
-		base := users + 100 + w*32
-		for i := 0; i < 32; i++ {
-			churnKeys[w] = append(churnKeys[w], tpca.UserKey(base+i))
-		}
-	}
-	mode := "perpacket"
-	if batch > 1 {
-		mode = fmt.Sprintf("batch%d", batch)
-	}
-	fmt.Fprintf(out, "workload=parallel users=%d stream=%d ops workers=%d mode=%s read=0.99 chains=%d GOMAXPROCS=%d\n\n",
-		users, len(stream), workers, mode, chains, runtime.GOMAXPROCS(0))
-	w := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
-	defer w.Flush()
-	fmt.Fprintln(w, "discipline\tns/op\tlookups/sec\tPCBs/pkt\tp50\tp90\tp99\thit-rate")
-	hashFn, err := hashfn.ByName(hashName)
-	if err != nil {
-		return err
-	}
-	for _, name := range names {
-		inner, err := parallel.New(strings.TrimSpace(name), core.Config{Chains: chains, Hash: hashFn})
-		if err != nil {
-			return err
-		}
-		m := telemetry.NewDemuxMetrics(reg, inner.Name())
-		d := telemetry.InstrumentConcurrent(inner, m, nil, nil)
-		for u := 0; u < users; u++ {
-			if err := d.Insert(core.NewPCB(tpca.UserKey(u))); err != nil {
-				return err
-			}
-		}
-		res, err := parallel.MeasureThroughput(d, parallel.ThroughputConfig{
-			Workers: workers, OpsPerWorker: ops, Stream: stream,
-			ReadFraction: 0.99, ChurnKeys: churnKeys, Batch: batch, Seed: seed,
-		})
-		if err != nil {
-			return err
-		}
-		h := m.ExaminedSnapshot()
-		fmt.Fprintf(w, "%s\t%.1f\t%.0f\t%.2f\t%.0f\t%.0f\t%.0f\t%.2f%%\n",
-			d.Name(), res.NsPerOp,
-			float64(res.Stats.Lookups)/res.Elapsed.Seconds(),
-			res.Stats.MeanExamined(),
-			h.Quantile(0.50), h.Quantile(0.90), h.Quantile(0.99),
-			res.Stats.HitRate()*100)
-	}
-	return nil
 }
 
 // runReplay feeds a recorded trace through each named algorithm.

@@ -359,24 +359,6 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
-func TestRunParallelWithTelemetry(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	var b strings.Builder
-	if err := runParallel(&b, []string{"locked-sequent"}, 50, 2, 19, 1, 2, 500, 0, "multiplicative", reg); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	for _, want := range []string{"p50", "p90", "p99", "locked-sequent"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("parallel output missing %q:\n%s", want, out)
-		}
-	}
-	snap := reg.Snapshot()
-	if len(snap.Histograms) == 0 || snap.Histograms[0].Count == 0 {
-		t.Fatal("parallel run recorded no examined observations")
-	}
-}
-
 func TestRunFailoverWorkload(t *testing.T) {
 	var b strings.Builder
 	// Small population so the probe + faulted runs stay fast; the crash

@@ -14,8 +14,8 @@
 // and XTP), and MapDemux (a modern global hash table baseline).
 //
 // Demuxers are not safe for concurrent use; an engine.Stack, which has a
-// single owner, needs none, and internal/parallel and internal/rcu hold
-// the disciplines that are.
+// single owner, needs none, and internal/parallel holds the disciplines
+// that are.
 package core
 
 import (

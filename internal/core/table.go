@@ -57,46 +57,6 @@ type Concurrent interface {
 	Snapshot() Stats
 }
 
-// Batcher is the optional capability of resolving a train of keys in one
-// call. Only tables that gain from it implement it — the flat tables'
-// prefetch pipeline, and observers that must not hide an inner Batcher;
-// everything else is served by LookupBatch's loop, which examines exactly
-// as many PCBs.
-type Batcher interface {
-	// LookupBatch writes one Result per key, in key order, into out
-	// (reused when it has capacity) and returns it. The Result sequence
-	// and the statistics folded are identical to calling Lookup per key
-	// in order.
-	LookupBatch(keys []Key, dir Direction, out []Result) []Result
-}
-
-// LookupBatch resolves a train of keys against t: through t's native
-// batch path when it is a Batcher, otherwise key by key.
-//
-//demux:hotpath
-func LookupBatch(t Table, keys []Key, dir Direction, out []Result) []Result {
-	if b, ok := t.(Batcher); ok {
-		return b.LookupBatch(keys, dir, out)
-	}
-	out = SizeResults(out, len(keys))
-	for i, k := range keys {
-		out[i] = t.Lookup(k, dir)
-	}
-	return out
-}
-
-// SizeResults returns out resliced to n results, reallocating only when
-// its capacity is short — the caller-owned buffer every batch path reuses
-// across trains.
-//
-//demux:hotpath
-func SizeResults(out []Result, n int) []Result {
-	if cap(out) < n {
-		out = make([]Result, n) //demux:allowalloc amortized: grows the caller-owned result buffer once, then reused across trains
-	}
-	return out[:n]
-}
-
 // SnapshotOf returns t's lookup statistics by value under either contract:
 // a Concurrent's Snapshot or a copy of a Demuxer's live Stats. A Table
 // that keeps no statistics of its own (an observer) yields the zero Stats.

@@ -14,9 +14,11 @@
 // so a binary that resolved names through core.New alone would silently
 // lack it unless something else imported flat.
 //
-// The locking disciplines of internal/parallel (locked-sequent,
-// rcu-sequent, ...) are a separate name space with a separate contract
-// (core.Concurrent); parallel.New resolves those.
+// Every name here is a table one goroutine owns, looked up one key at a
+// time. The locking disciplines of internal/parallel (locked-bsd,
+// locked-sequent, sharded-sequent) are a separate name space with a
+// separate contract (core.Concurrent), used only by EXP-PAR's shared-table
+// measurement; parallel.New resolves those.
 package discipline
 
 import (

@@ -48,13 +48,13 @@ func TestPerShardReturnsIndependentTables(t *testing.T) {
 }
 
 // Concurrent (locking-discipline) names are parallel's registry, not this
-// package's: rcu-sequent has no single-writer form to hand a shard, so
-// Select must reject it while parallel.New builds it.
+// package's: sharded-sequent's locks have no place in a table one shard
+// owns, so Select must reject it while parallel.New builds it.
 func TestSelectConcurrentUsesParallelRegistry(t *testing.T) {
-	if _, err := Select("rcu-sequent", "multiplicative", 64); err == nil {
+	if _, err := Select("sharded-sequent", "multiplicative", 64); err == nil {
 		t.Error("single-writer Select accepted a parallel-only name")
 	}
-	if _, err := parallel.New("rcu-sequent", core.Config{Chains: 64}); err != nil {
+	if _, err := parallel.New("sharded-sequent", core.Config{Chains: 64}); err != nil {
 		t.Errorf("parallel.New: %v", err)
 	}
 }

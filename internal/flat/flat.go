@@ -3,15 +3,14 @@
 // memory hierarchy rather than around the paper's list structures.
 //
 // The paper's disciplines (§3.1–3.4) and their descendants under
-// internal/core, internal/parallel and internal/rcu all resolve a lookup
-// by walking a chain — and every chain hop lands on a different cache
-// line, so a lookup that examines E PCBs costs ~E cache lines of memory
+// internal/core and internal/parallel all resolve a lookup by walking a
+// chain — and every chain hop lands on a different cache line, so a lookup that examines E PCBs costs ~E cache lines of memory
 // traffic. After the synchronization work of the earlier PRs, that memory
 // behaviour is the dominant remaining cost (BENCH_parallel.json measures
 // the locked Sequent baseline at ~395 mean examined PCBs per lookup at
 // 6,000 users over 19 chains). This package removes the pointer chase
 // entirely, following the cache-aware forwarding-table layout of Yegorov
-// and the pipelined lookup architecture of Jiang et al. (PAPERS.md):
+// (PAPERS.md):
 //
 //   - Entries are 24-byte fixed-size cells — the 12-byte connection key,
 //     its full 32-bit hash as a scan fingerprint, and a generation-checked
@@ -21,26 +20,20 @@
 //     match.
 //   - Hopscotch keeps every key within a fixed H-slot neighborhood of its
 //     home slot, so a lookup scans one bounded contiguous window.
-//   - LookupBatch software-pipelines a train: while packet i's probe
-//     group is being resolved, the group packet i+k will need is
-//     prefetched (portable shim, see prefetch.go), hiding the memory
-//     latency the per-packet path pays serially.
 //
-// Hopscotch implements core.Demuxer (single-goroutine, like the core
-// algorithms); Concurrent wraps it in a read-write lock with striped
-// statistics and implements core.Concurrent. Both are core.Batchers — the
-// only native batch path in the repository, because it is the only one
-// the committed benchmarks show winning (BENCH_cache.json). The table
-// keeps none of the chained disciplines' one-entry caches: a probe group
-// costs about as much as a cache probe would, so Result.CacheHit is
-// always false and Stats.Hits stays zero.
+// Hopscotch implements core.Demuxer: one goroutine owns it, like the core
+// algorithms, and it resolves one key at a time. It keeps none of the
+// chained disciplines' one-entry caches: a probe group costs about as
+// much as a cache probe would, so Result.CacheHit is always false and
+// Stats.Hits stays zero.
 //
 // Deletions need no tombstones — a lookup scans its fixed neighborhood
 // whether or not holes intervene — so a delete just empties the slot and
 // returns the PCB's slab cell (generation bumped) to the free list.
 //
-// A bucketized cuckoo variant lived here until PR 13; hopscotch dominated
-// it at every committed operating point (EXPERIMENTS.md EXP-CACHE).
+// The table's win is its layout, not batching, and hopscotch beat a
+// bucketized cuckoo layout at every committed operating point
+// (EXPERIMENTS.md EXP-CACHE).
 package flat
 
 import (
@@ -130,12 +123,6 @@ type lentry struct {
 	pcb *core.PCB
 }
 
-// DefaultPrefetchDepth is the batch pipeline depth k: while packet i is
-// resolved, packet i+k's probe group is prefetched. Four groups keeps
-// the pipeline ahead of a load-to-use latency of a few hundred cycles at
-// ~50–100 cycles per resolution without thrashing L1 on short trains.
-const DefaultPrefetchDepth = 4
-
 // hashOf computes an exact key's full hash, used for slot selection and
 // as the entry fingerprint.
 //
@@ -146,19 +133,6 @@ func (t *Hopscotch) hashOf(k core.Key) uint32 {
 	}
 	return t.hash.Hash(k.Tuple())
 }
-
-// SetPrefetchDepth sets the batch pipeline depth k (clamped at 0): while
-// packet i resolves, packet i+k's probe group is prefetched. 0 disables
-// the pipeline; results are identical either way.
-func (t *Hopscotch) SetPrefetchDepth(k int) {
-	if k < 0 {
-		k = 0
-	}
-	t.depth = k
-}
-
-// PrefetchDepth returns the current batch pipeline depth.
-func (t *Hopscotch) PrefetchDepth() int { return t.depth }
 
 // listenInsert registers a wildcard listener, newest first.
 func (t *Hopscotch) listenInsert(p *core.PCB) error {
@@ -220,30 +194,6 @@ func (t *Hopscotch) NotifySend(*core.PCB) {}
 
 // Len implements core.Demuxer.
 func (t *Hopscotch) Len() int { return t.n + len(t.listen) }
-
-// batchScratch is the pooled per-batch state: the precomputed hash of
-// every key in the train and the prefetch sink the shim stores into so
-// the early loads cannot be optimized away.
-type batchScratch struct {
-	hash []uint32
-	sink uint64
-}
-
-// scratchFor fetches (or builds) a scratch sized for n keys.
-func (t *Hopscotch) scratchFor(n int) *batchScratch {
-	s, _ := t.scratch.Get().(*batchScratch)
-	if s == nil {
-		s = &batchScratch{}
-	}
-	if cap(s.hash) < n {
-		s.hash = make([]uint32, n)
-	}
-	s.hash = s.hash[:n]
-	return s
-}
-
-// releaseScratch returns the scratch to the pool.
-func (t *Hopscotch) releaseScratch(s *batchScratch) { t.scratch.Put(s) }
 
 // roundPow2 rounds n up to a power of two, at least min.
 func roundPow2(n, min int) int {

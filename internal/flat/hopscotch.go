@@ -1,8 +1,6 @@
 package flat
 
 import (
-	"sync"
-
 	"tcpdemux/internal/core"
 	"tcpdemux/internal/hashfn"
 )
@@ -18,20 +16,17 @@ const hopRange = 8
 // but with every key guaranteed to sit within hopRange slots of its
 // home. Insertion displaces entries backward toward their own homes to
 // open a slot inside the neighborhood; when it cannot, the table doubles.
-// Lookups therefore probe exactly one bounded window regardless of load,
-// which is what makes the batch prefetch pipeline effective: one
-// prefetch covers everything packet i+k's resolution will touch.
+// Lookups therefore probe exactly one bounded window regardless of load.
 //
 // The table slice carries hopRange-1 spillover slots past the last home
 // so no window ever wraps — windows are always one contiguous range.
 //
-// Not safe for concurrent use; wrap in Concurrent for that.
+// Not safe for concurrent use: one goroutine owns the table.
 type Hopscotch struct {
 	hash hashfn.Func
 	// mult short-circuits hashOf to the concrete (inlinable)
-	// multiplicative hash when hash is the default, as in the rcu table:
-	// an interface call per packet is a real fraction of a one-group
-	// probe.
+	// multiplicative hash when hash is the default: an interface call
+	// per packet is a real fraction of a one-group probe.
 	mult bool
 
 	entries []entry // len = size + hopRange - 1
@@ -42,12 +37,7 @@ type Hopscotch struct {
 	slab   slab
 	listen []lentry
 
-	depth int // prefetch pipeline depth k; 0 disables
 	stats core.Stats
-
-	// scratch pools the per-batch hash buffer and prefetch sink so
-	// concurrent readers of the Concurrent wrapper never share one.
-	scratch sync.Pool
 }
 
 // NewHopscotch builds a hopscotch demultiplexer sized for about capacity
@@ -58,7 +48,7 @@ func NewHopscotch(capacity int, fn hashfn.Func) *Hopscotch {
 	if fn == nil {
 		fn = hashfn.Multiplicative{}
 	}
-	t := &Hopscotch{hash: fn, depth: DefaultPrefetchDepth}
+	t := &Hopscotch{hash: fn}
 	_, t.mult = fn.(hashfn.Multiplicative)
 	t.sizeTo(roundPow2(capacity, 32))
 	return t
@@ -84,16 +74,14 @@ func (t *Hopscotch) window(h uint32) []entry {
 	return t.entries[home : home+hopRange : home+hopRange]
 }
 
-// lookupHashed resolves one packet key whose hash is already computed —
-// the shared probe behind the per-packet and batched paths, so their
-// results and examination accounting are identical by construction.
-// Occupied cells probed count as examined (empty cells are free to skip
-// over — no PCB is touched); a full-window miss falls through to the
-// listener scan.
+// Lookup implements core.Demuxer. Occupied cells probed count as
+// examined (empty cells are free to skip over — no PCB is touched); a
+// full-window miss falls through to the listener scan.
 //
 //demux:hotpath
-func (t *Hopscotch) lookupHashed(k core.Key, h uint32) core.Result {
+func (t *Hopscotch) Lookup(k core.Key, _ core.Direction) core.Result {
 	var r core.Result
+	h := t.hashOf(k)
 	w := t.window(h)
 	for i := range w {
 		if w[i].slot == 0 {
@@ -102,29 +90,13 @@ func (t *Hopscotch) lookupHashed(k core.Key, h uint32) core.Result {
 		r.Examined++
 		if w[i].hash == h && w[i].key == k {
 			r.PCB = t.slab.at(w[i].slot-1, w[i].gen)
+			t.stats.Record(r)
 			return r
 		}
 	}
 	t.listenScan(k, &r)
-	return r
-}
-
-// Lookup implements core.Demuxer.
-//
-//demux:hotpath
-func (t *Hopscotch) Lookup(k core.Key, _ core.Direction) core.Result {
-	r := t.lookupHashed(k, t.hashOf(k))
 	t.stats.Record(r)
 	return r
-}
-
-// LookupRaw is Lookup without the statistics fold: a pure read of the
-// table, safe for concurrent readers while no writer runs — what the
-// Concurrent wrapper's read lock guarantees.
-//
-//demux:hotpath
-func (t *Hopscotch) LookupRaw(k core.Key, _ core.Direction) core.Result {
-	return t.lookupHashed(k, t.hashOf(k))
 }
 
 // Insert implements core.Demuxer. Wildcard keys register listeners;
@@ -268,7 +240,4 @@ func init() {
 	})
 }
 
-var (
-	_ core.Demuxer = (*Hopscotch)(nil)
-	_ core.Batcher = (*Hopscotch)(nil)
-)
+var _ core.Demuxer = (*Hopscotch)(nil)

@@ -24,18 +24,11 @@ func TestMapIterFilter(t *testing.T) {
 	runSilent(t, MapIter(PathPrefixFilter("tcpdemux/internal/core")), "miter")
 }
 
-// TestAtomicPubAccessFixture runs atomicpub over the access-discipline
-// fixture inherited from the retired atomicfield analyzer: same marker,
-// same rule, wider analyzer.
+// TestAtomicPubAccessFixture runs atomicpub over its fixture: plain
+// reads, writes, increments and copies of a marked field are flagged,
+// atomic-wrapper calls and address-of are not.
 func TestAtomicPubAccessFixture(t *testing.T) {
 	runFixture(t, AtomicPub(), "afield")
-}
-
-// TestAtomicPubOrderingFixture exercises the store-before-publish half:
-// writes through a pointer after it was published via Store, Swap, or
-// CompareAndSwap on a marked field.
-func TestAtomicPubOrderingFixture(t *testing.T) {
-	runFixture(t, AtomicPub(), "apub")
 }
 
 func TestSingleWriterFixture(t *testing.T) {
@@ -84,8 +77,7 @@ func TestTelemetryMetricFixture(t *testing.T) {
 
 // TestFlatEntryFixture runs atomicpub and hotalloc together over
 // flat-table-idiom code (packed probe-group entries scanned by zero-alloc
-// hot paths next to striped atomic counters), the combination demuxvet
-// applies to internal/flat.
+// hot paths next to striped atomic counters).
 func TestFlatEntryFixture(t *testing.T) {
 	runFixtureAll(t, []*Analyzer{AtomicPub(), HotAlloc()}, "fentry")
 }

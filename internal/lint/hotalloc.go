@@ -7,8 +7,8 @@ import (
 )
 
 // HotAlloc returns the hotalloc analyzer: a function marked
-// //demux:hotpath (the demuxer Lookup/LookupBatch paths) is meant to be
-// allocation-free — the figure of merit counts memory touches, and a GC
+// //demux:hotpath (the demuxer Lookup paths and the frame path) is meant
+// to be allocation-free — the figure of merit counts memory touches, and a GC
 // allocation in the lookup path would dwarf the chain scan it measures.
 // Flagged constructs:
 //

@@ -1,11 +1,10 @@
 // Package lint is demuxvet: a family of static analyzers that
-// mechanically enforce the repository's determinism, RCU, and hot-path
-// invariants. The reproduction's figure of merit (PCBs examined per
-// inbound packet) is trustworthy only because the simulation is
+// mechanically enforce the repository's determinism, atomic-access, and
+// hot-path invariants. The reproduction's figure of merit (PCBs examined
+// per inbound packet) is trustworthy only because the simulation is
 // deterministic — virtual time driven by Stack.Tick, seeded RNG via
-// internal/rng, and lock-free reads in internal/rcu that are correct only
-// if every chain/cache access goes through atomic publication. These
-// invariants used to live in comments and reviewer memory; this package
+// internal/rng — and because counters shared between goroutines are
+// touched only atomically. These invariants used to live in comments and reviewer memory; this package
 // turns them into machine-checked rules.
 //
 // The API deliberately mirrors golang.org/x/tools/go/analysis (Analyzer,
@@ -23,8 +22,7 @@
 //	mapiter      — no order-sensitive map iteration in result-feeding code
 //	               (//demux:orderinvariant waives)
 //	atomicpub    — fields marked //demux:atomic are touched only via atomic
-//	               operations, and a pointer published through one is never
-//	               written after the Store (//demux:atomicguarded waives)
+//	               operations (//demux:atomicguarded waives)
 //	singlewriter — fields marked //demux:singlewriter(owner=role) are only
 //	               accessed from //demux:owner(role) functions
 //	               (//demux:crossaccess waives)

@@ -128,9 +128,8 @@ func GoFiles(dir string, tags ...string) ([]string, error) {
 // satisfied by the build configuration: host GOOS/GOARCH, the gc
 // compiler, and the given extra tags. With no extra tags demuxvet
 // analyzes each package as a plain `go build` would compile it, so
-// alternate-implementation files selected by opt-in tags (flat's
-// prefetch_off.go, say) don't collide with their default twins during
-// type-checking; with Tags ["race"] the selection matches a `go build
+// alternate-implementation files selected by opt-in tags don't collide
+// with their default twins during type-checking; with Tags ["race"] the selection matches a `go build
 // -race` run (which sets the race tag implicitly), so !race fallbacks
 // drop out and their race-only twins load instead.
 func buildTagOK(name string, tags []string) bool {

@@ -1,4 +1,4 @@
-// Package afield is the atomicfield analyzer fixture: fields marked
+// Package afield is the atomicpub analyzer fixture: fields marked
 // //demux:atomic may only be touched through atomic operations.
 package afield
 

@@ -1,8 +1,7 @@
 // Package fentry is the combined-analyzer fixture for flat-table code:
 // packed probe-group entries scanned by zero-alloc hot paths (hotalloc)
-// next to striped atomic statistics (atomicfield) — the idiom demuxvet
-// applies to internal/flat, where the probe loop must never allocate and
-// the only shared-mutable words are the stripe counters.
+// next to striped atomic statistics (atomicpub), the two rules meeting in
+// one table.
 package fentry
 
 import "sync/atomic"

@@ -5,7 +5,6 @@ import (
 
 	"tcpdemux/internal/core"
 	"tcpdemux/internal/hashfn"
-	"tcpdemux/internal/rcu"
 	"tcpdemux/internal/wire"
 )
 
@@ -54,9 +53,6 @@ func TestConstructorChainGuards(t *testing.T) {
 	for _, h := range []int{0, -7} {
 		if got := core.NewSequentHash(h, nil).NumChains(); got != core.DefaultChains {
 			t.Errorf("NewSequentHash(%d) chains = %d", h, got)
-		}
-		if got := rcu.New(h, nil).NumChains(); got != core.DefaultChains {
-			t.Errorf("rcu.New(%d) chains = %d", h, got)
 		}
 		g := NewGuarded(h, nil, 1)
 		if got := g.NumChains(); got != core.DefaultChains {

@@ -4,28 +4,22 @@
 // second virtue — after shorter scans — is that each chain can carry its
 // own lock, so packets for different chains demultiplex concurrently.
 //
-// Three locking disciplines are provided, in increasing read-path
-// concurrency:
+// Two locking disciplines are provided, the pair [Dov90] contrasts:
 //
 //   - Locked: any core.Demuxer behind one mutex — the global-lock
 //     discipline a single linear list forces, since every lookup walks the
 //     same structure.
 //   - ShardedSequent: the Sequent design with one lock per hash chain plus
 //     a listener lock; lookups for different chains never contend.
-//   - rcu.Demuxer (package tcpdemux/internal/rcu): the read-mostly end
-//     state — lookups take no locks at all, chains are published
-//     copy-on-write through atomic pointers, and only writers serialize.
 //
-// The registry also carries the cache-conscious open-addressing table of
-// package tcpdemux/internal/flat (flat-hopscotch), wrapped in
-// flat.Concurrent's read-write lock: a different trade — shared readers
-// rather than lock-free ones, but probes that touch one contiguous probe
-// group instead of walking a chain, plus the repository's one native
-// core.Batcher, a prefetch-pipelined LookupBatch.
+// Nothing shipped shares a table between goroutines — engine.Stack and
+// shard.StackSet each own theirs — so the two tables exist for EXP-PAR's
+// measurement of what the per-chain locks buy over the global one. The
+// replay harness (TPCAStream, Replay) also drives EXP-SHARD's private
+// tables.
 //
-// All of them satisfy core.Concurrent (which documents the
-// statistics-snapshot and Walk contracts); New builds any of them by
-// name. The throughput benches in bench_test.go (BenchmarkParallel) and
+// Both satisfy core.Concurrent (which documents the statistics-snapshot
+// and Walk contracts); New builds either by name. The throughput benches in bench_test.go (BenchmarkParallel) and
 // the MeasureThroughput harness quantify the contention gap under
 // goroutine load.
 package parallel
@@ -38,9 +32,7 @@ import (
 	"sync/atomic"
 
 	"tcpdemux/internal/core"
-	"tcpdemux/internal/flat"
 	"tcpdemux/internal/hashfn"
-	"tcpdemux/internal/rcu"
 )
 
 // Locked wraps a plain demuxer with a single mutex.
@@ -359,10 +351,6 @@ var disciplines = map[string]func(core.Config) core.Concurrent{
 	"locked-sequent": func(c core.Config) core.Concurrent { return NewLocked(core.NewSequentHash(c.Chains, c.Hash)) },
 	"sharded-sequent": func(c core.Config) core.Concurrent {
 		return NewShardedSequent(c.Chains, c.Hash)
-	},
-	"rcu-sequent": func(c core.Config) core.Concurrent { return rcu.New(c.Chains, c.Hash) },
-	"flat-hopscotch": func(c core.Config) core.Concurrent {
-		return flat.NewConcurrent(flat.NewHopscotch(0, c.Hash))
 	},
 }
 

@@ -7,19 +7,18 @@ import (
 	"testing"
 
 	"tcpdemux/internal/core"
-	"tcpdemux/internal/rcu"
 	"tcpdemux/internal/rng"
 	"tcpdemux/internal/tpca"
 )
 
 // both returns one instance of each locking discipline for conformance
-// runs: global lock, per-chain locks, and the lock-free-read RCU table.
+// runs: the global lock (over a list and over the hash) and per-chain
+// locks.
 func both() []core.Concurrent {
 	return []core.Concurrent{
 		NewLocked(core.NewBSDList()),
 		NewLocked(core.NewSequentHash(19, nil)),
 		NewShardedSequent(19, nil),
-		rcu.New(19, nil),
 	}
 }
 
@@ -214,7 +213,7 @@ func TestWalkSnapshot(t *testing.T) {
 // command-line tools use.
 func TestDisciplineRegistry(t *testing.T) {
 	names := Disciplines()
-	if !sort.StringsAreSorted(names) || len(names) < 4 {
+	if !sort.StringsAreSorted(names) || len(names) < 3 {
 		t.Fatalf("disciplines: %v", names)
 	}
 	for _, name := range names {
@@ -235,7 +234,7 @@ func TestDisciplineRegistry(t *testing.T) {
 }
 
 // TestMeasureThroughput smoke-tests the shared throughput harness on every
-// discipline, batched and not, with a sliver of churn.
+// discipline with a sliver of churn.
 func TestMeasureThroughput(t *testing.T) {
 	stream, err := TPCAStream(60, 4, 1)
 	if err != nil {
@@ -252,29 +251,27 @@ func TestMeasureThroughput(t *testing.T) {
 		}
 	}
 	for _, name := range Disciplines() {
-		for _, batch := range []int{0, 16} {
-			d, err := New(name, core.Config{Chains: 19})
-			if err != nil {
+		d, err := New(name, core.Config{Chains: 19})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 60; i++ {
+			if err := d.Insert(core.NewPCB(tpca.UserKey(i))); err != nil {
 				t.Fatal(err)
 			}
-			for i := 0; i < 60; i++ {
-				if err := d.Insert(core.NewPCB(tpca.UserKey(i))); err != nil {
-					t.Fatal(err)
-				}
-			}
-			res, err := MeasureThroughput(d, ThroughputConfig{
-				Workers: workers, OpsPerWorker: 2000, Stream: stream,
-				ReadFraction: 0.95, ChurnKeys: churn, Batch: batch, Seed: 3,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Ops != workers*2000 || res.OpsPerSec <= 0 {
-				t.Fatalf("%s batch=%d: implausible result %+v", name, batch, res)
-			}
-			if res.Stats.Lookups == 0 || res.Stats.Lookups > uint64(res.Ops) {
-				t.Fatalf("%s batch=%d: implausible stats %+v", name, batch, res.Stats)
-			}
+		}
+		res, err := MeasureThroughput(d, ThroughputConfig{
+			Workers: workers, OpsPerWorker: 2000, Stream: stream,
+			ReadFraction: 0.95, ChurnKeys: churn, Seed: 3,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Ops != workers*2000 || res.OpsPerSec <= 0 {
+			t.Fatalf("%s: implausible result %+v", name, res)
+		}
+		if res.Stats.Lookups == 0 || res.Stats.Lookups > uint64(res.Ops) {
+			t.Fatalf("%s: implausible stats %+v", name, res.Stats)
 		}
 	}
 	if _, err := MeasureThroughput(NewShardedSequent(19, nil), ThroughputConfig{}); err == nil {

@@ -64,9 +64,6 @@ type ThroughputConfig struct {
 	// ReadFraction < 1; keeping the slices disjoint keeps the final PCB
 	// set deterministic.
 	ChurnKeys [][]core.Key
-	// Batch > 1 drives lookups through core.LookupBatch in trains of
-	// this size (a churn operation flushes the pending train first).
-	Batch int
 	// Seed seeds the per-worker operation-mix RNGs.
 	Seed uint64
 }
@@ -121,11 +118,9 @@ type Worker struct {
 }
 
 // run is the replay loop every throughput measurement shares: walk the
-// stream, gather lookups into trains of batch keys (flushed through
-// core.LookupBatch, so a native Batcher is reached however deeply it is
-// wrapped) or issue them one by one, and interleave churn. It returns the
+// stream one lookup at a time and interleave churn. It returns the
 // operations performed.
-func (w Worker) run(batch int, start <-chan struct{}) int {
+func (w Worker) run(start <-chan struct{}) int {
 	if len(w.Stream) == 0 {
 		return 0
 	}
@@ -133,22 +128,10 @@ func (w Worker) run(batch int, start <-chan struct{}) int {
 	if len(w.Churn) > 0 {
 		src = rng.New(w.Seed)
 	}
-	var (
-		keys    []core.Key
-		dir     core.Direction
-		results []core.Result
-		pos     = w.Pos
-	)
-	flush := func() {
-		if len(keys) > 0 {
-			results = core.LookupBatch(w.Table, keys, dir, results)
-			keys = keys[:0]
-		}
-	}
+	pos := w.Pos
 	<-start
 	for i := 0; i < w.Ops; i++ {
 		if src != nil && src.Float64() >= w.Read {
-			flush()
 			k := w.Churn[src.Intn(len(w.Churn))]
 			if !w.Table.Remove(k) {
 				_ = w.Table.Insert(core.NewPCB(k)) // k was just absent from this worker's private churn set
@@ -160,17 +143,8 @@ func (w Worker) run(batch int, start <-chan struct{}) int {
 		if pos == len(w.Stream) {
 			pos = 0
 		}
-		if batch > 1 {
-			dir = op.Dir
-			keys = append(keys, op.Key)
-			if len(keys) >= batch {
-				flush()
-			}
-		} else {
-			w.Table.Lookup(op.Key, op.Dir)
-		}
+		w.Table.Lookup(op.Key, op.Dir)
 	}
-	flush()
 	if w.Done != nil {
 		w.Done()
 	}
@@ -181,7 +155,7 @@ func (w Worker) run(batch int, start <-chan struct{}) int {
 // reports the operations actually performed over the wall-clock window.
 // MeasureThroughput (one shared table × W workers) and shard.MeasureSharded
 // (N private tables × N workers) are both this loop.
-func Replay(workers []Worker, batch int) ThroughputResult {
+func Replay(workers []Worker) ThroughputResult {
 	var (
 		wg    sync.WaitGroup
 		start = make(chan struct{})
@@ -191,7 +165,7 @@ func Replay(workers []Worker, batch int) ThroughputResult {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			ran[i] = workers[i].run(batch, start)
+			ran[i] = workers[i].run(start)
 		}(i)
 	}
 	t0 := time.Now() //demux:wallclock throughput is the one legitimate wall-clock consumer: it reports real elapsed time, not virtual time
@@ -230,7 +204,7 @@ func MeasureThroughput(d core.Concurrent, cfg ThroughputConfig) (ThroughputResul
 			workers[w].Churn = cfg.ChurnKeys[w]
 		}
 	}
-	res := Replay(workers, cfg.Batch)
+	res := Replay(workers)
 	res.Stats = d.Snapshot()
 	return res, nil
 }

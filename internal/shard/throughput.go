@@ -25,8 +25,6 @@ type ThroughputConfig struct {
 	Keys []core.Key
 	// NewDemuxer builds one shard's private discipline. Required.
 	NewDemuxer func(shard int) core.Demuxer
-	// Batch > 1 drives lookups in trains of this size.
-	Batch int
 	// SteerKey is the RSS steering secret (DefaultKeyed if zero-valued
 	// keys are fine for a bench; pass hashfn.DefaultKeyed).
 	SteerKey hashfn.Keyed
@@ -54,8 +52,8 @@ type ThroughputResult struct {
 // locks, no shared mutable state, per-worker LocalDemux observation
 // flushed at exit. The tables are bare single-writer core.Demuxers: in
 // the sharded model each is owned by exactly one worker, so the whole
-// synchronization budget of the parallel disciplines (chain locks, RCU
-// epochs, reader-writer locks) simply disappears from the packet path.
+// synchronization budget of the parallel disciplines (the global lock,
+// the chain locks) simply disappears from the packet path.
 //
 // The Shards=1 run of the same configuration is the single-queue
 // baseline. The speedup at N has two independent sources: core
@@ -120,7 +118,7 @@ func MeasureSharded(cfg ThroughputConfig) (ThroughputResult, error) {
 		}
 	}
 	res := ThroughputResult{
-		ThroughputResult: parallel.Replay(workers, cfg.Batch),
+		ThroughputResult: parallel.Replay(workers),
 		PerShardOps:      shardOps,
 		PerShardPCBs:     pcbs,
 	}

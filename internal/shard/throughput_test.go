@@ -98,10 +98,10 @@ func TestMeasureShardedPartitionEffect(t *testing.T) {
 	}
 }
 
-// TestMeasureShardedBatchAndMetrics drives the batched train path under
-// a LocalDemux observer and checks the observations land in the shared
-// metrics after the per-worker flush.
-func TestMeasureShardedBatchAndMetrics(t *testing.T) {
+// TestMeasureShardedMetrics drives the replay under a LocalDemux
+// observer and checks the observations land in the shared metrics after
+// the per-worker flush.
+func TestMeasureShardedMetrics(t *testing.T) {
 	const users = 512
 	stream, keys := shardBenchInputs(t, users)
 	reg := telemetry.NewRegistry()
@@ -114,7 +114,6 @@ func TestMeasureShardedBatchAndMetrics(t *testing.T) {
 		NewDemuxer: func(int) core.Demuxer {
 			return core.NewSequentHash(0, hashfn.Multiplicative{})
 		},
-		Batch:    32,
 		SteerKey: hashfn.NewKeyed(3, 5),
 		Metrics:  m,
 	})
@@ -122,7 +121,7 @@ func TestMeasureShardedBatchAndMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.Stats.Lookups != uint64(res.Ops) {
-		t.Fatalf("batched Stats.Lookups = %d, want %d", res.Stats.Lookups, res.Ops)
+		t.Fatalf("Stats.Lookups = %d, want %d", res.Stats.Lookups, res.Ops)
 	}
 	if h := m.ExaminedSnapshot(); h.Count != uint64(res.Ops) {
 		t.Fatalf("LocalDemux flushed %d observations, want %d", h.Count, res.Ops)
@@ -142,70 +141,6 @@ func TestMeasureShardedRejectsBadConfig(t *testing.T) {
 	for i, cfg := range bad {
 		if _, err := MeasureSharded(cfg); err == nil {
 			t.Fatalf("config %d accepted, want error", i)
-		}
-	}
-}
-
-// countingBatcher is a single-writer table with a native batch path that
-// counts how it was driven.
-type countingBatcher struct {
-	core.Demuxer
-	trains, batched, single int
-}
-
-func (c *countingBatcher) Lookup(k core.Key, dir core.Direction) core.Result {
-	c.single++
-	return c.Demuxer.Lookup(k, dir)
-}
-
-func (c *countingBatcher) LookupBatch(keys []core.Key, dir core.Direction, out []core.Result) []core.Result {
-	c.trains++
-	c.batched += len(keys)
-	out = core.SizeResults(out, len(keys))
-	for i, k := range keys {
-		out[i] = c.Demuxer.Lookup(k, dir)
-	}
-	return out
-}
-
-// TestMeasureShardedReachesNativeBatcher pins the harness to the table's
-// own batch path: in train mode every lookup must arrive through the
-// core.Batcher, bare or under the LocalDemux observer. (Before PR 13 a
-// private-table shim looped Lookup instead, so BENCH_shard.json's
-// flat-hopscotch batch64 rows never ran the prefetch pipeline.)
-func TestMeasureShardedReachesNativeBatcher(t *testing.T) {
-	stream, keys := shardBenchInputs(t, 256)
-	for _, m := range []*telemetry.DemuxMetrics{
-		nil,
-		telemetry.NewDemuxMetrics(telemetry.NewRegistry(), "native"),
-	} {
-		var tables []*countingBatcher
-		res, err := MeasureSharded(ThroughputConfig{
-			Shards:   2,
-			TotalOps: 4_000,
-			Stream:   stream,
-			Keys:     keys,
-			NewDemuxer: func(int) core.Demuxer {
-				c := &countingBatcher{Demuxer: core.NewMapDemux()}
-				tables = append(tables, c)
-				return c
-			},
-			Batch:    32,
-			SteerKey: hashfn.NewKeyed(3, 5),
-			Metrics:  m,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		trains, batched, single := 0, 0, 0
-		for _, c := range tables {
-			trains += c.trains
-			batched += c.batched
-			single += c.single
-		}
-		if trains == 0 || batched != res.Ops || single != 0 {
-			t.Fatalf("metrics=%v: %d ops arrived as %d trains carrying %d keys plus %d per-key lookups; want every op batched",
-				m != nil, res.Ops, trains, batched, single)
 		}
 	}
 }

@@ -16,11 +16,10 @@ const (
 
 	// histPackShift packs each bucket's observation count above its value
 	// sum in one atomic word, so the hot path pays exactly one atomic add
-	// for count, sum, and bucket placement together (the internal/rcu
-	// stripe idiom, applied per bucket). The drain thresholds transfer the
-	// word to the 64-bit spill counters long before either field can wrap:
-	// the count field at 2^22 observations, the sum field at half its
-	// 40-bit capacity.
+	// for count, sum, and bucket placement together. The drain thresholds
+	// transfer the word to the 64-bit spill counters long before either
+	// field can wrap: the count field at 2^22 observations, the sum field
+	// at half its 40-bit capacity.
 	histPackShift = 40
 	histPackMask  = 1<<histPackShift - 1
 	histDrainAt   = uint64(1) << 62

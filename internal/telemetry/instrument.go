@@ -1,6 +1,6 @@
 // Instrumentation wrappers and metric bundles: the glue between the
-// registry and the structures under internal/core, internal/rcu,
-// internal/parallel, internal/overload, and internal/engine.
+// registry and the structures under internal/core, internal/parallel,
+// internal/overload, and internal/engine.
 //
 // The demuxers themselves stay untouched — instrumentation is a wrapper
 // that observes each lookup's core.Result into a DemuxMetrics bundle
@@ -106,7 +106,7 @@ func (m *DemuxMetrics) Misses() uint64 { return m.miss.Snapshot().Count }
 func (m *DemuxMetrics) WildcardHits() uint64 { return m.wildcard.Snapshot().Count }
 
 // chainIndexer is implemented by chain-hashed demuxers that can name the
-// chain a key maps to (core.SequentHash, rcu.Demuxer); the wrapper uses
+// chain a key maps to (core.SequentHash); the wrapper uses
 // it to fill flight events' Chain field.
 type chainIndexer interface {
 	ChainIndexOf(core.Key) int
@@ -114,7 +114,7 @@ type chainIndexer interface {
 
 // observed is the one instrumentation body behind Demux and Concurrent:
 // it embeds the wrapped table, so the six methods it does not observe are
-// promoted untouched, and overrides Lookup and LookupBatch to record every
+// promoted untouched, and overrides Lookup to record every
 // result into a DemuxMetrics bundle and (optionally) a FlightRecorder. The
 // wrapper is behaviourally transparent: the inner table's own statistics
 // are untouched and remain the source of truth for existing reports.
@@ -141,27 +141,6 @@ func (o *observed) Lookup(k core.Key, dir core.Direction) core.Result {
 		o.recordEvent(k, dir, r)
 	}
 	return r
-}
-
-// LookupBatch implements core.Batcher so instrumentation never hides a
-// native batcher: the train resolves through core.LookupBatch on the inner
-// table and every result is observed, landing batched and per-packet
-// lookups in the same metric bundle. out is reused when it has capacity.
-// The observe-then-maybe-record pair is written out here and in Lookup
-// rather than shared: as a helper it is two calls, past the inliner's
-// budget, and the extra call per key cost the flat table's ~50 ns batch
-// path 4–10 ns on the cache workload.
-//
-//demux:hotpath
-func (o *observed) LookupBatch(keys []core.Key, dir core.Direction, out []core.Result) []core.Result {
-	out = core.LookupBatch(o.Table, keys, dir, out)
-	for i := range out {
-		o.m.Observe(out[i])
-		if o.rec != nil {
-			o.recordEvent(keys[i], dir, out[i])
-		}
-	}
-	return out
 }
 
 // recordEvent builds and records the flight event for one lookup.
@@ -226,7 +205,6 @@ func (c *Concurrent) Snapshot() core.Stats { return c.snapshot() }
 var (
 	_ core.Demuxer    = (*Demux)(nil)
 	_ core.Concurrent = (*Concurrent)(nil)
-	_ core.Batcher    = (*observed)(nil)
 )
 
 // StackMetrics is the engine.Stack instrument bundle: per-reason drop

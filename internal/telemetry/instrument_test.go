@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"tcpdemux/internal/core"
-	"tcpdemux/internal/flat"
 	"tcpdemux/internal/hashfn"
 )
 
@@ -105,46 +104,6 @@ func TestInstrumentDemuxerTransparent(t *testing.T) {
 	d.Walk(func(*core.PCB) bool { n++; return true })
 	if n != 9 {
 		t.Fatalf("Walk visited %d, want 9", n)
-	}
-}
-
-// TestInstrumentDemuxerBatch checks the wrapper's batched path on both
-// shapes of inner demuxer: one with a native LookupBatch (a flat table,
-// which the wrapper must delegate to) and one without (chained Sequent,
-// which falls back to per-key delegation). Metrics must come out
-// identical to observing each lookup individually.
-func TestInstrumentDemuxerBatch(t *testing.T) {
-	inners := []core.Demuxer{
-		core.NewSequentHash(19, nil),
-		flat.NewHopscotch(0, nil),
-	}
-	for _, inner := range inners {
-		r := NewRegistry()
-		m := NewDemuxMetrics(r, inner.Name())
-		fr := NewFlightRecorder(64)
-		d := InstrumentDemuxer(inner, m, fr, nil)
-		for i := uint32(0); i < 10; i++ {
-			if err := d.Insert(core.NewPCB(testKey(i))); err != nil {
-				t.Fatal(err)
-			}
-		}
-		keys := []core.Key{testKey(3), testKey(999), testKey(7)}
-		out := d.LookupBatch(keys, core.DirData, nil)
-		if len(out) != 3 || out[0].PCB == nil || out[1].PCB != nil || out[2].PCB == nil {
-			t.Fatalf("%s: batch results wrong: %+v", inner.Name(), out)
-		}
-		if m.ExaminedSnapshot().Count != 3 || m.Misses() != 1 {
-			t.Fatalf("%s: batch not observed: count=%d misses=%d",
-				inner.Name(), m.ExaminedSnapshot().Count, m.Misses())
-		}
-		if evs := fr.Drain(); len(evs) != 3 || !evs[1].Miss {
-			t.Fatalf("%s: flight events wrong: %+v", inner.Name(), evs)
-		}
-		// out reuse: capacity suffices, no reallocation.
-		again := d.LookupBatch(keys[:1], core.DirAck, out)
-		if &again[0] != &out[:1][0] {
-			t.Fatalf("%s: batch did not reuse caller's buffer", inner.Name())
-		}
 	}
 }
 

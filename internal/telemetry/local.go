@@ -31,7 +31,7 @@ const localCells = 128
 // goroutine, and Flush must be called by that same goroutine (typically
 // deferred at worker exit) before anyone reads the shared histograms.
 // The wrapped inner table — promoted through the embedded core.Table, so
-// only Lookup and LookupBatch are written out here — may be a shared
+// only Lookup is written out here — may be a shared
 // core.Concurrent or a worker's private core.Demuxer; only the
 // observation state is private. For cross-goroutine wrappers or flight
 // recording, use InstrumentConcurrent instead.
@@ -115,16 +115,4 @@ func (l *LocalDemux) Lookup(k core.Key, dir core.Direction) core.Result {
 	r := l.Table.Lookup(k, dir)
 	l.observe(r)
 	return r
-}
-
-// LookupBatch implements core.Batcher over the inner table's own batch
-// path (native or looped), observing each result.
-//
-//demux:hotpath
-func (l *LocalDemux) LookupBatch(keys []core.Key, dir core.Direction, out []core.Result) []core.Result {
-	out = core.LookupBatch(l.Table, keys, dir, out)
-	for i := range out {
-		l.observe(out[i])
-	}
-	return out
 }

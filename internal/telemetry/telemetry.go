@@ -17,10 +17,9 @@
 // Counter.Inc/Add and Histogram.Observe are zero-alloc and effectively
 // contention-free: every metric is striped across a power-of-two array
 // of cache-line-padded slots, and the calling goroutine picks a slot by
-// hashing a stack-local address (the idiom internal/rcu's statistics
-// stripes established). A hot-path update is one or two uncontended
-// atomic adds; folding the stripes into a total happens only at snapshot
-// time. The demuxvet hotalloc analyzer enforces the no-allocation claim
+// hashing a stack-local address. A hot-path update is one or two
+// uncontended atomic adds; folding the stripes into a total happens only
+// at snapshot time. The demuxvet hotalloc analyzer enforces the no-allocation claim
 // on every function marked //demux:hotpath, and atomicpub guards the
 // //demux:atomic slot words.
 //
