@@ -16,8 +16,8 @@ vet:
 
 # lint builds the repository's own analyzer suite (cmd/demuxvet, built on
 # internal/lint) and runs it under the go vet driver over every package,
-# examples/ included. It mechanically enforces the determinism, atomic
-# access, hot-path, and concurrency-contract invariants documented in
+# examples/ included. It mechanically enforces the determinism,
+# hot-path, and concurrency-contract invariants documented in
 # DESIGN.md §9 and §14. lint-fixtures runs first so a broken analyzer fails loudly
 # on its fixture corpus instead of silently passing the real tree.
 lint: lint-fixtures bin/demuxvet
@@ -84,9 +84,10 @@ golden:
 	$(GOLDENS) | while read -r out pkg args; do bin/golden/$${pkg##*/} $$args >> $$out || exit 1; done
 
 # race runs the race detector over the locking disciplines plus the
-# timer-driven engine and the telemetry stripes.
+# timer-driven engine and the telemetry registry, whose atomic words a
+# metrics snapshot reads while their owner writes them.
 race:
-	$(GO) test -race ./internal/parallel ./internal/flat ./internal/engine ./internal/timer ./internal/telemetry
+	$(GO) test -race ./internal/parallel ./internal/engine ./internal/timer ./internal/telemetry
 
 # chaos runs the adversarial conformance suite under the race detector:
 # collision attacks with online rekey (overload), scripted link faults

@@ -482,7 +482,7 @@ var parallelStream struct {
 
 // parallelTPCA is BenchmarkParallelTPCA's body for one discipline,
 // optionally instrumented (a fresh registry per run, so runs never share
-// stripe state).
+// histograms).
 func parallelTPCA(name string, instrumented bool) func(*testing.B) {
 	const users = 1000
 	const readFraction = 0.99

@@ -258,11 +258,10 @@ func run(opt options) (*report, error) {
 	}
 	for r := 0; r < opt.Rounds; r++ {
 		for i, name := range names {
-			inner, err := parallel.New(name, core.Config{Chains: opt.Chains})
+			d, err := parallel.New(name, core.Config{Chains: opt.Chains})
 			if err != nil {
 				return nil, err
 			}
-			d := telemetry.InstrumentConcurrent(inner, metrics[i], nil, nil)
 			for u := 0; u < opt.Users; u++ {
 				if err := d.Insert(core.NewPCB(tpca.UserKey(u))); err != nil {
 					return nil, err
@@ -272,7 +271,7 @@ func run(opt options) (*report, error) {
 			res, err := parallel.MeasureThroughput(d, parallel.ThroughputConfig{
 				Workers: opt.Workers, OpsPerWorker: opt.Ops, Stream: stream,
 				ReadFraction: opt.Read, ChurnKeys: churn,
-				Seed: opt.Seed + uint64(r),
+				Seed: opt.Seed + uint64(r), Metrics: metrics[i],
 			})
 			if err != nil {
 				return nil, err

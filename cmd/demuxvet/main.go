@@ -1,7 +1,6 @@
 // Command demuxvet runs the repository's invariant analyzers
 // (internal/lint): directive, virtualtime, seededrand, mapiter,
-// atomicpub, singlewriter, hotalloc, and stalewaiver. It
-// speaks two protocols:
+// singlewriter, hotalloc, and stalewaiver. It speaks two protocols:
 //
 //	demuxvet ./...                   standalone: walk packages, parse and
 //	                                 type-check from source, report.

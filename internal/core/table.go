@@ -44,7 +44,7 @@ type Table interface {
 // single-writer table has Stats() *Stats, not Snapshot() Stats, so it
 // cannot be handed to a multi-worker harness by mistake.
 //
-// Snapshot folds whatever per-chain or per-stripe counters the discipline
+// Snapshot folds whatever per-chain counters the discipline
 // maintains into one Stats at the moment of the call. A snapshot taken
 // while lookups are in flight is a consistent total — every completed
 // lookup is counted exactly once — but two counters read nanoseconds apart

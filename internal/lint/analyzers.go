@@ -31,7 +31,6 @@ func Default() []*Analyzer {
 		VirtualTime(PathPrefixFilter(VirtualTimePackages...)),
 		SeededRand(),
 		MapIter(nil),
-		AtomicPub(),
 		SingleWriter(),
 		HotAlloc(),
 		StaleWaiver(),

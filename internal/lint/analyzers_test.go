@@ -24,13 +24,6 @@ func TestMapIterFilter(t *testing.T) {
 	runSilent(t, MapIter(PathPrefixFilter("tcpdemux/internal/core")), "miter")
 }
 
-// TestAtomicPubAccessFixture runs atomicpub over its fixture: plain
-// reads, writes, increments and copies of a marked field are flagged,
-// atomic-wrapper calls and address-of are not.
-func TestAtomicPubAccessFixture(t *testing.T) {
-	runFixture(t, AtomicPub(), "afield")
-}
-
 func TestSingleWriterFixture(t *testing.T) {
 	runFixture(t, SingleWriter(), "swriter")
 }
@@ -67,25 +60,22 @@ func TestHotAllocFixture(t *testing.T) {
 	runFixture(t, HotAlloc(), "halloc")
 }
 
-// TestTelemetryMetricFixture runs atomicpub and hotalloc together over
-// telemetry-idiom metric code (striped atomic slots observed by
-// zero-alloc hot paths), the combination demuxvet applies to
-// internal/telemetry.
+// TestTelemetryMetricFixture runs hotalloc over telemetry-idiom metric
+// code (per-bucket atomic words updated by zero-alloc hot paths).
 func TestTelemetryMetricFixture(t *testing.T) {
-	runFixtureAll(t, []*Analyzer{AtomicPub(), HotAlloc()}, "tmetric")
+	runFixture(t, HotAlloc(), "tmetric")
 }
 
-// TestFlatEntryFixture runs atomicpub and hotalloc together over
-// flat-table-idiom code (packed probe-group entries scanned by zero-alloc
-// hot paths next to striped atomic counters).
+// TestFlatEntryFixture runs hotalloc over flat-table-idiom code (packed
+// probe-group entries scanned by zero-alloc hot paths).
 func TestFlatEntryFixture(t *testing.T) {
-	runFixtureAll(t, []*Analyzer{AtomicPub(), HotAlloc()}, "fentry")
+	runFixture(t, HotAlloc(), "fentry")
 }
 
 // TestDirectiveSilentOnWellFormed runs the grammar analyzer over a
 // fixture whose directives are all valid.
 func TestDirectiveSilentOnWellFormed(t *testing.T) {
-	runSilent(t, Directive(), "afield")
+	runSilent(t, Directive(), "swriter")
 }
 
 // TestHotAllocSilentOffHotpath runs hotalloc on the allocation-heavy

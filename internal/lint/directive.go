@@ -9,12 +9,11 @@ import (
 
 // directivePrefix introduces every demuxvet control comment. Three kinds
 // exist: markers, which opt a declaration into extra checking
-// (//demux:hotpath on a function, //demux:atomic on a struct field),
-// parameterized markers, which also name roles
-// (//demux:singlewriter(owner=flush) on a field, //demux:owner(flush) on a
-// function), and waivers, which suppress one finding with a written reason
-// (//demux:wallclock, //demux:globalrand, //demux:orderinvariant,
-// //demux:atomicguarded, //demux:allowalloc, //demux:crossaccess).
+// (//demux:hotpath on a function), parameterized markers, which also name
+// roles (//demux:singlewriter(owner=flush) on a field, //demux:owner(flush)
+// on a function), and waivers, which suppress one finding with a written
+// reason (//demux:wallclock, //demux:globalrand, //demux:orderinvariant,
+// //demux:allowalloc, //demux:crossaccess).
 //
 // Grammar:
 //
@@ -35,7 +34,6 @@ var waiverNames = map[string]string{
 	"wallclock":      "virtualtime",
 	"globalrand":     "seededrand",
 	"orderinvariant": "mapiter",
-	"atomicguarded":  "atomicpub",
 	"allowalloc":     "hotalloc",
 	"crossaccess":    "singlewriter",
 }
@@ -44,7 +42,6 @@ var waiverNames = map[string]string{
 // rather than waive a finding.
 var markerNames = map[string]bool{
 	"hotpath":      true,
-	"atomic":       true,
 	"singlewriter": true,
 	"owner":        true,
 }
@@ -241,7 +238,3 @@ func fieldDirective(f *ast.Field, name string) *directive {
 func funcIsHotpath(fn *ast.FuncDecl) bool {
 	return commentGroupDirective(fn.Doc, "hotpath") != nil
 }
-
-// fieldIsAtomic reports whether a struct field carries the //demux:atomic
-// marker, in its doc comment or as a trailing comment.
-func fieldIsAtomic(f *ast.Field) bool { return fieldDirective(f, "atomic") != nil }

@@ -30,15 +30,15 @@ func TestParseDirective(t *testing.T) {
 		{text: "//demux:owner(flush, drain) both tiers", name: "owner", args: []string{"flush", "drain"}, reason: "both tiers"},
 
 		{text: "//demux:", name: "", errSub: "missing directive name"},
-		{text: "//demux:Atomic", name: "", errSub: "missing directive name"},
-		{text: "//demux:atomic(unclosed", name: "atomic", errSub: "unclosed"},
+		{text: "//demux:Hotpath", name: "", errSub: "missing directive name"},
+		{text: "//demux:owner(unclosed", name: "owner", errSub: "unclosed"},
 		{text: "//demux:singlewriter(owner=)", name: "singlewriter", errSub: "bad value"},
 		{text: "//demux:singlewriter(, owner=a)", name: "singlewriter", errSub: "empty argument"},
 		{text: "//demux:singlewriter(owner=1x)", name: "singlewriter", errSub: "bad value"},
 		{text: "//demux:singlewriter(owner=a, owner=b)", name: "singlewriter", errSub: "duplicate key"},
 		{text: "//demux:owner(9bad)", name: "owner", errSub: "bad positional argument"},
 		{text: "//demux:singlewriter(own er=x)", name: "singlewriter", errSub: "bad argument key"},
-		{text: "//demux:atomic?junk", name: "atomic", errSub: "unexpected"},
+		{text: "//demux:hotpath?junk", name: "hotpath", errSub: "unexpected"},
 	}
 	for _, c := range cases {
 		d, ok := parseDirective(&ast.Comment{Text: c.text})
@@ -82,13 +82,12 @@ func TestDirectiveFixture(t *testing.T) {
 	const f = "dirbad.go"
 	line := func(needle string) int { return fixtureLine(t, "dirbad", f, needle) }
 	assertDiags(t, diags, []diagWant{
-		{line("//demux:atomic(foo)"), "directive", "takes no arguments"},
-		{line("//demux:atomik"), "directive", "unknown directive //demux:atomik"},
+		{line("//demux:singlewritr"), "directive", "unknown directive //demux:singlewritr"},
 		{line("extra=y"), "directive", "exactly one role"},
-		{line("//demux:atomic(unclosed"), "directive", "unclosed"},
+		{line("//demux:singlewriter(unclosed"), "directive", "unclosed"},
 		{line("owner=1x"), "directive", "bad value"},
 		{line("g uint64 //demux:"), "directive", "missing directive name"},
-		{line("h uint64 //demux:atomic"), "directive", "duplicate //demux:atomic on one field"},
+		{line("h uint64 //demux:singlewriter"), "directive", "duplicate //demux:singlewriter on one field"},
 		{line("//demux:owner"), "directive", "one or more positional roles"},
 		{line("//demux:hotpath(fast)"), "directive", "takes no arguments"},
 	})

@@ -14,7 +14,7 @@ import (
 // is validated against the grammar in directive.go and the per-directive
 // argument rules:
 //
-//	hotpath, atomic       no arguments
+//	hotpath               no arguments
 //	waivers               no arguments; free-text reason after the name
 //	singlewriter          exactly one role: (owner=role) or (role)
 //	owner                 one or more positional roles: (role, ...)
@@ -51,7 +51,7 @@ func checkDirective(pass *Pass, d *directive) {
 	}
 	nArgs := len(d.args) + len(d.kv)
 	switch {
-	case isWaiver, d.name == "hotpath", d.name == "atomic":
+	case isWaiver, d.name == "hotpath":
 		if nArgs > 0 {
 			pass.Reportf(d.pos, "//demux:%s takes no arguments", d.name)
 		}

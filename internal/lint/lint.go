@@ -1,11 +1,11 @@
 // Package lint is demuxvet: a family of static analyzers that
-// mechanically enforce the repository's determinism, atomic-access, and
+// mechanically enforce the repository's determinism, single-writer, and
 // hot-path invariants. The reproduction's figure of merit (PCBs examined
 // per inbound packet) is trustworthy only because the simulation is
 // deterministic — virtual time driven by Stack.Tick, seeded RNG via
-// internal/rng — and because counters shared between goroutines are
-// touched only atomically. These invariants used to live in comments and reviewer memory; this package
-// turns them into machine-checked rules.
+// internal/rng — and because single-owner state is touched only by its
+// owner. These invariants used to live in comments and reviewer memory;
+// this package turns them into machine-checked rules.
 //
 // The API deliberately mirrors golang.org/x/tools/go/analysis (Analyzer,
 // Pass, Diagnostic) so the analyzers could be ported to the real driver
@@ -21,8 +21,6 @@
 //	seededrand   — no global math/rand anywhere (//demux:globalrand waives)
 //	mapiter      — no order-sensitive map iteration in result-feeding code
 //	               (//demux:orderinvariant waives)
-//	atomicpub    — fields marked //demux:atomic are touched only via atomic
-//	               operations (//demux:atomicguarded waives)
 //	singlewriter — fields marked //demux:singlewriter(owner=role) are only
 //	               accessed from //demux:owner(role) functions
 //	               (//demux:crossaccess waives)

@@ -12,7 +12,7 @@ import (
 	"testing"
 )
 
-// TestRepoIsClean runs the default analyzer suite — all eight, including
+// TestRepoIsClean runs the default analyzer suite — all seven, including
 // the concurrency-contract analyzers and stalewaiver — over every
 // package in this module and asserts zero findings: the invariants the
 // analyzers enforce must actually hold in the tree that ships them, and
@@ -166,6 +166,57 @@ func TestFramePathPackagesDeclareNoMutex(t *testing.T) {
 					if x, ok := sel.X.(*ast.Ident); ok && x.Name == "sync" &&
 						(sel.Sel.Name == "Mutex" || sel.Sel.Name == "RWMutex") {
 						t.Errorf("%s: sync.%s in a single-owner package", fset.Position(sel.Pos()), sel.Sel.Name)
+					}
+					return true
+				})
+			}
+		}
+	}
+}
+
+// TestAtomicsAreTyped pins that shared words are typed sync/atomic values
+// (atomic.Uint64 and friends): no non-test file in the module calls a
+// package-level sync/atomic function such as atomic.AddUint64(&x, 1). A
+// typed value cannot be read or written plainly, and go vet's copylocks
+// rejects copying one, so the compiler guards what a plain uint64 handed
+// to atomic functions would leave to review.
+func TestAtomicsAreTyped(t *testing.T) {
+	root, err := filepath.Abs(filepath.Join("..", ".."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	for _, pkg := range modulePackages(t, root) {
+		dir := filepath.Join(root, strings.TrimPrefix(pkg, "tcpdemux"))
+		pkgs, err := parser.ParseDir(fset, dir, func(fi fs.FileInfo) bool {
+			return !strings.HasSuffix(fi.Name(), "_test.go")
+		}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range pkgs {
+			for _, file := range p.Files {
+				local := ""
+				for _, imp := range file.Imports {
+					if imp.Path.Value == `"sync/atomic"` {
+						local = "atomic"
+						if imp.Name != nil {
+							local = imp.Name.Name
+						}
+					}
+				}
+				if local == "" {
+					continue
+				}
+				ast.Inspect(file, func(n ast.Node) bool {
+					call, ok := n.(*ast.CallExpr)
+					if !ok {
+						return true
+					}
+					if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
+						if x, ok := sel.X.(*ast.Ident); ok && x.Name == local {
+							t.Errorf("%s: atomic.%s call; use a typed sync/atomic value", fset.Position(call.Pos()), sel.Sel.Name)
+						}
 					}
 					return true
 				})

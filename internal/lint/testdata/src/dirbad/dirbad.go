@@ -6,18 +6,17 @@
 package dirbad
 
 type s struct {
-	a uint64 //demux:atomic(foo)
-	b uint64 //demux:atomik
+	b uint64 //demux:singlewritr(owner=x)
 	c uint64 //demux:singlewriter(owner=x, extra=y)
-	e uint64 //demux:atomic(unclosed
+	e uint64 //demux:singlewriter(unclosed
 	f uint64 //demux:singlewriter(owner=1x)
 	g uint64 //demux:
 
 	// h is doubly marked; only the doc-comment copy is consulted.
-	//demux:atomic
-	h uint64 //demux:atomic
+	//demux:singlewriter(owner=x)
+	h uint64 //demux:singlewriter(owner=y)
 
-	ok uint64 //demux:atomic
+	ok uint64 //demux:singlewriter(owner=x)
 }
 
 //demux:owner

@@ -1,59 +1,41 @@
-// Package tmetric is the combined-analyzer fixture for telemetry-style
-// metric code: striped atomic slots (atomicfield) observed by
-// zero-alloc hot paths (hotalloc), checked by both analyzers in one
-// pass the way demuxvet runs over internal/telemetry.
+// Package tmetric is the hotalloc fixture for telemetry-style metric
+// code: per-bucket atomic words updated by zero-alloc hot paths, the
+// shape demuxvet checks in internal/telemetry.
 package tmetric
 
 import "sync/atomic"
 
-// slot is one stripe: a packed count<<40|sum word, padded to its own
-// cache line.
-type slot struct {
-	packed atomic.Uint64 //demux:atomic
-	_      [7]uint64
-}
-
 type hist struct {
-	slots []slot
-	mask  uint32
-	name  string
+	counts [4]atomic.Uint64
+	sums   [4]atomic.Uint64
+	name   string
 }
 
-// observe is the intended hot-path shape: stripe pick, one atomic add,
-// no allocation, marked field touched only through atomic methods.
+// observe is the intended hot-path shape: two atomic adds, no
+// allocation.
 //
 //demux:hotpath
 func (h *hist) observe(v uint64) {
-	sl := &h.slots[v&uint64(h.mask)]
-	sl.packed.Add(1<<40 + v)
+	h.counts[v&3].Add(1)
+	h.sums[v&3].Add(v)
 }
 
 // observeSnapshotting allocates a result slice on the hot path — the
-// snapshot belongs off the hot path, against the spill counters.
+// snapshot belongs off the hot path.
 //
 //demux:hotpath
 func (h *hist) observeSnapshotting(v uint64) []uint64 {
-	h.slots[0].packed.Add(v)
+	h.counts[0].Add(1)
 	out := make([]uint64, 1) // want `make allocates`
 	out[0] = v
 	return out
 }
 
-// rawRead bypasses the atomic API on a marked field.
-func rawRead(sl *slot) uint64 {
-	var w atomic.Uint64
-	w = sl.packed // want `marked //demux:atomic`
-	_ = w
-	return 0
-}
-
-// snapshotLocked reads under the registry lock, waived with a reason.
-func snapshotLocked(sl *slot) atomic.Uint64 {
-	//demux:atomicguarded fixture: registry mutex held, no concurrent writers
-	return sl.packed
-}
-
-// cold is unmarked: allocation is fine off the hot path.
-func cold(h *hist) []slot {
-	return append([]slot{}, h.slots...)
+// snapshot is unmarked: allocation is fine off the hot path.
+func snapshot(h *hist) []uint64 {
+	out := make([]uint64, len(h.counts))
+	for i := range h.counts {
+		out[i] = h.counts[i].Load()
+	}
+	return out
 }

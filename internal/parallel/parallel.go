@@ -116,8 +116,8 @@ type ShardedSequent struct {
 	listen   []*core.PCB
 
 	// misses and wildcardHits are updated on the (rare) listener path.
-	misses       atomic.Uint64 //demux:atomic
-	wildcardHits atomic.Uint64 //demux:atomic
+	misses       atomic.Uint64
+	wildcardHits atomic.Uint64
 }
 
 // shard is one chain plus its lock and statistics. The stats padding is a

@@ -8,6 +8,7 @@ import (
 
 	"tcpdemux/internal/core"
 	"tcpdemux/internal/rng"
+	"tcpdemux/internal/telemetry"
 	"tcpdemux/internal/tpca"
 )
 
@@ -234,7 +235,9 @@ func TestDisciplineRegistry(t *testing.T) {
 }
 
 // TestMeasureThroughput smoke-tests the shared throughput harness on every
-// discipline with a sliver of churn.
+// discipline with a sliver of churn, observed through per-worker
+// LocalDemux wrappers whose flushed counts must equal the lookups the
+// table performed.
 func TestMeasureThroughput(t *testing.T) {
 	stream, err := TPCAStream(60, 4, 1)
 	if err != nil {
@@ -260,9 +263,10 @@ func TestMeasureThroughput(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		m := telemetry.NewDemuxMetrics(telemetry.NewRegistry(), name)
 		res, err := MeasureThroughput(d, ThroughputConfig{
 			Workers: workers, OpsPerWorker: 2000, Stream: stream,
-			ReadFraction: 0.95, ChurnKeys: churn, Seed: 3,
+			ReadFraction: 0.95, ChurnKeys: churn, Seed: 3, Metrics: m,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -272,6 +276,9 @@ func TestMeasureThroughput(t *testing.T) {
 		}
 		if res.Stats.Lookups == 0 || res.Stats.Lookups > uint64(res.Ops) {
 			t.Fatalf("%s: implausible stats %+v", name, res.Stats)
+		}
+		if got := m.Lookups(); got != res.Stats.Lookups {
+			t.Fatalf("%s: LocalDemux flushed %d observations, want %d", name, got, res.Stats.Lookups)
 		}
 	}
 	if _, err := MeasureThroughput(NewShardedSequent(19, nil), ThroughputConfig{}); err == nil {

@@ -8,6 +8,7 @@ import (
 
 	"tcpdemux/internal/core"
 	"tcpdemux/internal/rng"
+	"tcpdemux/internal/telemetry"
 	"tcpdemux/internal/tpca"
 )
 
@@ -66,6 +67,9 @@ type ThroughputConfig struct {
 	ChurnKeys [][]core.Key
 	// Seed seeds the per-worker operation-mix RNGs.
 	Seed uint64
+	// Metrics, when non-nil, receives each worker's LocalDemux
+	// observations (flushed at worker exit, the single-writer contract).
+	Metrics *telemetry.DemuxMetrics
 }
 
 func (c ThroughputConfig) validate() error {
@@ -112,17 +116,21 @@ type Worker struct {
 	Churn []core.Key
 	Read  float64
 	Seed  uint64
-	// Done, when non-nil, runs on the worker's goroutine after its last
-	// operation, inside the measured section (a LocalDemux flush).
-	Done func()
 }
 
 // run is the replay loop every throughput measurement shares: walk the
-// stream one lookup at a time and interleave churn. It returns the
+// stream one lookup at a time and interleave churn. With m non-nil the
+// lookups go through the worker's own LocalDemux, flushed into m after
+// the last operation, inside the measured section. It returns the
 // operations performed.
-func (w Worker) run(start <-chan struct{}) int {
+func (w Worker) run(start <-chan struct{}, m *telemetry.DemuxMetrics) int {
 	if len(w.Stream) == 0 {
 		return 0
+	}
+	if m != nil {
+		l := telemetry.InstrumentLocal(w.Table, m)
+		defer l.Flush()
+		w.Table = l
 	}
 	var src *rng.Source
 	if len(w.Churn) > 0 {
@@ -145,17 +153,15 @@ func (w Worker) run(start <-chan struct{}) int {
 		}
 		w.Table.Lookup(op.Key, op.Dir)
 	}
-	if w.Done != nil {
-		w.Done()
-	}
 	return w.Ops
 }
 
 // Replay runs every worker on its own goroutine, released together, and
-// reports the operations actually performed over the wall-clock window.
+// reports the operations actually performed over the wall-clock window;
+// m, when non-nil, receives every worker's lookup observations.
 // MeasureThroughput (one shared table × W workers) and shard.MeasureSharded
 // (N private tables × N workers) are both this loop.
-func Replay(workers []Worker) ThroughputResult {
+func Replay(workers []Worker, m *telemetry.DemuxMetrics) ThroughputResult {
 	var (
 		wg    sync.WaitGroup
 		start = make(chan struct{})
@@ -165,7 +171,7 @@ func Replay(workers []Worker) ThroughputResult {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			ran[i] = workers[i].run(start)
+			ran[i] = workers[i].run(start, m)
 		}(i)
 	}
 	t0 := time.Now() //demux:wallclock throughput is the one legitimate wall-clock consumer: it reports real elapsed time, not virtual time
@@ -204,7 +210,7 @@ func MeasureThroughput(d core.Concurrent, cfg ThroughputConfig) (ThroughputResul
 			workers[w].Churn = cfg.ChurnKeys[w]
 		}
 	}
-	res := Replay(workers)
+	res := Replay(workers, cfg.Metrics)
 	res.Stats = d.Snapshot()
 	return res, nil
 }

@@ -112,13 +112,9 @@ func MeasureSharded(cfg ThroughputConfig) (ThroughputResult, error) {
 
 	for i := range workers {
 		workers[i].Table, workers[i].Ops = demux[i], shardOps[i]
-		if cfg.Metrics != nil {
-			l := telemetry.InstrumentLocal(demux[i], cfg.Metrics)
-			workers[i].Table, workers[i].Done = l, l.Flush
-		}
 	}
 	res := ThroughputResult{
-		ThroughputResult: parallel.Replay(workers),
+		ThroughputResult: parallel.Replay(workers, cfg.Metrics),
 		PerShardOps:      shardOps,
 		PerShardPCBs:     pcbs,
 	}

@@ -14,55 +14,23 @@ const (
 	// repo produces.
 	histBuckets = 28
 
-	// histPackShift packs each bucket's observation count above its value
-	// sum in one atomic word, so the hot path pays exactly one atomic add
-	// for count, sum, and bucket placement together. The drain thresholds
-	// transfer the word to the 64-bit spill counters long before either
-	// field can wrap: the count field at 2^22 observations, the sum field
-	// at half its 40-bit capacity.
-	histPackShift = 40
-	histPackMask  = 1<<histPackShift - 1
-	histDrainAt   = uint64(1) << 62
-	histSumDrain  = uint64(1) << 39
-
-	// histMaxObserve clamps observations so a single value cannot
-	// overflow the packed sum field.
+	// histMaxObserve clamps observations; it is also the last bucket's
+	// reported upper bound.
 	histMaxObserve = uint64(1)<<32 - 1
 )
 
-// histSlot is one stripe of a histogram: per-bucket packed count/sum
-// words, their spill counters, and a running maximum. The arrays are
-// atomic by construction (every element is only touched through
-// atomic.Uint64 methods) but deliberately unmarked: the atomicfield
-// analyzer recognizes direct field access, not indexed element access.
-// The trailing pad rounds the slot to whole cache lines so neighbouring
-// stripes never share one.
-type histSlot struct {
-	buckets    [histBuckets]atomic.Uint64
-	spillCount [histBuckets]atomic.Uint64
-	spillSum   [histBuckets]atomic.Uint64
-	max        atomic.Int64 //demux:atomic
-	_          [3]uint64
-}
-
-// Histogram is a striped log2-bucketed histogram of uint64 observations
-// (PCBs examined per packet, chain lengths). Observe is zero-alloc and
-// pays a single uncontended atomic add on the hot path.
+// Histogram is a log2-bucketed histogram of uint64 observations (PCBs
+// examined per packet, chain lengths): a count word and a sum word per
+// bucket, and a running maximum. Observe is zero-alloc. A histogram's
+// writer is the goroutine that owns what it measures; LocalDemux flushes
+// from several workers may meet on one histogram, which is why every
+// word is an atomic add and the maximum a compare-and-swap.
 type Histogram struct {
 	name   string
 	labels []Label
-	slots  []histSlot
-	mask   uint32
-}
-
-// newHistogram builds a histogram with stripes slots.
-func newHistogram(name string, labels []Label, stripes int) *Histogram {
-	return &Histogram{
-		name:   name,
-		labels: labels,
-		slots:  make([]histSlot, stripes),
-		mask:   uint32(stripes - 1),
-	}
+	counts [histBuckets]atomic.Uint64
+	sums   [histBuckets]atomic.Uint64
+	max    atomic.Uint64
 }
 
 // Name returns the histogram's metric name.
@@ -99,36 +67,27 @@ func BucketLower(i int) uint64 {
 	return 1 << uint(i-1)
 }
 
-// Observe records one value: one atomic add on the bucket's packed
-// count/sum word, plus a (rarely-written) running-max check.
+// Observe records one value.
 //
 //demux:hotpath
 func (h *Histogram) Observe(v uint64) {
 	if v > histMaxObserve {
 		v = histMaxObserve
 	}
-	sl := &h.slots[stripeIdx(h.mask)]
 	b := bucketOf(v)
-	p := sl.buckets[b].Add(1<<histPackShift + v)
-	if p >= histDrainAt || p&histPackMask >= histSumDrain {
-		// Only the CAS winner transfers p; a racer's CAS fails harmlessly
-		// and the next observation re-triggers the drain.
-		if sl.buckets[b].CompareAndSwap(p, 0) {
-			sl.spillCount[b].Add(p >> histPackShift)
-			sl.spillSum[b].Add(p & histPackMask)
-		}
-	}
-	sl.bumpMax(int64(v))
+	h.counts[b].Add(1)
+	h.sums[b].Add(v)
+	h.bumpMax(v)
 }
 
-// bumpMax raises the slot's running maximum to at least v. The common
-// case is a single atomic load and a not-taken branch.
+// bumpMax raises the running maximum to at least v. The common case is
+// a single atomic load and a not-taken branch.
 //
 //demux:hotpath
-func (sl *histSlot) bumpMax(v int64) {
+func (h *Histogram) bumpMax(v uint64) {
 	for {
-		cur := sl.max.Load()
-		if v <= cur || sl.max.CompareAndSwap(cur, v) {
+		cur := h.max.Load()
+		if v <= cur || h.max.CompareAndSwap(cur, v) {
 			return
 		}
 	}
@@ -144,25 +103,18 @@ type HistogramSnapshot struct {
 	Bucket []uint64 `json:"buckets"`
 }
 
-// Snapshot folds every stripe into one snapshot.
+// Snapshot captures the histogram's current state.
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	s := HistogramSnapshot{
 		Name:   h.name,
 		Labels: h.labels,
+		Max:    h.max.Load(),
 		Bucket: make([]uint64, histBuckets),
 	}
-	for i := range h.slots {
-		sl := &h.slots[i]
-		for b := 0; b < histBuckets; b++ {
-			p := sl.buckets[b].Load()
-			c := sl.spillCount[b].Load() + p>>histPackShift
-			s.Bucket[b] += c
-			s.Count += c
-			s.Sum += sl.spillSum[b].Load() + p&histPackMask
-		}
-		if m := uint64(sl.max.Load()); m > s.Max {
-			s.Max = m
-		}
+	for b := range s.Bucket {
+		s.Bucket[b] = h.counts[b].Load()
+		s.Count += s.Bucket[b]
+		s.Sum += h.sums[b].Load()
 	}
 	return s
 }

@@ -1,12 +1,10 @@
-// Instrumentation wrappers and metric bundles: the glue between the
-// registry and the structures under internal/core, internal/parallel,
-// internal/overload, and internal/engine.
+// Metric bundles: the glue between the registry and the structures
+// under internal/core, internal/overload, internal/engine, internal/shard
+// and internal/server.
 //
-// The demuxers themselves stay untouched — instrumentation is a wrapper
-// that observes each lookup's core.Result into a DemuxMetrics bundle
-// (and optionally the flight recorder), so an uninstrumented table pays
-// nothing and an instrumented one pays a couple of uncontended atomic
-// adds per lookup.
+// The demuxers themselves stay untouched — a lookup's core.Result is
+// observed into a DemuxMetrics bundle by its caller, directly or through
+// a LocalDemux wrapper, so an uninstrumented table pays nothing.
 package telemetry
 
 import (
@@ -15,57 +13,66 @@ import (
 	"tcpdemux/internal/core"
 )
 
+// Lookup outcomes, the index into DemuxMetrics' per-outcome histograms.
+const (
+	outcomeHit = iota
+	outcomeFound
+	outcomeMiss
+	outcomeWildcard
+	outcomeCount
+)
+
+// outcomeOf classifies a lookup result. Unlike core.Stats.Record, which
+// keeps overlapping tallies, the classes are mutually exclusive (miss,
+// else wildcard match, else cache hit, else plain chain hit) so the
+// per-outcome counts sum to the lookup count.
+//
+//demux:hotpath
+func outcomeOf(r core.Result) int {
+	switch {
+	case r.PCB == nil:
+		return outcomeMiss
+	case r.Wildcard:
+		return outcomeWildcard
+	case r.CacheHit:
+		return outcomeHit
+	}
+	return outcomeFound
+}
+
 // DemuxMetrics is the per-discipline lookup instrument bundle: one
 // examined-PCBs histogram per lookup outcome, labeled by discipline and
-// outcome. Fusing the hit/miss classification into the histogram choice
-// means Observe pays exactly one atomic add per lookup (the histogram's
-// packed bucket word) instead of a histogram update plus a separate
-// classification counter — that second uncontended RMW alone was worth
-// ~7ns/op on BenchmarkParallelTPCA, well over the 5% overhead budget.
-// The per-outcome counts (cache hits, misses, wildcard matches) fall out
-// of the histogram counts for free, and the conditional distributions
-// tell the paper's story directly: misses walk the whole chain, cache
-// hits stop at the head.
+// outcome. Fusing the outcome into the histogram choice means a lookup
+// pays one histogram update instead of a histogram update plus a
+// classification counter. The per-outcome counts (cache hits, misses,
+// wildcard matches) fall out of the histogram counts for free, and the
+// conditional distributions tell the paper's story directly: misses walk
+// the whole chain, cache hits stop at the head.
 type DemuxMetrics struct {
-	hit      *Histogram
-	found    *Histogram
-	miss     *Histogram
-	wildcard *Histogram
+	h [outcomeCount]*Histogram
 }
 
 // NewDemuxMetrics registers (or finds) the demux metric family for one
 // discipline label.
 func NewDemuxMetrics(r *Registry, discipline string) *DemuxMetrics {
-	h := func(outcome string) *Histogram {
-		return r.Histogram("demux_examined_pcbs",
+	m := &DemuxMetrics{}
+	for o, outcome := range [outcomeCount]string{
+		outcomeHit:      "hit",
+		outcomeFound:    "found",
+		outcomeMiss:     "miss",
+		outcomeWildcard: "wildcard",
+	} {
+		m.h[o] = r.Histogram("demux_examined_pcbs",
 			L("discipline", discipline), L("outcome", outcome))
 	}
-	return &DemuxMetrics{
-		hit:      h("hit"),
-		found:    h("found"),
-		miss:     h("miss"),
-		wildcard: h("wildcard"),
-	}
+	return m
 }
 
-// Observe folds one lookup result into the bundle. Unlike
-// core.Stats.Record, which keeps overlapping tallies, the outcome
-// classes here are mutually exclusive (miss, else wildcard match, else
-// cache hit, else plain chain hit) so the per-outcome counts sum to the
-// lookup count.
+// Observe folds one lookup result into the bundle.
 //
 //demux:hotpath
 func (m *DemuxMetrics) Observe(r core.Result) {
-	h := m.found
-	switch {
-	case r.PCB == nil:
-		h = m.miss
-	case r.Wildcard:
-		h = m.wildcard
-	case r.CacheHit:
-		h = m.hit
-	}
-	h.Observe(uint64(r.Examined))
+	m.h[outcomeOf(r)].Observe(uint64(r.Examined))
 }
 
 // ExaminedSnapshot merges the per-outcome histograms into the overall
@@ -73,10 +80,10 @@ func (m *DemuxMetrics) Observe(r core.Result) {
 func (m *DemuxMetrics) ExaminedSnapshot() HistogramSnapshot {
 	merged := HistogramSnapshot{
 		Name:   "demux_examined_pcbs",
-		Labels: m.found.labels[:1:1], // discipline only
+		Labels: m.h[outcomeFound].labels[:1:1], // discipline only
 		Bucket: make([]uint64, histBuckets),
 	}
-	for _, h := range []*Histogram{m.hit, m.found, m.miss, m.wildcard} {
+	for _, h := range m.h {
 		s := h.Snapshot()
 		merged.Count += s.Count
 		merged.Sum += s.Sum
@@ -91,121 +98,16 @@ func (m *DemuxMetrics) ExaminedSnapshot() HistogramSnapshot {
 }
 
 // Lookups returns the total observed lookup count.
-func (m *DemuxMetrics) Lookups() uint64 {
-	return m.hit.Snapshot().Count + m.found.Snapshot().Count +
-		m.miss.Snapshot().Count + m.wildcard.Snapshot().Count
-}
+func (m *DemuxMetrics) Lookups() uint64 { return m.ExaminedSnapshot().Count }
 
 // Hits returns the observed cache-hit count.
-func (m *DemuxMetrics) Hits() uint64 { return m.hit.Snapshot().Count }
+func (m *DemuxMetrics) Hits() uint64 { return m.h[outcomeHit].Snapshot().Count }
 
 // Misses returns the observed miss count.
-func (m *DemuxMetrics) Misses() uint64 { return m.miss.Snapshot().Count }
+func (m *DemuxMetrics) Misses() uint64 { return m.h[outcomeMiss].Snapshot().Count }
 
 // WildcardHits returns the observed wildcard-match count.
-func (m *DemuxMetrics) WildcardHits() uint64 { return m.wildcard.Snapshot().Count }
-
-// chainIndexer is implemented by chain-hashed demuxers that can name the
-// chain a key maps to (core.SequentHash); the wrapper uses
-// it to fill flight events' Chain field.
-type chainIndexer interface {
-	ChainIndexOf(core.Key) int
-}
-
-// observed is the one instrumentation body behind Demux and Concurrent:
-// it embeds the wrapped table, so the six methods it does not observe are
-// promoted untouched, and overrides Lookup to record every
-// result into a DemuxMetrics bundle and (optionally) a FlightRecorder. The
-// wrapper is behaviourally transparent: the inner table's own statistics
-// are untouched and remain the source of truth for existing reports.
-type observed struct {
-	core.Table
-	m      *DemuxMetrics
-	rec    *FlightRecorder
-	now    func() float64
-	chains chainIndexer // nil when the table has no chain notion
-}
-
-func newObserved(inner core.Table, m *DemuxMetrics, rec *FlightRecorder, now func() float64) observed {
-	ci, _ := inner.(chainIndexer)
-	return observed{Table: inner, m: m, rec: rec, now: now, chains: ci}
-}
-
-// Lookup observes the inner table's result on the way out.
-//
-//demux:hotpath
-func (o *observed) Lookup(k core.Key, dir core.Direction) core.Result {
-	r := o.Table.Lookup(k, dir)
-	o.m.Observe(r)
-	if o.rec != nil {
-		o.recordEvent(k, dir, r)
-	}
-	return r
-}
-
-// recordEvent builds and records the flight event for one lookup.
-//
-//demux:hotpath
-func (o *observed) recordEvent(k core.Key, dir core.Direction, r core.Result) {
-	t := 0.0
-	if o.now != nil {
-		t = o.now()
-	}
-	chain := int32(-1)
-	if o.chains != nil {
-		chain = int32(o.chains.ChainIndexOf(k))
-	}
-	o.rec.Record(Event{
-		Time:       t,
-		Tuple:      k.Tuple(),
-		Discipline: o.Name(),
-		Chain:      chain,
-		Examined:   int32(r.Examined),
-		Hit:        r.CacheHit,
-		Wildcard:   r.PCB != nil && r.Wildcard,
-		Miss:       r.PCB == nil,
-		Ack:        dir == core.DirAck,
-	})
-}
-
-// Demux is an instrumented single-goroutine table: observed plus the inner
-// demuxer's live Stats, which is all that separates core.Demuxer from
-// core.Concurrent.
-type Demux struct {
-	observed
-	stats *core.Stats
-}
-
-// InstrumentDemuxer wraps inner. m is required; rec may be nil to skip
-// flight recording; now supplies flight events' virtual timestamps (nil
-// records Time 0, leaving ordering to Seq).
-func InstrumentDemuxer(inner core.Demuxer, m *DemuxMetrics, rec *FlightRecorder, now func() float64) *Demux {
-	return &Demux{observed: newObserved(inner, m, rec, now), stats: inner.Stats()}
-}
-
-// Stats implements core.Demuxer (the inner demuxer's live counters).
-func (d *Demux) Stats() *core.Stats { return d.stats }
-
-// Concurrent is an instrumented goroutine-safe table. Safe for concurrent
-// use when the inner table is: the metric bundle and recorder are striped.
-type Concurrent struct {
-	observed
-	snapshot func() core.Stats
-}
-
-// InstrumentConcurrent wraps inner; rec and now are optional as in
-// InstrumentDemuxer.
-func InstrumentConcurrent(inner core.Concurrent, m *DemuxMetrics, rec *FlightRecorder, now func() float64) *Concurrent {
-	return &Concurrent{observed: newObserved(inner, m, rec, now), snapshot: inner.Snapshot}
-}
-
-// Snapshot implements core.Concurrent (the inner table's own statistics).
-func (c *Concurrent) Snapshot() core.Stats { return c.snapshot() }
-
-var (
-	_ core.Demuxer    = (*Demux)(nil)
-	_ core.Concurrent = (*Concurrent)(nil)
-)
+func (m *DemuxMetrics) WildcardHits() uint64 { return m.h[outcomeWildcard].Snapshot().Count }
 
 // StackMetrics is the engine.Stack instrument bundle: per-reason drop
 // counters, the SYN-cookie handshake counters, and the lifecycle-timer

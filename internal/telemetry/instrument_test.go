@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"tcpdemux/internal/core"
-	"tcpdemux/internal/hashfn"
 )
 
 func testKey(n uint32) core.Key {
@@ -47,71 +46,6 @@ func TestDemuxMetricsClassification(t *testing.T) {
 			t.Fatalf("outcome %q count %d, want 1 (%v)", o, outcomes[o], outcomes)
 		}
 	}
-}
-
-// TestInstrumentDemuxerTransparent checks the wrapper returns exactly
-// what the inner demuxer returns while observing each lookup, and fills
-// the flight recorder with real chain indices for chain-hashed inners.
-func TestInstrumentDemuxerTransparent(t *testing.T) {
-	inner := core.NewSequentHash(19, hashfn.Multiplicative{})
-	r := NewRegistry()
-	m := NewDemuxMetrics(r, inner.Name())
-	fr := NewFlightRecorder(64)
-	vt := 0.0
-	d := InstrumentDemuxer(inner, m, fr, func() float64 { vt += 1; return vt })
-
-	for i := uint32(0); i < 10; i++ {
-		if err := d.Insert(core.NewPCB(testKey(i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if d.Len() != 10 || d.Name() != inner.Name() {
-		t.Fatalf("delegation broken: len=%d name=%q", d.Len(), d.Name())
-	}
-	hit := d.Lookup(testKey(3), core.DirData)
-	if hit.PCB == nil {
-		t.Fatalf("lookup through wrapper missed an inserted key")
-	}
-	miss := d.Lookup(testKey(999), core.DirAck)
-	if miss.PCB != nil {
-		t.Fatalf("lookup through wrapper fabricated a PCB")
-	}
-	if m.ExaminedSnapshot().Count != 2 || m.Misses() != 1 {
-		t.Fatalf("wrapper did not observe both lookups")
-	}
-
-	evs := fr.Drain()
-	if len(evs) != 2 {
-		t.Fatalf("flight recorder captured %d events, want 2", len(evs))
-	}
-	if evs[0].Chain < 0 || evs[0].Discipline != inner.Name() {
-		t.Fatalf("chain index not captured from chainIndexer: %+v", evs[0])
-	}
-	if evs[0].Chain != int32(inner.ChainIndexOf(testKey(3))) {
-		t.Fatalf("chain %d != ChainIndexOf %d", evs[0].Chain, inner.ChainIndexOf(testKey(3)))
-	}
-	if !evs[1].Miss || !evs[1].Ack {
-		t.Fatalf("second event should be an ack miss: %+v", evs[1])
-	}
-	if evs[0].Time != 1 || evs[1].Time != 2 {
-		t.Fatalf("virtual timestamps not threaded: %g, %g", evs[0].Time, evs[1].Time)
-	}
-
-	if !d.Remove(testKey(3)) || d.Len() != 9 {
-		t.Fatalf("Remove delegation broken")
-	}
-	n := 0
-	d.Walk(func(*core.PCB) bool { n++; return true })
-	if n != 9 {
-		t.Fatalf("Walk visited %d, want 9", n)
-	}
-}
-
-func TestInstrumentDemuxerNilRecorder(t *testing.T) {
-	inner := core.NewSequentHash(7, nil)
-	r := NewRegistry()
-	d := InstrumentDemuxer(inner, NewDemuxMetrics(r, "x"), nil, nil)
-	d.Lookup(testKey(1), core.DirData) // must not panic without recorder/clock
 }
 
 func TestStackMetricsRegistersDropReasons(t *testing.T) {

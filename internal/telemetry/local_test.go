@@ -8,54 +8,39 @@ import (
 	"tcpdemux/internal/hashfn"
 )
 
-// TestLocalDemuxMatchesShared drives the same lookups through the
-// single-writer local tier and the shared wrapper, and checks the
-// flushed metrics agree exactly — the two instrumentation paths must be
-// observationally equivalent.
+// TestLocalDemuxMatchesShared drives the same lookups through a
+// LocalDemux and through direct DemuxMetrics.Observe calls, and checks
+// the flushed metrics agree exactly — buffering and flushing must not
+// change what the histograms hold.
 func TestLocalDemuxMatchesShared(t *testing.T) {
-	build := func() (core.Concurrent, error) {
-		inner := core.NewSequentHash(19, hashfn.Multiplicative{})
-		return lockedDemux{inner: inner, mu: &sync.Mutex{}}, nil
-	}
-
-	drive := func(d core.Table) {
+	drive := func(d core.Table, observe func(core.Result)) {
 		for i := uint32(0); i < 50; i++ {
 			_ = d.Insert(core.NewPCB(testKey(i)))
 		}
 		for i := uint32(0); i < 200; i++ {
-			d.Lookup(testKey(i%60), core.DirData) // mix of hits and misses
+			observe(d.Lookup(testKey(i%60), core.DirData)) // mix of hits and misses
 		}
 	}
 
-	sharedInner, err := build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs := NewRegistry()
-	ms := NewDemuxMetrics(rs, "x")
-	drive(InstrumentConcurrent(sharedInner, ms, nil, nil))
+	ms := NewDemuxMetrics(NewRegistry(), "x")
+	drive(core.NewSequentHash(19, hashfn.Multiplicative{}), ms.Observe)
 
-	localInner, err := build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rl := NewRegistry()
-	ml := NewDemuxMetrics(rl, "x")
-	ld := InstrumentLocal(localInner, ml)
-	drive(ld)
+	ml := NewDemuxMetrics(NewRegistry(), "x")
+	ld := InstrumentLocal(core.NewSequentHash(19, hashfn.Multiplicative{}), ml)
+	drive(ld, func(core.Result) {})
 	ld.Flush()
 
 	s, l := ms.ExaminedSnapshot(), ml.ExaminedSnapshot()
 	if s.Count != l.Count || s.Sum != l.Sum || s.Max != l.Max {
-		t.Fatalf("local and shared tiers disagree: shared %+v local %+v", s, l)
+		t.Fatalf("local and direct observation disagree: direct %+v local %+v", s, l)
 	}
 	for i := range s.Bucket {
 		if s.Bucket[i] != l.Bucket[i] {
-			t.Fatalf("bucket %d: shared %d local %d", i, s.Bucket[i], l.Bucket[i])
+			t.Fatalf("bucket %d: direct %d local %d", i, s.Bucket[i], l.Bucket[i])
 		}
 	}
 	if ms.Hits() != ml.Hits() || ms.Misses() != ml.Misses() {
-		t.Fatalf("outcome counts disagree: shared hit=%d miss=%d, local hit=%d miss=%d",
+		t.Fatalf("outcome counts disagree: direct hit=%d miss=%d, local hit=%d miss=%d",
 			ms.Hits(), ms.Misses(), ml.Hits(), ml.Misses())
 	}
 	if ml.Lookups() != 200 {
@@ -69,7 +54,7 @@ func TestLocalDemuxFlushClears(t *testing.T) {
 	inner := core.NewSequentHash(7, nil)
 	r := NewRegistry()
 	m := NewDemuxMetrics(r, "x")
-	ld := InstrumentLocal(lockedDemux{inner: inner, mu: &sync.Mutex{}}, m)
+	ld := InstrumentLocal(inner, m)
 	_ = ld.Insert(core.NewPCB(testKey(1)))
 	ld.Lookup(testKey(1), core.DirData)
 	ld.Flush()

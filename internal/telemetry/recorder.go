@@ -2,10 +2,7 @@ package telemetry
 
 import (
 	"io"
-	"runtime"
-	"sort"
 	"sync"
-	"sync/atomic"
 
 	"tcpdemux/internal/trace"
 	"tcpdemux/internal/wire"
@@ -55,7 +52,7 @@ func (d DropReason) String() string {
 // kernel's packet-trace ring would capture about the lookup step.
 type Event struct {
 	// Time is the event's virtual timestamp; Seq is the recorder-assigned
-	// global sequence number. (Time, Seq) totally orders a drained run.
+	// sequence number, the order a drain returns events in.
 	Time float64
 	Seq  uint64
 	// Tuple identifies the packet's connection (inbound orientation).
@@ -63,7 +60,7 @@ type Event struct {
 	// Discipline names the demuxer that served the lookup.
 	Discipline string
 	// Chain is the hash chain probed, or -1 when the structure has no
-	// chain notion (or the wrapper cannot see it).
+	// chain notion (or the recording caller does not name it).
 	Chain int32
 	// Examined is the PCBs-touched count for the lookup.
 	Examined int32
@@ -78,89 +75,54 @@ type Event struct {
 	Drop DropReason
 }
 
-// recShard is one fixed-capacity ring of events. The trailing pad keeps
-// neighbouring shards' mutexes off one cache line.
-type recShard struct {
+// FlightRecorder keeps the most recent demux events in one
+// fixed-capacity ring under one mutex. Record is zero-alloc (the ring is
+// pre-allocated); Drain returns the retained events in sequence order
+// and resets the ring.
+type FlightRecorder struct {
 	mu   sync.Mutex
 	buf  []Event
-	next int
-	full bool
-	_    [32]byte
+	next int    // ring index the next event is written to
+	full bool   // the ring has wrapped since the last drain
+	seq  uint64 // sequence number of the next event
 }
 
-// FlightRecorder keeps the most recent demux events in per-shard ring
-// buffers. Record is zero-alloc (the rings are pre-allocated) and
-// contention-striped; Drain merges every shard into one deterministic
-// (time, seq)-ordered slice and resets the rings.
-type FlightRecorder struct {
-	shards []recShard
-	mask   uint32
-	seq    atomic.Uint64 //demux:atomic
+// NewFlightRecorder builds a recorder that keeps the last n events (n
+// below 1 is raised to 1).
+func NewFlightRecorder(n int) *FlightRecorder {
+	return &FlightRecorder{buf: make([]Event, max(n, 1))}
 }
 
-// maxRecShards caps the shard count; each shard costs perShard copies
-// of Event.
-const maxRecShards = 8
-
-// NewFlightRecorder builds a recorder keeping up to perShard events in
-// each of its shards (shard count: next power of two covering
-// GOMAXPROCS, capped at maxRecShards). perShard below 16 is raised
-// to 16.
-func NewFlightRecorder(perShard int) *FlightRecorder {
-	if perShard < 16 {
-		perShard = 16
-	}
-	n := 1
-	for n < runtime.GOMAXPROCS(0) && n < maxRecShards {
-		n <<= 1
-	}
-	fr := &FlightRecorder{shards: make([]recShard, n), mask: uint32(n - 1)}
-	for i := range fr.shards {
-		fr.shards[i].buf = make([]Event, perShard)
-	}
-	return fr
-}
-
-// Record appends one event, assigning its global sequence number. When a
-// shard's ring is full the oldest event in that shard is overwritten —
-// flight-recorder semantics: the recent past is what matters.
+// Record appends one event, assigning its sequence number. When the ring
+// is full the oldest event is overwritten — flight-recorder semantics:
+// the recent past is what matters.
 //
 //demux:hotpath
 func (fr *FlightRecorder) Record(e Event) {
-	e.Seq = fr.seq.Add(1) - 1
-	sh := &fr.shards[stripeIdx(fr.mask)]
-	sh.mu.Lock()
-	sh.buf[sh.next] = e
-	sh.next++
-	if sh.next == len(sh.buf) {
-		sh.next = 0
-		sh.full = true
+	fr.mu.Lock()
+	e.Seq = fr.seq
+	fr.seq++
+	fr.buf[fr.next] = e
+	fr.next++
+	if fr.next == len(fr.buf) {
+		fr.next = 0
+		fr.full = true
 	}
-	sh.mu.Unlock()
+	fr.mu.Unlock()
 }
 
-// Drain collects every retained event, sorted by (Time, Seq), and
-// resets the rings. Seq is unique per event, so the order is total and
-// the output deterministic for a deterministic event stream.
+// Drain returns the retained events, oldest first — exactly the last
+// len(ring) events recorded since the previous drain, or all of them if
+// fewer — and resets the ring.
 func (fr *FlightRecorder) Drain() []Event {
+	fr.mu.Lock()
+	defer fr.mu.Unlock()
 	var out []Event
-	for i := range fr.shards {
-		sh := &fr.shards[i]
-		sh.mu.Lock()
-		if sh.full {
-			out = append(out, sh.buf[sh.next:]...)
-		}
-		out = append(out, sh.buf[:sh.next]...)
-		sh.next = 0
-		sh.full = false
-		sh.mu.Unlock()
+	if fr.full {
+		out = append(out, fr.buf[fr.next:]...)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Time != out[j].Time {
-			return out[i].Time < out[j].Time
-		}
-		return out[i].Seq < out[j].Seq
-	})
+	out = append(out, fr.buf[:fr.next]...)
+	fr.next, fr.full = 0, false
 	return out
 }
 

@@ -17,24 +17,36 @@ func tupleN(n uint32) wire.Tuple {
 	}
 }
 
+// TestRecorderKeepsRecent overflows an N-event recorder from one
+// goroutine and from eight, and requires the drain to be exactly the
+// last N events recorded, in sequence order.
 func TestRecorderKeepsRecent(t *testing.T) {
-	fr := NewFlightRecorder(16)
-	total := 16*len(fr.shards) + 64 // guaranteed to overflow the rings
-	for i := 0; i < total; i++ {
-		fr.Record(Event{Time: float64(i), Tuple: tupleN(uint32(i))})
-	}
-	out := fr.Drain()
-	if len(out) == 0 || len(out) > 16*len(fr.shards) {
-		t.Fatalf("drained %d events, want 1..%d", len(out), 16*len(fr.shards))
-	}
-	for i := 1; i < len(out); i++ {
-		if out[i].Time < out[i-1].Time ||
-			(out[i].Time == out[i-1].Time && out[i].Seq <= out[i-1].Seq) {
-			t.Fatalf("drain out of (time, seq) order at %d", i)
+	const n, total = 16, 16*8 + 64
+	for _, writers := range []int{1, 8} {
+		fr := NewFlightRecorder(n)
+		var wg sync.WaitGroup
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := w; i < total; i += writers {
+					fr.Record(Event{Time: float64(i), Tuple: tupleN(uint32(i))})
+				}
+			}(w)
 		}
-	}
-	if again := fr.Drain(); len(again) != 0 {
-		t.Fatalf("second drain returned %d events, want 0", len(again))
+		wg.Wait()
+		out := fr.Drain()
+		if len(out) != n {
+			t.Fatalf("%d writers: drained %d events, want the last %d", writers, len(out), n)
+		}
+		for i, e := range out {
+			if want := uint64(total - n + i); e.Seq != want {
+				t.Fatalf("%d writers: event %d has seq %d, want %d", writers, i, e.Seq, want)
+			}
+		}
+		if again := fr.Drain(); len(again) != 0 {
+			t.Fatalf("%d writers: second drain returned %d events, want 0", writers, len(again))
+		}
 	}
 }
 

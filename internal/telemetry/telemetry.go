@@ -6,37 +6,36 @@
 //
 // The paper's entire argument rests on one observable — PCBs examined
 // per inbound packet — and the packages under internal/ each kept their
-// own ad-hoc counters for it (core.Stats, the RCU stripe bundle, the
-// engine's drop counters). This package gives those counters one home so
-// a single registry snapshot correlates them: examined-per-packet
-// histograms per discipline next to chain-skew gauges, rekey counts,
-// SYN-cookie issuance, and per-reason drops.
+// own ad-hoc counters for it (core.Stats, the engine's drop counters).
+// This package gives those counters one home so a single registry
+// snapshot correlates them: examined-per-packet histograms per
+// discipline next to chain-skew gauges, rekey counts, SYN-cookie
+// issuance, and per-reason drops.
 //
 // # Hot-path contract
 //
-// Counter.Inc/Add and Histogram.Observe are zero-alloc and effectively
-// contention-free: every metric is striped across a power-of-two array
-// of cache-line-padded slots, and the calling goroutine picks a slot by
-// hashing a stack-local address. A hot-path update is one or two
-// uncontended atomic adds; folding the stripes into a total happens only
-// at snapshot time. The demuxvet hotalloc analyzer enforces the no-allocation claim
-// on every function marked //demux:hotpath, and atomicpub guards the
-// //demux:atomic slot words.
+// Counter.Inc/Add and Histogram.Observe are zero-alloc. Every metric has
+// one writer, the goroutine that owns the Stack, StackSet or server loop
+// it measures, so a metric is plain atomic words — one per counter, a
+// count and a sum per histogram bucket — and an update is one or two
+// uncontended atomic adds. The atomics are for the one concurrent
+// reader, the -metrics handler's snapshot. Per-lookup observation on a
+// worker goroutine goes through LocalDemux, which pays plain adds and
+// folds into the shared histograms on Flush. The demuxvet hotalloc
+// analyzer enforces the no-allocation claim on every function marked
+// //demux:hotpath.
 //
 // # Determinism contract
 //
 // Snapshot output is deterministic for deterministic input: metrics are
 // sorted by name (then by canonical label encoding), histogram buckets
-// have fixed bounds, and FlightRecorder.Drain merges its shards in
-// (time, seq) order — two equal-seed runs produce byte-identical
-// exposition output and byte-identical exported traces. The stripe/shard
-// spreading is a performance heuristic only; totals and drained event
-// sets never depend on it.
+// have fixed bounds, and FlightRecorder.Drain returns the retained events
+// in sequence order — two equal-seed runs produce byte-identical
+// exposition output and byte-identical exported traces.
 package telemetry
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -94,27 +93,14 @@ type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
-	stripes  int
 }
 
-// maxStripes caps the per-metric stripe count: past a few dozen slots
-// the collision probability of the goroutine hash is negligible and the
-// memory cost (one or two cache lines per slot per metric) dominates.
-const maxStripes = 32
-
-// NewRegistry returns an empty registry. Stripe counts are sized to the
-// next power of two covering 4×GOMAXPROCS (capped at maxStripes), the
-// same operating point as the RCU statistics stripes.
+// NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	n := 1
-	for n < 4*runtime.GOMAXPROCS(0) && n < maxStripes {
-		n <<= 1
-	}
 	return &Registry{
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
-		stripes:  n,
 	}
 }
 
@@ -129,7 +115,7 @@ func (r *Registry) Counter(name string, labels ...Label) *Counter {
 		return c
 	}
 	r.checkKind(id, "counter")
-	c := newCounter(name, sortLabels(labels), r.stripes)
+	c := &Counter{name: name, labels: sortLabels(labels)}
 	r.counters[id] = c
 	return c
 }
@@ -159,7 +145,7 @@ func (r *Registry) Histogram(name string, labels ...Label) *Histogram {
 		return h
 	}
 	r.checkKind(id, "histogram")
-	h := newHistogram(name, sortLabels(labels), r.stripes)
+	h := &Histogram{name: name, labels: sortLabels(labels)}
 	r.hists[id] = h
 	return h
 }

@@ -45,26 +45,6 @@ func TestRegistryGetOrCreate(t *testing.T) {
 	r.Gauge("hits", L("d", "x"))
 }
 
-func TestCounterFoldsStripes(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("n")
-	const workers, each = 8, 10000
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < each; i++ {
-				c.Inc()
-			}
-		}()
-	}
-	wg.Wait()
-	if got := c.Value(); got != workers*each {
-		t.Fatalf("Value = %d, want %d", got, workers*each)
-	}
-}
-
 func TestGaugeLastValueWins(t *testing.T) {
 	r := NewRegistry()
 	g := r.Gauge("skew")
@@ -137,54 +117,8 @@ func TestHistogramMatchesStats(t *testing.T) {
 	}
 }
 
-func TestHistogramPackedDrain(t *testing.T) {
-	// Force the count-field drain path by raising one bucket's packed word
-	// close to the threshold, then observing into that bucket; the snapshot
-	// must still account for every observation exactly.
-	h := newHistogram("x", nil, 1)
-	sl := &h.slots[0]
-	b := bucketOf(100)
-	sl.buckets[b].Store(histDrainAt - (1 << histPackShift)) // one observation from draining
-	start := h.Snapshot()
-	h.Observe(100)
-	h.Observe(100)
-	snap := h.Snapshot()
-	if snap.Count != start.Count+2 {
-		t.Fatalf("count %d, want %d", snap.Count, start.Count+2)
-	}
-	if snap.Sum != start.Sum+200 {
-		t.Fatalf("sum %d, want %d", snap.Sum, start.Sum+200)
-	}
-	if sl.spillCount[b].Load() == 0 {
-		t.Fatalf("count-drain path never transferred to spill counters")
-	}
-}
-
-func TestHistogramSumDrain(t *testing.T) {
-	// Large clamped values overflow the 40-bit sum field long before the
-	// count field fills; the sum-threshold drain must fire so totals stay
-	// exact. 2^39 / (2^32-1) is ~128, so 400 max-value observations cross
-	// the sum threshold several times over.
-	h := newHistogram("x", nil, 1)
-	const n = 400
-	for i := 0; i < n; i++ {
-		h.Observe(histMaxObserve)
-	}
-	snap := h.Snapshot()
-	if snap.Count != n {
-		t.Fatalf("count %d, want %d", snap.Count, n)
-	}
-	if snap.Sum != n*histMaxObserve {
-		t.Fatalf("sum %d, want %d", snap.Sum, n*histMaxObserve)
-	}
-	b := bucketOf(histMaxObserve)
-	if h.slots[0].spillSum[b].Load() == 0 {
-		t.Fatalf("sum-drain path never transferred to spill counters")
-	}
-}
-
 func TestHistogramClampsLargeValues(t *testing.T) {
-	h := newHistogram("x", nil, 1)
+	h := NewRegistry().Histogram("x")
 	h.Observe(1 << 40)
 	snap := h.Snapshot()
 	if snap.Sum != histMaxObserve || snap.Max != histMaxObserve {
@@ -350,18 +284,4 @@ func TestRegistryConcurrentSnapshot(t *testing.T) {
 	if snap.Histograms[0].Count != wantN {
 		t.Fatalf("hist count %d, want %d", snap.Histograms[0].Count, wantN)
 	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
