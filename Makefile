@@ -4,7 +4,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all build vet lint lint-fixtures loc bench-check bench-pairs test golden race chaos shard failover live demuxd demuxload bench bench-json bench-json-cache bench-json-shard bench-json-failover fuzz figures clean
+.PHONY: all build vet lint lint-fixtures loc bench-check bench-pairs test golden race chaos shard failover live demuxd demuxload bench bench-json bench-json-cache bench-json-shard fuzz figures clean
 
 all: build vet lint test
 
@@ -105,17 +105,16 @@ shard:
 	$(GO) test -race -count=1 ./internal/shard
 	$(GO) test -race -count=1 -run 'ExtractAdopt|AdoptRearms' ./internal/engine
 
-# failover is the shard failure-domain conformance gate: chaos-driven
-# crash/stall/wedge/slow faults against the multi-queue engine, the
-# health watchdog's live drain (a second drain after a first included),
-# the inbox backpressure ordering regression, the no-records-on-a-healthy-set
-# property, and the CLI failover workload — all under the race
-# detector, all held to byte-identical delivery and a balanced
-# conservation ledger.
+# failover is the shard failure-domain conformance gate: crash, stall and
+# wedge faults against the multi-queue engine, the health watchdog's live
+# drain (a second drain after a first included), the backlog's ordering
+# across a fault that clears, the no-records-on-a-healthy-set property, and
+# demuxsim's failover workload with its latency and goodput checks — all
+# under the race detector, all held to byte-identical delivery and a
+# balanced conservation ledger.
 failover:
 	$(GO) test -race -count=1 -run 'Failover|FailOver|Wedge|Stall|Backpressure|OwnershipRecords|ShardSetMetrics' ./internal/shard ./internal/telemetry
-	$(GO) test -race -count=1 -run 'TestShard' ./internal/chaos
-	$(GO) test -race -count=1 -run 'TestRunFailover' ./cmd/demuxsim ./cmd/benchjson
+	$(GO) test -race -count=1 -run 'TestRunFailover' ./cmd/demuxsim
 
 # live is the real-socket frontend gate: the in-process loopback
 # integration suite (demuxd's server core + demuxload's generator) under
@@ -147,8 +146,8 @@ bench:
 # parallel workload's examined columns, which churn one shared table) and
 # nothing compares them with a fresh run; what in the shard report is
 # exact is held by TestExactColumnsAtCommittedPoints in cmd/benchjson.
-# BENCH_cache.json (a model) and BENCH_failover.json (virtual time) are
-# exact throughout and are goldens (`make golden`).
+# BENCH_cache.json (a model) is exact throughout and is a golden
+# (`make golden`).
 
 # bench-json measures the [Dov90] pair head-to-head on the read-heavy
 # TPC/A mix: one table shared by every worker under a global lock (over
@@ -175,16 +174,6 @@ bench-json-cache:
 # a single-core host, before core parallelism multiplies on top.
 bench-json-shard:
 	$(GO) run ./cmd/benchjson -workload shard -rounds 5 -ops 200000 -n 6000 -out BENCH_shard.json
-
-# bench-json-failover measures the shard failure domains under virtual
-# time (EXP-FAILOVER): crash and stall the busiest of 4 shards mid-run
-# under 20% drop / 10% dup and record watchdog detection latency, drain
-# recovery, and windowed goodput. The numbers are virtual-time ticks
-# ("unit": "vtick"), exact for a given seed: the file is the golden
-# testdata/golden/MANIFEST's last line writes, and `make golden`
-# rewrites it with the rest.
-bench-json-failover:
-	$(GO) run ./cmd/benchjson -workload failover -out BENCH_failover.json
 
 # Short fuzz pass over the wire parsers (held to their reference
 # implementations), the full receive path and the TPC/A line codec

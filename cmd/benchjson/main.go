@@ -1,4 +1,4 @@
-// Command benchjson writes the repository's BENCH_*.json reports. Four
+// Command benchjson writes the repository's BENCH_*.json reports. Three
 // workloads share the harness:
 //
 //   - parallel (BENCH_parallel.json): the two locking disciplines of
@@ -13,11 +13,6 @@
 //     sweeping the shard count (1, 2, 4, max). With the chain count
 //     held fixed, each shard's table holds ~1/N of the PCBs, so the
 //     sweep exposes the paper's C(N) partitioning effect directly.
-//   - failover (BENCH_failover.json): shard failure domains under
-//     virtual time — crash and stall one shard of four mid-exchange and
-//     measure watchdog detection latency, live-drain recovery, and
-//     windowed goodput in deterministic virtual-time ticks (see
-//     failover.go; nsPerOp is ticks, not wall nanoseconds).
 //
 // Methodology: the parallel and shard workloads measure every
 // configuration -rounds times with the rounds interleaved round-robin
@@ -33,12 +28,12 @@
 // and the scheduler. They are reports, and nothing compares them. What
 // in them is exact — the shard sweep's steering split and examined
 // column — is held at tolerance 0 by TestExactColumnsAtCommittedPoints.
-// The cache and failover reports are exact throughout and are goldens
+// The cache report is exact throughout and is a golden
 // (testdata/golden/MANIFEST, `make golden`).
 //
 // Usage:
 //
-//	benchjson [-workload parallel|cache|shard|failover] [-out FILE]
+//	benchjson [-workload parallel|cache|shard] [-out FILE]
 //	          [-rounds 5] [-gomaxprocs 4] [-workers 4*gomaxprocs]
 //	          [-ops 200000] [-n 1000] [-read 0.99]
 //	          [-chains 19] [-seed 7]
@@ -104,13 +99,10 @@ type round struct {
 	ExaminedP99 float64 `json:"examinedP99"`
 }
 
-// result is one configuration's rounds plus its best round. Unit names
-// what nsPerOp counts when that is not wall nanoseconds: the failover
-// workload's results are virtual-time ticks ("vtick").
+// result is one configuration's rounds plus its best round.
 type result struct {
 	Discipline string  `json:"discipline"`
 	Mode       string  `json:"mode"`
-	Unit       string  `json:"unit,omitempty"`
 	Rounds     []round `json:"rounds"`
 	Best       round   `json:"best"`
 }
@@ -149,7 +141,7 @@ func main() {
 	flag.Float64Var(&opt.Read, "read", opt.Read, "lookup fraction of the operation mix")
 	flag.IntVar(&opt.Chains, "chains", opt.Chains, "hash chains")
 	flag.Uint64Var(&opt.Seed, "seed", opt.Seed, "workload seed")
-	flag.StringVar(&opt.Workload, "workload", opt.Workload, "benchmark workload: parallel, cache, shard, or failover")
+	flag.StringVar(&opt.Workload, "workload", opt.Workload, "benchmark workload: parallel, cache, or shard")
 	flag.Parse()
 
 	if opt.Out == "" {
@@ -157,7 +149,6 @@ func main() {
 			"parallel": "BENCH_parallel.json",
 			"cache":    "BENCH_cache.json",
 			"shard":    "BENCH_shard.json",
-			"failover": "BENCH_failover.json",
 		}[opt.Workload]
 	}
 
@@ -183,17 +174,8 @@ func main() {
 				sr.Summary.QuadOverSingle, sr.Summary.ExaminedSingle, sr.Summary.ExaminedQuad)
 		}
 		rep = sr
-	case "failover":
-		var fr *failoverReport
-		fr, err = runFailover(opt)
-		if fr != nil && len(fr.Scenarios) > 0 {
-			sc := fr.Scenarios[0]
-			note = fmt.Sprintf("%s detected in %.0f ticks, recovered in %.0f",
-				sc.Name, sc.DetectTicks, sc.RecoverTicks)
-		}
-		rep = fr
 	default:
-		err = fmt.Errorf("unknown workload %q (have parallel, cache, shard, failover)", opt.Workload)
+		err = fmt.Errorf("unknown workload %q (have parallel, cache, shard)", opt.Workload)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)

@@ -4,45 +4,50 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"text/tabwriter"
 
-	"tcpdemux/internal/chaos"
 	"tcpdemux/internal/discipline"
 	"tcpdemux/internal/engine"
 	"tcpdemux/internal/shard"
 	"tcpdemux/internal/wire"
 )
 
+// wedgeFor is how long a wedge lasts. Crash and stall are fail-stop and
+// hold until the drain decommissions the shard; a wedge only degrades, and
+// a shard wedged forever would shed its connections' frames forever, so it
+// is a transient window the retransmission machinery rides out.
+const wedgeFor = 2.0
+
 // runFailover drives the shard failure-domain scenario end to end: the
-// full lossy client population against an N-shard set, one shard
-// scripted to fail mid-run by a chaos.ShardInjector, the health
-// watchdog expected to detect the failure and live-drain the victim's
-// connections into the survivors. The run is held to the same
+// full lossy client population against an N-shard set, one shard failed
+// mid-run, the health watchdog expected to detect a crash or stall and
+// live-drain the victim's connections into the survivors. An unfaulted
+// probe run on the same seeds picks the victim (its busiest shard) and the
+// fault time (when the probe had completed 40% of its transactions), and is
+// the reference for completion time and goodput. The run is held to the same
 // conformance bar as the healthy sharded workload — application bytes
-// identical to the unfaulted single-stack baseline — plus the
-// conservation check: every frame accounted absorbed, consumed, shed
-// (with a reason), or queued.
+// identical to the unfaulted single-stack baseline — plus the conservation
+// check: every frame accounted absorbed, consumed, shed (with a reason), or
+// queued.
 func runFailover(out io.Writer, clients, txns, chains, shards int, seed uint64,
-	drop, dup float64, hashName, faultName string, failShard int, failAt, failFor float64) error {
-	// Pinned to sequent per-shard tables like the sharded workload
-	// (BENCH_failover.json is defined over them), resolved through the
-	// shared selection helper.
+	drop, dup float64, hashName, fault string) error {
+	// Pinned to sequent per-shard tables like the sharded workload,
+	// resolved through the shared selection helper.
 	sel, err := discipline.Select("sequent", hashName, chains)
 	if err != nil {
 		return err
 	}
-	var fault chaos.ShardFault
-	switch faultName {
+	var verdict shard.FaultVerdict
+	switch fault {
 	case "crash":
-		fault = chaos.ShardCrash
+		verdict.Crash = true
 	case "stall":
-		fault = chaos.ShardStall
+		verdict.Stall = true
 	case "wedge":
-		fault = chaos.ShardWedge
-	case "slow":
-		fault = chaos.ShardSlow
+		verdict.Wedge = true
 	default:
-		return fmt.Errorf("unknown -fault %q (crash, stall, wedge, slow)", faultName)
+		return fmt.Errorf("unknown -fault %q (crash, stall, wedge)", fault)
 	}
 	if shards < 2 {
 		return fmt.Errorf("failover needs at least 2 shards, got %d", shards)
@@ -86,65 +91,55 @@ func runFailover(out io.Writer, clients, txns, chains, shards int, seed uint64,
 		return fmt.Errorf("single-stack baseline did not complete (t=%.1fs)", baseline.VirtualTime)
 	}
 
-	// Pick the victim: an explicit -failshard, or the shard the probe
-	// run (same seeds, so same steering) shows carrying the most
-	// traffic — the worst shard to lose.
-	if failShard < 0 {
-		probe, err := mkSet()
-		if err != nil {
-			return err
-		}
-		pres, err := engine.RunLossyExchange(nil, mkCfg(probe))
-		if err != nil {
-			return err
-		}
-		if !pres.Completed {
-			return fmt.Errorf("probe run did not complete (t=%.1fs)", pres.VirtualTime)
-		}
-		failShard = 0
-		for i, n := range probe.Steered {
-			if n > probe.Steered[failShard] {
-				failShard = i
-			}
-		}
-		if failAt <= 0 {
-			failAt = pres.VirtualTime * 0.4
+	// The probe runs the same seeds unfaulted, so its steering matches the
+	// faulted run's up to the fault. The victim is the shard carrying the
+	// most traffic, the worst one to lose.
+	probe, err := mkSet()
+	if err != nil {
+		return err
+	}
+	pres, err := engine.RunLossyExchange(nil, mkCfg(probe))
+	if err != nil {
+		return err
+	}
+	if !pres.Completed {
+		return fmt.Errorf("probe run did not complete (t=%.1fs)", pres.VirtualTime)
+	}
+	victim := 0
+	for i, n := range probe.Steered {
+		if n > probe.Steered[victim] {
+			victim = i
 		}
 	}
-	if failAt <= 0 {
-		failAt = 1.0
+	failAt := pres.TxnTimes[len(pres.TxnTimes)*2/5]
+	until := math.Inf(1)
+	if verdict.Wedge {
+		until = failAt + wedgeFor
 	}
 
 	set, err := mkSet()
 	if err != nil {
 		return err
 	}
-	// Crash and stall are fail-stop: the fault holds until the drain
-	// decommissions the shard. Wedge only degrades — a shard wedged
-	// forever sheds its connections' frames forever — so it defaults to
-	// a transient window the retransmission machinery can ride out.
-	until := chaos.Forever
-	if failFor > 0 {
-		until = failAt + failFor
-	} else if fault == chaos.ShardWedge {
-		until = failAt + 2
-	}
-	injector := chaos.NewShardInjector(chaos.ShardRule{
-		Fault: fault, Shard: failShard, From: failAt, Until: until, MaxConsume: 1,
+	inflicted := 0
+	set.SetFaultFunc(func(sh int, now float64) shard.FaultVerdict {
+		if sh != victim || now < failAt || now >= until {
+			return shard.FaultVerdict{}
+		}
+		inflicted++
+		return verdict
 	})
-	set.SetFaultFunc(injector.Func())
-
 	res, err := engine.RunLossyExchange(nil, mkCfg(set))
 	if err != nil {
 		return err
 	}
 
 	window := "forever"
-	if until < chaos.Forever {
+	if !math.IsInf(until, 1) {
 		window = fmt.Sprintf("%.2fs", until)
 	}
 	fmt.Fprintf(out, "workload=failover shards=%d fault=%s failshard=%d window=[%.2fs, %s) clients=%d txns=%d drop=%.0f%% dup=%.0f%% chains=%d\n\n",
-		shards, fault, failShard, failAt, window, clients, txns, drop*100, dup*100, chains)
+		shards, fault, victim, failAt, window, clients, txns, drop*100, dup*100, chains)
 
 	conformant := res.Completed && len(res.Responses) == len(baseline.Responses)
 	if conformant {
@@ -164,10 +159,19 @@ func runFailover(out io.Writer, clients, txns, chains, shards int, seed uint64,
 	}
 	w.Flush()
 
-	fmt.Fprintf(out, "\ncompleted=%v conformant=%v vtime=%.1fs inflicted=[%s]\n",
-		res.Completed, conformant, res.VirtualTime, injector.Summary())
-	fmt.Fprintf(out, "drains=%d drained-conns=%d salvaged-frames=%d drain-at=%.2fs recovery=%.3fs\n",
-		st.Drains, st.DrainedConns, st.SalvagedFrames, set.LastDrainAt, st.LastDrainRecovery)
+	// The outage ends at the drain for a fail-stop fault and when the
+	// window closes for a wedge.
+	detect, outageEnd := 0.0, until
+	if st.Drains > 0 {
+		detect, outageEnd = set.LastDrainAt-failAt, set.LastDrainAt
+	}
+	fmt.Fprintf(out, "\ncompleted=%v conformant=%v vtime=%.1fs probe-vtime=%.1fs inflicted=%d\n",
+		res.Completed, conformant, res.VirtualTime, pres.VirtualTime, inflicted)
+	fmt.Fprintf(out, "drains=%d drained-conns=%d salvaged-frames=%d drain-at=%.2fs detect=%.3fs recovery=%.3fs\n",
+		st.Drains, st.DrainedConns, st.SalvagedFrames, set.LastDrainAt, detect, st.LastDrainRecovery)
+	fmt.Fprintf(out, "goodput txn/s: before=%.1f during=%.1f after=%.1f probe=%.1f\n",
+		goodput(res.TxnTimes, 0, failAt), goodput(res.TxnTimes, failAt, outageEnd),
+		goodput(res.TxnTimes, outageEnd, res.VirtualTime), goodput(pres.TxnTimes, 0, pres.VirtualTime))
 	fmt.Fprintf(out, "shed: inbox-full=%d handoff-full=%d backlog-full=%d (events: inbox=%d)\n",
 		st.ShedInboxFull, st.ShedHandoffFull, st.ShedBacklogFull, set.InboxFullEvents)
 	fmt.Fprintf(out, "accounting: in=%d absorbed=%d consumed=%d shed=%d queued=%d balanced=%v\n",
@@ -182,14 +186,34 @@ func runFailover(out io.Writer, clients, txns, chains, shards int, seed uint64,
 	if !acc.Balanced() {
 		return fmt.Errorf("conservation ledger unbalanced: %+v", acc)
 	}
-	// Crash and stall are fail-stop faults: the watchdog must have
-	// detected and drained the victim. Wedge and slow degrade only.
-	if fault == chaos.ShardCrash || fault == chaos.ShardStall {
-		if !set.Drained(failShard) {
-			return fmt.Errorf("shard %d was never drained (health=%s)", failShard, set.Health(failShard))
+	if verdict.Wedge {
+		if st.Drains != 0 {
+			return fmt.Errorf("wedge must degrade, not drain (drains=%d)", st.Drains)
 		}
-	} else if st.Drains != 0 {
-		return fmt.Errorf("%s must degrade, not drain (drains=%d)", fault, st.Drains)
+		return nil
+	}
+	// Crash and stall are fail-stop: the watchdog must have detected the
+	// victim within twice the stall threshold and drained it, once.
+	if st.Drains != 1 || !set.Drained(victim) {
+		return fmt.Errorf("shard %d not drained once (drains=%d health=%s)", victim, st.Drains, set.Health(victim))
+	}
+	if detect <= 0 || detect > 2*shard.DefaultStallThreshold {
+		return fmt.Errorf("detection latency %.3fs outside (0, %.1fs]", detect, 2*shard.DefaultStallThreshold)
 	}
 	return nil
+}
+
+// goodput counts the transactions completed in [from, until) per virtual
+// second.
+func goodput(times []float64, from, until float64) float64 {
+	if until <= from {
+		return 0
+	}
+	n := 0
+	for _, t := range times {
+		if t >= from && t < until {
+			n++
+		}
+	}
+	return float64(n) / (until - from)
 }

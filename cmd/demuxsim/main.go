@@ -33,14 +33,17 @@
 // cross-shard conformance argument from internal/shard's tests, run
 // live over whatever -drop/-dup loss process the flags select.
 //
-// The failover workload is the sharded workload under a scripted shard
-// failure (-fault crash|stall|wedge|slow, -failshard, -failat): one
-// shard of -shards dies mid-exchange, the health watchdog detects it and
-// live-drains its connections into the survivors, and the run must still
-// match the single-stack baseline byte for byte — with every frame
-// accounted for by the conservation ledger. By default the victim is the
-// busiest shard of an unfaulted probe run and the fault lands at 40% of
-// the probe's completion time.
+// The failover workload is the sharded workload with one shard of -shards
+// failed mid-exchange (-fault crash|stall|wedge). A crash or stall is
+// fail-stop: the health watchdog detects it and live-drains the shard's
+// connections into the survivors. A wedge refuses the shard's frames for
+// two virtual seconds and must degrade without a drain. Either way the run
+// must still match the single-stack baseline byte for byte, with every
+// frame accounted for by the conservation ledger. The victim is the
+// busiest shard of an unfaulted probe run, and the fault lands when the
+// probe had completed 40% of its transactions. The report gives detection
+// and recovery latency, completion time, and goodput before, during and
+// after the outage next to the probe's.
 //
 // The concurrent locking disciplines (one table shared by many
 // goroutines) are measured by cmd/benchjson -workload parallel.
@@ -91,10 +94,7 @@ func main() {
 		floodN   = flag.Int("flood", 5000, "adversarial workload: spoofed SYNs fired at the listener")
 		cookies  = flag.Bool("syncookies", true, "adversarial workload: enable SYN cookies on the flooded listener")
 		shardsN  = flag.Int("shards", 4, "sharded workload: largest shard count in the sweep")
-		faultStr = flag.String("fault", "crash", "failover workload: fault to inject (crash, stall, wedge, slow)")
-		failIdx  = flag.Int("failshard", -1, "failover workload: victim shard (-1 = busiest shard of a probe run)")
-		failAt   = flag.Float64("failat", 0, "failover workload: virtual time of the fault (0 = 40% of probe completion)")
-		failFor  = flag.Float64("failfor", 0, "failover workload: fault duration in virtual seconds (0 = forever; wedge defaults to 2s)")
+		faultStr = flag.String("fault", "crash", "failover workload: fault to inject in the busiest shard (crash, stall, wedge)")
 		metrics  = flag.String("metrics", "", "serve /metrics (Prometheus) and /metrics.json on this addr; the process stays alive after the run for scraping")
 		flight   = flag.String("flight", "", "adversarial workload: export the flight-recorder capture to this trace file")
 	)
@@ -123,7 +123,7 @@ func main() {
 	} else if *wlName == "sharded" {
 		err = runSharded(os.Stdout, *users, *txns, *chains, *shardsN, *seed, *drop, *dup, *hash)
 	} else if *wlName == "failover" {
-		err = runFailover(os.Stdout, *users, *txns, *chains, *shardsN, *seed, *drop, *dup, *hash, *faultStr, *failIdx, *failAt, *failFor)
+		err = runFailover(os.Stdout, *users, *txns, *chains, *shardsN, *seed, *drop, *dup, *hash, *faultStr)
 	} else if *wlName == "adversarial" {
 		err = runAdversarial(os.Stdout, workload.AdversarialConfig{
 			Chains: *chains, Seed: *seed, Hash: *hash,
@@ -231,8 +231,8 @@ func runLossy(out io.Writer, algos []string, clients, txns, chains int, seed uin
 // reliability plus the deterministic handler mean the bytes the
 // applications exchange cannot.
 func runSharded(out io.Writer, clients, txns, chains, max int, seed uint64, drop, dup float64, hashName string) error {
-	// The multi-queue acceptance numbers (BENCH_shard/failover) are
-	// defined over sequent per-shard tables; the discipline is pinned
+	// The multi-queue acceptance numbers (BENCH_shard.json, EXP-FAILOVER)
+	// are defined over sequent per-shard tables; the discipline is pinned
 	// but the selection still flows through the shared helper.
 	sel, err := discipline.Select("sequent", hashName, chains)
 	if err != nil {

@@ -359,45 +359,59 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestRunFailoverWorkload runs the crash at demuxsim's default population
+// and fault time, which land the fault while the victim still carries
+// traffic: the drain must rehome connections and salvage the frames queued
+// on the dead shard.
 func TestRunFailoverWorkload(t *testing.T) {
 	var b strings.Builder
-	// Small population so the probe + faulted runs stay fast; the crash
-	// is fail-stop, so the run must report a drain and stay conformant.
-	err := runFailover(&b, 8, 12, 19, 4, 1, 0.20, 0.05, "multiplicative", "crash", -1, 0, 0)
+	err := runFailover(&b, 500, 25, 19, 4, 42, 0.20, 0.05, "multiplicative", "crash")
 	if err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
 	for _, want := range []string{
 		"workload=failover", "fault=crash", "drained",
-		"completed=true conformant=true", "drains=1", "balanced=true",
+		"completed=true conformant=true", "drains=1", "salvaged-frames=", "balanced=true",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}
 	}
+	if strings.Contains(out, "salvaged-frames=0 ") {
+		t.Errorf("the drain salvaged no frames:\n%s", out)
+	}
 }
 
+// TestRunFailoverWedgeDegrades runs the wedge at the defaults: the busiest
+// shard refuses its frames for two virtual seconds while its connections
+// are active, so frames are shed at its inbox, and it must degrade without
+// a drain.
 func TestRunFailoverWedgeDegrades(t *testing.T) {
 	var b strings.Builder
-	err := runFailover(&b, 8, 12, 19, 4, 1, 0.20, 0.05, "multiplicative", "wedge", -1, 1.0, 0.5)
+	err := runFailover(&b, 500, 25, 19, 4, 42, 0.20, 0.05, "multiplicative", "wedge")
 	if err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
-	for _, want := range []string{"fault=wedge", "drains=0", "completed=true conformant=true", "balanced=true"} {
+	for _, want := range []string{"fault=wedge", "drains=0", "completed=true conformant=true", "inbox-full=", "balanced=true"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}
+	}
+	if strings.Contains(out, "inbox-full=0 ") {
+		t.Errorf("the wedge shed nothing:\n%s", out)
 	}
 }
 
 func TestRunFailoverBadFault(t *testing.T) {
 	var b strings.Builder
-	if err := runFailover(&b, 4, 2, 19, 4, 1, 0, 0, "multiplicative", "meteor", -1, 0, 0); err == nil {
-		t.Fatal("unknown fault accepted")
+	for _, fault := range []string{"meteor", "slow"} {
+		if err := runFailover(&b, 4, 2, 19, 4, 1, 0, 0, "multiplicative", fault); err == nil {
+			t.Fatalf("fault %q accepted", fault)
+		}
 	}
-	if err := runFailover(&b, 4, 2, 19, 1, 1, 0, 0, "multiplicative", "crash", -1, 0, 0); err == nil {
+	if err := runFailover(&b, 4, 2, 19, 1, 1, 0, 0, "multiplicative", "crash"); err == nil {
 		t.Fatal("single-shard failover accepted — there is no survivor to drain to")
 	}
 }

@@ -281,6 +281,9 @@ type LossyResult struct {
 	Responses [][]byte
 	// VirtualTime is when the exchange completed (or gave up).
 	VirtualTime float64
+	// TxnTimes holds the virtual time at which each transaction's response
+	// was collected, in completion order across all clients.
+	TxnTimes []float64
 
 	// Wire and lifecycle counters.
 	Delivered, Dropped, Duplicated uint64
@@ -362,6 +365,8 @@ func RunLossyExchange(d core.Demuxer, cfg LossyConfig) (*LossyResult, error) {
 		conv[i] = &clientState{conn: c}
 	}
 
+	res := &LossyResult{}
+	now := 0.0
 	poll := func(cs *clientState) error {
 		if cs.done {
 			return nil
@@ -385,6 +390,7 @@ func RunLossyExchange(d core.Demuxer, cfg LossyConfig) (*LossyResult, error) {
 			cs.got = append(cs.got, resp...)
 			cs.sent = false
 			cs.txn++
+			res.TxnTimes = append(res.TxnTimes, now)
 		}
 		if cs.sent {
 			return nil // stop-and-wait: one outstanding request
@@ -400,8 +406,6 @@ func RunLossyExchange(d core.Demuxer, cfg LossyConfig) (*LossyResult, error) {
 		return nil
 	}
 
-	res := &LossyResult{}
-	now := 0.0
 	for {
 		allDone := true
 		for _, cs := range conv {

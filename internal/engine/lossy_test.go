@@ -73,6 +73,15 @@ func TestLossyConformanceAcrossAlgorithms(t *testing.T) {
 			if lossy.Retransmits == 0 {
 				t.Fatal("drops recovered without any timer-driven retransmission")
 			}
+			cfg := lossyCfg(0.20, 0.10)
+			if n := len(lossy.TxnTimes); n != cfg.Clients*cfg.Txns {
+				t.Fatalf("TxnTimes holds %d transactions, want %d", n, cfg.Clients*cfg.Txns)
+			}
+			for i, at := range lossy.TxnTimes {
+				if at <= 0 || at > lossy.VirtualTime || i > 0 && at < lossy.TxnTimes[i-1] {
+					t.Fatalf("TxnTimes[%d] = %v out of order or outside (0, %v]", i, at, lossy.VirtualTime)
+				}
+			}
 			if len(clean.Responses) != len(lossy.Responses) {
 				t.Fatalf("client counts differ: %d vs %d", len(clean.Responses), len(lossy.Responses))
 			}

@@ -267,52 +267,28 @@ func TestWedgeDegradesWithoutDrain(t *testing.T) {
 	}
 }
 
-// TestSlowConsumerCapsThroughput checks the mildest fault: a shard
-// capped at one frame per delivery keeps working — the exchange
-// completes conformantly with no sheds and no drains, just slower.
-func TestSlowConsumerCapsThroughput(t *testing.T) {
-	probe, _ := probeLossy(t, 4, 77)
-	victim := busiest(probe.Steered)
-
-	set := newSet(t, 4, 77)
-	set.SetFaultFunc(faultOn(victim, 0, FaultVerdict{MaxConsume: 1}))
-	res, err := engine.RunLossyExchange(nil, lossyCfg(set))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Completed {
-		t.Fatalf("slow-consumer exchange did not complete (t=%v)", res.VirtualTime)
-	}
-	if d := set.Stats().Drains; d != 0 {
-		t.Fatalf("a slow consumer must not be drained: drains=%d", d)
-	}
-	if acc := set.Accounting(); !acc.Balanced() {
-		t.Fatalf("unaccounted packet losses: %+v", acc)
-	}
-}
-
 // TestInboxBackpressurePreservesOrder pins delivery order across a fault
 // transition, where a frame handed straight to the Stack could overtake
 // frames an earlier fault left queued. A stalled consumer queues the first
 // segments; the fault clears; one more segment arrives and must reach the
 // application after everything queued ahead of it. Two backlogs: a partly
-// filled one, which the next frame simply joins, and a full one, where the
-// backpressure path must drain the queue to make room instead of shedding
-// or delivering around it. The ledger balances after every step.
+// filled one and a full one. Either way the recovered shard drains its
+// backlog before it takes the new frame, so nothing is refused, nothing is
+// shed and nothing is delivered around the queue. The ledger balances
+// after every step.
 func TestInboxBackpressurePreservesOrder(t *testing.T) {
 	for _, c := range []struct {
-		name     string
-		queued   int
-		wantFull bool
+		name   string
+		queued int
 	}{
-		{"partly filled backlog", 2, false},
-		{"full backlog", DefaultInboxCap, true},
+		{"partly filled backlog", 2},
+		{"full backlog", DefaultInboxCap},
 	} {
-		t.Run(c.name, func(t *testing.T) { backlogThenOne(t, c.queued, c.wantFull) })
+		t.Run(c.name, func(t *testing.T) { backlogThenOne(t, c.queued) })
 	}
 }
 
-func backlogThenOne(t *testing.T, queued int, wantFull bool) {
+func backlogThenOne(t *testing.T, queued int) {
 	const port = uint16(1521)
 	set := newSet(t, 1, 7)
 	var got []string
@@ -395,11 +371,11 @@ func backlogThenOne(t *testing.T, queued int, wantFull bool) {
 		t.Fatal(err)
 	}
 	ledger(0, queued+1)
-	if full := set.InboxFullEvents != 0; full != wantFull {
-		t.Fatalf("InboxFullEvents = %d, want a full backlog: %v", set.InboxFullEvents, wantFull)
+	if set.InboxFullEvents != 0 {
+		t.Fatalf("InboxFullEvents = %d: the recovered shard refused a frame", set.InboxFullEvents)
 	}
 	if shed := set.Stats().ShedInboxFull; shed != 0 {
-		t.Fatalf("backpressure shed %d frames with a live consumer", shed)
+		t.Fatalf("shed %d frames with a live consumer", shed)
 	}
 	if len(got) != len(want) {
 		t.Fatalf("delivered %d payloads, want %d: %q", len(got), len(want), got)

@@ -3,8 +3,8 @@
 // survivors.
 //
 // The paper's multi-queue cost model silently assumes every queue keeps
-// consuming. This file is what happens when one stops. Four faults
-// cover the ways a real per-CPU queue dies or limps:
+// consuming. This file is what happens when one stops. Three faults
+// cover the ways a real per-CPU queue dies or refuses work:
 //
 //   - Crash: the shard's event loop is gone. Its virtual clock freezes
 //     (StackSet.Tick skips it), so the heartbeat armed on its own timer
@@ -16,8 +16,6 @@
 //   - Wedge: the shard's queues refuse pushes (a producer-side failure).
 //     The shard itself is alive, so this degrades — sheds, counted —
 //     rather than triggering a drain.
-//   - Slow: the consumer pops at most MaxConsume frames per delivery;
-//     backlog grows and the backpressure machinery starts shedding.
 //
 // Detection drives a live drain (FailOver): every PCB on the sick shard
 // is taken out of its table and put in a survivor's, the survivor chosen
@@ -89,15 +87,11 @@ type FaultVerdict struct {
 	// Wedge makes the shard refuse what is pushed at it: frames for its
 	// inbox, and connections a rekey would migrate onto it.
 	Wedge bool
-	// MaxConsume > 0 caps how many frames the shard pops per delivery —
-	// a slow consumer rather than a dead one.
-	MaxConsume int
 }
 
 // FaultFunc is the injection point: consulted per shard per event under
-// virtual time. internal/chaos builds these from scheduled rules; tests
-// may use literal closures. Evaluated from the set's single control
-// goroutine only.
+// virtual time. Callers install a closure over their fault window.
+// Evaluated from the set's single control goroutine only.
 type FaultFunc func(shard int, now float64) FaultVerdict
 
 // Watchdog constants. Times are virtual seconds.
@@ -111,10 +105,6 @@ const (
 	// never trips it, short enough that connections ride out the outage
 	// on their retransmission timers.
 	DefaultStallThreshold = 0.5
-	// DefaultInboxRetries bounds how many times a frame is re-offered to a
-	// full backlog, with a growing forced drain in between, before it is
-	// shed (pushInbox).
-	DefaultInboxRetries = 3
 )
 
 // shardHealth is the watchdog's per-shard ledger. All fields are

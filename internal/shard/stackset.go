@@ -33,8 +33,8 @@ import (
 )
 
 // DefaultInboxCap bounds each shard's frame backlog. A healthy shard queues
-// nothing; the backlog absorbs what arrives for a shard whose consumer died
-// or slowed between watchdog checks.
+// nothing; the backlog absorbs what arrives for a shard whose consumer
+// crashed or stalled between watchdog checks.
 const DefaultInboxCap = 256
 
 // Config parameterizes a StackSet.
@@ -58,12 +58,13 @@ type Config struct {
 // exactly one shard's private Stack — private demuxer, private timer
 // wheel, private outbox — so the packet path shares no mutable state
 // between shards. Only a shard under a fault verdict (health.go) keeps a
-// backlog: frames it cannot take yet queue in arrival order, and while
-// anything is queued later frames queue behind it. Cross-shard traffic
-// exists only on the control plane: Listen fans the listener out to every
-// shard by direct call (accepted connections are distributed by where
-// their SYN steered), and Rekey and FailOver move a connection by taking
-// its PCB out of one shard's table and putting it in another's (resettle).
+// backlog: frames it cannot take yet queue in arrival order, and the next
+// frame it takes once the verdict clears is delivered after all of them.
+// Cross-shard traffic exists only on the control plane: Listen fans the
+// listener out to every shard by direct call (accepted connections are
+// distributed by where their SYN steered), and Rekey and FailOver move a
+// connection by taking its PCB out of one shard's table and putting it in
+// another's (resettle).
 // The shard whose table holds a PCB owns the connection; away names the few
 // that the steering hash alone would not find.
 //
@@ -347,47 +348,18 @@ func (set *StackSet) homeOf(idx int, key core.Key) int {
 	return idx
 }
 
-// pushInbox enqueues a frame on shard idx's backlog through the
-// backpressure machinery: when the backlog is full (or wedged by a fault),
-// the push is retried a bounded number of times with a growing forced
-// consumption between attempts — queued frames drain *before* the new
-// one enqueues, so delivery order is preserved. A consumer that cannot
-// make progress (crashed, stalled, wedged) exhausts the budget and the
-// frame is shed, counted against inbox-full.
-func (set *StackSet) pushInbox(idx int, frame []byte, v FaultVerdict) bool {
-	if !v.Wedge && set.inbox[idx].push(frame) {
-		return true
-	}
-	set.InboxFullEvents++
-	set.m.InboxFull.Inc()
-	if !v.Wedge && !v.Crash && !v.Stall {
-		force := 1
-		for attempt := 0; attempt < DefaultInboxRetries; attempt++ {
-			set.consume(idx, force)
-			if set.inbox[idx].push(frame) {
-				return true
-			}
-			force *= 2
-		}
-	}
-	set.shedInboxFrame(idx)
-	return false
-}
-
-// consume pops shard idx's backlog into its Stack, at most max frames
-// (max <= 0 means drain fully), returning the last delivery's result.
-func (set *StackSet) consume(idx int, max int) (core.Result, error) {
-	var last core.Result
-	var lastErr error
-	for n := 0; max <= 0 || n < max; n++ {
+// consume drains shard idx's backlog into its Stack, oldest frame first.
+// A queued frame's delivery error stays with that frame: the Stack has
+// already counted it by reason.
+func (set *StackSet) consume(idx int) {
+	for {
 		f, ok := set.inbox[idx].pop()
 		if !ok {
-			break
+			return
 		}
 		set.health[idx].consumed++
-		last, lastErr = set.shards[idx].Deliver(f)
+		_, _ = set.shards[idx].Deliver(f)
 	}
-	return last, lastErr
 }
 
 // home resolves the shard a frame belongs to — the steering hash,
@@ -405,15 +377,15 @@ func (set *StackSet) home(frame []byte) (int, []byte) {
 	return idx, whole
 }
 
-// dispatch hands a homed frame to its shard's Stack: by a direct call when
-// the shard is under no fault verdict and has nothing queued, which is
-// every frame of a healthy set. Otherwise the frame joins the shard's
-// backlog under backpressure, behind what an earlier fault left there, and
-// the backlog drains into the Stack as the active verdict allows, so a
-// frame never overtakes one that arrived before it. It is the one body
-// behind Deliver and the drain's salvage path (FailOver re-homes and
-// dispatches a dead shard's queued frames, which Deliver already counted
-// when they first arrived).
+// dispatch hands a homed frame to its shard's Stack. A shard under the zero
+// verdict takes it by a direct call, which is every frame of a healthy set,
+// after draining whatever an earlier fault left on its backlog, so a frame
+// never overtakes one that arrived before it. A crashed or stalled shard
+// queues the frame while its backlog has room, and a wedged one refuses it;
+// a frame neither taken nor queued is shed, counted against inbox-full. It
+// is the one body behind Deliver and the drain's salvage path (FailOver
+// re-homes and dispatches a dead shard's queued frames, which Deliver
+// already counted when they first arrived).
 //
 //demux:hotpath
 func (set *StackSet) dispatch(idx int, whole []byte) (core.Result, error) {
@@ -427,18 +399,19 @@ func (set *StackSet) dispatch(idx int, whole []byte) (core.Result, error) {
 		set.shedInboxFrame(idx)
 		return core.Result{}, nil
 	}
-	v := set.verdict(idx)
-	if v == (FaultVerdict{}) && set.inbox[idx].len() == 0 {
-		set.health[idx].consumed++
-		return set.shards[idx].Deliver(whole)
-	}
-	if !set.pushInbox(idx, whole, v) {
+	if v := set.verdict(idx); v != (FaultVerdict{}) {
+		if v.Wedge || !set.inbox[idx].push(whole) {
+			set.InboxFullEvents++
+			set.m.InboxFull.Inc()
+			set.shedInboxFrame(idx)
+		}
 		return core.Result{}, nil
 	}
-	if v.Crash || v.Stall {
-		return core.Result{}, nil // queued; the consumer is not running
+	if set.inbox[idx].len() > 0 {
+		set.consume(idx)
 	}
-	return set.consume(idx, v.MaxConsume)
+	set.health[idx].consumed++
+	return set.shards[idx].Deliver(whole)
 }
 
 // Deliver implements engine.LossyServer: count the frame, resolve its
@@ -479,7 +452,7 @@ func (set *StackSet) Drain() [][]byte {
 // advances together, each with its liveness heartbeat armed on its own
 // wheel; a crashed shard's clock freezes (that is what the heartbeat
 // detects) and a drained shard is decommissioned. After the clocks
-// advance, any backlog a recovered or slow consumer left behind is
+// advance, any backlog a consumer that is running again left behind is
 // drained, and the watchdog pass runs.
 func (set *StackSet) Tick(now float64) {
 	set.now = now
@@ -501,7 +474,7 @@ func (set *StackSet) Tick(now float64) {
 		set.ensureHeartbeat(i, now)
 		s.Tick(now)
 		if !v.Stall {
-			set.consume(i, v.MaxConsume)
+			set.consume(i)
 		}
 	}
 	set.checkHealth(now)
