@@ -61,7 +61,7 @@ func (d *AutoSequent) NumChains() int { return d.inner.NumChains() }
 func (d *AutoSequent) Insert(p *PCB) error {
 	if !p.Key.IsWildcard() {
 		// Listeners live on a side list and do not load the chains.
-		chainPop := d.inner.Len() - d.inner.listen.n
+		chainPop := d.inner.Len() - len(d.inner.listen)
 		if float64(chainPop+1) > d.maxLoad*float64(d.inner.NumChains()) {
 			d.grow()
 		}
@@ -78,21 +78,14 @@ func (d *AutoSequent) grow() {
 	// Share the statistics object across the migration so pointers handed
 	// out by Stats() stay live.
 	bigger.stats = old.stats
-	for i := range old.chains {
-		for cur := old.chains[i].pcbs.head; cur != nil; cur = cur.next {
-			d.RehashExaminations++
-			// Keys are unique in the old table, so Insert cannot fail.
-			if err := bigger.Insert(cur.pcb); err != nil {
-				panic("core: AutoSequent rehash found duplicate key: " + err.Error())
-			}
-		}
-	}
-	for cur := old.listen.head; cur != nil; cur = cur.next {
+	old.Walk(func(p *PCB) bool {
 		d.RehashExaminations++
-		if err := bigger.Insert(cur.pcb); err != nil {
-			panic("core: AutoSequent rehash found duplicate listener: " + err.Error())
+		// Keys are unique in the old table, so Insert cannot fail.
+		if err := bigger.Insert(p); err != nil {
+			panic("core: AutoSequent rehash found duplicate key: " + err.Error())
 		}
-	}
+		return true
+	})
 	d.inner = bigger
 	d.Rehashes++
 }

@@ -71,7 +71,7 @@ func (d *BSDList) Lookup(k Key, _ Direction) Result {
 func (d *BSDList) NotifySend(*PCB) {}
 
 // Len implements Demuxer.
-func (d *BSDList) Len() int { return d.pcbs.n }
+func (d *BSDList) Len() int { return len(d.pcbs) }
 
 // Stats implements Demuxer.
 func (d *BSDList) Stats() *Stats { return &d.stats }

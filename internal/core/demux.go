@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Errors returned by demuxer mutation methods.
@@ -107,77 +108,88 @@ func (s *Stats) String() string {
 		s.Lookups, s.Hits, s.HitRate()*100, s.Misses, s.MeanExamined(), s.MaxExamined)
 }
 
-// node is the singly linked list cell shared by the list-based demuxers.
-// Head insertion preserves the BSD property that young connections sit
-// near the front.
-type node struct {
-	pcb  *PCB
-	next *node
+// entry is one list slot: the PCB's key held inline beside the PCB, so a
+// scan compares keys in a contiguous array and dereferences a PCB only to
+// return it. 24 bytes: Key (12) + padding (4) + pointer (8).
+type entry struct {
+	key Key
+	pcb *PCB
 }
 
-// list is a singly linked PCB list with the scan helpers the list-based
-// algorithms share. The zero value is an empty list.
-type list struct {
-	head *node
-	n    int
+// list is the PCB list the list-based algorithms share: BSDList, MTFList,
+// SRCache, every hash chain and every listen list. The front of the list
+// is the end of the slice, so pushing a PCB to the front is an append;
+// front insertion keeps the BSD property that young connections sit near
+// the front. The zero value is an empty list.
+type list []entry
+
+// pushFront inserts a PCB at the front.
+func (l *list) pushFront(p *PCB) { *l = append(*l, entry{key: p.Key, pcb: p}) }
+
+// find returns the index of the entry with exactly key k, searching from
+// the front, or -1. Remote port and address are compared first: the
+// connections to one service share the local half.
+func (l list) find(k Key) int {
+	for i := len(l) - 1; i >= 0; i-- {
+		e := &l[i].key
+		if e.RemotePort == k.RemotePort && e.RemoteAddr == k.RemoteAddr &&
+			e.LocalPort == k.LocalPort && e.LocalAddr == k.LocalAddr {
+			return i
+		}
+	}
+	return -1
 }
 
-// pushFront inserts a PCB at the head.
-func (l *list) pushFront(p *PCB) {
-	l.head = &node{pcb: p, next: l.head}
-	l.n++
-}
-
-// remove unlinks the node holding the PCB with exactly key k.
+// remove deletes the entry with exactly key k, returning its PCB.
 func (l *list) remove(k Key) *PCB {
-	for cur, prev := l.head, (*node)(nil); cur != nil; prev, cur = cur, cur.next {
-		if cur.pcb.Key == k {
-			if prev == nil {
-				l.head = cur.next
-			} else {
-				prev.next = cur.next
-			}
-			l.n--
-			return cur.pcb
-		}
+	i := l.find(k)
+	if i < 0 {
+		return nil
 	}
-	return nil
+	p := (*l)[i].pcb
+	*l = slices.Delete(*l, i, i+1)
+	return p
 }
 
-// scan walks the list looking for the best match for packet key k. It
-// stops at the first exact match; wildcard candidates force a full walk,
-// exactly like the historic in_pcblookup. It returns the best PCB (nil if
-// none), the number of nodes examined, and whether the match was exact.
-func (l *list) scan(k Key) (best *PCB, examined int, exact bool) {
-	bestScore := -1
-	for cur := l.head; cur != nil; cur = cur.next {
-		examined++
-		score := Match(cur.pcb.Key, k)
-		if score == exactScore {
-			return cur.pcb, examined, true
-		}
-		if score > bestScore {
-			bestScore = score
-			best = cur.pcb
+// toFront moves entry i to the front, keeping the others in order. After
+// an exact scan that examined e entries, the match is at len(l)-e.
+func (l list) toFront(i int) {
+	e := l[i]
+	copy(l[i:], l[i+1:])
+	l[len(l)-1] = e
+}
+
+// scan looks for the best match for packet key k, as the historic
+// in_pcblookup does: the first exact match from the front wins, and
+// failing that the first best-scoring wildcard. Only an exact packet key
+// can match a PCB exactly, and then the match is key equality, so that
+// case is a find; a miss walks Match over the whole list. It returns the
+// best PCB (nil if none), the number of entries examined, and whether the
+// match was exact.
+func (l list) scan(k Key) (best *PCB, examined int, exact bool) {
+	if !k.IsWildcard() {
+		if i := l.find(k); i >= 0 {
+			return l[i].pcb, len(l) - i, true
 		}
 	}
-	return best, examined, false
+	bestScore := -1
+	for i := len(l) - 1; i >= 0; i-- {
+		if score := Match(l[i].key, k); score > bestScore {
+			bestScore = score
+			best = l[i].pcb
+		}
+	}
+	return best, len(l), false
 }
 
 // containsExact reports whether a PCB with exactly key k is present.
-func (l *list) containsExact(k Key) bool {
-	for cur := l.head; cur != nil; cur = cur.next {
-		if cur.pcb.Key == k {
-			return true
-		}
-	}
-	return false
-}
+func (l list) containsExact(k Key) bool { return l.find(k) >= 0 }
 
-// walkList is the shared Walk helper for the list-based structures.
-func (l *list) walk(fn func(*PCB) bool) bool {
-	for cur := l.head; cur != nil; cur = cur.next {
-		if !fn(cur.pcb) {
+// walk calls fn for every PCB from the front until fn returns false,
+// reporting whether it ran to the end.
+func (l list) walk(fn func(*PCB) bool) bool {
+	for i := len(l) - 1; i >= 0; i-- {
+		if !fn(l[i].pcb) {
 			return false
 		}
 	}

@@ -112,7 +112,7 @@ func (d *DirectIndex) Lookup(k Key, _ Direction) Result {
 func (d *DirectIndex) NotifySend(*PCB) {}
 
 // Len implements Demuxer.
-func (d *DirectIndex) Len() int { return len(d.byKey) + d.listen.n }
+func (d *DirectIndex) Len() int { return len(d.byKey) + len(d.listen) }
 
 // Stats implements Demuxer.
 func (d *DirectIndex) Stats() *Stats { return &d.stats }

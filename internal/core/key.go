@@ -13,6 +13,13 @@
 // chains), DirectIndex (protocol-negotiated connection IDs as in TP4, X.25
 // and XTP), and MapDemux (a modern global hash table baseline).
 //
+// Every list these algorithms walk — the BSD, MTF and SR lists, each hash
+// chain, each listen list — is one array of 24-byte entries, each the
+// PCB's key held inline beside the PCB pointer, with the list's front at
+// the array's end. A scan compares keys in the array and reads a PCB only
+// to return it, so it examines exactly the PCBs in_pcblookup would, in the
+// same order, without a dependent load per examination.
+//
 // Demuxers are not safe for concurrent use; an engine.Stack, which has a
 // single owner, needs none, and internal/parallel holds the disciplines
 // that are.
@@ -136,15 +143,11 @@ func Match(pcbKey, packet Key) int {
 	return score
 }
 
-// ExactScore is the Match score of a fully specified connection key: all
+// exactScore is the Match score of a fully specified connection key: all
 // three optional components (local address, remote address, remote port)
-// present and equal. External demultiplexers built on Match — the rcu
-// package's lock-free table, for one — compare against it to distinguish
-// an exact connection match from the best wildcard listener.
-const ExactScore = 3
-
-// exactScore is the internal alias predating the export.
-const exactScore = ExactScore
+// present and equal. It distinguishes an exact connection match from the
+// best wildcard listener.
+const exactScore = 3
 
 // Direction classifies an inbound packet for demultiplexers whose probe
 // order depends on it (the SR cache examines the receive-side cache first

@@ -71,7 +71,7 @@ func (d *MapDemux) Lookup(k Key, _ Direction) Result {
 func (d *MapDemux) NotifySend(*PCB) {}
 
 // Len implements Demuxer.
-func (d *MapDemux) Len() int { return len(d.byKey) + d.listen.n }
+func (d *MapDemux) Len() int { return len(d.byKey) + len(d.listen) }
 
 // Stats implements Demuxer.
 func (d *MapDemux) Stats() *Stats { return &d.stats }

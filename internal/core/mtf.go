@@ -32,35 +32,16 @@ func (d *MTFList) Insert(p *PCB) error {
 // Remove implements Demuxer.
 func (d *MTFList) Remove(k Key) bool { return d.pcbs.remove(k) != nil }
 
-// Lookup implements Demuxer: scan, and on an exact match splice the node to
-// the front. The splice is done during the scan so the list is walked once.
+// Lookup implements Demuxer: scan, and on an exact match move the entry to
+// the front.
 //
 //demux:hotpath
 func (d *MTFList) Lookup(k Key, _ Direction) Result {
-	var r Result
-	var best *PCB
-	bestScore := -1
-	for cur, prev := d.pcbs.head, (*node)(nil); cur != nil; prev, cur = cur, cur.next {
-		r.Examined++
-		score := Match(cur.pcb.Key, k)
-		if score == exactScore {
-			// Move to front (no-op when already there).
-			if prev != nil {
-				prev.next = cur.next
-				cur.next = d.pcbs.head
-				d.pcbs.head = cur
-			}
-			r.PCB = cur.pcb
-			d.stats.record(r)
-			return r
-		}
-		if score > bestScore {
-			bestScore = score
-			best = cur.pcb
-		}
+	best, examined, exact := d.pcbs.scan(k)
+	if exact {
+		d.pcbs.toFront(len(d.pcbs) - examined)
 	}
-	r.PCB = best
-	r.Wildcard = best != nil
+	r := Result{PCB: best, Examined: examined, Wildcard: best != nil && !exact}
 	d.stats.record(r)
 	return r
 }
@@ -69,7 +50,7 @@ func (d *MTFList) Lookup(k Key, _ Direction) Result {
 func (d *MTFList) NotifySend(*PCB) {}
 
 // Len implements Demuxer.
-func (d *MTFList) Len() int { return d.pcbs.n }
+func (d *MTFList) Len() int { return len(d.pcbs) }
 
 // Stats implements Demuxer.
 func (d *MTFList) Stats() *Stats { return &d.stats }

@@ -4,8 +4,10 @@ import "fmt"
 
 // State is a TCP connection state. The demultiplexer itself needs only the
 // listen/established distinction, but the engine's accept path walks the
-// full passive-open sequence, so the standard states are defined.
-type State int
+// full passive-open sequence, so the standard states are defined. It is
+// 32 bits so that it packs beside the 12-byte Key and a PCB stays in the
+// 64-byte size class.
+type State int32
 
 // TCP connection states (RFC 793 §3.2).
 const (
@@ -58,8 +60,6 @@ type PCB struct {
 	// Counters updated by the engine.
 	RxSegments uint64
 	TxSegments uint64
-	RxBytes    uint64
-	TxBytes    uint64
 
 	// UserData lets applications attach their per-connection state, as
 	// so_pcb links the socket in BSD.

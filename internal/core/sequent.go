@@ -129,50 +129,26 @@ func (d *SequentHash) Lookup(k Key, _ Direction) Result {
 			return r
 		}
 	}
-	if d.mtf {
-		if p, examined := c.scanMTF(k); p != nil {
-			r.Examined += examined
-			r.PCB = p
-			d.stats.record(r)
-			return r
+	best, examined, exact := c.pcbs.scan(k)
+	r.Examined += examined
+	if exact {
+		if d.mtf {
+			c.pcbs.toFront(len(c.pcbs) - examined)
 		} else {
-			r.Examined += examined
-		}
-	} else {
-		best, examined, exact := c.pcbs.scan(k)
-		r.Examined += examined
-		if exact {
 			c.cache = best
-			r.PCB = best
-			d.stats.record(r)
-			return r
 		}
-		// Chains hold only exact-keyed PCBs, so a non-exact result here is
-		// always nil; fall through to the listeners.
+		r.PCB = best
+		d.stats.record(r)
+		return r
 	}
-	best, examined, _ := d.listen.scan(k)
+	// Chains hold only exact-keyed PCBs, so a non-exact result here is
+	// always nil; fall through to the listeners.
+	best, examined, _ = d.listen.scan(k)
 	r.Examined += examined
 	r.PCB = best
 	r.Wildcard = best != nil
 	d.stats.record(r)
 	return r
-}
-
-// scanMTF finds an exact match in the chain and splices it to the front.
-func (c *chain) scanMTF(k Key) (*PCB, int) {
-	examined := 0
-	for cur, prev := c.pcbs.head, (*node)(nil); cur != nil; prev, cur = cur, cur.next {
-		examined++
-		if cur.pcb.Key == k {
-			if prev != nil {
-				prev.next = cur.next
-				cur.next = c.pcbs.head
-				c.pcbs.head = cur
-			}
-			return cur.pcb, examined
-		}
-	}
-	return nil, examined
 }
 
 // NotifySend implements Demuxer; the Sequent algorithm ignores
@@ -181,9 +157,9 @@ func (d *SequentHash) NotifySend(*PCB) {}
 
 // Len implements Demuxer.
 func (d *SequentHash) Len() int {
-	n := d.listen.n
+	n := len(d.listen)
 	for i := range d.chains {
-		n += d.chains[i].pcbs.n
+		n += len(d.chains[i].pcbs)
 	}
 	return n
 }
@@ -196,7 +172,7 @@ func (d *SequentHash) Stats() *Stats { return d.stats }
 func (d *SequentHash) ChainLengths() []int64 {
 	out := make([]int64, len(d.chains))
 	for i := range d.chains {
-		out[i] = int64(d.chains[i].pcbs.n)
+		out[i] = int64(len(d.chains[i].pcbs))
 	}
 	return out
 }
@@ -214,10 +190,9 @@ func (d *SequentHash) Walk(fn func(*PCB) bool) {
 // WalkChain is the read-only chain-walk hook: it calls fn for every PCB on
 // chain i (front = most recently inserted, or most recently used under
 // MTF) until fn returns false, without touching caches or statistics.
-// Concurrent and alternative demultiplexers that must place PCBs on the
-// same chains this table would (the rcu package's lock-free variant, the
-// parallel package's sharded variant) use it to cross-check placement
-// chain by chain. The PCB set must not be mutated during the walk.
+// overload.Guarded uses it during an online rehash to migrate a chain and
+// to check the old table for a duplicate key. The PCB set must not be
+// mutated during the walk.
 func (d *SequentHash) WalkChain(i int, fn func(*PCB) bool) {
 	if i < 0 || i >= len(d.chains) {
 		return

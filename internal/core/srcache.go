@@ -86,7 +86,7 @@ func (d *SRCache) Lookup(k Key, dir Direction) Result {
 func (d *SRCache) NotifySend(p *PCB) { d.sent = p }
 
 // Len implements Demuxer.
-func (d *SRCache) Len() int { return d.pcbs.n }
+func (d *SRCache) Len() int { return len(d.pcbs) }
 
 // Stats implements Demuxer.
 func (d *SRCache) Stats() *Stats { return &d.stats }

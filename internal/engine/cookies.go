@@ -147,7 +147,6 @@ func (s *Stack) acceptCookieACK(seg *wire.Segment, key core.Key) {
 	}
 	s.tel.CookiesAccepted.Inc()
 	pcb.RxSegments++
-	pcb.RxBytes += uint64(len(seg.Payload))
 	if s.OnAccept != nil {
 		s.OnAccept(conn)
 	}

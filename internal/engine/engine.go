@@ -315,7 +315,6 @@ func (s *Stack) send(pcb *core.PCB, payload []byte, flags uint8) error {
 		pcb.SndNxt++
 	}
 	pcb.TxSegments++
-	pcb.TxBytes += uint64(len(payload))
 	if len(payload) > 0 || flags&(wire.FlagSYN|wire.FlagFIN) != 0 {
 		if cd, ok := pcb.UserData.(*connData); ok {
 			cd.unacked = frame
@@ -434,7 +433,6 @@ func (s *Stack) Deliver(frame []byte) (core.Result, error) {
 		return res, nil
 	}
 	pcb.RxSegments++
-	pcb.RxBytes += uint64(len(seg.Payload))
 	// Any acknowledgement covering the retransmission buffer releases it
 	// and quenches the retransmission timer.
 	if seg.TCP.Flags&wire.FlagACK != 0 {

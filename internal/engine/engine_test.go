@@ -333,9 +333,8 @@ func TestPCBCountersAdvance(t *testing.T) {
 		t.Fatal(err)
 	}
 	pcb := conn.pcb
-	if pcb.TxSegments == 0 || pcb.RxSegments == 0 || pcb.TxBytes != 8 || pcb.RxBytes != 8 {
-		t.Fatalf("counters: tx=%d rx=%d txB=%d rxB=%d",
-			pcb.TxSegments, pcb.RxSegments, pcb.TxBytes, pcb.RxBytes)
+	if pcb.TxSegments == 0 || pcb.RxSegments == 0 {
+		t.Fatalf("counters: tx=%d rx=%d", pcb.TxSegments, pcb.RxSegments)
 	}
 }
 
