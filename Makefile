@@ -4,7 +4,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all build vet lint lint-fixtures loc bench-check bench-pairs test golden race chaos shard failover live demuxd demuxload bench bench-json bench-json-cache bench-json-shard fuzz figures clean
+.PHONY: all build vet lint lint-fixtures loc gates bench-check bench-pairs test golden race chaos shard failover live demuxd demuxload bench bench-json bench-json-cache bench-json-shard fuzz figures clean
 
 all: build vet lint test
 
@@ -39,6 +39,13 @@ loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path './bench/*' ! -path './.bench_build/*' -print0 | xargs -0 cat | wc -l
 
 FORCE:
+
+# gates fails when a `go test -run` filter in this Makefile or in CI's
+# workflow selects no test in a package it names (scripts/gates.sh, using
+# `go test -list`): a gate whose tests were renamed away would otherwise
+# pass green on zero tests.
+gates:
+	GO=$(GO) scripts/gates.sh
 
 # bench-check vets and tests the benchmark harness. bench/ is a module of
 # its own (go.mod replaces tcpdemux with ../), so `go build ./...` and

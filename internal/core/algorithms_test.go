@@ -323,7 +323,7 @@ func TestDirectIndexAssignsAndRecyclesIDs(t *testing.T) {
 	if a.ID != 0 || b.ID != 1 {
 		t.Fatalf("IDs = %d, %d", a.ID, b.ID)
 	}
-	if r := d.LookupID(a.ID); r.PCB != a || r.Examined != 1 {
+	if r := d.LookupID(int(a.ID)); r.PCB != a || r.Examined != 1 {
 		t.Fatalf("LookupID: %+v", r)
 	}
 	d.Remove(a.Key)

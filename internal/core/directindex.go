@@ -56,7 +56,7 @@ func (d *DirectIndex) Insert(p *PCB) error {
 		id = len(d.slots)
 		d.slots = append(d.slots, p)
 	}
-	p.ID = id
+	p.ID = int32(id)
 	d.byKey[p.Key] = id
 	return nil
 }

@@ -5,8 +5,8 @@ import "fmt"
 // State is a TCP connection state. The demultiplexer itself needs only the
 // listen/established distinction, but the engine's accept path walks the
 // full passive-open sequence, so the standard states are defined. It is
-// 32 bits so that it packs beside the 12-byte Key and a PCB stays in the
-// 64-byte size class.
+// 32 bits so that it packs beside the 12-byte Key and a PCB stays at 56
+// bytes.
 type State int32
 
 // TCP connection states (RFC 793 §3.2).
@@ -55,11 +55,11 @@ type PCB struct {
 
 	// ID is assigned by DirectIndex demuxers (the connection-ID scheme of
 	// TP4/X.25/XTP, paper §3.5); -1 when unassigned.
-	ID int
+	ID int32
 
-	// Counters updated by the engine.
-	RxSegments uint64
-	TxSegments uint64
+	// Counters updated by the engine. They wrap after 2^32 segments.
+	RxSegments uint32
+	TxSegments uint32
 
 	// UserData lets applications attach their per-connection state, as
 	// so_pcb links the socket in BSD.

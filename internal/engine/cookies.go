@@ -134,24 +134,21 @@ func (s *Stack) acceptCookieACK(seg *wire.Segment, key core.Key) {
 		s.sendRST(seg)
 		return
 	}
-	pcb := core.NewPCB(key)
-	pcb.State = core.StateEstablished
-	pcb.RcvNxt = seg.TCP.Seq
-	pcb.SndNxt = seg.TCP.Ack
-	conn := &Conn{stack: s, pcb: pcb}
-	pcb.UserData = &connData{conn: conn, handler: s.handlers[key.LocalPort]}
-	if err := s.demux.Insert(pcb); err != nil {
+	c := s.newConn(key, core.StateEstablished, s.handlers[key.LocalPort])
+	c.pcb.RcvNxt = seg.TCP.Seq
+	c.pcb.SndNxt = seg.TCP.Ack
+	if err := s.demux.Insert(&c.pcb); err != nil {
 		// A connection PCB with this key appeared between the lookup and
 		// now (duplicate ACK racing itself); drop.
 		return
 	}
 	s.tel.CookiesAccepted.Inc()
-	pcb.RxSegments++
+	c.pcb.RxSegments++
 	if s.OnAccept != nil {
-		s.OnAccept(conn)
+		s.OnAccept(c)
 	}
 	// The validating ACK may already carry the first transaction.
 	if len(seg.Payload) > 0 {
-		s.handleEstablished(pcb, seg)
+		s.handleEstablished(c, seg)
 	}
 }

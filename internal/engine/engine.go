@@ -41,10 +41,46 @@ type Handler func(c *Conn, payload []byte) (response []byte)
 // the lookup structures this repo measures.
 const DefaultBacklog = 128
 
-// Conn is the application's view of one connection.
+// Conn is one connection: the PCB the demultiplexer holds, the owning
+// Stack and the engine's state for it, in one allocation. PCB.UserData
+// points back at the Conn, as so_pcb links the socket in BSD.
 type Conn struct {
+	// pcb is first, so the demultiplexer's pointer is the Conn's address
+	// and a lookup touches the head of the object the frame then works on.
+	pcb   core.PCB
 	stack *Stack
-	pcb   *core.PCB
+	// handler, when set, is the connection's one payload consumer; without
+	// one, payloads queue on rxQueue for Receive.
+	handler Handler
+	// rxQueue holds received payloads not yet taken with Receive; it is
+	// allocated on first use, since a connection with a handler never
+	// queues. It is bounded to rxQueueMax; beyond that the oldest payloads
+	// are dropped (the engine has no flow control, so an unread queue
+	// means the application abandoned the data).
+	rxQueue *[][]byte
+	// unacked retains the frame of the most recent sequence-consuming
+	// segment until the peer acknowledges it, for the retransmission
+	// timer and Stack.Retransmit. The engine is stop-and-wait per
+	// connection: a second send before the first is acknowledged replaces
+	// the retransmission buffer.
+	unacked    []byte
+	unackedEnd uint32
+	// retries counts consecutive timer-driven retransmissions of the same
+	// segment (reset on acknowledgement) and drives exponential backoff
+	// and the max-retry abort; rtx is the pending retransmission timer.
+	retries int32
+	rtx     timer.Timer
+	// life is the connection-lifecycle timer: SYN_RCVD give-up while half
+	// open, the 2MSL clock once in TIME_WAIT.
+	life timer.Timer
+}
+
+// newConn makes the connection for key in the given state, its PCB not
+// yet inserted.
+func (s *Stack) newConn(k core.Key, state core.State, h Handler) *Conn {
+	c := &Conn{pcb: core.PCB{Key: k, State: state, ID: -1}, stack: s, handler: h}
+	c.pcb.UserData = c
+	return c
 }
 
 // Key returns the connection's demultiplexing key.
@@ -55,7 +91,7 @@ func (c *Conn) State() core.State { return c.pcb.State }
 
 // Send transmits payload on the connection.
 func (c *Conn) Send(payload []byte) error {
-	return c.stack.send(c.pcb, payload, wire.FlagACK|wire.FlagPSH)
+	return c.stack.send(c, payload, wire.FlagACK|wire.FlagPSH)
 }
 
 // Close starts the active close: FIN is sent and the connection walks
@@ -72,55 +108,22 @@ func (c *Conn) Close() error {
 	case core.StateClosed, core.StateTimeWait, core.StateFinWait1,
 		core.StateFinWait2, core.StateClosing, core.StateLastAck:
 		return ErrClosed
-	case core.StateSynSent:
-		c.stack.teardown(c.pcb)
-		return nil
-	case core.StateSynRcvd:
-		c.stack.releaseHalfOpen(c.pcb)
-		c.stack.teardown(c.pcb)
+	case core.StateSynSent, core.StateSynRcvd:
+		c.stack.teardown(c)
 		return nil
 	case core.StateCloseWait:
 		// Passive close: our FIN answers the peer's.
-		if err := c.stack.send(c.pcb, nil, wire.FlagFIN|wire.FlagACK); err != nil {
+		if err := c.stack.send(c, nil, wire.FlagFIN|wire.FlagACK); err != nil {
 			return err
 		}
 		c.pcb.State = core.StateLastAck
 		return nil
 	}
-	if err := c.stack.send(c.pcb, nil, wire.FlagFIN|wire.FlagACK); err != nil {
+	if err := c.stack.send(c, nil, wire.FlagFIN|wire.FlagACK); err != nil {
 		return err
 	}
 	c.pcb.State = core.StateFinWait1
 	return nil
-}
-
-// connData is the engine's per-PCB state hung off PCB.UserData.
-type connData struct {
-	conn *Conn
-	// handler, when set, is the connection's one payload consumer; without
-	// one, payloads queue on rxQueue for Receive.
-	handler Handler
-	// rxQueue holds received payloads not yet taken with Receive. It is
-	// bounded to rxQueueMax; beyond that the oldest payloads are dropped
-	// (the engine has no flow control, so an unread queue means the
-	// application abandoned the data).
-	rxQueue [][]byte
-	// unacked retains the frame of the most recent sequence-consuming
-	// segment until the peer acknowledges it, for the retransmission
-	// timer and Stack.Retransmit. The engine is stop-and-wait per
-	// connection: a second send before the first is acknowledged replaces
-	// the retransmission buffer.
-	unacked    []byte
-	unackedEnd uint32
-	// rtx is the pending retransmission timer for unacked; retries counts
-	// consecutive timer-driven retransmissions of the same segment (reset
-	// on acknowledgement) and drives exponential backoff and the
-	// max-retry abort.
-	rtx     timer.Timer
-	retries int
-	// life is the connection-lifecycle timer: SYN_RCVD give-up while half
-	// open, the 2MSL clock once in TIME_WAIT.
-	life timer.Timer
 }
 
 // rxQueueMax bounds the per-connection receive queue.
@@ -139,7 +142,8 @@ type Stack struct {
 	src      *rng.Source
 	outbox   [][]byte
 	handlers map[uint16]Handler
-	timeWait []*core.PCB
+	// timeWaits counts the PCBs lingering in TIME_WAIT.
+	timeWaits int
 	// halfOpen counts SYN_RCVD PCBs per listening port, against backlog
 	// (DefaultBacklog until SetBacklog).
 	halfOpen map[uint16]int
@@ -245,19 +249,16 @@ func (s *Stack) Connect(remote wire.Addr, remotePort, localPort uint16, h Handle
 		LocalAddr: s.addr, LocalPort: localPort,
 		RemoteAddr: remote, RemotePort: remotePort,
 	}
-	pcb := core.NewPCB(k)
-	pcb.State = core.StateSynSent
-	pcb.SndNxt = uint32(s.src.Uint64()) // ISS
-	conn := &Conn{stack: s, pcb: pcb}
-	pcb.UserData = &connData{conn: conn, handler: h}
-	if err := s.demux.Insert(pcb); err != nil {
+	c := s.newConn(k, core.StateSynSent, h)
+	c.pcb.SndNxt = uint32(s.src.Uint64()) // ISS
+	if err := s.demux.Insert(&c.pcb); err != nil {
 		return nil, err
 	}
-	if err := s.send(pcb, nil, wire.FlagSYN); err != nil {
+	if err := s.send(c, nil, wire.FlagSYN); err != nil {
 		s.demux.Remove(k)
 		return nil, err
 	}
-	return conn, nil
+	return c, nil
 }
 
 // Drain returns the queued outbound frames and clears the outbox.
@@ -288,9 +289,10 @@ func (s *Stack) emit(frame []byte) {
 	s.outbox = append(s.outbox, frame)
 }
 
-// send builds and queues one segment on pcb. SYN and FIN consume one
+// send builds and queues one segment on c. SYN and FIN consume one
 // sequence number; data consumes its length.
-func (s *Stack) send(pcb *core.PCB, payload []byte, flags uint8) error {
+func (s *Stack) send(c *Conn, payload []byte, flags uint8) error {
+	pcb := &c.pcb
 	if pcb.State == core.StateClosed {
 		return ErrClosed
 	}
@@ -316,12 +318,10 @@ func (s *Stack) send(pcb *core.PCB, payload []byte, flags uint8) error {
 	}
 	pcb.TxSegments++
 	if len(payload) > 0 || flags&(wire.FlagSYN|wire.FlagFIN) != 0 {
-		if cd, ok := pcb.UserData.(*connData); ok {
-			cd.unacked = frame
-			cd.unackedEnd = pcb.SndNxt
-			cd.retries = 0
-			s.armRetransmit(pcb, cd)
-		}
+		c.unacked = frame
+		c.unackedEnd = pcb.SndNxt
+		c.retries = 0
+		s.armRetransmit(c)
 	}
 	s.demux.NotifySend(pcb)
 	s.emit(frame)
@@ -359,17 +359,29 @@ func (s *Stack) sendRST(seg *wire.Segment) {
 	}
 }
 
-// teardown removes the PCB from the demultiplexer and marks it closed,
-// canceling its lifecycle timers and releasing its ephemeral port if it
+// teardown removes the connection from the demultiplexer and marks it
+// closed, unwinding it (see unwind) and releasing its ephemeral port if it
 // had one.
-func (s *Stack) teardown(pcb *core.PCB) {
-	if cd, ok := pcb.UserData.(*connData); ok {
-		stopTimer(&cd.rtx)
-		stopTimer(&cd.life)
+func (s *Stack) teardown(c *Conn) {
+	s.unwind(c)
+	s.demux.Remove(c.pcb.Key)
+	c.pcb.State = core.StateClosed
+	s.releasePort(c.pcb.Key.LocalPort)
+}
+
+// unwind cancels the connection's lifecycle timers and takes it off the
+// stack's counts: a SYN_RCVD connection gives back its listener backlog
+// slot, a TIME_WAIT one leaves the TIME_WAIT count. Teardown and Extract
+// both do this as the connection leaves the table.
+func (s *Stack) unwind(c *Conn) {
+	stopTimer(&c.rtx)
+	stopTimer(&c.life)
+	switch c.pcb.State {
+	case core.StateSynRcvd:
+		s.releaseHalfOpen(c)
+	case core.StateTimeWait:
+		s.timeWaits--
 	}
-	s.demux.Remove(pcb.Key)
-	pcb.State = core.StateClosed
-	s.releasePort(pcb.Key.LocalPort)
 }
 
 // classify picks the lookup direction for an inbound segment: pure
@@ -433,31 +445,33 @@ func (s *Stack) Deliver(frame []byte) (core.Result, error) {
 		return res, nil
 	}
 	pcb.RxSegments++
+	if pcb.State == core.StateListen {
+		s.handleListen(seg, key)
+		return res, nil
+	}
+	// Every PCB but a listener is a Conn's.
+	c := pcb.UserData.(*Conn)
 	// Any acknowledgement covering the retransmission buffer releases it
 	// and quenches the retransmission timer.
-	if seg.TCP.Flags&wire.FlagACK != 0 {
-		if cd, ok := pcb.UserData.(*connData); ok && cd.unacked != nil && seg.TCP.Ack == cd.unackedEnd {
-			cd.unacked = nil
-			cd.retries = 0
-			stopTimer(&cd.rtx)
-		}
+	if seg.TCP.Flags&wire.FlagACK != 0 && c.unacked != nil && seg.TCP.Ack == c.unackedEnd {
+		c.unacked = nil
+		c.retries = 0
+		stopTimer(&c.rtx)
 	}
 
 	switch pcb.State {
-	case core.StateListen:
-		s.handleListen(pcb, seg, key)
 	case core.StateSynSent:
-		s.handleSynSent(pcb, seg)
+		s.handleSynSent(c, seg)
 	case core.StateSynRcvd:
-		s.handleSynRcvd(pcb, seg)
+		s.handleSynRcvd(c, seg)
 	case core.StateEstablished:
-		s.handleEstablished(pcb, seg)
+		s.handleEstablished(c, seg)
 	case core.StateCloseWait, core.StateLastAck:
 		if seg.TCP.Flags&wire.FlagACK != 0 && seg.TCP.Ack == pcb.SndNxt {
-			s.teardown(pcb)
+			s.teardown(c)
 		}
 	case core.StateFinWait1, core.StateFinWait2, core.StateClosing, core.StateTimeWait:
-		s.handleClosing(pcb, seg)
+		s.handleClosing(c, seg)
 	default:
 		// Closed, or states the engine does not model further.
 	}
@@ -465,18 +479,12 @@ func (s *Stack) Deliver(frame []byte) (core.Result, error) {
 }
 
 // handleClosing advances the active-close states.
-func (s *Stack) handleClosing(pcb *core.PCB, seg *wire.Segment) {
+func (s *Stack) handleClosing(c *Conn, seg *wire.Segment) {
+	pcb := &c.pcb
 	f := seg.TCP.Flags
 	if f&wire.FlagRST != 0 {
 		if seg.TCP.Seq == pcb.RcvNxt {
-			// Capture the state before teardown forces it to CLOSED: only
-			// a PCB that was actually lingering in TIME_WAIT is on the
-			// time-wait list, so only then is the O(n) scrub warranted.
-			wasTimeWait := pcb.State == core.StateTimeWait
-			s.teardown(pcb)
-			if wasTimeWait {
-				s.unTimeWait(pcb)
-			}
+			s.teardown(c)
 		}
 		return
 	}
@@ -492,67 +500,57 @@ func (s *Stack) handleClosing(pcb *core.PCB, seg *wire.Segment) {
 		switch {
 		case finHere && finAcked:
 			pcb.RcvNxt++
-			s.enterTimeWait(pcb)
-			_ = s.send(pcb, nil, wire.FlagACK)
+			s.enterTimeWait(c)
+			_ = s.send(c, nil, wire.FlagACK)
 		case finHere:
 			// Simultaneous close.
 			pcb.RcvNxt++
 			pcb.State = core.StateClosing
-			_ = s.send(pcb, nil, wire.FlagACK)
+			_ = s.send(c, nil, wire.FlagACK)
 		case finAcked:
 			pcb.State = core.StateFinWait2
 			if staleData {
-				_ = s.send(pcb, nil, wire.FlagACK)
+				_ = s.send(c, nil, wire.FlagACK)
 			}
 		case staleData:
-			_ = s.send(pcb, nil, wire.FlagACK)
+			_ = s.send(c, nil, wire.FlagACK)
 		}
 	case core.StateFinWait2:
 		if finHere {
 			pcb.RcvNxt++
-			s.enterTimeWait(pcb)
-			_ = s.send(pcb, nil, wire.FlagACK)
+			s.enterTimeWait(c)
+			_ = s.send(c, nil, wire.FlagACK)
 		} else if staleData {
-			_ = s.send(pcb, nil, wire.FlagACK)
+			_ = s.send(c, nil, wire.FlagACK)
 		}
 	case core.StateClosing:
 		if finAcked {
-			s.enterTimeWait(pcb)
+			s.enterTimeWait(c)
 		}
 	case core.StateTimeWait:
 		// A retransmitted FIN sits one octet below RcvNxt — we already
 		// consumed it once; the peer evidently lost our final ACK. Re-ack
 		// and restart the 2MSL clock, as RFC 793 prescribes.
 		if f&wire.FlagFIN != 0 && seg.TCP.Seq+uint32(len(seg.Payload)) == pcb.RcvNxt-1 {
-			_ = s.send(pcb, nil, wire.FlagACK)
-			s.armTimeWait(pcb)
+			_ = s.send(c, nil, wire.FlagACK)
+			s.armTimeWait(c)
 		}
 	}
 }
 
-// enterTimeWait parks the PCB in TIME_WAIT. It remains in the
+// enterTimeWait parks the connection in TIME_WAIT. It remains in the
 // demultiplexer — and therefore keeps lengthening its chain — until the
 // 2MSL timer fires under Stack.Tick (or ReapTimeWait forces the issue),
 // modeling the 2MSL linger of a real stack.
-func (s *Stack) enterTimeWait(pcb *core.PCB) {
-	pcb.State = core.StateTimeWait
-	s.timeWait = append(s.timeWait, pcb)
-	s.armTimeWait(pcb)
-}
-
-// unTimeWait drops a torn-down PCB from the TIME_WAIT list.
-func (s *Stack) unTimeWait(pcb *core.PCB) {
-	for i, p := range s.timeWait {
-		if p == pcb {
-			s.timeWait = append(s.timeWait[:i], s.timeWait[i+1:]...)
-			return
-		}
-	}
+func (s *Stack) enterTimeWait(c *Conn) {
+	c.pcb.State = core.StateTimeWait
+	s.timeWaits++
+	s.armTimeWait(c)
 }
 
 // TimeWaitCount returns the number of PCBs lingering in TIME_WAIT.
 func (s *Stack) TimeWaitCount() int {
-	return len(s.timeWait)
+	return s.timeWaits
 }
 
 // ReapTimeWait removes every TIME_WAIT PCB from the demultiplexer
@@ -561,17 +559,22 @@ func (s *Stack) TimeWaitCount() int {
 // happens automatically as each PCB's own 2MSL deadline passes; this
 // manual sweep remains for tests and clock-less callers.
 func (s *Stack) ReapTimeWait() int {
-	n := len(s.timeWait)
-	for _, pcb := range s.timeWait {
-		s.teardown(pcb)
+	var reap []*Conn
+	s.demux.Walk(func(p *core.PCB) bool {
+		if p.State == core.StateTimeWait {
+			reap = append(reap, p.UserData.(*Conn))
+		}
+		return true
+	})
+	for _, c := range reap {
+		s.teardown(c)
 	}
-	s.timeWait = nil
-	return n
+	return len(reap)
 }
 
 // handleListen performs the passive open: a SYN to a listener spawns a
 // connection PCB in SYN_RCVD and answers SYN|ACK.
-func (s *Stack) handleListen(listener *core.PCB, seg *wire.Segment, key core.Key) {
+func (s *Stack) handleListen(seg *wire.Segment, key core.Key) {
 	f := seg.TCP.Flags
 	if f&wire.FlagSYN == 0 || f&wire.FlagACK != 0 {
 		// Not an initial SYN. With cookies enabled, a pure ACK may be the
@@ -600,40 +603,39 @@ func (s *Stack) handleListen(listener *core.PCB, seg *wire.Segment, key core.Key
 		s.tel.DroppedBacklogFull.Inc()
 		return
 	}
-	pcb := core.NewPCB(key)
-	pcb.State = core.StateSynRcvd
-	pcb.RcvNxt = seg.TCP.Seq + 1
-	pcb.SndNxt = uint32(s.src.Uint64()) // ISS
-	conn := &Conn{stack: s, pcb: pcb}
-	pcb.UserData = &connData{conn: conn, handler: s.handlers[key.LocalPort]}
-	if err := s.demux.Insert(pcb); err != nil {
+	c := s.newConn(key, core.StateSynRcvd, s.handlers[key.LocalPort])
+	c.pcb.RcvNxt = seg.TCP.Seq + 1
+	c.pcb.SndNxt = uint32(s.src.Uint64()) // ISS
+	if err := s.demux.Insert(&c.pcb); err != nil {
 		// Simultaneous duplicate SYN; drop.
 		return
 	}
 	s.halfOpen[key.LocalPort]++
-	if err := s.send(pcb, nil, wire.FlagSYN|wire.FlagACK); err != nil {
-		// Release the backlog slot we just took, or a transient send
-		// failure permanently shrinks the listener's accept capacity.
-		s.releaseHalfOpen(pcb)
-		s.teardown(pcb)
+	if err := s.send(c, nil, wire.FlagSYN|wire.FlagACK); err != nil {
+		// Teardown releases the backlog slot we just took, or a transient
+		// send failure would permanently shrink the listener's accept
+		// capacity.
+		s.teardown(c)
 		return
 	}
-	s.armSynRcvdExpiry(pcb)
+	s.armSynRcvdExpiry(c)
 }
 
 // releaseHalfOpen decrements the listener's half-open count when a
-// SYN_RCVD PCB either completes or dies.
-func (s *Stack) releaseHalfOpen(pcb *core.PCB) {
-	if n := s.halfOpen[pcb.Key.LocalPort]; n > 0 {
-		s.halfOpen[pcb.Key.LocalPort] = n - 1
+// SYN_RCVD connection either completes or dies.
+func (s *Stack) releaseHalfOpen(c *Conn) {
+	port := c.pcb.Key.LocalPort
+	if n := s.halfOpen[port]; n > 0 {
+		s.halfOpen[port] = n - 1
 	}
 }
 
 // handleSynSent completes the active open on SYN|ACK.
-func (s *Stack) handleSynSent(pcb *core.PCB, seg *wire.Segment) {
+func (s *Stack) handleSynSent(c *Conn, seg *wire.Segment) {
+	pcb := &c.pcb
 	f := seg.TCP.Flags
 	if f&wire.FlagRST != 0 {
-		s.teardown(pcb)
+		s.teardown(c)
 		return
 	}
 	if f&wire.FlagSYN == 0 || f&wire.FlagACK == 0 || seg.TCP.Ack != pcb.SndNxt {
@@ -641,45 +643,43 @@ func (s *Stack) handleSynSent(pcb *core.PCB, seg *wire.Segment) {
 	}
 	pcb.RcvNxt = seg.TCP.Seq + 1
 	pcb.State = core.StateEstablished
-	if err := s.send(pcb, nil, wire.FlagACK); err != nil {
-		s.teardown(pcb)
+	if err := s.send(c, nil, wire.FlagACK); err != nil {
+		s.teardown(c)
 	}
 }
 
 // handleSynRcvd completes the passive open on the third-step ACK.
-func (s *Stack) handleSynRcvd(pcb *core.PCB, seg *wire.Segment) {
+func (s *Stack) handleSynRcvd(c *Conn, seg *wire.Segment) {
 	f := seg.TCP.Flags
 	if f&wire.FlagRST != 0 {
-		s.releaseHalfOpen(pcb)
-		s.teardown(pcb)
+		s.teardown(c)
 		return
 	}
-	if f&wire.FlagACK == 0 || seg.TCP.Ack != pcb.SndNxt {
+	if f&wire.FlagACK == 0 || seg.TCP.Ack != c.pcb.SndNxt {
 		return
 	}
-	s.releaseHalfOpen(pcb)
-	pcb.State = core.StateEstablished
-	if cd, ok := pcb.UserData.(*connData); ok {
-		// Handshake complete: the SYN_RCVD give-up timer no longer applies.
-		stopTimer(&cd.life)
-		if s.OnAccept != nil {
-			s.OnAccept(cd.conn)
-		}
+	s.releaseHalfOpen(c)
+	c.pcb.State = core.StateEstablished
+	// Handshake complete: the SYN_RCVD give-up timer no longer applies.
+	stopTimer(&c.life)
+	if s.OnAccept != nil {
+		s.OnAccept(c)
 	}
 	// The handshake ACK may already carry data.
 	if len(seg.Payload) > 0 {
-		s.handleEstablished(pcb, seg)
+		s.handleEstablished(c, seg)
 	}
 }
 
 // handleEstablished consumes data and FIN on an open connection.
-func (s *Stack) handleEstablished(pcb *core.PCB, seg *wire.Segment) {
+func (s *Stack) handleEstablished(c *Conn, seg *wire.Segment) {
+	pcb := &c.pcb
 	if seg.TCP.Flags&wire.FlagRST != 0 {
 		// RFC 5961-style strictness: a reset is honoured only at exactly
 		// the next expected sequence number, so stale or forged resets
 		// cannot tear the connection down.
 		if seg.TCP.Seq == pcb.RcvNxt {
-			s.teardown(pcb)
+			s.teardown(c)
 		}
 		return
 	}
@@ -689,34 +689,35 @@ func (s *Stack) handleEstablished(pcb *core.PCB, seg *wire.Segment) {
 	// for unacceptable segments.
 	if seg.TCP.Flags&wire.FlagSYN != 0 ||
 		(len(seg.Payload) > 0 && seg.TCP.Seq != pcb.RcvNxt) {
-		if err := s.send(pcb, nil, wire.FlagACK); err != nil {
-			s.teardown(pcb)
+		if err := s.send(c, nil, wire.FlagACK); err != nil {
+			s.teardown(c)
 		}
 		return
 	}
-	cd, _ := pcb.UserData.(*connData)
 	if n := len(seg.Payload); n > 0 && seg.TCP.Seq == pcb.RcvNxt {
 		pcb.RcvNxt += uint32(n)
 		var response []byte
-		if cd != nil {
-			if cd.handler != nil {
-				response = cd.handler(cd.conn, seg.Payload)
-			} else {
-				cd.rxQueue = append(cd.rxQueue, append([]byte(nil), seg.Payload...))
-				if len(cd.rxQueue) > rxQueueMax {
-					cd.rxQueue = cd.rxQueue[len(cd.rxQueue)-rxQueueMax:]
-				}
+		if c.handler != nil {
+			response = c.handler(c, seg.Payload)
+		} else {
+			if c.rxQueue == nil {
+				c.rxQueue = new([][]byte)
 			}
+			q := append(*c.rxQueue, append([]byte(nil), seg.Payload...))
+			if len(q) > rxQueueMax {
+				q = q[len(q)-rxQueueMax:]
+			}
+			*c.rxQueue = q
 		}
 		if response != nil {
-			if err := s.send(pcb, response, wire.FlagACK|wire.FlagPSH); err != nil {
-				s.teardown(pcb)
+			if err := s.send(c, response, wire.FlagACK|wire.FlagPSH); err != nil {
+				s.teardown(c)
 				return
 			}
 		} else {
 			// Pure window-update acknowledgement.
-			if err := s.send(pcb, nil, wire.FlagACK); err != nil {
-				s.teardown(pcb)
+			if err := s.send(c, nil, wire.FlagACK); err != nil {
+				s.teardown(c)
 				return
 			}
 		}
@@ -729,11 +730,11 @@ func (s *Stack) handleEstablished(pcb *core.PCB, seg *wire.Segment) {
 		}
 		pcb.RcvNxt++
 		pcb.State = core.StateLastAck
-		if err := s.send(pcb, nil, wire.FlagFIN|wire.FlagACK); err == nil {
+		if err := s.send(c, nil, wire.FlagFIN|wire.FlagACK); err == nil {
 			// Peer's final ACK will complete teardown in Deliver.
 			return
 		}
-		s.teardown(pcb)
+		s.teardown(c)
 	}
 }
 
@@ -742,21 +743,20 @@ func (s *Stack) handleEstablished(pcb *core.PCB, seg *wire.Segment) {
 // connection without a Handler queues: a Handler consumes each payload as
 // it arrives and nothing is kept.
 func (c *Conn) Receive() []byte {
-	cd, ok := c.pcb.UserData.(*connData)
-	if !ok || len(cd.rxQueue) == 0 {
+	if c.Pending() == 0 {
 		return nil
 	}
-	head := cd.rxQueue[0]
-	cd.rxQueue = cd.rxQueue[1:]
-	return head
+	q := *c.rxQueue
+	*c.rxQueue = q[1:]
+	return q[0]
 }
 
 // Pending returns the number of received payloads waiting in the queue.
 func (c *Conn) Pending() int {
-	if cd, ok := c.pcb.UserData.(*connData); ok {
-		return len(cd.rxQueue)
+	if c.rxQueue == nil {
+		return 0
 	}
-	return 0
+	return len(*c.rxQueue)
 }
 
 // Pump shuttles frames between two endpoints until both outboxes are
@@ -803,16 +803,27 @@ func (ci ConnInfo) String() string {
 	return fmt.Sprintf("%-42s %-12s rx=%d tx=%d", ci.Key, ci.State, ci.RxSegments, ci.TxSegments)
 }
 
-// Netstat returns a snapshot of every PCB in the stack's demultiplexer,
-// sorted by local port, then remote address and port, so output is stable
-// across demultiplexer implementations.
+// Netstat returns a snapshot of every PCB in the stack's demultiplexer, in
+// PCBs' order.
 func (s *Stack) Netstat() []ConnInfo {
-	var out []ConnInfo
-	s.demux.Walk(func(p *core.PCB) bool {
-		out = append(out, ConnInfo{
+	pcbs := s.PCBs()
+	out := make([]ConnInfo, len(pcbs))
+	for i, p := range pcbs {
+		out[i] = ConnInfo{
 			Key: p.Key, State: p.State,
-			RxSegments: p.RxSegments, TxSegments: p.TxSegments,
-		})
+			RxSegments: uint64(p.RxSegments), TxSegments: uint64(p.TxSegments),
+		}
+	}
+	return out
+}
+
+// PCBs returns every PCB in the stack's demultiplexer, listeners included,
+// sorted by local port, then remote address and port, so the order is
+// stable across demultiplexer implementations. It walks the table once.
+func (s *Stack) PCBs() []*core.PCB {
+	var out []*core.PCB
+	s.demux.Walk(func(p *core.PCB) bool {
+		out = append(out, p)
 		return true
 	})
 	sort.Slice(out, func(i, j int) bool {
@@ -838,8 +849,8 @@ func (s *Stack) Netstat() []ConnInfo {
 func (s *Stack) Retransmit() int {
 	n := 0
 	s.demux.Walk(func(p *core.PCB) bool {
-		if cd, ok := p.UserData.(*connData); ok && cd.unacked != nil && p.State != core.StateClosed {
-			s.requeueUnacked(p, cd)
+		if c, ok := p.UserData.(*Conn); ok && c.unacked != nil && p.State != core.StateClosed {
+			s.requeueUnacked(c)
 			n++
 		}
 		return true

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"tcpdemux/internal/core"
 	"tcpdemux/internal/frag"
@@ -311,6 +312,14 @@ func TestAckClassification(t *testing.T) {
 	st := d.Stats()
 	if st.Hits == 0 {
 		t.Fatalf("SR caches never hit during handshake+data: %v", st)
+	}
+}
+
+// TestConnBudget pins what a resident connection costs the engine: one
+// Conn, its PCB included, inside the allocator's 144-byte size class.
+func TestConnBudget(t *testing.T) {
+	if s := unsafe.Sizeof(Conn{}); s > 144 {
+		t.Fatalf("Conn is %d bytes, want <= 144", s)
 	}
 }
 

@@ -3,60 +3,39 @@
 // another when a steering rekey changes its flow assignment: the old
 // shard Extracts the PCB — out of its demultiplexer, timers quenched,
 // accounting unwound, but nothing torn down — and the new shard Adopts
-// it, re-inserting and re-arming on its own wheel. The pair is also usable alone (tests move connections
-// between two plain Stacks), but the contract is written for the shard
-// engine: both stacks share one address and one virtual clock, and the
-// caller guarantees no frame for the connection is delivered between
-// Extract and Adopt.
+// it, re-inserting and re-arming on its own wheel. The PCB carries its
+// Conn (it is the Conn's first field), so the connection's whole engine
+// state moves with it. The pair is also usable alone (tests move
+// connections between two plain Stacks), but the contract is written for
+// the shard engine: both stacks share one address and one virtual clock,
+// and the caller guarantees no frame for the connection is delivered
+// between Extract and Adopt.
 package engine
 
 import (
 	"tcpdemux/internal/core"
 )
 
-// Extract removes the connection identified by k from the stack without
-// tearing it down: the PCB leaves the demultiplexer, its lifecycle
-// timers are canceled, and its listener-backlog or TIME_WAIT accounting
-// is unwound, but its TCP state, sequence numbers, handler (or, lacking
-// one, its queue of unread payloads) and retransmission buffer all
-// survive intact for a subsequent Adopt.
-// Listening (wildcard) PCBs cannot be extracted — every shard owns its
-// own listener — and an unknown key returns false.
+// Extract removes pcb's connection from the stack without tearing it
+// down: the PCB leaves the demultiplexer, its lifecycle timers are
+// canceled, and its listener-backlog or TIME_WAIT accounting is unwound,
+// but its TCP state, sequence numbers, handler (or, lacking one, its queue
+// of unread payloads) and retransmission buffer all survive intact for a
+// subsequent Adopt. The caller hands over the PCB itself (from PCBs or a
+// Walk), so nothing searches the table for it. Listening (wildcard) PCBs
+// cannot be extracted — every shard owns its own listener — and a PCB
+// that is closed or not in this stack's table returns false.
 //
 // An ephemeral local port stays allocated on this stack: migration is a
 // server-side affair and the port namespace belongs to the stack that
 // allocated it.
-func (s *Stack) Extract(k core.Key) (*core.PCB, bool) {
-	if k.IsWildcard() {
-		return nil, false
+func (s *Stack) Extract(pcb *core.PCB) bool {
+	c, ok := pcb.UserData.(*Conn)
+	if !ok || c.stack != s || pcb.State == core.StateClosed || !s.demux.Remove(pcb.Key) {
+		return false
 	}
-	var pcb *core.PCB
-	// Walk, not Lookup: a control-plane find must not perturb the lookup
-	// statistics or the move-to-front / cache state under study.
-	s.demux.Walk(func(p *core.PCB) bool {
-		if p.Key == k {
-			pcb = p
-			return false
-		}
-		return true
-	})
-	if pcb == nil || pcb.State == core.StateClosed {
-		return nil, false
-	}
-	if !s.demux.Remove(k) {
-		return nil, false
-	}
-	if cd, ok := pcb.UserData.(*connData); ok {
-		stopTimer(&cd.rtx)
-		stopTimer(&cd.life)
-	}
-	switch pcb.State {
-	case core.StateSynRcvd:
-		s.releaseHalfOpen(pcb)
-	case core.StateTimeWait:
-		s.unTimeWait(pcb)
-	}
-	return pcb, true
+	s.unwind(c)
+	return true
 }
 
 // Adopt inserts a previously Extracted PCB into this stack, taking over
@@ -72,20 +51,18 @@ func (s *Stack) Adopt(pcb *core.PCB) error {
 	if err := s.demux.Insert(pcb); err != nil {
 		return err
 	}
-	cd, ok := pcb.UserData.(*connData)
-	if ok {
-		cd.conn.stack = s
-	}
+	c := pcb.UserData.(*Conn)
+	c.stack = s
 	switch pcb.State {
 	case core.StateSynRcvd:
 		s.halfOpen[pcb.Key.LocalPort]++
-		s.armSynRcvdExpiry(pcb)
+		s.armSynRcvdExpiry(c)
 	case core.StateTimeWait:
-		s.timeWait = append(s.timeWait, pcb)
-		s.armTimeWait(pcb)
+		s.timeWaits++
+		s.armTimeWait(c)
 	}
-	if ok && cd.unacked != nil {
-		s.armRetransmit(pcb, cd)
+	if c.unacked != nil {
+		s.armRetransmit(c)
 	}
 	return nil
 }

@@ -29,6 +29,18 @@ func establishVia(t *testing.T, client, srv *Stack, port uint16) (*Conn, core.Ke
 	}
 }
 
+// pcbOf finds the PCB under k in s's table by a Walk, nil if there is none.
+func pcbOf(s *Stack, k core.Key) *core.PCB {
+	var pcb *core.PCB
+	s.Demuxer().Walk(func(p *core.PCB) bool {
+		if p.Key == k {
+			pcb = p
+		}
+		return pcb == nil
+	})
+	return pcb
+}
+
 // TestExtractAdoptMovesLiveConnection migrates an established connection
 // from one stack to another mid-exchange and checks the conversation
 // continues seamlessly on the new home.
@@ -55,18 +67,25 @@ func TestExtractAdoptMovesLiveConnection(t *testing.T) {
 		t.Fatalf("pre-migration response %q", got)
 	}
 
-	// Control-plane sanity: a listener and an unknown key don't extract.
-	if _, ok := s1.Extract(core.ListenKey(addr, 80)); ok {
+	// Control-plane sanity: a listener, a PCB no Stack made and another
+	// stack's connection don't extract.
+	if s1.Extract(pcbOf(s1, core.ListenKey(addr, 80))) {
 		t.Fatal("extracted a listener")
 	}
-	if _, ok := s1.Extract(core.Key{LocalAddr: addr, LocalPort: 81}); ok {
-		t.Fatal("extracted an unknown key")
+	if s1.Extract(core.NewPCB(core.Key{LocalAddr: addr, LocalPort: 81})) {
+		t.Fatal("extracted a PCB without a connection")
+	}
+	pcb := pcbOf(s1, skey)
+	if s2.Extract(pcb) {
+		t.Fatal("extracted another stack's connection")
 	}
 
 	before := s1.Demuxer().Len()
-	pcb, ok := s1.Extract(skey)
-	if !ok {
+	if !s1.Extract(pcb) {
 		t.Fatal("Extract failed for the live connection")
+	}
+	if s1.Extract(pcb) {
+		t.Fatal("extracted the same connection twice")
 	}
 	if got := s1.Demuxer().Len(); got != before-1 {
 		t.Fatalf("old stack demux len %d after extract, want %d", got, before-1)
@@ -130,8 +149,8 @@ func TestAdoptRearmsRetransmission(t *testing.T) {
 		t.Fatalf("expected the push frame queued, got %d frames", len(frames))
 	}
 
-	pcb, ok := s1.Extract(skey)
-	if !ok {
+	pcb := pcbOf(s1, skey)
+	if !s1.Extract(pcb) {
 		t.Fatal("Extract failed")
 	}
 	if err := s2.Adopt(pcb); err != nil {

@@ -75,8 +75,7 @@ func TestSynFloodBoundedByBacklog(t *testing.T) {
 		if r.PCB == nil {
 			continue
 		}
-		server.releaseHalfOpen(r.PCB)
-		server.teardown(r.PCB)
+		server.teardown(r.PCB.UserData.(*Conn))
 		reaped++
 	}
 	if reaped != 64 {

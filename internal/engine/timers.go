@@ -17,12 +17,12 @@
 //
 // Timer callbacks run inside Tick, on the goroutine that owns the Stack.
 // Arming one allocates nothing: the callbacks are the plain functions at
-// the bottom of this file, each handed its PCB as the timer's subject (the
-// connData hangs off the PCB and the Stack off the connData's Conn), and
-// the wheel recycles the timer's storage. A connData keeps only the two
-// handles. Every path that ends a timer (the fire, the acknowledgement,
-// teardown, Extract) clears its handle, and a handle left stale would
-// still be harmless: the wheel never lets one act on a recycled node.
+// the bottom of this file, each handed its Conn as the timer's subject
+// (the Conn holds its owning Stack), and the wheel recycles the timer's
+// storage. A Conn keeps only the two handles. Every path that ends a timer
+// (the fire, the acknowledgement, teardown, Extract) clears its handle,
+// and a handle left stale would still be harmless: the wheel never lets
+// one act on a recycled node.
 package engine
 
 import (
@@ -119,7 +119,7 @@ func (s *Stack) PendingTimers() int {
 	return s.wheel.Pending()
 }
 
-// stopTimer cancels the timer behind one of a connData's handles, if it is
+// stopTimer cancels the timer behind one of a Conn's handles, if it is
 // still pending, and clears the handle.
 func stopTimer(t *timer.Timer) {
 	t.Cancel()
@@ -127,118 +127,88 @@ func stopTimer(t *timer.Timer) {
 }
 
 // requeueUnacked puts the connection's retained frame back on the outbox.
-func (s *Stack) requeueUnacked(pcb *core.PCB, cd *connData) {
-	s.emit(cd.unacked)
-	pcb.TxSegments++
-	s.demux.NotifySend(pcb)
+func (s *Stack) requeueUnacked(c *Conn) {
+	s.emit(c.unacked)
+	c.pcb.TxSegments++
+	s.demux.NotifySend(&c.pcb)
 }
 
 // armRetransmit (re)schedules the retransmission timer for the
 // connection's retained segment at the current backoff interval.
-func (s *Stack) armRetransmit(pcb *core.PCB, cd *connData) {
-	cd.rtx.Cancel()
-	shift := cd.retries
-	if shift > rtoBackoffCap {
-		shift = rtoBackoffCap
-	}
+func (s *Stack) armRetransmit(c *Conn) {
+	c.rtx.Cancel()
+	shift := min(c.retries, rtoBackoffCap)
 	delay := s.rto * float64(uint64(1)<<shift)
-	cd.rtx = s.wheel.Schedule(s.clock()+delay, retransmitFired, pcb)
+	c.rtx = s.wheel.Schedule(s.clock()+delay, retransmitFired, c)
 }
 
 // retransmitExpired is the retransmission timer body: re-queue and back
 // off, or abort at the retry limit.
-func (s *Stack) retransmitExpired(pcb *core.PCB, cd *connData) {
-	if cd.unacked == nil || pcb.State == core.StateClosed {
+func (s *Stack) retransmitExpired(c *Conn) {
+	if c.unacked == nil || c.pcb.State == core.StateClosed {
 		return
 	}
-	if cd.retries >= s.maxRetries {
+	if int(c.retries) >= s.maxRetries {
 		s.tel.Aborts.Inc()
 		s.tel.TimerFires.Inc()
-		s.abortPCB(pcb)
+		s.teardown(c)
 		return
 	}
-	cd.retries++
+	c.retries++
 	s.tel.Retransmits.Inc()
 	s.tel.TimerFires.Inc()
-	s.requeueUnacked(pcb, cd)
-	s.armRetransmit(pcb, cd)
-}
-
-// abortPCB drops a connection the way a timeout does: whatever state it
-// is in, its accounting (listener backlog, TIME_WAIT list) is unwound
-// before teardown.
-func (s *Stack) abortPCB(pcb *core.PCB) {
-	switch pcb.State {
-	case core.StateSynRcvd:
-		s.releaseHalfOpen(pcb)
-	case core.StateTimeWait:
-		s.unTimeWait(pcb)
-	}
-	s.teardown(pcb)
+	s.requeueUnacked(c)
+	s.armRetransmit(c)
 }
 
 // armSynRcvdExpiry starts the half-open give-up clock on a freshly
-// spawned SYN_RCVD PCB. If the handshake has not completed when it
-// fires, the PCB is reaped and its backlog slot released.
-func (s *Stack) armSynRcvdExpiry(pcb *core.PCB) {
-	cd, ok := pcb.UserData.(*connData)
-	if !ok {
-		return
-	}
-	cd.life.Cancel()
-	cd.life = s.wheel.Schedule(s.clock()+SynRcvdTimeout, synRcvdFired, pcb)
+// spawned SYN_RCVD connection. If the handshake has not completed when it
+// fires, the connection is reaped and its backlog slot released.
+func (s *Stack) armSynRcvdExpiry(c *Conn) {
+	c.life.Cancel()
+	c.life = s.wheel.Schedule(s.clock()+SynRcvdTimeout, synRcvdFired, c)
 }
 
 // armTimeWait starts (or restarts, for a re-acknowledged FIN) the 2MSL
-// clock on a TIME_WAIT PCB. When it fires the PCB leaves both the
-// time-wait list and the demultiplexer.
-func (s *Stack) armTimeWait(pcb *core.PCB) {
-	cd, ok := pcb.UserData.(*connData)
-	if !ok {
-		return
-	}
-	cd.life.Cancel()
-	cd.life = s.wheel.Schedule(s.clock()+2*s.msl, timeWaitFired, pcb)
+// clock on a TIME_WAIT connection. When it fires the connection leaves
+// the demultiplexer.
+func (s *Stack) armTimeWait(c *Conn) {
+	c.life.Cancel()
+	c.life = s.wheel.Schedule(s.clock()+2*s.msl, timeWaitFired, c)
 }
 
-// The three timer callbacks. Each receives the PCB it was armed for, finds
-// the connData on it and the owning Stack through the connData's Conn
-// (Adopt re-homes that, and Extract cancels the timers first, so a timer
-// only ever fires on the Stack that armed it), and clears the handle that
-// just fired before doing the timer's work.
-
-func timerSubject(arg any) (*Stack, *core.PCB, *connData) {
-	pcb := arg.(*core.PCB)
-	cd := pcb.UserData.(*connData)
-	return cd.conn.stack, pcb, cd
-}
+// The three timer callbacks. Each receives the Conn it was armed for and
+// runs on the Conn's owning Stack (Adopt re-homes that, and Extract
+// cancels the timers first, so a timer only ever fires on the Stack that
+// armed it), clearing the handle that just fired before doing the
+// timer's work.
 
 func retransmitFired(_ float64, arg any) {
-	s, pcb, cd := timerSubject(arg)
-	cd.rtx = timer.Timer{}
-	s.retransmitExpired(pcb, cd)
+	c := arg.(*Conn)
+	c.rtx = timer.Timer{}
+	c.stack.retransmitExpired(c)
 }
 
 func synRcvdFired(_ float64, arg any) {
-	s, pcb, cd := timerSubject(arg)
-	cd.life = timer.Timer{}
-	if pcb.State != core.StateSynRcvd {
+	c := arg.(*Conn)
+	c.life = timer.Timer{}
+	if c.pcb.State != core.StateSynRcvd {
 		return
 	}
+	s := c.stack
 	s.tel.SynExpired.Inc()
 	s.tel.TimerFires.Inc()
-	s.releaseHalfOpen(pcb)
-	s.teardown(pcb)
+	s.teardown(c)
 }
 
 func timeWaitFired(_ float64, arg any) {
-	s, pcb, cd := timerSubject(arg)
-	cd.life = timer.Timer{}
-	if pcb.State != core.StateTimeWait {
+	c := arg.(*Conn)
+	c.life = timer.Timer{}
+	if c.pcb.State != core.StateTimeWait {
 		return
 	}
+	s := c.stack
 	s.tel.TimeWaitExpired.Inc()
 	s.tel.TimerFires.Inc()
-	s.unTimeWait(pcb)
-	s.teardown(pcb)
+	s.teardown(c)
 }

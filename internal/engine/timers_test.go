@@ -230,8 +230,7 @@ func TestCloseSynRcvdReleasesBacklog(t *testing.T) {
 		if half == nil {
 			t.Fatalf("round %d: SYN through a free backlog spawned nothing (leaked slot)", i)
 		}
-		cd := half.UserData.(*connData)
-		if err := cd.conn.Close(); err != nil {
+		if err := half.UserData.(*Conn).Close(); err != nil {
 			t.Fatalf("round %d: close: %v", i, err)
 		}
 		if half.State != core.StateClosed {
@@ -336,25 +335,26 @@ func TestSendRSTAckRules(t *testing.T) {
 	}
 }
 
-// TestRSTTeardownScrubsTimeWaitOnly: an in-window RST tears down a
-// FIN_WAIT_1 PCB without touching the time-wait list, and evicts a
-// TIME_WAIT PCB from it.
-func TestRSTTeardownScrubsTimeWaitOnly(t *testing.T) {
-	rstFor := func(t *testing.T, c *Conn) []byte {
-		t.Helper()
-		k := c.Key()
-		frame, err := wire.BuildSegment(
-			wire.IPv4Header{TTL: 64, Src: k.RemoteAddr, Dst: k.LocalAddr},
-			wire.TCPHeader{SrcPort: k.RemotePort, DstPort: k.LocalPort,
-				Seq: c.pcb.RcvNxt, Flags: wire.FlagRST, Window: 0},
-			nil,
-		)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return frame
+// rstFor builds the in-window reset c's peer would send.
+func rstFor(t *testing.T, c *Conn) []byte {
+	t.Helper()
+	k := c.Key()
+	frame, err := wire.BuildSegment(
+		wire.IPv4Header{TTL: 64, Src: k.RemoteAddr, Dst: k.LocalAddr},
+		wire.TCPHeader{SrcPort: k.RemotePort, DstPort: k.LocalPort,
+			Seq: c.pcb.RcvNxt, Flags: wire.FlagRST, Window: 0},
+		nil,
+	)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return frame
+}
 
+// TestRSTTeardownScrubsTimeWaitOnly: an in-window RST tears down a
+// FIN_WAIT_1 PCB without touching the TIME_WAIT count, and takes a
+// TIME_WAIT PCB off it.
+func TestRSTTeardownScrubsTimeWaitOnly(t *testing.T) {
 	// RST in FIN_WAIT_1 (FIN sent, nothing pumped).
 	_, client, _, clientConn := connect(t)
 	if err := clientConn.Close(); err != nil {
@@ -373,7 +373,7 @@ func TestRSTTeardownScrubsTimeWaitOnly(t *testing.T) {
 		t.Fatalf("TimeWaitCount = %d for a never-TIME_WAIT conn", client.TimeWaitCount())
 	}
 
-	// RST in TIME_WAIT must also scrub the time-wait list.
+	// RST in TIME_WAIT must also leave the TIME_WAIT count.
 	server2, client2, _, clientConn2 := connect(t)
 	if err := clientConn2.Close(); err != nil {
 		t.Fatal(err)
@@ -391,8 +391,81 @@ func TestRSTTeardownScrubsTimeWaitOnly(t *testing.T) {
 		t.Fatalf("state after RST = %v", clientConn2.State())
 	}
 	if client2.TimeWaitCount() != 0 {
-		t.Fatalf("RST-torn PCB still on the time-wait list")
+		t.Fatalf("RST-torn PCB still counted in TIME_WAIT")
 	}
+}
+
+// TestTimeWaitCountMatchesTable: TimeWaitCount is a counter kept beside
+// the table, so every way into and out of TIME_WAIT — the active close, an
+// in-window RST, Extract and Adopt, the 2MSL expiry and ReapTimeWait —
+// must leave it equal to what a walk of the table finds.
+func TestTimeWaitCountMatchesTable(t *testing.T) {
+	server, client := pair(t, core.NewSequentHash(19, nil))
+	client.SetTimers(0, 0, 1)
+	if err := server.Listen(80, nil); err != nil {
+		t.Fatal(err)
+	}
+	check := func(step string, want int) {
+		t.Helper()
+		for _, s := range []*Stack{client, server} {
+			walked := 0
+			s.Demuxer().Walk(func(p *core.PCB) bool {
+				if p.State == core.StateTimeWait {
+					walked++
+				}
+				return true
+			})
+			if got := s.TimeWaitCount(); got != walked {
+				t.Fatalf("%s: TimeWaitCount %d, table walk finds %d", step, got, walked)
+			}
+		}
+		if got := client.TimeWaitCount(); got != want {
+			t.Fatalf("%s: client TimeWaitCount %d, want %d", step, got, want)
+		}
+	}
+	const n = 6
+	conns := make([]*Conn, n)
+	for i := range conns {
+		c, err := client.Connect(serverAddr, 80, uint16(46000+i), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conns[i] = c
+	}
+	if _, err := Pump(client, server); err != nil {
+		t.Fatal(err)
+	}
+	check("established", 0)
+	for i, c := range conns {
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+		check("FIN sent", i)
+		if _, err := Pump(client, server); err != nil {
+			t.Fatal(err)
+		}
+		check("close", i+1)
+	}
+	if _, err := client.Deliver(rstFor(t, conns[0])); err != nil {
+		t.Fatal(err)
+	}
+	check("RST in TIME_WAIT", n-1)
+	client.Tick(1)
+	if !client.Extract(&conns[1].pcb) {
+		t.Fatal("Extract failed")
+	}
+	check("Extract", n-2)
+	if err := client.Adopt(&conns[1].pcb); err != nil {
+		t.Fatal(err)
+	}
+	check("Adopt", n-1)
+	// The adopted linger restarted its 2MSL at t=1; the rest expire at 2.
+	client.Tick(2.5)
+	check("2MSL expiry", 1)
+	if got := client.ReapTimeWait(); got != 1 {
+		t.Fatalf("ReapTimeWait collected %d, want 1", got)
+	}
+	check("ReapTimeWait", 0)
 }
 
 // TestTickBackwardsIsNoOp: the virtual clock never runs backwards.
@@ -408,7 +481,7 @@ func TestTickBackwardsIsNoOp(t *testing.T) {
 // TestTimerHandlesClearedWhereTimersEnd walks one connection through every
 // way a lifecycle timer ends (it fires, the acknowledgement quenches it,
 // Extract cancels it, teardown cancels it, the 2MSL clock runs out) and
-// requires the connData's handle to be the zero Timer afterwards. The
+// requires the Conn's handle to be the zero Timer afterwards. The
 // wheel recycles timer storage, so a handle kept past its timer's end
 // would name someone else's timer; the engine keeps none, and a copy kept
 // on purpose (stale, below) is inert.
@@ -430,7 +503,7 @@ func TestTimerHandlesClearedWhereTimersEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cd := conn.pcb.UserData.(*connData)
+	cd := conn.pcb.UserData.(*Conn)
 
 	// Fire: the SYN's timer runs out, re-queues the SYN and re-arms.
 	stale := cd.rtx
@@ -451,7 +524,7 @@ func TestTimerHandlesClearedWhereTimersEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	zero("client rtx after SYN|ACK", cd.rtx)
-	scd := serverConn.pcb.UserData.(*connData)
+	scd := serverConn.pcb.UserData.(*Conn)
 	zero("server rtx after the handshake ACK", scd.rtx)
 	zero("server life after the handshake ACK", scd.life)
 
@@ -460,8 +533,8 @@ func TestTimerHandlesClearedWhereTimersEnd(t *testing.T) {
 	if err := conn.Send([]byte("in flight")); err != nil {
 		t.Fatal(err)
 	}
-	pcb, ok := client.Extract(conn.Key())
-	if !ok {
+	pcb := &conn.pcb
+	if !client.Extract(pcb) {
 		t.Fatal("extract failed")
 	}
 	zero("rtx after Extract", cd.rtx)

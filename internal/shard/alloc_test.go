@@ -3,6 +3,7 @@ package shard
 import (
 	"testing"
 
+	"tcpdemux/internal/core"
 	"tcpdemux/internal/engine"
 	"tcpdemux/internal/wire"
 )
@@ -116,5 +117,72 @@ func TestFramePathAllocations(t *testing.T) {
 	}
 	if rtx, aborts, _, _ := set.LifecycleCounters(); rtx != 0 || aborts != 0 {
 		t.Fatalf("%d retransmission(s), %d abort(s) on a lossless path", rtx, aborts)
+	}
+}
+
+// TestPassiveOpenAllocations pins what accepting a connection allocates on
+// a warmed 4-shard set: the SYN costs the one Conn (PCB and engine state
+// together) and the SYN|ACK frame, and the handshake ACK costs nothing.
+// Each round opens a batch of connections and resets them again, so the
+// measured round finds the tables, the timer pool and the tap's queue
+// already grown to the batch; each round checks that every handshake ACK
+// completed its connection.
+func TestPassiveOpenAllocations(t *testing.T) {
+	const batch = 100
+	set := newSet(t, 4, 22)
+	egress := make([][]byte, 0, batch+1)
+	set.SetEgressTap(func(f []byte) { egress = append(egress, f) })
+	if err := set.Listen(1521, func(*engine.Conn, []byte) []byte { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	// AllocsPerRun calls its function once more than it counts.
+	clients := make([]*allocClient, batch+1)
+	for i := range clients {
+		clients[i] = &allocClient{t: t, set: set, port: uint16(41000 + i),
+			ip: wire.IPv4Header{TTL: 64, Src: wire.MakeAddr(10, 0, 0, 3), Dst: set.Addr()}}
+	}
+	for round := 0; round < 2; round++ {
+		frames := make([][]byte, len(clients))
+		for i, c := range clients {
+			c.sndNxt, c.rcvNxt = 1000, 0
+			frames[i] = c.frame(wire.FlagSYN, nil)
+		}
+		egress = egress[:0]
+		next := 0
+		syn := testing.AllocsPerRun(batch, func() { clients[next].deliver(frames[next]); next++ })
+		if len(egress) != len(clients) {
+			t.Fatalf("%d SYN|ACKs for %d SYNs", len(egress), len(clients))
+		}
+		for i, f := range egress {
+			seg, err := wire.ParseSegment(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := clients[int(seg.TCP.DstPort)-41000]
+			c.rcvNxt = seg.TCP.Seq + 1
+			frames[i] = c.frame(wire.FlagACK, nil)
+		}
+		next = 0
+		ack := testing.AllocsPerRun(batch, func() { clients[0].deliver(frames[next]); next++ })
+		if round == 1 && syn+ack > 2 {
+			t.Errorf("SYN + handshake ACK allocate %v + %v times, want <= 2 (the Conn and the SYN|ACK frame)", syn, ack)
+		}
+		established := 0
+		for i := 0; i < set.Shards(); i++ {
+			for _, ci := range set.Shard(i).Netstat() {
+				if ci.State == core.StateEstablished {
+					established++
+				}
+			}
+		}
+		if established != len(clients) {
+			t.Fatalf("%d connections ESTABLISHED after %d handshake ACKs", established, len(clients))
+		}
+		for _, c := range clients {
+			c.deliver(c.frame(wire.FlagRST, nil))
+		}
+		if n := set.Len(); n != 4 {
+			t.Fatalf("%d PCBs after the resets, want the 4 listeners", n)
+		}
 	}
 }

@@ -513,21 +513,23 @@ func (set *StackSet) Rekey() int {
 	return migrated
 }
 
-// resettle is the one walk behind Rekey and FailOver. It visits every PCB
-// on the shard that holds it and decides where the connection belongs: on
-// the shard its key steers to if that shard is alive, else where it already
-// is if that one is, else on the rescue fold's survivor. A PCB that belongs
-// elsewhere is moved, and one that ends up off its steered shard is written
-// to a fresh away, so the same walk is the sweep of entries whose connection
-// has closed. It returns the number of connections moved.
+// resettle is the one walk behind Rekey and FailOver. It collects each
+// shard's PCBs once, in Netstat's order (which fixes the order moves are
+// made in), and decides where each connection belongs: on the shard its
+// key steers to if that shard is alive, else where it already is if that
+// one is, else on the rescue fold's survivor. A PCB that belongs elsewhere
+// is handed to Extract and moved, so nothing searches a table per move,
+// and one that ends up off its steered shard is written to a fresh away,
+// so the same walk is the sweep of entries whose connection has closed.
+// It returns the number of connections moved.
 //
 //demux:owner(deliver)
 func (set *StackSet) resettle() int {
 	away := make(map[core.Key]int)
 	moved := 0
 	for at, s := range set.shards {
-		for _, ci := range s.Netstat() {
-			k := ci.Key
+		for _, pcb := range s.PCBs() {
+			k := pcb.Key
 			if k.IsWildcard() {
 				continue // the listener stays: every shard has its own
 			}
@@ -542,7 +544,7 @@ func (set *StackSet) resettle() int {
 				}
 			}
 			holder := at
-			if to != at && set.move(k, at, to) {
+			if to != at && set.move(pcb, at, to) {
 				holder = to
 				moved++
 			}
@@ -555,16 +557,15 @@ func (set *StackSet) resettle() int {
 	return moved
 }
 
-// move is the whole migration step: take key's PCB out of shard from's
-// table and put it in shard to's, reporting whether it landed. A wedged
-// destination counts one handoff-full shed, and the migration is forgone
+// move is the whole migration step: take pcb out of shard from's table and
+// put it in shard to's, reporting whether it landed. A wedged destination
+// counts one handoff-full shed, and the migration is forgone
 // (the PCB goes back where it was and the connection keeps working there)
 // unless the source is dead: a drain sheds the courtesy, never the
 // connection. A destination already holding a PCB under this key sends the
 // mover back to its source too.
-func (set *StackSet) move(key core.Key, from, to int) bool {
-	pcb, ok := set.shards[from].Extract(key)
-	if !ok {
+func (set *StackSet) move(pcb *core.PCB, from, to int) bool {
+	if !set.shards[from].Extract(pcb) {
 		return false // closed since the walk's snapshot: nothing to carry
 	}
 	wedged := set.verdict(to).Wedge
