@@ -16,6 +16,8 @@ package main
 
 import (
 	"context"
+	"crypto/rand"
+	"encoding/binary"
 	"flag"
 	"fmt"
 	"os"
@@ -36,7 +38,7 @@ func main() {
 		hash    = flag.String("hash", "multiplicative", "hash function for hashed disciplines")
 		chains  = flag.Int("chains", 512, "hash chains for chained disciplines")
 		shards  = flag.Int("shards", 4, "shard (queue) count")
-		seed    = flag.Uint64("seed", 42, "steering-key and ISS seed")
+		seed    = flag.Uint64("seed", 0, "steering-key, ISS and SYN-cookie seed (drawn from crypto/rand if not given)")
 		metrics = flag.String("metrics", "", "serve /metrics and /metrics.json on this addr")
 		list    = flag.Bool("list", false, "list available disciplines and exit")
 		drainT  = flag.Duration("drain-timeout", 10*time.Second, "graceful shutdown deadline")
@@ -46,10 +48,28 @@ func main() {
 		fmt.Println(strings.Join(discipline.Names(), "\n"))
 		return
 	}
-	if err := run(*addr, *disc, *hash, *chains, *shards, *seed, *metrics, *drainT, nil); err != nil {
+	s, err := seedFrom(flag.CommandLine, *seed)
+	if err == nil {
+		err = run(*addr, *disc, *hash, *chains, *shards, s, *metrics, *drainT, nil)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "demuxd:", err)
 		os.Exit(1)
 	}
+}
+
+// seedFrom returns seed if fs's command line gave -seed, and otherwise one
+// drawn from crypto/rand: the steering key, the ISS and the SYN-cookie
+// secret all derive from it, so a fixed default would make them public.
+func seedFrom(fs *flag.FlagSet, seed uint64) (uint64, error) {
+	given := false
+	fs.Visit(func(f *flag.Flag) { given = given || f.Name == "seed" })
+	if given {
+		return seed, nil
+	}
+	var b [8]byte
+	_, err := rand.Read(b[:])
+	return binary.LittleEndian.Uint64(b[:]), err
 }
 
 // run starts the server and blocks until a termination signal (or a

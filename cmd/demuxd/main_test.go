@@ -3,6 +3,7 @@
 package main
 
 import (
+	"flag"
 	"net"
 	"testing"
 	"time"
@@ -57,5 +58,32 @@ func TestLiveDemuxdSmoke(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("run did not drain after stop")
+	}
+}
+
+// TestSeedDrawnUnlessGiven: each start without -seed draws its own seed,
+// so the secrets derived from it differ from run to run; an explicit -seed
+// is used as given.
+func TestSeedDrawnUnlessGiven(t *testing.T) {
+	start := func(args ...string) uint64 {
+		fs := flag.NewFlagSet("demuxd", flag.ContinueOnError)
+		seed := fs.Uint64("seed", 0, "")
+		if err := fs.Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		s, err := seedFrom(fs, *seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	if a, b := start(), start(); a == b {
+		t.Fatalf("two starts without -seed both drew %d", a)
+	}
+	if s := start("-seed", "42"); s != 42 {
+		t.Fatalf("-seed 42 gave seed %d", s)
+	}
+	if s := start("-seed", "0"); s != 0 {
+		t.Fatalf("-seed 0 gave seed %d", s)
 	}
 }

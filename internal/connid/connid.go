@@ -97,7 +97,8 @@ func ExtractID(frame []byte) (uint32, error) {
 }
 
 // Table is the receiver-side connection-ID table: negotiation bookkeeping
-// over a core.DirectIndex. The zero value is not usable; call NewTable.
+// over a core.DirectIndex, which holds each ID (not the PCB). The zero
+// value is not usable; call NewTable.
 type Table struct {
 	di *core.DirectIndex
 }
@@ -113,7 +114,7 @@ func (t *Table) Open(k core.Key) (*core.PCB, uint32, error) {
 	if err := t.di.Insert(pcb); err != nil {
 		return nil, 0, err
 	}
-	return pcb, uint32(pcb.ID), nil
+	return pcb, uint32(t.di.IDOf(k)), nil
 }
 
 // Close releases the connection and recycles its ID.

@@ -320,22 +320,22 @@ func TestDirectIndexAssignsAndRecyclesIDs(t *testing.T) {
 	if err := d.Insert(b); err != nil {
 		t.Fatal(err)
 	}
-	if a.ID != 0 || b.ID != 1 {
-		t.Fatalf("IDs = %d, %d", a.ID, b.ID)
+	if ida, idb := d.IDOf(a.Key), d.IDOf(b.Key); ida != 0 || idb != 1 {
+		t.Fatalf("IDs = %d, %d", ida, idb)
 	}
-	if r := d.LookupID(int(a.ID)); r.PCB != a || r.Examined != 1 {
+	if r := d.LookupID(d.IDOf(a.Key)); r.PCB != a || r.Examined != 1 {
 		t.Fatalf("LookupID: %+v", r)
 	}
 	d.Remove(a.Key)
-	if a.ID != -1 {
+	if d.IDOf(a.Key) != -1 {
 		t.Fatal("removed PCB keeps its ID")
 	}
 	c := NewPCB(connKey(3))
 	if err := d.Insert(c); err != nil {
 		t.Fatal(err)
 	}
-	if c.ID != 0 {
-		t.Fatalf("slot not recycled: ID = %d", c.ID)
+	if id := d.IDOf(c.Key); id != 0 {
+		t.Fatalf("slot not recycled: ID = %d", id)
 	}
 }
 

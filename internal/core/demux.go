@@ -123,8 +123,15 @@ type entry struct {
 // the front. The zero value is an empty list.
 type list []entry
 
-// pushFront inserts a PCB at the front.
-func (l *list) pushFront(p *PCB) { *l = append(*l, entry{key: p.Key, pcb: p}) }
+// pushFront inserts a PCB at the front. A full list grows by a quarter,
+// rounded up to the allocator's size class: append would double a short
+// hash chain's array, putting 3 entries in 4 slots.
+func (l *list) pushFront(p *PCB) {
+	if n := len(*l); n == cap(*l) {
+		*l = append(slices.Grow(list(nil), n+n/4+1), *l...)
+	}
+	*l = append(*l, entry{key: p.Key, pcb: p})
+}
 
 // find returns the index of the entry with exactly key k, searching from
 // the front, or -1. Remote port and address are compared first: the

@@ -34,8 +34,8 @@ func NewDirectIndex() *DirectIndex {
 func (d *DirectIndex) Name() string { return "direct-index" }
 
 // Insert implements Demuxer, negotiating (assigning) a connection ID for
-// exact-keyed PCBs and recording it in p.ID. Wildcard listeners are kept on
-// a side list as they have no connection to identify.
+// exact-keyed PCBs; IDOf reports it. Wildcard listeners are kept on a side
+// list as they have no connection to identify.
 func (d *DirectIndex) Insert(p *PCB) error {
 	if p.Key.IsWildcard() {
 		if d.listen.containsExact(p.Key) {
@@ -56,7 +56,6 @@ func (d *DirectIndex) Insert(p *PCB) error {
 		id = len(d.slots)
 		d.slots = append(d.slots, p)
 	}
-	p.ID = int32(id)
 	d.byKey[p.Key] = id
 	return nil
 }
@@ -70,11 +69,19 @@ func (d *DirectIndex) Remove(k Key) bool {
 	if !ok {
 		return false
 	}
-	d.slots[id].ID = -1
 	d.slots[id] = nil
 	d.free = append(d.free, id)
 	delete(d.byKey, k)
 	return true
+}
+
+// IDOf returns the connection ID negotiated for the exact key k, or -1 if
+// none is inserted. The ID lives in this table, not in the PCB.
+func (d *DirectIndex) IDOf(k Key) int {
+	if id, ok := d.byKey[k]; ok {
+		return id
+	}
+	return -1
 }
 
 // LookupID is the faithful connection-ID path: index the PCB array.

@@ -10,15 +10,38 @@ import (
 )
 
 // TestEntryAndPCBBudget pins the memory the entry array is paid for with:
-// a list entry is 24 bytes, and a PCB is at most 56 bytes (it is the first
-// field of the engine's 144-byte Conn), so a field added later cannot
+// a list entry is 24 bytes, and a PCB is at most 48 bytes (it is the first
+// field of the engine's 128-byte Conn), so a field added later cannot
 // silently undo either.
 func TestEntryAndPCBBudget(t *testing.T) {
 	if s := unsafe.Sizeof(entry{}); s != 24 {
 		t.Fatalf("entry is %d bytes, want 24", s)
 	}
-	if s := unsafe.Sizeof(PCB{}); s > 56 {
-		t.Fatalf("PCB is %d bytes, want <= 56", s)
+	if s := unsafe.Sizeof(PCB{}); s > 48 {
+		t.Fatalf("PCB is %d bytes, want <= 48", s)
+	}
+}
+
+// TestListGrowth pins how a list's array grows: by a quarter, rounded up
+// to the allocator's size class, not append's doubling. A short chain's
+// array stays near its length, and the copies over many pushes stay
+// linear in the pushes.
+func TestListGrowth(t *testing.T) {
+	var l list
+	copied := 0
+	for i := 0; i < 10000; i++ {
+		before := cap(l)
+		l.pushFront(NewPCB(Key{RemotePort: uint16(i)}))
+		if cap(l) != before {
+			copied += i
+		}
+		bytes := uintptr(cap(l)) * unsafe.Sizeof(entry{})
+		if (len(l) == 3 && bytes > 80) || (len(l) == 5 && bytes > 144) {
+			t.Fatalf("a %d-entry list's array is %d bytes", len(l), bytes)
+		}
+	}
+	if copied > 6*len(l) {
+		t.Fatalf("%d pushes copied %d entries, want <= %d", len(l), copied, 6*len(l))
 	}
 }
 

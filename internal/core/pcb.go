@@ -5,7 +5,7 @@ import "fmt"
 // State is a TCP connection state. The demultiplexer itself needs only the
 // listen/established distinction, but the engine's accept path walks the
 // full passive-open sequence, so the standard states are defined. It is
-// 32 bits so that it packs beside the 12-byte Key and a PCB stays at 56
+// 32 bits so that it packs beside the 12-byte Key and a PCB stays at 48
 // bytes.
 type State int32
 
@@ -53,10 +53,6 @@ type PCB struct {
 	SndNxt uint32
 	RcvNxt uint32
 
-	// ID is assigned by DirectIndex demuxers (the connection-ID scheme of
-	// TP4/X.25/XTP, paper §3.5); -1 when unassigned.
-	ID int32
-
 	// Counters updated by the engine. They wrap after 2^32 segments.
 	RxSegments uint32
 	TxSegments uint32
@@ -68,12 +64,12 @@ type PCB struct {
 
 // NewPCB returns an established-state PCB for the given connection key.
 func NewPCB(k Key) *PCB {
-	return &PCB{Key: k, State: StateEstablished, ID: -1}
+	return &PCB{Key: k, State: StateEstablished}
 }
 
 // NewListenPCB returns a listening PCB with a wildcard remote endpoint.
 func NewListenPCB(k Key) *PCB {
-	return &PCB{Key: k, State: StateListen, ID: -1}
+	return &PCB{Key: k, State: StateListen}
 }
 
 // String summarizes the PCB for diagnostics.

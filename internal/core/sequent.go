@@ -29,8 +29,9 @@ type SequentHash struct {
 	// stats is held by pointer so wrappers that replace the table during
 	// a rehash (AutoSequent) can keep the caller-visible Stats pointer
 	// stable, as the Demuxer contract requires.
-	stats *Stats
-	mtf   bool // move-to-front within chains (MTFHash variant)
+	stats   *Stats
+	mtf     bool // move-to-front within chains (MTFHash variant)
+	chained int  // the chains' PCBs, so Len (AutoSequent asks every Insert) is O(1)
 }
 
 // chain is one hash bucket: a linear PCB list plus its one-entry cache.
@@ -93,6 +94,7 @@ func (d *SequentHash) Insert(p *PCB) error {
 		return ErrDuplicateKey
 	}
 	c.pcbs.pushFront(p)
+	d.chained++
 	return nil
 }
 
@@ -106,6 +108,7 @@ func (d *SequentHash) Remove(k Key) bool {
 	if p == nil {
 		return false
 	}
+	d.chained--
 	if c.cache == p {
 		c.cache = nil
 	}
@@ -156,13 +159,7 @@ func (d *SequentHash) Lookup(k Key, _ Direction) Result {
 func (d *SequentHash) NotifySend(*PCB) {}
 
 // Len implements Demuxer.
-func (d *SequentHash) Len() int {
-	n := len(d.listen)
-	for i := range d.chains {
-		n += len(d.chains[i].pcbs)
-	}
-	return n
-}
+func (d *SequentHash) Len() int { return d.chained + len(d.listen) }
 
 // Stats implements Demuxer.
 func (d *SequentHash) Stats() *Stats { return d.stats }

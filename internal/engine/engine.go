@@ -49,15 +49,9 @@ type Conn struct {
 	// and a lookup touches the head of the object the frame then works on.
 	pcb   core.PCB
 	stack *Stack
-	// handler, when set, is the connection's one payload consumer; without
-	// one, payloads queue on rxQueue for Receive.
-	handler Handler
-	// rxQueue holds received payloads not yet taken with Receive; it is
-	// allocated on first use, since a connection with a handler never
-	// queues. It is bounded to rxQueueMax; beyond that the oldest payloads
-	// are dropped (the engine has no flow control, so an unread queue
-	// means the application abandoned the data).
-	rxQueue *[][]byte
+	// rx is the listener's shared recv holding the handler, or the
+	// connection's own queue, made on its first payload.
+	rx *recv
 	// unacked retains the frame of the most recent sequence-consuming
 	// segment until the peer acknowledges it, for the retransmission
 	// timer and Stack.Retransmit. The engine is stop-and-wait per
@@ -75,10 +69,19 @@ type Conn struct {
 	life timer.Timer
 }
 
+// recv is where a connection's payloads go: to the handler h, or without
+// one onto q for Receive, bounded to rxQueueMax by dropping the oldest (an
+// unread queue means the application abandoned the data). Listen makes one
+// recv{h} per port that every connection it accepts shares.
+type recv struct {
+	h Handler
+	q [][]byte
+}
+
 // newConn makes the connection for key in the given state, its PCB not
 // yet inserted.
-func (s *Stack) newConn(k core.Key, state core.State, h Handler) *Conn {
-	c := &Conn{pcb: core.PCB{Key: k, State: state, ID: -1}, stack: s, handler: h}
+func (s *Stack) newConn(k core.Key, state core.State, rx *recv) *Conn {
+	c := &Conn{pcb: core.PCB{Key: k, State: state}, stack: s, rx: rx}
 	c.pcb.UserData = c
 	return c
 }
@@ -141,7 +144,7 @@ type Stack struct {
 	demux    core.Demuxer
 	src      *rng.Source
 	outbox   [][]byte
-	handlers map[uint16]Handler
+	handlers map[uint16]*recv // per listening port; nil without a handler
 	// timeWaits counts the PCBs lingering in TIME_WAIT.
 	timeWaits int
 	// halfOpen counts SYN_RCVD PCBs per listening port, against backlog
@@ -193,7 +196,7 @@ func NewStack(addr wire.Addr, d core.Demuxer, seed uint64) *Stack {
 		demux:      d,
 		src:        rng.New(seed),
 		seed:       seed,
-		handlers:   make(map[uint16]Handler),
+		handlers:   make(map[uint16]*recv),
 		halfOpen:   make(map[uint16]int),
 		backlog:    DefaultBacklog,
 		reasm:      frag.New(64),
@@ -237,7 +240,11 @@ func (s *Stack) Listen(port uint16, h Handler) error {
 	if err := s.demux.Insert(pcb); err != nil {
 		return err
 	}
-	s.handlers[port] = h
+	var rx *recv
+	if h != nil {
+		rx = &recv{h: h}
+	}
+	s.handlers[port] = rx
 	return nil
 }
 
@@ -249,7 +256,10 @@ func (s *Stack) Connect(remote wire.Addr, remotePort, localPort uint16, h Handle
 		LocalAddr: s.addr, LocalPort: localPort,
 		RemoteAddr: remote, RemotePort: remotePort,
 	}
-	c := s.newConn(k, core.StateSynSent, h)
+	c := s.newConn(k, core.StateSynSent, nil)
+	if h != nil {
+		c.rx = &recv{h: h}
+	}
 	c.pcb.SndNxt = uint32(s.src.Uint64()) // ISS
 	if err := s.demux.Insert(&c.pcb); err != nil {
 		return nil, err
@@ -697,17 +707,18 @@ func (s *Stack) handleEstablished(c *Conn, seg *wire.Segment) {
 	if n := len(seg.Payload); n > 0 && seg.TCP.Seq == pcb.RcvNxt {
 		pcb.RcvNxt += uint32(n)
 		var response []byte
-		if c.handler != nil {
-			response = c.handler(c, seg.Payload)
+		if c.rx != nil && c.rx.h != nil {
+			response = c.rx.h(c, seg.Payload)
 		} else {
-			if c.rxQueue == nil {
-				c.rxQueue = new([][]byte)
+			if c.rx == nil {
+				c.rx = new(recv)
 			}
-			q := append(*c.rxQueue, append([]byte(nil), seg.Payload...))
+			q := append(c.rx.q, append([]byte(nil), seg.Payload...))
 			if len(q) > rxQueueMax {
-				q = q[len(q)-rxQueueMax:]
+				q[0] = nil // cleared, or the dropped payload stays reachable
+				q = q[1:]
 			}
-			*c.rxQueue = q
+			c.rx.q = q
 		}
 		if response != nil {
 			if err := s.send(c, response, wire.FlagACK|wire.FlagPSH); err != nil {
@@ -746,17 +757,18 @@ func (c *Conn) Receive() []byte {
 	if c.Pending() == 0 {
 		return nil
 	}
-	q := *c.rxQueue
-	*c.rxQueue = q[1:]
-	return q[0]
+	p := c.rx.q[0]
+	c.rx.q[0] = nil // cleared, or the array keeps p reachable
+	c.rx.q = c.rx.q[1:]
+	return p
 }
 
 // Pending returns the number of received payloads waiting in the queue.
 func (c *Conn) Pending() int {
-	if c.rxQueue == nil {
+	if c.rx == nil {
 		return 0
 	}
-	return len(*c.rxQueue)
+	return len(c.rx.q)
 }
 
 // Pump shuttles frames between two endpoints until both outboxes are

@@ -3,8 +3,10 @@ package engine
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 	"unsafe"
 
 	"tcpdemux/internal/core"
@@ -316,10 +318,10 @@ func TestAckClassification(t *testing.T) {
 }
 
 // TestConnBudget pins what a resident connection costs the engine: one
-// Conn, its PCB included, inside the allocator's 144-byte size class.
+// Conn, its PCB included, inside the allocator's 128-byte size class.
 func TestConnBudget(t *testing.T) {
-	if s := unsafe.Sizeof(Conn{}); s > 144 {
-		t.Fatalf("Conn is %d bytes, want <= 144", s)
+	if s := unsafe.Sizeof(Conn{}); s > 128 {
+		t.Fatalf("Conn is %d bytes, want <= 128", s)
 	}
 }
 
@@ -439,6 +441,63 @@ func TestReceiveQueueBounded(t *testing.T) {
 	// The oldest 50 were dropped: the head is payload 50.
 	if got := accepted.Receive(); len(got) != 1 || got[0] != 50 {
 		t.Fatalf("head after overflow = %v", got)
+	}
+}
+
+// TestReceiveQueueReleasesPayloads: a payload the queue gave up, popped by
+// Receive or dropped by the rxQueueMax trim, is garbage at once. The queue
+// clears its slot, so the array it shares with the waiting payloads does
+// not keep it reachable.
+func TestReceiveQueueReleasesPayloads(t *testing.T) {
+	server, client := pair(t, core.NewMapDemux())
+	if err := server.Listen(80, nil); err != nil {
+		t.Fatal(err)
+	}
+	var accepted *Conn
+	server.OnAccept = func(c *Conn) { accepted = c }
+	conn, err := client.Connect(serverAddr, 80, 40000, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Pump(client, server); err != nil {
+		t.Fatal(err)
+	}
+	send := func(n int) {
+		for i := 0; i < n; i++ {
+			// 64 bytes: a payload of its own, outside the tiny allocator.
+			if err := conn.Send(bytes.Repeat([]byte{byte(i)}, 64)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := Pump(client, server); err != nil {
+			t.Fatal(err)
+		}
+	}
+	send(rxQueueMax)
+	released := func(p []byte) <-chan struct{} {
+		done := make(chan struct{})
+		runtime.SetFinalizer(&p[0], func(*byte) { close(done) })
+		return done
+	}
+	trimmed := released(accepted.rx.q[0])
+	send(1) // the queue is full: the oldest payload goes
+	popped := released(accepted.Receive())
+	for name, done := range map[string]<-chan struct{}{"trimmed": trimmed, "popped": popped} {
+		collected := false
+		for i := 0; i < 20 && !collected; i++ {
+			runtime.GC()
+			select {
+			case <-done:
+				collected = true
+			case <-time.After(10 * time.Millisecond):
+			}
+		}
+		if !collected {
+			t.Errorf("the %s payload is still reachable", name)
+		}
+	}
+	if n := accepted.Pending(); n != rxQueueMax-1 {
+		t.Fatalf("pending = %d, want %d", n, rxQueueMax-1)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"tcpdemux/internal/core"
-	"tcpdemux/internal/engine"
 	"tcpdemux/internal/hashfn"
 	"tcpdemux/internal/wire"
 )
@@ -69,22 +68,7 @@ func BenchmarkRekey(b *testing.B) {
 			if err := set.Listen(echoPort, nil); err != nil {
 				b.Fatal(err)
 			}
-			set.SetBacklog(n)
-			// One client address holds at most 16,000 ephemeral ports.
-			for opened := 0; opened < n; {
-				client := engine.NewStack(wire.MakeAddr(10, 0, 1, byte(opened/16000)), core.NewMapDemux(), 8)
-				for i := 0; i < 16000 && opened < n; i, opened = i+1, opened+1 {
-					if _, err := client.ConnectEphemeral(set.Addr(), echoPort, nil); err != nil {
-						b.Fatal(err)
-					}
-				}
-				if _, err := engine.Pump(client, set); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if got := set.Len(); got != n+4 {
-				b.Fatalf("%d PCBs, want %d connections and 4 listeners", got, n)
-			}
+			populate(b, set, n, nil)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				set.Rekey()
