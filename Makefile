@@ -97,8 +97,9 @@ race:
 	$(GO) test -race ./internal/parallel ./internal/engine ./internal/timer ./internal/telemetry
 
 # chaos runs the adversarial conformance suite under the race detector:
-# collision attacks with online rekey (overload), scripted link faults
-# (chaos), and the SYN-cookie flood tests in the engine.
+# collision attacks against the skew watchdog and its one-pass rekey
+# (overload), scripted link faults (chaos), and the SYN-cookie flood
+# tests in the engine.
 chaos:
 	$(GO) test -race -count=1 ./internal/overload ./internal/chaos
 	$(GO) test -race -count=1 -run 'SynCookies|SynFlood|Adversarial' ./internal/engine ./cmd/demuxsim

@@ -19,7 +19,7 @@
 // The adversarial workload mounts an algorithmic-complexity attack: it
 // synthesizes -attack tuples that all collide under the unkeyed -hash
 // function, measures the PCBs examined per packet on an undefended table
-// against the overload-guarded (keyed hash + online rekey) variants, then
+// against the overload-guarded one (skew watchdog + keyed rekey), then
 // fires a -flood spoofed tuple-collision SYN flood at a full listener
 // backlog and reports whether a legitimate client still connects
 // (-syncookies toggles the stateless handshake defense).

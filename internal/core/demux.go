@@ -58,10 +58,9 @@ type Stats struct {
 }
 
 // Record folds one lookup result into the statistics, classifying it
-// exactly as the built-in demuxers do. Exported for wrapper demuxers —
-// overload.Guarded probes two inner tables during an online rehash and
-// must account each logical lookup once, in its own Stats, rather than
-// inherit the per-table counts.
+// exactly as the built-in demuxers do. Exported for demultiplexers
+// outside this package that keep their own Stats (flat's hopscotch
+// table).
 func (s *Stats) Record(r Result) { s.record(r) }
 
 // record folds one lookup result into the statistics.

@@ -26,7 +26,7 @@ var builders = map[string]func(Config) Demuxer{
 	"sr":           func(Config) Demuxer { return NewSRCache() },
 	"sequent":      func(c Config) Demuxer { return NewSequentHash(c.Chains, c.Hash) },
 	"mtf-hash":     func(c Config) Demuxer { return NewMTFHash(c.Chains, c.Hash) },
-	"auto-sequent": func(c Config) Demuxer { return NewAutoSequent(c.Chains, 0, c.Hash) },
+	"auto-sequent": func(c Config) Demuxer { return NewAutoSequent(c.Chains, c.Hash) },
 	"direct-index": func(Config) Demuxer { return NewDirectIndex() },
 	"map":          func(Config) Demuxer { return NewMapDemux() },
 }

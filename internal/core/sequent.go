@@ -183,26 +183,3 @@ func (d *SequentHash) Walk(fn func(*PCB) bool) {
 	}
 	d.listen.walk(fn)
 }
-
-// WalkChain is the read-only chain-walk hook: it calls fn for every PCB on
-// chain i (front = most recently inserted, or most recently used under
-// MTF) until fn returns false, without touching caches or statistics.
-// overload.Guarded uses it during an online rehash to migrate a chain and
-// to check the old table for a duplicate key. The PCB set must not be
-// mutated during the walk.
-func (d *SequentHash) WalkChain(i int, fn func(*PCB) bool) {
-	if i < 0 || i >= len(d.chains) {
-		return
-	}
-	d.chains[i].pcbs.walk(fn)
-}
-
-// WalkListeners is the companion hook for the listen list (front = most
-// recently registered).
-func (d *SequentHash) WalkListeners(fn func(*PCB) bool) {
-	d.listen.walk(fn)
-}
-
-// ChainIndexOf exposes the chain placement of an exact key under this
-// table's hash and chain count, for external cross-checks.
-func (d *SequentHash) ChainIndexOf(k Key) int { return d.chainFor(k) }

@@ -57,19 +57,6 @@ type Concurrent interface {
 	Snapshot() Stats
 }
 
-// SnapshotOf returns t's lookup statistics by value under either contract:
-// a Concurrent's Snapshot or a copy of a Demuxer's live Stats. A Table
-// that keeps no statistics of its own (an observer) yields the zero Stats.
-func SnapshotOf(t Table) Stats {
-	switch t := t.(type) {
-	case Concurrent:
-		return t.Snapshot()
-	case Demuxer:
-		return *t.Stats()
-	}
-	return Stats{}
-}
-
 // Merge folds another table's statistics into s, as if every lookup o
 // recorded had been recorded by s.
 func (s *Stats) Merge(o Stats) {

@@ -231,12 +231,11 @@ func (m *ShardSetMetrics) SetHealth(i int, state float64) {
 	m.Health[i].Set(state)
 }
 
-// OverloadMetrics is the overload-guard instrument bundle: rekey and
-// migration counters plus the watchdog's chain-skew and chain-count
-// gauges, labeled by table.
+// OverloadMetrics is the overload-guard instrument bundle: the rekey
+// counter plus the watchdog's chain-skew and chain-count gauges, labeled
+// by table.
 type OverloadMetrics struct {
 	Rekeys    *Counter
-	Migrated  *Counter
 	ChainSkew *Gauge
 	Chains    *Gauge
 }
@@ -247,7 +246,6 @@ func NewOverloadMetrics(r *Registry, table string) *OverloadMetrics {
 	l := L("table", table)
 	return &OverloadMetrics{
 		Rekeys:    r.Counter("overload_rekeys_total", l),
-		Migrated:  r.Counter("overload_migrated_pcbs_total", l),
 		ChainSkew: r.Gauge("overload_chain_skew", l),
 		Chains:    r.Gauge("overload_chains", l),
 	}

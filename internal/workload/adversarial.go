@@ -4,8 +4,6 @@
 package workload
 
 import (
-	"fmt"
-
 	"tcpdemux/internal/chaos"
 	"tcpdemux/internal/core"
 	"tcpdemux/internal/engine"
@@ -98,15 +96,20 @@ func RunAdversarial(cfg AdversarialConfig) (*AdversarialResult, error) {
 	}
 	attack := population[:cfg.AttackN]
 
-	und := overload.Undefended{SequentHash: core.NewSequentHash(chains, victim)}
+	// Part 1 measures a bare SequentHash (no watchdog, no growth) beside
+	// the guard.
+	type attackTable interface {
+		core.Demuxer
+		NumChains() int
+	}
 	g := overload.NewGuarded(chains, victim, seed)
 	g.SetTelemetry(telemetry.NewOverloadMetrics(reg, "guarded-sequent"))
 	tables := []struct {
 		name, title string
-		d           overload.AttackTable
+		d           attackTable
 		rekeys      func() int
 	}{
-		{"sequent-undefended", "sequent (undefended)", und, func() int { return 0 }},
+		{"sequent-undefended", "sequent (undefended)", core.NewSequentHash(chains, victim), func() int { return 0 }},
 		{"guarded-sequent", "guarded-sequent", g, func() int { return g.Rekeys }},
 	}
 
@@ -125,7 +128,7 @@ func RunAdversarial(cfg AdversarialConfig) (*AdversarialResult, error) {
 			}
 		}
 		meanOver := func(keys []core.Key) float64 {
-			before := core.SnapshotOf(d)
+			before := *d.Stats()
 			for _, k := range keys {
 				r := d.Lookup(k, core.DirData)
 				m.Observe(r)
@@ -141,7 +144,7 @@ func RunAdversarial(cfg AdversarialConfig) (*AdversarialResult, error) {
 					Miss:       r.PCB == nil,
 				})
 			}
-			after := core.SnapshotOf(d)
+			after := *d.Stats()
 			if after.Lookups == before.Lookups {
 				return 0
 			}
@@ -156,14 +159,8 @@ func RunAdversarial(cfg AdversarialConfig) (*AdversarialResult, error) {
 			}
 			keys = append(keys, k)
 		}
-		for guard := 0; d.Migrating(); guard++ {
-			if guard > 1<<20 {
-				return nil, fmt.Errorf("%s: migration never completed", tb.title)
-			}
-			d.Advance(64)
-		}
 		row.AttackedMean = meanOver(keys)
-		row.WorstLookup = core.SnapshotOf(d).MaxExamined
+		row.WorstLookup = d.Stats().MaxExamined
 		row.Rekeys = tb.rekeys()
 		row.ChainsAfter = d.NumChains()
 		h := m.ExaminedSnapshot()
