@@ -4,7 +4,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all build vet lint lint-fixtures loc gates bench-check bench-pairs test golden race chaos shard failover live demuxd demuxload bench bench-json bench-json-cache bench-json-shard fuzz figures clean
+.PHONY: all build vet lint lint-fixtures loc gates mutants bench-check bench-pairs test golden race chaos shard failover live demuxd demuxload bench bench-json bench-json-cache bench-json-shard fuzz figures clean
 
 all: build vet lint test
 
@@ -46,6 +46,13 @@ FORCE:
 # pass green on zero tests.
 gates:
 	GO=$(GO) scripts/gates.sh
+
+# mutants keeps every broken build a change has shown its tests catch:
+# scripts/mutants.sh applies each testdata/mutants/*.patch to a copy of the
+# tree and runs the tests its header names, and fails when one no longer
+# applies or when its mutant survives.
+mutants:
+	GO=$(GO) scripts/mutants.sh
 
 # bench-check vets and tests the benchmark harness. bench/ is a module of
 # its own (go.mod replaces tcpdemux with ../), so `go build ./...` and
@@ -105,23 +112,26 @@ chaos:
 	$(GO) test -race -count=1 -run 'SynCookies|SynFlood|Adversarial' ./internal/engine ./cmd/demuxsim
 
 # shard is the cross-shard conformance gate: the full multi-queue engine
-# suite (direct delivery, the fault backlog, RSS steering, rekey and drain
-# migration by direct call with the away map checked after every step,
-# lossy/chaos conformance against the single-shard engine) plus the
-# Extract/Adopt migration primitives, all under the race detector.
+# suite under the race detector, whose core is FuzzStackSet's seed corpus —
+# one schedule of opens, requests, bursts, fragments, resets, rekeys,
+# failovers and fault windows per scenario, run against a single MapDemux
+# stack and every discipline at 1 and 4 shards, with delivered bytes,
+# the ledger, ownership and the watchdog's verdicts checked — plus the
+# Extract/Adopt migration primitives.
 shard:
 	$(GO) test -race -count=1 ./internal/shard
 	$(GO) test -race -count=1 -run 'ExtractAdopt|AdoptRearms' ./internal/engine
 
-# failover is the shard failure-domain conformance gate: crash, stall and
-# wedge faults against the multi-queue engine, the health watchdog's live
-# drain (a second drain after a first included), the backlog's ordering
-# across a fault that clears, the no-records-on-a-healthy-set property, and
+# failover is the shard failure-domain conformance gate: FuzzStackSet's
+# seeds, whose crash, stall and wedge windows, direct failovers and
+# backlogs are held to the watchdog's verdicts, byte-identical delivery
+# and a balanced ledger; a second drain after a first; the backlog's
+# ordering across a fault that clears; the no-records-on-a-healthy-set
+# property; the telemetry bundle; and
 # demuxsim's failover workload with its latency and goodput checks — all
-# under the race detector, all held to byte-identical delivery and a
-# balanced conservation ledger.
+# under the race detector.
 failover:
-	$(GO) test -race -count=1 -run 'Failover|FailOver|Wedge|Stall|Backpressure|OwnershipRecords|ShardSetMetrics' ./internal/shard ./internal/telemetry
+	$(GO) test -race -count=1 -run 'FuzzStackSet|Failover|Backpressure|OwnershipRecords|ShardSetMetrics' ./internal/shard ./internal/telemetry
 	$(GO) test -race -count=1 -run 'TestRunFailover' ./cmd/demuxsim
 
 # live is the real-socket frontend gate: the in-process loopback
@@ -184,14 +194,17 @@ bench-json-shard:
 	$(GO) run ./cmd/benchjson -workload shard -rounds 5 -ops 200000 -n 6000 -out BENCH_shard.json
 
 # Short fuzz pass over the wire parsers (held to their reference
-# implementations), the full receive path and the TPC/A line codec
-# (CI-sized; raise FUZZTIME locally).
+# implementations), the full receive path, the TPC/A line codec and the
+# sharded engine's differential oracle (CI-sized; raise FUZZTIME locally).
+# A failing input is minimized into the package's testdata/fuzz/<Fuzz>/,
+# where plain `go test` replays it.
 fuzz:
 	$(GO) test -fuzz=FuzzParseSegment -fuzztime=$(FUZZTIME) ./internal/wire
 	$(GO) test -fuzz=FuzzExtractTuple -fuzztime=$(FUZZTIME) ./internal/wire
 	$(GO) test -fuzz=FuzzDeliver -fuzztime=$(FUZZTIME) ./internal/engine
 	$(GO) test -fuzz=FuzzProtocolCodec -fuzztime=$(FUZZTIME) ./internal/server
 	$(GO) test -fuzz=FuzzFlatOps -fuzztime=$(FUZZTIME) ./internal/flat
+	$(GO) test -fuzz=FuzzStackSet -fuzztime=$(FUZZTIME) ./internal/shard
 
 figures:
 	$(GO) run ./cmd/figures -fig 4

@@ -52,58 +52,6 @@ func lossyCfg(server engine.LossyServer) engine.LossyConfig {
 	}
 }
 
-// TestShardedConformanceLossy is the acceptance gate: the sharded engine
-// and the single-shard engine, driven through the identical 20% drop /
-// 10% dup link, must deliver byte-identical application-level responses
-// to every client. The wire traces differ — outbox merge order changes
-// which frames the loss process kills — but TCP's reliability plus the
-// deterministic handler mean the application bytes cannot.
-func TestShardedConformanceLossy(t *testing.T) {
-	single, err := engine.RunLossyExchange(
-		core.NewSequentHash(0, hashfn.Multiplicative{}), lossyCfg(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !single.Completed {
-		t.Fatalf("single-shard exchange did not complete (t=%v)", single.VirtualTime)
-	}
-	if single.Dropped == 0 || single.Duplicated == 0 {
-		t.Fatalf("loss process inactive: %+v", single)
-	}
-
-	set := newSet(t, 4, 77)
-	sharded, err := engine.RunLossyExchange(nil, lossyCfg(set))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sharded.Completed {
-		t.Fatalf("sharded exchange did not complete (t=%v)", sharded.VirtualTime)
-	}
-
-	if len(single.Responses) != len(sharded.Responses) {
-		t.Fatalf("client counts differ: %d vs %d", len(single.Responses), len(sharded.Responses))
-	}
-	for i := range single.Responses {
-		if !bytes.Equal(single.Responses[i], sharded.Responses[i]) {
-			t.Fatalf("client %d responses differ:\nsingle:  %q\nsharded: %q",
-				i, single.Responses[i], sharded.Responses[i])
-		}
-	}
-
-	// The engine must actually have sharded the work: with 8 clients
-	// steered by a keyed hash over 4 shards, at least two shards must
-	// have seen traffic.
-	busy := 0
-	for _, n := range set.Steered {
-		if n > 0 {
-			busy++
-		}
-	}
-	if busy < 2 {
-		t.Fatalf("steering sent all traffic to one shard: %v", set.Steered)
-	}
-}
-
 // TestSetLifecycleCountersCountOnce: after SetTelemetry every shard's
 // bundle resolves to the same registry counters, so the set's view must
 // read them once, not once per shard. The lossy exchange is virtual-time
@@ -142,185 +90,6 @@ func TestSetLifecycleCountersCountOnce(t *testing.T) {
 			t.Errorf("%s = %d in the registry, %d through the set's view", c.name, v, c.got)
 		}
 	}
-}
-
-// TestShardedConformanceChaos layers a scripted chaos function — bursts
-// of targeted drops, corruption the checksums must catch, and stalls —
-// on top of the probabilistic loss, and demands the same byte-identical
-// delivery.
-func TestShardedConformanceChaos(t *testing.T) {
-	chaos := func() engine.ChaosFunc {
-		n := 0
-		return func(frame []byte, dir engine.ChaosDir, now float64) engine.ChaosVerdict {
-			n++
-			var v engine.ChaosVerdict
-			switch {
-			case n%23 == 0:
-				v.Corrupt = true
-			case n%17 == 0:
-				v.Drop = true
-			case n%13 == 0:
-				v.ExtraDelay = 0.05
-			}
-			return v
-		}
-	}
-	mkCfg := func(server engine.LossyServer) engine.LossyConfig {
-		cfg := lossyCfg(server)
-		cfg.Link.DropRate = 0.10
-		cfg.Link.DupRate = 0.05
-		cfg.Link.Chaos = chaos() // fresh deterministic script per run
-		return cfg
-	}
-
-	single, err := engine.RunLossyExchange(
-		core.NewSequentHash(0, hashfn.Multiplicative{}), mkCfg(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !single.Completed {
-		t.Fatalf("single-shard chaos exchange did not complete (t=%v)", single.VirtualTime)
-	}
-
-	set := newSet(t, 3, 31)
-	sharded, err := engine.RunLossyExchange(nil, mkCfg(set))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sharded.Completed {
-		t.Fatalf("sharded chaos exchange did not complete (t=%v)", sharded.VirtualTime)
-	}
-	for i := range single.Responses {
-		if !bytes.Equal(single.Responses[i], sharded.Responses[i]) {
-			t.Fatalf("client %d responses differ under chaos:\nsingle:  %q\nsharded: %q",
-				i, single.Responses[i], sharded.Responses[i])
-		}
-	}
-}
-
-// TestRekeyMigratesMidExchange drives a sharded server directly (client
-// stack + lossy link), rekeys the steering mid-conversation, and checks
-// that migrated connections keep answering on their new shards with no
-// application-visible seam — and that the rekey really migrated some, with
-// ownership consistent after it.
-func TestRekeyMigratesMidExchange(t *testing.T) {
-	const (
-		clients = 12
-		port    = uint16(1521)
-	)
-	set := newSet(t, 4, 5)
-	handler := func(_ *engine.Conn, p []byte) []byte {
-		return append(append([]byte("ok<"), p...), '>')
-	}
-	if err := set.Listen(port, handler); err != nil {
-		t.Fatal(err)
-	}
-	set.SetTimers(0.25, 40, 0.5)
-	set.SetBacklog(clients)
-
-	client := engine.NewStack(wire.MakeAddr(10, 0, 0, 2), core.NewMapDemux(), 8)
-	client.SetTimers(0.25, 40, 0.5)
-	link := engine.NewLink(client, set, engine.LinkConfig{
-		Seed: 42, DropRate: 0.10, DupRate: 0.05, Latency: 0.01, Jitter: 0.004,
-	})
-
-	conns := make([]*engine.Conn, clients)
-	for i := range conns {
-		c, err := client.ConnectEphemeral(set.Addr(), port, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		conns[i] = c
-	}
-
-	var got [clients][]byte
-	sent := make([]bool, clients)
-	txn := make([]int, clients)
-	const txns = 10
-	now := 0.0
-	step := func() {
-		now += 0.005
-		if err := link.Shuttle(now); err != nil {
-			t.Fatal(err)
-		}
-		client.Tick(now)
-		set.Tick(now)
-	}
-	pump := func(c int) {
-		if conns[c].State() != core.StateEstablished {
-			return
-		}
-		if r := conns[c].Receive(); r != nil {
-			got[c] = append(got[c], r...)
-			sent[c] = false
-			txn[c]++
-		}
-		if !sent[c] && txn[c] < txns {
-			payload := []byte{byte('a' + c), byte('0' + txn[c])}
-			if err := conns[c].Send(payload); err != nil {
-				t.Fatal(err)
-			}
-			sent[c] = true
-		}
-	}
-
-	rekeyed := false
-	for iter := 0; iter < 200_000; iter++ {
-		done := true
-		for c := range conns {
-			pump(c)
-			if txn[c] < txns {
-				done = false
-			}
-		}
-		if done {
-			break
-		}
-		// Halfway through, rekey between shuttle rounds until at least one
-		// connection actually migrates.
-		if !rekeyed && minTxn(txn) >= txns/2 {
-			for tries := 0; tries < 8 && set.Migrations == 0; tries++ {
-				set.Rekey()
-				checkOwnership(t, set)
-			}
-			if set.Migrations == 0 {
-				t.Fatal("no connection migrated across eight rekeys")
-			}
-			rekeyed = true
-		}
-		step()
-	}
-
-	if !rekeyed {
-		t.Fatal("exchange finished before the rekey point")
-	}
-	for c := range conns {
-		if txn[c] != txns {
-			t.Fatalf("client %d finished only %d/%d transactions", c, txn[c], txns)
-		}
-		var want []byte
-		for tx := 0; tx < txns; tx++ {
-			want = append(want, "ok<"...)
-			want = append(want, byte('a'+c), byte('0'+tx))
-			want = append(want, '>')
-		}
-		if !bytes.Equal(got[c], want) {
-			t.Fatalf("client %d delivery seam after migration:\ngot  %q\nwant %q", c, got[c], want)
-		}
-	}
-	if set.Rekeys == 0 || set.Migrations == 0 {
-		t.Fatalf("rekey bookkeeping: rekeys=%d migrations=%d", set.Rekeys, set.Migrations)
-	}
-}
-
-func minTxn(txn []int) int {
-	m := txn[0]
-	for _, v := range txn[1:] {
-		if v < m {
-			m = v
-		}
-	}
-	return m
 }
 
 // TestStackSetFragmentsSteerAfterReassembly checks the software

@@ -12,46 +12,6 @@ import (
 	"tcpdemux/internal/wire"
 )
 
-// probeLossy runs the unfaulted lossy conformance exchange against a
-// fresh n-shard set and returns both, so a failure test built on the
-// same seeds can pick a victim shard that demonstrably owns traffic and
-// a fault time that demonstrably lands mid-run. Both runs are fully
-// deterministic, so the probe's steering matches the faulted run's
-// steering exactly up to the fault.
-func probeLossy(t *testing.T, n int, seed uint64) (*StackSet, *engine.LossyResult) {
-	t.Helper()
-	set := newSet(t, n, seed)
-	res, err := engine.RunLossyExchange(nil, lossyCfg(set))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Completed {
-		t.Fatalf("probe exchange did not complete (t=%v)", res.VirtualTime)
-	}
-	return set, res
-}
-
-func busiest(steered []uint64) int {
-	best := 0
-	for i, n := range steered {
-		if n > steered[best] {
-			best = i
-		}
-	}
-	_ = steered[best]
-	return best
-}
-
-// faultOn builds a FaultFunc applying v to one shard from time at on.
-func faultOn(victim int, at float64, v FaultVerdict) FaultFunc {
-	return func(sh int, now float64) FaultVerdict {
-		if sh == victim && now >= at {
-			return v
-		}
-		return FaultVerdict{}
-	}
-}
-
 // checkOwnership asserts where connections live after a control-plane
 // step: every connection PCB is on exactly one shard, that shard can still
 // accept work, and away names it exactly when the steering hash alone would
@@ -61,52 +21,43 @@ func faultOn(victim int, at float64, v FaultVerdict) FaultFunc {
 // PCB behind it (the connection closed) may stay until the next Rekey,
 // FailOver or Release, but no entry ever names its key's steered shard, so
 // a set that never rekeyed or failed over keeps none.
-func checkOwnership(t *testing.T, set *StackSet) {
-	t.Helper()
+func checkOwnership(t testing.TB, set *StackSet) {
+	var fail string
 	holder := make(map[core.Key]int)
-	for i := 0; i < set.Shards(); i++ {
-		for _, ci := range set.Shard(i).Netstat() {
-			k := ci.Key
+	for i, s := range set.shards {
+		s.Demuxer().Walk(func(p *core.PCB) bool {
+			k := p.Key
 			if k.IsWildcard() {
-				continue
+				return true
 			}
-			if !set.alive(i) {
-				t.Fatalf("PCB %v left on shard %d, which is %v", k, i, set.Health(i))
-			}
-			if j, dup := holder[k]; dup {
-				t.Fatalf("PCB %v is on shard %d and on shard %d", k, j, i)
-			}
-			holder[k] = i
-			home := set.Steering().Shard(k.Tuple())
+			home := set.steer.Shard(k.Tuple())
 			at, recorded := set.away[k]
+			j, dup := holder[k]
+			holder[k] = i
 			switch {
+			case !set.alive(i):
+				fail = fmt.Sprintf("PCB %v left on shard %d, which is %v", k, i, set.Health(i))
+			case dup:
+				fail = fmt.Sprintf("PCB %v is on shard %d and on shard %d", k, j, i)
 			case recorded && at != i:
-				t.Fatalf("PCB %v lives on shard %d but away names shard %d", k, i, at)
+				fail = fmt.Sprintf("PCB %v lives on shard %d but away names shard %d", k, i, at)
 			case !recorded && home != i:
 				if rescue, _ := set.rescueShard(k.Tuple()); set.alive(home) || rescue != i {
-					t.Fatalf("PCB %v lives on shard %d, steers to shard %d, and away does not name it", k, i, home)
+					fail = fmt.Sprintf("PCB %v lives on shard %d, steers to shard %d, and away does not name it", k, i, home)
 				}
 			}
-		}
+			return fail == ""
+		})
 	}
 	for k, at := range set.away {
-		if at == set.Steering().Shard(k.Tuple()) {
-			t.Fatalf("away names shard %d for %v, which is where the key steers", at, k)
+		if at == set.steer.Shard(k.Tuple()) {
+			fail = fmt.Sprintf("away names shard %d for %v, which is where the key steers", at, k)
 		}
 	}
-}
-
-// ownershipChecked is a StackSet that re-asserts checkOwnership after
-// every Tick — the watchdog's drain runs inside Tick, so this is the
-// first instant a harness-driven failover can be inspected.
-type ownershipChecked struct {
-	*StackSet
-	t *testing.T
-}
-
-func (c ownershipChecked) Tick(now float64) {
-	c.StackSet.Tick(now)
-	checkOwnership(c.t, c.StackSet)
+	if fail != "" {
+		t.Helper()
+		t.Fatalf("%s", fail)
+	}
 }
 
 // counterValue reads one unlabelled counter out of a registry snapshot.
@@ -121,149 +72,64 @@ func counterValue(t *testing.T, reg *telemetry.Registry, name string) uint64 {
 	return 0
 }
 
-// TestCrashFailoverConformanceLossy is the failure-domain acceptance
-// gate: crash 1 of 4 shards mid-run under the 20% drop / 10% dup link.
-// The watchdog must detect the frozen clock, drain the victim's
-// connections into the survivors, and every client — surviving and
-// drained alike — must still collect byte-identical responses to the
-// unfaulted single-stack run, with the conservation ledger balanced.
-func TestCrashFailoverConformanceLossy(t *testing.T) {
-	single, err := engine.RunLossyExchange(
-		core.NewSequentHash(0, hashfn.Multiplicative{}), lossyCfg(nil))
-	if err != nil {
+// echoPort is where establish listens.
+const echoPort = uint16(1521)
+
+// establish listens on echoPort with an "ok<payload>" handler and completes
+// n handshakes from one client stack.
+func establish(t *testing.T, set *StackSet, n int) (*engine.Stack, []*engine.Conn) {
+	t.Helper()
+	if err := set.Listen(echoPort, func(_ *engine.Conn, p []byte) []byte {
+		return append(append([]byte("ok<"), p...), '>')
+	}); err != nil {
 		t.Fatal(err)
 	}
-	if !single.Completed {
-		t.Fatalf("single-shard exchange did not complete (t=%v)", single.VirtualTime)
+	set.SetBacklog(n)
+	client := engine.NewStack(wire.MakeAddr(10, 0, 0, 2), core.NewMapDemux(), 8)
+	conns := make([]*engine.Conn, n)
+	for i := range conns {
+		c, err := client.ConnectEphemeral(set.Addr(), echoPort, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conns[i] = c
 	}
-
-	probe, probeRes := probeLossy(t, 4, 77)
-	victim := busiest(probe.Steered)
-	crashAt := probeRes.VirtualTime * 0.4
-	if crashAt < 0.3 {
-		crashAt = 0.3
-	}
-
-	set := newSet(t, 4, 77)
-	set.SetFaultFunc(faultOn(victim, crashAt, FaultVerdict{Crash: true}))
-	sharded, err := engine.RunLossyExchange(nil, lossyCfg(ownershipChecked{set, t}))
-	if err != nil {
+	if _, err := engine.Pump(client, set); err != nil {
 		t.Fatal(err)
 	}
-	if !sharded.Completed {
-		t.Fatalf("faulted exchange did not complete (t=%v)", sharded.VirtualTime)
-	}
-	if sharded.VirtualTime <= crashAt {
-		t.Fatalf("exchange finished at %v, before the crash at %v", sharded.VirtualTime, crashAt)
-	}
-
-	for i := range single.Responses {
-		if !bytes.Equal(single.Responses[i], sharded.Responses[i]) {
-			t.Fatalf("client %d responses differ after failover:\nsingle:  %q\nfaulted: %q",
-				i, single.Responses[i], sharded.Responses[i])
+	for i, c := range conns {
+		if c.State() != core.StateEstablished {
+			t.Fatalf("conn %d handshake did not complete: %v", i, c.State())
 		}
 	}
+	return client, conns
+}
 
-	st := set.Stats()
-	if st.Drains != 1 {
-		t.Fatalf("Drains = %d, want exactly 1", st.Drains)
+// expectEchoes completes one transaction on every connection.
+func expectEchoes(t *testing.T, client *engine.Stack, set *StackSet, conns []*engine.Conn) {
+	t.Helper()
+	for i, c := range conns {
+		if err := c.Send([]byte{byte(i), byte(i >> 8)}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if !set.Drained(victim) || set.Health(victim) != HealthDrained {
-		t.Fatalf("victim shard %d health = %v, want drained", victim, set.Health(victim))
+	if _, err := engine.Pump(client, set); err != nil {
+		t.Fatal(err)
 	}
-	if st.DrainedConns == 0 {
-		t.Fatalf("drain rehomed no connections off the busiest shard (steered %v)", probe.Steered)
-	}
-	if set.LastDrainAt <= crashAt {
-		t.Fatalf("LastDrainAt = %v, not after the crash at %v", set.LastDrainAt, crashAt)
-	}
-	// Recovery latency is bounded by the stall threshold plus detection
-	// slack — the "bounded number of virtual-time ticks" acceptance bound.
-	if st.LastDrainRecovery <= 0 || st.LastDrainRecovery > 2*DefaultStallThreshold {
-		t.Fatalf("LastDrainRecovery = %v, want in (0, %v]", st.LastDrainRecovery, 2*DefaultStallThreshold)
-	}
-	if acc := set.Accounting(); !acc.Balanced() {
-		t.Fatalf("unaccounted packet losses: %+v", acc)
+	for i, c := range conns {
+		want := []byte{'o', 'k', '<', byte(i), byte(i >> 8), '>'}
+		if got := c.Receive(); !bytes.Equal(got, want) {
+			t.Fatalf("conn %d: got %q want %q", i, got, want)
+		}
 	}
 }
 
-// TestStallFailoverDetectsStuckConsumer covers the second detection
-// path: the victim's clock keeps beating but its consumer stops, so the
-// watchdog must catch it through the progress counter, salvage the
-// frames aged on its inbox, and drain it — with conformance and
-// conservation intact.
-func TestStallFailoverDetectsStuckConsumer(t *testing.T) {
-	probe, probeRes := probeLossy(t, 4, 77)
-	victim := busiest(probe.Steered)
-	stallAt := probeRes.VirtualTime * 0.4
-	if stallAt < 0.3 {
-		stallAt = 0.3
-	}
-
-	set := newSet(t, 4, 77)
-	set.SetFaultFunc(faultOn(victim, stallAt, FaultVerdict{Stall: true}))
-	res, err := engine.RunLossyExchange(nil, lossyCfg(ownershipChecked{set, t}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Completed {
-		t.Fatalf("stalled exchange did not complete (t=%v)", res.VirtualTime)
-	}
-	if d := set.Stats().Drains; d != 1 || !set.Drained(victim) {
-		t.Fatalf("stall not drained: drains=%d health=%v", d, set.Health(victim))
-	}
-	// A stalled consumer leaves its inbox backlog in place; the drain
-	// must have salvaged it rather than dropping it on the floor.
-	if set.Stats().SalvagedFrames == 0 {
-		t.Fatal("no frames salvaged from the stalled shard's inbox")
-	}
-	if acc := set.Accounting(); !acc.Balanced() {
-		t.Fatalf("unaccounted packet losses: %+v", acc)
-	}
-}
-
-// TestWedgeDegradesWithoutDrain checks the degradation ladder: a shard
-// whose queues refuse pushes for a bounded window sheds (counted,
-// attributed) and is marked Degraded, but its clock and consumer are
-// fine, so the watchdog must NOT drain it — and once the wedge clears
-// and the sheds stop, the shard must walk back to Healthy while the
-// retransmission machinery recovers every lost frame.
-func TestWedgeDegradesWithoutDrain(t *testing.T) {
-	probe, probeRes := probeLossy(t, 4, 77)
-	victim := busiest(probe.Steered)
-	wedgeAt := probeRes.VirtualTime * 0.3
-	if wedgeAt < 0.3 {
-		wedgeAt = 0.3
-	}
-	wedgeEnd := wedgeAt + 0.3
-
-	set := newSet(t, 4, 77)
-	set.SetFaultFunc(func(sh int, now float64) FaultVerdict {
-		if sh == victim && now >= wedgeAt && now < wedgeEnd {
-			return FaultVerdict{Wedge: true}
-		}
-		return FaultVerdict{}
-	})
-	res, err := engine.RunLossyExchange(nil, lossyCfg(set))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Completed {
-		t.Fatalf("wedged exchange did not complete (t=%v)", res.VirtualTime)
-	}
-	st := set.Stats()
-	if st.Drains != 0 {
-		t.Fatalf("a transient wedge must degrade, not drain: drains=%d", st.Drains)
-	}
-	if set.InboxFullEvents == 0 || st.ShedInboxFull == 0 {
-		t.Fatalf("wedge shed nothing: events=%d shed=%d (steered %v)",
-			set.InboxFullEvents, st.ShedInboxFull, probe.Steered)
-	}
-	if set.Health(victim) != HealthHealthy {
-		t.Fatalf("victim health = %v after the wedge cleared, want healthy", set.Health(victim))
-	}
-	if acc := set.Accounting(); !acc.Balanced() {
-		t.Fatalf("unaccounted packet losses: %+v", acc)
+// serverKey is the key the set knows a client connection by.
+func serverKey(c *engine.Conn) core.Key {
+	k := c.Key()
+	return core.Key{
+		LocalAddr: k.RemoteAddr, LocalPort: k.RemotePort,
+		RemoteAddr: k.LocalAddr, RemotePort: k.LocalPort,
 	}
 }
 
@@ -384,117 +250,6 @@ func backlogThenOne(t *testing.T, queued int) {
 		if got[i] != w {
 			t.Fatalf("payload %d = %q, want %q (reordered delivery): %q", i, got[i], w, got)
 		}
-	}
-}
-
-// echoPort is where establish listens.
-const echoPort = uint16(1521)
-
-// establish listens on echoPort with an "ok<payload>" handler and completes
-// n handshakes from one client stack.
-func establish(t *testing.T, set *StackSet, n int) (*engine.Stack, []*engine.Conn) {
-	t.Helper()
-	if err := set.Listen(echoPort, func(_ *engine.Conn, p []byte) []byte {
-		return append(append([]byte("ok<"), p...), '>')
-	}); err != nil {
-		t.Fatal(err)
-	}
-	set.SetBacklog(n)
-	client := engine.NewStack(wire.MakeAddr(10, 0, 0, 2), core.NewMapDemux(), 8)
-	conns := make([]*engine.Conn, n)
-	for i := range conns {
-		c, err := client.ConnectEphemeral(set.Addr(), echoPort, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		conns[i] = c
-	}
-	if _, err := engine.Pump(client, set); err != nil {
-		t.Fatal(err)
-	}
-	for i, c := range conns {
-		if c.State() != core.StateEstablished {
-			t.Fatalf("conn %d handshake did not complete: %v", i, c.State())
-		}
-	}
-	return client, conns
-}
-
-// expectEchoes completes one transaction on every connection.
-func expectEchoes(t *testing.T, client *engine.Stack, set *StackSet, conns []*engine.Conn) {
-	t.Helper()
-	for i, c := range conns {
-		if err := c.Send([]byte{byte(i), byte(i >> 8)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := engine.Pump(client, set); err != nil {
-		t.Fatal(err)
-	}
-	for i, c := range conns {
-		want := []byte{'o', 'k', '<', byte(i), byte(i >> 8), '>'}
-		if got := c.Receive(); !bytes.Equal(got, want) {
-			t.Fatalf("conn %d: got %q want %q", i, got, want)
-		}
-	}
-}
-
-// serverKey is the key the set knows a client connection by.
-func serverKey(c *engine.Conn) core.Key {
-	k := c.Key()
-	return core.Key{
-		LocalAddr: k.RemoteAddr, LocalPort: k.RemotePort,
-		RemoteAddr: k.LocalAddr, RemotePort: k.LocalPort,
-	}
-}
-
-// TestHandoffWedgeRevertsRekey drives the refused migration: a rekey that
-// tries to move connections onto a wedged shard must count each as a
-// handoff-full shed, put the PCB back, and leave every connection answering
-// on its original shard — migration shed, connections never lost.
-func TestHandoffWedgeRevertsRekey(t *testing.T) {
-	set := newSet(t, 2, 13)
-	client, conns := establish(t, set, 8)
-
-	// Wedge shard 1, then rekey until some mover aims at it and
-	// has to revert. Movers toward shard 0 still succeed — the wedge is
-	// a property of the destination, not of the rekey.
-	set.SetFaultFunc(func(sh int, _ float64) FaultVerdict {
-		if sh == 1 {
-			return FaultVerdict{Wedge: true}
-		}
-		return FaultVerdict{}
-	})
-	for tries := 0; tries < 16 && set.Stats().ShedHandoffFull == 0; tries++ {
-		set.Rekey()
-		checkOwnership(t, set)
-	}
-	st := set.Stats()
-	if st.ShedHandoffFull == 0 {
-		t.Fatal("no rekey tried to move a connection into the wedged shard")
-	}
-	set.SetFaultFunc(nil)
-
-	// Every connection — reverted movers included, despite the steering
-	// function now pointing elsewhere — must still answer. The reverted
-	// movers are in away, so homeOf is reading the map for these frames, not
-	// trusting the hash.
-	if len(set.away) == 0 {
-		t.Fatal("reverted moves left nothing in away")
-	}
-	expectEchoes(t, client, set, conns)
-
-	// Releasing the reverted movers one by one empties away, and with the
-	// last one gone the fast path is back.
-	var keys []core.Key
-	for k := range set.away {
-		keys = append(keys, k)
-	}
-	for _, k := range keys {
-		set.Release(k)
-	}
-	if len(set.away) != 0 {
-		t.Fatalf("after releasing every mover: %d entries left in away", len(set.away))
 	}
 }
 

@@ -22,8 +22,9 @@
 // by folding the steering hash over the live shards, and recorded in the
 // set's away map, which is how later frames find it whatever the fold
 // says by then. Frames still queued on the dead inbox are salvaged FIFO
-// and re-delivered after the PCBs land. Connections are never lost by the
-// control plane: a wedged survivor takes a drain's movers all the same.
+// and re-delivered after the PCBs land, with every other backlog, so none
+// reaches a connection before it has moved. Connections are never lost by
+// the control plane: a wedged survivor takes a drain's movers all the same.
 //
 // Degradation is a ladder, not a cliff: a full or wedged edge sheds the
 // single frame or forgoes the single migration at hand, counts it against
@@ -277,12 +278,12 @@ func (set *StackSet) checkHealth(now float64) {
 }
 
 // FailOver drains every connection off shard sick into the survivors:
-// salvage the frames still queued on its inbox, move every PCB it holds,
-// established or still in SYN_RCVD, to the rescue fold's survivor (see
-// resettle, which records each mover in away, and with them whatever the
-// fold placed since an earlier drain), then re-deliver the salvaged frames
-// to the connections' new homes. The watchdog calls this when a shard goes
-// sick; an operator may call it directly to decommission a shard.
+// move every PCB it holds, established or still in SYN_RCVD, to the rescue
+// fold's survivor, then re-deliver every queued frame, its inbox's
+// included, to its connection's new home (see resettle, which records
+// each mover in away, and with them whatever the fold placed since an
+// earlier drain). The watchdog calls this when a shard goes sick; an
+// operator may call it directly to decommission a shard.
 //
 // It returns the number of connections rehomed. A set with no surviving
 // shard stays Sick: there is nowhere to drain to.
@@ -301,28 +302,11 @@ func (set *StackSet) FailOver(sick int) int {
 		return 0
 	}
 	set.m.Drains.Inc()
-
-	// Salvage the queued frames first, FIFO: they re-deliver only after
-	// their connections land on the survivors.
-	var salvage [][]byte
-	for {
-		f, ok := set.inbox[sick].pop()
-		if !ok {
-			break
-		}
-		salvage = append(salvage, f)
-	}
-
+	set.m.Salvaged.Add(uint64(set.inbox[sick].len()))
 	moved := set.resettle()
 	h.state = HealthDrained
 	set.m.SetHealth(sick, float64(HealthDrained))
 	set.m.DrainedConns.Add(uint64(moved))
-
-	for _, f := range salvage {
-		set.m.Salvaged.Inc()
-		set.dispatch(set.home(f))
-	}
-
 	set.LastDrainAt = set.now
 	set.m.DrainRecovery.Set(set.now - h.lastProgress)
 	return moved

@@ -521,10 +521,19 @@ func (set *StackSet) Rekey() int {
 // is handed to Extract and moved, so nothing searches a table per move,
 // and one that ends up off its steered shard is written to a fresh away,
 // so the same walk is the sweep of entries whose connection has closed.
-// It returns the number of connections moved.
+// Every backlog is taken up before the walk and re-homed after it, so a
+// queued frame reaches its connection where the walk left it, or opens one
+// where the new steering points. It returns the number of connections
+// moved.
 //
 //demux:owner(deliver)
 func (set *StackSet) resettle() int {
+	var queued [][]byte
+	for i := range set.inbox {
+		for f, ok := set.inbox[i].pop(); ok; f, ok = set.inbox[i].pop() {
+			queued = append(queued, f)
+		}
+	}
 	away := make(map[core.Key]int)
 	moved := 0
 	for at, s := range set.shards {
@@ -554,6 +563,9 @@ func (set *StackSet) resettle() int {
 		}
 	}
 	set.away = away
+	for _, f := range queued {
+		set.dispatch(set.home(f))
+	}
 	return moved
 }
 
