@@ -9,7 +9,7 @@ package core
 // C_BSD(N) = 1 + (N²-1)/2N (Eq. 1) — 1,001 PCB examinations per packet at
 // 2,000 users.
 type BSDList struct {
-	pcbs  list
+	pcbs  laneList
 	cache *PCB
 	stats Stats
 }
@@ -71,7 +71,7 @@ func (d *BSDList) Lookup(k Key, _ Direction) Result {
 func (d *BSDList) NotifySend(*PCB) {}
 
 // Len implements Demuxer.
-func (d *BSDList) Len() int { return len(d.pcbs) }
+func (d *BSDList) Len() int { return len(d.pcbs.list) }
 
 // Stats implements Demuxer.
 func (d *BSDList) Stats() *Stats { return &d.stats }

@@ -147,8 +147,10 @@ func (l list) find(k Key) int {
 }
 
 // remove deletes the entry with exactly key k, returning its PCB.
-func (l *list) remove(k Key) *PCB {
-	i := l.find(k)
+func (l *list) remove(k Key) *PCB { return l.removeAt(l.find(k)) }
+
+// removeAt deletes entry i, returning its PCB; i < 0 deletes nothing.
+func (l *list) removeAt(i int) *PCB {
 	if i < 0 {
 		return nil
 	}
@@ -178,6 +180,12 @@ func (l list) scan(k Key) (best *PCB, examined int, exact bool) {
 			return l[i].pcb, len(l) - i, true
 		}
 	}
+	return l.scanMatch(k)
+}
+
+// scanMatch is scan's wildcard and miss path: it walks Match over the
+// whole list and returns the first best-scoring entry from the front.
+func (l list) scanMatch(k Key) (best *PCB, examined int, exact bool) {
 	bestScore := -1
 	for i := len(l) - 1; i >= 0; i-- {
 		if score := Match(l[i].key, k); score > bestScore {

@@ -18,7 +18,11 @@
 // PCB's key held inline beside the PCB pointer, with the list's front at
 // the array's end. A scan compares keys in the array and reads a PCB only
 // to return it, so it examines exactly the PCBs in_pcblookup would, in the
-// same order, without a dependent load per examination.
+// same order, without a dependent load per examination. The three
+// whole-table lists (BSD, MTF, SR) also keep a 16-bit fingerprint of each
+// key in a parallel array, and their exact scan tests eight entries per
+// two word loads, comparing keys only where a fingerprint matches; hash
+// chains and listen lists are too short for that to pay.
 //
 // Demuxers are not safe for concurrent use; an engine.Stack, which has a
 // single owner, needs none, and internal/parallel holds the disciplines

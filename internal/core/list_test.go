@@ -10,12 +10,19 @@ import (
 )
 
 // TestEntryAndPCBBudget pins the memory the entry array is paid for with:
-// a list entry is 24 bytes, and a PCB is at most 48 bytes (it is the first
-// field of the engine's 128-byte Conn), so a field added later cannot
-// silently undo either.
+// a list entry is 24 bytes, a fingerprint lane beside it 2 bytes, and a
+// PCB is at most 48 bytes (it is the first field of the engine's 128-byte
+// Conn), so a field added later cannot silently undo any of them.
 func TestEntryAndPCBBudget(t *testing.T) {
 	if s := unsafe.Sizeof(entry{}); s != 24 {
 		t.Fatalf("entry is %d bytes, want 24", s)
+	}
+	var ll laneList
+	for i := 0; i < 2500; i++ {
+		ll.pushFront(NewPCB(Key{RemotePort: uint16(i)}))
+	}
+	if slots := (cap(ll.list) + 7) &^ 7; cap(ll.fp) != 2*slots {
+		t.Fatalf("the lanes of %d entry slots are %d bytes, want 2 a slot", slots, cap(ll.fp))
 	}
 	if s := unsafe.Sizeof(PCB{}); s > 48 {
 		t.Fatalf("PCB is %d bytes, want <= 48", s)
@@ -25,23 +32,37 @@ func TestEntryAndPCBBudget(t *testing.T) {
 // TestListGrowth pins how a list's array grows: by a quarter, rounded up
 // to the allocator's size class, not append's doubling. A short chain's
 // array stays near its length, and the copies over many pushes stay
-// linear in the pushes.
+// linear in the pushes. A laneList's lanes grow with its entries: 2 bytes
+// for each entry slot, plus at most a pair's padding, and copied only
+// when the entries are.
 func TestListGrowth(t *testing.T) {
 	var l list
-	copied := 0
+	var ll laneList
+	copied, lanesCopied := 0, 0
 	for i := 0; i < 10000; i++ {
-		before := cap(l)
-		l.pushFront(NewPCB(Key{RemotePort: uint16(i)}))
+		before, lanesBefore := cap(l), len(ll.fp)
+		p := NewPCB(Key{RemotePort: uint16(i)})
+		l.pushFront(p)
+		ll.pushFront(p)
 		if cap(l) != before {
 			copied += i
+		}
+		if len(ll.fp) != lanesBefore {
+			lanesCopied += lanesBefore / 2
 		}
 		bytes := uintptr(cap(l)) * unsafe.Sizeof(entry{})
 		if (len(l) == 3 && bytes > 80) || (len(l) == 5 && bytes > 144) {
 			t.Fatalf("a %d-entry list's array is %d bytes", len(l), bytes)
 		}
+		if lanes := cap(ll.fp); lanes > 2*cap(ll.list)+14 {
+			t.Fatalf("a %d-slot list's lanes are %d bytes, want <= %d", cap(ll.list), lanes, 2*cap(ll.list)+14)
+		}
 	}
 	if copied > 6*len(l) {
 		t.Fatalf("%d pushes copied %d entries, want <= %d", len(l), copied, 6*len(l))
+	}
+	if lanesCopied > 6*len(l)+8 {
+		t.Fatalf("%d pushes copied %d lanes, want <= %d", len(l), lanesCopied, 6*len(l)+8)
 	}
 }
 
@@ -232,10 +253,7 @@ func churnListenKey(src *rng.Source) Key {
 }
 
 // TestListDisciplinesMatchReference drives every list-based discipline
-// beside refTable through seeded churn — listeners, duplicate inserts,
-// removes, NotifySend, and packet keys with a zero remote port or address
-// — and compares every Result field, Len, and the Walk order after every
-// step.
+// beside refTable through churnAgainstReference.
 func TestListDisciplinesMatchReference(t *testing.T) {
 	cases := []struct {
 		d   Demuxer
@@ -251,62 +269,72 @@ func TestListDisciplinesMatchReference(t *testing.T) {
 	cases[2].ref.sr = true
 	for _, c := range cases {
 		t.Run(c.d.Name(), func(t *testing.T) {
-			d, ref := c.d, c.ref
-			src := rng.New(32)
-			var got, want []*PCB
-			for step := 0; step < 20000; step++ {
-				switch op := src.Intn(10); {
-				case op < 2:
-					p := NewPCB(churnKey(src))
-					if op == 1 && src.Intn(4) == 0 {
-						p = NewListenPCB(churnListenKey(src))
-					}
-					if g, w := d.Insert(p), ref.insert(p); !errors.Is(g, w) {
-						t.Fatalf("step %d: Insert(%v) = %v, reference %v", step, p.Key, g, w)
-					}
-				case op < 4:
-					k := churnKey(src)
-					if src.Intn(4) == 0 {
-						k = churnListenKey(src)
-					}
-					if g, w := d.Remove(k), ref.remove(k); g != w {
-						t.Fatalf("step %d: Remove(%v) = %v, reference %v", step, k, g, w)
-					}
-				case op < 5:
-					want = want[:0]
-					ref.walk(func(p *PCB) { want = append(want, p) })
-					if len(want) > 0 {
-						p := want[src.Intn(len(want))]
-						d.NotifySend(p)
-						if ref.sr {
-							ref.sent = p
-						}
-					}
-				default:
-					k := churnKey(src)
-					if src.Intn(3) == 0 {
-						k.RemotePort = 0
-					}
-					if src.Intn(3) == 0 {
-						k.RemoteAddr = zeroAddr
-					}
-					dir := Direction(src.Intn(2))
-					if g, w := d.Lookup(k, dir), ref.lookup(k, dir); g != w {
-						t.Fatalf("step %d: Lookup(%v, %v) = %+v, reference %+v", step, k, dir, g, w)
-					}
-				}
-				got, want = got[:0], want[:0]
-				d.Walk(func(p *PCB) bool { got = append(got, p); return true })
-				ref.walk(func(p *PCB) { want = append(want, p) })
-				if d.Len() != len(want) || len(got) != len(want) {
-					t.Fatalf("step %d: Len %d, Walk %d PCBs, reference %d", step, d.Len(), len(got), len(want))
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("step %d: Walk[%d] = %v, reference %v", step, i, got[i], want[i])
-					}
+			churnAgainstReference(t, c.d, c.ref, churnKey, churnListenKey, func(int) {})
+		})
+	}
+}
+
+// churnAgainstReference drives d beside ref through seeded churn over the
+// keys draw and listen return — listeners, duplicate inserts, removes,
+// NotifySend, and packet keys with a zero remote port or address — and
+// compares every Result field, Len, and the Walk order after every step,
+// then calls check.
+func churnAgainstReference(t *testing.T, d Demuxer, ref *refTable, draw, listen func(*rng.Source) Key, check func(step int)) {
+	t.Helper()
+	src := rng.New(32)
+	var got, want []*PCB
+	for step := 0; step < 20000; step++ {
+		switch op := src.Intn(10); {
+		case op < 2:
+			p := NewPCB(draw(src))
+			if op == 1 && src.Intn(4) == 0 {
+				p = NewListenPCB(listen(src))
+			}
+			if g, w := d.Insert(p), ref.insert(p); !errors.Is(g, w) {
+				t.Fatalf("step %d: Insert(%v) = %v, reference %v", step, p.Key, g, w)
+			}
+		case op < 4:
+			k := draw(src)
+			if src.Intn(4) == 0 {
+				k = listen(src)
+			}
+			if g, w := d.Remove(k), ref.remove(k); g != w {
+				t.Fatalf("step %d: Remove(%v) = %v, reference %v", step, k, g, w)
+			}
+		case op < 5:
+			want = want[:0]
+			ref.walk(func(p *PCB) { want = append(want, p) })
+			if len(want) > 0 {
+				p := want[src.Intn(len(want))]
+				d.NotifySend(p)
+				if ref.sr {
+					ref.sent = p
 				}
 			}
-		})
+		default:
+			k := draw(src)
+			if src.Intn(3) == 0 {
+				k.RemotePort = 0
+			}
+			if src.Intn(3) == 0 {
+				k.RemoteAddr = zeroAddr
+			}
+			dir := Direction(src.Intn(2))
+			if g, w := d.Lookup(k, dir), ref.lookup(k, dir); g != w {
+				t.Fatalf("step %d: Lookup(%v, %v) = %+v, reference %+v", step, k, dir, g, w)
+			}
+		}
+		got, want = got[:0], want[:0]
+		d.Walk(func(p *PCB) bool { got = append(got, p); return true })
+		ref.walk(func(p *PCB) { want = append(want, p) })
+		if d.Len() != len(want) || len(got) != len(want) {
+			t.Fatalf("step %d: Len %d, Walk %d PCBs, reference %d", step, d.Len(), len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("step %d: Walk[%d] = %v, reference %v", step, i, got[i], want[i])
+			}
+		}
+		check(step)
 	}
 }

@@ -10,7 +10,7 @@ package core
 // at 2,000 users versus BSD's 1,001 (Eq. 6). Deterministic think times are
 // the worst case: every entry scans the whole list.
 type MTFList struct {
-	pcbs  list
+	pcbs  laneList
 	stats Stats
 }
 
@@ -39,7 +39,7 @@ func (d *MTFList) Remove(k Key) bool { return d.pcbs.remove(k) != nil }
 func (d *MTFList) Lookup(k Key, _ Direction) Result {
 	best, examined, exact := d.pcbs.scan(k)
 	if exact {
-		d.pcbs.toFront(len(d.pcbs) - examined)
+		d.pcbs.toFront(len(d.pcbs.list) - examined)
 	}
 	r := Result{PCB: best, Examined: examined, Wildcard: best != nil && !exact}
 	d.stats.record(r)
@@ -50,7 +50,7 @@ func (d *MTFList) Lookup(k Key, _ Direction) Result {
 func (d *MTFList) NotifySend(*PCB) {}
 
 // Len implements Demuxer.
-func (d *MTFList) Len() int { return len(d.pcbs) }
+func (d *MTFList) Len() int { return len(d.pcbs.list) }
 
 // Stats implements Demuxer.
 func (d *MTFList) Stats() *Stats { return &d.stats }

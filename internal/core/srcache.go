@@ -11,7 +11,7 @@ package core
 // (N+5)/2 examinations; the TPC/A cost is 667 at 2,000 users with a 1 ms
 // round trip, degrading toward BSD's level as N or D grows (Eq. 17).
 type SRCache struct {
-	pcbs  list
+	pcbs  laneList
 	recv  *PCB
 	sent  *PCB
 	stats Stats
@@ -86,7 +86,7 @@ func (d *SRCache) Lookup(k Key, dir Direction) Result {
 func (d *SRCache) NotifySend(p *PCB) { d.sent = p }
 
 // Len implements Demuxer.
-func (d *SRCache) Len() int { return len(d.pcbs) }
+func (d *SRCache) Len() int { return len(d.pcbs.list) }
 
 // Stats implements Demuxer.
 func (d *SRCache) Stats() *Stats { return &d.stats }
