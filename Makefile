@@ -104,11 +104,12 @@ race:
 	$(GO) test -race ./internal/parallel ./internal/engine ./internal/timer ./internal/telemetry
 
 # chaos runs the adversarial conformance suite under the race detector:
-# collision attacks against the skew watchdog and its one-pass rekey
-# (overload), scripted link faults (chaos), and the SYN-cookie flood
+# collision attacks against AutoSequent's skew watchdog and its one-pass
+# rekey (core), scripted link faults (chaos), and the SYN-cookie flood
 # tests in the engine.
 chaos:
-	$(GO) test -race -count=1 ./internal/overload ./internal/chaos
+	$(GO) test -race -count=1 ./internal/chaos
+	$(GO) test -race -count=1 -run 'Skewed|Attack|Watchdog' ./internal/core
 	$(GO) test -race -count=1 -run 'SynCookies|SynFlood|Adversarial' ./internal/engine ./cmd/demuxsim
 
 # shard is the cross-shard conformance gate: the full multi-queue engine

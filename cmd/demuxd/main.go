@@ -8,6 +8,11 @@
 //
 //	demuxd -addr :4821 -discipline flat-hopscotch -shards 4 -metrics :9090
 //
+// With no flags it serves auto-sequent, the table that defends itself
+// against a collision attack, under a secret SipHash key per shard
+// derived from its seed; `-hash siphash` always means such a key, never
+// hashfn.DefaultKeyed's public one.
+//
 // SIGINT/SIGTERM triggers graceful shutdown: the listener closes,
 // in-flight transactions flush, remaining sessions drain through the
 // engine's FIN handshake, the metrics endpoint finishes in-flight
@@ -31,14 +36,17 @@ import (
 	"tcpdemux/internal/telemetry"
 )
 
+// The table demuxd serves with no flags.
+const defaultDiscipline, defaultHash, defaultChains = "auto-sequent", "siphash", 512
+
 func main() {
 	var (
 		addr    = flag.String("addr", ":4821", "TCP listen address (host:port; port 0 picks a free port)")
-		disc    = flag.String("discipline", "sequent", "per-shard demux discipline (see -list)")
-		hash    = flag.String("hash", "multiplicative", "hash function for hashed disciplines")
-		chains  = flag.Int("chains", 512, "hash chains for chained disciplines")
+		disc    = flag.String("discipline", defaultDiscipline, "per-shard demux discipline (see -list)")
+		hash    = flag.String("hash", defaultHash, "hash function for hashed disciplines (siphash: a secret key per shard, from the seed)")
+		chains  = flag.Int("chains", defaultChains, "hash chains for chained disciplines")
 		shards  = flag.Int("shards", 4, "shard (queue) count")
-		seed    = flag.Uint64("seed", 0, "steering-key, ISS and SYN-cookie seed (drawn from crypto/rand if not given)")
+		seed    = flag.Uint64("seed", 0, "steering-key, table-key, ISS and SYN-cookie seed (drawn from crypto/rand if not given)")
 		metrics = flag.String("metrics", "", "serve /metrics and /metrics.json on this addr")
 		list    = flag.Bool("list", false, "list available disciplines and exit")
 		drainT  = flag.Duration("drain-timeout", 10*time.Second, "graceful shutdown deadline")
@@ -59,8 +67,9 @@ func main() {
 }
 
 // seedFrom returns seed if fs's command line gave -seed, and otherwise one
-// drawn from crypto/rand: the steering key, the ISS and the SYN-cookie
-// secret all derive from it, so a fixed default would make them public.
+// drawn from crypto/rand: the steering key, the table keys, the ISS and
+// the SYN-cookie secret all derive from it, so a fixed default would make
+// them public.
 func seedFrom(fs *flag.FlagSet, seed uint64) (uint64, error) {
 	given := false
 	fs.Visit(func(f *flag.Flag) { given = given || f.Name == "seed" })

@@ -9,7 +9,7 @@ import (
 )
 
 func TestAutoSequentGrows(t *testing.T) {
-	d := NewAutoSequent(4, nil) // grow past 40, 80, 160, ...
+	d := NewAutoSequent(4, nil, 1) // grow past 40, 80, 160, ...
 	const n = 1000
 	for i := 0; i < n; i++ {
 		if err := d.Insert(NewPCB(connKey(i))); err != nil {
@@ -40,7 +40,7 @@ func TestAutoSequentGrows(t *testing.T) {
 }
 
 func TestAutoSequentBoundedCost(t *testing.T) {
-	d := NewAutoSequent(4, nil)
+	d := NewAutoSequent(4, nil, 1)
 	fixed := NewSequentHash(4, nil)
 	const n = 2000
 	for i := 0; i < n; i++ {
@@ -102,7 +102,7 @@ func rekeyAndCheck(t *testing.T, d *AutoSequent, n int) {
 func TestAutoSequentStatsPointerStableAcrossGrowth(t *testing.T) {
 	for _, tc := range rebuildCases {
 		t.Run(tc.name, func(t *testing.T) {
-			d := NewAutoSequent(2, nil) // grow past 20, 40, 80
+			d := NewAutoSequent(2, nil, 1) // grow past 20, 40, 80
 			st := d.Stats()
 			const n = 100
 			for i := 0; i < n; i++ {
@@ -129,7 +129,7 @@ func TestAutoSequentStatsPointerStableAcrossGrowth(t *testing.T) {
 func TestAutoSequentListenersSurviveGrowth(t *testing.T) {
 	for _, tc := range rebuildCases {
 		t.Run(tc.name, func(t *testing.T) {
-			d := NewAutoSequent(2, nil)
+			d := NewAutoSequent(2, nil, 1)
 			listener := NewListenPCB(ListenKey(addr(10, 0, 0, 1), 1521))
 			if err := d.Insert(listener); err != nil {
 				t.Fatal(err)
@@ -158,12 +158,11 @@ func TestAutoSequentListenersSurviveGrowth(t *testing.T) {
 }
 
 // BenchmarkAutoSequentRekey times one Rekey — the stop-the-world pause
-// the overload guard's watchdog costs its owner — over n PCBs on n/8
-// chains.
+// a watchdog trip costs the table's owner — over n PCBs on n/8 chains.
 func BenchmarkAutoSequentRekey(b *testing.B) {
 	for _, n := range []int{1000, 10000, 100000} {
 		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
-			d := NewAutoSequent(n/8, nil)
+			d := NewAutoSequent(n/8, nil, 1)
 			for i := 0; i < n; i++ {
 				if err := d.Insert(NewPCB(connKey(i))); err != nil {
 					b.Fatal(err)
@@ -179,7 +178,7 @@ func BenchmarkAutoSequentRekey(b *testing.B) {
 }
 
 func TestAutoSequentChainsStayBalanced(t *testing.T) {
-	d := NewAutoSequent(0, nil)
+	d := NewAutoSequent(0, nil, 1)
 	for i := 0; i < 3000; i++ {
 		if err := d.Insert(NewPCB(connKey(i))); err != nil {
 			t.Fatal(err)

@@ -17,6 +17,9 @@ type Config struct {
 	// Hash selects the hash function for the hashed algorithms
 	// (multiplicative if nil).
 	Hash hashfn.Func
+	// Seed seeds auto-sequent's chain-skew watchdog, whose rekeys draw
+	// their keys from it.
+	Seed uint64
 }
 
 // builders maps algorithm names to constructors.
@@ -26,7 +29,7 @@ var builders = map[string]func(Config) Demuxer{
 	"sr":           func(Config) Demuxer { return NewSRCache() },
 	"sequent":      func(c Config) Demuxer { return NewSequentHash(c.Chains, c.Hash) },
 	"mtf-hash":     func(c Config) Demuxer { return NewMTFHash(c.Chains, c.Hash) },
-	"auto-sequent": func(c Config) Demuxer { return NewAutoSequent(c.Chains, c.Hash) },
+	"auto-sequent": func(c Config) Demuxer { return NewAutoSequent(c.Chains, c.Hash, c.Seed) },
 	"direct-index": func(Config) Demuxer { return NewDirectIndex() },
 	"map":          func(Config) Demuxer { return NewMapDemux() },
 }

@@ -82,20 +82,27 @@ func (d *SequentHash) chainFor(k Key) int {
 // Insert implements Demuxer. Wildcard keys go to the listen list; exact
 // keys to the head of their hash chain.
 func (d *SequentHash) Insert(p *PCB) error {
+	_, err := d.insert(p)
+	return err
+}
+
+// insert is Insert that also returns the population of the chain p joined
+// (0 for a listener), the one chain AutoSequent's watchdog checks.
+func (d *SequentHash) insert(p *PCB) (int, error) {
 	if p.Key.IsWildcard() {
 		if d.listen.containsExact(p.Key) {
-			return ErrDuplicateKey
+			return 0, ErrDuplicateKey
 		}
 		d.listen.pushFront(p)
-		return nil
+		return 0, nil
 	}
 	c := &d.chains[d.chainFor(p.Key)]
 	if c.pcbs.containsExact(p.Key) {
-		return ErrDuplicateKey
+		return 0, ErrDuplicateKey
 	}
 	c.pcbs.pushFront(p)
 	d.chained++
-	return nil
+	return len(c.pcbs), nil
 }
 
 // Remove implements Demuxer.
@@ -172,6 +179,15 @@ func (d *SequentHash) ChainLengths() []int64 {
 		out[i] = int64(len(d.chains[i].pcbs))
 	}
 	return out
+}
+
+// fullest returns the population of the fullest chain, read in place.
+func (d *SequentHash) fullest() int {
+	n := 0
+	for i := range d.chains {
+		n = max(n, len(d.chains[i].pcbs))
+	}
+	return n
 }
 
 // Walk implements Demuxer: chains first, then listeners.

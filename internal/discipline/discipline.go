@@ -28,15 +28,29 @@ import (
 	"tcpdemux/internal/core"
 	_ "tcpdemux/internal/flat" // register flat-hopscotch with core
 	"tcpdemux/internal/hashfn"
+	"tcpdemux/internal/rng"
 )
 
-// Selection is a validated (discipline, hash, chains) triple. Zero value
-// is invalid; build one with Select.
+// Selection is a validated (discipline, hash, chains) triple plus the seed
+// its tables draw their secrets from. Zero value is invalid; build one
+// with Select.
 type Selection struct {
 	Name   string
 	Chains int
 	Hash   hashfn.Func
+	// Seed keys the tables: table i (PerShard's shard i; New builds table
+	// 0) draws from the stream of Seed + i·tableStride. A keyed Hash is
+	// replaced by a secret SipHash key drawn from that stream, so no table
+	// serves hashfn.DefaultKeyed's public key, and auto-sequent's watchdog
+	// draws its rekeys from the same stream. server.New fills it from
+	// server.Config.Seed; Select leaves it 0.
+	Seed uint64
 }
+
+// tableStride separates the tables' streams. It is neither the steering
+// nor the ISS offset shard.NewStackSet takes from the same seed, so no
+// table key equals the steering key.
+const tableStride = 0xd1b54a32d192ed03
 
 // Select resolves a discipline name and a hash-function name into a
 // Selection, validating both eagerly: the discipline must be registered
@@ -56,19 +70,28 @@ func Select(name, hashName string, chains int) (Selection, error) {
 }
 
 // New constructs a fresh single-writer demuxer instance of the selected
-// discipline. Each call returns an independent table.
-func (sel Selection) New() (core.Demuxer, error) {
-	return core.New(sel.Name, core.Config{Chains: sel.Chains, Hash: sel.Hash})
+// discipline: table 0 of the selection. Each call returns an independent
+// table.
+func (sel Selection) New() (core.Demuxer, error) { return sel.table(0) }
+
+// table builds table i, keyed from its own stream of sel.Seed.
+func (sel Selection) table(i int) (core.Demuxer, error) {
+	cfg := core.Config{Chains: sel.Chains, Hash: sel.Hash, Seed: sel.Seed + uint64(i)*tableStride}
+	if _, keyed := sel.Hash.(hashfn.Keyed); keyed {
+		src := rng.New(cfg.Seed)
+		cfg.Hash, cfg.Seed = hashfn.KeyedFromRNG(src), src.Uint64()
+	}
+	return core.New(sel.Name, cfg)
 }
 
 // PerShard returns the per-shard factory a shard.Config consumes: every
-// shard gets its own instance so no lookup state is shared. The
-// selection was validated by Select, so a construction failure here is
-// a programming error and panics rather than forcing an error path into
-// every shard.Config literal.
+// shard gets its own instance, under its own key, so no lookup state is
+// shared. The selection was validated by Select, so a construction
+// failure here is a programming error and panics rather than forcing an
+// error path into every shard.Config literal.
 func (sel Selection) PerShard() func(shard int) core.Demuxer {
-	return func(int) core.Demuxer {
-		d, err := sel.New()
+	return func(shard int) core.Demuxer {
+		d, err := sel.table(shard)
 		if err != nil {
 			panic(fmt.Sprintf("discipline: validated selection %q failed to construct: %v", sel.Name, err))
 		}

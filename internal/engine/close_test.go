@@ -167,3 +167,94 @@ func TestDataAfterCloseRejected(t *testing.T) {
 		t.Log("note: engine permits send in FIN_WAIT_1 (half-close semantics)")
 	}
 }
+
+// TestSynSentIgnoresStaleRST: in SYN_SENT a reset is acceptable only if it
+// acknowledges the SYN (RFC 793). A reset left over from the 4-tuple's
+// previous connection, bare or acknowledging something else, must not
+// reset a fresh connect.
+func TestSynSentIgnoresStaleRST(t *testing.T) {
+	server, client := pair(t, core.NewMapDemux())
+	if err := server.Listen(80, nil); err != nil {
+		t.Fatal(err)
+	}
+	conn, err := client.Connect(serverAddr, 80, 40000, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range []wire.TCPHeader{
+		{Seq: 12345, Flags: wire.FlagRST},
+		{Seq: 12345, Ack: conn.pcb.SndNxt + 777, Flags: wire.FlagRST | wire.FlagACK},
+		{Seq: 12345, Ack: conn.pcb.SndNxt - 1, Flags: wire.FlagRST | wire.FlagACK},
+	} {
+		h.SrcPort, h.DstPort = 80, 40000
+		rst, err := wire.BuildSegment(wire.IPv4Header{TTL: 64, Src: serverAddr, Dst: clientAddr}, h, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := client.Deliver(rst); err != nil {
+			t.Fatal(err)
+		}
+		if conn.State() != core.StateSynSent {
+			t.Fatalf("RST flags %#x ack %d (SYN ends at %d) moved SYN_SENT to %v", h.Flags, h.Ack, conn.pcb.SndNxt, conn.State())
+		}
+	}
+	if _, err := Pump(client, server); err != nil {
+		t.Fatal(err)
+	}
+	if conn.State() != core.StateEstablished {
+		t.Fatalf("connect after stale RSTs ended in %v", conn.State())
+	}
+}
+
+// TestLastAckClosesOnRST: a client that has left TIME_WAIT answers the
+// server's retransmitted FIN with an RST at the server's next expected
+// sequence number. The server must close on it, not retransmit its FIN
+// until it aborts.
+func TestLastAckClosesOnRST(t *testing.T) {
+	server, client, serverConn, clientConn := connect(t)
+	server.SetTimers(0.1, 5, 0)
+	if err := clientConn.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// The server answers the client's FIN with its own and enters
+	// LAST_ACK; the client takes it, and its final ACK is lost.
+	deliver := func(to, from *Stack) {
+		t.Helper()
+		for _, f := range from.Drain() {
+			if _, err := to.Deliver(f); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	deliver(server, client)
+	if serverConn.State() != core.StateLastAck {
+		t.Fatalf("server state = %v, want LAST_ACK", serverConn.State())
+	}
+	deliver(client, server)
+	client.Drain()
+	if client.ReapTimeWait() != 1 {
+		t.Fatal("client did not leave TIME_WAIT")
+	}
+	server.Tick(0.15)
+	fin := server.Drain()
+	if len(fin) != 1 {
+		t.Fatalf("server retransmitted %d frames, want its FIN", len(fin))
+	}
+	if _, err := client.Deliver(fin[0]); err != nil {
+		t.Fatal(err)
+	}
+	rst := client.Drain()
+	if len(rst) != 1 {
+		t.Fatalf("client answered the FIN with %d frames, want an RST", len(rst))
+	}
+	if _, err := server.Deliver(rst[0]); err != nil {
+		t.Fatal(err)
+	}
+	if serverConn.State() != core.StateClosed || server.Demuxer().Len() != 1 {
+		t.Fatalf("after the RST: server state %v, %d PCBs", serverConn.State(), server.Demuxer().Len())
+	}
+	server.Tick(100)
+	if n := len(server.Drain()); n != 0 {
+		t.Fatalf("server sent %d frames after closing on the RST", n)
+	}
+}

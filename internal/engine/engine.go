@@ -210,7 +210,7 @@ func NewStack(addr wire.Addr, d core.Demuxer, seed uint64) *Stack {
 
 // SetTelemetry re-homes the stack's counters on reg, so its drops,
 // cookies, and timer fires appear in the same snapshot as the demux and
-// overload metrics. Call it before delivering traffic: counts already
+// rekey metrics. Call it before delivering traffic: counts already
 // accumulated on the previous registry are not carried over. Stacks homed
 // on one registry (a StackSet's shards) share its counters, so each one's
 // Stats and LifecycleCounters then report the registry-wide totals.
@@ -477,7 +477,11 @@ func (s *Stack) Deliver(frame []byte) (core.Result, error) {
 	case core.StateEstablished:
 		s.handleEstablished(c, seg)
 	case core.StateCloseWait, core.StateLastAck:
-		if seg.TCP.Flags&wire.FlagACK != 0 && seg.TCP.Ack == pcb.SndNxt {
+		// The final ACK closes, and so does an RST at the next expected
+		// sequence number: a peer that has left TIME_WAIT answers a
+		// retransmitted FIN with one.
+		f := seg.TCP.Flags
+		if f&wire.FlagACK != 0 && seg.TCP.Ack == pcb.SndNxt || f&wire.FlagRST != 0 && seg.TCP.Seq == pcb.RcvNxt {
 			s.teardown(c)
 		}
 	case core.StateFinWait1, core.StateFinWait2, core.StateClosing, core.StateTimeWait:
@@ -640,15 +644,20 @@ func (s *Stack) releaseHalfOpen(c *Conn) {
 	}
 }
 
-// handleSynSent completes the active open on SYN|ACK.
+// handleSynSent completes the active open on SYN|ACK. Both it and an RST
+// count only if they acknowledge the SYN (RFC 793), so a reset left over
+// from the 4-tuple's previous connection cannot reset a fresh connect.
 func (s *Stack) handleSynSent(c *Conn, seg *wire.Segment) {
 	pcb := &c.pcb
 	f := seg.TCP.Flags
+	if f&wire.FlagACK == 0 || seg.TCP.Ack != pcb.SndNxt {
+		return
+	}
 	if f&wire.FlagRST != 0 {
 		s.teardown(c)
 		return
 	}
-	if f&wire.FlagSYN == 0 || f&wire.FlagACK == 0 || seg.TCP.Ack != pcb.SndNxt {
+	if f&wire.FlagSYN == 0 {
 		return
 	}
 	pcb.RcvNxt = seg.TCP.Seq + 1

@@ -79,12 +79,13 @@ type Config struct {
 	// port). Required.
 	Addr string
 	// Discipline selects each shard's private demux table; build it with
-	// discipline.Select. Required.
+	// discipline.Select. Required. Its Seed is overwritten by Seed below.
 	Discipline discipline.Selection
 	// Shards is the StackSet's queue count (default 4).
 	Shards int
-	// Seed drives the steering key, shard ISS generators, and the
-	// synthetic client ISS draws.
+	// Seed drives the steering key, shard ISS generators, the synthetic
+	// client ISS draws, and each shard table's secret key and watchdog
+	// (discipline.Selection.Seed).
 	Seed uint64
 	// Registry re-homes all telemetry (engine, shard, and server_*
 	// families) when set; otherwise a private registry is created.
@@ -167,6 +168,7 @@ func newServer(cfg Config) (*Server, error) {
 	if reg == nil {
 		reg = telemetry.NewRegistry()
 	}
+	cfg.Discipline.Seed = cfg.Seed
 	set, err := shard.NewStackSet(wire.MakeAddr(10, 0, 0, 1), shard.Config{
 		Shards:     cfg.Shards,
 		NewDemuxer: cfg.Discipline.PerShard(),

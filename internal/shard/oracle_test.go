@@ -14,12 +14,12 @@ import (
 	"tcpdemux/internal/wire"
 )
 
-// The oracle's operating point. TIME_WAIT outlasts every run: a client that
-// left it would answer a retransmitted FIN with an RST, which LAST_ACK
-// ignores, so a closed slot is never re-opened.
+// The oracle's operating point. A client leaves TIME_WAIT within a run, and
+// answers a retransmitted FIN with an RST that closes the server's LAST_ACK.
+// A gracefully closed slot is never re-opened.
 const (
 	oraclePort, oracleSlots, oracleSteps = uint16(1521), 16, 64
-	oracleStride, oracleRTO, oracleMSL   = 5e-3, 0.25, 1e4 // virtual seconds
+	oracleStride, oracleRTO, oracleMSL   = 5e-3, 0.25, 0.5 // virtual seconds
 	oracleRetries                        = 20
 )
 
@@ -303,14 +303,14 @@ func (w *world) deliver(frames ...[]byte) {
 }
 
 // try carries out a slot's next intent, or reports false while it must
-// wait: an open until nothing of the reset connection is left (a stale RST
-// would reset the new one), the rest for an established connection with
-// no request outstanding, and a burst or RST for a shard that takes it all.
+// wait: an open until neither end holds the reset connection (frames of
+// it may still be in flight or queued), the rest for an established
+// connection with no request outstanding, and a burst or RST for a shard
+// that takes it all.
 func (w *world) try(slot int, in step) bool {
 	s, key, set := &w.slots[slot], slotKey(slot), w.set
 	if in.op == opOpen {
-		if _, held := w.holders()[key]; s.conn != nil &&
-			(s.conn.State() != core.StateClosed || !w.link.Idle() || held || set != nil && set.Accounting().Queued > 0) {
+		if _, held := w.holders()[key]; s.conn != nil && (s.conn.State() != core.StateClosed || held) {
 			return false
 		} else if set != nil {
 			set.Release(key)

@@ -501,8 +501,7 @@ func (set *StackSet) Len() int {
 // Rekey draws a fresh steering key and migrates every connection whose
 // shard assignment changed (see resettle). It returns the number of
 // connections migrated. Steering changes are epoch transitions, not
-// per-packet events: the same contract as the overload package's online
-// rekey.
+// per-packet events: the same contract as AutoSequent's one-pass rekey.
 //
 //demux:owner(deliver)
 func (set *StackSet) Rekey() int {

@@ -1,5 +1,5 @@
 // Metric bundles: the glue between the registry and the structures
-// under internal/core, internal/overload, internal/engine, internal/shard
+// under internal/core, internal/engine, internal/shard
 // and internal/server.
 //
 // The demuxers themselves stay untouched — a lookup's core.Result is
@@ -229,53 +229,6 @@ func (m *ShardSetMetrics) SetHealth(i int, state float64) {
 		return
 	}
 	m.Health[i].Set(state)
-}
-
-// OverloadMetrics is the overload-guard instrument bundle: the rekey
-// counter plus the watchdog's chain-skew and chain-count gauges, labeled
-// by table.
-type OverloadMetrics struct {
-	Rekeys    *Counter
-	ChainSkew *Gauge
-	Chains    *Gauge
-}
-
-// NewOverloadMetrics registers the overload metric family for one table
-// label on r.
-func NewOverloadMetrics(r *Registry, table string) *OverloadMetrics {
-	l := L("table", table)
-	return &OverloadMetrics{
-		Rekeys:    r.Counter("overload_rekeys_total", l),
-		ChainSkew: r.Gauge("overload_chain_skew", l),
-		Chains:    r.Gauge("overload_chains", l),
-	}
-}
-
-// ObserveChains publishes one watchdog sample: the live chain count and
-// the skew ratio (fullest chain over mean chain length; 0 for an empty
-// table).
-func (m *OverloadMetrics) ObserveChains(lengths []int64) {
-	if m == nil {
-		return
-	}
-	m.Chains.Set(float64(len(lengths)))
-	if len(lengths) == 0 {
-		m.ChainSkew.Set(0)
-		return
-	}
-	var pop, max int64
-	for _, n := range lengths {
-		pop += n
-		if n > max {
-			max = n
-		}
-	}
-	if pop == 0 {
-		m.ChainSkew.Set(0)
-		return
-	}
-	mean := float64(pop) / float64(len(lengths))
-	m.ChainSkew.Set(float64(max) / mean)
 }
 
 // ServerMetrics is the real-socket frontend's instrument bundle: the

@@ -69,24 +69,6 @@ func TestStackMetricsRegistersDropReasons(t *testing.T) {
 	}
 }
 
-func TestOverloadMetricsChainSkew(t *testing.T) {
-	r := NewRegistry()
-	m := NewOverloadMetrics(r, "t")
-	m.ObserveChains([]int64{1, 1, 1, 5})
-	if got := m.Chains.Value(); got != 4 {
-		t.Fatalf("chains gauge %g, want 4", got)
-	}
-	if got := m.ChainSkew.Value(); got != 2.5 { // max 5 / mean 2
-		t.Fatalf("skew gauge %g, want 2.5", got)
-	}
-	m.ObserveChains(nil)
-	if m.ChainSkew.Value() != 0 {
-		t.Fatalf("empty table should zero the skew gauge")
-	}
-	var nilM *OverloadMetrics
-	nilM.ObserveChains([]int64{1}) // nil bundle is a no-op, not a panic
-}
-
 func TestShardSetMetricsRegistration(t *testing.T) {
 	r := NewRegistry()
 	m := NewShardSetMetrics(r, 2)

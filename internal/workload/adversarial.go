@@ -6,9 +6,9 @@ package workload
 import (
 	"tcpdemux/internal/chaos"
 	"tcpdemux/internal/core"
+	"tcpdemux/internal/discipline"
 	"tcpdemux/internal/engine"
 	"tcpdemux/internal/hashfn"
-	"tcpdemux/internal/overload"
 	"tcpdemux/internal/telemetry"
 	"tcpdemux/internal/wire"
 )
@@ -74,7 +74,7 @@ type AdversarialResult struct {
 }
 
 // RunAdversarial mounts the collision attack against an undefended table
-// and the overload-guarded one, then the spoofed SYN flood against
+// and AutoSequent, which defends itself, then the spoofed SYN flood against
 // a bounded listener backlog. Part 1's figure of merit is the mean PCBs
 // examined per lookup before and under attack; part 2's is whether a
 // legitimate client completes its handshake and a transaction mid-flood.
@@ -97,20 +97,28 @@ func RunAdversarial(cfg AdversarialConfig) (*AdversarialResult, error) {
 	attack := population[:cfg.AttackN]
 
 	// Part 1 measures a bare SequentHash (no watchdog, no growth) beside
-	// the guard.
+	// AutoSequent, whose watchdog rekeys it under keys drawn from seed.
+	sel, err := discipline.Select("auto-sequent", cfg.Hash, chains)
+	if err != nil {
+		return nil, err
+	}
+	sel.Seed = seed
+	d, err := sel.New()
+	if err != nil {
+		return nil, err
+	}
+	defended := d.(*core.AutoSequent)
 	type attackTable interface {
 		core.Demuxer
 		NumChains() int
 	}
-	g := overload.NewGuarded(chains, victim, seed)
-	g.SetTelemetry(telemetry.NewOverloadMetrics(reg, "guarded-sequent"))
 	tables := []struct {
 		name, title string
 		d           attackTable
 		rekeys      func() int
 	}{
 		{"sequent-undefended", "sequent (undefended)", core.NewSequentHash(chains, victim), func() int { return 0 }},
-		{"guarded-sequent", "guarded-sequent", g, func() int { return g.Rekeys }},
+		{"guarded-sequent", "guarded-sequent", defended, func() int { return defended.Rekeys }},
 	}
 
 	res := &AdversarialResult{}
@@ -168,6 +176,12 @@ func RunAdversarial(cfg AdversarialConfig) (*AdversarialResult, error) {
 		res.Tables = append(res.Tables, row)
 	}
 	res.Flight = rec.Drain()
+	// The table has not changed since its last insert, so its counters and
+	// chains are what the watchdog last checked.
+	l := telemetry.L("table", "guarded-sequent")
+	reg.Counter("overload_rekeys_total", l).Add(uint64(defended.Rekeys))
+	reg.Gauge("overload_chain_skew", l).Set(defended.Skew())
+	reg.Gauge("overload_chains", l).Set(float64(defended.NumChains()))
 
 	// Part 2: the same collision population as wire traffic.
 	frames, err := chaos.SynFloodFrames(population[:cfg.FloodN])

@@ -4,9 +4,9 @@
 # package (`# package: ./pkg`) and the `go test -run` pattern
 # (`# run: Pattern`) expected to fail once it is applied. For each one the
 # script copies the tree to a temporary directory, applies the patch with
-# `git apply`, builds, and runs only the named tests. It fails when a patch
-# no longer applies, when a mutant does not build, or when a mutant
-# survives its tests.
+# `git apply`, builds the package with its tests, and runs only the named
+# tests. It fails when a patch no longer applies, when a mutant does not
+# build, or when a mutant survives its tests.
 #
 # Usage: scripts/mutants.sh
 set -euo pipefail
@@ -33,7 +33,10 @@ for patch in testdata/mutants/*.patch; do
 		fail=1
 		continue
 	fi
-	if ! (cd "$tree" && "$GO" build "$pkg"); then
+	# go test -run '^$' compiles the package with its tests and runs none:
+	# unlike go build it also takes a package of tests alone, such as the
+	# root package that holds TestGoldens.
+	if ! (cd "$tree" && "$GO" test -count=1 -run '^$' "$pkg" >/dev/null); then
 		echo "mutants: $patch does not build" >&2
 		fail=1
 		continue
