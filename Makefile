@@ -4,7 +4,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all build vet lint lint-fixtures loc gates mutants bench-check bench-pairs test golden race chaos shard failover live demuxd demuxload bench bench-json bench-json-cache bench-json-shard fuzz figures clean
+.PHONY: all build vet lint lint-fixtures loc gates mutants bench-check bench-pairs test golden race chaos shard failover live demuxd demuxload bench fuzz figures clean
 
 all: build vet lint test
 
@@ -159,40 +159,6 @@ demuxload:
 
 bench:
 	$(GO) test -bench=. -benchmem .
-
-# The bench-json-* targets write the reports BENCH_*.json. The parallel
-# and shard reports are measured and host-dependent (ns/op, rates, and the
-# parallel workload's examined columns, which churn one shared table) and
-# nothing compares them with a fresh run; what in the shard report is
-# exact is held by TestExactColumnsAtCommittedPoints in cmd/benchjson.
-# BENCH_cache.json (a model) is exact throughout and is a golden
-# (`make golden`).
-
-# bench-json measures the [Dov90] pair head-to-head on the read-heavy
-# TPC/A mix: one table shared by every worker under a global lock (over
-# the BSD list and over the Sequent hash) and under Sequent's per-chain
-# locks, one key per lookup, and writes BENCH_parallel.json. The default
-# operating point oversubscribes the scheduler (workers >> GOMAXPROCS) so
-# lock-holder preemption — a descheduled holder stalls every contender on
-# its lock — is visible even on small hosts; see cmd/benchjson -h.
-bench-json:
-	$(GO) run ./cmd/benchjson -gomaxprocs 32 -workers 384 -rounds 5 -ops 8000 -n 6000 -out BENCH_parallel.json
-
-# bench-json-cache writes BENCH_cache.json (EXP-CACHE): the
-# internal/cachesim model of the chained Sequent layout against the flat
-# table's probe window at 6,000 connections. It is the golden
-# testdata/golden/MANIFEST writes, and `make golden` rewrites it too.
-bench-json-cache:
-	$(GO) run ./cmd/benchjson -workload cache -n 6000 -out BENCH_cache.json
-
-# bench-json-shard sweeps the multi-queue engine's shard count (1, 2, 4,
-# max) on the TPC/A mix and writes BENCH_shard.json (EXP-SHARD). The
-# chain count stays fixed across the sweep, so each shard's private
-# table holds ~1/N of the PCBs and the partition effect C(N) shows up
-# directly in examined-per-lookup — a speedup source that pays even on
-# a single-core host, before core parallelism multiplies on top.
-bench-json-shard:
-	$(GO) run ./cmd/benchjson -workload shard -rounds 5 -ops 200000 -n 6000 -out BENCH_shard.json
 
 # Short fuzz pass over the wire parsers (held to their reference
 # implementations), the full receive path, the TPC/A line codec and the

@@ -466,7 +466,7 @@ func BenchmarkParallel(b *testing.B) {
 // instrumentation overhead a directly comparable benchmark line; see
 // overhead_test.go for the <5% acceptance check.
 func BenchmarkParallelTPCA(b *testing.B) {
-	for _, name := range []string{"locked-sequent", "sharded-sequent"} {
+	for _, name := range []string{"locked-bsd", "locked-sequent", "sharded-sequent"} {
 		for _, instrumented := range []bool{false, true} {
 			bname := name + "/perpacket"
 			if instrumented {

@@ -28,10 +28,11 @@
 // the same lossy client/server exchange, but the server is a StackSet
 // that RSS-steers each inbound frame by keyed tuple hash to one of
 // -shards independent single-writer stacks (private demuxer, private
-// timer wheel). Each shard count's application-level responses are
-// checked byte-for-byte against the single-stack baseline — the
-// cross-shard conformance argument from internal/shard's tests, run
-// live over whatever -drop/-dup loss process the flags select.
+// timer wheel), for each -algos entry at 1, 2, 4, ... -shards shards.
+// Each run's application-level responses are checked byte-for-byte
+// against the single-stack baseline — the cross-shard conformance
+// argument from internal/shard's tests, run live over whatever -drop/-dup
+// loss process the flags select.
 //
 // The failover workload is the sharded workload with one shard of -shards
 // failed mid-exchange (-fault crash|stall|wedge). A crash or stall is
@@ -46,7 +47,7 @@
 // after the outage next to the probe's.
 //
 // The concurrent locking disciplines (one table shared by many
-// goroutines) are measured by cmd/benchjson -workload parallel.
+// goroutines) are measured by BenchmarkParallelTPCA (EXP-PAR).
 package main
 
 import (
@@ -55,6 +56,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 	"text/tabwriter"
 
@@ -121,7 +123,7 @@ func main() {
 	} else if *wlName == "lossy" {
 		err = runLossy(os.Stdout, algoList, *users, *txns, *chains, *seed, *drop, *dup, *hash)
 	} else if *wlName == "sharded" {
-		err = runSharded(os.Stdout, *users, *txns, *chains, *shardsN, *seed, *drop, *dup, *hash)
+		err = runSharded(os.Stdout, algoList, *users, *txns, *chains, *shardsN, *seed, *drop, *dup, *hash)
 	} else if *wlName == "failover" {
 		err = runFailover(os.Stdout, *users, *txns, *chains, *shardsN, *seed, *drop, *dup, *hash, *faultStr)
 	} else if *wlName == "adversarial" {
@@ -224,20 +226,15 @@ func runLossy(out io.Writer, algos []string, clients, txns, chains int, seed uin
 }
 
 // runSharded drives the lossy exchange through the multi-queue engine
-// at each shard count up to max, checking every run's application-level
-// responses byte-for-byte against the single-stack baseline. The wire
-// traces legitimately differ — merging N shard outboxes reorders frames,
-// so the seeded loss process kills different copies — but TCP's
-// reliability plus the deterministic handler mean the bytes the
-// applications exchange cannot.
-func runSharded(out io.Writer, clients, txns, chains, max int, seed uint64, drop, dup float64, hashName string) error {
-	// The multi-queue acceptance numbers (BENCH_shard.json, EXP-FAILOVER)
-	// are defined over sequent per-shard tables; the discipline is pinned
-	// but the selection still flows through the shared helper.
-	sel, err := discipline.Select("sequent", hashName, chains)
-	if err != nil {
-		return err
-	}
+// for each algorithm at each shard count up to max, checking every run's
+// application-level responses byte-for-byte against a single-stack
+// baseline over MapDemux. The wire traces legitimately differ — merging N
+// shard outboxes reorders frames, so the seeded loss process kills
+// different copies — but TCP's reliability plus the deterministic handler
+// mean the bytes the applications exchange cannot. Every frame, the
+// handshake's, FIN's and listener's included, passes through
+// StackSet.Deliver, so mean-examined is the whole exchange's per lookup.
+func runSharded(out io.Writer, algos []string, clients, txns, chains, max int, seed uint64, drop, dup float64, hashName string) error {
 	mkCfg := func(server engine.LossyServer) engine.LossyConfig {
 		return engine.LossyConfig{
 			Clients: clients,
@@ -257,11 +254,7 @@ func runSharded(out io.Writer, clients, txns, chains, max int, seed uint64, drop
 			Server:         server,
 		}
 	}
-	base, err := sel.New()
-	if err != nil {
-		return err
-	}
-	baseline, err := engine.RunLossyExchange(base, mkCfg(nil))
+	baseline, err := engine.RunLossyExchange(core.NewMapDemux(), mkCfg(nil))
 	if err != nil {
 		return err
 	}
@@ -282,51 +275,50 @@ func runSharded(out io.Writer, clients, txns, chains, max int, seed uint64, drop
 		clients, txns, drop*100, dup*100, chains)
 	w := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 	defer w.Flush()
-	fmt.Fprintln(w, "shards\tcompleted\tconformant\tbusy\tdelivered\tdropped\tdup\tretransmits\tvtime\tmean-examined\tsteered")
-	for _, n := range counts {
-		set, err := shard.NewStackSet(wire.MakeAddr(10, 0, 0, 1), shard.Config{
-			Shards:     n,
-			NewDemuxer: sel.PerShard(),
-			Seed:       seed,
-		})
+	fmt.Fprintln(w, "algorithm\tshards\tcompleted\tconformant\tbusy\tdelivered\tdropped\tdup\tretransmits\tvtime\tmean-examined\tsteered")
+	for _, name := range algos {
+		sel, err := discipline.Select(name, hashName, chains)
 		if err != nil {
 			return err
 		}
-		res, err := engine.RunLossyExchange(nil, mkCfg(set))
-		if err != nil {
-			return err
-		}
-		status := "yes"
-		if !res.Completed {
-			status = "NO"
-		}
-		conformant := "yes"
-		if len(res.Responses) != len(baseline.Responses) {
-			conformant = "NO"
-		} else {
-			for i := range res.Responses {
-				if !bytes.Equal(res.Responses[i], baseline.Responses[i]) {
-					conformant = "NO"
-					break
+		for _, n := range counts {
+			set, err := shard.NewStackSet(wire.MakeAddr(10, 0, 0, 1), shard.Config{
+				Shards:     n,
+				NewDemuxer: sel.PerShard(),
+				Seed:       seed,
+			})
+			if err != nil {
+				return err
+			}
+			res, err := engine.RunLossyExchange(nil, mkCfg(set))
+			if err != nil {
+				return err
+			}
+			status := "yes"
+			if !res.Completed {
+				status = "NO"
+			}
+			conformant := "yes"
+			if !slices.EqualFunc(res.Responses, baseline.Responses, bytes.Equal) {
+				conformant = "NO"
+			}
+			var st core.Stats
+			for i := 0; i < set.Shards(); i++ {
+				st.Merge(*set.Shard(i).Demuxer().Stats())
+			}
+			busy := 0
+			for _, c := range set.Steered {
+				if c > 0 {
+					busy++
 				}
 			}
-		}
-		var st core.Stats
-		for i := 0; i < set.Shards(); i++ {
-			st.Merge(*set.Shard(i).Demuxer().Stats())
-		}
-		busy := 0
-		for _, c := range set.Steered {
-			if c > 0 {
-				busy++
+			fmt.Fprintf(w, "%s\t%d\t%s\t%s\t%d/%d\t%d\t%d\t%d\t%d\t%.1fs\t%.2f\t%v\n",
+				sel.Name, n, status, conformant, busy, n, res.Delivered, res.Dropped,
+				res.Duplicated, res.Retransmits, res.VirtualTime,
+				st.MeanExamined(), set.Steered)
+			if conformant == "NO" {
+				return fmt.Errorf("%s at %d shards: responses diverged from the single-stack baseline", sel.Name, n)
 			}
-		}
-		fmt.Fprintf(w, "%d\t%s\t%s\t%d/%d\t%d\t%d\t%d\t%d\t%.1fs\t%.2f\t%v\n",
-			n, status, conformant, busy, n, res.Delivered, res.Dropped,
-			res.Duplicated, res.Retransmits, res.VirtualTime,
-			st.MeanExamined(), set.Steered)
-		if conformant == "NO" {
-			return fmt.Errorf("%d-shard responses diverged from the single-stack baseline", n)
 		}
 	}
 	return nil

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -413,5 +414,37 @@ func TestRunFailoverBadFault(t *testing.T) {
 	}
 	if err := runFailover(&b, 4, 2, 19, 1, 1, 0, 0, "multiplicative", "crash"); err == nil {
 		t.Fatal("single-shard failover accepted — there is no survivor to drain to")
+	}
+}
+
+// TestExactColumnsAtCommittedPoints holds EXP-SHARD's sequent column at
+// its committed points: every frame of 6,000 clients × 4 transactions
+// through StackSet.Deliver, 19 chains a shard, at 1, 2 and 4 shards, and
+// the control row of one 76-chain table. Four 19-chain shards examine
+// what one 76-chain table examines: the partition is a chain count.
+func TestExactColumnsAtCommittedPoints(t *testing.T) {
+	examined := func(chains, shards int) []string {
+		var b strings.Builder
+		if err := runSharded(&b, []string{"sequent"}, 6000, 4, chains, shards, 42, 0, 0, "multiplicative"); err != nil {
+			t.Fatal(err)
+		}
+		var col []string
+		for _, line := range strings.Split(b.String(), "\n") {
+			f := strings.Fields(line)
+			if len(f) == 0 || f[0] != "sequent" {
+				continue
+			}
+			if f[2] != "yes" || f[3] != "yes" {
+				t.Errorf("%d×%d: completed %s, conformant %s", shards, chains, f[2], f[3])
+			}
+			col = append(col, f[10])
+		}
+		return col
+	}
+	if got, want := examined(19, 4), []string{"159.36", "80.58", "41.12"}; !slices.Equal(got, want) {
+		t.Errorf("examined at 1, 2, 4 shards × 19 chains = %v, want %v", got, want)
+	}
+	if got, want := examined(76, 1), []string{"41.07"}; !slices.Equal(got, want) {
+		t.Errorf("examined at 1 shard × 76 chains = %v, want %v", got, want)
 	}
 }

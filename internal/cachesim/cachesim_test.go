@@ -230,6 +230,25 @@ func TestFlatLookupsBeatChained(t *testing.T) {
 	}
 }
 
+// TestExpCacheModelRows holds EXP-CACHE's two model rows exactly: the
+// chained Sequent scan and the flat-table probe over 6,000 users, 19
+// chains, 24,000 lookups, seed 7.
+func TestExpCacheModelRows(t *testing.T) {
+	model := func() *Model {
+		m, err := NewModel(Era1992, 6000, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	if got, want := SequentLookups(model(), 6000, 19, 24000, 7), (LookupCost{158, 3156.9866666666667}); got != want {
+		t.Errorf("chained row = %+v, want %+v", got, want)
+	}
+	if got, want := FlatLookups(model(), 6000, 24000, 7), (LookupCost{1, 40.7545}); got != want {
+		t.Errorf("flat row = %+v, want %+v", got, want)
+	}
+}
+
 // TestModelTouch checks the raw-address accounting FlatLookups builds on.
 func TestModelTouch(t *testing.T) {
 	m, err := NewModel(Era1992, 4, 1)

@@ -35,7 +35,7 @@ var builders = map[string]func(Config) Demuxer{
 }
 
 // Register adds an external algorithm to the registry so the name-based
-// tools (demuxsim -algos, benchjson) can construct it. Packages above
+// tools (demuxsim -algos, demuxd -discipline) can construct it. Packages above
 // core in the dependency order — internal/flat's open-addressing tables,
 // for one — register themselves from init; registration is therefore
 // visible exactly in binaries that (transitively) import the providing

@@ -1,11 +1,11 @@
 // Package discipline is the one place a demultiplexing discipline is
-// resolved from its command-line name. demuxd, demuxsim, and benchjson
-// all accept `-discipline`/`-algos` + `-hash` + `-chains` flags; before
+// resolved from its command-line name. demuxd and demuxsim both accept
+// `-discipline`/`-algos` + `-hash` + `-chains` flags; before
 // this package each binary paired hashfn.ByName with core.New (or
 // parallel.New, or a hard-coded constructor) on its own, which is
 // exactly how the sharded workloads drifted into hard-coding
 // sequent-multiplicative regardless of the flags. Selecting through one
-// helper keeps the three binaries' name spaces identical and makes a
+// helper keeps the binaries' name spaces identical and makes a
 // per-shard factory (what shard.Config consumes) derivable from the
 // same validated selection as a single table.
 //

@@ -206,6 +206,64 @@ func TestSynSentIgnoresStaleRST(t *testing.T) {
 	}
 }
 
+// TestSynRcvdIgnoresStaleRST: in SYN_RCVD, as in ESTABLISHED, a reset is
+// honoured only at the next expected sequence number. A reset left over
+// from the 4-tuple's previous connection must not kill a fresh passive
+// open; one at RcvNxt tears it down and gives back its backlog slot.
+func TestSynRcvdIgnoresStaleRST(t *testing.T) {
+	for _, acceptable := range []bool{false, true} {
+		server, client := pair(t, core.NewMapDemux())
+		if err := server.Listen(80, nil); err != nil {
+			t.Fatal(err)
+		}
+		conn, err := client.Connect(serverAddr, 80, 40000, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range client.Drain() {
+			if _, err := server.Deliver(f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		server.Drain() // the SYN|ACK, held back
+		if server.halfOpen[80] != 1 || server.Demuxer().Len() != 2 {
+			t.Fatalf("after the SYN: %d half-open, %d PCBs", server.halfOpen[80], server.Demuxer().Len())
+		}
+		rcvNxt := conn.pcb.SndNxt // the server's RcvNxt: one past the client's SYN
+		seqs := []uint32{rcvNxt - 5000, rcvNxt + 1, rcvNxt - 1}
+		if acceptable {
+			seqs = []uint32{rcvNxt}
+		}
+		for _, seq := range seqs {
+			h := wire.TCPHeader{SrcPort: 40000, DstPort: 80, Seq: seq, Flags: wire.FlagRST}
+			rst, err := wire.BuildSegment(wire.IPv4Header{TTL: 64, Src: clientAddr, Dst: serverAddr}, h, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := server.Deliver(rst); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if acceptable {
+			if server.halfOpen[80] != 0 || server.Demuxer().Len() != 1 {
+				t.Fatalf("after an RST at RcvNxt: %d half-open, %d PCBs", server.halfOpen[80], server.Demuxer().Len())
+			}
+			continue
+		}
+		if server.halfOpen[80] != 1 || server.Demuxer().Len() != 2 {
+			t.Fatalf("stale RSTs at %v (RcvNxt %d) killed SYN_RCVD: %d half-open, %d PCBs",
+				seqs, rcvNxt, server.halfOpen[80], server.Demuxer().Len())
+		}
+		server.Tick(1) // the SYN|ACK goes again
+		if _, err := Pump(client, server); err != nil {
+			t.Fatal(err)
+		}
+		if conn.State() != core.StateEstablished || server.halfOpen[80] != 0 {
+			t.Fatalf("passive open after stale RSTs: client %v, %d half-open", conn.State(), server.halfOpen[80])
+		}
+	}
+}
+
 // TestLastAckClosesOnRST: a client that has left TIME_WAIT answers the
 // server's retransmitted FIN with an RST at the server's next expected
 // sequence number. The server must close on it, not retransmit its FIN

@@ -667,11 +667,17 @@ func (s *Stack) handleSynSent(c *Conn, seg *wire.Segment) {
 	}
 }
 
-// handleSynRcvd completes the passive open on the third-step ACK.
+// handleSynRcvd completes the passive open on the third-step ACK. An RST
+// counts only at exactly the next expected sequence number, as in
+// handleEstablished, so a reset left over from the 4-tuple's previous
+// connection cannot kill a fresh passive open; teardown gives back the
+// backlog slot.
 func (s *Stack) handleSynRcvd(c *Conn, seg *wire.Segment) {
 	f := seg.TCP.Flags
 	if f&wire.FlagRST != 0 {
-		s.teardown(c)
+		if seg.TCP.Seq == c.pcb.RcvNxt {
+			s.teardown(c)
+		}
 		return
 	}
 	if f&wire.FlagACK == 0 || seg.TCP.Ack != c.pcb.SndNxt {

@@ -24,9 +24,8 @@ var wallclockFuncs = map[string]bool{
 // depend on the simulation's virtual clock (Stack.Tick, tpca.Run's event
 // loop) must not consult the wall clock, or identical seeds would stop
 // producing identical figures. restrict names the virtual-time packages;
-// //demux:wallclock <reason> waives a deliberate wall-clock read (the
-// throughput harness measuring real elapsed time is the one legitimate
-// consumer).
+// //demux:wallclock <reason> waives a deliberate wall-clock read, such as
+// a harness measuring real elapsed time.
 func VirtualTime(restrict PackageFilter) *Analyzer {
 	a := &Analyzer{
 		Name: "virtualtime",

@@ -14,14 +14,12 @@
 //
 // Nothing shipped shares a table between goroutines — engine.Stack and
 // shard.StackSet each own theirs — so the two tables exist for EXP-PAR's
-// measurement of what the per-chain locks buy over the global one. The
-// replay harness (TPCAStream, Replay) also drives EXP-SHARD's private
-// tables.
+// measurement of what the per-chain locks buy over the global one:
+// BenchmarkParallel and BenchmarkParallelTPCA in bench_test.go, the second
+// replaying a recorded TPC/A stream (TPCAStream).
 //
 // Both satisfy core.Concurrent (which documents the statistics-snapshot
-// and Walk contracts); New builds either by name. The throughput benches in bench_test.go (BenchmarkParallel) and
-// the MeasureThroughput harness quantify the contention gap under
-// goroutine load.
+// and Walk contracts); New builds either by name.
 package parallel
 
 import (
@@ -344,8 +342,8 @@ func (d *ShardedSequent) Snapshot() core.Stats {
 }
 
 // disciplines maps locking-discipline names to constructors, mirroring
-// core's algorithm registry so the command-line tools can build any of
-// the head-to-head variants by name.
+// core's algorithm registry so the benchmarks can build any of the
+// head-to-head variants by name.
 var disciplines = map[string]func(core.Config) core.Concurrent{
 	"locked-bsd":     func(core.Config) core.Concurrent { return NewLocked(core.NewBSDList()) },
 	"locked-sequent": func(c core.Config) core.Concurrent { return NewLocked(core.NewSequentHash(c.Chains, c.Hash)) },

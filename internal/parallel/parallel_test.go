@@ -8,7 +8,6 @@ import (
 
 	"tcpdemux/internal/core"
 	"tcpdemux/internal/rng"
-	"tcpdemux/internal/telemetry"
 	"tcpdemux/internal/tpca"
 )
 
@@ -232,106 +231,4 @@ func TestDisciplineRegistry(t *testing.T) {
 	if _, err := New("nonesuch", core.Config{}); err == nil {
 		t.Fatal("unknown discipline accepted")
 	}
-}
-
-// TestMeasureThroughput smoke-tests the shared throughput harness on every
-// discipline with a sliver of churn, observed through per-worker
-// LocalDemux wrappers whose flushed counts must equal the lookups the
-// table performed.
-func TestMeasureThroughput(t *testing.T) {
-	stream, err := TPCAStream(60, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(stream) == 0 {
-		t.Fatal("empty stream")
-	}
-	const workers = 4
-	churn := make([][]core.Key, workers)
-	for w := range churn {
-		for i := 0; i < 8; i++ {
-			churn[w] = append(churn[w], tpca.UserKey(1000+w*8+i))
-		}
-	}
-	for _, name := range Disciplines() {
-		d, err := New(name, core.Config{Chains: 19})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 60; i++ {
-			if err := d.Insert(core.NewPCB(tpca.UserKey(i))); err != nil {
-				t.Fatal(err)
-			}
-		}
-		m := telemetry.NewDemuxMetrics(telemetry.NewRegistry(), name)
-		res, err := MeasureThroughput(d, ThroughputConfig{
-			Workers: workers, OpsPerWorker: 2000, Stream: stream,
-			ReadFraction: 0.95, ChurnKeys: churn, Seed: 3, Metrics: m,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Ops != workers*2000 || res.OpsPerSec <= 0 {
-			t.Fatalf("%s: implausible result %+v", name, res)
-		}
-		if res.Stats.Lookups == 0 || res.Stats.Lookups > uint64(res.Ops) {
-			t.Fatalf("%s: implausible stats %+v", name, res.Stats)
-		}
-		if got := m.Lookups(); got != res.Stats.Lookups {
-			t.Fatalf("%s: LocalDemux flushed %d observations, want %d", name, got, res.Stats.Lookups)
-		}
-	}
-	if _, err := MeasureThroughput(NewShardedSequent(19, nil), ThroughputConfig{}); err == nil {
-		t.Fatal("invalid config accepted")
-	}
-}
-
-// TestShardedParallelThroughputScales is a coarse sanity check that the
-// per-chain locks actually remove contention relative to a global lock:
-// with many goroutines, sharded throughput should comfortably beat the
-// globally locked BSD list. (The precise numbers live in the bench
-// harness; this guards against accidentally serializing the fast path.)
-func TestShardedParallelThroughputScales(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing-sensitive")
-	}
-	if runtime.GOMAXPROCS(0) < 2 {
-		t.Skip("needs parallelism")
-	}
-	const n = 1000
-	const opsPerWorker = 30000
-	workers := runtime.GOMAXPROCS(0)
-
-	measure := func(d core.Concurrent) float64 {
-		for i := 0; i < n; i++ {
-			if err := d.Insert(core.NewPCB(tpca.UserKey(i))); err != nil {
-				t.Fatal(err)
-			}
-		}
-		var wg sync.WaitGroup
-		start := make(chan struct{})
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(seed uint64) {
-				defer wg.Done()
-				src := rng.New(seed)
-				<-start
-				for i := 0; i < opsPerWorker; i++ {
-					d.Lookup(tpca.UserKey(src.Intn(n)), core.DirData)
-				}
-			}(uint64(w) + 1)
-		}
-		t0 := nowNanos()
-		close(start)
-		wg.Wait()
-		return float64(workers*opsPerWorker) / (float64(nowNanos()-t0) / 1e9)
-	}
-
-	locked := measure(NewLocked(core.NewBSDList()))
-	sharded := measure(NewShardedSequent(64, nil))
-	if sharded < locked {
-		t.Fatalf("sharded throughput %.0f ops/s below global-lock BSD %.0f ops/s", sharded, locked)
-	}
-	t.Logf("global-lock BSD: %.0f ops/s; sharded Sequent: %.0f ops/s (%.1fx)",
-		locked, sharded, sharded/locked)
 }

@@ -132,7 +132,8 @@ func slotKey(slot int) core.Key {
 // FuzzStackSet is the differential oracle for the sharded engine: a
 // schedule runs in lockstep against one Stack over MapDemux and a StackSet
 // per discipline.Names() entry at 1 and 4 shards (at 4 also with the fault
-// windows), each with its own client and link. Every world must deliver
+// windows), plus demuxd's keyed default at 4, each with its own client and
+// link. Every world must deliver
 // every byte sent, in order, at both ends; every set is held to its ledger,
 // ownership and away records, the watchdog's verdicts, and on a lossless
 // link without faults the reference's drop and lifecycle counters.
@@ -241,23 +242,34 @@ func (c checked) Deliver(frame []byte) (core.Result, error) {
 func newWorlds(t *testing.T, s *schedule) []*world {
 	ref := engine.NewStack(oracleServer, core.NewMapDemux(), 1)
 	ws := []*world{{TB: t, name: "reference", server: ref, stacks: []*engine.Stack{ref}}}
+	add := func(name string, sel discipline.Selection, shards int) { // shards < 0: -shards with the fault windows
+		set, err := NewStackSet(oracleServer, Config{Shards: max(shards, -shards), NewDemuxer: sel.PerShard(), Seed: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		set.SetTelemetry(telemetry.NewRegistry()) // so Shard(0).Stats() sums the shards
+		w := &world{TB: t, name: fmt.Sprintf("%s/%d shards%s", name, set.Shards(), map[bool]string{true: "/faults"}[shards < 0]),
+			stacks: set.shards, set: set, faults: shards < 0}
+		w.server = checked{set, w}
+		ws = append(ws, w)
+	}
 	for _, name := range discipline.Names() {
 		sel, err := discipline.Select(name, "multiplicative", 19)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, shards := range []int{1, 4, -4} { // -4: four shards with the fault windows
-			set, err := NewStackSet(oracleServer, Config{Shards: max(shards, -shards), NewDemuxer: sel.PerShard(), Seed: 7})
-			if err != nil {
-				t.Fatal(err)
-			}
-			set.SetTelemetry(telemetry.NewRegistry()) // so Shard(0).Stats() sums the shards
-			w := &world{TB: t, name: fmt.Sprintf("%s/%d shards%s", name, set.Shards(), map[bool]string{true: "/faults"}[shards < 0]),
-				stacks: set.shards, set: set, faults: shards < 0}
-			w.server = checked{set, w}
-			ws = append(ws, w)
+		for _, shards := range []int{1, 4, -4} {
+			add(name, sel, shards)
 		}
 	}
+	// demuxd's default table: auto-sequent at 512 chains, each shard's
+	// under its own secret SipHash key drawn from a non-zero seed.
+	keyed, err := discipline.Select("auto-sequent", "siphash", 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keyed.Seed = 0x5eed
+	add("auto-sequent/siphash keyed", keyed, 4)
 	for _, w := range ws {
 		w.client = engine.NewStack(oracleClient, core.NewMapDemux(), 2)
 		w.client.SetTimers(oracleRTO, oracleRetries, oracleMSL)

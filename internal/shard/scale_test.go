@@ -106,18 +106,18 @@ var (
 	scaleResponse = []byte("ok: 0000000000 0000000000")
 )
 
-// buildScale builds a replay-oltp-shaped set, 4 shards of discipline name
-// (auto-sequent starts at 512 chains; flat-hopscotch sizes itself), and
-// populates it with n connections. It keeps 4,096 of them, drawn evenly
-// over the clients, for the request path.
-func buildScale(b *testing.B, name string, n int) *scaleSet {
-	sel, err := discipline.Select(name, "multiplicative", 512)
+// buildScale builds a replay-oltp-shaped set, shards tables of discipline
+// name with chains chains each (auto-sequent's starting count;
+// flat-hopscotch sizes itself), and populates it with n connections. It
+// keeps 4,096 of them, drawn evenly over the clients, for the request path.
+func buildScale(b *testing.B, name string, n, shards, chains int) *scaleSet {
+	sel, err := discipline.Select(name, "multiplicative", chains)
 	if err != nil {
 		b.Fatal(err)
 	}
 	sc := &scaleSet{}
 	before := heapAlloc()
-	sc.set, err = NewStackSet(wire.MakeAddr(10, 0, 0, 1), Config{Shards: 4, NewDemuxer: sel.PerShard(), Seed: 37})
+	sc.set, err = NewStackSet(wire.MakeAddr(10, 0, 0, 1), Config{Shards: shards, NewDemuxer: sel.PerShard(), Seed: 37})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -175,49 +175,71 @@ func (sc *scaleSet) frames(b *testing.B, count int, next *int, out [][]byte) [][
 	return out
 }
 
-// BenchmarkScale is EXP-SCALE: a set of 4 shards holding n established
-// connections, for auto-sequent and flat-hopscotch at n = 10⁴, 10⁵ and
-// 10⁶. ns/op is one request and its ACK through StackSet.Deliver, on
-// connections drawn at random from the population. B/conn is the set's
-// live heap per connection, its fixed costs included; setup-s the time
-// to complete the n handshakes, one at a time, the client stacks' share
-// included; tick-ns one 5-ms Tick with every connection idle. At 10⁶ it
-// holds up to 250 MB of live heap and takes about a minute: run it alone,
-// with -benchtime 200000x.
+// scaleCase is one BenchmarkScale sub-benchmark: its name, a discipline,
+// its population, and the set's shape.
+type scaleCase struct {
+	bench, name       string
+	n, shards, chains int
+}
+
+// BenchmarkScale is EXP-SCALE and the time column of EXP-SHARD and
+// EXP-CACHE. EXP-SCALE's rows are a set of 4 shards holding n established
+// connections, for auto-sequent (512 starting chains) and flat-hopscotch
+// at n = 10⁴, 10⁵ and 10⁶, named <discipline>/N=<n>. EXP-SHARD's rows hold
+// 6,000 connections for sequent, flat-hopscotch and bsd at 1 and 4 shards
+// of 19 chains, and sequent at 1 shard of 76, named
+// <discipline>/N=6000/<shards>x<chains>. ns/op is one request and its ACK
+// through StackSet.Deliver, on connections drawn at random from the
+// population. B/conn is the set's live heap per connection, its fixed
+// costs included; setup-s the time to complete the n handshakes, one at a
+// time, the client stacks' share included; tick-ns one 5-ms Tick with
+// every connection idle. At 10⁶ it holds up to 250 MB of live heap and
+// takes about a minute: run it alone, with -benchtime 200000x.
 func BenchmarkScale(b *testing.B) {
+	var cases []scaleCase
 	for _, name := range []string{"auto-sequent", "flat-hopscotch"} {
 		for _, n := range []int{1e4, 1e5, 1e6} {
-			var sc *scaleSet
-			b.Run(fmt.Sprintf("%s/N=%d", name, n), func(b *testing.B) {
-				if sc == nil {
-					sc = buildScale(b, name, n)
-				}
-				answered := 0
-				sc.set.SetEgressTap(func([]byte) { answered++ })
-				var batch [][]byte
-				next := 0
-				b.ResetTimer()
-				for done := 0; done < b.N; {
-					b.StopTimer()
-					count := min(b.N-done, 4096)
-					batch = sc.frames(b, count, &next, batch)
-					b.StartTimer()
-					for _, f := range batch {
-						if _, err := sc.set.Deliver(f); err != nil {
-							b.Fatal(err)
-						}
-					}
-					done += count
-				}
-				b.StopTimer()
-				if answered != b.N {
-					b.Fatalf("%d responses to %d requests", answered, b.N)
-				}
-				b.ReportMetric(sc.bytes, "B/conn")
-				b.ReportMetric(sc.setupS, "setup-s")
-				b.ReportMetric(sc.tickNs, "tick-ns")
-			})
-			sc = nil
+			cases = append(cases, scaleCase{fmt.Sprintf("%s/N=%d", name, n), name, n, 4, 512})
 		}
+	}
+	split := func(name string, shards, chains int) scaleCase {
+		return scaleCase{fmt.Sprintf("%s/N=6000/%dx%d", name, shards, chains), name, 6000, shards, chains}
+	}
+	for _, name := range []string{"sequent", "flat-hopscotch", "bsd"} {
+		cases = append(cases, split(name, 1, 19), split(name, 4, 19))
+	}
+	cases = append(cases, split("sequent", 1, 76))
+	for _, c := range cases {
+		var sc *scaleSet
+		b.Run(c.bench, func(b *testing.B) {
+			if sc == nil {
+				sc = buildScale(b, c.name, c.n, c.shards, c.chains)
+			}
+			answered := 0
+			sc.set.SetEgressTap(func([]byte) { answered++ })
+			var batch [][]byte
+			next := 0
+			b.ResetTimer()
+			for done := 0; done < b.N; {
+				b.StopTimer()
+				count := min(b.N-done, 4096)
+				batch = sc.frames(b, count, &next, batch)
+				b.StartTimer()
+				for _, f := range batch {
+					if _, err := sc.set.Deliver(f); err != nil {
+						b.Fatal(err)
+					}
+				}
+				done += count
+			}
+			b.StopTimer()
+			if answered != b.N {
+				b.Fatalf("%d responses to %d requests", answered, b.N)
+			}
+			b.ReportMetric(sc.bytes, "B/conn")
+			b.ReportMetric(sc.setupS, "setup-s")
+			b.ReportMetric(sc.tickNs, "tick-ns")
+		})
+		sc = nil // let a 10⁶ set go before the next is built
 	}
 }

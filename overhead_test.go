@@ -18,10 +18,9 @@ func TestTelemetryOverhead(t *testing.T) {
 	bareRun := parallelTPCA("sharded-sequent", false)
 	instrRun := parallelTPCA("sharded-sequent", true)
 
-	// Interleave the two sides round by round and take each side's best,
-	// the same drift defense benchjson uses: a background slowdown then
-	// hits both sides instead of biasing whichever ran last. The first
-	// round is a discarded warmup.
+	// Interleave the two sides round by round and take each side's best:
+	// a background slowdown then hits both sides instead of biasing
+	// whichever ran last. The first round is a discarded warmup.
 	testing.Benchmark(bareRun)
 	bare, instr := 0.0, 0.0
 	for i := 0; i < 5; i++ {
