@@ -4,7 +4,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all build vet lint lint-fixtures loc gates mutants bench-check bench-pairs test golden race chaos shard failover live demuxd demuxload bench fuzz figures clean
+.PHONY: all build vet lint lint-fixtures loc gates mutants bench-check bench-pairs test golden race chaos shard failover live demuxd demuxload bench fuzz fuzz-long figures clean
 
 all: build vet lint test
 
@@ -172,6 +172,16 @@ fuzz:
 	$(GO) test -fuzz=FuzzProtocolCodec -fuzztime=$(FUZZTIME) ./internal/server
 	$(GO) test -fuzz=FuzzFlatOps -fuzztime=$(FUZZTIME) ./internal/flat
 	$(GO) test -fuzz=FuzzStackSet -fuzztime=$(FUZZTIME) ./internal/shard
+
+# fuzz-long is the same list at 100 × FUZZTIME each (50 minutes a target
+# at the default 30s), for a change to the engine or the sharded set whose
+# seeds alone would not reach it. FUZZTIME is a Go duration ("90s",
+# "1m30s") or an execution count ("500x"); CI does not run this target.
+fuzz-long:
+	$(MAKE) fuzz FUZZTIME=$$(echo '$(FUZZTIME)' | awk '/x$$/ { print $$0 * 100 "x"; exit } \
+		{ d = $$0; s = 0; while (match(d, /^[0-9.]+[a-zµ]+/)) { t = substr(d, 1, RLENGTH); d = substr(d, RLENGTH + 1); \
+		u = t; sub(/^[0-9.]+/, "", u); s += t * (u == "h" ? 3600 : u == "m" ? 60 : u == "s" ? 1 : u == "ms" ? 1e-3 : 1e-6) } \
+		print s * 100 "s" }')
 
 figures:
 	$(GO) run ./cmd/figures -fig 4

@@ -11,7 +11,7 @@ import (
 
 // TestEntryAndPCBBudget pins the memory the entry array is paid for with:
 // a list entry is 24 bytes, a fingerprint lane beside it 2 bytes, and a
-// PCB is at most 48 bytes (it is the first field of the engine's 128-byte
+// PCB is at most 40 bytes (it is the first field of the engine's 64-byte
 // Conn), so a field added later cannot silently undo any of them.
 func TestEntryAndPCBBudget(t *testing.T) {
 	if s := unsafe.Sizeof(entry{}); s != 24 {
@@ -24,8 +24,8 @@ func TestEntryAndPCBBudget(t *testing.T) {
 	if slots := (cap(ll.list) + 7) &^ 7; cap(ll.fp) != 2*slots {
 		t.Fatalf("the lanes of %d entry slots are %d bytes, want 2 a slot", slots, cap(ll.fp))
 	}
-	if s := unsafe.Sizeof(PCB{}); s > 48 {
-		t.Fatalf("PCB is %d bytes, want <= 48", s)
+	if s := unsafe.Sizeof(PCB{}); s > 40 {
+		t.Fatalf("PCB is %d bytes, want <= 40", s)
 	}
 }
 

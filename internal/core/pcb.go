@@ -5,7 +5,7 @@ import "fmt"
 // State is a TCP connection state. The demultiplexer itself needs only the
 // listen/established distinction, but the engine's accept path walks the
 // full passive-open sequence, so the standard states are defined. It is
-// 32 bits so that it packs beside the 12-byte Key and a PCB stays at 48
+// 32 bits so that it packs beside the 12-byte Key and a PCB stays at 40
 // bytes.
 type State int32
 
@@ -52,10 +52,6 @@ type PCB struct {
 	// SndNxt and RcvNxt are the next sequence numbers to send and expect.
 	SndNxt uint32
 	RcvNxt uint32
-
-	// Counters updated by the engine. They wrap after 2^32 segments.
-	RxSegments uint32
-	TxSegments uint32
 
 	// UserData lets applications attach their per-connection state, as
 	// so_pcb links the socket in BSD.

@@ -143,7 +143,6 @@ func (s *Stack) acceptCookieACK(seg *wire.Segment, key core.Key) {
 		return
 	}
 	s.tel.CookiesAccepted.Inc()
-	c.pcb.RxSegments++
 	if s.OnAccept != nil {
 		s.OnAccept(c)
 	}

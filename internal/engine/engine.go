@@ -42,8 +42,8 @@ type Handler func(c *Conn, payload []byte) (response []byte)
 const DefaultBacklog = 128
 
 // Conn is one connection: the PCB the demultiplexer holds, the owning
-// Stack and the engine's state for it, in one allocation. PCB.UserData
-// points back at the Conn, as so_pcb links the socket in BSD.
+// Stack and the engine's state for it, in one 64-byte allocation.
+// PCB.UserData points back at the Conn, as so_pcb links the socket in BSD.
 type Conn struct {
 	// pcb is first, so the demultiplexer's pointer is the Conn's address
 	// and a lookup touches the head of the object the frame then works on.
@@ -52,6 +52,17 @@ type Conn struct {
 	// rx is the listener's shared recv holding the handler, or the
 	// connection's own queue, made on its first payload.
 	rx *recv
+	// tx holds the retransmission and lifecycle state while anything is
+	// outstanding, and is nil while the connection is idle; see txState.
+	tx *txState
+}
+
+// txState is the part of a connection that matters only while something
+// is outstanding: a sequence-consuming segment not yet acknowledged, or a
+// lifecycle timer armed (SYN_RCVD, TIME_WAIT). An idle connection holds
+// none; records recycle through the Stack's free list (txOf, txIdle), so
+// a transaction allocates nothing new.
+type txState struct {
 	// unacked retains the frame of the most recent sequence-consuming
 	// segment until the peer acknowledges it, for the retransmission
 	// timer and Stack.Retransmit. The engine is stop-and-wait per
@@ -67,6 +78,37 @@ type Conn struct {
 	// life is the connection-lifecycle timer: SYN_RCVD give-up while half
 	// open, the 2MSL clock once in TIME_WAIT.
 	life timer.Timer
+}
+
+// txOf returns c's record, taking one from the free list (or allocating,
+// when it is empty) if c holds none.
+func (s *Stack) txOf(c *Conn) *txState {
+	if c.tx == nil {
+		if last := len(s.txFree) - 1; last >= 0 {
+			c.tx, s.txFree = s.txFree[last], s.txFree[:last]
+		} else {
+			c.tx = new(txState)
+		}
+	}
+	return c.tx
+}
+
+// txIdle gives c's record back to the free list once nothing on it is
+// outstanding: no segment awaits acknowledgement and no lifecycle timer
+// is pending. The retransmission timer is stopped wherever unacked is
+// released, so it never outlives the segment.
+func (s *Stack) txIdle(c *Conn) {
+	if t := c.tx; t.unacked == nil && !t.life.Pending() {
+		s.txPut(c)
+	}
+}
+
+// txPut returns c's record to the free list, cleared. Its timers must
+// already be stopped.
+func (s *Stack) txPut(c *Conn) {
+	*c.tx = txState{}
+	s.txFree = append(s.txFree, c.tx)
+	c.tx = nil
 }
 
 // recv is where a connection's payloads go: to the handler h, or without
@@ -187,6 +229,8 @@ type Stack struct {
 	rto        float64
 	maxRetries int
 	msl        float64
+	// txFree holds the txState records no connection is using.
+	txFree []*txState
 }
 
 // NewStack builds a host endpoint at addr that demultiplexes with d.
@@ -326,11 +370,11 @@ func (s *Stack) send(c *Conn, payload []byte, flags uint8) error {
 	if flags&(wire.FlagSYN|wire.FlagFIN) != 0 {
 		pcb.SndNxt++
 	}
-	pcb.TxSegments++
 	if len(payload) > 0 || flags&(wire.FlagSYN|wire.FlagFIN) != 0 {
-		c.unacked = frame
-		c.unackedEnd = pcb.SndNxt
-		c.retries = 0
+		t := s.txOf(c)
+		t.unacked = frame
+		t.unackedEnd = pcb.SndNxt
+		t.retries = 0
 		s.armRetransmit(c)
 	}
 	s.demux.NotifySend(pcb)
@@ -370,10 +414,13 @@ func (s *Stack) sendRST(seg *wire.Segment) {
 }
 
 // teardown removes the connection from the demultiplexer and marks it
-// closed, unwinding it (see unwind) and releasing its ephemeral port if it
-// had one.
+// closed, unwinding it (see unwind), giving back its txState and releasing
+// its ephemeral port if it had one.
 func (s *Stack) teardown(c *Conn) {
 	s.unwind(c)
+	if c.tx != nil {
+		s.txPut(c)
+	}
 	s.demux.Remove(c.pcb.Key)
 	c.pcb.State = core.StateClosed
 	s.releasePort(c.pcb.Key.LocalPort)
@@ -384,8 +431,10 @@ func (s *Stack) teardown(c *Conn) {
 // slot, a TIME_WAIT one leaves the TIME_WAIT count. Teardown and Extract
 // both do this as the connection leaves the table.
 func (s *Stack) unwind(c *Conn) {
-	stopTimer(&c.rtx)
-	stopTimer(&c.life)
+	if t := c.tx; t != nil {
+		stopTimer(&t.rtx)
+		stopTimer(&t.life)
+	}
 	switch c.pcb.State {
 	case core.StateSynRcvd:
 		s.releaseHalfOpen(c)
@@ -454,19 +503,20 @@ func (s *Stack) Deliver(frame []byte) (core.Result, error) {
 		}
 		return res, nil
 	}
-	pcb.RxSegments++
 	if pcb.State == core.StateListen {
 		s.handleListen(seg, key)
 		return res, nil
 	}
 	// Every PCB but a listener is a Conn's.
 	c := pcb.UserData.(*Conn)
-	// Any acknowledgement covering the retransmission buffer releases it
-	// and quenches the retransmission timer.
-	if seg.TCP.Flags&wire.FlagACK != 0 && c.unacked != nil && seg.TCP.Ack == c.unackedEnd {
-		c.unacked = nil
-		c.retries = 0
-		stopTimer(&c.rtx)
+	// Any acknowledgement covering the retransmission buffer releases it,
+	// quenches the retransmission timer and, unless a lifecycle timer is
+	// pending, gives the connection's txState back.
+	if t := c.tx; t != nil && seg.TCP.Flags&wire.FlagACK != 0 && t.unacked != nil && seg.TCP.Ack == t.unackedEnd {
+		t.unacked = nil
+		t.retries = 0
+		stopTimer(&t.rtx)
+		s.txIdle(c)
 	}
 
 	switch pcb.State {
@@ -685,8 +735,10 @@ func (s *Stack) handleSynRcvd(c *Conn, seg *wire.Segment) {
 	}
 	s.releaseHalfOpen(c)
 	c.pcb.State = core.StateEstablished
-	// Handshake complete: the SYN_RCVD give-up timer no longer applies.
-	stopTimer(&c.life)
+	// Handshake complete: the SYN_RCVD give-up timer no longer applies,
+	// and with it stopped the connection's txState goes back.
+	stopTimer(&c.tx.life)
+	s.txIdle(c)
 	if s.OnAccept != nil {
 		s.OnAccept(c)
 	}
@@ -819,15 +871,13 @@ func Pump(a, b Endpoint) (int, error) {
 // ConnInfo is one row of the stack's connection table, as a netstat-style
 // tool would print it.
 type ConnInfo struct {
-	Key        core.Key
-	State      core.State
-	RxSegments uint64
-	TxSegments uint64
+	Key   core.Key
+	State core.State
 }
 
 // String renders the row.
 func (ci ConnInfo) String() string {
-	return fmt.Sprintf("%-42s %-12s rx=%d tx=%d", ci.Key, ci.State, ci.RxSegments, ci.TxSegments)
+	return fmt.Sprintf("%-42s %s", ci.Key, ci.State)
 }
 
 // Netstat returns a snapshot of every PCB in the stack's demultiplexer, in
@@ -836,10 +886,7 @@ func (s *Stack) Netstat() []ConnInfo {
 	pcbs := s.PCBs()
 	out := make([]ConnInfo, len(pcbs))
 	for i, p := range pcbs {
-		out[i] = ConnInfo{
-			Key: p.Key, State: p.State,
-			RxSegments: uint64(p.RxSegments), TxSegments: uint64(p.TxSegments),
-		}
+		out[i] = ConnInfo{Key: p.Key, State: p.State}
 	}
 	return out
 }
@@ -876,7 +923,7 @@ func (s *Stack) PCBs() []*core.PCB {
 func (s *Stack) Retransmit() int {
 	n := 0
 	s.demux.Walk(func(p *core.PCB) bool {
-		if c, ok := p.UserData.(*Conn); ok && c.unacked != nil && p.State != core.StateClosed {
+		if c, ok := p.UserData.(*Conn); ok && c.tx != nil && c.tx.unacked != nil && p.State != core.StateClosed {
 			s.requeueUnacked(c)
 			n++
 		}

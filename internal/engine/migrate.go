@@ -20,11 +20,12 @@ import (
 // down: the PCB leaves the demultiplexer, its lifecycle timers are
 // canceled, and its listener-backlog or TIME_WAIT accounting is unwound,
 // but its TCP state, sequence numbers, handler (or, lacking one, its queue
-// of unread payloads) and retransmission buffer all survive intact for a
-// subsequent Adopt. The caller hands over the PCB itself (from PCBs or a
-// Walk), so nothing searches the table for it. Listening (wildcard) PCBs
-// cannot be extracted — every shard owns its own listener — and a PCB
-// that is closed or not in this stack's table returns false.
+// of unread payloads) and txState (the retransmission buffer and retry
+// count) all survive intact for a subsequent Adopt. The caller hands over
+// the PCB itself (from PCBs or a Walk), so nothing searches the table for
+// it. Listening (wildcard) PCBs cannot be extracted — every shard owns its
+// own listener — and a PCB that is closed or not in this stack's table
+// returns false.
 //
 // An ephemeral local port stays allocated on this stack: migration is a
 // server-side affair and the port namespace belongs to the stack that
@@ -46,7 +47,9 @@ func (s *Stack) Extract(pcb *core.PCB) bool {
 // interval — a migrated half-open connection gets a fresh SYN_RCVD
 // give-up clock, a TIME_WAIT linger restarts its 2MSL — which only ever
 // lengthens a deadline, never expires one early. A retransmission timer
-// re-arms at the backoff interval its retry count had reached.
+// re-arms at the backoff interval its retry count had reached. The
+// txState the connection carried over goes back to this stack's free list
+// when it next falls idle.
 func (s *Stack) Adopt(pcb *core.PCB) error {
 	if err := s.demux.Insert(pcb); err != nil {
 		return err
@@ -61,7 +64,7 @@ func (s *Stack) Adopt(pcb *core.PCB) error {
 		s.timeWaits++
 		s.armTimeWait(c)
 	}
-	if c.unacked != nil {
+	if c.tx != nil && c.tx.unacked != nil {
 		s.armRetransmit(c)
 	}
 	return nil

@@ -19,10 +19,12 @@
 // Arming one allocates nothing: the callbacks are the plain functions at
 // the bottom of this file, each handed its Conn as the timer's subject
 // (the Conn holds its owning Stack), and the wheel recycles the timer's
-// storage. A Conn keeps only the two handles. Every path that ends a timer
-// (the fire, the acknowledgement, teardown, Extract) clears its handle,
-// and a handle left stale would still be harmless: the wheel never lets
-// one act on a recycled node.
+// storage. The two handles live in the Conn's txState, which the Conn
+// holds only while a timer is pending or a segment unacknowledged. Every
+// path that ends a timer (the fire, the acknowledgement, teardown,
+// Extract) clears its handle, and a handle left stale would still be
+// harmless: the wheel never lets one act on a recycled node. No record
+// goes back to the free list while a timer on it is pending.
 package engine
 
 import (
@@ -128,33 +130,33 @@ func stopTimer(t *timer.Timer) {
 
 // requeueUnacked puts the connection's retained frame back on the outbox.
 func (s *Stack) requeueUnacked(c *Conn) {
-	s.emit(c.unacked)
-	c.pcb.TxSegments++
+	s.emit(c.tx.unacked)
 	s.demux.NotifySend(&c.pcb)
 }
 
 // armRetransmit (re)schedules the retransmission timer for the
 // connection's retained segment at the current backoff interval.
 func (s *Stack) armRetransmit(c *Conn) {
-	c.rtx.Cancel()
-	shift := min(c.retries, rtoBackoffCap)
+	t := c.tx
+	t.rtx.Cancel()
+	shift := min(t.retries, rtoBackoffCap)
 	delay := s.rto * float64(uint64(1)<<shift)
-	c.rtx = s.wheel.Schedule(s.clock()+delay, retransmitFired, c)
+	t.rtx = s.wheel.Schedule(s.clock()+delay, retransmitFired, c)
 }
 
 // retransmitExpired is the retransmission timer body: re-queue and back
-// off, or abort at the retry limit.
+// off, or abort at the retry limit. The timer is pending only while its
+// segment is unacknowledged (the acknowledgement and teardown stop it), so
+// there is always a segment to re-queue.
 func (s *Stack) retransmitExpired(c *Conn) {
-	if c.unacked == nil || c.pcb.State == core.StateClosed {
-		return
-	}
-	if int(c.retries) >= s.maxRetries {
+	t := c.tx
+	if int(t.retries) >= s.maxRetries {
 		s.tel.Aborts.Inc()
 		s.tel.TimerFires.Inc()
 		s.teardown(c)
 		return
 	}
-	c.retries++
+	t.retries++
 	s.tel.Retransmits.Inc()
 	s.tel.TimerFires.Inc()
 	s.requeueUnacked(c)
@@ -165,33 +167,36 @@ func (s *Stack) retransmitExpired(c *Conn) {
 // spawned SYN_RCVD connection. If the handshake has not completed when it
 // fires, the connection is reaped and its backlog slot released.
 func (s *Stack) armSynRcvdExpiry(c *Conn) {
-	c.life.Cancel()
-	c.life = s.wheel.Schedule(s.clock()+SynRcvdTimeout, synRcvdFired, c)
+	t := s.txOf(c)
+	t.life.Cancel()
+	t.life = s.wheel.Schedule(s.clock()+SynRcvdTimeout, synRcvdFired, c)
 }
 
 // armTimeWait starts (or restarts, for a re-acknowledged FIN) the 2MSL
 // clock on a TIME_WAIT connection. When it fires the connection leaves
 // the demultiplexer.
 func (s *Stack) armTimeWait(c *Conn) {
-	c.life.Cancel()
-	c.life = s.wheel.Schedule(s.clock()+2*s.msl, timeWaitFired, c)
+	t := s.txOf(c)
+	t.life.Cancel()
+	t.life = s.wheel.Schedule(s.clock()+2*s.msl, timeWaitFired, c)
 }
 
 // The three timer callbacks. Each receives the Conn it was armed for and
 // runs on the Conn's owning Stack (Adopt re-homes that, and Extract
 // cancels the timers first, so a timer only ever fires on the Stack that
 // armed it), clearing the handle that just fired before doing the
-// timer's work.
+// timer's work. A pending timer keeps its Conn's txState, so c.tx is set
+// when one fires.
 
 func retransmitFired(_ float64, arg any) {
 	c := arg.(*Conn)
-	c.rtx = timer.Timer{}
+	c.tx.rtx = timer.Timer{}
 	c.stack.retransmitExpired(c)
 }
 
 func synRcvdFired(_ float64, arg any) {
 	c := arg.(*Conn)
-	c.life = timer.Timer{}
+	c.tx.life = timer.Timer{}
 	if c.pcb.State != core.StateSynRcvd {
 		return
 	}
@@ -203,7 +208,7 @@ func synRcvdFired(_ float64, arg any) {
 
 func timeWaitFired(_ float64, arg any) {
 	c := arg.(*Conn)
-	c.life = timer.Timer{}
+	c.tx.life = timer.Timer{}
 	if c.pcb.State != core.StateTimeWait {
 		return
 	}

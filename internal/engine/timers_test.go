@@ -478,13 +478,30 @@ func TestTickBackwardsIsNoOp(t *testing.T) {
 	}
 }
 
+// rtxOf and lifeOf read c's timer handles: the zero Timer while c holds
+// no txState.
+func rtxOf(c *Conn) timer.Timer {
+	if c.tx == nil {
+		return timer.Timer{}
+	}
+	return c.tx.rtx
+}
+
+func lifeOf(c *Conn) timer.Timer {
+	if c.tx == nil {
+		return timer.Timer{}
+	}
+	return c.tx.life
+}
+
 // TestTimerHandlesClearedWhereTimersEnd walks one connection through every
 // way a lifecycle timer ends (it fires, the acknowledgement quenches it,
 // Extract cancels it, teardown cancels it, the 2MSL clock runs out) and
-// requires the Conn's handle to be the zero Timer afterwards. The
-// wheel recycles timer storage, so a handle kept past its timer's end
-// would name someone else's timer; the engine keeps none, and a copy kept
-// on purpose (stale, below) is inert.
+// requires the Conn's handle to be the zero Timer afterwards (a Conn
+// holding no txState has only zero handles). The wheel recycles timer
+// storage, so a handle kept past its timer's end would name someone
+// else's timer; the engine keeps none, and a copy kept on purpose (stale,
+// below) is inert.
 func TestTimerHandlesClearedWhereTimersEnd(t *testing.T) {
 	zero := func(when string, h timer.Timer) {
 		t.Helper()
@@ -506,7 +523,7 @@ func TestTimerHandlesClearedWhereTimersEnd(t *testing.T) {
 	cd := conn.pcb.UserData.(*Conn)
 
 	// Fire: the SYN's timer runs out, re-queues the SYN and re-arms.
-	stale := cd.rtx
+	stale := rtxOf(cd)
 	if !stale.Pending() {
 		t.Fatal("Connect armed no retransmission timer")
 	}
@@ -514,7 +531,7 @@ func TestTimerHandlesClearedWhereTimersEnd(t *testing.T) {
 	if stale.Pending() || stale.Cancel() {
 		t.Fatal("the fired timer's handle is still live")
 	}
-	if !cd.rtx.Pending() || cd.rtx == stale {
+	if !rtxOf(cd).Pending() || rtxOf(cd) == stale {
 		t.Fatal("the fire did not re-arm under a fresh handle")
 	}
 
@@ -523,10 +540,10 @@ func TestTimerHandlesClearedWhereTimersEnd(t *testing.T) {
 	if _, err := Pump(client, server); err != nil {
 		t.Fatal(err)
 	}
-	zero("client rtx after SYN|ACK", cd.rtx)
+	zero("client rtx after SYN|ACK", rtxOf(cd))
 	scd := serverConn.pcb.UserData.(*Conn)
-	zero("server rtx after the handshake ACK", scd.rtx)
-	zero("server life after the handshake ACK", scd.life)
+	zero("server rtx after the handshake ACK", rtxOf(scd))
+	zero("server life after the handshake ACK", lifeOf(scd))
 
 	// Extract: data in flight, timers canceled, handles cleared; Adopt on
 	// the same stack re-arms.
@@ -537,20 +554,20 @@ func TestTimerHandlesClearedWhereTimersEnd(t *testing.T) {
 	if !client.Extract(pcb) {
 		t.Fatal("extract failed")
 	}
-	zero("rtx after Extract", cd.rtx)
+	zero("rtx after Extract", rtxOf(cd))
 	if n := client.PendingTimers(); n != 0 {
 		t.Fatalf("%d timer(s) pending after Extract", n)
 	}
 	if err := client.Adopt(pcb); err != nil {
 		t.Fatal(err)
 	}
-	if !cd.rtx.Pending() {
+	if !rtxOf(cd).Pending() {
 		t.Fatal("Adopt did not re-arm the retransmission timer")
 	}
 	if _, err := Pump(client, server); err != nil {
 		t.Fatal(err)
 	}
-	zero("rtx after the data was acknowledged", cd.rtx)
+	zero("rtx after the data was acknowledged", rtxOf(cd))
 
 	// Many more arm/cancel rounds with the clock moving, so the wheel
 	// hands the same storage out again and again; every handle ever held
@@ -561,7 +578,7 @@ func TestTimerHandlesClearedWhereTimersEnd(t *testing.T) {
 		if err := conn.Send([]byte("x")); err != nil {
 			t.Fatal(err)
 		}
-		kept = append(kept, cd.rtx)
+		kept = append(kept, rtxOf(cd))
 		if i == 199 {
 			break // leave the last one in flight
 		}
@@ -575,7 +592,7 @@ func TestTimerHandlesClearedWhereTimersEnd(t *testing.T) {
 			t.Fatal("a handle whose timer was acknowledged long ago is live")
 		}
 	}
-	if !cd.rtx.Pending() || client.PendingTimers() != 1 {
+	if !rtxOf(cd).Pending() || client.PendingTimers() != 1 {
 		t.Fatalf("stale cancels disturbed the live timer (pending=%d)", client.PendingTimers())
 	}
 	if _, err := Pump(client, server); err != nil {
@@ -590,13 +607,194 @@ func TestTimerHandlesClearedWhereTimersEnd(t *testing.T) {
 	if _, err := Pump(client, server); err != nil {
 		t.Fatal(err)
 	}
-	if conn.State() != core.StateTimeWait || !cd.life.Pending() {
-		t.Fatalf("state %v, 2MSL pending=%v", conn.State(), cd.life.Pending())
+	if conn.State() != core.StateTimeWait || !lifeOf(cd).Pending() {
+		t.Fatalf("state %v, 2MSL pending=%v", conn.State(), lifeOf(cd).Pending())
 	}
 	client.Tick(client.Now() + 2)
-	zero("life after 2MSL", cd.life)
-	zero("rtx after teardown", cd.rtx)
+	zero("life after 2MSL", lifeOf(cd))
+	zero("rtx after teardown", rtxOf(cd))
 	if conn.State() != core.StateClosed || client.PendingTimers() != 0 {
 		t.Fatalf("state %v, %d timer(s) pending", conn.State(), client.PendingTimers())
+	}
+}
+
+// TestTxStateLifecycle holds a connection to a txState exactly while
+// something is outstanding: a sequence-consuming segment unacknowledged or
+// a lifecycle timer armed. It walks a client and a server connection
+// through the handshake, a transaction, the passive close's LAST_ACK and
+// the active close's TIME_WAIT, migrates one with a request in flight,
+// and then runs 10,000 transactions to show the records recycle: the free
+// lists never grow past the most records ever held at once.
+func TestTxStateLifecycle(t *testing.T) {
+	server, client := pair(t, core.NewMapDemux())
+	client.SetTimers(0, 0, 0.5)
+	if err := server.Listen(80, echoUpper); err != nil {
+		t.Fatal(err)
+	}
+	holds := func(when string, c *Conn, want bool) {
+		t.Helper()
+		if got := c.tx != nil; got != want {
+			t.Fatalf("%s: holds a txState = %v, want %v", when, got, want)
+		}
+	}
+	timers := func(when string, s *Stack, want int) {
+		t.Helper()
+		if n := s.PendingTimers(); n != want {
+			t.Fatalf("%s: %d timer(s) pending, want %d", when, n, want)
+		}
+	}
+	deliverAll := func(from, to *Stack) {
+		t.Helper()
+		for _, f := range from.Drain() {
+			if _, err := to.Deliver(f); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	conn, err := client.Connect(serverAddr, 80, 40000, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	holds("client after SYN", conn, true)
+	deliverAll(client, server)
+	sk := core.Key{LocalAddr: serverAddr, LocalPort: 80, RemoteAddr: clientAddr, RemotePort: 40000}
+	sc := pcbOf(server, sk).UserData.(*Conn)
+	holds("server in SYN_RCVD", sc, true)
+	timers("server in SYN_RCVD", server, 2) // the SYN|ACK's rtx and the give-up clock
+
+	if _, err := Pump(client, server); err != nil {
+		t.Fatal(err)
+	}
+	holds("client after the handshake", conn, false)
+	holds("server after the handshake ACK", sc, false)
+	timers("server after the handshake ACK", server, 0)
+	timers("client after the handshake", client, 0)
+
+	if err := conn.Send([]byte("request")); err != nil {
+		t.Fatal(err)
+	}
+	holds("client with a request in flight", conn, true)
+	deliverAll(client, server)
+	holds("server with its response in flight", sc, true)
+	if _, err := Pump(client, server); err != nil {
+		t.Fatal(err)
+	}
+	holds("client after the response acknowledged the request", conn, false)
+	holds("server after the response was acknowledged", sc, false)
+
+	// Migration: Extract carries the record with the connection and stops
+	// its timer; Adopt on another stack re-arms it there, and that stack's
+	// free list takes it back once the request is acknowledged.
+	if err := conn.Send([]byte("migrating")); err != nil {
+		t.Fatal(err)
+	}
+	rec := conn.tx
+	if !client.Extract(&conn.pcb) {
+		t.Fatal("extract failed")
+	}
+	if conn.tx != rec || rec.unacked == nil {
+		t.Fatal("Extract did not carry the txState with the connection")
+	}
+	timers("client after Extract", client, 0)
+	moved := NewStack(clientAddr, core.NewMapDemux(), 9)
+	moved.SetTimers(0, 0, 0.5)
+	if err := moved.Adopt(&conn.pcb); err != nil {
+		t.Fatal(err)
+	}
+	if conn.tx != rec || !rec.rtx.Pending() {
+		t.Fatal("Adopt did not re-arm the carried txState")
+	}
+	timers("the adopting stack", moved, 1)
+	deliverAll(client, server) // the request, queued before the move
+	if _, err := Pump(moved, server); err != nil {
+		t.Fatal(err)
+	}
+	holds("migrated client after the ACK", conn, false)
+	if len(moved.txFree) != 1 || moved.txFree[0] != rec {
+		t.Fatalf("the adopting stack's free list is %v, want the carried record", moved.txFree)
+	}
+	client = moved
+
+	// Passive close on the server: LAST_ACK holds the record for its FIN
+	// until the final ACK tears the connection down.
+	if err := conn.Close(); err != nil {
+		t.Fatal(err)
+	}
+	holds("client in FIN_WAIT_1", conn, true)
+	deliverAll(client, server)
+	if sc.State() != core.StateLastAck {
+		t.Fatalf("server state %v, want LAST_ACK", sc.State())
+	}
+	holds("server in LAST_ACK", sc, true)
+	deliverAll(server, client)
+	deliverAll(client, server)
+	holds("server after the final ACK", sc, false)
+	timers("server after the final ACK", server, 0)
+
+	// Active close on the client: TIME_WAIT holds the record for the 2MSL
+	// clock until it fires.
+	if conn.State() != core.StateTimeWait {
+		t.Fatalf("client state %v, want TIME_WAIT", conn.State())
+	}
+	holds("client in TIME_WAIT", conn, true)
+	timers("client in TIME_WAIT", client, 1)
+	client.Tick(client.Now() + 0.5)
+	holds("client half-way through 2MSL", conn, true)
+	client.Tick(client.Now() + 1)
+	holds("client after 2MSL", conn, false)
+	if conn.State() != core.StateClosed {
+		t.Fatalf("client state %v after 2MSL", conn.State())
+	}
+	timers("client after 2MSL", client, 0)
+
+	// Recycling: 10,000 transactions over four connections.
+	const nconns = 4
+	conns := make([]*Conn, nconns)
+	for i := range conns {
+		if conns[i], err = client.Connect(serverAddr, 80, uint16(41000+i), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := Pump(client, server); err != nil {
+		t.Fatal(err)
+	}
+	peak := func(s *Stack) int {
+		n := 0
+		s.Demuxer().Walk(func(p *core.PCB) bool {
+			if c, ok := p.UserData.(*Conn); ok && c.tx != nil {
+				n++
+			}
+			return true
+		})
+		return n
+	}
+	clientPeak, serverPeak := 0, 0
+	for txn := 0; txn < 10000; txn += nconns {
+		for _, c := range conns {
+			if err := c.Send([]byte("txn")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		clientPeak = max(clientPeak, peak(client))
+		deliverAll(client, server)
+		serverPeak = max(serverPeak, peak(server))
+		if _, err := Pump(client, server); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range conns {
+		holds("a connection after its last transaction", c, false)
+	}
+	if n := len(client.txFree); n > clientPeak {
+		t.Fatalf("the client's free list holds %d records, more than the %d ever outstanding", n, clientPeak)
+	}
+	if n := len(server.txFree); n > serverPeak {
+		t.Fatalf("the server's free list holds %d records, more than the %d ever outstanding", n, serverPeak)
+	}
+	for _, rec := range append(client.txFree, server.txFree...) {
+		if rec.unacked != nil || rec.unackedEnd != 0 || rec.retries != 0 || rec.rtx != (timer.Timer{}) || rec.life != (timer.Timer{}) {
+			t.Fatal("a record on a free list was not cleared")
+		}
 	}
 }

@@ -121,12 +121,13 @@ func TestFramePathAllocations(t *testing.T) {
 }
 
 // TestPassiveOpenAllocations pins what accepting a connection allocates on
-// a warmed 4-shard set: the SYN costs the one Conn (PCB and engine state
-// together) and the SYN|ACK frame, and the handshake ACK costs nothing.
+// a warmed 4-shard set: the SYN costs the one Conn (its PCB included; its
+// txState comes off the shard's free list) and the SYN|ACK frame, and the
+// handshake ACK costs nothing.
 // Each round opens a batch of connections and resets them again, so the
-// measured round finds the tables, the timer pool and the tap's queue
-// already grown to the batch; each round checks that every handshake ACK
-// completed its connection.
+// measured round finds the tables, the timer pool, the free list of
+// txState records and the tap's queue already grown to the batch; each
+// round checks that every handshake ACK completed its connection.
 func TestPassiveOpenAllocations(t *testing.T) {
 	const batch = 100
 	set := newSet(t, 4, 22)

@@ -55,11 +55,11 @@ func heapAlloc() uint64 {
 // TestEngineBytesPerConnection holds the engine's share of a resident
 // connection under go test: the live heap of a 4 × 512 sequent set, built
 // and then given 6,000 completed handshakes, per connection. It counts
-// the Conn (128 B), the list entries (25.6 B), and the set's fixed costs
-// spread over the population: the chain arrays (12.3 B) and the timer
-// wheels (4.4 B). That reads 173 B; a Conn back at 144 B or lists that
-// double again read 177 B or more. The ROADMAP's 320-B replay target
-// leaves the engine 172 B, so that target stays open.
+// the Conn (64 B; an idle connection holds no txState), the list entries
+// (25.6 B), and the set's fixed costs spread over the population: the
+// chain arrays (12.3 B) and the timer wheels (4.4 B). That reads 109 B; a
+// Conn one size class up (80 B) reads 125 B, and one that keeps its
+// txState resident reads 173 B.
 func TestEngineBytesPerConnection(t *testing.T) {
 	const n = 6000
 	before := heapAlloc()
@@ -79,8 +79,8 @@ func TestEngineBytesPerConnection(t *testing.T) {
 	populate(t, set, n, nil)
 	perConn := float64(heapAlloc()-before) / n
 	runtime.KeepAlive(set)
-	if perConn > 175 {
-		t.Fatalf("the set holds %.1f B per connection, want <= 175", perConn)
+	if perConn > 112 {
+		t.Fatalf("the set holds %.1f B per connection, want <= 112", perConn)
 	}
 }
 

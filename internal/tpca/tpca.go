@@ -305,20 +305,17 @@ func Run(d core.Demuxer, cfg Config) (*Result, error) {
 				res.Hist.Add(float64(r.Examined))
 				res.Transactions++
 			}
-			u.pcb.RxSegments++
 			// Transport-level acknowledgement for the query goes out now.
 			if cfg.Observer != nil {
 				cfg.Observer(now, u.key, true, true)
 			}
 			d.NotifySend(u.pcb)
-			u.pcb.TxSegments++
 			// Response transmitted R later.
 			schedule(cfg.ResponseTime, func(sendTime float64) {
 				if cfg.Observer != nil {
 					cfg.Observer(sendTime, u.key, true, false)
 				}
 				d.NotifySend(u.pcb)
-				u.pcb.TxSegments++
 				// Client's ack arrives D after the response left.
 				schedule(cfg.RTT, func(ackTime float64) {
 					if cfg.Observer != nil {
@@ -342,7 +339,6 @@ func Run(d core.Demuxer, cfg Config) (*Result, error) {
 						res.Ack.Add(float64(ar.Examined))
 						res.Hist.Add(float64(ar.Examined))
 					}
-					u.pcb.RxSegments++
 					// Think, then enter the next transaction.
 					schedule(cfg.Think.Draw(src), txnArrive(u))
 				})

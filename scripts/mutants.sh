@@ -46,7 +46,7 @@ for patch in testdata/mutants/*.patch; do
 		fail=1
 	else
 		echo "mutants: $patch killed by go test -run '$run' $pkg:"
-		grep -m 3 -E '^\s+(oracle_test|.*_test)\.go:[0-9]+:' "$tree.log" | cut -c1-200 || true
+		grep -m 3 -E '^\s+(oracle_test|.*_test)\.go:[0-9]+:|^panic: ' "$tree.log" | cut -c1-200 || true
 	fi
 	rm -rf "$tree"
 done
