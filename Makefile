@@ -176,7 +176,8 @@ fuzz:
 # fuzz-long is the same list at 100 × FUZZTIME each (50 minutes a target
 # at the default 30s), for a change to the engine or the sharded set whose
 # seeds alone would not reach it. FUZZTIME is a Go duration ("90s",
-# "1m30s") or an execution count ("500x"); CI does not run this target.
+# "1m30s") or an execution count ("500x"). CI's weekly fuzz-long job runs
+# it at FUZZTIME=12s (20 minutes a target).
 fuzz-long:
 	$(MAKE) fuzz FUZZTIME=$$(echo '$(FUZZTIME)' | awk '/x$$/ { print $$0 * 100 "x"; exit } \
 		{ d = $$0; s = 0; while (match(d, /^[0-9.]+[a-zµ]+/)) { t = substr(d, 1, RLENGTH); d = substr(d, RLENGTH + 1); \

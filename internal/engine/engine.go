@@ -868,29 +868,6 @@ func Pump(a, b Endpoint) (int, error) {
 	}
 }
 
-// ConnInfo is one row of the stack's connection table, as a netstat-style
-// tool would print it.
-type ConnInfo struct {
-	Key   core.Key
-	State core.State
-}
-
-// String renders the row.
-func (ci ConnInfo) String() string {
-	return fmt.Sprintf("%-42s %s", ci.Key, ci.State)
-}
-
-// Netstat returns a snapshot of every PCB in the stack's demultiplexer, in
-// PCBs' order.
-func (s *Stack) Netstat() []ConnInfo {
-	pcbs := s.PCBs()
-	out := make([]ConnInfo, len(pcbs))
-	for i, p := range pcbs {
-		out[i] = ConnInfo{Key: p.Key, State: p.State}
-	}
-	return out
-}
-
 // PCBs returns every PCB in the stack's demultiplexer, listeners included,
 // sorted by local port, then remote address and port, so the order is
 // stable across demultiplexer implementations. It walks the table once.

@@ -159,7 +159,7 @@ func TestSoak(t *testing.T) {
 			want := 1 + live + server.TimeWaitCount()
 			if got := server.Demuxer().Len(); got != want {
 				tally := map[string]int{}
-				for _, row := range server.Netstat() {
+				for _, row := range server.PCBs() {
 					tally[row.State.String()]++
 				}
 				t.Fatalf("server table %d PCBs, want %d (1 listener + %d live + %d time-wait); states: %v",

@@ -8,12 +8,17 @@ import (
 	"net"
 	"runtime"
 	"runtime/debug"
+	"strconv"
 	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
+	"unsafe"
 
+	"tcpdemux/internal/core"
 	"tcpdemux/internal/discipline"
+	"tcpdemux/internal/engine"
+	"tcpdemux/internal/wire"
 )
 
 // Hostile and merely clumsy peers, and the shape of the process around
@@ -241,13 +246,19 @@ func newLooplessServer(t *testing.T) *Server {
 //demux:owner(engineloop)
 func onlySession(t *testing.T, s *Server) *session {
 	t.Helper()
-	if len(s.sessions) != 1 {
-		t.Fatalf("%d sessions, want 1", len(s.sessions))
+	var only *session
+	for _, sess := range s.conns {
+		if sess != nil {
+			if only != nil {
+				t.Fatalf("%d sessions, want 1", s.active)
+			}
+			only = sess
+		}
 	}
-	for _, sess := range s.sessions { //demux:orderinvariant a map of one
-		return sess
+	if only == nil {
+		t.Fatal("no session, want 1")
 	}
-	return nil
+	return only
 }
 
 // step is one pass of the loop without the parking: wait for ready
@@ -270,7 +281,9 @@ func step(t *testing.T, s *Server) {
 // TestLiveReacceptInsideOneBatch: a socket reaches end of stream and is
 // closed, and the next accept, in the same batch of events, is handed the
 // same descriptor number. Events still queued in that batch for the old
-// holder, whatever they claim, must not touch the new one.
+// holder, whatever they claim, must not touch the new one; nor may an
+// egress frame or a handler call for the old holder's synthetic
+// connection, although its key names the same descriptor slot.
 //
 //demux:owner(engineloop)
 func TestLiveReacceptInsideOneBatch(t *testing.T) {
@@ -292,7 +305,7 @@ func TestLiveReacceptInsideOneBatch(t *testing.T) {
 	})
 	waitFor(t, "the second dial to reach the accept queue", func() bool {
 		s.dispatch(syscall.EpollEvent{Events: syscall.EPOLLIN, Fd: int32(s.lfd)})
-		return len(s.sessions) == 1
+		return s.active == 1
 	})
 	for _, events := range []uint32{syscall.EPOLLIN | syscall.EPOLLHUP | syscall.EPOLLERR, syscall.EPOLLOUT, syscall.EPOLLIN} {
 		ev.Events = events
@@ -304,6 +317,49 @@ func TestLiveReacceptInsideOneBatch(t *testing.T) {
 	fresh := s.conns[old.fd]
 	if fresh == nil || fresh == old || fresh.state != sessEstablished {
 		t.Fatalf("descriptor %d: session %+v, want the second connection, established", old.fd, fresh)
+	}
+
+	// A late egress segment for the old connection: in sequence for the
+	// new one, with data and a FIN.
+	sndNxt, rcvNxt, txns, bad := fresh.sndNxt, fresh.rcvNxt, s.m.Txns.Value(), s.m.BadTxns.Value()
+	stale, err := wire.BuildSegment(
+		wire.IPv4Header{TTL: 64, Src: old.key.LocalAddr, Dst: old.key.RemoteAddr},
+		wire.TCPHeader{SrcPort: old.key.LocalPort, DstPort: old.key.RemotePort, Seq: rcvNxt, Ack: sndNxt,
+			Flags: wire.FlagACK | wire.FlagPSH | wire.FlagFIN, Window: 65535},
+		[]byte("OK stale\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.routeFrame(stale)
+	// A late handler call: an engine connection keyed as the old one was,
+	// on a stack of its own whose handler is the server's, carrying a
+	// request line.
+	eng := engine.NewStack(old.key.LocalAddr, core.NewMapDemux(), 1)
+	if err := eng.Listen(ServicePort, s.handleApp); err != nil {
+		t.Fatal(err)
+	}
+	peer := engine.NewStack(old.key.RemoteAddr, core.NewMapDemux(), 2)
+	pc, err := peer.Connect(old.key.LocalAddr, ServicePort, old.key.RemotePort, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := engine.Pump(peer, eng); err != nil {
+		t.Fatal(err)
+	}
+	accounts := len(s.ledger.accounts)
+	if err := pc.Send(FormatRequest(7, 7, 7, 5)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := engine.Pump(peer, eng); err != nil {
+		t.Fatal(err)
+	}
+	if fresh.sndNxt != sndNxt || fresh.rcvNxt != rcvNxt || fresh.state != sessEstablished || s.conns[old.fd] != fresh {
+		t.Fatalf("frames for the old holder moved the new session: snd %d → %d, rcv %d → %d, state %d",
+			sndNxt, fresh.sndNxt, rcvNxt, fresh.rcvNxt, fresh.state)
+	}
+	if s.m.Txns.Value() != txns || s.m.BadTxns.Value() != bad || len(s.ledger.accounts) != accounts || s.m.Served.Value() != 1 {
+		t.Fatalf("a handler call for the old holder reached the ledger: txns %d → %d, bad %d → %d, accounts %d → %d",
+			txns, s.m.Txns.Value(), bad, s.m.BadTxns.Value(), accounts, len(s.ledger.accounts))
 	}
 
 	// The new holder of the number transacts as if nothing had happened.
@@ -332,7 +388,7 @@ func TestLiveCloseWaitsForFlush(t *testing.T) {
 	sess := onlySession(t, s)
 	// As send leaves a session whose socket buffer was full.
 	held := []byte("OK held back\n")
-	sess.wbuf = append(sess.wbuf, held...)
+	sess.buffers().wbuf = append(sess.buffers().wbuf, held...)
 	s.interest(sess, sess.events|syscall.EPOLLOUT)
 	if err := c.conn.(*net.TCPConn).CloseWrite(); err != nil {
 		t.Fatalf("CloseWrite: %v", err)
@@ -342,7 +398,7 @@ func TestLiveCloseWaitsForFlush(t *testing.T) {
 		return sess.eof
 	})
 	if sess.state != sessEstablished {
-		t.Fatalf("state %d with %d bytes unsent: the close did not wait", sess.state, len(sess.wbuf))
+		t.Fatalf("state %d with %d bytes unsent: the close did not wait", sess.state, sess.pending())
 	}
 	step(t, s) // room in the socket buffer
 	c.expect(t, held)
@@ -388,7 +444,7 @@ func TestLiveTransactionAllocations(t *testing.T) {
 	if got := testing.AllocsPerRun(200, func() { roundTrip(req[:5], req[5:]) }); got > 6 {
 		t.Errorf("a transaction split over two segments allocates %.1f times, want at most 6", got)
 	}
-	if got := cap(onlySession(t, s).appBuf); got > MaxLineLen {
+	if got := cap(onlySession(t, s).buffers().appBuf); got > MaxLineLen {
 		t.Errorf("the line buffer grew to %d bytes over 400 short lines", got)
 	}
 }
@@ -434,4 +490,77 @@ func TestLiveIdleResidents(t *testing.T) {
 	if st := shutdown(t, srv); st.Drained != resident {
 		t.Errorf("ledger: %+v, want %d drained", st, resident)
 	}
+}
+
+// TestFrontendBytesPerConnection holds what a resident connection costs
+// the server's heap: a thousand raw client sockets, which put nothing on
+// the Go heap themselves, each accepted and given one transaction, and
+// the live heap's growth over them. It counts the 48-B session, the
+// session's slot in the descriptor-indexed conns slice (the clients'
+// descriptors interleave with the server's, so two slots a resident), and
+// the engine's share (the 64-B Conn and its chain entry). That reads
+// 156.4 B; with the 112-B session and the key→session map the frontend
+// kept beside conns it read 275–281 B.
+//
+//demux:owner(engineloop)
+func TestFrontendBytesPerConnection(t *testing.T) {
+	const resident = 1000
+	if size := unsafe.Sizeof(session{}); size > 48 {
+		t.Errorf("session is %d B, want <= 48", size)
+	}
+	s := newLooplessServer(t)
+	defer s.drainAndExit()
+	host, port, err := net.SplitHostPort(s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sa := &syscall.SockaddrInet4{Addr: [4]byte(net.ParseIP(host).To4())}
+	if sa.Port, err = strconv.Atoi(port); err != nil {
+		t.Fatal(err)
+	}
+	fds := make([]int, 0, resident)
+	defer func() {
+		for _, fd := range fds {
+			syscall.Close(fd)
+		}
+	}()
+	req, reply := FormatRequest(1, 1, 1, 1), make([]byte, 256)
+
+	before := heapAlloc()
+	for i := 0; i < resident; i++ {
+		fd, err := syscall.Socket(syscall.AF_INET, syscall.SOCK_STREAM|syscall.SOCK_CLOEXEC, 0)
+		if err != nil {
+			t.Fatalf("socket %d: %v", i, err)
+		}
+		fds = append(fds, fd)
+		if err := syscall.Connect(fd, sa); err != nil {
+			t.Fatalf("connect %d: %v", i, err)
+		}
+		if n, err := syscall.Write(fd, req); n != len(req) || err != nil {
+			t.Fatalf("write %d: %d, %v", i, n, err)
+		}
+		for s.m.Txns.Value() <= uint64(i) {
+			step(t, s)
+		}
+		if n, err := syscall.Read(fd, reply); n < 1 || err != nil || reply[n-1] != '\n' {
+			t.Fatalf("reply %d: %q, %v", i, reply[:max(n, 0)], err)
+		}
+	}
+	perConn := float64(heapAlloc()-before) / resident
+	t.Logf("%.1f B per resident connection", perConn)
+	if s.active != resident {
+		t.Fatalf("%d sessions open, want %d", s.active, resident)
+	}
+	if perConn > 164 {
+		t.Errorf("the server holds %.1f B per resident connection, want <= 164", perConn)
+	}
+}
+
+// heapAlloc is the live heap after a full collection.
+func heapAlloc() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
 }

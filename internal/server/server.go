@@ -37,7 +37,6 @@ import (
 	"fmt"
 	"net"
 	"os"
-	"sort"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -125,19 +124,19 @@ type Server struct {
 	loopExit  chan struct{}
 	start     time.Time
 
-	// Engine-loop-owned: the accept ordinal (synthetic endpoint allocator
-	// and epoll generation) and the ISS draw source; the open descriptors
-	// (indexed by fd) and the session registry (keyed by engine-side PCB
-	// key); the TPC/A ledger; the egress frames the StackSet tap queued
-	// during Deliver/Tick; the one read buffer.
-	nextID    uint64                //demux:singlewriter(owner=engineloop)
-	iss       *rng.Source           //demux:singlewriter(owner=engineloop)
-	conns     []*session            //demux:singlewriter(owner=engineloop)
-	sessions  map[core.Key]*session //demux:singlewriter(owner=engineloop)
-	ledger    *Ledger               //demux:singlewriter(owner=engineloop)
-	egressQ   [][]byte              //demux:singlewriter(owner=engineloop)
-	rbuf      [DefaultReadBuf]byte  //demux:singlewriter(owner=engineloop)
-	acceptOff bool                  //demux:singlewriter(owner=engineloop)
+	// Engine-loop-owned: the accept ordinal (the epoll generation, and
+	// with the descriptor the synthetic endpoint) and the ISS draw source;
+	// the open sessions, indexed by descriptor, and how many there are;
+	// the TPC/A ledger; the egress frames the StackSet tap queued during
+	// Deliver/Tick; the one read buffer.
+	nextID    uint64               //demux:singlewriter(owner=engineloop)
+	iss       *rng.Source          //demux:singlewriter(owner=engineloop)
+	conns     []*session           //demux:singlewriter(owner=engineloop)
+	active    int                  //demux:singlewriter(owner=engineloop)
+	ledger    *Ledger              //demux:singlewriter(owner=engineloop)
+	egressQ   [][]byte             //demux:singlewriter(owner=engineloop)
+	rbuf      [DefaultReadBuf]byte //demux:singlewriter(owner=engineloop)
+	acceptOff bool                 //demux:singlewriter(owner=engineloop)
 }
 
 // New builds and starts a frontend: the kernel listener is bound, the
@@ -184,7 +183,6 @@ func newServer(cfg Config) (*Server, error) {
 		m:        telemetry.NewServerMetrics(reg),
 		loopExit: make(chan struct{}),
 		iss:      rng.New(cfg.Seed ^ 0x6c657473_676f2121),
-		sessions: make(map[core.Key]*session),
 		ledger:   NewLedger(),
 	}
 	set.SetEgressTap(s.tapFrame)
@@ -367,16 +365,23 @@ func (s *Server) dispatch(ev syscall.EpollEvent) {
 }
 
 // acceptReady empties the listener's queue. Each connection (non-blocking,
-// Nagle off: a reply is one small write) is registered, opened in the
-// engine (the three-way handshake completes synchronously: SYN in, the
-// engine's SYN|ACK through the tap, our ACK back in pumpEgress) and given
-// a first read in the same wake: a client that dials and sends at once is
-// answered without another trip through epoll_wait.
+// Nagle off: a reply is one small write) is registered under its
+// descriptor, opened in the engine (the three-way handshake completes
+// synchronously: SYN in, the engine's SYN|ACK through the tap, our ACK
+// back in pumpEgress) and given a first read in the same wake: a client
+// that dials and sends at once is answered without another trip through
+// epoll_wait.
 //
 //demux:owner(engineloop)
 func (s *Server) acceptReady() {
 	for {
 		fd, _, err := syscall.Accept4(s.lfd, syscall.SOCK_NONBLOCK|syscall.SOCK_CLOEXEC)
+		if err == nil && fd > maxSessionFD {
+			// A descriptor no synthetic endpoint can name: refused as if
+			// the process had run out of them, and never counted.
+			syscall.Close(fd)
+			err = syscall.EMFILE
+		}
 		switch err {
 		case nil:
 		case syscall.EAGAIN, syscall.EINTR, syscall.ECONNABORTED:
@@ -388,7 +393,7 @@ func (s *Server) acceptReady() {
 			return
 		}
 		_ = syscall.SetsockoptInt(fd, syscall.IPPROTO_TCP, syscall.TCP_NODELAY, 1) // slower without, not wrong
-		sess := newSession(s.nextID, fd, s.set.Addr(), uint32(s.iss.Uint64()))
+		sess := newSession(int32(fd), int32(s.nextID), s.set.Addr(), uint32(s.iss.Uint64()))
 		if s.epollCtl(syscall.EPOLL_CTL_ADD, fd, sess.events, sess.gen) != nil {
 			syscall.Close(fd)
 			continue
@@ -399,8 +404,8 @@ func (s *Server) acceptReady() {
 		}
 		s.conns[fd] = sess
 		s.m.Accepted.Inc()
-		s.sessions[sess.key] = sess
-		s.m.Active.Set(float64(len(s.sessions)))
+		s.active++
+		s.m.Active.Set(float64(s.active))
 		s.inject(sess, wire.FlagSYN, nil)
 		s.pumpEgress()
 		if s.conns[fd] == sess {
@@ -415,7 +420,7 @@ func (s *Server) acceptReady() {
 //
 //demux:owner(engineloop)
 func (s *Server) readReady(sess *session) {
-	n, err := syscall.Read(sess.fd, s.rbuf[:])
+	n, err := syscall.Read(int(sess.fd), s.rbuf[:])
 	switch {
 	case err == syscall.EAGAIN || err == syscall.EINTR: // reported again if there is anything
 	case err != nil:
@@ -424,8 +429,8 @@ func (s *Server) readReady(sess *session) {
 		// End of stream stays readable for ever: stop polling for it. The
 		// close waits for replies the socket has yet to take (send).
 		s.interest(sess, sess.events&^syscall.EPOLLIN)
-		if sess.eof = true; len(sess.wbuf) == 0 {
-			s.clientClose(sess, s.m.Served)
+		if sess.eof = true; sess.pending() == 0 {
+			s.clientClose(sess, false)
 			s.pumpEgress()
 		}
 	case sess.state == sessEstablished:
@@ -443,14 +448,15 @@ func (s *Server) readReady(sess *session) {
 //
 //demux:owner(engineloop)
 func (s *Server) interest(sess *session, events uint32) {
-	if events != sess.events && s.epollCtl(syscall.EPOLL_CTL_MOD, sess.fd, events, sess.gen) == nil {
+	if events != sess.events && s.epollCtl(syscall.EPOLL_CTL_MOD, int(sess.fd), events, sess.gen) == nil {
 		sess.events = events
 	}
 }
 
 // send writes p to the session's socket, behind whatever the session still
 // holds for it; flushing under EPOLLOUT is send with nothing new. What a
-// full socket buffer does not take waits in the session's bounded buffer:
+// full socket buffer does not take waits in the session's bounded buffer,
+// allocated the first time a write falls short:
 // the loop never blocks on one slow client (that would stall every other
 // connection), so a client that has stopped reading while replies kept
 // coming overflows the buffer and is shed — the one place the frontend
@@ -459,11 +465,11 @@ func (s *Server) interest(sess *session, events uint32) {
 //
 //demux:owner(engineloop)
 func (s *Server) send(sess *session, p []byte) bool {
-	if len(sess.wbuf) > 0 {
-		sess.wbuf = append(sess.wbuf, p...)
-		p = sess.wbuf
+	if sess.pending() > 0 {
+		sess.bufs.wbuf = append(sess.bufs.wbuf, p...)
+		p = sess.bufs.wbuf
 	}
-	n, err := writeSome(sess.fd, p)
+	n, err := writeSome(int(sess.fd), p)
 	switch rest := p[n:]; {
 	case err != nil:
 		s.abort(sess, s.m.ShedSocketError)
@@ -472,13 +478,16 @@ func (s *Server) send(sess *session, p []byte) bool {
 		s.abort(sess, s.m.ShedWriteBacklog)
 		return false
 	case len(rest) > 0:
-		sess.wbuf = append(sess.wbuf[:0], rest...)
+		b := sess.buffers()
+		b.wbuf = append(b.wbuf[:0], rest...)
 		s.interest(sess, sess.events|syscall.EPOLLOUT)
 	default:
-		sess.wbuf = nil
+		if sess.bufs != nil {
+			sess.bufs.wbuf = nil
+		}
 		s.interest(sess, sess.events&^syscall.EPOLLOUT)
 		if sess.eof {
-			s.clientClose(sess, s.m.Served)
+			s.clientClose(sess, false)
 		}
 	}
 	return true
@@ -510,20 +519,19 @@ func (s *Server) inject(sess *session, flags uint8, payload []byte) {
 
 // clientClose starts the orderly close of a session's synthetic
 // connection (client-side FIN; the engine answers FIN|ACK and routeFrame
-// finishes the session on the ledger counter `as`: Served, or Drained
-// when Shutdown reuses it).
+// finishes the session as served, or as drained when Shutdown closes it).
 //
 //demux:owner(engineloop)
-func (s *Server) clientClose(sess *session, as *telemetry.Counter) {
+func (s *Server) clientClose(sess *session, drained bool) {
 	switch sess.state {
 	case sessEstablished:
-		sess.closing = as
+		sess.drained = drained
 		sess.state = sessFinSent
 		s.inject(sess, wire.FlagFIN|wire.FlagACK, nil)
 	case sessHandshake:
 		// Closed before the engine ever established it.
-		if as == s.m.Drained {
-			s.finish(sess, as)
+		if drained {
+			s.finish(sess, s.m.Drained)
 		} else {
 			s.abort(sess, s.m.ShedHandshake)
 		}
@@ -546,10 +554,10 @@ func (s *Server) abort(sess *session, reason *telemetry.Counter) {
 	s.finish(sess, reason)
 }
 
-// finish retires a session exactly once: session registry, the StackSet's
-// record of it, the socket (closing it ends its epoll registration) and the
-// ledger — `as` is the one outcome counter this session adds to: Served,
-// Drained, or a shed reason.
+// finish retires a session exactly once: its descriptor slot, the
+// StackSet's record of it, the socket (closing it ends its epoll
+// registration) and the ledger — `as` is the one outcome counter this
+// session adds to: Served, Drained, or a shed reason.
 //
 //demux:owner(engineloop)
 func (s *Server) finish(sess *session, as *telemetry.Counter) {
@@ -557,12 +565,12 @@ func (s *Server) finish(sess *session, as *telemetry.Counter) {
 		return
 	}
 	sess.state = sessClosed
-	sess.appBuf, sess.wbuf = nil, nil
-	delete(s.sessions, sess.key)
+	sess.bufs = nil
 	s.set.Release(sess.key)
-	syscall.Close(sess.fd)
+	syscall.Close(int(sess.fd))
 	s.conns[sess.fd] = nil
-	s.m.Active.Set(float64(len(s.sessions)))
+	s.active--
+	s.m.Active.Set(float64(s.active))
 	as.Inc()
 }
 
@@ -590,8 +598,11 @@ func (s *Server) pumpEgress() {
 //demux:owner(engineloop)
 func (s *Server) routeFrame(frame []byte) {
 	key, seq, flags, payload, ok := peekEgress(frame)
-	sess := s.sessions[key]
-	if !ok || sess == nil {
+	if !ok {
+		return
+	}
+	sess := s.session(key)
+	if sess == nil {
 		return // late frame for a finished session
 	}
 	if flags&wire.FlagRST != 0 {
@@ -638,12 +649,16 @@ func (s *Server) routeFrame(frame []byte) {
 			// The engine's FIN|ACK completes the close we initiated; the
 			// final ACK lets the engine tear the PCB down (LAST_ACK).
 			s.inject(sess, wire.FlagACK, nil)
-			s.finish(sess, sess.closing)
+			if sess.drained {
+				s.finish(sess, s.m.Drained)
+			} else {
+				s.finish(sess, s.m.Served)
+			}
 			return
 		}
 		// Engine-initiated close: acknowledge, answer with our own FIN,
 		// and let the completion path above finish the session.
-		sess.closing = s.m.Served
+		sess.drained = false
 		sess.state = sessFinSent
 		s.inject(sess, wire.FlagFIN|wire.FlagACK, nil)
 	}
@@ -654,13 +669,14 @@ func (s *Server) routeFrame(frame []byte) {
 // into request lines, and serves the TPC/A protocol against the single
 // shared ledger. A line that arrives whole, the usual case, is served
 // from payload where it lies; only a line split across segments passes
-// through the session's buffer, which is emptied, capacity kept, when the
-// line completes. Returning nil lets the engine send a pure ACK.
+// through the session's buffer, which is allocated then and emptied,
+// capacity kept, when the line completes. Returning nil lets the engine
+// send a pure ACK.
 //
 //demux:owner(engineloop)
 func (s *Server) handleApp(c *engine.Conn, payload []byte) []byte {
-	sess, ok := s.sessions[c.Key()]
-	if !ok {
+	sess := s.session(c.Key())
+	if sess == nil {
 		return nil
 	}
 	var out []byte
@@ -670,9 +686,9 @@ func (s *Server) handleApp(c *engine.Conn, payload []byte) []byte {
 			break
 		}
 		line := payload[:i]
-		if len(sess.appBuf) > 0 {
-			line = append(sess.appBuf, line...)
-			sess.appBuf = line[:0]
+		if b := sess.bufs; b != nil && len(b.appBuf) > 0 {
+			line = append(b.appBuf, line...)
+			b.appBuf = line[:0]
 		}
 		payload = payload[i+1:]
 		var reply []byte
@@ -690,14 +706,34 @@ func (s *Server) handleApp(c *engine.Conn, payload []byte) []byte {
 			out = append(out, reply...)
 		}
 	}
-	if len(sess.appBuf)+len(payload) > MaxLineLen {
-		sess.appBuf = sess.appBuf[:0]
+	if len(payload) == 0 {
+		return out
+	}
+	b := sess.buffers()
+	if len(b.appBuf)+len(payload) > MaxLineLen {
+		b.appBuf = b.appBuf[:0]
 		s.m.BadTxns.Inc()
 		out = append(out, FormatError("line too long")...)
 	} else {
-		sess.appBuf = append(sess.appBuf, payload...)
+		b.appBuf = append(b.appBuf, payload...)
 	}
 	return out
+}
+
+// session returns the open session whose engine-side key is key, or nil:
+// the one in the descriptor slot key names, if it is that holder of the
+// descriptor and not an earlier or later one.
+//
+//demux:owner(engineloop)
+func (s *Server) session(key core.Key) *session {
+	fd, ok := fdOf(key)
+	if !ok || fd >= len(s.conns) {
+		return nil
+	}
+	if sess := s.conns[fd]; sess != nil && sess.key == key {
+		return sess
+	}
+	return nil
 }
 
 // drainAndExit is graceful shutdown: close every remaining session through
@@ -706,14 +742,13 @@ func (s *Server) handleApp(c *engine.Conn, payload []byte) []byte {
 //
 //demux:owner(engineloop)
 func (s *Server) drainAndExit() {
-	// Deterministic drain order for the remaining sessions.
-	open := make([]*session, 0, len(s.sessions))
-	for _, sess := range s.sessions { //demux:orderinvariant collected then sorted by accept ordinal below
-		open = append(open, sess)
-	}
-	sort.Slice(open, func(i, j int) bool { return open[i].id < open[j].id })
-	for _, sess := range open {
-		s.clientClose(sess, s.m.Drained)
+	// Descriptor order: deterministic, and the walk needs no snapshot:
+	// nothing is accepted during the drain, so slots only ever empty.
+	for _, sess := range s.conns {
+		if sess == nil {
+			continue
+		}
+		s.clientClose(sess, true)
 		s.pumpEgress() // the FIN handshake completes synchronously
 		// If the engine never answered (refused handshake, mid-close
 		// state), force the session shut, still accounted as drained.
@@ -722,7 +757,7 @@ func (s *Server) drainAndExit() {
 	syscall.Close(s.lfd)
 	s.ep.Close()
 	s.set.Tick(s.now())
-	if n := len(s.sessions); n != 0 {
+	if n := s.active; n != 0 {
 		// Belt-and-braces: the ledger must balance; a nonzero residue is a
 		// bug worth making loud even outside tests.
 		panic(fmt.Sprintf("server: %d sessions still active after drain", n))

@@ -17,7 +17,6 @@ import (
 	"syscall"
 
 	"tcpdemux/internal/core"
-	"tcpdemux/internal/telemetry"
 	"tcpdemux/internal/wire"
 )
 
@@ -38,54 +37,111 @@ const (
 )
 
 // session is one live bridge between a kernel connection and its
-// synthetic engine connection. Every field belongs to the engine loop.
+// synthetic engine connection. Every field belongs to the engine loop. It
+// is 48 B, the 48-B size class: what a resident TPC/A terminal costs the
+// frontend beside its slot in Server.conns.
 //
 //demux:singlewriter(owner=engineloop)
 type session struct {
-	id uint64
 	// fd is the accepted socket. The kernel reuses descriptor numbers, so
 	// an epoll registration carries gen (the accept ordinal's low bits) as
 	// well: an event queued for an earlier holder of the number does not
 	// match. events is the readiness mask currently registered.
-	fd     int
+	fd     int32
 	gen    int32
 	events uint32
 	// key is the synthetic connection's engine-side PCB key: Local is the
-	// engine's server endpoint, Remote the synthesized client endpoint.
+	// engine's server endpoint, Remote the client endpoint minted from
+	// (fd, gen), so the key names the session's slot (Server.session).
 	key core.Key
 
-	// Mini-client TCP state. closing is the ledger counter (Served or
-	// Drained) the close in flight will finish on, set on every entry to
-	// sessFinSent.
-	state   sessionState
+	// Mini-client TCP state. drained says the close in flight finishes on
+	// the Drained counter rather than Served; it is set on every entry to
+	// sessFinSent. eof says the client has ended its stream (the close
+	// waits for the write buffer to empty).
 	sndNxt  uint32
 	rcvNxt  uint32
-	closing *telemetry.Counter
-	// appBuf holds a request line whose newline has not arrived yet; wbuf
-	// holds reply bytes a full socket buffer did not take, at most
-	// DefaultWriteBacklog of them, while EPOLLOUT is registered; eof says
-	// the client has ended its stream (the close waits for wbuf to go).
-	appBuf []byte
-	wbuf   []byte
-	eof    bool
+	state   sessionState
+	eof     bool
+	drained bool
+	// bufs is nil until a request line splits across reads or a write
+	// falls short, and is then kept until finish.
+	bufs *sessionBufs
 }
 
-// newSession builds the bridge state for one accepted connection: a
-// collision-free synthetic client endpoint derived from the accept
-// ordinal, and a seeded initial sequence number.
-func newSession(id uint64, fd int, server wire.Addr, iss uint32) *session {
-	// 60000 ephemeral ports per synthetic host, hosts in 10.128/9 so no
-	// synthetic client ever collides with the server's 10.0.0.1.
-	host := id / 60000
+// sessionBufs is what a session holds only once a peer needs it.
+type sessionBufs struct {
+	// appBuf holds a request line whose newline has not arrived yet; wbuf
+	// holds reply bytes a full socket buffer did not take, at most
+	// DefaultWriteBacklog of them, while EPOLLOUT is registered.
+	appBuf []byte
+	wbuf   []byte
+}
+
+// buffers returns the session's buffers, allocating them on first use.
+//
+//demux:owner(engineloop)
+func (ss *session) buffers() *sessionBufs {
+	if ss.bufs == nil {
+		ss.bufs = new(sessionBufs)
+	}
+	return ss.bufs
+}
+
+// pending is how many reply bytes wait for the socket to take them.
+//
+//demux:owner(engineloop)
+func (ss *session) pending() int {
+	if ss.bufs == nil {
+		return 0
+	}
+	return len(ss.bufs.wbuf)
+}
+
+// The synthetic client endpoint spells the session's slot: 20 bits of
+// descriptor and 18 of generation, spread over the 23 host bits of
+// 10.128/9 (no synthetic client is ever the server's 10.0.0.1) and 15 bits
+// of port, 1024..33791. A descriptor above maxSessionFD is refused at
+// accept; Linux's default fs.nr_open (2^20) never hands one out.
+const (
+	genBits      = 18
+	portBits     = 15
+	portBase     = 1024
+	maxSessionFD = 1<<20 - 1
+)
+
+// endpoint mints the client endpoint of descriptor fd's holder of
+// generation gen (taken mod 2^18).
+func endpoint(fd, gen int32) (wire.Addr, uint16) {
+	v := uint64(fd)<<genBits | uint64(uint32(gen)&(1<<genBits-1))
+	host := v >> portBits
+	return wire.MakeAddr(10, 128|byte(host>>16), byte(host>>8), byte(host)),
+		uint16(portBase + v&(1<<portBits-1))
+}
+
+// fdOf inverts endpoint on a key's remote side: the descriptor whose
+// session may own key, or !ok if no session's endpoint has that shape.
+func fdOf(key core.Key) (int, bool) {
+	a, port := key.RemoteAddr, key.RemotePort
+	if a[0] != 10 || a[1]&0x80 == 0 || port < portBase || port >= portBase+1<<portBits {
+		return 0, false
+	}
+	host := uint64(a[1]&0x7f)<<16 | uint64(a[2])<<8 | uint64(a[3])
+	return int((host<<portBits | uint64(port-portBase)) >> genBits), true
+}
+
+// newSession builds the bridge state for accepted descriptor fd under
+// generation gen (the accept ordinal): its synthetic client endpoint and
+// a seeded initial sequence number.
+func newSession(fd, gen int32, server wire.Addr, iss uint32) *session {
+	addr, port := endpoint(fd, gen)
 	return &session{
-		id:     id,
 		fd:     fd,
-		gen:    int32(id),
+		gen:    gen,
 		events: syscall.EPOLLIN,
 		key: core.Key{
 			LocalAddr: server, LocalPort: ServicePort,
-			RemoteAddr: wire.MakeAddr(10, 128|byte(host>>16), byte(host>>8), byte(host)),
-			RemotePort: uint16(1024 + id%60000),
+			RemoteAddr: addr, RemotePort: port,
 		},
 		sndNxt: iss,
 	}

@@ -170,7 +170,7 @@ func TestPassiveOpenAllocations(t *testing.T) {
 		}
 		established := 0
 		for i := 0; i < set.Shards(); i++ {
-			for _, ci := range set.Shard(i).Netstat() {
+			for _, ci := range set.Shard(i).PCBs() {
 				if ci.State == core.StateEstablished {
 					established++
 				}

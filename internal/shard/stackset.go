@@ -513,7 +513,7 @@ func (set *StackSet) Rekey() int {
 }
 
 // resettle is the one walk behind Rekey and FailOver. It collects each
-// shard's PCBs once, in Netstat's order (which fixes the order moves are
+// shard's PCBs once, in PCBs' order (which fixes the order moves are
 // made in), and decides where each connection belongs: on the shard its
 // key steers to if that shard is alive, else where it already is if that
 // one is, else on the rescue fold's survivor. A PCB that belongs elsewhere
